@@ -606,10 +606,10 @@ int RunTracingOverhead() {
 //
 // Experiment S12: what the AsyncIoBackend's batching buys on the two
 // I/O-bound paths it serves, swept over queue depth {0, 1, 2, 4, 8}.
-// Depth 0 is the synchronous fallback: the same batch interface, the
-// same per-op device latency, executed inline one op at a time — the
-// honest baseline (the simulated device serves one synchronous request
-// at a time; only async submission reaches its internal parallelism).
+// Depth 0 is the engine's default device: the same batch interface, the
+// same per-op device latency, executed inline with one op in flight —
+// the honest baseline (only queue depth reaches the simulated device's
+// internal parallelism).
 //
 //  * writeback — checkpoint-heavy: every round dirties all pages, then
 //    FlushEverything() drives the pool's batched writeback
@@ -617,8 +617,8 @@ int RunTracingOverhead() {
 //    write costing a simulated 150us of device time.
 //  * recovery — a heavy no-checkpoint crash state recovered with 4
 //    redo workers; every first-touch page read costs a simulated 200us
-//    (prefetch batches through the backend overlap it; the partitions'
-//    synchronous fallback reads serialize it on the shared disk mutex).
+//    (prefetch batches overlap it above depth 0; at depth 0 the
+//    partitions' misses serialize on the device's disk mutex).
 //
 // Targets: depth >= 4 beats depth 0 by >= 1.3x on both workloads, and
 // depth 1 is within 15% of depth 0 (the batch plumbing itself must not
@@ -640,8 +640,8 @@ int RunAsyncIoSweep() {
       "Experiment S12: async batched I/O — queue-depth sweep.\n"
       "Both workloads charge the identical per-op simulated device\n"
       "latency at every depth (writes %llu us, reads %llu us); depth 0\n"
-      "is the backend's synchronous fallback, so the sweep isolates\n"
-      "what batching overlaps. Times are best of %zu runs.\n\n",
+      "is the engine's default one-op-in-flight device, so the sweep\n"
+      "isolates what batching overlaps. Times are best of %zu runs.\n\n",
       (unsigned long long)kWriteLatencyUs, (unsigned long long)kReadLatencyUs,
       kRepeats);
 
@@ -657,7 +657,7 @@ int RunAsyncIoSweep() {
       db_options.num_pages = kWbPages;
       db_options.cache_capacity = 0;
       db_options.engine.async_io_workers = kDepths[d];
-      db_options.engine.async_write_latency_us = kWriteLatencyUs;
+      db_options.engine.simulated_write_latency_us = kWriteLatencyUs;
       engine::MiniDb db(db_options, methods::MakeMethod(kind, {kWbPages}));
       const auto start = std::chrono::steady_clock::now();
       for (size_t round = 0; round < kWbRounds; ++round) {
@@ -671,7 +671,7 @@ int RunAsyncIoSweep() {
           std::chrono::duration_cast<std::chrono::microseconds>(end - start)
               .count());
       if (us < wb_us[d]) wb_us[d] = us;
-      wb_batches[d] = db.async_io()->stats().batches;
+      wb_batches[d] = db.pool().stats().batch_flushes;
     }
   }
 
@@ -710,7 +710,6 @@ int RunAsyncIoSweep() {
         engine::EngineOptions recovery;
         recovery.parallel_workers = 4;
         recovery.async_io_workers = kDepths[d];
-        recovery.async_read_latency_us = kReadLatencyUs;
         recovery.simulated_read_latency_us = kReadLatencyUs;
         db.set_engine_options(recovery);
         const redo::par::ParallelRedoMetrics before =

@@ -62,12 +62,12 @@
 // flight-recorder trace (--trace-out, Chrome trace_event JSON loadable
 // in chrome://tracing or Perfetto).
 //
-// With `--async-io`, every engine in the run attaches an AsyncIoBackend
-// with 4 completion workers: eviction/checkpoint writeback goes out in
-// batches, parallel-redo workers prefetch their plans, and the
-// group-commit force overlaps staging. The oracles are unchanged — the
-// async schedule must produce byte-identical recovered state, zero lost
-// acked commits, zero silent corruptions.
+// With `--async-io`, every engine in the run drives its device at queue
+// depth 4 instead of 0: up to 4 page I/Os complete concurrently,
+// parallel-redo workers prefetch their plans, and the group-commit force
+// overlaps staging. The oracles are unchanged — the async schedule must
+// produce byte-identical recovered state, zero lost acked commits, zero
+// silent corruptions.
 //
 // With `--net`, the torture goes over the wire: real TCP clients on
 // loopback drive a NetServer through the unified command layer while
@@ -84,16 +84,50 @@
 //                      [--abort-percent N] [--undo-crash K]
 //                      [--timeline-out PATH] [--trace-out PATH]
 //                      [runs_per_method] [ops_per_segment] [crashes]
+//
+// An unknown flag, a flag missing its value, or a size that is not a
+// plain decimal number prints the usage line and exits 2.
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "checker/concurrent_sim.h"
 #include "checker/crash_sim.h"
 #include "checker/net_sim.h"
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: crash_torture [--faults] [--force-unrecoverable] [--parallel]\n"
+    "                     [--concurrent] [--instant] [--txn] [--net]\n"
+    "                     [--async-io] [--abort-percent N] [--undo-crash K]\n"
+    "                     [--timeline-out PATH] [--trace-out PATH]\n"
+    "                     [runs_per_method] [ops_per_segment] [crashes]\n";
+
+// A decimal size: digits only, so a mistyped flag or "2x" is rejected
+// instead of silently parsing as 0 (or 2).
+bool ParseSize(const char* text, size_t* out) {
+  if (*text == '\0') return false;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return false;
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, nullptr, 10);
+  if (errno == ERANGE) return false;
+  *out = static_cast<size_t>(value);
+  return true;
+}
+
+int Usage(const std::string& complaint) {
+  std::fprintf(stderr, "crash_torture: %s\n%s", complaint.c_str(), kUsage);
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace redo;
@@ -109,49 +143,56 @@ int main(int argc, char** argv) {
   size_t undo_crash = 2;
   std::string timeline_out = "crash_torture_failing_timeline.jsonl";
   std::string trace_out = "crash_torture_failing_trace.json";
-  while (argc > 1) {
-    if (std::strcmp(argv[1], "--faults") == 0) {
+  std::vector<size_t> sizes;  // runs_per_method, ops_per_segment, crashes
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    // The flag's value: the next argument, or nullptr when it is missing.
+    auto value = [&]() -> const char* {
+      return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    auto size_value = [&](size_t* out) {
+      const char* text = value();
+      return text != nullptr && ParseSize(text, out);
+    };
+    if (arg == "--faults") {
       faults = true;
-    } else if (std::strcmp(argv[1], "--force-unrecoverable") == 0) {
+    } else if (arg == "--force-unrecoverable") {
       faults = true;
       force_unrecoverable = true;
-    } else if (std::strcmp(argv[1], "--parallel") == 0) {
+    } else if (arg == "--parallel") {
       parallel = true;
-    } else if (std::strcmp(argv[1], "--concurrent") == 0) {
+    } else if (arg == "--concurrent") {
       concurrent = true;
-    } else if (std::strcmp(argv[1], "--instant") == 0) {
+    } else if (arg == "--instant") {
       instant = true;
-    } else if (std::strcmp(argv[1], "--txn") == 0) {
+    } else if (arg == "--txn") {
       txn = true;
-    } else if (std::strcmp(argv[1], "--net") == 0) {
+    } else if (arg == "--net") {
       net = true;
-    } else if (std::strcmp(argv[1], "--async-io") == 0) {
+    } else if (arg == "--async-io") {
       async_io = 4;
-    } else if (std::strcmp(argv[1], "--abort-percent") == 0 && argc > 2) {
-      abort_percent = std::strtoul(argv[2], nullptr, 10);
-      --argc;
-      ++argv;
-    } else if (std::strcmp(argv[1], "--undo-crash") == 0 && argc > 2) {
-      undo_crash = std::strtoul(argv[2], nullptr, 10);
-      --argc;
-      ++argv;
-    } else if (std::strcmp(argv[1], "--timeline-out") == 0 && argc > 2) {
-      timeline_out = argv[2];
-      --argc;
-      ++argv;
-    } else if (std::strcmp(argv[1], "--trace-out") == 0 && argc > 2) {
-      trace_out = argv[2];
-      --argc;
-      ++argv;
+    } else if (arg == "--abort-percent") {
+      if (!size_value(&abort_percent)) return Usage(arg + " needs a number");
+    } else if (arg == "--undo-crash") {
+      if (!size_value(&undo_crash)) return Usage(arg + " needs a number");
+    } else if (arg == "--timeline-out" || arg == "--trace-out") {
+      const char* path = value();
+      if (path == nullptr) return Usage(arg + " needs a path");
+      (arg == "--timeline-out" ? timeline_out : trace_out) = path;
+    } else if (arg.rfind("--", 0) == 0) {
+      return Usage("unknown flag '" + arg + "'");
     } else {
-      break;
+      size_t size = 0;
+      if (!ParseSize(arg.c_str(), &size)) {
+        return Usage("'" + arg + "' is not a size");
+      }
+      if (sizes.size() == 3) return Usage("too many sizes");
+      sizes.push_back(size);
     }
-    --argc;
-    ++argv;
   }
-  const size_t runs = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 10;
-  const size_t ops = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 200;
-  const size_t crashes = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 4;
+  const size_t runs = sizes.size() > 0 ? sizes[0] : 10;
+  const size_t ops = sizes.size() > 1 ? sizes[1] : 200;
+  const size_t crashes = sizes.size() > 2 ? sizes[2] : 4;
 
   // Dump the failing cycle's flight-recorder trace next to the timeline
   // artifact (every torture mode funnels through this).

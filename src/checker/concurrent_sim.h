@@ -87,10 +87,10 @@ struct ConcurrentSimOptions {
   /// Redo worker threads for the (quiescing) recovery between cycles;
   /// > 1 routes redo through the write-graph parallel scheduler.
   size_t parallel_redo_workers = 1;
-  /// Async I/O backend completion workers (EngineOptions); 0 keeps the
-  /// I/O paths synchronous. The REDO_ASYNC_IO environment variable
-  /// overrides a zero here, so existing suites run against the async
-  /// backend in CI without edits.
+  /// The device's queue depth (EngineOptions::async_io_workers); 0
+  /// keeps one I/O in flight. The REDO_ASYNC_IO environment variable
+  /// overrides a zero here, so existing suites run at depth N in CI
+  /// without edits.
   size_t async_io_workers = 0;
 };
 

@@ -86,8 +86,8 @@ struct CrashSimOptions {
   /// paused), and require byte-identical effective pages, page LSNs,
   /// and redo-verdict multisets. Empty = off.
   std::vector<size_t> equivalence_workers;
-  /// Async I/O backend completion workers (EngineOptions); 0 keeps the
-  /// I/O paths synchronous (the REDO_ASYNC_IO environment variable
+  /// The device's queue depth (EngineOptions::async_io_workers); 0
+  /// keeps one I/O in flight (the REDO_ASYNC_IO environment variable
   /// overrides a zero). Recovered state is identical either way — only
   /// the I/O schedule changes — so every oracle runs unmodified.
   size_t async_io_workers = 0;

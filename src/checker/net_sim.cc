@@ -23,6 +23,13 @@ using storage::PageId;
 
 constexpr uint32_t kSlotsUsed = 8;  ///< low slots written per page
 
+/// Simulated page-read latency of the sim's engine. It stretches the
+/// kServing drain from microseconds to milliseconds, so reconnecting
+/// clients observably land *during* recovery (reconnects_during_serving)
+/// — the point of instant restart. Each page pays it once per first
+/// touch.
+constexpr uint64_t kDrainReadLatencyUs = 150;
+
 /// Per-slot ownership record (one writer per slot — the partition
 /// invariant). Values are strictly increasing, so the slot's legal
 /// post-recovery values form the contiguous range
@@ -212,7 +219,7 @@ NetSimResult RunNetCrashSim(methods::MethodKind method,
   db_options.engine.instant_restart = options.instant_restart;
   db_options.engine.instant_drain_workers =
       options.instant_drain_workers == 0 ? 1 : options.instant_drain_workers;
-  db_options.engine.simulated_read_latency_us = options.drain_read_latency_us;
+  db_options.engine.simulated_read_latency_us = kDrainReadLatencyUs;
   db_options.net.port = 0;  // ephemeral
   db_options.net.worker_threads = options.worker_threads;
   db_options.net.pipeline_depth = options.pipeline + 2;

@@ -54,11 +54,6 @@ struct NetSimOptions {
   /// kServing drain; false = quiescing Recover() before re-enabling.
   bool instant_restart = true;
   size_t instant_drain_workers = 2;
-  /// Simulated buffer-pool miss latency. Nonzero stretches the kServing
-  /// drain from microseconds to milliseconds so reconnecting clients
-  /// observably land *during* recovery (reconnects_during_serving), the
-  /// point of instant restart. Each page pays it once per first touch.
-  uint64_t drain_read_latency_us = 150;
   uint64_t group_commit_window_us = 100;
   size_t worker_threads = 2;       ///< server worker pool
   int reconnect_deadline_ms = 10000;

@@ -49,11 +49,13 @@ struct EngineOptions {
   /// group-commit batching is visible in wall-clock throughput.
   uint64_t simulated_force_latency_us = 0;
 
-  /// Simulated latency of one page read, charged by the buffer pool per
-  /// miss. 0 (the default) adds no delay; benchmarks set it to model a
-  /// device read so recovery strategies that defer page I/O (instant
-  /// restart) show the saving in wall-clock time.
+  /// Simulated latency of one page read / page write, charged by the
+  /// device (the buffer pool's AsyncIoBackend) once per op. 0 (the
+  /// default) adds no delay; benchmarks set them to model a device so
+  /// recovery strategies that defer page I/O (instant restart) and
+  /// batched writeback show the saving in wall-clock time.
   uint64_t simulated_read_latency_us = 0;
+  uint64_t simulated_write_latency_us = 0;
 
   /// Concurrent mode: take checkpoints fuzzily when the method supports
   /// it (the LSN-tag methods) — snapshot the dirty-page table and
@@ -88,23 +90,15 @@ struct EngineOptions {
   /// watchdog; tracing itself stays on either way.
   uint64_t slow_op_threshold_us = 0;
 
-  /// Async I/O backend (storage::AsyncIoBackend) completion workers —
-  /// the modeled device queue depth. 0 (the default) keeps every I/O
-  /// path synchronous; > 0 attaches the backend to the buffer pool
-  /// (batched eviction/checkpoint writeback), lets parallel-redo
-  /// workers prefetch their plans, and overlaps the group-commit force
-  /// with staging. The environment variable REDO_ASYNC_IO overrides a
-  /// zero here (the CI seam for running existing suites against the
-  /// async backend). Results are identical at any setting; only the
-  /// I/O schedule changes.
+  /// Completion workers of the device (storage::AsyncIoBackend) — the
+  /// modeled queue depth. 0 (the default) executes every page I/O
+  /// inline, one op in flight; > 0 overlaps that many ops, lets
+  /// parallel-redo workers prefetch their plans, and overlaps the
+  /// group-commit force with staging. The environment variable
+  /// REDO_ASYNC_IO overrides a zero here (the CI seam for running
+  /// existing suites at depth N). Results are identical at any setting;
+  /// only the I/O schedule changes.
   size_t async_io_workers = 0;
-
-  /// Simulated per-op device latency the async backend charges (read /
-  /// write), outside its disk serialization — the time queue depth
-  /// amortizes. 0 adds no delay. Benchmarks set these so batching is
-  /// visible in wall-clock throughput.
-  uint64_t async_read_latency_us = 0;
-  uint64_t async_write_latency_us = 0;
 };
 
 /// Configuration of the networked front end (src/net's NetServer).

@@ -83,7 +83,6 @@ MiniDb::MiniDb(const MiniDbOptions& options,
       << method_->name()
       << " forbids background flushes; use an unbounded cache";
   pool_.set_wal_hook([this](core::Lsn lsn) { return log_.Force(lsn); });
-  pool_.set_simulated_read_latency_us(engine_options_.simulated_read_latency_us);
 
   // Federate every subsystem's stats into the unified registry: one
   // snapshot call dumps the whole engine.
@@ -117,54 +116,30 @@ MiniDb::MiniDb(const MiniDbOptions& options,
   obs::FlightRecorder::Global().set_slow_op_threshold_us(
       engine_options_.slow_op_threshold_us);
   obs::FlightRecorder::Global().RegisterMetrics(metrics_, "flight");
-  ConfigureAsyncIo();
+  ConfigureDevice();
 }
 
 void MiniDb::set_engine_options(const EngineOptions& options) {
   engine_options_ = options;
-  pool_.set_simulated_read_latency_us(options.simulated_read_latency_us);
-  ConfigureAsyncIo();
+  ConfigureDevice();
 }
 
-void MiniDb::ConfigureAsyncIo() {
-  size_t workers = engine_options_.async_io_workers;
-  if (workers == 0) {
-    // The CI seam: run any existing suite against the async backend by
-    // exporting REDO_ASYNC_IO=N, without touching the suite itself.
+void MiniDb::ConfigureDevice() {
+  storage::AsyncIoOptions device;
+  device.queue_depth = engine_options_.async_io_workers;
+  if (device.queue_depth == 0) {
+    // The CI seam: run any existing suite at queue depth N by exporting
+    // REDO_ASYNC_IO=N, without touching the suite itself.
     if (const char* env = std::getenv("REDO_ASYNC_IO"); env != nullptr) {
-      workers = static_cast<size_t>(std::strtoul(env, nullptr, 10));
+      device.queue_depth = static_cast<size_t>(std::strtoul(env, nullptr, 10));
     }
   }
-  storage::AsyncIoOptions config;
-  config.queue_depth = workers;
-  config.read_latency_us = engine_options_.async_read_latency_us;
-  config.write_latency_us = engine_options_.async_write_latency_us;
-  // With device latencies configured, workers == 0 means the backend's
-  // synchronous fallback — per-op latency charged serially through the
-  // same batch interface — so a depth sweep's depth-0 arm pays the
-  // identical device cost as the batched arms. Without latencies a
-  // zero stays what it always was: no backend at all.
-  const bool sync_fallback =
-      workers == 0 &&
-      (config.read_latency_us != 0 || config.write_latency_us != 0);
-  if (workers == 0 && !sync_fallback) {
-    if (async_io_ != nullptr) {
-      pool_.set_async_io(nullptr);
-      metrics_.Unregister("io.async");
-      async_io_.reset();
-    }
-    return;
-  }
-  if (async_io_ != nullptr &&
-      async_io_->options().queue_depth == config.queue_depth &&
-      async_io_->options().read_latency_us == config.read_latency_us &&
-      async_io_->options().write_latency_us == config.write_latency_us) {
-    return;  // unchanged: keep the running backend (and its stats)
-  }
-  pool_.set_async_io(nullptr);
-  async_io_ = std::make_unique<storage::AsyncIoBackend>(&disk_, config);
-  async_io_->RegisterMetrics(metrics_, "io.async");
-  pool_.set_async_io(async_io_.get());
+  device.read_latency_us = engine_options_.simulated_read_latency_us;
+  device.write_latency_us = engine_options_.simulated_write_latency_us;
+  pool_.ConfigureDevice(device);
+  // Re-registering replaces the source: after a rebuild it must point
+  // at the new backend.
+  pool_.async_io()->RegisterMetrics(metrics_, "io.async");
 }
 
 Result<core::Lsn> MiniDb::WriteSlot(storage::PageId page, uint32_t slot,
@@ -224,10 +199,10 @@ Status MiniDb::BeginConcurrent() {
   gc.ring_capacity = engine_options_.group_commit_ring;
   gc.window_us = engine_options_.group_commit_window_us;
   gc.force_latency_us = engine_options_.simulated_force_latency_us;
-  // With the async backend on, the committer charges the force latency
-  // with the log mutex released so appenders stage the next window
-  // during the in-flight force.
-  gc.overlap_staging = async_io_ != nullptr && !async_io_->synchronous();
+  // Above queue depth 0, the committer charges the force latency with
+  // the log mutex released so appenders stage the next window during
+  // the in-flight force.
+  gc.overlap_staging = !pool_.async_io()->synchronous();
   REDO_RETURN_IF_ERROR(log_.StartGroupCommit(gc));
   concurrent_.store(true);
   return Status::Ok();

@@ -340,17 +340,15 @@ class MiniDb {
   obs::RecoveryTracer* recovery_tracer() { return instr_.recovery_tracer; }
 
   /// Execution knobs (parallel redo workers, group-commit window,
-  /// fuzzy checkpoints, async I/O). Adjust only while quiesced;
+  /// fuzzy checkpoints, the device). Adjust only while quiesced;
   /// group-commit changes take effect at the next BeginConcurrent, redo
-  /// changes at the next Recover. Async I/O knobs reconfigure the
-  /// backend immediately (ConfigureAsyncIo).
+  /// changes at the next Recover. Device knobs reconfigure the pool's
+  /// device immediately (ConfigureDevice).
   void set_engine_options(const EngineOptions& options);
   const EngineOptions& engine_options() const { return engine_options_; }
 
-  /// The async I/O backend, or nullptr while every path is synchronous
-  /// (engine_options().async_io_workers == 0 and no REDO_ASYNC_IO
-  /// override).
-  storage::AsyncIoBackend* async_io() { return async_io_.get(); }
+  /// The pool's device; never null.
+  storage::AsyncIoBackend* async_io() { return pool_.async_io(); }
 
   /// The unified metrics registry. The disk ("disk", "disk_faults"),
   /// buffer pool ("pool"), and log manager ("wal") register themselves
@@ -422,19 +420,15 @@ class MiniDb {
   void LogTxnUndoInfo(Session& session,
                       std::vector<engine::UndoAction> actions);
 
-  /// (Re)creates or tears down the async I/O backend from the current
-  /// engine options (honoring the REDO_ASYNC_IO override), wires it to
-  /// the pool, and registers/unregisters its "io.async" metrics. Skips
-  /// the churn when the effective configuration is unchanged.
-  void ConfigureAsyncIo();
+  /// Reconfigures the pool's device from the current engine options
+  /// (honoring the REDO_ASYNC_IO override) and registers its "io.async"
+  /// metrics.
+  void ConfigureDevice();
 
   obs::MetricsRegistry metrics_;  ///< destroyed last: sources deregister into it
   storage::Disk disk_;
   storage::BufferPool pool_;
   wal::LogManager log_;
-  /// Declared after disk_/pool_: destroyed first, joining its workers
-  /// while the Disk they serialize on is still alive.
-  std::unique_ptr<storage::AsyncIoBackend> async_io_;
   std::unique_ptr<methods::RecoveryMethod> method_;
   Instrumentation instr_;
   EngineOptions engine_options_;

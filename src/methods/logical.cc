@@ -105,18 +105,15 @@ class LogicalMethod : public RecoveryMethod {
     // Ok is the contract that the *disk alone* holds the stable state
     // (backups copy only the disk): the caller's retry performs a fresh
     // swing over the still-dirty pages until every copy lands.
+    std::vector<storage::AsyncIoOp> copies;
     for (const storage::DirtyPageEntry& entry : dirty) {
-      Status write = Status::Ok();
-      for (int attempt = 0; attempt < storage::BufferPool::kMaxFlushAttempts;
-           ++attempt) {
-        write = ctx.disk->WritePage(entry.page, staging_.PeekPage(entry.page));
-        if (write.ok() || write.code() != StatusCode::kUnavailable) break;
-      }
-      if (!write.ok()) return write;
-      // This cached page now matches the stable database.
-      ctx.pool->DropPage(entry.page);
+      copies.push_back(
+          storage::AsyncIoOp::Write(entry.page, staging_.PeekPage(entry.page)));
     }
-    return Status::Ok();
+    // A copied page's cached version now matches the stable database.
+    return ctx.pool->WriteThrough(std::move(copies), [&ctx](PageId page) {
+      ctx.pool->DropPage(page);
+    });
   }
 
   Status Recover(EngineContext& ctx) override {
@@ -229,7 +226,7 @@ class LogicalMethod : public RecoveryMethod {
  private:
   /// Completes the pointer swing the checkpoint committed: finishes the
   /// interrupted copy of any staged page that never reached the main
-  /// disk, directly on the disk (not through the cache — the disk must
+  /// disk, straight to the disk (not through the cache — the disk must
   /// BE the stable state before redo starts, or a backup taken after
   /// recovery would miss content the checkpoint record promises). A
   /// copy the device still refuses fails the recovery, which the
@@ -246,20 +243,15 @@ class LogicalMethod : public RecoveryMethod {
         staged.value().record_lsn != staged_at_lsn_) {
       return Status::Ok();
     }
+    std::vector<storage::AsyncIoOp> heals;
     for (PageId page : staged.value().pages) {
       const Page& stage = staging_.PeekPage(page);
       if (stage.ContentHash() == ctx.disk->PeekPage(page).ContentHash()) {
         continue;  // the swing's copy reached the disk
       }
-      Status write = Status::Ok();
-      for (int attempt = 0; attempt < storage::BufferPool::kMaxFlushAttempts;
-           ++attempt) {
-        write = ctx.disk->WritePage(page, stage);
-        if (write.ok() || write.code() != StatusCode::kUnavailable) break;
-      }
-      if (!write.ok()) return write;
+      heals.push_back(storage::AsyncIoOp::Write(page, stage));
     }
-    return Status::Ok();
+    return ctx.pool->WriteThrough(std::move(heals));
   }
 
   /// Applies both halves of a split functionally: dst := upper(src),

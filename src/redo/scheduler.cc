@@ -116,9 +116,9 @@ struct WorkerEnv {
   size_t workers;
   std::vector<std::unique_ptr<HandoffQueue>>* queues;
   std::atomic<bool>* abort;
-  /// Non-null when the pool has an async backend attached: workers
-  /// prefetch their plan's reads in batches before applying.
-  storage::AsyncIoBackend* async_io = nullptr;
+  /// The pool's device. Above queue depth 0, workers prefetch their
+  /// plan's reads in batches before applying.
+  storage::AsyncIoBackend* async_io;
 };
 
 void WakeAllQueues(const WorkerEnv& env) {
@@ -142,7 +142,7 @@ void PrefetchPlanPages(const WorkerEnv& env, size_t me,
                        BufferPool::RedoPartition& part,
                        WorkerResult& result) {
   storage::AsyncIoBackend* backend = env.async_io;
-  if (backend == nullptr || backend->synchronous()) return;
+  if (backend->synchronous()) return;
   const RedoPlan& plan = *env.plan;
   const ParallelRedoOptions& options = *env.options;
   const bool redo_all = options.mode == Mode::kRedoAll;
@@ -614,16 +614,8 @@ ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
     }
   }
 
-  // When the pool has an async backend, partitions must serialize their
-  // fallback reads on the SAME mutex the backend's completion workers
-  // hold around Disk calls — two mutexes guarding one Disk is a data
-  // race on its stats.
-  std::mutex disk_mutex;
-  storage::AsyncIoBackend* backend = pool->async_io();
-  if (backend != nullptr && backend->synchronous()) backend = nullptr;
-  std::vector<BufferPool::RedoPartition> partitions = pool->SplitForRedo(
-      workers, owner,
-      backend != nullptr ? &backend->disk_mutex() : &disk_mutex);
+  std::vector<BufferPool::RedoPartition> partitions =
+      pool->SplitForRedo(workers, owner);
 
   std::vector<std::unique_ptr<HandoffQueue>> queues;
   queues.reserve(workers * workers);
@@ -640,7 +632,7 @@ ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
   env.workers = workers;
   env.queues = &queues;
   env.abort = &abort;
-  env.async_io = backend;
+  env.async_io = pool->async_io();
 
   if (workers == 1) {
     RunWorker(env, 0, items[0], partitions[0], results[0]);

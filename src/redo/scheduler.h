@@ -97,8 +97,8 @@ struct ParallelRedoReport {
   size_t handoffs = 0;        ///< cross-worker page snapshot transfers
   size_t cross_edges = 0;     ///< split tasks whose pages hash to two workers
   size_t blind_installs = 0;  ///< disk reads elided by blind first touch
-  /// Pages installed by async read-prefetch batches (0 when the pool
-  /// has no AsyncIoBackend attached — the serial fetch path is used).
+  /// Pages installed by async read-prefetch batches (0 at queue depth
+  /// 0 — every read is a partition miss).
   size_t prefetched_pages = 0;
 
   /// Per-worker thread-CPU time (CLOCK_THREAD_CPUTIME_ID) spent inside

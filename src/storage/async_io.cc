@@ -125,7 +125,7 @@ AsyncIoBatch AsyncIoBackend::Submit(std::vector<AsyncIoOp> ops) {
   }
 
   if (synchronous()) {
-    // Fallback: execute inline, strictly in submission order — the
+    // Depth 0: execute inline, strictly in submission order — the
     // serial device model the depth sweep uses as its baseline.
     for (size_t i = 0; i < n; ++i) {
       ExecuteOp(state->ops[i]);
@@ -153,17 +153,22 @@ void AsyncIoBackend::WorkerLoop() {
 }
 
 void AsyncIoBackend::ExecuteOp(AsyncIoOp& op) {
-  // The simulated device time is charged outside disk_mu_: it is the
-  // part of an I/O that queue depth overlaps. The Disk call itself —
-  // where the write-fault hook and FaultInjector run, i.e. the
-  // completion-time fault injection — is serialized.
+  // The Disk call — where the write-fault hook and FaultInjector run,
+  // i.e. the completion-time fault injection — is always serialized.
+  // The simulated device time is charged inside that critical section
+  // at depth 0 (one I/O in flight, however many threads submit) and
+  // outside it at depth N, where it is the part queue depth overlaps.
   const uint64_t latency_us = op.kind == AsyncIoOp::Kind::kRead
                                   ? options_.read_latency_us
                                   : options_.write_latency_us;
-  if (latency_us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(latency_us));
-  }
+  auto charge_latency = [latency_us] {
+    if (latency_us > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(latency_us));
+    }
+  };
+  if (!synchronous()) charge_latency();
   std::lock_guard<std::mutex> lock(disk_mu_);
+  if (synchronous()) charge_latency();
   if (op.kind == AsyncIoOp::Kind::kRead) {
     Result<Page> read = disk_->ReadPage(op.page);
     if (read.ok()) {

@@ -1,25 +1,24 @@
-// The async submission-queue I/O backend (DESIGN.md §14).
+// The submission-queue I/O backend (DESIGN.md §14): the only code that
+// reads or writes the engine's Disk.
 //
-// Every stable write in the engine used to be a synchronous
-// one-at-a-time Disk call, wasting the queue depth the paper's
-// write-ordering machinery (write graph, WAL protocol, §7) would let
-// the device exploit. The AsyncIoBackend models io_uring semantics over
-// the existing Disk: callers build a *batch* of page reads/writes,
-// submit it to a bounded submission ring drained by a pool of
-// completion workers, and wait on a batch handle that carries a per-op
-// completion Status. With `queue_depth == 0` the backend degrades to a
-// synchronous fallback — ops execute inline at submission, so every
-// caller works unchanged against either backend.
+// The AsyncIoBackend models io_uring semantics over the Disk: callers
+// build a *batch* of page reads/writes, submit it, and wait on a batch
+// handle that carries a per-op completion Status. The queue depth picks
+// the device model:
+//  - depth 0 (the default): ops execute inline at Submit, in submission
+//    order, and the simulated latency is charged while holding the
+//    disk mutex — the device has exactly one I/O in flight, whichever
+//    thread submits it;
+//  - depth N: N completion workers drain a bounded submission ring and
+//    charge the latency OUTSIDE the mutex — the latency is what queue
+//    depth hides, the Disk bookkeeping is not.
 //
 // Fault model: faults are injected at COMPLETION, not submission. An op
 // does not touch the Disk (and therefore the attached FaultInjector and
-// write-fault hook) until a worker executes it, so torn writes,
-// transient write errors, and sticky read errors keep exactly the
-// semantics the synchronous paths see — per op, against the stable
-// state at completion time. The Disk itself is not thread-safe: workers
-// serialize Disk calls on `disk_mutex()`, while the simulated device
-// latency is charged OUTSIDE that mutex — the latency is what queue
-// depth hides, the Disk bookkeeping is not.
+// write-fault hook) until it executes, so torn writes, transient write
+// errors, and sticky read errors apply per op, against the stable state
+// at completion time. The Disk itself is not thread-safe: every Disk
+// call is serialized on the backend's disk mutex.
 //
 // Ordering: like a real submission ring, the backend promises NOTHING
 // about completion order within a batch. Write-order constraints must
@@ -49,15 +48,17 @@ namespace redo::storage {
 /// Backend configuration.
 struct AsyncIoOptions {
   /// Completion workers draining the submission ring — the modeled
-  /// device queue depth. 0 selects the synchronous fallback: ops
-  /// execute inline at Submit (still charging per-op latency), which is
-  /// the baseline the batch-depth sweep in EXPERIMENTS.md S12 compares
-  /// against.
-  size_t queue_depth = 8;
-  /// Simulated device latency charged per read / write op, outside the
-  /// disk serialization. 0 adds no delay.
+  /// device queue depth. 0 executes every op inline at Submit, one I/O
+  /// in flight at a time: the engine's default device and the baseline
+  /// of the depth sweep in EXPERIMENTS.md S12.
+  size_t queue_depth = 0;
+  /// Simulated device latency charged per read / write op (inside the
+  /// disk serialization at depth 0, outside it at depth N). 0 adds no
+  /// delay.
   uint64_t read_latency_us = 0;
   uint64_t write_latency_us = 0;
+
+  bool operator==(const AsyncIoOptions&) const = default;
 };
 
 /// Backend counters.
@@ -67,7 +68,7 @@ struct AsyncIoStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
   uint64_t op_errors = 0;         ///< ops completed with a non-OK status
-  uint64_t sync_completions = 0;  ///< ops executed inline (fallback mode)
+  uint64_t sync_completions = 0;  ///< ops executed inline (depth 0)
   uint64_t max_in_flight = 0;     ///< high-watermark of in-flight ops
 
   /// Emits every counter (metrics-registry source enumeration).
@@ -129,7 +130,7 @@ class AsyncIoBatch {
 };
 
 /// The backend. Thread-safe: any number of threads may Submit/Wait
-/// concurrently; workers serialize Disk access on disk_mutex().
+/// concurrently; every Disk call is serialized on the disk mutex.
 class AsyncIoBackend {
  public:
   AsyncIoBackend(Disk* disk, const AsyncIoOptions& options);
@@ -138,19 +139,14 @@ class AsyncIoBackend {
   AsyncIoBackend(const AsyncIoBackend&) = delete;
   AsyncIoBackend& operator=(const AsyncIoBackend&) = delete;
 
-  /// Submits `ops` as one batch and returns its handle. In fallback
-  /// mode (queue_depth 0) the ops execute inline before this returns.
+  /// Submits `ops` as one batch and returns its handle. At queue depth
+  /// 0 the ops execute inline before this returns.
   /// An empty batch is legal and completes immediately.
   AsyncIoBatch Submit(std::vector<AsyncIoOp> ops);
 
   const AsyncIoOptions& options() const { return options_; }
   size_t queue_depth() const { return options_.queue_depth; }
-  bool synchronous() const { return workers_.empty(); }
-
-  /// The mutex serializing this backend's Disk calls. Callers that read
-  /// the same Disk directly from other threads while batches are in
-  /// flight (parallel-redo partitions) must serialize on it too.
-  std::mutex& disk_mutex() { return disk_mu_; }
+  bool synchronous() const { return options_.queue_depth == 0; }
 
   AsyncIoStats stats() const;
   void ResetStats();
@@ -169,18 +165,18 @@ class AsyncIoBackend {
   };
 
   void WorkerLoop();
-  /// Executes one op: charges the simulated latency outside disk_mu_,
-  /// then performs the Disk call (completion-time fault injection)
-  /// under it.
+  /// Executes one op: charges the simulated latency (under disk_mu_ at
+  /// depth 0, before taking it at depth N), then performs the Disk call
+  /// (completion-time fault injection) under it.
   void ExecuteOp(AsyncIoOp& op);
-  /// Completion bookkeeping shared by workers and the inline fallback.
+  /// Completion bookkeeping shared by workers and inline execution.
   void CompleteOp(const std::shared_ptr<AsyncIoBatch::State>& batch,
                   size_t index);
 
   Disk* disk_;
   AsyncIoOptions options_;
 
-  std::mutex disk_mu_;  ///< serializes Disk calls across workers
+  std::mutex disk_mu_;  ///< serializes every Disk call
 
   mutable std::mutex mu_;  ///< guards the ring, stats, and histograms
   std::condition_variable work_cv_;

@@ -1,16 +1,29 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
-
-#include "storage/async_io.h"
 
 namespace redo::storage {
+namespace {
 
-BufferPool::BufferPool(Disk* disk, size_t capacity)
-    : disk_(disk), capacity_(capacity) {
-  REDO_CHECK(disk != nullptr);
+// One page read through the device: the miss path of the pool and of
+// every redo partition.
+Result<Page> ReadThrough(AsyncIoBackend& io, PageId id) {
+  AsyncIoBatch batch = io.Submit({AsyncIoOp::Read(id)});
+  REDO_RETURN_IF_ERROR(batch.Wait());
+  return std::move(batch.op(0).payload);
+}
+
+}  // namespace
+
+BufferPool::BufferPool(Disk* disk, size_t capacity,
+                       const AsyncIoOptions& device)
+    : disk_(disk),
+      capacity_(capacity),
+      io_(std::make_unique<AsyncIoBackend>(disk, device)) {}
+
+void BufferPool::ConfigureDevice(const AsyncIoOptions& device) {
+  if (io_->options() == device) return;
+  io_ = std::make_unique<AsyncIoBackend>(disk_, device);
 }
 
 void BufferPoolStats::EmitMetrics(obs::MetricEmitter& emit) const {
@@ -64,16 +77,11 @@ Result<Page*> BufferPool::Fetch(PageId id) {
     return &it->second.page;
   }
   ++stats_.misses;
-  if (const uint64_t delay_us =
-          simulated_read_latency_us_.load(std::memory_order_relaxed);
-      delay_us != 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-  }
   // Read before evicting: if the read fails (bad sector, torn page) a
   // cached — possibly dirty — page must not have been sacrificed for it.
   // The transient overshoot of capacity by one local Page copy is the
   // price of not losing work to a failed I/O.
-  Result<Page> from_disk = disk_->ReadPage(id);
+  Result<Page> from_disk = ReadThrough(*io_, id);
   if (!from_disk.ok()) return from_disk.status();
   if (capacity_ != 0 && frames_.size() >= capacity_) {
     REDO_RETURN_IF_ERROR(EvictOne());
@@ -155,38 +163,6 @@ std::vector<PageId> BufferPool::BlockingPages(PageId id) {
   return blocking;
 }
 
-Status BufferPool::FlushFrame(PageId id, Frame* frame) {
-  if (wal_hook_) {
-    // A failed force counts as an attempt, not a force: wal_forces
-    // reports only hooks that actually made the log stable.
-    ++stats_.wal_force_attempts;
-    REDO_RETURN_IF_ERROR(wal_hook_(frame->page.lsn()));
-    ++stats_.wal_forces;
-  }
-  // Transient write failures are retried with (simulated) exponential
-  // backoff; the WAL force above is not repeated — the log is already
-  // stable. Non-transient errors surface immediately.
-  Status write = Status::Ok();
-  for (int attempt = 0; attempt < kMaxFlushAttempts; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.write_retries;
-      stats_.backoff_ticks += uint64_t{1} << (attempt - 1);
-    }
-    write = disk_->WritePage(id, frame->page);
-    if (write.ok() || write.code() != StatusCode::kUnavailable) break;
-  }
-  if (!write.ok()) {
-    ++stats_.flush_failures;
-    return write;
-  }
-  frame->dirty = false;
-  frame->rec_lsn = core::kNullLsn;
-  ++stats_.flushes;
-  // Constraints this flush satisfied are pruned lazily the next time
-  // their `after` page's bucket is scanned (BlockingPages).
-  return Status::Ok();
-}
-
 Status BufferPool::FlushPage(PageId id) {
   if (redo_partitioned_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition(
@@ -202,7 +178,7 @@ Status BufferPool::FlushPage(PageId id) {
         std::to_string(blocking.front()) + " to reach disk before page " +
         std::to_string(id));
   }
-  return FlushFrame(id, &it->second);
+  return FlushWave({id});
 }
 
 Status BufferPool::FlushPageCascading(PageId id) {
@@ -266,12 +242,7 @@ Status BufferPool::FlushAll() {
   for (const auto& [id, frame] : frames_) {
     if (frame.dirty) dirty.push_back(id);
   }
-  std::sort(dirty.begin(), dirty.end());
-  if (async_io_ != nullptr) return FlushBatch(dirty);
-  for (PageId id : dirty) {
-    REDO_RETURN_IF_ERROR(FlushPageCascading(id));
-  }
-  return Status::Ok();
+  return FlushBatch(dirty);
 }
 
 Status BufferPool::FlushBatch(const std::vector<PageId>& ids) {
@@ -289,14 +260,8 @@ Status BufferPool::FlushBatch(const std::vector<PageId>& ids) {
   std::sort(remaining.begin(), remaining.end());
   remaining.erase(std::unique(remaining.begin(), remaining.end()),
                   remaining.end());
-  if (async_io_ == nullptr) {
-    for (PageId id : remaining) {
-      REDO_RETURN_IF_ERROR(FlushPageCascading(id));
-    }
-    return Status::Ok();
-  }
   // Wave loop: each iteration flushes every page with no unsatisfied
-  // constraint as one async batch; pages blocked by a constraint — and
+  // constraint as one batch; pages blocked by a constraint — and
   // their dirty blockers — wait for a later wave. A wave is durably
   // complete (Wait + retries) before the next is built, which is what
   // makes batch-build-time constraint enforcement sound: ops within a
@@ -349,10 +314,11 @@ Status BufferPool::FlushBatch(const std::vector<PageId>& ids) {
 }
 
 Status BufferPool::FlushWave(const std::vector<PageId>& wave) {
-  REDO_CHECK(async_io_ != nullptr);
   if (wal_hook_) {
     // One force covers the wave: the log stable up to the highest page
-    // LSN satisfies the WAL rule for every page in it.
+    // LSN satisfies the WAL rule for every page in it. A failed force
+    // counts as an attempt, not a force: wal_forces reports only hooks
+    // that actually made the log stable.
     core::Lsn max_lsn = 0;
     for (PageId id : wave) {
       const auto it = frames_.find(id);
@@ -363,47 +329,56 @@ Status BufferPool::FlushWave(const std::vector<PageId>& wave) {
     REDO_RETURN_IF_ERROR(wal_hook_(max_lsn));
     ++stats_.wal_forces;
   }
-  std::vector<PageId> pending = wave;
-  for (int attempt = 0; attempt < kMaxFlushAttempts && !pending.empty();
+  // Retries do not repeat the force above: the log is already stable.
+  std::vector<AsyncIoOp> writes;
+  writes.reserve(wave.size());
+  for (PageId id : wave) {
+    writes.push_back(AsyncIoOp::Write(id, frames_.find(id)->second.page));
+  }
+  // Constraints a write satisfied are pruned lazily the next time their
+  // `after` page's bucket is scanned (BlockingPages).
+  return WriteThrough(std::move(writes), [this](PageId id) {
+    Frame& frame = frames_.find(id)->second;
+    frame.dirty = false;
+    frame.rec_lsn = core::kNullLsn;
+    ++stats_.flushes;
+  });
+}
+
+Status BufferPool::WriteThrough(std::vector<AsyncIoOp> writes,
+                                const std::function<void(PageId)>& on_written) {
+  for (int attempt = 0; attempt < kMaxFlushAttempts && !writes.empty();
        ++attempt) {
     if (attempt > 0) {
-      stats_.write_retries += pending.size();
-      stats_.backoff_ticks += pending.size() * (uint64_t{1} << (attempt - 1));
-    }
-    std::vector<AsyncIoOp> ops;
-    ops.reserve(pending.size());
-    for (PageId id : pending) {
-      ops.push_back(AsyncIoOp::Write(id, frames_.find(id)->second.page));
+      stats_.write_retries += writes.size();
+      stats_.backoff_ticks += writes.size() * (uint64_t{1} << (attempt - 1));
     }
     ++stats_.batch_flushes;
-    AsyncIoBatch batch = async_io_->Submit(std::move(ops));
+    AsyncIoBatch batch = io_->Submit(std::move(writes));
     batch.Wait();  // per-op statuses inspected below
-    std::vector<PageId> still_pending;
+    std::vector<AsyncIoOp> transient;
     Status hard_error = Status::Ok();
     for (size_t i = 0; i < batch.size(); ++i) {
-      const AsyncIoOp& op = batch.op(i);
+      AsyncIoOp& op = batch.op(i);
       if (op.status.ok()) {
-        Frame& frame = frames_.find(op.page)->second;
-        frame.dirty = false;
-        frame.rec_lsn = core::kNullLsn;
-        ++stats_.flushes;
+        if (on_written) on_written(op.page);
       } else if (op.status.code() == StatusCode::kUnavailable) {
         // Transient: only this op is re-batched; completed neighbors
         // stay completed.
-        still_pending.push_back(op.page);
+        transient.push_back(std::move(op));
       } else {
         ++stats_.flush_failures;
         if (hard_error.ok()) hard_error = op.status;
       }
     }
     if (!hard_error.ok()) return hard_error;
-    pending = std::move(still_pending);
+    writes = std::move(transient);
   }
-  if (!pending.empty()) {
-    stats_.flush_failures += pending.size();
+  if (!writes.empty()) {
+    stats_.flush_failures += writes.size();
     return Status::Unavailable(
-        "buffer pool: batched flush exhausted its retry budget for page " +
-        std::to_string(pending.front()));
+        "buffer pool: write exhausted its retry budget for page " +
+        std::to_string(writes.front().page));
   }
   return Status::Ok();
 }
@@ -533,14 +508,7 @@ Result<Page*> BufferPool::RedoPartition::Fetch(PageId id) {
     return &it->second.page;
   }
   ++misses_;
-  Result<Page> from_disk = [&] {
-    std::lock_guard<std::mutex> lock(*disk_mutex_);
-    if (simulated_read_latency_us_ != 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(simulated_read_latency_us_));
-    }
-    return disk_->ReadPage(id);
-  }();
+  Result<Page> from_disk = ReadThrough(*io_, id);
   if (!from_disk.ok()) return from_disk.status();
   Frame frame;
   frame.page = std::move(from_disk).value();
@@ -584,15 +552,12 @@ Status BufferPool::RedoPartition::MarkDirty(PageId id, core::Lsn lsn) {
 }
 
 std::vector<BufferPool::RedoPartition> BufferPool::SplitForRedo(
-    size_t workers, const std::function<size_t(PageId)>& owner,
-    std::mutex* disk_mutex) {
+    size_t workers, const std::function<size_t(PageId)>& owner) {
   REDO_CHECK(workers >= 1);
   std::vector<RedoPartition> partitions;
   partitions.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
-    partitions.push_back(RedoPartition(disk_, disk_mutex));
-    partitions.back().simulated_read_latency_us_ =
-        simulated_read_latency_us_.load(std::memory_order_relaxed);
+    partitions.push_back(RedoPartition(io_.get()));
   }
   // Move the pool's frames into their owning partitions: a cached —
   // possibly dirty — page must keep shadowing the disk copy, or the
@@ -679,7 +644,7 @@ Status BufferPool::EvictBatch(size_t count) {
 
 Status BufferPool::ReduceToCapacity() {
   if (capacity_ == 0) return Status::Ok();
-  if (async_io_ != nullptr && frames_.size() > capacity_ + 1) {
+  if (frames_.size() > capacity_ + 1) {
     REDO_RETURN_IF_ERROR(EvictBatch(frames_.size() - capacity_));
   }
   while (frames_.size() > capacity_) {

@@ -22,13 +22,12 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "storage/async_io.h"
 #include "storage/disk.h"
 #include "storage/page.h"
 #include "util/status.h"
 
 namespace redo::storage {
-
-class AsyncIoBackend;
 
 /// RAII hold on one page's latch (see BufferPool::LatchPage). Movable;
 /// releases on destruction. A default-constructed guard holds nothing.
@@ -61,7 +60,7 @@ struct BufferPoolStats {
   uint64_t backoff_ticks = 0;      ///< simulated backoff time spent retrying
   uint64_t flush_failures = 0;     ///< flushes that failed after all retries
   uint64_t constraint_checks = 0;  ///< order-constraint entries examined
-  uint64_t batch_flushes = 0;      ///< FlushBatch waves submitted async
+  uint64_t batch_flushes = 0;      ///< write batches submitted to the device
   uint64_t prefetch_installs = 0;  ///< redo-partition pages installed from
                                    ///< an async read-prefetch batch
 
@@ -76,7 +75,8 @@ struct DirtyPageEntry {
   core::Lsn page_lsn;  ///< current page LSN in cache
 };
 
-/// A single-copy page cache over a Disk.
+/// A single-copy page cache over a Disk. Every page read and write goes
+/// through the pool's AsyncIoBackend (its device).
 ///
 /// Threading contract (the concurrent front end, DESIGN.md §10):
 ///  - Fetch / MarkDirty / the const observers are thread-safe: they
@@ -99,8 +99,10 @@ struct DirtyPageEntry {
 /// across calls that may evict.
 class BufferPool {
  public:
-  /// `capacity` = maximum cached pages; 0 means unbounded.
-  BufferPool(Disk* disk, size_t capacity);
+  /// `capacity` = maximum cached pages; 0 means unbounded. `device`
+  /// configures the backend the pool owns; the default is queue depth
+  /// 0 with no simulated latency.
+  BufferPool(Disk* disk, size_t capacity, const AsyncIoOptions& device = {});
 
   /// The write-ahead-log hook: invoked with a page's LSN before the page
   /// is written to disk; must make the log stable up to that LSN.
@@ -131,7 +133,8 @@ class BufferPool {
   std::pair<PageLatchGuard, PageLatchGuard> LatchCouple(PageId src,
                                                         PageId dst);
 
-  /// Writes a dirty page to disk (honoring the WAL hook). Fails with
+  /// Writes a dirty page to disk as a one-page wave (FlushWave: WAL
+  /// force, then the write with per-op retries). Fails with
   /// FailedPrecondition if a write-order constraint requires another
   /// page to reach disk first — use FlushPageCascading to satisfy
   /// constraints recursively. Flushing a clean or uncached page is a
@@ -142,29 +145,41 @@ class BufferPool {
   /// constraint requires first.
   Status FlushPageCascading(PageId id);
 
-  /// Flushes every dirty page (in constraint-respecting order). With an
-  /// async backend attached, batches the writes wave-by-wave
-  /// (FlushBatch); otherwise flushes one page at a time.
+  /// Flushes every dirty page, wave by wave (FlushBatch).
   Status FlushAll();
 
-  /// Flushes the dirty subset of `ids` as async write batches. Write
-  /// -order constraints are enforced at batch-build time: each *wave*
+  /// Flushes the dirty subset of `ids` as write batches. Write-order
+  /// constraints are enforced at batch-build time: each *wave*
   /// contains only pages with no unsatisfied constraint, a wave is
   /// submitted as one batch (after a single WAL force covering its
   /// highest page LSN), and the next wave builds only after the previous
   /// one fully completed. Dirty blocker pages outside `ids` are pulled
   /// into later waves; an unsatisfiable or cyclic constraint is
   /// diagnosed via the cascading path. Transient (kUnavailable) ops are
-  /// retried per-op with the same budget/backoff accounting as
-  /// FlushFrame; any other error surfaces with the failed page still
-  /// dirty. Without a backend attached, falls back to
-  /// FlushPageCascading per page.
+  /// retried per op (WriteThrough); any other error surfaces with the
+  /// failed page still dirty.
   Status FlushBatch(const std::vector<PageId>& ids);
 
-  /// Attaches the async I/O backend (not owned; nullptr detaches). The
-  /// backend must wrap the same Disk as this pool.
-  void set_async_io(AsyncIoBackend* backend) { async_io_ = backend; }
-  AsyncIoBackend* async_io() const { return async_io_; }
+  /// Writes `writes` to disk through the device, bypassing the cache (no
+  /// WAL force, no frame state). Ops that complete kUnavailable are
+  /// re-batched alone — completed neighbours stay completed — up to
+  /// kMaxFlushAttempts submissions in all, each retry counted into
+  /// write_retries/backoff_ticks. `on_written` runs for every op that
+  /// completed OK. Returns the first hard error, or Unavailable once
+  /// the budget is exhausted; failed ops count as flush_failures. This
+  /// is the engine's one retry routine: flush waves and the logical
+  /// method's staged-page copies both submit through it.
+  Status WriteThrough(std::vector<AsyncIoOp> writes,
+                      const std::function<void(PageId)>& on_written = {});
+
+  /// The pool's device; never null.
+  AsyncIoBackend* async_io() const { return io_.get(); }
+
+  /// Rebuilds the device when `device` differs from the current
+  /// configuration (the new backend starts with fresh stats, so its
+  /// metrics must be re-registered). Only while quiesced: no batch may
+  /// be in flight.
+  void ConfigureDevice(const AsyncIoOptions& device);
 
   /// Requires: the version of `before` tagged `before_lsn` (or newer)
   /// must be on disk before `after` may next be flushed. This is how
@@ -216,17 +231,9 @@ class BufferPool {
   void RegisterMetrics(obs::MetricsRegistry& registry,
                        const std::string& prefix = "pool");
 
-  /// Simulated device latency charged on every miss (disk page read).
-  /// 0 (the default) adds no delay. Benchmarks set this to model a real
-  /// page read, so strategies that defer or avoid redo I/O show the
-  /// saving in wall-clock time (mirrors the log's force latency knob).
-  void set_simulated_read_latency_us(uint64_t us) {
-    simulated_read_latency_us_.store(us, std::memory_order_relaxed);
-  }
-
   /// Retry budget for transient (kUnavailable) write failures during a
   /// flush. Bursty fault models should keep their burst length below
-  /// this so flushes survive; see FlushFrame.
+  /// this so flushes survive; see WriteThrough.
   static constexpr int kMaxFlushAttempts = 4;
 
  private:
@@ -249,8 +256,8 @@ class BufferPool {
   /// Partitions are unbounded: eviction — and with it flushing, WAL
   /// forces, and write-order constraint checks — never happens during
   /// parallel redo; capacity is re-enforced at merge (ReduceToCapacity).
-  /// Disk reads on a miss are serialized by the shared mutex (the Disk
-  /// mutates its stats and consults its fault injector on every read).
+  /// A miss reads through the pool's device, which serializes the Disk
+  /// call against every other partition and batch.
   class RedoPartition {
    public:
     RedoPartition(RedoPartition&&) = default;
@@ -283,17 +290,9 @@ class BufferPool {
 
    private:
     friend class BufferPool;
-    RedoPartition(Disk* disk, std::mutex* disk_mutex)
-        : disk_(disk), disk_mutex_(disk_mutex) {}
+    explicit RedoPartition(AsyncIoBackend* io) : io_(io) {}
 
-    Disk* disk_;
-    std::mutex* disk_mutex_;
-    /// Copied from the pool at SplitForRedo: each miss charges this
-    /// inside the disk-mutex critical section — the simulated device
-    /// serves one synchronous read at a time, the same one-at-a-time
-    /// model the pool's own miss path uses. An AsyncIoBackend is the
-    /// only interface that reaches the device's internal parallelism.
-    uint64_t simulated_read_latency_us_ = 0;
+    AsyncIoBackend* io_;  ///< the pool's device (not owned)
     std::unordered_map<PageId, Frame> frames_;
     uint64_t fetches_ = 0;
     uint64_t hits_ = 0;
@@ -307,8 +306,7 @@ class BufferPool {
   /// partition `owner(page)`, which must be < workers. The pool is left
   /// empty and must not serve Fetch/Flush until MergeRedoPartitions.
   std::vector<RedoPartition> SplitForRedo(
-      size_t workers, const std::function<size_t(PageId)>& owner,
-      std::mutex* disk_mutex);
+      size_t workers, const std::function<size_t(PageId)>& owner);
 
   /// Moves every partition frame back into the pool. Deterministic
   /// regardless of worker interleaving: frames re-enter in page-id
@@ -343,16 +341,9 @@ class BufferPool {
   /// or order constraint forces them out.
   Status EvictOne();
 
-  /// Writes one dirty frame (honoring the WAL hook). Transient write
-  /// failures (kUnavailable) are retried up to kMaxFlushAttempts with
-  /// simulated exponential backoff; any other error — and exhaustion of
-  /// the budget — surfaces to the caller with the frame still dirty.
-  Status FlushFrame(PageId id, Frame* frame);
-
-  /// Submits one constraint-free wave of dirty pages as async write
-  /// batches: a single WAL force covering the wave, then per-op
-  /// completion handling (transient ops re-batched up to
-  /// kMaxFlushAttempts; hard errors surface with the page still dirty).
+  /// Writes one constraint-free wave of dirty pages: a single WAL force
+  /// covering the wave, then one WriteThrough that marks each written
+  /// frame clean (a failed page stays dirty).
   Status FlushWave(const std::vector<PageId>& wave);
 
   /// Evicts `count` victims in one pass: ranks them clean-first LRU
@@ -365,7 +356,7 @@ class BufferPool {
 
   Disk* disk_;
   size_t capacity_;
-  AsyncIoBackend* async_io_ = nullptr;  ///< not owned; nullptr = sync paths
+  std::unique_ptr<AsyncIoBackend> io_;  ///< the device; never null
   std::unordered_map<PageId, Frame> frames_;
   /// Write-order constraints indexed by their `after` page, so the flush
   /// paths scan only the constraints that can block the page at hand.
@@ -393,7 +384,6 @@ class BufferPool {
   /// refuse with a diagnosed Status instead of silently serving stale
   /// disk bytes (or flushing a frame that is not there).
   std::atomic<bool> redo_partitioned_{false};
-  std::atomic<uint64_t> simulated_read_latency_us_{0};
 };
 
 }  // namespace redo::storage

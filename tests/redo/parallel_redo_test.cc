@@ -299,7 +299,7 @@ TEST(ParallelRedoEngineTest, AsyncPrefetchRecoversIdenticallyForEveryMethod) {
     ASSERT_TRUE(db->Recover().ok()) << methods::MethodKindName(kind);
     const auto plain_state = EffectiveState(*db);
     // (No prefetched_pages == 0 assertion here: the REDO_ASYNC_IO CI
-    // seam may attach a backend even to this arm.)
+    // seam may raise even this arm's queue depth above 0.)
 
     RestoreCrashState(*db, crash_disk);
     engine::EngineOptions prefetching = plain;

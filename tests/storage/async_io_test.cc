@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -41,6 +42,30 @@ TEST(AsyncIoTest, SyncFallbackExecutesInline) {
   EXPECT_EQ(stats.ops, 2u);
   EXPECT_EQ(stats.writes, 2u);
   EXPECT_EQ(stats.sync_completions, 2u);
+}
+
+// The depth-0 device contract: one I/O in flight. The latency is charged
+// under the disk mutex, so two threads submitting a one-read batch each
+// take (at least) the sum of the two latencies, not the max.
+TEST(AsyncIoTest, DepthZeroServesOneOpAtATime) {
+  Disk disk(2);
+  AsyncIoOptions options;
+  options.queue_depth = 0;
+  options.read_latency_us = 5000;
+  AsyncIoBackend backend(&disk, options);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (PageId p = 0; p < 2; ++p) {
+    threads.emplace_back([&backend, p] {
+      AsyncIoBatch batch = backend.Submit({AsyncIoOp::Read(p)});
+      EXPECT_TRUE(batch.Wait().ok());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, std::chrono::milliseconds(10));
+  EXPECT_EQ(backend.stats().sync_completions, 2u);
 }
 
 TEST(AsyncIoTest, AsyncBatchCompletesEveryOp) {

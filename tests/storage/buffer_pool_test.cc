@@ -351,10 +351,8 @@ TEST(BufferPoolTest, RedoPartitionRoundTripPreservesFramesAndStats) {
   ASSERT_TRUE(pool.MarkDirty(0, 3).ok());
   (void)pool.Fetch(1).value();  // clean frame
 
-  std::mutex disk_mutex;
   const auto owner = [](PageId id) { return static_cast<size_t>(id % 2); };
-  std::vector<BufferPool::RedoPartition> parts =
-      pool.SplitForRedo(2, owner, &disk_mutex);
+  std::vector<BufferPool::RedoPartition> parts = pool.SplitForRedo(2, owner);
   ASSERT_EQ(parts.size(), 2u);
   EXPECT_EQ(pool.num_cached(), 0u) << "frames moved out, not copied";
   EXPECT_TRUE(parts[0].IsCached(0)) << "even page to partition 0";
@@ -399,9 +397,8 @@ TEST(BufferPoolTest, SplitForRedoRefusesPoolAccessUntilMerged) {
   ASSERT_TRUE(pool.MarkDirty(0, 2).ok());
   (void)pool.Fetch(1).value();
 
-  std::mutex disk_mutex;
   std::vector<BufferPool::RedoPartition> parts =
-      pool.SplitForRedo(1, [](PageId) { return 0u; }, &disk_mutex);
+      pool.SplitForRedo(1, [](PageId) { return 0u; });
 
   EXPECT_EQ(pool.Fetch(0).status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(pool.FlushPage(0).code(), StatusCode::kFailedPrecondition);
@@ -421,9 +418,8 @@ TEST(BufferPoolTest, CrashClearsTheRedoPartitionedFlag) {
   Disk disk(4);
   BufferPool pool(&disk, 2);
   (void)pool.Fetch(0).value();
-  std::mutex disk_mutex;
   std::vector<BufferPool::RedoPartition> parts =
-      pool.SplitForRedo(1, [](PageId) { return 0u; }, &disk_mutex);
+      pool.SplitForRedo(1, [](PageId) { return 0u; });
   EXPECT_FALSE(pool.Fetch(0).ok());
   pool.Crash();
   EXPECT_TRUE(pool.Fetch(0).ok());
@@ -432,9 +428,8 @@ TEST(BufferPoolTest, CrashClearsTheRedoPartitionedFlag) {
 TEST(BufferPoolTest, ReduceToCapacityEvictsBackDown) {
   Disk disk(8);
   BufferPool pool(&disk, 2);
-  std::mutex disk_mutex;
   std::vector<BufferPool::RedoPartition> parts =
-      pool.SplitForRedo(1, [](PageId) { return 0u; }, &disk_mutex);
+      pool.SplitForRedo(1, [](PageId) { return 0u; });
   for (PageId id = 0; id < 6; ++id) {
     Page* p = parts[0].FetchBlind(id);
     p->WriteSlot(0, id + 1);
@@ -488,11 +483,9 @@ TEST(BufferPoolTest, CascadeScansConstraintsBucketLocally) {
 
 TEST(BufferPoolTest, BatchedFlushAllHonorsConstraintsWaveByWave) {
   Disk disk(3);
-  BufferPool pool(&disk, 3);
   AsyncIoOptions io_options;
   io_options.queue_depth = 4;
-  AsyncIoBackend backend(&disk, io_options);
-  pool.set_async_io(&backend);
+  BufferPool pool(&disk, 3, io_options);
 
   std::vector<core::Lsn> forced;
   pool.set_wal_hook([&forced](core::Lsn lsn) {
@@ -528,8 +521,8 @@ TEST(BufferPoolTest, BatchedFlushAllHonorsConstraintsWaveByWave) {
   EXPECT_EQ(pool.stats().batch_flushes, 2u);
   EXPECT_EQ(pool.stats().flushes, 3u);
   EXPECT_EQ(pool.stats().wal_forces, 2u);
-  EXPECT_EQ(backend.stats().writes, 3u) << "the flushed blocker is not "
-                                           "redundantly rewritten in wave 2";
+  EXPECT_EQ(pool.async_io()->stats().writes, 3u)
+      << "the flushed blocker is not redundantly rewritten in wave 2";
 }
 
 // ISSUE satellite: a batch carrying one vetoed op keeps per-op status —
@@ -537,11 +530,9 @@ TEST(BufferPoolTest, BatchedFlushAllHonorsConstraintsWaveByWave) {
 // completed, and the write-order constraint still holds across waves.
 TEST(BufferPoolTest, BatchedFlushRetriesOnlyTheTransientFailure) {
   Disk disk(3);
-  BufferPool pool(&disk, 3);
   AsyncIoOptions io_options;
   io_options.queue_depth = 2;
-  AsyncIoBackend backend(&disk, io_options);
-  pool.set_async_io(&backend);
+  BufferPool pool(&disk, 3, io_options);
 
   for (PageId id : {0u, 1u, 2u}) {
     Page* p = pool.Fetch(id).value();
@@ -578,6 +569,24 @@ TEST(BufferPoolTest, BatchedFlushRetriesOnlyTheTransientFailure) {
            write_order.begin();
   };
   EXPECT_LT(pos_of(2), pos_of(0)) << "constraint held across the fault";
+}
+
+// The pool has one read path: with the default device (queue depth 0),
+// every Fetch miss — including the miss that evicts — is exactly one
+// backend read, and a hit issues none.
+TEST(BufferPoolTest, EveryFetchMissIsOneBackendRead) {
+  Disk disk(8);
+  BufferPool pool(&disk, 4);
+  ASSERT_TRUE(pool.async_io()->synchronous()) << "depth 0 is the default";
+  for (PageId id : {0u, 1u, 2u, 0u, 3u, 4u, 5u, 1u, 6u, 7u, 2u}) {
+    ASSERT_TRUE(pool.Fetch(id).ok());
+  }
+  ASSERT_GT(pool.stats().misses, 0u);
+  ASSERT_GT(pool.stats().hits, 0u);
+  const AsyncIoStats io = pool.async_io()->stats();
+  EXPECT_EQ(io.reads, pool.stats().misses);
+  EXPECT_EQ(io.writes, 0u);
+  EXPECT_EQ(disk.stats().reads, pool.stats().misses);
 }
 
 TEST(BufferPoolTest, FlushCleanPageIsNoOp) {

@@ -128,9 +128,11 @@ void WriteOrderDemo() {
   options.num_pages = 16;
   MiniDb db(options, methods::MakeMethod(MethodKind::kGeneralized, {16}));
   // Fill a page and split it with the slot transform for clarity.
-  REDO_CHECK(db.WriteSlot(1, storage::Page::NumSlots() / 2, 7).ok());
+  engine::MiniDb::Session session = db.NewSession();
+  REDO_CHECK(session.WriteSlot(1, storage::Page::NumSlots() / 2, 7).ok());
   REDO_CHECK(
-      db.Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2}).ok());
+      session.Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2})
+          .ok());
   const Status direct = db.pool().FlushPage(1);
   std::printf("  flush old page first:  %s\n", direct.ToString().c_str());
   std::printf("  flush new page first:  %s\n",

@@ -659,10 +659,11 @@ int RunAsyncIoSweep() {
       db_options.engine.async_io_workers = kDepths[d];
       db_options.engine.simulated_write_latency_us = kWriteLatencyUs;
       engine::MiniDb db(db_options, methods::MakeMethod(kind, {kWbPages}));
+      engine::MiniDb::Session session = db.NewSession();
       const auto start = std::chrono::steady_clock::now();
       for (size_t round = 0; round < kWbRounds; ++round) {
         for (storage::PageId p = 0; p < kWbPages; ++p) {
-          REDO_CHECK(db.WriteSlot(p, 0, int64_t(round * 100 + p)).ok());
+          REDO_CHECK(session.WriteSlot(p, 0, int64_t(round * 100 + p)).ok());
         }
         REDO_CHECK(db.FlushEverything().ok());
       }

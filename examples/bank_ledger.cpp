@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "checker/recovery_checker.h"
 #include "engine/minidb.h"
@@ -28,10 +29,11 @@ namespace {
 using namespace redo;
 
 int64_t TotalBalance(engine::MiniDb& db) {
+  engine::MiniDb::Session session = db.NewSession();
   int64_t total = 0;
   for (storage::PageId p = 0; p < db.num_pages(); ++p) {
     for (uint32_t s = 0; s < 8; ++s) {
-      total += db.ReadSlot(p, s).value();
+      total += session.ReadSlot(p, s).value();
     }
   }
   return total;
@@ -57,10 +59,13 @@ int main(int argc, char** argv) {
   engine::TraceRecorder trace(db.disk());
   db.Attach(redo::engine::Instrumentation{&trace, nullptr});
 
+  // One session issues every update; it closes before the crash.
+  std::optional<engine::MiniDb::Session> session(db.NewSession());
+
   // Seed every account with 100 units.
   for (storage::PageId p = 0; p < options.num_pages; ++p) {
     for (uint32_t s = 0; s < kSlots; ++s) {
-      REDO_CHECK(db.WriteSlot(p, s, 100).ok());
+      REDO_CHECK(session->WriteSlot(p, s, 100).ok());
     }
   }
   REDO_CHECK(db.Checkpoint().ok());
@@ -82,9 +87,10 @@ int main(int argc, char** argv) {
     // The transfer op moves the whole of src[slot] into dst[slot]
     // (overwriting it) and zeroes the source, so the pair conserves the
     // total only when the destination account is empty — skip otherwise.
-    if (db.ReadSlot(dst, dst_slot).value() != 0) continue;
+    if (session->ReadSlot(dst, dst_slot).value() != 0) continue;
     REDO_CHECK(
-        db.Split(engine::MakeSlotTransfer(src, src_slot, dst, dst_slot)).ok());
+        session->Split(engine::MakeSlotTransfer(src, src_slot, dst, dst_slot))
+            .ok());
     if (rng.Chance(0.3)) REDO_CHECK(db.log().ForceAll().ok());
     if (rng.Chance(0.2)) {
       REDO_CHECK(db.MaybeFlushPage(src).ok());
@@ -95,6 +101,7 @@ int main(int argc, char** argv) {
               TotalBalance(db) == initial_total ? "yes" : "NO");
 
   // Crash with an unforced tail; validate the invariant; recover.
+  session.reset();
   db.Crash();
   const checker::CheckResult verdict = checker::CheckCrashState(db, trace);
   std::printf("recovery invariant at crash: %s\n",

@@ -66,11 +66,15 @@ void EngineTour() {
   engine::TraceRecorder trace(db.disk());
   db.Attach(redo::engine::Instrumentation{&trace, nullptr});
 
-  // A few updates: each is logged, applied in cache, and tagged with its
-  // record's LSN.
-  (void)db.WriteSlot(/*page=*/1, /*slot=*/0, /*value=*/42).value();
-  (void)db.WriteSlot(1, 1, 43).value();
-  (void)db.WriteSlot(2, 0, 44).value();
+  // A few updates through one session: each is logged, applied in
+  // cache, and tagged with its record's LSN. The session must be gone
+  // before recovery runs.
+  {
+    engine::MiniDb::Session session = db.NewSession();
+    (void)session.WriteSlot(/*page=*/1, /*slot=*/0, /*value=*/42).value();
+    (void)session.WriteSlot(1, 1, 43).value();
+    (void)session.WriteSlot(2, 0, 44).value();
+  }
   std::printf("wrote 3 slots; log tail at lsn %llu, stable at %llu\n",
               (unsigned long long)db.log().last_lsn(),
               (unsigned long long)db.log().stable_lsn());
@@ -85,11 +89,12 @@ void EngineTour() {
   std::printf("recovery invariant at crash: %s\n", check.ToString().c_str());
 
   (void)db.Recover();
+  engine::MiniDb::Session reader = db.NewSession();
   std::printf("after recovery: p1[0]=%lld p1[1]=%lld p2[0]=%lld "
               "(the unforced write is gone)\n",
-              (long long)db.ReadSlot(1, 0).value(),
-              (long long)db.ReadSlot(1, 1).value(),
-              (long long)db.ReadSlot(2, 0).value());
+              (long long)reader.ReadSlot(1, 0).value(),
+              (long long)reader.ReadSlot(1, 1).value(),
+              (long long)reader.ReadSlot(2, 0).value());
 }
 
 }  // namespace

@@ -62,24 +62,28 @@ RunOutput RunScenario(methods::MethodKind kind, bool include_timing) {
   obs::RecoveryTracer tracer(&db.metrics());
   db.Attach(redo::engine::Instrumentation{nullptr, &tracer});
 
-  // Phase 1: three writes, then a checkpoint — these land *behind* the
-  // redo-scan anchor and should not produce verdicts.
-  (void)db.WriteSlot(1, 0, 100).value();
-  (void)db.WriteSlot(2, 0, 200).value();
-  (void)db.WriteSlot(3, 0, 300).value();
-  (void)db.Checkpoint();
+  // One session issues every write; it closes before recovery runs.
+  {
+    // Phase 1: three writes, then a checkpoint — these land *behind* the
+    // redo-scan anchor and should not produce verdicts.
+    engine::MiniDb::Session session = db.NewSession();
+    (void)session.WriteSlot(1, 0, 100).value();
+    (void)session.WriteSlot(2, 0, 200).value();
+    (void)session.WriteSlot(3, 0, 300).value();
+    (void)db.Checkpoint();
 
-  // Phase 2: five more writes; flush pages 1 and 2 so their records are
-  // installed on disk (LSN-test methods will report skipped-installed;
-  // redo-all methods will reapply them anyway).
-  (void)db.WriteSlot(1, 1, 101).value();
-  (void)db.WriteSlot(2, 1, 201).value();
-  (void)db.WriteSlot(4, 0, 400).value();
-  (void)db.WriteSlot(5, 0, 500).value();
-  (void)db.WriteSlot(4, 1, 401).value();
-  (void)db.MaybeFlushPage(1);
-  (void)db.MaybeFlushPage(2);
-  (void)db.log().ForceAll();
+    // Phase 2: five more writes; flush pages 1 and 2 so their records are
+    // installed on disk (LSN-test methods will report skipped-installed;
+    // redo-all methods will reapply them anyway).
+    (void)session.WriteSlot(1, 1, 101).value();
+    (void)session.WriteSlot(2, 1, 201).value();
+    (void)session.WriteSlot(4, 0, 400).value();
+    (void)session.WriteSlot(5, 0, 500).value();
+    (void)session.WriteSlot(4, 1, 401).value();
+    (void)db.MaybeFlushPage(1);
+    (void)db.MaybeFlushPage(2);
+    (void)db.log().ForceAll();
+  }
 
   const obs::Snapshot before = db.metrics().TakeSnapshot();
   db.Crash();

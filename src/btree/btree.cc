@@ -49,72 +49,81 @@ Result<Btree> Btree::Create(engine::MiniDb* db) {
   if (db->num_pages() < 3) {
     return Status::InvalidArgument("btree needs at least 3 pages");
   }
-  REDO_RETURN_IF_ERROR(db->BlindFormat(kMetaPage, 0).status());
-  REDO_RETURN_IF_ERROR(db->WriteSlot(kMetaPage, kMagicSlot, kMagic).status());
-  REDO_RETURN_IF_ERROR(db->WriteSlot(kMetaPage, kRootSlot, 1).status());
-  REDO_RETURN_IF_ERROR(db->WriteSlot(kMetaPage, kNextFreeSlot, 2).status());
-  REDO_RETURN_IF_ERROR(db->WriteSlot(kMetaPage, kHeightSlot, 1).status());
+  engine::MiniDb::Session session = db->NewSession();
+  REDO_RETURN_IF_ERROR(session.Apply(engine::MakeBlindFormat(kMetaPage, 0)).status());
+  REDO_RETURN_IF_ERROR(session.WriteSlot(kMetaPage, kMagicSlot, kMagic).status());
+  REDO_RETURN_IF_ERROR(session.WriteSlot(kMetaPage, kRootSlot, 1).status());
+  REDO_RETURN_IF_ERROR(session.WriteSlot(kMetaPage, kNextFreeSlot, 2).status());
+  REDO_RETURN_IF_ERROR(session.WriteSlot(kMetaPage, kHeightSlot, 1).status());
   REDO_RETURN_IF_ERROR(
-      db->Apply(MakeBtreeInit(1, /*is_leaf=*/true, /*aux=*/0)).status());
+      session.Apply(MakeBtreeInit(1, /*is_leaf=*/true, /*aux=*/0)).status());
   return Btree(db);
 }
 
 Result<Btree> Btree::Open(engine::MiniDb* db) {
   REDO_CHECK(db != nullptr);
-  Result<int64_t> magic = db->ReadSlot(kMetaPage, kMagicSlot);
+  Btree tree(db);
+  Result<int64_t> magic = tree.ReadMeta(kMagicSlot);
   if (!magic.ok()) return magic.status();
   if (magic.value() != kMagic) {
     return Status::Corruption("btree meta page magic mismatch");
   }
-  return Btree(db);
+  return tree;
+}
+
+Result<int64_t> Btree::ReadMeta(uint32_t slot) {
+  Result<Page*> meta = db_->FetchPage(kMetaPage);
+  if (!meta.ok()) return meta.status();
+  return meta.value()->ReadSlot(slot);
 }
 
 Result<PageId> Btree::root() {
-  Result<int64_t> r = db_->ReadSlot(kMetaPage, kRootSlot);
+  Result<int64_t> r = ReadMeta(kRootSlot);
   if (!r.ok()) return r.status();
   return static_cast<PageId>(r.value());
 }
 
-Result<PageId> Btree::AllocatePage() {
+Result<PageId> Btree::AllocatePage(engine::MiniDb::Session& session) {
   // Reuse freed pages first.
-  Result<int64_t> free_count = db_->ReadSlot(kMetaPage, kFreeCountSlot);
+  Result<int64_t> free_count = ReadMeta(kFreeCountSlot);
   if (!free_count.ok()) return free_count.status();
   if (free_count.value() > 0) {
-    Result<int64_t> top = db_->ReadSlot(
-        kMetaPage, kFreeStackBase + static_cast<uint32_t>(free_count.value()) - 1);
+    Result<int64_t> top = ReadMeta(
+        kFreeStackBase + static_cast<uint32_t>(free_count.value()) - 1);
     if (!top.ok()) return top.status();
     REDO_RETURN_IF_ERROR(
-        db_->WriteSlot(kMetaPage, kFreeCountSlot, free_count.value() - 1)
+        session.WriteSlot(kMetaPage, kFreeCountSlot, free_count.value() - 1)
             .status());
     if (op_stats_ != nullptr) ++op_stats_->pages_allocated;
     return static_cast<PageId>(top.value());
   }
-  Result<int64_t> next = db_->ReadSlot(kMetaPage, kNextFreeSlot);
+  Result<int64_t> next = ReadMeta(kNextFreeSlot);
   if (!next.ok()) return next.status();
   if (static_cast<size_t>(next.value()) >= db_->num_pages()) {
     return Status::OutOfRange("btree: out of pages");
   }
   REDO_RETURN_IF_ERROR(
-      db_->WriteSlot(kMetaPage, kNextFreeSlot, next.value() + 1).status());
+      session.WriteSlot(kMetaPage, kNextFreeSlot, next.value() + 1).status());
   if (op_stats_ != nullptr) ++op_stats_->pages_allocated;
   return static_cast<PageId>(next.value());
 }
 
-Status Btree::FreePage(PageId page) {
-  Result<int64_t> free_count = db_->ReadSlot(kMetaPage, kFreeCountSlot);
+Status Btree::FreePage(engine::MiniDb::Session& session, PageId page) {
+  Result<int64_t> free_count = ReadMeta(kFreeCountSlot);
   if (!free_count.ok()) return free_count.status();
   const uint32_t slot = kFreeStackBase + static_cast<uint32_t>(free_count.value());
   if (slot >= storage::Page::NumSlots()) {
     return Status::Ok();  // free stack full: leak the page (harmless)
   }
-  REDO_RETURN_IF_ERROR(db_->WriteSlot(kMetaPage, slot, page).status());
+  REDO_RETURN_IF_ERROR(session.WriteSlot(kMetaPage, slot, page).status());
   if (op_stats_ != nullptr) ++op_stats_->pages_freed;
-  return db_->WriteSlot(kMetaPage, kFreeCountSlot, free_count.value() + 1)
+  return session.WriteSlot(kMetaPage, kFreeCountSlot, free_count.value() + 1)
       .status();
 }
 
 Status Btree::Insert(int64_t key, int64_t value) {
   if (op_stats_ != nullptr) ++op_stats_->inserts;
+  engine::MiniDb::Session session = db_->NewSession();
   // Grow the root first if it is full (preemptive splitting keeps every
   // parent non-full when a child splits).
   for (;;) {
@@ -127,29 +136,29 @@ Status Btree::Insert(int64_t key, int64_t value) {
 
     // Split the root and grow the tree by one level.
     const int64_t separator = node.SeparatorKey();
-    Result<PageId> new_right = AllocatePage();
+    Result<PageId> new_right = AllocatePage(session);
     if (!new_right.ok()) return new_right.status();
     REDO_RETURN_IF_ERROR(
-        db_->Split(SplitOp{SplitTransform::kBtreeNode, root_page.value(),
+        session.Split(SplitOp{SplitTransform::kBtreeNode, root_page.value(),
                            new_right.value()})
             .status());
     if (op_stats_ != nullptr) ++op_stats_->node_splits;
-    Result<PageId> new_root = AllocatePage();
+    Result<PageId> new_root = AllocatePage(session);
     if (!new_root.ok()) return new_root.status();
     REDO_RETURN_IF_ERROR(
-        db_->Apply(MakeBtreeInit(new_root.value(), /*is_leaf=*/false,
+        session.Apply(MakeBtreeInit(new_root.value(), /*is_leaf=*/false,
                                  /*aux=*/root_page.value()))
             .status());
     REDO_RETURN_IF_ERROR(
-        db_->Apply(MakeBtreeInsert(new_root.value(), separator,
+        session.Apply(MakeBtreeInsert(new_root.value(), separator,
                                    static_cast<int64_t>(new_right.value())))
             .status());
     REDO_RETURN_IF_ERROR(
-        db_->WriteSlot(kMetaPage, kRootSlot, new_root.value()).status());
-    Result<int64_t> height = db_->ReadSlot(kMetaPage, kHeightSlot);
+        session.WriteSlot(kMetaPage, kRootSlot, new_root.value()).status());
+    Result<int64_t> height = ReadMeta(kHeightSlot);
     if (!height.ok()) return height.status();
     REDO_RETURN_IF_ERROR(
-        db_->WriteSlot(kMetaPage, kHeightSlot, height.value() + 1).status());
+        session.WriteSlot(kMetaPage, kHeightSlot, height.value() + 1).status());
   }
 
   // Descend, splitting any full child before stepping into it.
@@ -166,7 +175,7 @@ Status Btree::Insert(int64_t key, int64_t value) {
     }
     if (node.is_leaf()) {
       REDO_CHECK_LT(node.count(), NodeRef::Capacity());
-      return db_->Apply(MakeBtreeInsert(page, key, value)).status();
+      return session.Apply(MakeBtreeInsert(page, key, value)).status();
     }
     PageId child = ChildFor(node, key);
 
@@ -176,15 +185,15 @@ Status Btree::Insert(int64_t key, int64_t value) {
     if (child_count == NodeRef::Capacity()) {
       // Split the child; the current node has room for the separator.
       const int64_t separator = NodeRef(*child_fetched.value()).SeparatorKey();
-      Result<PageId> new_right = AllocatePage();
+      Result<PageId> new_right = AllocatePage(session);
       if (!new_right.ok()) return new_right.status();
       REDO_RETURN_IF_ERROR(
-          db_->Split(SplitOp{SplitTransform::kBtreeNode, child,
+          session.Split(SplitOp{SplitTransform::kBtreeNode, child,
                              new_right.value()})
               .status());
       if (op_stats_ != nullptr) ++op_stats_->node_splits;
       REDO_RETURN_IF_ERROR(
-          db_->Apply(MakeBtreeInsert(page, separator,
+          session.Apply(MakeBtreeInsert(page, separator,
                                      static_cast<int64_t>(new_right.value())))
               .status());
       if (key >= separator) child = new_right.value();
@@ -218,6 +227,7 @@ Result<std::optional<int64_t>> Btree::Lookup(int64_t key) {
 
 Status Btree::Remove(int64_t key) {
   if (op_stats_ != nullptr) ++op_stats_->removes;
+  engine::MiniDb::Session session = db_->NewSession();
   Result<PageId> current = root();
   if (!current.ok()) return current.status();
   PageId page = current.value();
@@ -228,12 +238,12 @@ Status Btree::Remove(int64_t key) {
     if (!fetched.ok()) return fetched.status();
     const NodeRef node(*fetched.value());
     if (node.is_leaf()) {
-      REDO_RETURN_IF_ERROR(db_->Apply(MakeBtreeRemove(page, key)).status());
+      REDO_RETURN_IF_ERROR(session.Apply(MakeBtreeRemove(page, key)).status());
       Result<Page*> refetched = db_->FetchPage(page);
       if (!refetched.ok()) return refetched.status();
       if (path.size() > 1 &&
           NodeRef(*refetched.value()).count() < NodeRef::Capacity() / 4) {
-        return MaybeMergeLeaf(path);
+        return MaybeMergeLeaf(session, path);
       }
       return Status::Ok();
     }
@@ -241,7 +251,8 @@ Status Btree::Remove(int64_t key) {
   }
 }
 
-Status Btree::MaybeMergeLeaf(const std::vector<PageId>& path) {
+Status Btree::MaybeMergeLeaf(engine::MiniDb::Session& session,
+                             const std::vector<PageId>& path) {
   REDO_CHECK_GE(path.size(), 2u);
   const PageId leaf = path.back();
   const PageId parent = path[path.size() - 2];
@@ -301,12 +312,12 @@ Status Btree::MaybeMergeLeaf(const std::vector<PageId>& path) {
   // The §6.4-class merge: read `right`, write `left`, then empty `right`
   // (the cache manager orders left-before-right under generalized-LSN).
   REDO_RETURN_IF_ERROR(
-      db_->Split(SplitOp{SplitTransform::kBtreeMerge, right, left}).status());
+      session.Split(SplitOp{SplitTransform::kBtreeMerge, right, left}).status());
   if (op_stats_ != nullptr) ++op_stats_->leaf_merges;
   REDO_RETURN_IF_ERROR(
-      db_->Apply(MakeBtreeRemove(parent, parent_keys[separator_index]))
+      session.Apply(MakeBtreeRemove(parent, parent_keys[separator_index]))
           .status());
-  REDO_RETURN_IF_ERROR(FreePage(right));
+  REDO_RETURN_IF_ERROR(FreePage(session, right));
 
   // Root collapse: an empty internal root hands the tree to its only
   // child.
@@ -317,12 +328,12 @@ Status Btree::MaybeMergeLeaf(const std::vector<PageId>& path) {
     if (!root_node.is_leaf() && root_node.count() == 0) {
       const uint32_t only_child = root_node.aux();
       REDO_RETURN_IF_ERROR(
-          db_->WriteSlot(kMetaPage, kRootSlot, only_child).status());
-      Result<int64_t> height = db_->ReadSlot(kMetaPage, kHeightSlot);
+          session.WriteSlot(kMetaPage, kRootSlot, only_child).status());
+      Result<int64_t> height = ReadMeta(kHeightSlot);
       if (!height.ok()) return height.status();
       REDO_RETURN_IF_ERROR(
-          db_->WriteSlot(kMetaPage, kHeightSlot, height.value() - 1).status());
-      REDO_RETURN_IF_ERROR(FreePage(parent));
+          session.WriteSlot(kMetaPage, kHeightSlot, height.value() - 1).status());
+      REDO_RETURN_IF_ERROR(FreePage(session, parent));
     }
   }
   return Status::Ok();
@@ -386,13 +397,13 @@ Result<size_t> Btree::Size() {
 }
 
 Result<uint32_t> Btree::Height() {
-  Result<int64_t> h = db_->ReadSlot(kMetaPage, kHeightSlot);
+  Result<int64_t> h = ReadMeta(kHeightSlot);
   if (!h.ok()) return h.status();
   return static_cast<uint32_t>(h.value());
 }
 
 Result<uint32_t> Btree::AllocatedPages() {
-  Result<int64_t> n = db_->ReadSlot(kMetaPage, kNextFreeSlot);
+  Result<int64_t> n = ReadMeta(kNextFreeSlot);
   if (!n.ok()) return n.status();
   return static_cast<uint32_t>(n.value());
 }

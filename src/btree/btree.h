@@ -2,11 +2,15 @@
 //
 // All structural changes are logged through the engine's recovery
 // method, so the same tree works under logical, physical, physiological,
-// and generalized-LSN recovery. Node splits go through MiniDb::Split,
-// which the physiological method logs as a full physical image of the
-// new node plus a rewrite, and the generalized method logs as one small
-// split record plus a rewrite with a cache-manager write-order
-// constraint (new node to disk before the old node is overwritten).
+// and generalized-LSN recovery. Every mutating call opens one engine
+// Session and issues its records through it, so the tree takes the same
+// op gate, page latches and Dispatch path as any other client; no
+// session outlives the call (Recover() refuses while handles are
+// alive). Node splits are Session splits, which the physiological
+// method logs as a full physical image of the new node plus a rewrite,
+// and the generalized method logs as one small split record plus a
+// rewrite with a cache-manager write-order constraint (new node to disk
+// before the old node is overwritten).
 //
 // Simplifications relative to a production tree (documented in
 // DESIGN.md): fixed-size int64 keys/values, no underflow merging on
@@ -148,16 +152,19 @@ class Btree {
   static constexpr uint32_t kFreeStackBase = 8;
   static constexpr int64_t kMagic = 0x42547265'65313131;  // "BTree111"
 
+  /// Reads a meta-page slot through the cache (a read, not an op).
+  Result<int64_t> ReadMeta(uint32_t slot);
   Result<PageId> root();
-  Result<PageId> AllocatePage();
-  Status FreePage(PageId page);
+  Result<PageId> AllocatePage(engine::MiniDb::Session& session);
+  Status FreePage(engine::MiniDb::Session& session, PageId page);
 
   /// Merges the underflowing leaf into its left-adjacent sibling (or its
   /// right sibling into it, when the leaf is the leftmost child) if the
   /// combined entries fit; updates the parent and frees the emptied
   /// page; collapses the root when it empties. `path` is the descent
   /// path from the root to the leaf.
-  Status MaybeMergeLeaf(const std::vector<PageId>& path);
+  Status MaybeMergeLeaf(engine::MiniDb::Session& session,
+                        const std::vector<PageId>& path);
 
   Status ValidateSubtree(PageId page, uint32_t depth, uint32_t height,
                          std::optional<int64_t> lo, std::optional<int64_t> hi,

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "checker/model_replay.h"
 #include "engine/command.h"
 #include "engine/minidb.h"
 #include "engine/ops.h"
@@ -22,26 +23,9 @@ namespace redo::checker {
 namespace {
 
 using engine::MiniDb;
-using engine::SinglePageOp;
 using engine::SplitOp;
 using storage::Page;
 using storage::PageId;
-
-/// One journaled mutation: what a worker logged, keyed by the LSN the
-/// engine assigned it. A split journals two entries — the destination
-/// write at the split record's LSN and the source rewrite (an ordinary
-/// single-page op) at the rewrite record's LSN — matching what the log
-/// actually holds, so a crash between the two replays correctly.
-struct JournalEntry {
-  core::Lsn lsn = 0;
-  bool is_split_dst = false;
-  SinglePageOp op;
-  SplitOp split;
-  /// Txn mode: the owning transaction. The model replays an entry only
-  /// if its transaction is a winner (stable kTxnCommit); 0 = non-
-  /// transactional (always replayed when its record survived).
-  uint64_t txn_id = 0;
-};
 
 /// Shared run state: the journal and the acked-commit set, written by
 /// worker threads under a mutex, read only after every thread joined.
@@ -58,79 +42,99 @@ struct RunState {
     std::lock_guard<std::mutex> lock(mu);
     if (first_failure.empty()) first_failure = what;
   }
+
+  void Journal(std::vector<JournalEntry>* logged) {
+    std::lock_guard<std::mutex> lock(mu);
+    for (JournalEntry& e : *logged) journal.push_back(std::move(e));
+    logged->clear();
+  }
 };
+
+/// One cycle's counters, bumped by every worker thread.
+struct CycleCounters {
+  std::atomic<size_t> ops_applied{0}, splits_applied{0};
+  std::atomic<size_t> commits_acked{0}, commits_refused{0};
+  std::atomic<size_t> checkpoints{0};
+  std::atomic<size_t> txns_committed{0}, txns_aborted{0};
+};
+
+/// The pages a worker writes: [base, base + span).
+struct PageRange {
+  PageId base = 0;
+  size_t span = 0;
+
+  PageId Pick(Rng& rng) const {
+    return base + static_cast<PageId>(rng.Below(span));
+  }
+};
+
+/// Issues one random operation on `pages` through the command layer —
+/// the same funnel the wire path uses — and journals what it logged
+/// into `logged`, tagged with `txn_id`: a split or slot transfer
+/// (split_percent), else a blind format (3%) or a slot write. Half the
+/// writes land in the upper slot half, so kSlotHalf splits move live
+/// data, not just zeros.
+Status IssueRandomOp(MiniDb::Session& session, Rng& rng,
+                     const ConcurrentSimOptions& options, PageRange pages,
+                     uint64_t txn_id, std::vector<JournalEntry>* logged,
+                     CycleCounters& counters) {
+  engine::Command command;
+  if (pages.span >= 2 && rng.Below(100) < options.split_percent) {
+    SplitOp split;
+    split.src = pages.Pick(rng);
+    split.dst = pages.base + static_cast<PageId>(
+                                 (split.src - pages.base + 1 +
+                                  rng.Below(pages.span - 1)) %
+                                 pages.span);
+    if (rng.Below(2) == 0) {
+      split = engine::MakeSlotTransfer(
+          split.src, static_cast<uint32_t>(rng.Below(8)), split.dst,
+          static_cast<uint32_t>(rng.Below(8)));
+    }
+    command = engine::MakeSplitCommand(split);
+  } else {
+    command = engine::MakeApplyCommand(
+        rng.Below(100) < 3
+            ? engine::MakeBlindFormat(pages.Pick(rng),
+                                      static_cast<int64_t>(rng.Below(1000)))
+            : engine::MakeSlotWrite(
+                  pages.Pick(rng),
+                  static_cast<uint32_t>(rng.Below(2) == 0
+                                            ? rng.Below(8)
+                                            : Page::NumSlots() / 2 +
+                                                  rng.Below(8)),
+                  static_cast<int64_t>(rng.Below(100000))));
+  }
+  const engine::Reply reply =
+      DispatchJournaled(session, command, txn_id, logged);
+  if (!reply.ok()) {
+    return Status(reply.code,
+                  std::string(engine::CommandTypeName(command.type)) +
+                      " failed: " + reply.message);
+  }
+  if (command.type == engine::CommandType::kSplit) {
+    counters.splits_applied.fetch_add(1);
+  }
+  counters.ops_applied.fetch_add(1);
+  return Status::Ok();
+}
 
 void WorkerLoop(MiniDb& db, RunState& state,
                 const ConcurrentSimOptions& options, uint64_t seed,
-                size_t worker, std::atomic<size_t>& ops_applied,
-                std::atomic<size_t>& splits_applied,
-                std::atomic<size_t>& commits_acked,
-                std::atomic<size_t>& commits_refused) {
+                size_t worker, CycleCounters& counters) {
   Rng rng(seed * 0x9e3779b9ULL + worker * 131 + 17);
   MiniDb::Session session = db.NewSession();
+  const PageRange pages{0, options.num_pages};
   size_t since_commit = 0;
   for (size_t i = 0; i < options.ops_per_session; ++i) {
     std::vector<JournalEntry> logged;
-    if (rng.Below(100) < options.split_percent && options.num_pages >= 2) {
-      SplitOp split;
-      split.src = static_cast<PageId>(rng.Below(options.num_pages));
-      split.dst = static_cast<PageId>(
-          (split.src + 1 + rng.Below(options.num_pages - 1)) %
-          options.num_pages);
-      if (rng.Below(2) == 0) {
-        split = engine::MakeSlotTransfer(
-            split.src, static_cast<uint32_t>(rng.Below(8)), split.dst,
-            static_cast<uint32_t>(rng.Below(8)));
-      }
-      // The sim drives the unified command layer — the same funnel the
-      // wire path uses — not the Session convenience wrappers.
-      const engine::Reply reply =
-          engine::Dispatch(session, engine::MakeSplitCommand(split));
-      if (!reply.ok()) {
-        state.Fail("split failed: " + engine::ReplyStatus(reply).ToString());
-        return;
-      }
-      JournalEntry dst_entry;
-      dst_entry.lsn = reply.lsn;
-      dst_entry.is_split_dst = true;
-      dst_entry.split = split;
-      JournalEntry rewrite_entry;
-      rewrite_entry.lsn = reply.lsn2;
-      rewrite_entry.op = engine::MakeRewriteForSplit(split);
-      logged.push_back(dst_entry);
-      logged.push_back(rewrite_entry);
-      splits_applied.fetch_add(1);
-    } else {
-      SinglePageOp op =
-          rng.Below(100) < 3
-              ? engine::MakeBlindFormat(
-                    static_cast<PageId>(rng.Below(options.num_pages)),
-                    static_cast<int64_t>(rng.Below(1000)))
-              : engine::MakeSlotWrite(
-                    static_cast<PageId>(rng.Below(options.num_pages)),
-                    // Half the writes land in the upper slot half, so
-                    // kSlotHalf splits move live data, not just zeros.
-                    static_cast<uint32_t>(rng.Below(2) == 0
-                                              ? rng.Below(8)
-                                              : Page::NumSlots() / 2 +
-                                                    rng.Below(8)),
-                    static_cast<int64_t>(rng.Below(100000)));
-      const engine::Reply reply =
-          engine::Dispatch(session, engine::MakeApplyCommand(op));
-      if (!reply.ok()) {
-        state.Fail("op failed: " + engine::ReplyStatus(reply).ToString());
-        return;
-      }
-      JournalEntry entry;
-      entry.lsn = reply.lsn;
-      entry.op = op;
-      logged.push_back(entry);
+    const Status issued = IssueRandomOp(session, rng, options, pages,
+                                        /*txn_id=*/0, &logged, counters);
+    if (!issued.ok()) {
+      state.Fail(issued.ToString());
+      return;
     }
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      for (JournalEntry& e : logged) state.journal.push_back(std::move(e));
-    }
-    ops_applied.fetch_add(1);
+    state.Journal(&logged);
 
     ++since_commit;
     if (since_commit >= options.commit_every ||
@@ -140,13 +144,13 @@ void WorkerLoop(MiniDb& db, RunState& state,
       const engine::Reply acked =
           engine::Dispatch(session, engine::MakeCommitCommand());
       if (acked.ok()) {
-        commits_acked.fetch_add(1);
+        counters.commits_acked.fetch_add(1);
         std::lock_guard<std::mutex> lock(state.mu);
         state.acked.push_back(commit_lsn);
       } else if (acked.code == StatusCode::kUnavailable) {
         // The pipeline froze: the crash boundary. This commit carries
         // no durability promise; the worker's run is over.
-        commits_refused.fetch_add(1);
+        counters.commits_refused.fetch_add(1);
         return;
       } else {
         state.Fail("commit failed: " + engine::ReplyStatus(acked).ToString());
@@ -166,19 +170,11 @@ void WorkerLoop(MiniDb& db, RunState& state,
 /// filter can decide.
 void TxnWorkerLoop(MiniDb& db, RunState& state,
                    const ConcurrentSimOptions& options, uint64_t seed,
-                   size_t worker, std::atomic<size_t>& ops_applied,
-                   std::atomic<size_t>& splits_applied,
-                   std::atomic<size_t>& commits_acked,
-                   std::atomic<size_t>& commits_refused,
-                   std::atomic<size_t>& txns_committed,
-                   std::atomic<size_t>& txns_aborted) {
+                   size_t worker, CycleCounters& counters) {
   Rng rng(seed * 0x9e3779b9ULL + worker * 131 + 17);
   MiniDb::Session session = db.NewSession();
   const size_t per = options.num_pages / options.sessions;
-  const PageId base = static_cast<PageId>(worker * per);
-  auto pick_page = [&]() -> PageId {
-    return base + static_cast<PageId>(rng.Below(per));
-  };
+  const PageRange pages{static_cast<PageId>(worker * per), per};
   size_t i = 0;
   while (i < options.ops_per_session) {
     const engine::Reply begun =
@@ -192,61 +188,12 @@ void TxnWorkerLoop(MiniDb& db, RunState& state,
     const size_t batch_cap = options.commit_every == 0 ? 1 : options.commit_every;
     const size_t batch = std::min(batch_cap, options.ops_per_session - i);
     for (size_t b = 0; b < batch; ++b, ++i) {
-      if (per >= 2 && rng.Below(100) < options.split_percent) {
-        SplitOp split;
-        split.src = pick_page();
-        split.dst = base + static_cast<PageId>(
-                               (split.src - base + 1 + rng.Below(per - 1)) %
-                               per);
-        if (rng.Below(2) == 0) {
-          split = engine::MakeSlotTransfer(
-              split.src, static_cast<uint32_t>(rng.Below(8)), split.dst,
-              static_cast<uint32_t>(rng.Below(8)));
-        }
-        const engine::Reply reply =
-            engine::Dispatch(session, engine::MakeSplitCommand(split));
-        if (!reply.ok()) {
-          state.Fail("txn split failed: " +
-                     engine::ReplyStatus(reply).ToString());
-          return;
-        }
-        JournalEntry dst_entry;
-        dst_entry.lsn = reply.lsn;
-        dst_entry.is_split_dst = true;
-        dst_entry.split = split;
-        dst_entry.txn_id = txn_id;
-        JournalEntry rewrite_entry;
-        rewrite_entry.lsn = reply.lsn2;
-        rewrite_entry.op = engine::MakeRewriteForSplit(split);
-        rewrite_entry.txn_id = txn_id;
-        logged.push_back(dst_entry);
-        logged.push_back(rewrite_entry);
-        splits_applied.fetch_add(1);
-      } else {
-        SinglePageOp op =
-            rng.Below(100) < 3
-                ? engine::MakeBlindFormat(pick_page(),
-                                          static_cast<int64_t>(rng.Below(1000)))
-                : engine::MakeSlotWrite(
-                      pick_page(),
-                      static_cast<uint32_t>(rng.Below(2) == 0
-                                                ? rng.Below(8)
-                                                : Page::NumSlots() / 2 +
-                                                      rng.Below(8)),
-                      static_cast<int64_t>(rng.Below(100000)));
-        const engine::Reply reply =
-            engine::Dispatch(session, engine::MakeApplyCommand(op));
-        if (!reply.ok()) {
-          state.Fail("txn op failed: " + engine::ReplyStatus(reply).ToString());
-          return;
-        }
-        JournalEntry entry;
-        entry.lsn = reply.lsn;
-        entry.op = op;
-        entry.txn_id = txn_id;
-        logged.push_back(entry);
+      const Status issued = IssueRandomOp(session, rng, options, pages, txn_id,
+                                          &logged, counters);
+      if (!issued.ok()) {
+        state.Fail("txn " + issued.ToString());
+        return;
       }
-      ops_applied.fetch_add(1);
     }
     if (rng.Below(100) < options.abort_percent) {
       const engine::Reply aborted =
@@ -255,43 +202,29 @@ void TxnWorkerLoop(MiniDb& db, RunState& state,
         state.Fail("abort failed: " + engine::ReplyStatus(aborted).ToString());
         return;
       }
-      txns_aborted.fetch_add(1);
+      counters.txns_aborted.fetch_add(1);
       continue;  // a runtime-aborted transaction never enters the journal
     }
     const engine::Reply acked =
         engine::Dispatch(session, engine::MakeCommitCommand());
     if (acked.ok()) {
-      commits_acked.fetch_add(1);
-      txns_committed.fetch_add(1);
+      counters.commits_acked.fetch_add(1);
+      counters.txns_committed.fetch_add(1);
+      state.Journal(&logged);
       std::lock_guard<std::mutex> lock(state.mu);
-      for (JournalEntry& e : logged) state.journal.push_back(std::move(e));
       state.acked_txns.push_back(txn_id);
     } else if (acked.code == StatusCode::kUnavailable) {
       // The crash boundary hit mid-commit: the transaction's fate is the
       // log's to decide. Journal its writes — the winners filter keeps
       // them iff the commit record made it to stable storage.
-      commits_refused.fetch_add(1);
-      std::lock_guard<std::mutex> lock(state.mu);
-      for (JournalEntry& e : logged) state.journal.push_back(std::move(e));
+      counters.commits_refused.fetch_add(1);
+      state.Journal(&logged);
       return;
     } else {
       state.Fail("txn commit failed: " + engine::ReplyStatus(acked).ToString());
       return;
     }
   }
-}
-
-/// Payload hash of every page's effective (cache-else-disk) state.
-/// Payload only: the LSN header is method-specific tagging the model
-/// replay does not reproduce.
-std::vector<uint64_t> EffectivePayloadHashes(MiniDb& db) {
-  std::vector<uint64_t> hashes;
-  for (PageId p = 0; p < db.num_pages(); ++p) {
-    const Page* cached = db.pool().PeekCached(p);
-    const Page& page = cached != nullptr ? *cached : db.disk().PeekPage(p);
-    hashes.push_back(HashBytes(page.payload()));
-  }
-  return hashes;
 }
 
 }  // namespace
@@ -376,10 +309,7 @@ ConcurrentSimResult RunConcurrentCrashSimImpl(
       }
     }
 
-    std::atomic<size_t> ops_applied{0}, splits_applied{0};
-    std::atomic<size_t> commits_acked{0}, commits_refused{0};
-    std::atomic<size_t> checkpoints{0};
-    std::atomic<size_t> txns_committed{0}, txns_aborted{0};
+    CycleCounters counters;
 
     // One round of session traffic. With freeze, the crash boundary
     // lands at an arbitrary moment and the workers drain out with
@@ -390,14 +320,11 @@ ConcurrentSimResult RunConcurrentCrashSimImpl(
       std::vector<std::thread> workers;
       for (size_t w = 0; w < options.sessions; ++w) {
         workers.emplace_back([&, w] {
+          const uint64_t worker_seed = seed + cycle * 7919 + round_salt;
           if (options.txn_mode) {
-            TxnWorkerLoop(db, state, options, seed + cycle * 7919 + round_salt,
-                          w, ops_applied, splits_applied, commits_acked,
-                          commits_refused, txns_committed, txns_aborted);
+            TxnWorkerLoop(db, state, options, worker_seed, w, counters);
           } else {
-            WorkerLoop(db, state, options, seed + cycle * 7919 + round_salt, w,
-                       ops_applied, splits_applied, commits_acked,
-                       commits_refused);
+            WorkerLoop(db, state, options, worker_seed, w, counters);
           }
         });
       }
@@ -407,7 +334,7 @@ ConcurrentSimResult RunConcurrentCrashSimImpl(
           for (size_t i = 0; i < options.checkpoints_per_cycle; ++i) {
             std::this_thread::sleep_for(std::chrono::microseconds(200));
             if (!db.Checkpoint().ok()) return;  // frozen mid-checkpoint
-            checkpoints.fetch_add(1);
+            counters.checkpoints.fetch_add(1);
           }
         });
       }
@@ -422,7 +349,7 @@ ConcurrentSimResult RunConcurrentCrashSimImpl(
           // later transaction mid-flight.
           const auto deadline =
               std::chrono::steady_clock::now() + std::chrono::seconds(2);
-          while (txns_committed.load() == 0 &&
+          while (counters.txns_committed.load() == 0 &&
                  std::chrono::steady_clock::now() < deadline) {
             std::this_thread::sleep_for(std::chrono::microseconds(50));
           }
@@ -463,12 +390,7 @@ ConcurrentSimResult RunConcurrentCrashSimImpl(
         return false;
       }
       std::lock_guard<std::mutex> lock(state.mu);
-      state.journal.erase(
-          std::remove_if(state.journal.begin(), state.journal.end(),
-                         [stable](const JournalEntry& e) {
-                           return e.lsn > stable;
-                         }),
-          state.journal.end());
+      DropUnstable(&state.journal, stable);
       return true;
     };
 
@@ -519,38 +441,27 @@ ConcurrentSimResult RunConcurrentCrashSimImpl(
 
     // Oracle 2: the effective state equals an LSN-ordered replay of the
     // (already pruned) journal. The journal spans every cycle: state
-    // accumulates across crashes. stable_sort: a logical split journals
-    // two entries at one LSN whose order (destination write, then
-    // source rewrite) must survive the sort.
+    // accumulates across crashes.
     auto verify_against_model = [&]() -> bool {
       std::vector<JournalEntry> survivors;
       {
         std::lock_guard<std::mutex> lock(state.mu);
         survivors = state.journal;
       }
-      std::stable_sort(survivors.begin(), survivors.end(),
-                       [](const JournalEntry& a, const JournalEntry& b) {
-                         return a.lsn < b.lsn;
-                       });
-      std::vector<Page> model(options.num_pages);
-      for (const JournalEntry& e : survivors) {
-        if (e.is_split_dst) {
-          const Page src_copy = model[e.split.src];
-          engine::ApplySplitToDst(e.split, src_copy, &model[e.split.dst]);
-        } else {
-          const Status applied =
-              engine::ApplySinglePageOp(e.op, &model[e.op.page]);
-          if (!applied.ok()) {
-            result.failure = "model replay: " + applied.ToString();
-            return false;
-          }
-        }
+      const size_t survivor_count = survivors.size();
+      Result<std::vector<Page>> replayed =
+          ReplayJournal(std::move(survivors), options.num_pages);
+      if (!replayed.ok()) {
+        result.failure = "model replay: " + replayed.status().ToString();
+        return false;
       }
-      const std::vector<uint64_t> recovered_hashes = EffectivePayloadHashes(db);
+      const std::vector<Page>& model = replayed.value();
+      // Payload only: the LSN header is method-specific tagging the
+      // model replay does not reproduce.
       for (PageId p = 0; p < options.num_pages; ++p) {
-        if (recovered_hashes[p] != HashBytes(model[p].payload())) {
-          const Page* cached = db.pool().PeekCached(p);
-          const Page& got = cached != nullptr ? *cached : db.disk().PeekPage(p);
+        const Page* cached = db.pool().PeekCached(p);
+        const Page& got = cached != nullptr ? *cached : db.disk().PeekPage(p);
+        if (HashBytes(got.payload()) != HashBytes(model[p].payload())) {
           std::string detail;
           for (size_t slot = 0; slot < Page::NumSlots(); ++slot) {
             if (got.ReadSlot(slot) != model[p].ReadSlot(slot)) {
@@ -563,7 +474,7 @@ ConcurrentSimResult RunConcurrentCrashSimImpl(
           result.failure = "cycle " + std::to_string(cycle) + ": page " +
                            std::to_string(p) +
                            " diverges from the LSN-ordered model replay of " +
-                           std::to_string(survivors.size()) +
+                           std::to_string(survivor_count) +
                            " surviving records (stable_lsn " +
                            std::to_string(db.log().stable_lsn()) + ")" + detail;
           return false;
@@ -661,13 +572,13 @@ ConcurrentSimResult RunConcurrentCrashSimImpl(
       if (!verify_against_model()) return result;
     }
 
-    result.ops_applied += ops_applied.load();
-    result.splits_applied += splits_applied.load();
-    result.commits_acked += commits_acked.load();
-    result.commits_refused += commits_refused.load();
-    result.checkpoints_taken += checkpoints.load();
-    result.txns_committed += txns_committed.load();
-    result.txns_aborted += txns_aborted.load();
+    result.ops_applied += counters.ops_applied.load();
+    result.splits_applied += counters.splits_applied.load();
+    result.commits_acked += counters.commits_acked.load();
+    result.commits_refused += counters.commits_refused.load();
+    result.checkpoints_taken += counters.checkpoints.load();
+    result.txns_committed += counters.txns_committed.load();
+    result.txns_aborted += counters.txns_aborted.load();
     ++result.cycles;
   }
 

@@ -1,9 +1,11 @@
 #include "checker/crash_sim.h"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <vector>
 
+#include "checker/model_replay.h"
 #include "engine/backup.h"
 #include "engine/degraded_recovery.h"
 #include "obs/flight_recorder.h"
@@ -18,53 +20,10 @@ namespace {
 
 using engine::Action;
 using engine::MiniDb;
-using engine::SinglePageOp;
 using engine::SplitOp;
 using storage::FaultInjector;
 using storage::Page;
 using storage::PageId;
-
-// One oracle entry: a pure page update keyed by its log record's LSN.
-struct AppliedEntry {
-  enum class Kind { kSinglePage, kSplitDst };
-  Kind kind;
-  core::Lsn lsn;
-  SinglePageOp op;  // kSinglePage
-  SplitOp split;    // kSplitDst
-};
-
-// Replays entries with lsn <= stable_lsn onto an all-zero initial state.
-std::vector<Page> OracleReplay(size_t num_pages,
-                               const std::vector<AppliedEntry>& applied,
-                               core::Lsn stable_lsn) {
-  std::vector<Page> pages(num_pages);
-  for (const AppliedEntry& entry : applied) {
-    if (entry.lsn > stable_lsn) continue;
-    switch (entry.kind) {
-      case AppliedEntry::Kind::kSinglePage: {
-        const Status st = engine::ApplySinglePageOp(entry.op, &pages[entry.op.page]);
-        REDO_CHECK(st.ok()) << st.ToString();
-        pages[entry.op.page].set_lsn(entry.lsn);
-        break;
-      }
-      case AppliedEntry::Kind::kSplitDst: {
-        // Start from dst's prior contents: slot transfers modify one
-        // slot in place (split transforms overwrite dst anyway).
-        Page dst = pages[entry.split.dst];
-        engine::ApplySplitToDst(entry.split, pages[entry.split.src], &dst);
-        dst.set_lsn(entry.lsn);
-        pages[entry.split.dst] = dst;
-        break;
-      }
-    }
-  }
-  return pages;
-}
-
-// The rewrite op a split implies (must mirror the methods' choice).
-SinglePageOp RewriteFor(const SplitOp& op) {
-  return engine::MakeRewriteForSplit(op);
-}
 
 }  // namespace
 
@@ -161,7 +120,7 @@ CrashSimResult RunCrashSim(methods::MethodKind method_kind,
 
   engine::Workload workload(options.workload, seed);
   Rng rng(seed ^ 0x5117ab1eULL);
-  std::vector<AppliedEntry> applied;
+  std::vector<JournalEntry> applied;
 
   // ---- Fault-injection plumbing ----
   if (options.faults.enabled) {
@@ -291,91 +250,95 @@ CrashSimResult RunCrashSim(methods::MethodKind method_kind,
     cycle_start = db.metrics().TakeSnapshot();
 
     // ---- Normal operation segment ----
-    for (size_t step = 0; step < options.ops_per_segment; ++step) {
-      const Action action = workload.Next();
-      ++result.actions_executed;
-      if (injector != nullptr) {
+    // One serial session (no BeginConcurrent, so no commit pipeline)
+    // drives every update through Dispatch; it must be gone before
+    // recovery runs.
+    {
+      MiniDb::Session session = db.NewSession();
+      for (size_t step = 0; step < options.ops_per_segment; ++step) {
+        const Action action = workload.Next();
+        ++result.actions_executed;
+        if (injector != nullptr) {
+          switch (action.kind) {
+            case Action::Kind::kSlotWrite:
+            case Action::Kind::kBlindFormat: {
+              const Status st = tolerant_fetch(action.page);
+              if (!st.ok()) return fail("prefetch: " + st.ToString());
+              break;
+            }
+            case Action::Kind::kSplit:
+            case Action::Kind::kTransfer: {
+              Status st = tolerant_fetch(action.split_src);
+              if (st.ok()) st = tolerant_fetch(action.split_dst);
+              if (!st.ok()) return fail("prefetch: " + st.ToString());
+              break;
+            }
+            default:
+              break;  // flush/checkpoint/force absorb faults themselves
+          }
+        }
         switch (action.kind) {
           case Action::Kind::kSlotWrite:
           case Action::Kind::kBlindFormat: {
-            const Status st = tolerant_fetch(action.page);
-            if (!st.ok()) return fail("prefetch: " + st.ToString());
+            const engine::Command command = engine::MakeApplyCommand(
+                action.kind == Action::Kind::kSlotWrite
+                    ? engine::MakeSlotWrite(action.page, action.slot,
+                                            action.value)
+                    : engine::MakeBlindFormat(action.page, action.value));
+            const engine::Reply reply =
+                DispatchJournaled(session, command, /*txn_id=*/0, &applied);
+            if (!reply.ok()) {
+              return fail("apply: " + engine::ReplyStatus(reply).ToString());
+            }
             break;
           }
           case Action::Kind::kSplit:
           case Action::Kind::kTransfer: {
-            Status st = tolerant_fetch(action.split_src);
-            if (st.ok()) st = tolerant_fetch(action.split_dst);
-            if (!st.ok()) return fail("prefetch: " + st.ToString());
+            const SplitOp op =
+                action.kind == Action::Kind::kSplit
+                    ? SplitOp{engine::SplitTransform::kSlotHalf, action.split_src,
+                              action.split_dst}
+                    : engine::MakeSlotTransfer(action.split_src, action.slot,
+                                               action.split_dst, action.slot2);
+            // A split appends its log record up front and may cascade
+            // flushes mid-action; a fault there would leave the log
+            // claiming an update the engine never made. Model the
+            // protected path real engines use for structural changes
+            // (double-write buffer / mirror): repair lost writes so no
+            // write-order constraint is stuck unsatisfiable, and suspend
+            // injection for the action's duration.
+            if (injector != nullptr) {
+              injector->HealTornPages(&db.disk());
+              injector->set_paused(true);
+            }
+            const engine::Reply reply = DispatchJournaled(
+                session, engine::MakeSplitCommand(op), /*txn_id=*/0, &applied);
+            if (injector != nullptr) injector->set_paused(false);
+            if (!reply.ok()) {
+              return fail("split: " + engine::ReplyStatus(reply).ToString());
+            }
             break;
           }
-          default:
-            break;  // flush/checkpoint/force absorb faults themselves
-        }
-      }
-      switch (action.kind) {
-        case Action::Kind::kSlotWrite:
-        case Action::Kind::kBlindFormat: {
-          const SinglePageOp op =
-              action.kind == Action::Kind::kSlotWrite
-                  ? engine::MakeSlotWrite(action.page, action.slot, action.value)
-                  : engine::MakeBlindFormat(action.page, action.value);
-          Result<core::Lsn> lsn = db.Apply(op);
-          if (!lsn.ok()) return fail("apply: " + lsn.status().ToString());
-          applied.push_back(
-              {AppliedEntry::Kind::kSinglePage, lsn.value(), op, {}});
-          break;
-        }
-        case Action::Kind::kSplit:
-        case Action::Kind::kTransfer: {
-          const SplitOp op =
-              action.kind == Action::Kind::kSplit
-                  ? SplitOp{engine::SplitTransform::kSlotHalf, action.split_src,
-                            action.split_dst}
-                  : engine::MakeSlotTransfer(action.split_src, action.slot,
-                                             action.split_dst, action.slot2);
-          // A split appends its log record up front and may cascade
-          // flushes mid-action; a fault there would leave the log
-          // claiming an update the engine never made. Model the
-          // protected path real engines use for structural changes
-          // (double-write buffer / mirror): repair lost writes so no
-          // write-order constraint is stuck unsatisfiable, and suspend
-          // injection for the action's duration.
-          if (injector != nullptr) {
-            injector->HealTornPages(&db.disk());
-            injector->set_paused(true);
+          case Action::Kind::kFlushPage: {
+            const Status st = tolerant_io(
+                "flush", [&] { return db.MaybeFlushPage(action.page); });
+            if (!st.ok()) return fail("flush: " + st.ToString());
+            break;
           }
-          Result<methods::RecoveryMethod::SplitLsns> lsns = db.Split(op);
-          if (injector != nullptr) injector->set_paused(false);
-          if (!lsns.ok()) return fail("split: " + lsns.status().ToString());
-          applied.push_back({AppliedEntry::Kind::kSplitDst,
-                             lsns.value().split_lsn,
-                             {},
-                             op});
-          applied.push_back({AppliedEntry::Kind::kSinglePage,
-                             lsns.value().rewrite_lsn, RewriteFor(op),
-                             {}});
-          break;
-        }
-        case Action::Kind::kFlushPage: {
-          const Status st = tolerant_io(
-              "flush", [&] { return db.MaybeFlushPage(action.page); });
-          if (!st.ok()) return fail("flush: " + st.ToString());
-          break;
-        }
-        case Action::Kind::kCheckpoint: {
-          const Status st =
-              tolerant_io("checkpoint", [&] { return db.Checkpoint(); });
-          if (!st.ok()) return fail("checkpoint: " + st.ToString());
-          break;
-        }
-        case Action::Kind::kForceLog: {
-          const core::Lsn last = db.log().last_lsn();
-          if (last > 0) {
-            const Status st = db.log().Force(1 + rng.Below(last));
-            if (!st.ok()) return fail("force: " + st.ToString());
+          case Action::Kind::kCheckpoint: {
+            const Status st =
+                tolerant_io("checkpoint", [&] { return db.Checkpoint(); });
+            if (!st.ok()) return fail("checkpoint: " + st.ToString());
+            break;
           }
-          break;
+          case Action::Kind::kForceLog: {
+            const core::Lsn last = db.log().last_lsn();
+            if (last > 0) {
+              const Status st = db.log().Force(1 + rng.Below(last));
+              if (!st.ok()) return fail("force: " + st.ToString());
+            }
+            break;
+          }
         }
       }
     }
@@ -653,13 +616,12 @@ CrashSimResult RunCrashSim(methods::MethodKind method_kind,
 
     // ---- Byte-level oracle verification ----
     // Recovery must reconstruct exactly the stable-logged prefix.
-    applied.erase(std::remove_if(applied.begin(), applied.end(),
-                                 [stable_lsn](const AppliedEntry& e) {
-                                   return e.lsn > stable_lsn;
-                                 }),
-                  applied.end());
-    const std::vector<Page> expected =
-        OracleReplay(db.num_pages(), applied, stable_lsn);
+    DropUnstable(&applied, stable_lsn);
+    Result<std::vector<Page>> replayed = ReplayJournal(applied, db.num_pages());
+    if (!replayed.ok()) {
+      return fail("model replay: " + replayed.status().ToString());
+    }
+    const std::vector<Page>& expected = replayed.value();
     for (PageId p = 0; p < db.num_pages(); ++p) {
       if (!(db.disk().PeekPage(p) == expected[p])) {
         // Every page passed scrub, so this mismatch wears a VALID write

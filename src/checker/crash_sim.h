@@ -7,7 +7,9 @@
 // exactly the operations whose log records survived the crash, in log
 // order, to the initial state. The checker validates the *theory-level*
 // invariant at the same crash points, so a bug caught by one but not the
-// other localizes the failure (engine vs. model).
+// other localizes the failure (engine vs. model). Updates run through
+// one serial Session and Dispatch, the path every client takes, so the
+// histories the checker verifies are the ones clients produce.
 
 #ifndef REDO_CHECKER_CRASH_SIM_H_
 #define REDO_CHECKER_CRASH_SIM_H_

@@ -142,38 +142,6 @@ void MiniDb::ConfigureDevice() {
   pool_.async_io()->RegisterMetrics(metrics_, "io.async");
 }
 
-Result<core::Lsn> MiniDb::WriteSlot(storage::PageId page, uint32_t slot,
-                                    int64_t value) {
-  return Apply(MakeSlotWrite(page, slot, value));
-}
-
-Result<core::Lsn> MiniDb::BlindFormat(storage::PageId page, int64_t fill) {
-  return Apply(MakeBlindFormat(page, fill));
-}
-
-Result<core::Lsn> MiniDb::Apply(const SinglePageOp& op) {
-  methods::EngineContext context = ctx();
-  return method_->LogAndApply(context, op);
-}
-
-Result<methods::RecoveryMethod::SplitLsns> MiniDb::Split(const SplitOp& op) {
-  if (op.src == op.dst) {
-    return Status::InvalidArgument("split: src and dst must differ");
-  }
-  methods::EngineContext context = ctx();
-  return method_->LogAndApplySplit(context, op);
-}
-
-Result<int64_t> MiniDb::ReadSlot(storage::PageId page, uint32_t slot) {
-  REDO_RETURN_IF_ERROR(EnsureRedoneForAccess(page));
-  Result<storage::Page*> cached = pool_.Fetch(page);
-  if (!cached.ok()) return cached.status();
-  if (slot >= storage::Page::NumSlots()) {
-    return Status::InvalidArgument("slot out of range");
-  }
-  return cached.value()->ReadSlot(slot);
-}
-
 Result<storage::Page*> MiniDb::FetchPage(storage::PageId page) {
   REDO_RETURN_IF_ERROR(EnsureRedoneForAccess(page));
   return pool_.Fetch(page);
@@ -226,6 +194,7 @@ void MiniDb::FreezeCommits() { log_.FreezeGroupCommit(); }
 // The Session entry points are thin wrappers over the unified command
 // layer: every operation funnels through Dispatch() (engine/command.cc),
 // the same code path the checker sims and the network server drive.
+// Dispatch is the only way an operation reaches the recovery method.
 
 Result<core::Lsn> MiniDb::Session::WriteSlot(storage::PageId page,
                                              uint32_t slot, int64_t value) {
@@ -533,41 +502,32 @@ Status MiniDb::Checkpoint() {
         "checkpoint during serving-while-redoing would advance the redo "
         "point past still-pending redo; WaitUntilRecovered() first");
   }
-  if (concurrent_.load()) {
-    if (engine_options_.fuzzy_checkpoints &&
-        method_->supports_fuzzy_checkpoint()) {
-      Result<core::Lsn> lsn = FuzzyCheckpoint();
-      if (!lsn.ok()) return lsn.status();
-      // The record exists once the pipeline forces past it. A freeze
-      // before that is fine — the checkpoint simply never happened.
-      Result<core::Lsn> durable = log_.CommitWait(lsn.value());
-      return durable.ok() ? Status::Ok() : durable.status();
-    }
-    obs::FlightScope barrier(obs::FlightEventType::kCkptBarrier, /*fuzzy=*/0);
-    std::unique_lock<std::shared_mutex> gate(op_gate_);
-    methods::EngineContext context = ctx();
-    return method_->Checkpoint(context);
+  if (concurrent_.load() && engine_options_.fuzzy_checkpoints &&
+      method_->supports_fuzzy_checkpoint()) {
+    Result<core::Lsn> lsn = FuzzyCheckpoint();
+    if (!lsn.ok()) return lsn.status();
+    // The record exists once the pipeline forces past it. A freeze
+    // before that is fine — the checkpoint simply never happened.
+    Result<core::Lsn> durable = log_.CommitWait(lsn.value());
+    return durable.ok() ? Status::Ok() : durable.status();
   }
+  // Serial or concurrent, the classic checkpoint runs under the
+  // exclusive gate (uncontended when no session is mid-operation).
   obs::FlightScope barrier(obs::FlightEventType::kCkptBarrier, /*fuzzy=*/0);
+  std::unique_lock<std::shared_mutex> gate(op_gate_);
   methods::EngineContext context = ctx();
   return method_->Checkpoint(context);
 }
 
 Status MiniDb::MaybeFlushPage(storage::PageId page) {
   if (!method_->allows_background_flush()) return Status::Ok();
-  if (concurrent_.load()) {
-    std::unique_lock<std::shared_mutex> gate(op_gate_);
-    return pool_.FlushPageCascading(page);
-  }
+  std::unique_lock<std::shared_mutex> gate(op_gate_);
   return pool_.FlushPageCascading(page);
 }
 
 Status MiniDb::FlushEverything() {
   if (!method_->allows_background_flush()) return Status::Ok();
-  if (concurrent_.load()) {
-    std::unique_lock<std::shared_mutex> gate(op_gate_);
-    return pool_.FlushAll();
-  }
+  std::unique_lock<std::shared_mutex> gate(op_gate_);
   return pool_.FlushAll();
 }
 
@@ -825,13 +785,21 @@ Status MiniDb::EnsureRedoneForAccess(storage::PageId page) {
     return Status::Ok();
   }
   par::InstantRedoDriver* driver = instant_driver_.get();
-  if (driver == nullptr || !driver->HasPendingWork(page)) return Status::Ok();
+  if (driver == nullptr) return Status::Ok();
+  // The urgent flag makes the background workers stand aside. It goes up
+  // BEFORE the pending check: HasPendingWork shares the driver's mutex
+  // with background drains, and a worker re-taking it chain after chain
+  // would otherwise starve this session until its own page had drained
+  // in the background too.
+  drain_urgent_.fetch_add(1, std::memory_order_relaxed);
+  if (!driver->HasPendingWork(page)) {
+    drain_urgent_.fetch_sub(1, std::memory_order_relaxed);
+    return Status::Ok();
+  }
   // The drain takes the gate exclusive: replaying a split dst re-arms
   // its §6.4 write-order constraint, which can cascade a flush onto
   // pages no latch covers. Callers invoke this BEFORE their shared-gate
-  // acquisition, never while holding the gate. The urgent flag makes
-  // the background workers stand aside while we wait for the gate.
-  drain_urgent_.fetch_add(1, std::memory_order_relaxed);
+  // acquisition, never while holding the gate.
   std::unique_lock<std::shared_mutex> gate(op_gate_);
   drain_urgent_.fetch_sub(1, std::memory_order_relaxed);
   return driver->DrainPage(page, /*on_demand=*/true);

@@ -1,21 +1,20 @@
 // MiniDb: the simulated database engine.
 //
 // Ties together the stable disk, the buffer pool (cache manager), the
-// log manager, and a pluggable recovery method. Exposes the update
-// operations the workloads drive (slot writes, blind formats, splits),
-// checkpointing, and the crash/recover cycle. All state transitions flow
-// through the recovery method so each §6 technique controls its own
-// logging, checkpoint, and redo behavior.
+// log manager, and a pluggable recovery method. Exposes checkpointing,
+// the crash/recover cycle, and Session handles for updates. All state
+// transitions flow through the recovery method so each §6 technique
+// controls its own logging, checkpoint, and redo behavior.
 //
-// Two front ends share the engine:
-//  - The serial API (WriteSlot/Apply/Split/... on MiniDb itself): one
-//    caller at a time, exactly the PR-1..4 behavior, used by recovery,
-//    the checker oracles, and every serial workload.
-//  - The concurrent front end (DESIGN.md §10): BeginConcurrent() starts
-//    the group-commit pipeline; NewSession() hands out Session handles
-//    that many worker threads drive concurrently. Session operations
-//    take the op gate shared and the target page's latch; structure
-//    modifications (splits) and checkpoints take the gate exclusive.
+// One operation surface: every update and read reaches the recovery
+// method through Dispatch(Session&, Command) (engine/command.h). A
+// Session takes the op gate shared and the target page's latch;
+// structure modifications (splits) and checkpoints take the gate
+// exclusive. Serial execution is one Session used without
+// BeginConcurrent(): commits are then forced inline, and an attached
+// TraceRecorder records every operation. BeginConcurrent() starts the
+// group-commit pipeline so many worker threads can drive sessions at
+// once (DESIGN.md §10).
 
 #ifndef REDO_ENGINE_MINIDB_H_
 #define REDO_ENGINE_MINIDB_H_
@@ -79,24 +78,10 @@ class MiniDb {
   MiniDb(const MiniDb&) = delete;
   MiniDb& operator=(const MiniDb&) = delete;
 
-  // ---- Updates (logged through the recovery method) ----
-
-  /// page[slot] <- value (reads the page: a physiological-style op).
-  Result<core::Lsn> WriteSlot(storage::PageId page, uint32_t slot,
-                              int64_t value);
-
-  /// Blind whole-page format: every slot <- fill (reads nothing).
-  Result<core::Lsn> BlindFormat(storage::PageId page, int64_t fill);
-
-  /// Generic single-page op (the B-tree uses this for its records).
-  Result<core::Lsn> Apply(const SinglePageOp& op);
-
-  /// Split: dst := upper half of src; src := lower half.
-  Result<methods::RecoveryMethod::SplitLsns> Split(const SplitOp& op);
-
   // ---- Reads (through the cache) ----
 
-  Result<int64_t> ReadSlot(storage::PageId page, uint32_t slot);
+  /// The cached page (redone first while serving-while-redoing). A read
+  /// accessor, not an operation: updates go through a Session.
   Result<storage::Page*> FetchPage(storage::PageId page);
 
   // ---- Lifecycle ----
@@ -110,8 +95,8 @@ class MiniDb {
   Status Checkpoint();
 
   /// Background cache-manager activity: flush one page / all pages
-  /// (no-ops for methods that forbid background flushes). In concurrent
-  /// mode these take the gate exclusive.
+  /// (no-ops for methods that forbid background flushes), under the
+  /// exclusive gate.
   Status MaybeFlushPage(storage::PageId page);
   Status FlushEverything();
 
@@ -163,12 +148,14 @@ class MiniDb {
     return instant_metrics_;
   }
 
-  // ---- The concurrent front end ----
+  // ---- Sessions: the operation surface ----
 
   /// A handle for one worker thread. Many sessions drive the same
   /// MiniDb concurrently between BeginConcurrent and Crash/
-  /// EndConcurrent. Each operation latches its page(s); Commit blocks
-  /// until the group-commit pipeline has made the operation durable.
+  /// EndConcurrent; without BeginConcurrent, one session is the serial
+  /// front end. Each operation latches its page(s); Commit blocks until
+  /// the operation is durable (forced inline when no group-commit
+  /// pipeline runs).
   /// A Session is NOT itself thread-safe — one thread per handle.
   /// Handles are move-only and counted: Recover()/RecoverInstant()
   /// refuse while any handle is alive, so a stale handle cannot operate

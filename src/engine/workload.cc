@@ -99,16 +99,20 @@ Action Workload::Next() {
 Status ExecuteAction(MiniDb& db, const Action& action, Rng& rng) {
   switch (action.kind) {
     case Action::Kind::kSlotWrite:
-      return db.WriteSlot(action.page, action.slot, action.value).status();
+      return db.NewSession()
+          .WriteSlot(action.page, action.slot, action.value)
+          .status();
     case Action::Kind::kBlindFormat:
-      return db.BlindFormat(action.page, action.value).status();
+      return db.NewSession()
+          .Apply(MakeBlindFormat(action.page, action.value))
+          .status();
     case Action::Kind::kSplit:
-      return db
+      return db.NewSession()
           .Split(SplitOp{SplitTransform::kSlotHalf, action.split_src,
                          action.split_dst})
           .status();
     case Action::Kind::kTransfer:
-      return db
+      return db.NewSession()
           .Split(MakeSlotTransfer(action.split_src, action.slot,
                                   action.split_dst, action.slot2))
           .status();

@@ -64,8 +64,9 @@ class Workload {
   int64_t next_value_ = 1;
 };
 
-/// Executes one action against the database. Returns the LSN(s) it
-/// produced via the engine (0 for non-logging actions).
+/// Executes one action against the database. Update actions run through
+/// a fresh Session (one Dispatch each); flushes, checkpoints and log
+/// forces call the engine directly.
 Status ExecuteAction(MiniDb& db, const Action& action, Rng& rng);
 
 }  // namespace redo::engine

@@ -40,8 +40,8 @@ TEST_P(CheckerMethodTest, CleanCrashSatisfiesInvariant) {
   auto db = MakeDb(GetParam());
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 0, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 6).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   const CheckResult result = CheckCrashState(*db, trace);
@@ -55,10 +55,10 @@ TEST_P(CheckerMethodTest, UnforcedTailIsInvisibleAndFine) {
   auto db = MakeDb(GetParam());
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
-  Result<core::Lsn> first = db->WriteSlot(1, 0, 5);
+  Result<core::Lsn> first = db->NewSession().WriteSlot(1, 0, 5);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(db->log().Force(first.value()).ok());
-  ASSERT_TRUE(db->WriteSlot(1, 1, 6).ok());  // lost at crash
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 6).ok());  // lost at crash
   db->Crash();
   const CheckResult result = CheckCrashState(*db, trace);
   EXPECT_TRUE(result.ok) << result.ToString();
@@ -70,12 +70,12 @@ TEST_P(CheckerMethodTest, CheckpointedStateSatisfiesInvariant) {
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(db->WriteSlot(i % kPages, 0, i).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(i % kPages, 0, i).ok());
   }
   // Fuzzy checkpoints only advance the redo point past flushed pages.
   ASSERT_TRUE(db->FlushEverything().ok());
   ASSERT_TRUE(db->Checkpoint().ok());
-  ASSERT_TRUE(db->WriteSlot(3, 3, 99).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(3, 3, 99).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   const CheckResult result = CheckCrashState(*db, trace);
@@ -87,9 +87,11 @@ TEST_P(CheckerMethodTest, SplitCrashSatisfiesInvariant) {
   auto db = MakeDb(GetParam());
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
-  ASSERT_TRUE(db->WriteSlot(0, storage::Page::NumSlots() / 2, 41).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, storage::Page::NumSlots() / 2, 41).ok());
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 0, 4}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 0, 4})
+          .ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   if (GetParam() != MethodKind::kLogical) {
     // Flush in the (only legal) order so the crash state is interesting.
@@ -106,7 +108,7 @@ TEST_P(CheckerMethodTest, DetectsTornOrRogueDiskWrite) {
   auto db = MakeDb(GetParam());
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
 
   storage::Page rogue;
@@ -129,7 +131,7 @@ TEST_P(CheckerMethodTest, DetectsWalViolation) {
   auto db = MakeDb(GetParam());
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());  // record NOT forced
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());  // record NOT forced
   storage::Page* cached = db->FetchPage(1).value();
   ASSERT_TRUE(db->disk().WritePage(1, *cached).ok());  // rogue direct write
 
@@ -151,9 +153,11 @@ TEST(CheckerTest, DetectsInstallationOrderViolation) {
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
   // A split: dst must reach disk before src's rewrite does.
-  ASSERT_TRUE(db->WriteSlot(0, storage::Page::NumSlots() / 2, 41).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, storage::Page::NumSlots() / 2, 41).ok());
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 0, 4}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 0, 4})
+          .ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   // Bypass the buffer pool's constraint: write the rewritten src page
   // directly to disk while dst is still only in cache.
@@ -176,9 +180,11 @@ TEST(CheckerTest, PhysiologicalToleratesOldPageFirst) {
   auto db = MakeDb(MethodKind::kPhysiological);
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
-  ASSERT_TRUE(db->WriteSlot(0, storage::Page::NumSlots() / 2, 41).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, storage::Page::NumSlots() / 2, 41).ok());
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 0, 4}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 0, 4})
+          .ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   ASSERT_TRUE(db->pool().FlushPage(0).ok()) << "old page first is fine here";
   db->Crash();
@@ -192,9 +198,11 @@ TEST(CheckerTest, DiagnosisStateUnexplainable) {
   auto db = MakeDb(MethodKind::kGeneralized);
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
-  ASSERT_TRUE(db->WriteSlot(0, storage::Page::NumSlots() / 2, 41).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, storage::Page::NumSlots() / 2, 41).ok());
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 0, 4}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 0, 4})
+          .ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   storage::Page* src = db->FetchPage(0).value();
   ASSERT_TRUE(db->disk().WritePage(0, *src).ok());  // bypass the constraint
@@ -214,8 +222,8 @@ TEST(CheckerTest, DiagnosisRedoTestWrong) {
   auto db = MakeDb(MethodKind::kPhysiological);
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 0, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 6).ok());
   ASSERT_TRUE(db->MaybeFlushPage(1).ok());  // page 2 not installed
   // Forge a checkpoint asserting nothing needs redo.
   wal::PayloadWriter forged;
@@ -234,12 +242,12 @@ TEST(CheckerTest, EpochBoundariesAbsorbOldHistory) {
   auto db = MakeDb(MethodKind::kPhysiological);
   TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->FlushEverything().ok());
   ASSERT_TRUE(db->Checkpoint().ok());
   // New epoch: the old op is pre-history.
   trace.BeginEpoch(db->disk(), db->log().last_lsn() + 1);
-  ASSERT_TRUE(db->WriteSlot(1, 1, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 6).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   const CheckResult result = CheckCrashState(*db, trace);

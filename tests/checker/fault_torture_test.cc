@@ -32,10 +32,10 @@ TEST(CorruptTailRecoveryTest, EveryMethodRecoversFromTruncatedTail) {
     db_options.cache_capacity = 0;
     engine::MiniDb db(db_options, methods::MakeMethod(kind, {8}));
 
-    ASSERT_TRUE(db.WriteSlot(1, 0, 100).ok());
-    ASSERT_TRUE(db.WriteSlot(2, 0, 200).ok());
+    ASSERT_TRUE(db.NewSession().WriteSlot(1, 0, 100).ok());
+    ASSERT_TRUE(db.NewSession().WriteSlot(2, 0, 200).ok());
     ASSERT_TRUE(db.log().ForceAll().ok());
-    ASSERT_TRUE(db.WriteSlot(3, 0, 300).ok());
+    ASSERT_TRUE(db.NewSession().WriteSlot(3, 0, 300).ok());
     ASSERT_TRUE(db.log().ForceAll().ok());
 
     db.Crash();
@@ -46,17 +46,17 @@ TEST(CorruptTailRecoveryTest, EveryMethodRecoversFromTruncatedTail) {
     ASSERT_TRUE(db.Recover().ok());
     EXPECT_EQ(db.log().stable_lsn(), 2u);
 
-    EXPECT_EQ(db.ReadSlot(1, 0).value(), 100);
-    EXPECT_EQ(db.ReadSlot(2, 0).value(), 200);
-    EXPECT_EQ(db.ReadSlot(3, 0).value(), 0)
+    EXPECT_EQ(db.NewSession().ReadSlot(1, 0).value(), 100);
+    EXPECT_EQ(db.NewSession().ReadSlot(2, 0).value(), 200);
+    EXPECT_EQ(db.NewSession().ReadSlot(3, 0).value(), 0)
         << "the truncated operation must NOT be replayed";
 
     // The salvaged log keeps working: new operations, new crashes.
-    ASSERT_TRUE(db.WriteSlot(3, 0, 301).ok());
+    ASSERT_TRUE(db.NewSession().WriteSlot(3, 0, 301).ok());
     ASSERT_TRUE(db.log().ForceAll().ok());
     db.Crash();
     ASSERT_TRUE(db.Recover().ok());
-    EXPECT_EQ(db.ReadSlot(3, 0).value(), 301);
+    EXPECT_EQ(db.NewSession().ReadSlot(3, 0).value(), 301);
   }
 }
 
@@ -66,9 +66,9 @@ TEST(CorruptTailRecoveryTest, SalvageRaisesStableLsnOverCompleteTornRecords) {
   db_options.cache_capacity = 0;
   engine::MiniDb db(db_options,
                     methods::MakeMethod(MethodKind::kPhysical, {4}));
-  ASSERT_TRUE(db.WriteSlot(1, 0, 10).ok());
+  ASSERT_TRUE(db.NewSession().WriteSlot(1, 0, 10).ok());
   ASSERT_TRUE(db.log().ForceAll().ok());
-  ASSERT_TRUE(db.WriteSlot(2, 0, 20).ok());
+  ASSERT_TRUE(db.NewSession().WriteSlot(2, 0, 20).ok());
   // The crash interrupts the in-flight force AFTER the record's bytes
   // are down but BEFORE the ack: the record is whole and salvageable.
   const size_t pending = db.log().PendingForceBytes();
@@ -77,7 +77,7 @@ TEST(CorruptTailRecoveryTest, SalvageRaisesStableLsnOverCompleteTornRecords) {
   ASSERT_EQ(db.log().stable_lsn(), 1u);
   ASSERT_TRUE(db.Recover().ok());
   EXPECT_EQ(db.log().stable_lsn(), 2u) << "complete unacked record salvaged";
-  EXPECT_EQ(db.ReadSlot(2, 0).value(), 20) << "and replayed";
+  EXPECT_EQ(db.NewSession().ReadSlot(2, 0).value(), 20) << "and replayed";
 }
 
 struct FaultMatrixParam {

@@ -61,14 +61,14 @@ TEST_P(BackupFaultTest, MediaRecoveryUnderDiskFaultSchedule) {
     std::map<std::pair<storage::PageId, uint32_t>, int64_t> expected;
     auto tolerant_write = [&](storage::PageId page, uint32_t slot,
                               int64_t value) {
-      Result<core::Lsn> lsn = db->WriteSlot(page, slot, value);
+      Result<core::Lsn> lsn = db->NewSession().WriteSlot(page, slot, value);
       // A write-error burst can outlast the pool's retries (or a sticky
       // read can block the fetch): heal — the mirror-repair model — and
       // retry on the quiesced path until the bounded burst drains.
       for (int attempt = 0; !lsn.ok() && attempt < 4; ++attempt) {
         injector.HealAll(&db->disk());
         injector.set_paused(true);
-        lsn = db->WriteSlot(page, slot, value);
+        lsn = db->NewSession().WriteSlot(page, slot, value);
         injector.set_paused(false);
       }
       ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
@@ -132,10 +132,10 @@ TEST_P(BackupFaultTest, MediaRecoveryUnderDiskFaultSchedule) {
     injector.set_paused(false);
 
     for (const auto& [key, value] : expected) {
-      Result<int64_t> got = db->ReadSlot(key.first, key.second);
+      Result<int64_t> got = db->NewSession().ReadSlot(key.first, key.second);
       if (!got.ok()) {  // a sticky read injected post-recovery
         injector.HealAll(&db->disk());
-        got = db->ReadSlot(key.first, key.second);
+        got = db->NewSession().ReadSlot(key.first, key.second);
       }
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got.value(), value)
@@ -155,7 +155,7 @@ TEST_P(BackupFaultTest, MediaRecoveryReplaysThroughTruncatedArchivedLog) {
   auto db = MakeDb(GetParam(), /*segment_bytes=*/160);
   std::map<std::pair<storage::PageId, uint32_t>, int64_t> expected;
   auto write = [&](storage::PageId page, uint32_t slot, int64_t value) {
-    ASSERT_TRUE(db->WriteSlot(page, slot, value).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(page, slot, value).ok());
     ASSERT_TRUE(db->log().ForceAll().ok());
     expected[{page, slot}] = value;
   };
@@ -175,7 +175,7 @@ TEST_P(BackupFaultTest, MediaRecoveryReplaysThroughTruncatedArchivedLog) {
   DestroyMedia(*db);
   ASSERT_TRUE(MediaRecover(*db, backup).ok());
   for (const auto& [key, value] : expected) {
-    EXPECT_EQ(db->ReadSlot(key.first, key.second).value(), value)
+    EXPECT_EQ(db->NewSession().ReadSlot(key.first, key.second).value(), value)
         << "page " << key.first << " slot " << key.second;
   }
 }

@@ -42,46 +42,46 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(BackupMethodTest, RestoreAloneRecoversBackupPoint) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   const Backup backup = TakeBackup(*db).value();
   DestroyMedia(*db);
   EXPECT_EQ(db->disk().PeekPage(1).ReadSlot(0), 0) << "media gone";
   ASSERT_TRUE(MediaRecover(*db, backup).ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 5);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5);
 }
 
 TEST_P(BackupMethodTest, LogSuffixReplaysOnTopOfBackup) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   const Backup backup = TakeBackup(*db).value();
   // Post-backup activity of every flavor.
-  ASSERT_TRUE(db->WriteSlot(1, 0, 6).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 3, 7).ok());
-  ASSERT_TRUE(db->BlindFormat(3, 9).ok());
-  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 3, 4}).ok());
-  ASSERT_TRUE(db->Split(MakeSlotTransfer(2, 3, 5, 1)).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 3, 7).ok());
+  ASSERT_TRUE(db->NewSession().Apply(MakeBlindFormat(3, 9)).ok());
+  ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 3, 4}).ok());
+  ASSERT_TRUE(db->NewSession().Split(MakeSlotTransfer(2, 3, 5, 1)).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
 
   DestroyMedia(*db);
   ASSERT_TRUE(MediaRecover(*db, backup).ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 6);
-  EXPECT_EQ(db->ReadSlot(5, 1).value(), 7) << "transferred value";
-  EXPECT_EQ(db->ReadSlot(2, 3).value(), 0) << "transfer source zeroed";
-  EXPECT_EQ(db->ReadSlot(3, 0).value(), 9);
-  EXPECT_EQ(db->ReadSlot(4, 0).value(), 9) << "split moved the upper half";
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 6);
+  EXPECT_EQ(db->NewSession().ReadSlot(5, 1).value(), 7) << "transferred value";
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 3).value(), 0) << "transfer source zeroed";
+  EXPECT_EQ(db->NewSession().ReadSlot(3, 0).value(), 9);
+  EXPECT_EQ(db->NewSession().ReadSlot(4, 0).value(), 9) << "split moved the upper half";
 }
 
 TEST_P(BackupMethodTest, UnforcedTailIsLostInMediaRecoveryToo) {
   auto db = MakeDb(GetParam());
   const Backup backup = TakeBackup(*db).value();
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
-  ASSERT_TRUE(db->WriteSlot(1, 1, 6).ok());  // never forced
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 6).ok());  // never forced
   db->Crash();
   DestroyMedia(*db);
   ASSERT_TRUE(MediaRecover(*db, backup).ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 5);
-  EXPECT_EQ(db->ReadSlot(1, 1).value(), 0);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 1).value(), 0);
 }
 
 TEST_P(BackupMethodTest, MatchesCrashRecoveryStateExactly) {
@@ -115,7 +115,7 @@ TEST_P(BackupMethodTest, MatchesCrashRecoveryStateExactly) {
     std::vector<int64_t> values;
     for (storage::PageId p = 0; p < kPages; ++p) {
       for (uint32_t s = 0; s < 4; ++s) {
-        values.push_back(db->ReadSlot(p, s).value());
+        values.push_back(db->NewSession().ReadSlot(p, s).value());
       }
     }
     return values;
@@ -143,26 +143,26 @@ TEST(BackupTest, BtreeSurvivesMediaFailure) {
 TEST_P(BackupMethodTest, PointInTimeRecoveryRewindsExactly) {
   auto db = MakeDb(GetParam());
   const Backup backup = TakeBackup(*db).value();
-  Result<core::Lsn> first = db->WriteSlot(1, 0, 5);
+  Result<core::Lsn> first = db->NewSession().WriteSlot(1, 0, 5);
   ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(db->WriteSlot(1, 0, 6).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 0, 7).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 7).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
 
   // Rewind to just after the first write.
   ASSERT_TRUE(PointInTimeRecover(*db, backup, first.value()).ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 5);
-  EXPECT_EQ(db->ReadSlot(2, 0).value(), 0);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5);
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 0).value(), 0);
 
   // The full media recovery still reaches the end of the log.
   ASSERT_TRUE(MediaRecover(*db, backup).ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 6);
-  EXPECT_EQ(db->ReadSlot(2, 0).value(), 7);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 6);
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 0).value(), 7);
 }
 
 TEST(BackupTest, PointInTimeBeforeBackupRejected) {
   auto db = MakeDb(MethodKind::kPhysiological);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   const Backup backup = TakeBackup(*db).value();
   EXPECT_EQ(PointInTimeRecover(*db, backup, backup.backup_lsn - 1).code(),
             StatusCode::kInvalidArgument);

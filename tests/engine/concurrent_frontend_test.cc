@@ -145,7 +145,7 @@ TEST_P(ConcurrentFrontendMethodTest, SessionWritesSurviveCrashAfterDrain) {
       for (uint32_t slot = 0; slot < 4; ++slot) {
         if (last[p][slot] < 0) continue;
         const PageId page = static_cast<PageId>(t * kPagesPerThread + p);
-        Result<int64_t> got = db->ReadSlot(page, slot);
+        Result<int64_t> got = db->NewSession().ReadSlot(page, slot);
         ASSERT_TRUE(got.ok());
         EXPECT_EQ(got.value(), last[p][slot])
             << "page " << page << " slot " << slot;
@@ -207,10 +207,10 @@ TEST_P(ConcurrentFrontendMethodTest, SplitsRunUnderConcurrentWriters) {
   ASSERT_TRUE(db->Recover().ok());
 
   // The last transfer moved 42+14 into 9[1]; 8[0] was then rewritten.
-  Result<int64_t> moved = db->ReadSlot(9, 1);
+  Result<int64_t> moved = db->NewSession().ReadSlot(9, 1);
   ASSERT_TRUE(moved.ok());
   EXPECT_EQ(moved.value(), 42 + 15 - 1);
-  Result<int64_t> src = db->ReadSlot(8, 0);
+  Result<int64_t> src = db->NewSession().ReadSlot(8, 0);
   ASSERT_TRUE(src.ok());
   EXPECT_EQ(src.value(), 42 + 15);
 }
@@ -257,7 +257,7 @@ TEST(ConcurrentFrontendTest, FuzzyCheckpointBecomesRealWhenForced) {
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
   for (int i = 0; i < 8; ++i) {
-    Result<int64_t> got = db->ReadSlot(static_cast<PageId>(i), 0);
+    Result<int64_t> got = db->NewSession().ReadSlot(static_cast<PageId>(i), 0);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), i);
   }
@@ -290,7 +290,7 @@ TEST(ConcurrentFrontendTest, CheckpointTakesTheFuzzyPathWhenEnabled) {
   ASSERT_TRUE(db.EndConcurrent().ok());
   db.Crash();
   ASSERT_TRUE(db.Recover().ok());
-  Result<int64_t> got = db.ReadSlot(0, 0);
+  Result<int64_t> got = db.NewSession().ReadSlot(0, 0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), 7);
 }
@@ -315,8 +315,8 @@ TEST(ConcurrentFrontendTest, FreezeCommitsModelsTheCrashBoundary) {
   EXPECT_FALSE(db->concurrent());
   ASSERT_TRUE(db->Recover().ok());
   // The acked write survives; the refused one vanished with the tail.
-  EXPECT_EQ(db->ReadSlot(0, 0).value(), 1);
-  EXPECT_EQ(db->ReadSlot(0, 1).value(), 0);
+  EXPECT_EQ(db->NewSession().ReadSlot(0, 0).value(), 1);
+  EXPECT_EQ(db->NewSession().ReadSlot(0, 1).value(), 0);
 }
 
 // Recover() must refuse — with a diagnosed Status, not a data race —
@@ -346,7 +346,7 @@ TEST(ConcurrentFrontendTest, RecoverRefusesWhileSessionHandlesLive) {
   }
   // All handles released: recovery proceeds.
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(0, 0).value(), 1);
+  EXPECT_EQ(db->NewSession().ReadSlot(0, 0).value(), 1);
 }
 
 // Satellite audit: the fuzzy checkpoint snapshots the dirty-page table
@@ -397,7 +397,7 @@ TEST(ConcurrentFrontendTest, FuzzyDptSnapshotCoversGroupCommitWindow) {
   // Every page's last acked write survives no matter how many fuzzy
   // checkpoints raced the pipeline.
   for (int p = 0; p < 4; ++p) {
-    Result<int64_t> got = db.ReadSlot(static_cast<PageId>(p), 0);
+    Result<int64_t> got = db.NewSession().ReadSlot(static_cast<PageId>(p), 0);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), kRounds - 4 + p) << "page " << p;
   }

@@ -58,11 +58,11 @@ void RunWorkload(MiniDb& db, uint64_t seed, size_t ops) {
     if (rng.Below(100) < 6) {
       PageId dst = static_cast<PageId>(rng.Below(kPages));
       if (dst == page) dst = static_cast<PageId>((dst + 1) % kPages);
-      ASSERT_TRUE(db.Split(MakeSlotTransfer(page, 0, dst, 1)).ok());
+      ASSERT_TRUE(db.NewSession().Split(MakeSlotTransfer(page, 0, dst, 1)).ok());
     } else {
       const uint32_t slot = static_cast<uint32_t>(rng.Below(kSlots));
       ASSERT_TRUE(
-          db.WriteSlot(page, slot, static_cast<int64_t>(i + 1)).ok());
+          db.NewSession().WriteSlot(page, slot, static_cast<int64_t>(i + 1)).ok());
     }
   }
 }
@@ -84,7 +84,7 @@ std::vector<int64_t> SlotSnapshot(MiniDb& db) {
   values.reserve(kPages * kSlots);
   for (PageId p = 0; p < kPages; ++p) {
     for (uint32_t s = 0; s < kSlots; ++s) {
-      Result<int64_t> got = db.ReadSlot(p, s);
+      Result<int64_t> got = db.NewSession().ReadSlot(p, s);
       EXPECT_TRUE(got.ok()) << got.status().ToString();
       values.push_back(got.ok() ? got.value() : -1);
     }
@@ -230,7 +230,7 @@ TEST(InstantRestartTest, WritesDuringServingSurviveTheNextCrash) {
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
   for (PageId p = 0; p < kPages; ++p) {
-    Result<int64_t> got = db->ReadSlot(p, 3);
+    Result<int64_t> got = db->NewSession().ReadSlot(p, 3);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), 7000 + p) << "page " << p;
   }
@@ -304,7 +304,7 @@ TEST(InstantRestartTest, CrashDuringServingRecoversCleanly) {
   }
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  Result<int64_t> got = db->ReadSlot(2, 3);
+  Result<int64_t> got = db->NewSession().ReadSlot(2, 3);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), 424242);
 }

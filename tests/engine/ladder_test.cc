@@ -69,7 +69,7 @@ void MakeRig(MethodKind kind, const LadderCase& c, LadderRig* out) {
   MiniDb& db = *rig.db;
 
   auto write = [&](storage::PageId page, uint32_t slot, int64_t value) {
-    ASSERT_TRUE(db.WriteSlot(page, slot, value).ok());
+    ASSERT_TRUE(db.NewSession().WriteSlot(page, slot, value).ok());
     ASSERT_TRUE(db.log().ForceAll().ok());
     rig.expected_slots[{page, slot}] = value;
   };
@@ -172,7 +172,7 @@ TEST_P(LadderMatrixTest, ResolvesAtThePredictedRung) {
     ASSERT_TRUE(db.Recover().ok());
   }
   for (const auto& [key, value] : rig.expected_slots) {
-    EXPECT_EQ(db.ReadSlot(key.first, key.second).value(), value)
+    EXPECT_EQ(db.NewSession().ReadSlot(key.first, key.second).value(), value)
         << "page " << key.first << " slot " << key.second;
   }
 }

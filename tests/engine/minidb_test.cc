@@ -41,115 +41,115 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(MiniDbMethodTest, WritesAreVisibleThroughCache) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 2, 42).ok());
-  EXPECT_EQ(db->ReadSlot(1, 2).value(), 42);
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 2, 42).ok());
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 2).value(), 42);
 }
 
 TEST_P(MiniDbMethodTest, EveryUpdateIsLoggedBeforeApplied) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(0, 0, 1).ok());
-  ASSERT_TRUE(db->WriteSlot(0, 1, 2).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, 0, 1).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, 1, 2).ok());
   EXPECT_EQ(db->log().last_lsn(), 2u);
 }
 
 TEST_P(MiniDbMethodTest, CrashWithoutForceLosesEverything) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 0, 7).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 7).ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 0)
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 0)
       << "unforced update must not survive";
 }
 
 TEST_P(MiniDbMethodTest, ForcedUpdatesSurviveCrash) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 0, 7).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 3, 8).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 7).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 3, 8).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 7);
-  EXPECT_EQ(db->ReadSlot(2, 3).value(), 8);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 7);
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 3).value(), 8);
 }
 
 TEST_P(MiniDbMethodTest, PrefixOfLogSurvives) {
   auto db = MakeDb(GetParam());
-  Result<core::Lsn> first = db->WriteSlot(0, 0, 1);
+  Result<core::Lsn> first = db->NewSession().WriteSlot(0, 0, 1);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(db->log().Force(first.value()).ok());
-  ASSERT_TRUE(db->WriteSlot(0, 0, 2).ok());  // not forced
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, 0, 2).ok());  // not forced
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(0, 0).value(), 1);
+  EXPECT_EQ(db->NewSession().ReadSlot(0, 0).value(), 1);
 }
 
 TEST_P(MiniDbMethodTest, RecoveryIsIdempotentAcrossRepeatedCrashes) {
   auto db = MakeDb(GetParam());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(db->WriteSlot(1, 1, 100 + i).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 100 + i).ok());
   }
   ASSERT_TRUE(db->log().ForceAll().ok());
   for (int round = 0; round < 3; ++round) {
     db->Crash();
     ASSERT_TRUE(db->Recover().ok());
-    EXPECT_EQ(db->ReadSlot(1, 1).value(), 104);
+    EXPECT_EQ(db->NewSession().ReadSlot(1, 1).value(), 104);
   }
 }
 
 TEST_P(MiniDbMethodTest, CheckpointInstallsAndShortensRecovery) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 5)
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5)
       << "checkpoint must make the update stable";
 }
 
 TEST_P(MiniDbMethodTest, UpdatesAfterCheckpointAlsoRecover) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
-  ASSERT_TRUE(db->WriteSlot(1, 1, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 6).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 5);
-  EXPECT_EQ(db->ReadSlot(1, 1).value(), 6);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 1).value(), 6);
 }
 
 TEST_P(MiniDbMethodTest, SplitMovesUpperHalfAndRecovers) {
   auto db = MakeDb(GetParam());
   const size_t half = storage::Page::NumSlots() / 2;
-  ASSERT_TRUE(db->WriteSlot(0, 0, 11).ok());
-  ASSERT_TRUE(db->WriteSlot(0, half, 22).ok());
-  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 0, 3}).ok());
-  EXPECT_EQ(db->ReadSlot(3, 0).value(), 22) << "moved to the new page";
-  EXPECT_EQ(db->ReadSlot(0, half).value(), 0) << "removed from the old page";
-  EXPECT_EQ(db->ReadSlot(0, 0).value(), 11) << "lower half untouched";
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, 0, 11).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, half, 22).ok());
+  ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 0, 3}).ok());
+  EXPECT_EQ(db->NewSession().ReadSlot(3, 0).value(), 22) << "moved to the new page";
+  EXPECT_EQ(db->NewSession().ReadSlot(0, half).value(), 0) << "removed from the old page";
+  EXPECT_EQ(db->NewSession().ReadSlot(0, 0).value(), 11) << "lower half untouched";
 
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(3, 0).value(), 22);
-  EXPECT_EQ(db->ReadSlot(0, half).value(), 0);
-  EXPECT_EQ(db->ReadSlot(0, 0).value(), 11);
+  EXPECT_EQ(db->NewSession().ReadSlot(3, 0).value(), 22);
+  EXPECT_EQ(db->NewSession().ReadSlot(0, half).value(), 0);
+  EXPECT_EQ(db->NewSession().ReadSlot(0, 0).value(), 11);
 }
 
 TEST_P(MiniDbMethodTest, BlindFormatRecovers) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(2, 5, 1).ok());
-  ASSERT_TRUE(db->BlindFormat(2, 9).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 5, 1).ok());
+  ASSERT_TRUE(db->NewSession().Apply(MakeBlindFormat(2, 9)).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(2, 5).value(), 9);
-  EXPECT_EQ(db->ReadSlot(2, 0).value(), 9);
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 5).value(), 9);
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 0).value(), 9);
 }
 
 TEST_P(MiniDbMethodTest, FlushedPagesSurviveWithoutReplay) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 0, 33).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 33).ok());
   // Install through the method's own channel.
   if (GetParam() == MethodKind::kLogical) {
     ASSERT_TRUE(db->Checkpoint().ok());
@@ -158,12 +158,12 @@ TEST_P(MiniDbMethodTest, FlushedPagesSurviveWithoutReplay) {
   }
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 33);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 33);
 }
 
 TEST_P(MiniDbMethodTest, WalForcesLogBeforePageFlush) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   EXPECT_EQ(db->log().stable_lsn(), 0u);
   if (GetParam() == MethodKind::kLogical) {
     ASSERT_TRUE(db->Checkpoint().ok());
@@ -192,37 +192,37 @@ TEST_P(MiniDbMethodTest, RandomWorkloadSmokeRun) {
 TEST_P(MiniDbMethodTest, SlotTransferMovesValueAndRecovers) {
   // The §7 "new class of logged operation": move p1[3] into p2[5].
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(1, 3, 77).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 5, 11).ok());
-  ASSERT_TRUE(db->Split(MakeSlotTransfer(1, 3, 2, 5)).ok());
-  EXPECT_EQ(db->ReadSlot(2, 5).value(), 77) << "value arrived";
-  EXPECT_EQ(db->ReadSlot(1, 3).value(), 0) << "source slot zeroed";
-  EXPECT_EQ(db->ReadSlot(2, 0).value(), 0) << "rest of dst untouched";
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 3, 77).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 5, 11).ok());
+  ASSERT_TRUE(db->NewSession().Split(MakeSlotTransfer(1, 3, 2, 5)).ok());
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 5).value(), 77) << "value arrived";
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 3).value(), 0) << "source slot zeroed";
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 0).value(), 0) << "rest of dst untouched";
 
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(2, 5).value(), 77);
-  EXPECT_EQ(db->ReadSlot(1, 3).value(), 0);
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 5).value(), 77);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 3).value(), 0);
 }
 
 TEST_P(MiniDbMethodTest, TransferPreservesOtherDstSlots) {
   auto db = MakeDb(GetParam());
-  ASSERT_TRUE(db->WriteSlot(2, 4, 44).ok());  // pre-existing dst content
-  ASSERT_TRUE(db->WriteSlot(1, 0, 9).ok());
-  ASSERT_TRUE(db->Split(MakeSlotTransfer(1, 0, 2, 6)).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 4, 44).ok());  // pre-existing dst content
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 9).ok());
+  ASSERT_TRUE(db->NewSession().Split(MakeSlotTransfer(1, 0, 2, 6)).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(2, 4).value(), 44)
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 4).value(), 44)
       << "transfer must not clobber the rest of the destination page";
-  EXPECT_EQ(db->ReadSlot(2, 6).value(), 9);
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 6).value(), 9);
 }
 
 TEST(MiniDbTest, GeneralizedTransferEnforcesWriteOrder) {
   auto db = MakeDb(MethodKind::kGeneralized);
-  ASSERT_TRUE(db->WriteSlot(1, 3, 77).ok());
-  ASSERT_TRUE(db->Split(MakeSlotTransfer(1, 3, 2, 5)).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 3, 77).ok());
+  ASSERT_TRUE(db->NewSession().Split(MakeSlotTransfer(1, 3, 2, 5)).ok());
   // The zeroed source must not reach disk before the destination: the
   // transfer record's redo reads the source.
   EXPECT_EQ(db->pool().FlushPage(1).code(), StatusCode::kFailedPrecondition);
@@ -232,8 +232,8 @@ TEST(MiniDbTest, GeneralizedTransferEnforcesWriteOrder) {
 
 TEST(MiniDbTest, GeneralizedSplitEnforcesWriteOrder) {
   auto db = MakeDb(MethodKind::kGeneralized);
-  ASSERT_TRUE(db->WriteSlot(0, storage::Page::NumSlots() / 2, 7).ok());
-  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 0, 1}).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, storage::Page::NumSlots() / 2, 7).ok());
+  ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 0, 1}).ok());
   // Directly flushing the overwritten source page must be refused until
   // the new page is stable (§6.4's careful write order).
   const Status st = db->pool().FlushPage(0);
@@ -244,8 +244,8 @@ TEST(MiniDbTest, GeneralizedSplitEnforcesWriteOrder) {
 
 TEST(MiniDbTest, PhysiologicalSplitHasNoWriteOrderConstraint) {
   auto db = MakeDb(MethodKind::kPhysiological);
-  ASSERT_TRUE(db->WriteSlot(0, storage::Page::NumSlots() / 2, 7).ok());
-  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 0, 1}).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(0, storage::Page::NumSlots() / 2, 7).ok());
+  ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 0, 1}).ok());
   // The new page was logged physically, so the old page may go first.
   EXPECT_TRUE(db->pool().FlushPage(0).ok());
 }
@@ -254,8 +254,8 @@ TEST(MiniDbTest, GeneralizedSplitLogsFarFewerBytesThanPhysiological) {
   auto gen = MakeDb(MethodKind::kGeneralized);
   auto physio = MakeDb(MethodKind::kPhysiological);
   for (auto* db : {gen.get(), physio.get()}) {
-    ASSERT_TRUE(db->WriteSlot(0, 1, 7).ok());
-    ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 0, 1}).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(0, 1, 7).ok());
+    ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 0, 1}).ok());
     ASSERT_TRUE(db->log().ForceAll().ok());
   }
   EXPECT_LT(gen->log().stats().stable_bytes * 10,
@@ -267,7 +267,7 @@ TEST(MiniDbTest, GeneralizedSplitLogsFarFewerBytesThanPhysiological) {
 TEST(MiniDbTest, LogicalMethodNeverWritesDiskBetweenCheckpoints) {
   auto db = MakeDb(MethodKind::kLogical);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(db->WriteSlot(1, 0, i).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, i).ok());
     ASSERT_TRUE(db->MaybeFlushPage(1).ok());  // must be a no-op
   }
   EXPECT_EQ(db->disk().stats().writes, 0u);

@@ -33,8 +33,8 @@ TEST(AnalysisTest, NameAndKind) {
 
 TEST(AnalysisTest, CheckpointCarriesDirtyPageTable) {
   auto db = MakeDb(MethodKind::kPhysiologicalAnalysis);
-  const core::Lsn first = db->WriteSlot(1, 0, 5).value();
-  ASSERT_TRUE(db->WriteSlot(2, 0, 6).ok());
+  const core::Lsn first = db->NewSession().WriteSlot(1, 0, 5).value();
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 6).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
   const methods::EngineContext ctx = db->ctx();
   const auto dpt = internal_methods::ReadCheckpointDpt(ctx).value();
@@ -44,7 +44,7 @@ TEST(AnalysisTest, CheckpointCarriesDirtyPageTable) {
 
 TEST(AnalysisTest, PlainCheckpointYieldsEmptyDpt) {
   auto db = MakeDb(MethodKind::kPhysiological);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
   const methods::EngineContext ctx = db->ctx();
   EXPECT_TRUE(internal_methods::ReadCheckpointDpt(ctx).value().empty());
@@ -53,9 +53,9 @@ TEST(AnalysisTest, PlainCheckpointYieldsEmptyDpt) {
 TEST(AnalysisTest, SkipsInstalledRecordsWithoutFetching) {
   auto db = MakeDb(MethodKind::kPhysiologicalAnalysis);
   // Dirty two pages; flush page 1 (installing its ops); checkpoint.
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
-  ASSERT_TRUE(db->WriteSlot(1, 1, 6).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 0, 7).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 7).ok());
   ASSERT_TRUE(db->MaybeFlushPage(1).ok());
   ASSERT_TRUE(db->Checkpoint().ok());  // redo point = page 2's rec_lsn = 3
   db->Crash();
@@ -64,8 +64,8 @@ TEST(AnalysisTest, SkipsInstalledRecordsWithoutFetching) {
   EXPECT_EQ(stats.replayed, 1u) << "only page 2's record replays";
   EXPECT_EQ(stats.skipped_without_fetch, 0u)
       << "page 1's records precede the redo point entirely";
-  EXPECT_EQ(db->ReadSlot(1, 1).value(), 6);
-  EXPECT_EQ(db->ReadSlot(2, 0).value(), 7);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 1).value(), 6);
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 0).value(), 7);
 }
 
 TEST(AnalysisTest, AnalysisSavesFetchesWhenRedoPointReachesBack) {
@@ -73,9 +73,9 @@ TEST(AnalysisTest, AnalysisSavesFetchesWhenRedoPointReachesBack) {
   // Page 2 dirtied first and never flushed: the redo point stays at its
   // rec_lsn. Page 1 accumulates many later records and is then flushed:
   // all of them are installed, and analysis skips them without I/O.
-  ASSERT_TRUE(db->WriteSlot(2, 0, 1).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 1).ok());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(db->WriteSlot(1, 0, 100 + i).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 100 + i).ok());
   }
   ASSERT_TRUE(db->MaybeFlushPage(1).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
@@ -86,15 +86,15 @@ TEST(AnalysisTest, AnalysisSavesFetchesWhenRedoPointReachesBack) {
   EXPECT_EQ(stats.replayed, 1u);
   EXPECT_EQ(stats.skipped_without_fetch, 20u)
       << "page 1 left the DPT when flushed; its records skip without I/O";
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 119);
-  EXPECT_EQ(db->ReadSlot(2, 0).value(), 1);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 119);
+  EXPECT_EQ(db->NewSession().ReadSlot(2, 0).value(), 1);
 }
 
 TEST(AnalysisTest, PlainPhysiologicalFetchesForEveryScannedRecord) {
   auto db = MakeDb(MethodKind::kPhysiological);
-  ASSERT_TRUE(db->WriteSlot(2, 0, 1).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 1).ok());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(db->WriteSlot(1, 0, 100 + i).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 100 + i).ok());
   }
   ASSERT_TRUE(db->MaybeFlushPage(1).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
@@ -137,7 +137,7 @@ TEST(AnalysisTest, InvariantCheckerAcceptsAnalysisVariant) {
   engine::TraceRecorder trace(db->disk());
   db->Attach(engine::Instrumentation{&trace, nullptr});
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(db->WriteSlot(i % kPages, 0, i).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(i % kPages, 0, i).ok());
     if (i == 15) {
       ASSERT_TRUE(db->MaybeFlushPage(3).ok());
       ASSERT_TRUE(db->Checkpoint().ok());

@@ -33,9 +33,11 @@ std::vector<wal::LogRecord> StableRecords(MiniDb& db) {
 
 TEST(PhysicalMethodTest, LogsOnlyFullPageImages) {
   auto db = MakeDb(MethodKind::kPhysical);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2})
+          .ok());
   for (const wal::LogRecord& record : StableRecords(*db)) {
     EXPECT_EQ(record.type, wal::RecordType::kPageImage);
     EXPECT_GT(record.payload.size(), storage::Page::kSize);
@@ -45,7 +47,9 @@ TEST(PhysicalMethodTest, LogsOnlyFullPageImages) {
 TEST(PhysiologicalMethodTest, SplitLogsOneImageAndOneRewrite) {
   auto db = MakeDb(MethodKind::kPhysiological);
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2})
+          .ok());
   const std::vector<wal::LogRecord> records = StableRecords(*db);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].type, wal::RecordType::kPageImage)
@@ -56,7 +60,9 @@ TEST(PhysiologicalMethodTest, SplitLogsOneImageAndOneRewrite) {
 TEST(GeneralizedMethodTest, SplitLogsTwoSmallRecords) {
   auto db = MakeDb(MethodKind::kGeneralized);
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2})
+          .ok());
   const std::vector<wal::LogRecord> records = StableRecords(*db);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].type, wal::RecordType::kPageSplit);
@@ -68,7 +74,9 @@ TEST(GeneralizedMethodTest, SplitLogsTwoSmallRecords) {
 TEST(LogicalMethodTest, SplitIsOneMultiPageRecord) {
   auto db = MakeDb(MethodKind::kLogical);
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2})
+          .ok());
   const std::vector<wal::LogRecord> records = StableRecords(*db);
   ASSERT_EQ(records.size(), 1u)
       << "a logical operation may read and write many pages";
@@ -80,7 +88,7 @@ TEST(PartialPhysicalMethodTest, SlotWritesLogBytesNotImages) {
   auto partial = MakeDb(MethodKind::kPhysicalPartial);
   for (auto* db : {full.get(), partial.get()}) {
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(db->WriteSlot(1, i, i).ok());
+      ASSERT_TRUE(db->NewSession().WriteSlot(1, i, i).ok());
     }
     ASSERT_TRUE(db->log().ForceAll().ok());
   }
@@ -91,7 +99,7 @@ TEST(PartialPhysicalMethodTest, SlotWritesLogBytesNotImages) {
 
 TEST(PartialPhysicalMethodTest, RecordsAreBlind) {
   auto db = MakeDb(MethodKind::kPhysicalPartial);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   const std::vector<wal::LogRecord> records = StableRecords(*db);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].type, wal::RecordType::kSlotWrite);
@@ -103,7 +111,9 @@ TEST(PartialPhysicalMethodTest, RecordsAreBlind) {
 TEST(PartialPhysicalMethodTest, SplitsFallBackToImages) {
   auto db = MakeDb(MethodKind::kPhysicalPartial);
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2})
+          .ok());
   const std::vector<wal::LogRecord> records = StableRecords(*db);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].type, wal::RecordType::kPageImage);
@@ -115,13 +125,13 @@ TEST(PartialPhysicalMethodTest, RedoAllConvergesOnNewerDiskVersions) {
   // redo point, crash, and replay everything — the old pokes re-apply
   // onto the newer page and the final bytes converge.
   auto db = MakeDb(MethodKind::kPhysicalPartial);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
-  ASSERT_TRUE(db->WriteSlot(1, 1, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 6).ok());
   ASSERT_TRUE(db->MaybeFlushPage(1).ok());  // disk holds both pokes
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());  // replays both onto the newer page
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 5);
-  EXPECT_EQ(db->ReadSlot(1, 1).value(), 6);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 1).value(), 6);
   EXPECT_EQ(db->method().last_scan_stats().replayed, 2u);
 }
 
@@ -132,10 +142,10 @@ TEST(LsnTaggingTest, CachedPagesCarryTheirLastRecordLsn) {
        {MethodKind::kPhysiological, MethodKind::kGeneralized,
         MethodKind::kPhysical, MethodKind::kLogical}) {
     auto db = MakeDb(kind);
-    const core::Lsn lsn1 = db->WriteSlot(1, 0, 5).value();
+    const core::Lsn lsn1 = db->NewSession().WriteSlot(1, 0, 5).value();
     EXPECT_EQ(db->FetchPage(1).value()->lsn(), lsn1)
         << MethodKindName(kind);
-    const core::Lsn lsn2 = db->WriteSlot(1, 1, 6).value();
+    const core::Lsn lsn2 = db->NewSession().WriteSlot(1, 1, 6).value();
     EXPECT_EQ(db->FetchPage(1).value()->lsn(), lsn2)
         << MethodKindName(kind);
     EXPECT_GT(lsn2, lsn1);
@@ -146,7 +156,7 @@ TEST(LsnTaggingTest, CachedPagesCarryTheirLastRecordLsn) {
 
 TEST(CheckpointTest, RedoScanStartIsOnePastCheckpointWhenClean) {
   auto db = MakeDb(MethodKind::kPhysical);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
   const methods::EngineContext ctx = db->ctx();
   const core::Lsn start = db->method().RedoScanStart(ctx).value();
@@ -156,8 +166,8 @@ TEST(CheckpointTest, RedoScanStartIsOnePastCheckpointWhenClean) {
 
 TEST(CheckpointTest, FuzzyCheckpointKeepsDirtyRecLsn) {
   auto db = MakeDb(MethodKind::kPhysiological);
-  const core::Lsn first = db->WriteSlot(1, 0, 5).value();
-  ASSERT_TRUE(db->WriteSlot(2, 0, 6).ok());
+  const core::Lsn first = db->NewSession().WriteSlot(1, 0, 5).value();
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 6).ok());
   // Page 1 is still dirty: the redo point must reach back to it.
   ASSERT_TRUE(db->Checkpoint().ok());
   const methods::EngineContext ctx = db->ctx();
@@ -171,8 +181,8 @@ TEST(CheckpointTest, FuzzyCheckpointKeepsDirtyRecLsn) {
 
 TEST(CheckpointTest, PhysicalCheckpointFlushesEverything) {
   auto db = MakeDb(MethodKind::kPhysical);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 0, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 6).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
   EXPECT_TRUE(db->pool().DirtyPages().empty());
   EXPECT_EQ(db->disk().PeekPage(1).ReadSlot(0), 5);
@@ -181,7 +191,7 @@ TEST(CheckpointTest, PhysicalCheckpointFlushesEverything) {
 
 TEST(CheckpointTest, NoStableCheckpointMeansScanFromOne) {
   auto db = MakeDb(MethodKind::kPhysiological);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   const methods::EngineContext ctx = db->ctx();
   EXPECT_EQ(db->method().RedoScanStart(ctx).value(), 1u);
 }
@@ -189,10 +199,10 @@ TEST(CheckpointTest, NoStableCheckpointMeansScanFromOne) {
 TEST(CheckpointTest, UnforcedCheckpointRecordDoesNotCount) {
   // A checkpoint whose record is lost in the crash never happened.
   auto db = MakeDb(MethodKind::kPhysical);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->Checkpoint().ok());  // forces internally
   const core::Lsn after_first = db->log().last_lsn();
-  ASSERT_TRUE(db->WriteSlot(1, 1, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 6).ok());
   // Hand-append a checkpoint record without forcing it.
   wal::PayloadWriter w;
   w.U64(db->log().last_lsn() + 2);
@@ -203,52 +213,56 @@ TEST(CheckpointTest, UnforcedCheckpointRecordDoesNotCount) {
   EXPECT_LE(start, after_first + 1)
       << "recovery must fall back to the last *stable* checkpoint";
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 5);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5);
 }
 
 // ---- Logical method's staging area (System R, §6.1) ----
 
 TEST(LogicalMethodTest, CrashBeforeCheckpointDiscardsStaging) {
   auto db = MakeDb(MethodKind::kLogical);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->Checkpoint().ok());  // installs x=5
-  ASSERT_TRUE(db->WriteSlot(1, 0, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 6).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   // Crash before the next checkpoint: the stable database still holds 5,
   // and recovery replays the logged 6.
   EXPECT_EQ(db->disk().PeekPage(1).ReadSlot(0), 5);
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 6);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 6);
 }
 
 TEST(LogicalMethodTest, RecoveryReplaysAgainstCheckpointedState) {
   auto db = MakeDb(MethodKind::kLogical);
   for (int i = 1; i <= 3; ++i) {
-    ASSERT_TRUE(db->WriteSlot(1, 0, i).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, i).ok());
   }
   ASSERT_TRUE(db->Checkpoint().ok());
   for (int i = 4; i <= 6; ++i) {
-    ASSERT_TRUE(db->WriteSlot(1, 0, i).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, i).ok());
   }
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  EXPECT_EQ(db->ReadSlot(1, 0).value(), 6);
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 6);
 }
 
 // ---- Generalized method's constraint management ----
 
 TEST(GeneralizedMethodTest, OppositeSplitsDoNotDeadlock) {
   auto db = MakeDb(MethodKind::kGeneralized);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 0, 6).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 6).ok());
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2})
+          .ok());
   // The reverse split would close a constraint cycle; the method must
   // resolve it (by flushing) rather than deadlock.
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 2, 1}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 2, 1})
+          .ok());
   EXPECT_TRUE(db->FlushEverything().ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
@@ -257,9 +271,11 @@ TEST(GeneralizedMethodTest, OppositeSplitsDoNotDeadlock) {
 
 TEST(GeneralizedMethodTest, ConstraintRearmedDuringRecovery) {
   auto db = MakeDb(MethodKind::kGeneralized);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(
-      db->Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2}).ok());
+      db->NewSession()
+          .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2})
+          .ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
@@ -284,7 +300,7 @@ TEST(RedoScanStatsTest, StatsAccumulateAcrossRecoverCalls) {
     obs::RecoveryTracer tracer;
     db->Attach(engine::Instrumentation{db->trace(), &tracer});
     for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(db->WriteSlot(1, i, i + 10).ok());
+      ASSERT_TRUE(db->NewSession().WriteSlot(1, i, i + 10).ok());
     }
     ASSERT_TRUE(db->log().ForceAll().ok());
     db->Crash();
@@ -293,7 +309,7 @@ TEST(RedoScanStatsTest, StatsAccumulateAcrossRecoverCalls) {
     EXPECT_EQ(after_first, 3u) << MethodKindName(kind);
 
     for (int i = 0; i < 2; ++i) {
-      ASSERT_TRUE(db->WriteSlot(2, i, i + 20).ok());
+      ASSERT_TRUE(db->NewSession().WriteSlot(2, i, i + 20).ok());
     }
     ASSERT_TRUE(db->log().ForceAll().ok());
     db->Crash();

@@ -75,16 +75,16 @@ uint64_t StageLoser(MiniDb* db, bool checkpoint_mid_txn) {
 }
 
 void ExpectLoserUndoneWinnersKept(MiniDb* db) {
-  Result<int64_t> s20 = db->ReadSlot(2, 0);
+  Result<int64_t> s20 = db->NewSession().ReadSlot(2, 0);
   ASSERT_TRUE(s20.ok()) << s20.status().ToString();
   EXPECT_EQ(s20.value(), 111);  // restored to the committed baseline
-  Result<int64_t> s21 = db->ReadSlot(2, 1);
+  Result<int64_t> s21 = db->NewSession().ReadSlot(2, 1);
   ASSERT_TRUE(s21.ok());
   EXPECT_EQ(s21.value(), 0);  // never-committed slot back to zero
-  Result<int64_t> s30 = db->ReadSlot(3, 0);
+  Result<int64_t> s30 = db->NewSession().ReadSlot(3, 0);
   ASSERT_TRUE(s30.ok());
   EXPECT_EQ(s30.value(), 333);
-  Result<int64_t> s40 = db->ReadSlot(4, 0);
+  Result<int64_t> s40 = db->NewSession().ReadSlot(4, 0);
   ASSERT_TRUE(s40.ok());
   EXPECT_EQ(s40.value(), 444);  // the winner survives
 }
@@ -156,10 +156,10 @@ TEST_P(UndoRecoveryTest, StolenUncommittedWriteNeverSurvivesRecovery) {
   }
   Status recovered = db->Recover();
   ASSERT_TRUE(recovered.ok()) << recovered.ToString();
-  Result<int64_t> stolen = db->ReadSlot(5, 0);
+  Result<int64_t> stolen = db->NewSession().ReadSlot(5, 0);
   ASSERT_TRUE(stolen.ok());
   EXPECT_EQ(stolen.value(), 50);  // the uncommitted 5000 must be gone
-  Result<int64_t> kept = db->ReadSlot(6, 0);
+  Result<int64_t> kept = db->NewSession().ReadSlot(6, 0);
   ASSERT_TRUE(kept.ok());
   EXPECT_EQ(kept.value(), 60);
 }

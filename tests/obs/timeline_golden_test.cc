@@ -32,15 +32,15 @@ std::string RunScenarioTimeline(methods::MethodKind kind) {
   obs::RecoveryTracer tracer(&db.metrics());
   db.Attach(engine::Instrumentation{nullptr, &tracer});
 
-  EXPECT_TRUE(db.WriteSlot(1, 0, 100).ok());
-  EXPECT_TRUE(db.WriteSlot(2, 0, 200).ok());
-  EXPECT_TRUE(db.WriteSlot(3, 0, 300).ok());
+  EXPECT_TRUE(db.NewSession().WriteSlot(1, 0, 100).ok());
+  EXPECT_TRUE(db.NewSession().WriteSlot(2, 0, 200).ok());
+  EXPECT_TRUE(db.NewSession().WriteSlot(3, 0, 300).ok());
   EXPECT_TRUE(db.Checkpoint().ok());
-  EXPECT_TRUE(db.WriteSlot(1, 1, 101).ok());
-  EXPECT_TRUE(db.WriteSlot(2, 1, 201).ok());
-  EXPECT_TRUE(db.WriteSlot(4, 0, 400).ok());
-  EXPECT_TRUE(db.WriteSlot(5, 0, 500).ok());
-  EXPECT_TRUE(db.WriteSlot(4, 1, 401).ok());
+  EXPECT_TRUE(db.NewSession().WriteSlot(1, 1, 101).ok());
+  EXPECT_TRUE(db.NewSession().WriteSlot(2, 1, 201).ok());
+  EXPECT_TRUE(db.NewSession().WriteSlot(4, 0, 400).ok());
+  EXPECT_TRUE(db.NewSession().WriteSlot(5, 0, 500).ok());
+  EXPECT_TRUE(db.NewSession().WriteSlot(4, 1, 401).ok());
   EXPECT_TRUE(db.MaybeFlushPage(1).ok());
   EXPECT_TRUE(db.MaybeFlushPage(2).ok());
   EXPECT_TRUE(db.log().ForceAll().ok());

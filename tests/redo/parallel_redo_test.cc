@@ -69,16 +69,16 @@ void RestoreCrashState(MiniDb& db, const std::vector<Page>& disk) {
 void RunMixedWorkload(MiniDb& db) {
   for (int round = 0; round < 3; ++round) {
     for (PageId p = 1; p < 6; ++p) {
-      ASSERT_TRUE(db.WriteSlot(p, round, 10 * round + p).ok());
-      ASSERT_TRUE(db.WriteSlot(p, 300 + round, 7 * round + p).ok());
+      ASSERT_TRUE(db.NewSession().WriteSlot(p, round, 10 * round + p).ok());
+      ASSERT_TRUE(db.NewSession().WriteSlot(p, 300 + round, 7 * round + p).ok());
     }
   }
-  ASSERT_TRUE(db.BlindFormat(6, 42).ok());
-  ASSERT_TRUE(db.Split(SplitOp{SplitTransform::kSlotHalf, 1, 7}).ok());
-  ASSERT_TRUE(db.Split(SplitOp{SplitTransform::kSlotHalf, 2, 8}).ok());
-  ASSERT_TRUE(db.Split(engine::MakeSlotTransfer(3, 1, 4, 5)).ok());
+  ASSERT_TRUE(db.NewSession().Apply(engine::MakeBlindFormat(6, 42)).ok());
+  ASSERT_TRUE(db.NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 7}).ok());
+  ASSERT_TRUE(db.NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 2, 8}).ok());
+  ASSERT_TRUE(db.NewSession().Split(engine::MakeSlotTransfer(3, 1, 4, 5)).ok());
   for (PageId p = 7; p < 9; ++p) {
-    ASSERT_TRUE(db.WriteSlot(p, 2, 99 + p).ok());
+    ASSERT_TRUE(db.NewSession().WriteSlot(p, 2, 99 + p).ok());
   }
 }
 
@@ -86,8 +86,8 @@ void RunMixedWorkload(MiniDb& db) {
 
 TEST(ParallelPlanTest, DecodesEveryRecordShape) {
   auto db = MakeDb(MethodKind::kGeneralized);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
-  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
   const Result<RedoPlan> plan = BuildRedoPlan(StableRecords(*db), false);
   ASSERT_TRUE(plan.ok());
   // slot write, split, rewrite — in LSN order.
@@ -101,7 +101,7 @@ TEST(ParallelPlanTest, DecodesEveryRecordShape) {
 
 TEST(ParallelPlanTest, WholeSplitsCarryBothPagesAsWrites) {
   auto db = MakeDb(MethodKind::kLogical);
-  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
+  ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
   const Result<RedoPlan> plan = BuildRedoPlan(StableRecords(*db), true);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan.value().tasks.size(), 1u);
@@ -112,7 +112,7 @@ TEST(ParallelPlanTest, WholeSplitsCarryBothPagesAsWrites) {
 
 TEST(ParallelPlanTest, CheckpointsCarryNoTask) {
   auto db = MakeDb(MethodKind::kPhysical);
-  ASSERT_TRUE(db->WriteSlot(1, 0, 5).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
   const std::vector<wal::LogRecord> records = StableRecords(*db);
   const Result<RedoPlan> plan = BuildRedoPlan(records, false);
@@ -124,12 +124,12 @@ TEST(ParallelPlanTest, CheckpointsCarryNoTask) {
 
 TEST(ParallelPlanTest, TaskDagChainsPerPageAndBridgesAtSplits) {
   auto db = MakeDb(MethodKind::kGeneralized);
-  ASSERT_TRUE(db->WriteSlot(1, 300, 7).ok());  // task 0: writes p1
-  ASSERT_TRUE(db->WriteSlot(3, 0, 8).ok());    // task 1: writes p3
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 300, 7).ok());  // task 0: writes p1
+  ASSERT_TRUE(db->NewSession().WriteSlot(3, 0, 8).ok());    // task 1: writes p3
   ASSERT_TRUE(
-      db->Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
+      db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
   // task 2: split reads p1, writes p2; task 3: rewrite writes p1
-  ASSERT_TRUE(db->WriteSlot(2, 0, 9).ok());    // task 4: writes p2
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 9).ok());    // task 4: writes p2
   const RedoPlan plan = BuildRedoPlan(StableRecords(*db), false).value();
   ASSERT_EQ(plan.tasks.size(), 5u);
   const core::Dag dag = BuildTaskDag(plan);
@@ -148,7 +148,7 @@ TEST(ParallelPlanTest, IndependentPagesFormDisconnectedChains) {
   auto db = MakeDb(MethodKind::kPhysical);
   for (int round = 0; round < 3; ++round) {
     for (PageId p = 1; p < 4; ++p) {
-      ASSERT_TRUE(db->WriteSlot(p, round, round).ok());
+      ASSERT_TRUE(db->NewSession().WriteSlot(p, round, round).ok());
     }
   }
   const RedoPlan plan = BuildRedoPlan(StableRecords(*db), false).value();
@@ -166,9 +166,9 @@ TEST(ParallelSchedulerTest, CrossWorkerSplitHandoffRespectsWriteGraphOrder) {
   auto db = MakeDb(MethodKind::kGeneralized);
   // p1's chain feeds the split which feeds p2's chain; forcing p1 and
   // p2 onto different workers makes every DAG edge a queue hand-off.
-  ASSERT_TRUE(db->WriteSlot(1, 300, 7).ok());
-  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
-  ASSERT_TRUE(db->WriteSlot(2, 0, 9).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 300, 7).ok());
+  ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 9).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   const std::vector<Page> crash_disk = SnapshotDisk(*db);
@@ -200,9 +200,9 @@ TEST(ParallelSchedulerTest, CrossWorkerSplitHandoffRespectsWriteGraphOrder) {
 
 TEST(ParallelSchedulerTest, WholeSplitHandoffMatchesSerialApply) {
   auto db = MakeDb(MethodKind::kLogical);
-  ASSERT_TRUE(db->WriteSlot(1, 300, 7).ok());
-  ASSERT_TRUE(db->Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
-  ASSERT_TRUE(db->Split(engine::MakeSlotTransfer(2, 0, 3, 4)).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 300, 7).ok());
+  ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
+  ASSERT_TRUE(db->NewSession().Split(engine::MakeSlotTransfer(2, 0, 3, 4)).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   const std::vector<Page> crash_disk = SnapshotDisk(*db);
@@ -233,7 +233,7 @@ TEST(ParallelRedoEngineTest, EveryMethodRecoversIdenticallyAtEveryWorkerCount) {
     if (testing::Test::HasFatalFailure()) return;
     ASSERT_TRUE(db->Checkpoint().ok()) << methods::MethodKindName(kind);
     for (PageId p = 1; p < 5; ++p) {
-      ASSERT_TRUE(db->WriteSlot(p, 9, 1000 + p).ok());
+      ASSERT_TRUE(db->NewSession().WriteSlot(p, 9, 1000 + p).ok());
     }
     ASSERT_TRUE(db->log().ForceAll().ok());
     db->Crash();
@@ -287,7 +287,7 @@ TEST(ParallelRedoEngineTest, AsyncPrefetchRecoversIdenticallyForEveryMethod) {
     if (testing::Test::HasFatalFailure()) return;
     ASSERT_TRUE(db->Checkpoint().ok()) << methods::MethodKindName(kind);
     for (PageId p = 1; p < 5; ++p) {
-      ASSERT_TRUE(db->WriteSlot(p, 9, 1000 + p).ok());
+      ASSERT_TRUE(db->NewSession().WriteSlot(p, 9, 1000 + p).ok());
     }
     ASSERT_TRUE(db->log().ForceAll().ok());
     db->Crash();
@@ -321,7 +321,7 @@ TEST(ParallelRedoEngineTest, AsyncPrefetchRecoversIdenticallyForEveryMethod) {
 TEST(ParallelRedoEngineTest, ParallelRunsFeedTheMetricsSource) {
   auto db = MakeDb(MethodKind::kPhysical);
   for (PageId p = 1; p < 6; ++p) {
-    ASSERT_TRUE(db->BlindFormat(p, p).ok());
+    ASSERT_TRUE(db->NewSession().Apply(engine::MakeBlindFormat(p, p)).ok());
   }
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
@@ -342,7 +342,7 @@ TEST(ParallelRedoEngineTest, ParallelRunsFeedTheMetricsSource) {
 
 TEST(ParallelRedoEngineTest, SerialRecoveryLeavesParallelMetricsUntouched) {
   auto db = MakeDb(MethodKind::kPhysical);
-  ASSERT_TRUE(db->BlindFormat(1, 1).ok());
+  ASSERT_TRUE(db->NewSession().Apply(engine::MakeBlindFormat(1, 1)).ok());
   ASSERT_TRUE(db->log().ForceAll().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());

@@ -52,18 +52,18 @@ MatrixRow RunMethod(MethodKind kind, size_t seeds) {
     // Re-run the crash sim while also collecting engine stats via a
     // parallel plain run (the sim owns its engine, so re-create one for
     // stats with the same workload).
-    checker::CrashSimOptions options;
+    checker::SimOptions options;
     options.workload.num_pages = 16;
     options.cache_capacity = 6;
-    options.ops_per_segment = 250;
-    options.crashes = 4;
-    const checker::CrashSimResult r = checker::RunCrashSim(kind, options, seed);
+    options.ops_per_session = 250;
+    options.cycles = 4;
+    const checker::SimResult r = checker::RunSim(kind, options, seed);
     if (!r.ok && row.all_ok) {
       row.all_ok = false;
       row.failure = r.failure;
     }
     row.stable_ops += r.stable_ops_at_crashes;
-    row.crashes += r.crashes;
+    row.crashes += r.cycles;
     row.applied += r.redo_applied;
     row.skipped_installed += r.redo_skipped_installed;
     row.not_exposed += r.redo_not_exposed;
@@ -75,7 +75,7 @@ MatrixRow RunMethod(MethodKind kind, size_t seeds) {
     engine::MiniDb db(db_options, methods::MakeMethod(kind, {16}));
     engine::Workload workload(options.workload, seed);
     Rng rng(seed ^ 0x5117ab1eULL);
-    for (size_t i = 0; i < options.ops_per_segment * options.crashes; ++i) {
+    for (size_t i = 0; i < options.ops_per_session * options.cycles; ++i) {
       const engine::Action action = workload.Next();
       REDO_CHECK(engine::ExecuteAction(db, action, rng).ok());
     }
@@ -195,10 +195,10 @@ int RunParallelSpeedup() {
     db_options.cache_capacity = 0;  // unbounded: time redo, not eviction
     engine::MiniDb db(db_options, methods::MakeMethod(kind, {kPages}));
 
-    checker::CrashSimOptions workload_options;
-    workload_options.workload.num_pages = kPages;
-    workload_options.workload.checkpoint_probability = 0.0;
-    engine::Workload workload(workload_options.workload, /*seed=*/17);
+    engine::WorkloadOptions workload_options;
+    workload_options.num_pages = kPages;
+    workload_options.checkpoint_probability = 0.0;
+    engine::Workload workload(workload_options, /*seed=*/17);
     Rng rng(0x5117ab1eULL);
     for (size_t i = 0; i < kActions; ++i) {
       REDO_CHECK(engine::ExecuteAction(db, workload.Next(), rng).ok());
@@ -283,10 +283,10 @@ InstantTiming RunInstantConfig(MethodKind kind, size_t pages, size_t actions,
   db_options.engine.group_commit_window_us = 5;  // commit latency, not batching
   engine::MiniDb db(db_options, methods::MakeMethod(kind, {pages}));
 
-  checker::CrashSimOptions workload_options;
-  workload_options.workload.num_pages = pages;
-  workload_options.workload.checkpoint_probability = 0.0;
-  engine::Workload workload(workload_options.workload, /*seed=*/23);
+  engine::WorkloadOptions workload_options;
+  workload_options.num_pages = pages;
+  workload_options.checkpoint_probability = 0.0;
+  engine::Workload workload(workload_options, /*seed=*/23);
   Rng rng(0x1157ab1eULL);
   for (size_t i = 0; i < actions; ++i) {
     REDO_CHECK(engine::ExecuteAction(db, workload.Next(), rng).ok());
@@ -686,10 +686,10 @@ int RunAsyncIoSweep() {
     db_options.num_pages = kRecPages;
     db_options.cache_capacity = 0;
     engine::MiniDb db(db_options, methods::MakeMethod(kind, {kRecPages}));
-    checker::CrashSimOptions workload_options;
-    workload_options.workload.num_pages = kRecPages;
-    workload_options.workload.checkpoint_probability = 0.0;
-    engine::Workload workload(workload_options.workload, /*seed=*/31);
+    engine::WorkloadOptions workload_options;
+    workload_options.num_pages = kRecPages;
+    workload_options.checkpoint_probability = 0.0;
+    engine::Workload workload(workload_options, /*seed=*/31);
     Rng rng(0xa510b1eULL);
     for (size_t i = 0; i < kRecActions; ++i) {
       REDO_CHECK(engine::ExecuteAction(db, workload.Next(), rng).ok());

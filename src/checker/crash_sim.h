@@ -1,152 +1,235 @@
-// The crash simulator: run a workload, crash at arbitrary points, check
-// the recovery invariant with the formal model, recover, and verify the
-// recovered state byte-for-byte against an independent oracle.
+// The crash simulator: one crash-recover-verify loop for every way the
+// engine is driven. A run has two axes:
 //
-// The oracle is the redo-recovery correctness criterion itself: after
-// recovery, the database state must equal the state produced by applying
-// exactly the operations whose log records survived the crash, in log
-// order, to the initial state. The checker validates the *theory-level*
-// invariant at the same crash points, so a bug caught by one but not the
-// other localizes the failure (engine vs. model). Updates run through
-// one serial Session and Dispatch, the path every client takes, so the
-// histories the checker verifies are the ones clients produce.
+//  - the transport: workers drive Sessions through engine::Dispatch in
+//    process, or are NetClients of an in-process NetServer — real TCP
+//    peers whose connections drop mid-pipeline at every crash and that
+//    reconnect through AwaitServing while the engine recovers;
+//  - the concurrency level: the number of workers (`sessions`).
+//
+// In process with one session the sim runs the serial engine (no
+// BeginConcurrent) — derived, not a knob. Only that configuration
+// carries the engine::Workload op stream, a bounded cache, the formal
+// checker at every crash point (the theory-level invariant: a bug caught
+// by it but not by the replay oracle localizes the failure to engine
+// vs. model), disk and log-media faults with the degradation ladder,
+// crashes during recovery, and the serial-vs-parallel redo equivalence
+// oracle. Every other configuration runs the concurrent engine: worker
+// threads issue random operations and commits (each batch one
+// transaction in txn mode) through the group-commit pipeline while a
+// checkpointer runs beside them.
+//
+// Every configuration runs the same cycle: load; the crash boundary
+// (FreezeCommits, plus DisableCommands and DisconnectAll over TCP); an
+// optional torn force; Crash(); the serial-only pre-recovery checks;
+// recovery (quiescing Recover, or RecoverInstant with optional double
+// crashes and a recover-while-loading round); then one oracle set:
+//
+//  1. No lost acked commit: every acknowledged commit is stable after
+//     the crash's salvage.
+//  2. Atomicity (txn mode): every acknowledged transaction is a winner
+//     (its commit record is stable), and only winners' writes count.
+//  3. Model replay: the recovered state equals the LSN-ordered replay
+//     of exactly the journaled operations whose records survived; TCP
+//     requests whose replies were lost are judged in doubt, per client
+//     partition (model_replay.h). Over TCP the final state is also read
+//     back over the wire.
+//
+// A failure hands back the failing cycle's recovery timeline and
+// flight-recorder Chrome trace. Serial runs are deterministic in the
+// seed; concurrent runs vary in interleaving and crash point, and the
+// oracles must hold under every one.
 
 #ifndef REDO_CHECKER_CRASH_SIM_H_
 #define REDO_CHECKER_CRASH_SIM_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "checker/recovery_checker.h"
 #include "engine/workload.h"
 #include "methods/method.h"
+#include "util/status.h"
 
 namespace redo::checker {
 
-/// Disk/log fault schedule for the simulator. The safety contract under
-/// faults is *invariant-holds-or-detected*: every injected fault must be
-/// caught by a checksum/error path and healed (the mirror-repair model),
-/// and after healing the run must verify exactly like a fault-free one.
-/// A page that differs from the oracle while carrying a VALID checksum
-/// is silent corruption — the one outcome the suite exists to rule out.
-struct CrashFaultOptions {
-  bool enabled = false;
-  /// P(crash tears the in-flight log force): a random prefix of the
-  /// unacknowledged volatile records lands on stable storage, possibly
-  /// mid-record. SalvageTornTail must truncate (or salvage) it.
-  double torn_tail_probability = 0.6;
-  double torn_write_probability = 0.03;   ///< per page write
-  double write_error_probability = 0.05;  ///< per page write (burst start)
-  int max_write_error_burst = 2;  ///< < BufferPool::kMaxFlushAttempts
-  double read_error_probability = 0.003;  ///< per page read (sticky)
-
-  // ---- Log-media faults (the stable log *body*, not just its tail) ----
-  // Active when `enabled` and log_segment_bytes > 0: the database runs a
-  // segmented, mirrored, archived log, and a LogFaultInjector rolls the
-  // probabilities below per sealed segment at every crash point. A
-  // damaged cycle must resolve at an explicit degradation-ladder rung:
-  // scrub repair (mirror/reseal), media recovery from the last backup +
-  // the archive, or a diagnosed refusal naming the first unreadable LSN.
-  size_t log_segment_bytes = 0;              ///< 0 = flat log, no log faults
-  double log_bit_rot_probability = 0.10;     ///< per sealed segment per crash
-  double log_lost_segment_probability = 0.04;
-  double log_torn_seal_probability = 0.05;
-  /// Given a damaged copy, P(the segment's other copy is damaged too) —
-  /// the mirror cannot repair, forcing rung 2 or 3.
-  double log_double_fault_probability = 0.35;
-  double log_archive_rot_probability = 0.05; ///< per archived segment per crash
-  /// Take a fresh backup every N crash cycles (0 = never). Backups are
-  /// what rung 2 degrades to when the mirror cannot repair a hole.
-  size_t backup_interval = 1;
-  /// Checkpoint-truncate the live log at each backup point (the archive
-  /// retains the sealed segments).
-  bool truncate_at_backup = true;
-  /// Normally a rung-3 refusal is resolved by modeling an offsite
-  /// restore (the injector heals its own damage) and the cycle
-  /// continues. With this knob the restore is unavailable: the refusal
-  /// becomes a terminal sim failure whose failing-cycle timeline names
-  /// the recovery phase, method, rung, and first unreadable LSN —
-  /// the forced-unrecoverable path crash_torture exposes.
-  bool no_offsite_restore = false;
+enum class Transport : uint8_t {
+  kInProcess,  ///< workers drive Sessions through engine::Dispatch
+  kTcp,        ///< workers are NetClients of an in-process NetServer
 };
 
-struct CrashSimOptions {
+struct SimOptions {
+  // ---- The two axes ----
+  Transport transport = Transport::kInProcess;
+  /// Workers: Sessions in process, clients over TCP. In process, one
+  /// session runs the serial engine.
+  size_t sessions = 1;
+
+  // ---- Every configuration ----
+  /// The serial op stream's mix; its num_pages sizes the database in
+  /// every configuration.
   engine::WorkloadOptions workload;
-  size_t cache_capacity = 8;    ///< forced to 0 for the logical method
-  size_t ops_per_segment = 150; ///< actions between crashes
-  size_t crashes = 4;
-  bool run_checker = true;      ///< validate the invariant at each crash
-  /// Crashes *during/after recovery*: each crash point additionally runs
-  /// `recovery_crashes` rounds of {recover, flush a random subset of
-  /// pages, crash again}, checking the invariant after every re-crash —
-  /// recovery must be idempotent and partially-installed recoveries must
-  /// remain recoverable.
-  size_t recovery_crashes = 0;
-  /// Serial-vs-parallel redo equivalence oracle: on every non-degraded
-  /// cycle, recover the crash state once serially and once per listed
-  /// worker count (restoring the crash state between runs, injection
-  /// paused), and require byte-identical effective pages, page LSNs,
-  /// and redo-verdict multisets. Empty = off.
-  std::vector<size_t> equivalence_workers;
+  /// Serial: workload actions between crashes. Concurrent: operations
+  /// per worker per round.
+  size_t ops_per_session = 150;
+  size_t cycles = 4;  ///< crash/recover/verify cycles
+  /// Concurrent: commit after every N operations; in txn mode each
+  /// batch of N is one transaction. A worker's last batch may be short.
+  size_t commit_every = 4;
+  /// The crash may tear the in-flight log force: a random byte-granular
+  /// prefix of the unacknowledged records lands on stable storage, and
+  /// salvage must never lose an acked commit.
+  bool tear_log_tail = false;
+  /// Disk faults. Serial: torn page writes, write-error bursts and
+  /// sticky reads, every one detected and healed (the mirror-repair
+  /// model), plus log-media faults when log_segment_bytes > 0.
+  /// Concurrent: transient write-error bursts shorter than the buffer
+  /// pool's retry budget, which must be absorbed.
+  bool disk_faults = false;
   /// The device's queue depth (EngineOptions::async_io_workers); 0
   /// keeps one I/O in flight (the REDO_ASYNC_IO environment variable
   /// overrides a zero). Recovered state is identical either way — only
   /// the I/O schedule changes — so every oracle runs unmodified.
   size_t async_io_workers = 0;
-  CrashFaultOptions faults;
+
+  // ---- Concurrent engine only ----
+  /// Checkpoints per cycle from a checkpointer thread beside the workers.
+  size_t checkpoints_per_cycle = 2;
+  /// Recover with RecoverInstant() and run a full worker round WHILE
+  /// redo drains (recover-while-loading), then WaitUntilRecovered().
+  /// Serving traffic must not alter what recovery produces.
+  bool instant_restart = false;
+  /// Instant restart: per-recovery probability (percent) of a second
+  /// crash while serving — half strike before any traffic touches a
+  /// page, half mid-drain with workers in flight.
+  size_t double_crash_percent = 0;
+  /// Workers wrap each batch in Begin/Commit and roll abort_percent of
+  /// them back, on disjoint page partitions (slot-level undo without
+  /// locking demands it). The freeze lands crashes mid-transaction and
+  /// mid-abort.
+  bool txn_mode = false;
+  size_t abort_percent = 20;
+  /// Txn mode: every recovery's undo pass crashes after this many CLRs
+  /// (EngineOptions hook), and recovery reruns until the CLRs'
+  /// undo_next chains converge. 0 = never.
+  size_t undo_crash_after_clrs = 0;
+  /// Redo workers for quiescing recovery; > 1 routes redo through the
+  /// write-graph parallel scheduler.
+  size_t parallel_redo_workers = 1;
+
+  // ---- Serial engine only ----
+  size_t cache_capacity = 8;  ///< forced to 0 for the logical method
+  /// Crashes during/after recovery: each cycle additionally runs this
+  /// many rounds of {recover, flush a random subset of pages, crash
+  /// again}, checking the invariant after every re-crash — recovery
+  /// must be idempotent and partial recoveries recoverable.
+  size_t recovery_crashes = 0;
+  /// Serial-vs-parallel redo equivalence: on every non-degraded cycle,
+  /// recover the crash state once serially and once per listed worker
+  /// count (restoring the crash state between runs, injection paused),
+  /// and require byte-identical effective pages, page LSNs, and
+  /// redo-verdict multisets. Empty = off.
+  std::vector<size_t> equivalence_workers;
+  /// With disk_faults: run a segmented, mirrored, archived log of this
+  /// segment size whose sealed body takes log-media damage at every
+  /// crash (0 = flat log, no log faults). A damaged cycle must resolve
+  /// at an explicit degradation-ladder rung.
+  size_t log_segment_bytes = 0;
+  /// With disk_faults: take a backup — what rung 2 degrades to — every
+  /// N cycles (0 = never), and checkpoint-truncate the live log there
+  /// (the archive retains the sealed segments).
+  size_t backup_interval = 1;
+  bool truncate_at_backup = true;
+  /// Withhold the offsite restore that normally resolves a rung-3
+  /// refusal: the refusal becomes a terminal failure whose timeline
+  /// names the recovery phase, method, rung, and first unreadable LSN.
+  bool no_offsite_restore = false;
 };
 
-struct CrashSimResult {
+struct SimResult {
   bool ok = false;
-  std::string failure;           ///< first failure description, if any
-  size_t actions_executed = 0;
-  size_t crashes = 0;
+  std::string failure;  ///< first failure description, if any
+
+  // ---- Every configuration ----
+  size_t cycles = 0;          ///< completed crash/recover/verify cycles
+  size_t ops = 0;             ///< serial actions; concurrent acked ops
+  size_t pages_verified = 0;  ///< pages matched against the model replay
+  size_t torn_tails = 0;      ///< crashes whose salvage found a torn tail
+  size_t torn_tail_bytes_dropped = 0;
+  size_t salvaged_records = 0;  ///< unacked records recovered whole
+  size_t faults_injected = 0;   ///< torn writes + write bursts + sticky reads
+  size_t redo_applied = 0;      ///< records redone by quiescing recoveries
+  size_t redo_skipped_installed = 0;  ///< skipped: page LSN proved installed
+  size_t redo_not_exposed = 0;        ///< skipped by analysis without page I/O
+
+  // ---- Serial engine ----
   size_t checker_runs = 0;
   size_t stable_ops_at_crashes = 0;  ///< total ops recovery had to consider
-  size_t recovered_pages_verified = 0;
-  // Fault accounting (all zero when faults are disabled).
-  size_t faults_injected = 0;    ///< torn writes + error bursts + sticky reads
-  size_t faults_detected = 0;    ///< surfaced via checksum/error + healed
-  size_t torn_tails = 0;         ///< crashes that tore the in-flight force
-  size_t torn_tail_bytes_dropped = 0;
-  size_t salvaged_records = 0;   ///< unacked records recovered whole
+  size_t faults_detected = 0;        ///< surfaced via checksum/error + healed
   size_t pages_healed = 0;
-  size_t recovery_retries = 0;   ///< recover attempts repeated after faults
-  size_t silent_corruptions = 0; ///< oracle mismatch with a valid checksum
-  // Log-media fault accounting (all zero when log faults are disabled).
-  size_t log_faults_injected = 0;   ///< bit rots + lost copies + torn seals
-  size_t log_scrub_repairs = 0;     ///< mirror repairs + reseals + archive fixes
+  size_t recovery_retries = 0;     ///< recover attempts repeated after faults
+  size_t silent_corruptions = 0;   ///< model mismatch with a valid checksum
+  size_t log_faults_injected = 0;  ///< bit rots + lost copies + torn seals
+  size_t log_scrub_repairs = 0;    ///< mirror repairs + reseals + archive fixes
   size_t ladder_mirror_cycles = 0;  ///< damaged cycles resolved by scrub (rung 1)
   size_t ladder_media_cycles = 0;   ///< cycles degraded to media recovery (rung 2)
   size_t ladder_refusals = 0;       ///< diagnosed refusals (rung 3, then restored)
   size_t backups_taken = 0;
-  size_t segments_sealed = 0;       ///< log segments sealed over the run
-  size_t segments_truncated = 0;    ///< live segments retired to the archive
-  // Serial/parallel equivalence-oracle accounting (zero when off).
+  size_t segments_sealed = 0;
+  size_t segments_truncated = 0;       ///< live segments retired to the archive
   size_t equivalence_checks = 0;       ///< parallel recoveries compared
   size_t equivalence_divergences = 0;  ///< mismatches vs the serial run
-  // Recovery-timeline accounting (from the attached RecoveryTracer).
-  size_t redo_applied = 0;            ///< records redone across all recoveries
-  size_t redo_skipped_installed = 0;  ///< skipped: page LSN proved installed
-  size_t redo_not_exposed = 0;        ///< skipped by analysis without page I/O
-  /// JSONL timeline of the cycle that failed (empty when ok): the
-  /// last-failing-cycle artifact crash_torture writes to disk.
+
+  // ---- Concurrent engine ----
+  size_t splits = 0;              ///< acked splits and slot transfers
+  size_t commits_acked = 0;
+  size_t refused = 0;             ///< kUnavailable replies at a boundary
+  size_t lost_acked_commits = 0;  ///< THE violation: acked but not stable
+  size_t checkpoints_taken = 0;
+  size_t group_commits = 0;       ///< pipeline acks (LogStats)
+  size_t group_batches = 0;       ///< pipeline forces (LogStats)
+  size_t instant_restarts = 0;    ///< RecoverInstant() calls that served
+  size_t double_crashes = 0;      ///< crashes during serving-while-redoing
+  size_t txns_committed = 0;
+  size_t txns_aborted = 0;        ///< runtime rollbacks
+  size_t losers_undone = 0;       ///< recovery-undo rollbacks
+  size_t undo_recrashes = 0;      ///< injected crashes mid-undo
+  /// Txn mode, THE violation: an acknowledged commit whose transaction
+  /// is not a winner on the stable log (atomicity/durability breach).
+  size_t atomicity_violations = 0;
+
+  // ---- TCP ----
+  size_t reconnects = 0;                 ///< connects after a crash
+  size_t reconnects_during_serving = 0;  ///< of those, at phase kServing
+  size_t in_doubt = 0;        ///< requests whose replies never arrived
+  size_t slots_verified = 0;  ///< slots read back over the wire at the end
+
+  /// JSONL recovery timeline and Chrome-trace JSON of the failing
+  /// cycle's flight-recorder events (empty when ok): the post-mortem
+  /// artifacts crash_torture writes to disk.
   std::string failing_timeline_jsonl;
-  /// Chrome-trace JSON of the failing cycle's flight-recorder events
-  /// (empty when ok) — dumped next to the timeline artifact.
   std::string failing_flight_trace_json;
-  /// Metrics-registry delta over the last completed (or failing) crash
-  /// cycle, in the text exporter's format — the per-cycle view torture
-  /// reporting uses.
+  /// Metrics-registry delta over the last completed (or failing) cycle,
+  /// in the text exporter's format.
   std::string last_cycle_metrics_text;
 
+  /// "OK" or "FAILED: why", then every non-zero counter.
   std::string ToString() const;
+  /// Sums the counters: `ok` ands, the first failure stays, the latest
+  /// failing artifacts win — the aggregate crash_torture reports.
+  SimResult& operator+=(const SimResult& other);
 };
 
-/// Runs the crash-recover-verify loop for one method. Deterministic in
-/// `seed`.
-CrashSimResult RunCrashSim(methods::MethodKind method,
-                           const CrashSimOptions& options, uint64_t seed);
+/// Refuses options no run can honor: zero sessions, cycles or
+/// commit_every, fewer pages than worker partitions, and knobs the
+/// derived engine would silently ignore (concurrent-engine knobs on
+/// the serial engine and vice versa).
+Status ValidateSimOptions(const SimOptions& options);
+
+/// Runs the crash-recover-verify loop for one method. Options
+/// ValidateSimOptions refuses come back as a failed result naming why.
+SimResult RunSim(methods::MethodKind method, const SimOptions& options,
+                 uint64_t seed);
 
 }  // namespace redo::checker
 

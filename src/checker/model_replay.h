@@ -1,12 +1,19 @@
-// The model-replay oracle the crash sims share: a journal of the pure
-// page updates a run's operations logged, keyed by the LSN the engine
+// The model-replay oracle of the crash sim: a journal of the pure page
+// updates a run's operations logged, keyed by the LSN the engine
 // assigned each record, and the LSN-ordered replay of that journal onto
 // an all-zero initial state. The replay is the redo-recovery
 // correctness criterion itself — after recovery, the database must
 // equal the state produced by applying exactly the operations whose
-// log records survived, in log order. Each sim keeps its own comparison
-// against the engine (full pages on disk, or payload hashes of the
-// cache-else-disk state).
+// log records survived, in log order.
+//
+// Over TCP some requests are *in doubt*: the crash cut the connection
+// before their replies arrived, so the client never learned whether
+// they executed, let alone their LSNs. One connection's strand executes
+// in order with ascending LSNs and salvage keeps an LSN prefix, so the
+// survivors among a client's in-doubt requests are a prefix of them.
+// Clients own disjoint page partitions, and operations on disjoint
+// pages commute, so each partition is judged on its own: it must equal
+// the replay extended by SOME prefix of its owner's in-doubt requests.
 
 #ifndef REDO_CHECKER_MODEL_REPLAY_H_
 #define REDO_CHECKER_MODEL_REPLAY_H_
@@ -35,13 +42,12 @@ struct JournalEntry {
   uint64_t txn_id = 0;
 };
 
-/// Runs `command` through Dispatch and, when it is a successful apply or
-/// split, appends the journal entries for the records it logged, tagged
-/// with `txn_id`. Returns the reply either way.
-engine::Reply DispatchJournaled(engine::MiniDb::Session& session,
-                                const engine::Command& command,
-                                uint64_t txn_id,
-                                std::vector<JournalEntry>* journal);
+/// Appends the journal entries `command` logged when `reply` is a
+/// successful apply or split, tagged with `txn_id` and the reply's
+/// LSNs. Every transport journals through this one path; an in-doubt
+/// request passes a default Reply (ok, LSNs unknown = 0).
+void JournalReply(const engine::Command& command, const engine::Reply& reply,
+                  uint64_t txn_id, std::vector<JournalEntry>* journal);
 
 /// Drops the entries above `stable_lsn`: their records died with the
 /// crash, and the log reuses lost LSNs, so later records would collide
@@ -54,6 +60,31 @@ void DropUnstable(std::vector<JournalEntry>* journal, core::Lsn stable_lsn);
 /// one LSN, in that order.
 Result<std::vector<storage::Page>> ReplayJournal(
     std::vector<JournalEntry> journal, size_t num_pages);
+
+/// One client's requests that were in flight when a crash cut its
+/// connection, expanded into journal entries in send order (LSNs
+/// unknown). The client owns pages [first_page, first_page + num_pages).
+struct InDoubt {
+  storage::PageId first_page = 0;
+  size_t num_pages = 0;
+  /// The stable LSN that crash's salvage kept. Surviving requests sit
+  /// after every journal entry at or below it and before every entry
+  /// above it (which later rounds logged).
+  core::Lsn boundary = 0;
+  std::vector<JournalEntry> entries;
+};
+
+/// The model-replay comparison. Pages no InDoubt owns must equal the
+/// replay of `journal`; each owned partition must equal the replay
+/// extended by some prefix of each of its owner's InDoubt groups (a
+/// double crash leaves two). `compare_lsn` also compares page LSN
+/// headers, which only the serial engine reproduces exactly (undo's
+/// CLRs retag pages). Returns the matching prefix length per InDoubt,
+/// or Corruption naming the first page nothing explains.
+Result<std::vector<size_t>> MatchRecovered(
+    const std::vector<JournalEntry>& journal,
+    const std::vector<InDoubt>& in_doubt,
+    const std::vector<storage::Page>& recovered, bool compare_lsn);
 
 }  // namespace redo::checker
 

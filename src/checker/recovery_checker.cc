@@ -62,7 +62,7 @@ CheckResult CheckCrashState(engine::MiniDb& db, const TraceRecorder& trace) {
   for (const wal::LogRecord& record : stable.value()) {
     if (record.type == wal::RecordType::kCheckpoint) continue;
     // Transaction records (and CLRs) are engine bookkeeping, not traced
-    // operations — the transactional oracle lives in concurrent_sim.
+    // operations — the atomicity oracle lives in the crash sim.
     if (wal::IsTxnMetaRecord(record.type) ||
         record.type == wal::RecordType::kClr) {
       continue;

@@ -40,84 +40,84 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(CrashSimMatrixTest, InvariantHoldsAndRecoveryIsExact) {
-  CrashSimOptions options;
+  SimOptions options;
   options.workload.num_pages = 12;
-  options.ops_per_segment = 120;
-  options.crashes = 3;
-  const CrashSimResult result =
-      RunCrashSim(GetParam().method, options, GetParam().seed);
+  options.ops_per_session = 120;
+  options.cycles = 3;
+  const SimResult result =
+      RunSim(GetParam().method, options, GetParam().seed);
   EXPECT_TRUE(result.ok) << result.ToString();
-  EXPECT_EQ(result.crashes, 3u);
+  EXPECT_EQ(result.cycles, 3u);
   EXPECT_EQ(result.checker_runs, 3u);
-  EXPECT_GT(result.recovered_pages_verified, 0u);
+  EXPECT_GT(result.pages_verified, 0u);
 }
 
 TEST(CrashSimTest, TinyCacheStressesEvictionPaths) {
-  CrashSimOptions options;
+  SimOptions options;
   options.workload.num_pages = 10;
   options.cache_capacity = 2;  // constant eviction traffic
-  options.ops_per_segment = 150;
-  options.crashes = 2;
+  options.ops_per_session = 150;
+  options.cycles = 2;
   for (const MethodKind kind : {MethodKind::kPhysical, MethodKind::kPhysiological,
                                 MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
         MethodKind::kPhysicalPartial}) {
-    const CrashSimResult result = RunCrashSim(kind, options, 77);
+    const SimResult result = RunSim(kind, options, 77);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
   }
 }
 
 TEST(CrashSimTest, HeavySplitsExerciseWriteOrdering) {
-  CrashSimOptions options;
+  SimOptions options;
   options.workload.num_pages = 8;
   options.workload.split_probability = 0.25;
   options.workload.flush_probability = 0.25;
-  options.ops_per_segment = 120;
-  options.crashes = 3;
-  const CrashSimResult result =
-      RunCrashSim(MethodKind::kGeneralized, options, 1234);
+  options.ops_per_session = 120;
+  options.cycles = 3;
+  const SimResult result =
+      RunSim(MethodKind::kGeneralized, options, 1234);
   EXPECT_TRUE(result.ok) << result.ToString();
 }
 
 TEST(CrashSimTest, NoCheckpointsEver) {
-  CrashSimOptions options;
+  SimOptions options;
   options.workload.num_pages = 8;
   options.workload.checkpoint_probability = 0.0;
-  options.ops_per_segment = 100;
-  options.crashes = 2;
+  options.ops_per_session = 100;
+  options.cycles = 2;
   for (const MethodKind kind :
        {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
         MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
         MethodKind::kPhysicalPartial}) {
-    const CrashSimResult result = RunCrashSim(kind, options, 5);
+    const SimResult result = RunSim(kind, options, 5);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
   }
 }
 
 TEST(CrashSimTest, FrequentCheckpointsKeepRedoShort) {
-  CrashSimOptions options;
+  SimOptions options;
   options.workload.num_pages = 8;
   options.workload.checkpoint_probability = 0.2;
-  options.ops_per_segment = 100;
-  options.crashes = 2;
-  const CrashSimResult result =
-      RunCrashSim(MethodKind::kPhysiological, options, 6);
+  options.ops_per_session = 100;
+  options.cycles = 2;
+  const SimResult result =
+      RunSim(MethodKind::kPhysiological, options, 6);
   EXPECT_TRUE(result.ok) << result.ToString();
 }
 
 TEST(CrashSimTest, CrashesDuringRecoveryAreSurvivable) {
-  CrashSimOptions options;
+  SimOptions options;
   options.workload.num_pages = 10;
   options.cache_capacity = 3;  // recovery itself evicts and flushes
-  options.ops_per_segment = 120;
-  options.crashes = 2;
+  options.ops_per_session = 120;
+  options.cycles = 2;
   options.recovery_crashes = 3;
   for (const MethodKind kind :
        {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
         MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
         MethodKind::kPhysicalPartial}) {
-    const CrashSimResult result = RunCrashSim(kind, options, 21);
+    const SimResult result = RunSim(kind, options, 21);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
     EXPECT_EQ(result.checker_runs, 2u * (1 + 3))
@@ -126,12 +126,12 @@ TEST(CrashSimTest, CrashesDuringRecoveryAreSurvivable) {
 }
 
 TEST(CrashSimTest, DeterministicInSeed) {
-  CrashSimOptions options;
+  SimOptions options;
   options.workload.num_pages = 8;
-  options.ops_per_segment = 60;
-  options.crashes = 2;
-  const CrashSimResult a = RunCrashSim(MethodKind::kGeneralized, options, 9);
-  const CrashSimResult b = RunCrashSim(MethodKind::kGeneralized, options, 9);
+  options.ops_per_session = 60;
+  options.cycles = 2;
+  const SimResult a = RunSim(MethodKind::kGeneralized, options, 9);
+  const SimResult b = RunSim(MethodKind::kGeneralized, options, 9);
   EXPECT_EQ(a.ToString(), b.ToString());
 }
 

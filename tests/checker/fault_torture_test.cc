@@ -106,20 +106,21 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(FaultMatrixTest, NoSilentCorruptionUnderFaultSchedule) {
-  CrashSimOptions options;
+  SimOptions options;
   options.workload.num_pages = 12;
   options.cache_capacity = 6;
-  options.ops_per_segment = 120;
-  options.crashes = 3;
+  options.ops_per_session = 120;
+  options.cycles = 3;
   options.recovery_crashes = 1;
-  options.faults.enabled = true;
-  const CrashSimResult result =
-      RunCrashSim(GetParam().method, options, GetParam().seed);
+  options.disk_faults = true;
+  options.tear_log_tail = true;
+  const SimResult result =
+      RunSim(GetParam().method, options, GetParam().seed);
   EXPECT_TRUE(result.ok) << result.ToString();
   EXPECT_EQ(result.silent_corruptions, 0u);
   EXPECT_GT(result.faults_injected, 0u) << "the schedule actually fired";
-  EXPECT_EQ(result.crashes, 3u);
-  EXPECT_GT(result.recovered_pages_verified, 0u);
+  EXPECT_EQ(result.cycles, 3u);
+  EXPECT_GT(result.pages_verified, 0u);
 }
 
 // ---- Log-media faults: the stable log BODY is damaged too ----
@@ -140,24 +141,25 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "Seed" + std::to_string(info.param.seed);
     });
 
-CrashSimOptions LogMediaOptions() {
-  CrashSimOptions options;
+SimOptions LogMediaOptions() {
+  SimOptions options;
   options.workload.num_pages = 12;
   options.cache_capacity = 6;
-  options.ops_per_segment = 120;
-  options.crashes = 3;
-  options.faults.enabled = true;
+  options.ops_per_session = 120;
+  options.cycles = 3;
+  options.disk_faults = true;
+  options.tear_log_tail = true;
   // Small segments so every cycle seals (and damages) several; a fresh
   // backup every cycle so rung 2 always has a current anchor; truncation
   // so the archive-only prefix is exercised.
-  options.faults.log_segment_bytes = 448;
-  options.faults.backup_interval = 1;
-  options.faults.truncate_at_backup = true;
+  options.log_segment_bytes = 448;
+  options.backup_interval = 1;
+  options.truncate_at_backup = true;
   return options;
 }
 
 TEST_P(LogMediaMatrixTest, EveryDamagedCycleResolvesAtAnExplicitRung) {
-  const CrashSimResult result = RunCrashSim(
+  const SimResult result = RunSim(
       GetParam().method, LogMediaOptions(), GetParam().seed);
   EXPECT_TRUE(result.ok) << result.ToString();
   EXPECT_EQ(result.silent_corruptions, 0u);
@@ -177,8 +179,8 @@ TEST(LogMediaMatrixTest, ScheduleInjectsAndExercisesTheLadderAcrossSeeds) {
   size_t injected = 0, ladder_cycles = 0, repairs = 0;
   for (const MethodKind kind : {MethodKind::kLogical, MethodKind::kGeneralized}) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
-      const CrashSimResult result =
-          RunCrashSim(kind, LogMediaOptions(), seed);
+      const SimResult result =
+          RunSim(kind, LogMediaOptions(), seed);
       ASSERT_TRUE(result.ok) << result.ToString();
       injected += result.log_faults_injected;
       repairs += result.log_scrub_repairs;
@@ -192,19 +194,19 @@ TEST(LogMediaMatrixTest, ScheduleInjectsAndExercisesTheLadderAcrossSeeds) {
 }
 
 TEST(LogMediaMatrixTest, LogMediaRunsAreDeterministicInSeed) {
-  const CrashSimResult first =
-      RunCrashSim(MethodKind::kPhysiological, LogMediaOptions(), 7);
-  const CrashSimResult second =
-      RunCrashSim(MethodKind::kPhysiological, LogMediaOptions(), 7);
+  const SimResult first =
+      RunSim(MethodKind::kPhysiological, LogMediaOptions(), 7);
+  const SimResult second =
+      RunSim(MethodKind::kPhysiological, LogMediaOptions(), 7);
   EXPECT_TRUE(first.ok) << first.ToString();
   EXPECT_EQ(first.ToString(), second.ToString());
 }
 
 TEST(LogMediaMatrixTest, FlatLogConfigInjectsNoLogFaults) {
-  CrashSimOptions options = LogMediaOptions();
-  options.faults.log_segment_bytes = 0;  // flat PR-1 log
-  const CrashSimResult result =
-      RunCrashSim(MethodKind::kGeneralized, options, 11);
+  SimOptions options = LogMediaOptions();
+  options.log_segment_bytes = 0;  // flat PR-1 log
+  const SimResult result =
+      RunSim(MethodKind::kGeneralized, options, 11);
   EXPECT_TRUE(result.ok) << result.ToString();
   EXPECT_EQ(result.log_faults_injected, 0u);
   EXPECT_EQ(result.segments_sealed, 0u);
@@ -215,18 +217,18 @@ TEST(FaultMatrixTest, DisabledFaultsInjectNothingAndStayDeterministic) {
   // With the fault plumbing compiled in but disabled, the simulator must
   // behave like the plain crash sim: no fault counters fire, and the run
   // is a pure function of the seed.
-  CrashSimOptions options;
+  SimOptions options;
   options.workload.num_pages = 12;
-  options.ops_per_segment = 100;
-  options.crashes = 2;
-  options.faults.enabled = false;
-  const CrashSimResult first =
-      RunCrashSim(MethodKind::kPhysical, options, /*seed=*/42);
-  const CrashSimResult second =
-      RunCrashSim(MethodKind::kPhysical, options, /*seed=*/42);
+  options.ops_per_session = 100;
+  options.cycles = 2;
+  options.disk_faults = false;
+  const SimResult first =
+      RunSim(MethodKind::kPhysical, options, /*seed=*/42);
+  const SimResult second =
+      RunSim(MethodKind::kPhysical, options, /*seed=*/42);
   EXPECT_TRUE(first.ok) << first.ToString();
   EXPECT_TRUE(second.ok) << second.ToString();
-  EXPECT_EQ(first.actions_executed, second.actions_executed);
+  EXPECT_EQ(first.ops, second.ops);
   EXPECT_EQ(first.stable_ops_at_crashes, second.stable_ops_at_crashes);
   EXPECT_EQ(first.faults_injected, 0u);
   EXPECT_EQ(first.faults_detected, 0u);

@@ -1,4 +1,4 @@
-// The concurrent simulator's instant-restart mode (recover WHILE
+// The crash sim's instant-restart mode (recover WHILE
 // loading): after each crash the engine reopens with RecoverInstant()
 // and a full worker round runs against it while redo is still draining
 // — then WaitUntilRecovered() quiesces the drain and the standard
@@ -9,7 +9,7 @@
 // second time during serving — half the strikes before any traffic,
 // half mid-drain with sessions in flight.
 
-#include "checker/concurrent_sim.h"
+#include "checker/crash_sim.h"
 
 #include <gtest/gtest.h>
 
@@ -26,15 +26,14 @@ constexpr MethodKind kAllKinds[] = {
     MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial,
 };
 
-ConcurrentSimOptions InstantRun() {
-  ConcurrentSimOptions options;
+SimOptions InstantRun() {
+  SimOptions options;
   options.sessions = 3;
   options.ops_per_session = 24;
-  options.num_pages = 12;
+  options.workload.num_pages = 12;
   options.commit_every = 4;
   options.checkpoints_per_cycle = 2;
   options.instant_restart = true;
-  options.instant_drain_workers = 2;
   return options;
 }
 
@@ -45,12 +44,12 @@ class InstantSimMethodTest : public ::testing::TestWithParam<MethodKind> {};
 // the tail torn at every crash and a 30% double-crash rate during
 // serving. Every cycle runs both oracles.
 TEST_P(InstantSimMethodTest, RecoverWhileLoadingVerifies) {
-  ConcurrentSimOptions options = InstantRun();
+  SimOptions options = InstantRun();
   options.cycles = 34;
   options.tear_log_tail = true;
   options.double_crash_percent = 30;
-  const ConcurrentSimResult result =
-      RunConcurrentCrashSim(GetParam(), options, /*seed=*/4242);
+  const SimResult result =
+      RunSim(GetParam(), options, /*seed=*/4242);
   EXPECT_TRUE(result.ok) << result.ToString();
   EXPECT_EQ(result.lost_acked_commits, 0u);
   EXPECT_EQ(result.cycles, 34u);
@@ -63,13 +62,12 @@ TEST_P(InstantSimMethodTest, RecoverWhileLoadingVerifies) {
 // Both fault injectors compose with serving-while-redoing and fuzzy
 // checkpoints in the pre-crash rounds.
 TEST(InstantSimTest, InjectorsComposeWithInstantRestart) {
-  ConcurrentSimOptions options = InstantRun();
+  SimOptions options = InstantRun();
   options.cycles = 3;
   options.tear_log_tail = true;
-  options.disk_write_faults = true;
-  options.fuzzy_checkpoints = true;
+  options.disk_faults = true;
   options.double_crash_percent = 50;
-  const ConcurrentSimResult result = RunConcurrentCrashSim(
+  const SimResult result = RunSim(
       MethodKind::kPhysiologicalAnalysis, options, /*seed=*/90210);
   EXPECT_TRUE(result.ok) << result.ToString();
   EXPECT_EQ(result.lost_acked_commits, 0u);

@@ -16,20 +16,20 @@ constexpr MethodKind kMatrixMethods[] = {
     MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kGeneralized,
     MethodKind::kPhysiologicalAnalysis};
 
-CrashSimOptions EquivalenceOptions() {
-  CrashSimOptions options;
+SimOptions EquivalenceOptions() {
+  SimOptions options;
   options.workload.num_pages = 12;
   options.workload.split_probability = 0.10;
   options.workload.transfer_probability = 0.08;
-  options.ops_per_segment = 120;
-  options.crashes = 3;
+  options.ops_per_session = 120;
+  options.cycles = 3;
   options.equivalence_workers = {2, 4, 8};
   return options;
 }
 
 TEST(ParallelEquivalenceTest, FaultFreeCyclesNeverDiverge) {
   for (const MethodKind kind : kMatrixMethods) {
-    const CrashSimResult result = RunCrashSim(kind, EquivalenceOptions(), 31);
+    const SimResult result = RunSim(kind, EquivalenceOptions(), 31);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
     // 3 crash points x 3 worker counts, all compared, none diverging.
@@ -40,10 +40,11 @@ TEST(ParallelEquivalenceTest, FaultFreeCyclesNeverDiverge) {
 }
 
 TEST(ParallelEquivalenceTest, DiskFaultCyclesNeverDiverge) {
-  CrashSimOptions options = EquivalenceOptions();
-  options.faults.enabled = true;
+  SimOptions options = EquivalenceOptions();
+  options.disk_faults = true;
+  options.tear_log_tail = true;
   for (const MethodKind kind : kMatrixMethods) {
-    const CrashSimResult result = RunCrashSim(kind, options, 47);
+    const SimResult result = RunSim(kind, options, 47);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
     EXPECT_EQ(result.equivalence_checks, 9u) << methods::MethodKindName(kind);
@@ -53,12 +54,13 @@ TEST(ParallelEquivalenceTest, DiskFaultCyclesNeverDiverge) {
 }
 
 TEST(ParallelEquivalenceTest, LogMediaFaultCyclesCompareNonDegradedCycles) {
-  CrashSimOptions options = EquivalenceOptions();
-  options.faults.enabled = true;
-  options.faults.log_segment_bytes = 4096;
+  SimOptions options = EquivalenceOptions();
+  options.disk_faults = true;
+  options.tear_log_tail = true;
+  options.log_segment_bytes = 4096;
   for (const MethodKind kind :
        {MethodKind::kPhysical, MethodKind::kGeneralized}) {
-    const CrashSimResult result = RunCrashSim(kind, options, 53);
+    const SimResult result = RunSim(kind, options, 53);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
     // Degraded cycles (ladder rung 2/3) skip the oracle; whatever ran
@@ -69,12 +71,12 @@ TEST(ParallelEquivalenceTest, LogMediaFaultCyclesCompareNonDegradedCycles) {
 }
 
 TEST(ParallelEquivalenceTest, BoundedCacheCyclesNeverDiverge) {
-  CrashSimOptions options = EquivalenceOptions();
+  SimOptions options = EquivalenceOptions();
   options.cache_capacity = 3;  // recovery evicts and flushes mid-redo
   for (const MethodKind kind :
        {MethodKind::kPhysical, MethodKind::kGeneralized,
         MethodKind::kPhysiologicalAnalysis}) {
-    const CrashSimResult result = RunCrashSim(kind, options, 61);
+    const SimResult result = RunSim(kind, options, 61);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
     EXPECT_EQ(result.equivalence_checks, 9u) << methods::MethodKindName(kind);
@@ -84,10 +86,10 @@ TEST(ParallelEquivalenceTest, BoundedCacheCyclesNeverDiverge) {
 }
 
 TEST(ParallelEquivalenceTest, OracleIsDeterministicInSeed) {
-  const CrashSimResult a =
-      RunCrashSim(MethodKind::kGeneralized, EquivalenceOptions(), 9);
-  const CrashSimResult b =
-      RunCrashSim(MethodKind::kGeneralized, EquivalenceOptions(), 9);
+  const SimResult a =
+      RunSim(MethodKind::kGeneralized, EquivalenceOptions(), 9);
+  const SimResult b =
+      RunSim(MethodKind::kGeneralized, EquivalenceOptions(), 9);
   EXPECT_EQ(a.ToString(), b.ToString());
   EXPECT_EQ(a.equivalence_checks, 9u);
 }

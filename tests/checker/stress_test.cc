@@ -10,6 +10,7 @@
 #include "btree/btree.h"
 #include "btree/node_format.h"
 #include "checker/crash_sim.h"
+#include "checker/recovery_checker.h"
 
 namespace redo::checker {
 namespace {
@@ -24,13 +25,13 @@ const MethodKind kAllMethods[] = {
 
 TEST(StressTest, LongRunsAllMethods) {
   for (const MethodKind kind : kAllMethods) {
-    CrashSimOptions options;
+    SimOptions options;
     options.workload.num_pages = 24;
     options.cache_capacity = 5;
-    options.ops_per_segment = 600;
-    options.crashes = 3;
+    options.ops_per_session = 600;
+    options.cycles = 3;
     options.recovery_crashes = 1;
-    const CrashSimResult result = RunCrashSim(kind, options, 0xbeef);
+    const SimResult result = RunSim(kind, options, 0xbeef);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
   }
@@ -50,16 +51,16 @@ TEST(StressTest, AdversarialKnobSweep) {
   };
   for (const MethodKind kind : kAllMethods) {
     for (size_t c = 0; c < std::size(corners); ++c) {
-      CrashSimOptions options;
+      SimOptions options;
       options.workload.num_pages = 10;
       options.workload.split_probability = corners[c].split;
       options.workload.flush_probability = corners[c].flush;
       options.workload.checkpoint_probability = corners[c].checkpoint;
       options.workload.force_log_probability = corners[c].force;
       options.cache_capacity = 4;
-      options.ops_per_segment = 150;
-      options.crashes = 2;
-      const CrashSimResult result = RunCrashSim(kind, options, 100 + c);
+      options.ops_per_session = 150;
+      options.cycles = 2;
+      const SimResult result = RunSim(kind, options, 100 + c);
       EXPECT_TRUE(result.ok) << methods::MethodKindName(kind) << " corner " << c
                              << ": " << result.ToString();
     }
@@ -70,13 +71,13 @@ TEST(StressTest, HighSkewHotPage) {
   // Zipf 1.5: nearly all traffic on one page — maximal version churn on
   // a single variable.
   for (const MethodKind kind : kAllMethods) {
-    CrashSimOptions options;
+    SimOptions options;
     options.workload.num_pages = 8;
     options.workload.zipf_skew = 1.5;
     options.cache_capacity = 2;
-    options.ops_per_segment = 300;
-    options.crashes = 2;
-    const CrashSimResult result = RunCrashSim(kind, options, 0x507);
+    options.ops_per_session = 300;
+    options.cycles = 2;
+    const SimResult result = RunSim(kind, options, 0x507);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
   }

@@ -1,7 +1,7 @@
 // Backups and media recovery under the disk-fault schedule: TakeBackup,
 // DestroyMedia, and MediaRecover must survive torn page writes,
-// write-error bursts, and sticky read errors (the CrashFaultOptions
-// probabilities) for every Section 6 method, and must replay through the
+// write-error bursts, and sticky read errors (the crash sim's serial
+// schedule) for every Section 6 method, and must replay through the
 // segmented, truncated, archive-backed log.
 
 #include "engine/backup.h"
@@ -43,8 +43,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(BackupFaultTest, MediaRecoveryUnderDiskFaultSchedule) {
-  // The crash_sim fault schedule's disk probabilities (CrashFaultOptions
-  // defaults), hot enough that most seeds inject something.
+  // The crash sim's serial disk fault schedule, hot enough that most
+  // seeds inject something.
   storage::FaultInjectorOptions fault_options;
   fault_options.torn_write_probability = 0.03;
   fault_options.write_error_probability = 0.05;

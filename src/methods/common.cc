@@ -294,9 +294,6 @@ Status ParallelLsnApply(EngineContext& ctx,
   options.workers = ctx.options.parallel_workers;
   options.mode = par::ParallelRedoOptions::Mode::kLsnTest;
   options.dpt = dpt;
-  // The LSN test reads every touched page's on-disk LSN, so no first
-  // touch may skip its disk read.
-  options.blind_first_touch = false;
   const par::ParallelRedoReport report = par::RunParallelRedo(
       ctx.pool, plan.value(), options, ctx.parallel_metrics);
   s.scanned += report.scanned;

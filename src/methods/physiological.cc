@@ -159,51 +159,53 @@ class PhysiologicalMethod : public RecoveryMethod {
     if (!checkpoint.ok()) return checkpoint.status();
     const core::Lsn analysis_from =
         checkpoint.value().has_value() ? checkpoint.value()->lsn + 1 : 1;
-    Result<std::vector<wal::LogRecord>> tail =
-        ctx.log->StableRecords(analysis_from);
-    if (!tail.ok()) return tail.status();
-    for (const wal::LogRecord& record : tail.value()) {
-      std::vector<storage::PageId> written;
-      switch (record.type) {
-        case wal::RecordType::kCheckpoint:
-        case wal::RecordType::kTxnBegin:
-        case wal::RecordType::kTxnCommit:
-        case wal::RecordType::kTxnEnd:
-        case wal::RecordType::kTxnUpdate:
-          continue;  // no page dirtied
-        case wal::RecordType::kClr: {
-          Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-          if (!clr.ok()) return clr.status();
-          for (const engine::UndoAction& action : clr.value().actions) {
-            written.push_back(action.page);
+    // Visit the suffix in place: only each record's target page matters.
+    const Result<wal::ScanExtent> scanned = ctx.log->VisitStable(
+        analysis_from, [&dpt](const wal::LogRecord& record) -> Status {
+          std::vector<storage::PageId> written;
+          switch (record.type) {
+            case wal::RecordType::kCheckpoint:
+            case wal::RecordType::kTxnBegin:
+            case wal::RecordType::kTxnCommit:
+            case wal::RecordType::kTxnEnd:
+            case wal::RecordType::kTxnUpdate:
+              return Status::Ok();  // no page dirtied
+            case wal::RecordType::kClr: {
+              Result<engine::Clr> clr = engine::DecodeClr(record.payload);
+              if (!clr.ok()) return clr.status();
+              for (const engine::UndoAction& action : clr.value().actions) {
+                written.push_back(action.page);
+              }
+              break;
+            }
+            case wal::RecordType::kPageImage: {
+              Result<std::pair<storage::PageId, storage::Page>> decoded =
+                  engine::DecodePageImage(record.payload);
+              if (!decoded.ok()) return decoded.status();
+              written.push_back(decoded.value().first);
+              break;
+            }
+            case wal::RecordType::kPageSplit: {
+              Result<engine::SplitOp> split =
+                  engine::DecodeSplitOp(record.payload);
+              if (!split.ok()) return split.status();
+              written.push_back(split.value().dst);
+              break;
+            }
+            default: {
+              Result<engine::SinglePageOp> op =
+                  engine::DecodeSinglePageOp(record.type, record.payload);
+              if (!op.ok()) return op.status();
+              written.push_back(op.value().page);
+              break;
+            }
           }
-          break;
-        }
-        case wal::RecordType::kPageImage: {
-          Result<std::pair<storage::PageId, storage::Page>> decoded =
-              engine::DecodePageImage(record.payload);
-          if (!decoded.ok()) return decoded.status();
-          written.push_back(decoded.value().first);
-          break;
-        }
-        case wal::RecordType::kPageSplit: {
-          Result<engine::SplitOp> split = engine::DecodeSplitOp(record.payload);
-          if (!split.ok()) return split.status();
-          written.push_back(split.value().dst);
-          break;
-        }
-        default: {
-          Result<engine::SinglePageOp> op =
-              engine::DecodeSinglePageOp(record.type, record.payload);
-          if (!op.ok()) return op.status();
-          written.push_back(op.value().page);
-          break;
-        }
-      }
-      for (storage::PageId page : written) {
-        dpt.emplace(page, record.lsn);  // keeps the earliest rec_lsn
-      }
-    }
+          for (storage::PageId page : written) {
+            dpt.emplace(page, record.lsn);  // keeps the earliest rec_lsn
+          }
+          return Status::Ok();
+        });
+    if (!scanned.ok()) return scanned.status();
     return dpt;
   }
 

@@ -1,6 +1,7 @@
 #include "methods/txn_recovery.h"
 
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,64 +24,66 @@ Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx) {
       }
     }
   }
-  Result<std::vector<wal::LogRecord>> records =
-      ctx.log->StableRecords(scan_from);
-  if (!records.ok()) return records.status();
-  for (const wal::LogRecord& record : records.value()) {
-    switch (record.type) {
-      case wal::RecordType::kTxnBegin: {
-        Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
-        if (!txn.ok()) return txn.status();
-        analysis.losers.emplace(txn.value(), 0);
-        analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
-        ++analysis.records_seen;
-        break;
-      }
-      case wal::RecordType::kTxnCommit: {
-        Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
-        if (!txn.ok()) return txn.status();
-        analysis.winners.insert(txn.value());
-        analysis.losers.erase(txn.value());
-        analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
-        ++analysis.records_seen;
-        break;
-      }
-      case wal::RecordType::kTxnEnd: {
-        // Fully committed or fully rolled back before the crash; either
-        // way nothing remains to undo.
-        Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
-        if (!txn.ok()) return txn.status();
-        analysis.losers.erase(txn.value());
-        analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
-        ++analysis.records_seen;
-        break;
-      }
-      case wal::RecordType::kTxnUpdate: {
-        Result<engine::TxnUpdate> update =
-            engine::DecodeTxnUpdate(record.payload);
-        if (!update.ok()) return update.status();
-        analysis.losers[update.value().txn_id] = record.lsn;
-        analysis.max_txn_id =
-            std::max(analysis.max_txn_id, update.value().txn_id);
-        ++analysis.records_seen;
-        break;
-      }
-      case wal::RecordType::kClr: {
-        // A CLR on the log means a previous rollback (runtime abort or a
-        // crashed undo pass) got this far; resuming from it hops the
-        // already-compensated prefix via undo_next.
-        Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-        if (!clr.ok()) return clr.status();
-        analysis.losers[clr.value().txn_id] = record.lsn;
-        analysis.max_txn_id =
-            std::max(analysis.max_txn_id, clr.value().txn_id);
-        ++analysis.records_seen;
-        break;
-      }
-      default:
-        break;
-    }
-  }
+  // Visit the suffix in place: analysis reads a few header fields per
+  // record, and the suffix may hold megabytes of page images.
+  const Result<wal::ScanExtent> scanned = ctx.log->VisitStable(
+      scan_from, [&analysis](const wal::LogRecord& record) -> Status {
+        switch (record.type) {
+          case wal::RecordType::kTxnBegin: {
+            Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
+            if (!txn.ok()) return txn.status();
+            analysis.losers.emplace(txn.value(), 0);
+            analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
+            ++analysis.records_seen;
+            break;
+          }
+          case wal::RecordType::kTxnCommit: {
+            Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
+            if (!txn.ok()) return txn.status();
+            analysis.winners.insert(txn.value());
+            analysis.losers.erase(txn.value());
+            analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
+            ++analysis.records_seen;
+            break;
+          }
+          case wal::RecordType::kTxnEnd: {
+            // Fully committed or fully rolled back before the crash;
+            // either way nothing remains to undo.
+            Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
+            if (!txn.ok()) return txn.status();
+            analysis.losers.erase(txn.value());
+            analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
+            ++analysis.records_seen;
+            break;
+          }
+          case wal::RecordType::kTxnUpdate: {
+            Result<engine::TxnUpdate> update =
+                engine::DecodeTxnUpdate(record.payload);
+            if (!update.ok()) return update.status();
+            analysis.losers[update.value().txn_id] = record.lsn;
+            analysis.max_txn_id =
+                std::max(analysis.max_txn_id, update.value().txn_id);
+            ++analysis.records_seen;
+            break;
+          }
+          case wal::RecordType::kClr: {
+            // A CLR on the log means a previous rollback (runtime abort
+            // or a crashed undo pass) got this far; resuming from it
+            // hops the already-compensated prefix via undo_next.
+            Result<engine::Clr> clr = engine::DecodeClr(record.payload);
+            if (!clr.ok()) return clr.status();
+            analysis.losers[clr.value().txn_id] = record.lsn;
+            analysis.max_txn_id =
+                std::max(analysis.max_txn_id, clr.value().txn_id);
+            ++analysis.records_seen;
+            break;
+          }
+          default:
+            break;
+        }
+        return Status::Ok();
+      });
+  if (!scanned.ok()) return scanned.status();
   return analysis;
 }
 
@@ -94,16 +97,6 @@ Status UndoLosers(EngineContext& ctx, const TxnAnalysis& analysis,
     metrics->passes.fetch_add(1, std::memory_order_relaxed);
     metrics->losers.fetch_add(analysis.losers.size(),
                               std::memory_order_relaxed);
-  }
-
-  // Index the whole stable log: an undo chain may reach back past any
-  // checkpoint (the chain's records are all stable — each was appended
-  // before its operation record, and analysis only saw stable state).
-  Result<std::vector<wal::LogRecord>> records = ctx.log->StableRecords(1);
-  if (!records.ok()) return records.status();
-  std::map<core::Lsn, const wal::LogRecord*> by_lsn;
-  for (const wal::LogRecord& record : records.value()) {
-    by_lsn.emplace(record.lsn, &record);
   }
 
   auto end_txn = [&ctx, tracer](uint64_t txn) {
@@ -128,11 +121,16 @@ Status UndoLosers(EngineContext& ctx, const TxnAnalysis& analysis,
   while (!cursors.empty()) {
     const auto [lsn, txn] = cursors.top();
     cursors.pop();
-    const auto it = by_lsn.find(lsn);
-    if (it == by_lsn.end()) {
-      return Status::Corruption("undo: chain LSN absent from stable log");
+    // Each chain record is a point lookup: the chain may reach back past
+    // any checkpoint, even into the archive (its records are all stable —
+    // each was appended before its operation record, and analysis only
+    // saw stable state), but undo reads only the records it walks.
+    Result<wal::LogRecord> found = ctx.log->StableRecordAt(lsn);
+    if (!found.ok()) {
+      return Status::Corruption("undo: chain LSN " + std::to_string(lsn) +
+                                " unreadable: " + found.status().message());
     }
-    const wal::LogRecord& record = *it->second;
+    const wal::LogRecord& record = found.value();
     if (metrics != nullptr) {
       metrics->records_walked.fetch_add(1, std::memory_order_relaxed);
     }

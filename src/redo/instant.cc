@@ -174,6 +174,12 @@ Status InstantRedoDriver::ApplyTaskLocked(const RedoTask& task) {
     }
     return Status::Ok();
   };
+  // A page the task overwrites whole installs without a read — the
+  // parallel scheduler's first-touch rule (plan.h).
+  auto fetch = [this, &task, redo_all](PageId page) {
+    return BlindFirstTouch(task, page, redo_all) ? pool_->FetchBlind(page)
+                                                 : pool_->Fetch(page);
+  };
 
   switch (task.kind) {
     case RedoTaskKind::kSinglePage: {
@@ -188,7 +194,7 @@ Status InstantRedoDriver::ApplyTaskLocked(const RedoTask& task) {
 
     case RedoTaskKind::kPageImage: {
       if (dpt_skips(task.image_page, task.lsn)) return skipped();
-      Result<Page*> page = pool_->Fetch(task.image_page);
+      Result<Page*> page = fetch(task.image_page);
       if (!page.ok()) return page.status();
       if (!redo_all && page.value()->lsn() >= task.lsn) return skipped();
       // One memcpy from the still-encoded payload straight into the
@@ -238,7 +244,7 @@ Status InstantRedoDriver::ApplyTaskLocked(const RedoTask& task) {
       Result<Page*> src = pool_->Fetch(task.split.src);
       if (!src.ok()) return src.status();
       const Page src_copy = *src.value();
-      Result<Page*> dst = pool_->Fetch(task.split.dst);
+      Result<Page*> dst = fetch(task.split.dst);
       if (!dst.ok()) return dst.status();
       engine::ApplySplitToDst(task.split, src_copy, dst.value());
       REDO_RETURN_IF_ERROR(pool_->MarkDirty(task.split.dst, task.lsn));

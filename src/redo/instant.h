@@ -103,7 +103,8 @@ class InstantRedoDriver {
 
   /// Applies (or redo-test-skips) one planned task. Mirrors the serial
   /// scan's per-kind machinery, including the kSplitDst refetch +
-  /// re-test double-apply guard.
+  /// re-test double-apply guard; a page the task overwrites whole is
+  /// installed without a read (BlindFirstTouch), as in the scheduler.
   Status ApplyTaskLocked(const RedoTask& task);
 
   storage::BufferPool* pool_;

@@ -52,6 +52,20 @@ std::vector<storage::PageId> RedoTask::Reads() const {
   return {};
 }
 
+bool BlindFirstTouch(const RedoTask& task, storage::PageId page,
+                     bool redo_all) {
+  if (!redo_all) return false;
+  switch (task.kind) {
+    case RedoTaskKind::kPageImage:
+      return page == task.image_page;
+    case RedoTaskKind::kWholeSplit:
+      return page == task.split.dst &&
+             !engine::SplitReadsDst(task.split.transform);
+    default:
+      return false;
+  }
+}
+
 Result<RedoPlan> BuildRedoPlan(std::vector<wal::LogRecord> records,
                                bool whole_splits) {
   RedoPlan plan;

@@ -64,6 +64,17 @@ struct RedoPlan {
   size_t multi_page_tasks = 0;    ///< tasks touching two pages (splits)
 };
 
+/// The first-touch rule, shared by the parallel scheduler and the
+/// instant-restart drain (instant.h) so the two cannot drift apart: true
+/// when replaying `task` under redo-all overwrites every byte of `page`
+/// without reading it — a page image, or the dst of a whole split whose
+/// transform does not read dst. The page's stable bytes are then dead
+/// (§6.2: a physical write's target is unexposed), so the replay may
+/// install a zeroed frame instead of reading the page (FetchBlind). An
+/// LSN-tested replay must read the page LSN, so the rule never applies.
+bool BlindFirstTouch(const RedoTask& task, storage::PageId page,
+                     bool redo_all);
+
 /// Decodes the stable-log suffix into a plan. `whole_splits` selects the
 /// logical method's record shape: one kPageSplit record replays both
 /// halves (dst := P(src), then the src rewrite Q) as a single atomic

@@ -131,12 +131,12 @@ void WakeAllQueues(const WorkerEnv& env) {
 // batches the disk reads its tasks will *definitely* issue through the
 // async backend, installing the pages into its partition so the apply
 // loop's Fetches become hits. Only definite reads are batched — pages
-// a blind first touch or a page-LSN test might elide stay on the
-// serial path, so the set of pages read from disk is identical to the
-// unprefetched schedule (a sticky read fault fires either way; a
-// failed prefetch read is simply not installed and the worker's own
-// Fetch re-surfaces the error at the exact task the serial path
-// reports).
+// a blind first touch (BlindFirstTouch) or a page-LSN test might elide
+// stay on the serial path, so the set of pages read from disk is
+// identical to the unprefetched schedule (a sticky read fault fires
+// either way; a failed prefetch read is simply not installed and the
+// worker's own Fetch re-surfaces the error at the exact task the
+// serial path reports).
 void PrefetchPlanPages(const WorkerEnv& env, size_t me,
                        const std::vector<WorkItem>& items,
                        BufferPool::RedoPartition& part,
@@ -166,8 +166,7 @@ void PrefetchPlanPages(const WorkerEnv& env, size_t me,
         break;
       case RedoTaskKind::kPageImage:
         if (dpt_skips(task.image_page, task.lsn)) break;
-        // Redo-all with blind first touch installs without reading.
-        if (redo_all && options.blind_first_touch) break;
+        if (BlindFirstTouch(task, task.image_page, redo_all)) break;
         add(task.image_page);
         break;
       case RedoTaskKind::kSplitDst:
@@ -189,7 +188,7 @@ void PrefetchPlanPages(const WorkerEnv& env, size_t me,
         }
         add(task.split.src);
         if (env.owner(task.split.dst) == me &&
-            (reads_dst || !options.blind_first_touch)) {
+            !BlindFirstTouch(task, task.split.dst, redo_all)) {
           add(task.split.dst);
         }
         break;
@@ -258,6 +257,11 @@ void RunWorker(const WorkerEnv& env, size_t me,
                      const char* reason) {
     result.verdicts.push_back(TaskVerdict{lsn, page, v, reason});
   };
+  // A page the task overwrites whole installs without a read (plan.h).
+  auto fetch = [&](const RedoTask& task, PageId page) -> Result<Page*> {
+    if (BlindFirstTouch(task, page, redo_all)) return part.FetchBlind(page);
+    return part.Fetch(page);
+  };
 
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const uint64_t cpu_start = ThreadCpuUs();
@@ -309,22 +313,16 @@ void RunWorker(const WorkerEnv& env, size_t me,
                   "analysis-dpt");
           break;
         }
-        Page* page = nullptr;
-        if (redo_all && options.blind_first_touch &&
-            !part.IsCached(task.image_page)) {
-          page = part.FetchBlind(task.image_page);
-        } else {
-          Result<Page*> fetched = part.Fetch(task.image_page);
-          if (!fetched.ok()) {
-            fail(fetched.status(), lsn);
-            break;
-          }
-          page = fetched.value();
-          if (!redo_all && page->lsn() >= lsn) {  // installed
-            verdict(lsn, task.image_page, obs::RedoVerdict::kSkippedInstalled,
-                    "page-lsn-current");
-            break;
-          }
+        Result<Page*> fetched = fetch(task, task.image_page);
+        if (!fetched.ok()) {
+          fail(fetched.status(), lsn);
+          break;
+        }
+        Page* page = fetched.value();
+        if (!redo_all && page->lsn() >= lsn) {  // installed
+          verdict(lsn, task.image_page, obs::RedoVerdict::kSkippedInstalled,
+                  "page-lsn-current");
+          break;
         }
         // One memcpy from the still-encoded payload straight into the
         // frame — no intermediate Page materializes.
@@ -419,19 +417,12 @@ void RunWorker(const WorkerEnv& env, size_t me,
           if (!queue_from(env.owner(task.split.src)).Pop(&computed, abort)) {
             break;
           }
-          Page* dst = nullptr;
-          if (!part.IsCached(task.split.dst) &&
-              (!reads_dst && options.blind_first_touch)) {
-            dst = part.FetchBlind(task.split.dst);
-          } else {
-            Result<Page*> fetched = part.Fetch(task.split.dst);
-            if (!fetched.ok()) {
-              fail(fetched.status(), lsn);
-              break;
-            }
-            dst = fetched.value();
+          Result<Page*> dst = fetch(task, task.split.dst);
+          if (!dst.ok()) {
+            fail(dst.status(), lsn);
+            break;
           }
-          *dst = computed;
+          *dst.value() = computed;
           part.MarkDirty(task.split.dst, lsn);
           break;
         }
@@ -455,19 +446,12 @@ void RunWorker(const WorkerEnv& env, size_t me,
                            lsn);
           if (!queue_to(dst_owner).Push(std::move(computed), abort)) break;
         } else {
-          Page* dst = nullptr;
-          if (!part.IsCached(task.split.dst) &&
-              (!reads_dst && options.blind_first_touch)) {
-            dst = part.FetchBlind(task.split.dst);
-          } else {
-            Result<Page*> fetched = part.Fetch(task.split.dst);
-            if (!fetched.ok()) {
-              fail(fetched.status(), lsn);
-              break;
-            }
-            dst = fetched.value();
+          Result<Page*> dst = fetch(task, task.split.dst);
+          if (!dst.ok()) {
+            fail(dst.status(), lsn);
+            break;
           }
-          engine::ApplySplitToDst(task.split, src_copy, dst);
+          engine::ApplySplitToDst(task.split, src_copy, dst.value());
           part.MarkDirty(task.split.dst, lsn);
         }
         // The rewrite half: src's frame pointer stays valid (partitions

@@ -53,11 +53,6 @@ struct ParallelRedoOptions {
   /// not exposed and skips without any page I/O.
   const std::map<storage::PageId, core::Lsn>* dpt = nullptr;
 
-  /// Redo-all only: when a worker's first touch of a page fully
-  /// overwrites it (page images; whole-split targets that do not read
-  /// dst), install a frame without the disk read.
-  bool blind_first_touch = true;
-
   /// Test seam: overrides the page -> worker hash (result is taken
   /// modulo `workers`).
   std::function<size_t(storage::PageId)> owner_override;
@@ -96,7 +91,7 @@ struct ParallelRedoReport {
   size_t workers_used = 0;
   size_t handoffs = 0;        ///< cross-worker page snapshot transfers
   size_t cross_edges = 0;     ///< split tasks whose pages hash to two workers
-  size_t blind_installs = 0;  ///< disk reads elided by blind first touch
+  size_t blind_installs = 0;  ///< disk reads elided by BlindFirstTouch
   /// Pages installed by async read-prefetch batches (0 at queue depth
   /// 0 — every read is a partition miss).
   size_t prefetched_pages = 0;

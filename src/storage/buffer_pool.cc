@@ -42,6 +42,7 @@ void BufferPoolStats::EmitMetrics(obs::MetricEmitter& emit) const {
   emit.Counter("constraint_checks", constraint_checks);
   emit.Counter("batch_flushes", batch_flushes);
   emit.Counter("prefetch_installs", prefetch_installs);
+  emit.Counter("blind_installs", blind_installs);
 }
 
 void BufferPool::RegisterMetrics(obs::MetricsRegistry& registry,
@@ -59,6 +60,14 @@ void BufferPool::RegisterMetrics(obs::MetricsRegistry& registry,
 }
 
 Result<Page*> BufferPool::Fetch(PageId id) {
+  return FetchFrame(id, /*blind=*/false);
+}
+
+Result<Page*> BufferPool::FetchBlind(PageId id) {
+  return FetchFrame(id, /*blind=*/true);
+}
+
+Result<Page*> BufferPool::FetchFrame(PageId id, bool blind) {
   // mu_ covers the whole fetch, including the miss path's disk read (the
   // Disk mutates stats and consults its fault injector on every read, so
   // concurrent sessions' misses must serialize) and eviction (serial-only:
@@ -76,18 +85,22 @@ Result<Page*> BufferPool::Fetch(PageId id) {
     it->second.last_use = ++use_clock_;
     return &it->second.page;
   }
-  ++stats_.misses;
-  // Read before evicting: if the read fails (bad sector, torn page) a
-  // cached — possibly dirty — page must not have been sacrificed for it.
-  // The transient overshoot of capacity by one local Page copy is the
-  // price of not losing work to a failed I/O.
-  Result<Page> from_disk = ReadThrough(*io_, id);
-  if (!from_disk.ok()) return from_disk.status();
+  Frame frame;
+  if (blind) {
+    ++stats_.blind_installs;
+  } else {
+    ++stats_.misses;
+    // Read before evicting: if the read fails (bad sector, torn page) a
+    // cached — possibly dirty — page must not have been sacrificed for
+    // it. The transient overshoot of capacity by one local Page copy is
+    // the price of not losing work to a failed I/O.
+    Result<Page> from_disk = ReadThrough(*io_, id);
+    if (!from_disk.ok()) return from_disk.status();
+    frame.page = std::move(from_disk).value();
+  }
   if (capacity_ != 0 && frames_.size() >= capacity_) {
     REDO_RETURN_IF_ERROR(EvictOne());
   }
-  Frame frame;
-  frame.page = std::move(from_disk).value();
   frame.last_use = ++use_clock_;
   auto [inserted, ok] = frames_.emplace(id, std::move(frame));
   REDO_CHECK(ok);
@@ -501,28 +514,30 @@ Status BufferPool::EvictOne() {
 // ---- Parallel-redo partitioning ----
 
 Result<Page*> BufferPool::RedoPartition::Fetch(PageId id) {
+  return FetchFrame(id, /*blind=*/false);
+}
+
+Page* BufferPool::RedoPartition::FetchBlind(PageId id) {
+  return FetchFrame(id, /*blind=*/true).value();  // a blind fetch never fails
+}
+
+Result<Page*> BufferPool::RedoPartition::FetchFrame(PageId id, bool blind) {
   ++fetches_;
   auto it = frames_.find(id);
   if (it != frames_.end()) {
     ++hits_;
     return &it->second.page;
   }
-  ++misses_;
-  Result<Page> from_disk = ReadThrough(*io_, id);
-  if (!from_disk.ok()) return from_disk.status();
   Frame frame;
-  frame.page = std::move(from_disk).value();
+  if (blind) {
+    ++blind_installs_;
+  } else {
+    ++misses_;
+    Result<Page> from_disk = ReadThrough(*io_, id);
+    if (!from_disk.ok()) return from_disk.status();
+    frame.page = std::move(from_disk).value();
+  }
   auto [inserted, ok] = frames_.emplace(id, std::move(frame));
-  REDO_CHECK(ok);
-  return &inserted->second.page;
-}
-
-Page* BufferPool::RedoPartition::FetchBlind(PageId id) {
-  REDO_CHECK(frames_.count(id) == 0)
-      << "blind install of an already-cached page";
-  ++fetches_;
-  ++blind_installs_;
-  auto [inserted, ok] = frames_.emplace(id, Frame{});
   REDO_CHECK(ok);
   return &inserted->second.page;
 }
@@ -583,6 +598,7 @@ void BufferPool::MergeRedoPartitions(std::vector<RedoPartition>& partitions) {
     stats_.hits += partition.hits_;
     stats_.misses += partition.misses_;
     stats_.prefetch_installs += partition.prefetch_installs_;
+    stats_.blind_installs += partition.blind_installs_;
     for (auto& [id, frame] : partition.frames_) {
       pages.emplace_back(id, &partition);
     }

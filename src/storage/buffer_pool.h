@@ -63,6 +63,10 @@ struct BufferPoolStats {
   uint64_t batch_flushes = 0;      ///< write batches submitted to the device
   uint64_t prefetch_installs = 0;  ///< redo-partition pages installed from
                                    ///< an async read-prefetch batch
+  /// Fetches that installed a zeroed frame without a read (FetchBlind
+  /// misses). Every fetch is exactly one of a hit, a miss or a blind
+  /// install: fetches == hits + misses + blind_installs.
+  uint64_t blind_installs = 0;
 
   /// Emits every counter (metrics-registry source enumeration).
   void EmitMetrics(obs::MetricEmitter& emit) const;
@@ -79,11 +83,11 @@ struct DirtyPageEntry {
 /// through the pool's AsyncIoBackend (its device).
 ///
 /// Threading contract (the concurrent front end, DESIGN.md §10):
-///  - Fetch / MarkDirty / the const observers are thread-safe: they
-///    serialize on an internal mutex that guards the frame map and
-///    counters. Page *bytes* are NOT guarded by that mutex — callers
-///    must hold the page's latch (LatchPage) while reading or writing
-///    the returned Page.
+///  - Fetch / FetchBlind / MarkDirty / the const observers are
+///    thread-safe: they serialize on an internal mutex that guards the
+///    frame map and counters. Page *bytes* are NOT guarded by that
+///    mutex — callers must hold the page's latch (LatchPage) while
+///    reading or writing the returned Page.
 ///  - Everything that flushes, evicts, or rewires write-order
 ///    constraints (FlushPage*, FlushAll, Evict, Crash, DropPage,
 ///    AddWriteOrderConstraint, redo partitioning) must run
@@ -113,6 +117,12 @@ class BufferPool {
   /// from disk on a miss (evicting if at capacity). The pointer is valid
   /// until the next Fetch/Flush/Evict/Crash call.
   Result<Page*> Fetch(PageId id);
+
+  /// Fetch for a caller about to overwrite every byte of the page (a
+  /// redo-all page image or whole-split target): a hit returns the
+  /// cached frame, a miss installs a zeroed frame without reading the
+  /// page, whose stable bytes are dead. Evicts like Fetch.
+  Result<Page*> FetchBlind(PageId id);
 
   /// Marks a cached page dirty; `lsn` is the logged operation that
   /// updated it. Sets the page LSN. The page must be cached.
@@ -267,9 +277,8 @@ class BufferPool {
     /// returned pointer stays valid until the partition is merged.
     Result<Page*> Fetch(PageId id);
 
-    /// Installs a zeroed frame without reading disk: the caller's first
-    /// touch fully overwrites the page (a redo-all page image or split
-    /// target), so the on-disk bytes are dead. Requires: not cached.
+    /// BufferPool::FetchBlind for the partition: a hit returns the
+    /// cached frame, a miss installs a zeroed frame without reading disk.
     Page* FetchBlind(PageId id);
 
     /// Marks a partition-cached page dirty and tags it with `lsn`.
@@ -292,6 +301,9 @@ class BufferPool {
     friend class BufferPool;
     explicit RedoPartition(AsyncIoBackend* io) : io_(io) {}
 
+    /// The one body of Fetch and FetchBlind.
+    Result<Page*> FetchFrame(PageId id, bool blind);
+
     AsyncIoBackend* io_;  ///< the pool's device (not owned)
     std::unordered_map<PageId, Frame> frames_;
     uint64_t fetches_ = 0;
@@ -310,10 +322,11 @@ class BufferPool {
 
   /// Moves every partition frame back into the pool. Deterministic
   /// regardless of worker interleaving: frames re-enter in page-id
-  /// order (re-stamping last_use), partition fetch counters are summed
-  /// into the pool's stats, and dirty bits / rec_lsns survive the round
-  /// trip. Does NOT enforce capacity: the caller re-arms write-order
-  /// constraints first, then calls ReduceToCapacity.
+  /// order (re-stamping last_use), partition fetch counters (blind
+  /// installs included) are summed into the pool's stats, and dirty
+  /// bits / rec_lsns survive the round trip. Does NOT enforce capacity:
+  /// the caller re-arms write-order constraints first, then calls
+  /// ReduceToCapacity.
   void MergeRedoPartitions(std::vector<RedoPartition>& partitions);
 
   /// Evicts (flushing dirty victims, honoring constraints) until the
@@ -326,6 +339,10 @@ class BufferPool {
     core::Lsn before_lsn;
     PageId after;
   };
+
+  /// The one body of Fetch and FetchBlind: `blind` installs a zeroed
+  /// frame on a miss instead of reading the page.
+  Result<Page*> FetchFrame(PageId id, bool blind);
 
   /// Pages that must be flushed before `id` can be (unsatisfied
   /// constraints only). Consults only `id`'s bucket of the by-after

@@ -469,25 +469,26 @@ const std::vector<LogRecord>* LogManager::ReadableSealedRecords(
   return nullptr;
 }
 
-StableScan LogManager::ScanStable(core::Lsn from) const {
-  StableScan scan;
+Result<ScanExtent> LogManager::VisitStable(core::Lsn from,
+                                           const StableVisitor& visit) const {
+  ScanExtent extent;
   const core::Lsn live_begin = live_begin_lsn();
   // Truncated-away prefix: served from the archive.
   if (live_begin == 0 || from < live_begin) {
     for (const Segment& seg : archive_) {
       if (live_begin != 0 && seg.last_lsn >= live_begin) break;
       if (seg.last_lsn < from) {
-        scan.last_valid_lsn = seg.last_lsn;
+        extent.last_valid_lsn = seg.last_lsn;
         continue;
       }
       const std::vector<LogRecord>* records = ReadableSealedRecords(seg);
       if (records == nullptr) {
-        scan.torn = true;
-        return scan;
+        extent.torn = true;
+        return extent;
       }
-      scan.last_valid_lsn = seg.last_lsn;
+      extent.last_valid_lsn = seg.last_lsn;
       for (const LogRecord& record : *records) {
-        if (record.lsn >= from) scan.records.push_back(record);
+        if (record.lsn >= from) REDO_RETURN_IF_ERROR(visit(record));
       }
     }
   }
@@ -497,54 +498,129 @@ StableScan LogManager::ScanStable(core::Lsn from) const {
       if (seg.last_lsn < from) {
         // Metadata skip: recovery does not need these records, so their
         // integrity is Scrub's business, not the scan's.
-        scan.last_valid_lsn = seg.last_lsn;
-        scan.valid_bytes += seg.primary.bytes.size();
+        extent.last_valid_lsn = seg.last_lsn;
+        extent.valid_bytes += seg.primary.bytes.size();
         continue;
       }
       const std::vector<LogRecord>* records = ReadableSealedRecords(seg);
       if (records == nullptr) {
         // A hole: everything from here on is untrustworthy — a redo
         // prefix must be unbroken.
-        scan.torn = true;
+        extent.torn = true;
         for (size_t j = i; j < live_.size(); ++j) {
-          scan.damaged_bytes += live_[j].primary.bytes.size();
+          extent.damaged_bytes += live_[j].primary.bytes.size();
         }
-        return scan;
+        return extent;
       }
-      scan.last_valid_lsn = seg.last_lsn;
-      scan.valid_bytes += seg.primary.bytes.size();
+      extent.last_valid_lsn = seg.last_lsn;
+      extent.valid_bytes += seg.primary.bytes.size();
       for (const LogRecord& record : *records) {
-        if (record.lsn >= from) scan.records.push_back(record);
+        if (record.lsn >= from) REDO_RETURN_IF_ERROR(visit(record));
       }
     } else {
       // The active segment: cached verified records, then a tolerant
       // decode of any unverified (torn, unsalvaged) tail bytes.
       if (!seg.records.empty()) ++stats_.scan_cache_hits;
       for (const LogRecord& record : seg.records) {
-        scan.last_valid_lsn = record.lsn;
-        if (record.lsn >= from) scan.records.push_back(record);
+        extent.last_valid_lsn = record.lsn;
+        if (record.lsn >= from) REDO_RETURN_IF_ERROR(visit(record));
       }
       size_t offset = verified_prefix_;
       while (offset < seg.primary.bytes.size()) {
         Result<LogRecord> record = DecodeRecord(seg.primary.bytes, &offset);
         if (!record.ok()) {
-          scan.torn = true;
+          extent.torn = true;
           break;
         }
-        scan.last_valid_lsn = record.value().lsn;
+        extent.last_valid_lsn = record.value().lsn;
         if (record.value().lsn >= from) {
-          scan.records.push_back(std::move(record).value());
+          REDO_RETURN_IF_ERROR(visit(record.value()));
         }
       }
-      scan.valid_bytes += offset;
-      scan.damaged_bytes += seg.primary.bytes.size() - offset;
+      extent.valid_bytes += offset;
+      extent.damaged_bytes += seg.primary.bytes.size() - offset;
     }
   }
+  return extent;
+}
+
+StableScan LogManager::ScanStable(core::Lsn from) const {
+  StableScan scan;
+  Result<ScanExtent> extent =
+      VisitStable(from, [&scan](const LogRecord& record) {
+        scan.records.push_back(record);
+        return Status::Ok();
+      });
+  static_cast<ScanExtent&>(scan) = extent.value();
   return scan;
 }
 
 Result<std::vector<LogRecord>> LogManager::StableRecords(core::Lsn from) const {
   return ScanStable(from).records;
+}
+
+Result<LogRecord> LogManager::StableRecordAt(core::Lsn lsn) const {
+  if (lsn == 0 || lsn > stable_lsn_) {
+    return Status::NotFound("stable log: LSN " + std::to_string(lsn) +
+                            " is not stable");
+  }
+  auto find = [lsn](const std::vector<LogRecord>& records) -> Result<LogRecord> {
+    const auto it = std::lower_bound(
+        records.begin(), records.end(), lsn,
+        [](const LogRecord& r, core::Lsn target) { return r.lsn < target; });
+    if (it == records.end() || it->lsn != lsn) {
+      return Status::NotFound("stable log: no record with LSN " +
+                              std::to_string(lsn));
+    }
+    return *it;
+  };
+  // A sealed segment wholly below `lsn` is passed over, but a hole there
+  // still refuses the lookup, as it would end a scan from the start of
+  // that part of the log. A valid parsed cache proves the segment
+  // readable without reading it.
+  auto readable = [this](const Segment& seg) {
+    return (seg.records_valid && !seg.records.empty()) ||
+           ReadableSealedRecords(seg) != nullptr;
+  };
+  // Below the live log: the archive, under the scan's rules.
+  const core::Lsn live_begin = live_begin_lsn();
+  if (live_begin == 0 || lsn < live_begin) {
+    for (const Segment& seg : archive_) {
+      if (live_begin != 0 && seg.last_lsn >= live_begin) break;
+      if (seg.last_lsn < lsn) {
+        if (!readable(seg)) return GapStatus(seg.first_lsn);
+        continue;
+      }
+      const std::vector<LogRecord>* records = ReadableSealedRecords(seg);
+      if (records == nullptr) return GapStatus(seg.first_lsn);
+      return find(*records);
+    }
+  }
+  for (const Segment& seg : live_) {
+    if (seg.sealed) {
+      if (seg.last_lsn < lsn) {
+        if (!readable(seg)) return GapStatus(seg.first_lsn);
+        continue;
+      }
+      const std::vector<LogRecord>* records = ReadableSealedRecords(seg);
+      if (records == nullptr) return GapStatus(seg.first_lsn);
+      return find(*records);
+    }
+    // The active segment: the verified cache, else a tolerant decode of
+    // the unverified tail up to the first damage.
+    if (!seg.records.empty() && seg.records.back().lsn >= lsn) {
+      ++stats_.scan_cache_hits;
+      return find(seg.records);
+    }
+    size_t offset = verified_prefix_;
+    while (offset < seg.primary.bytes.size()) {
+      Result<LogRecord> record = DecodeRecord(seg.primary.bytes, &offset);
+      if (!record.ok()) break;
+      if (record.value().lsn == lsn) return record;
+    }
+  }
+  return Status::NotFound("stable log: no record with LSN " +
+                          std::to_string(lsn));
 }
 
 SalvageResult LogManager::SalvageTornTail() {
@@ -628,11 +704,13 @@ Result<std::optional<LogRecord>> LogManager::LatestStableCheckpoint() const {
     // damaged behind our back; fall through to the tolerant scan.
   }
   ++stats_.checkpoint_full_scans;
-  const StableScan scan = ScanStable(1);
   std::optional<LogRecord> latest;
-  for (const LogRecord& record : scan.records) {
-    if (record.type == RecordType::kCheckpoint) latest = record;
-  }
+  const Result<ScanExtent> scanned =
+      VisitStable(1, [&latest](const LogRecord& record) {
+        if (record.type == RecordType::kCheckpoint) latest = record;
+        return Status::Ok();
+      });
+  if (!scanned.ok()) return scanned.status();
   return latest;
 }
 

@@ -123,8 +123,8 @@ struct LogStats {
   uint64_t mirror_repairs = 0;   ///< copies rebuilt from their intact twin
   uint64_t reseals = 0;          ///< seals re-derived from cleanly-decoding bytes
   uint64_t archive_repairs = 0;  ///< live segments rebuilt from the archive
-  // Parsed-record cache (StableRecords no longer re-deserializes the
-  // whole stable image per call).
+  // Parsed-record cache (scans and lookups read it instead of
+  // re-deserializing the stable image).
   uint64_t scan_cache_hits = 0;  ///< segments served from the parsed cache
   uint64_t scan_decodes = 0;     ///< segment decodes forced by a cold/invalid cache
   // Group-commit counters.
@@ -139,13 +139,17 @@ struct LogStats {
   void EmitMetrics(obs::MetricEmitter& emit) const;
 };
 
-/// Result of one tolerant scan over the stable byte image.
-struct StableScan {
+/// Where one tolerant scan over the stable byte image stopped.
+struct ScanExtent {
+  bool torn = false;             ///< damage found after the valid prefix
+  core::Lsn last_valid_lsn = 0;  ///< LSN of the last decodable record (0 if none)
+  size_t valid_bytes = 0;        ///< byte length of the decodable prefix
+  size_t damaged_bytes = 0;      ///< bytes beyond the decodable prefix
+};
+
+/// Result of one tolerant scan, with copies of the records it visited.
+struct StableScan : ScanExtent {
   std::vector<LogRecord> records;  ///< valid records with lsn >= `from`
-  bool torn = false;               ///< damage found after the valid prefix
-  core::Lsn last_valid_lsn = 0;    ///< LSN of the last decodable record (0 if none)
-  size_t valid_bytes = 0;          ///< byte length of the decodable prefix
-  size_t damaged_bytes = 0;        ///< bytes beyond the decodable prefix
 };
 
 /// Result of SalvageTornTail.
@@ -279,19 +283,41 @@ class LogManager {
   /// the commit as NOT durable.
   Result<core::Lsn> CommitWait(core::Lsn lsn);
 
-  /// Scans stable records with lsn >= `from`, in LSN order, verifying
-  /// integrity. Sealed segments wholly below `from` are skipped by
-  /// metadata; segments in range are read from whichever copy is intact
-  /// (primary, then mirror). Damage with no intact copy is NOT an error:
-  /// the scan returns the valid prefix and stops at the damage (recovery
-  /// must never trust bytes past a hole, but damage must never make the
-  /// valid prefix unrecoverable). Truncated-away segments are read from
-  /// the archive when `from` precedes the live log.
+  /// Called once per record by VisitStable; a non-Ok result stops the
+  /// scan and becomes its result.
+  using StableVisitor = std::function<Status(const LogRecord&)>;
+
+  /// The one scan body. Visits stable records with lsn >= `from`, in LSN
+  /// order and in place (nothing is copied), verifying integrity. Sealed
+  /// segments wholly below `from` are skipped by metadata; segments in
+  /// range are read through the parsed cache from whichever copy is
+  /// intact (primary, then mirror). Damage with no intact copy is NOT an
+  /// error: the scan visits the valid prefix and stops at the damage
+  /// (recovery must never trust bytes past a hole, but damage must never
+  /// make the valid prefix unrecoverable). Truncated-away segments are
+  /// read from the archive when `from` precedes the live log. Returns
+  /// where the valid prefix ends, or the first error `visit` returned.
+  /// `visit` must not call back into the log.
+  Result<ScanExtent> VisitStable(core::Lsn from,
+                                 const StableVisitor& visit) const;
+
+  /// VisitStable, copying the visited records out.
+  StableScan ScanStable(core::Lsn from) const;
+
+  /// ScanStable's records alone.
   Result<std::vector<LogRecord>> StableRecords(core::Lsn from) const;
 
-  /// Like StableRecords but also reports where the valid prefix ends and
-  /// whether damage follows it.
-  StableScan ScanStable(core::Lsn from) const;
+  /// Point lookup of one stable record, following the scan's rules:
+  /// below the live log it reads the archive, it refuses any LSN at or
+  /// past a hole in the part of the log it reads — the archive prefix
+  /// or the live log — with kCorruption naming the hole, as a scan
+  /// stops there, and it tolerantly decodes an unverified active tail.
+  /// Only the segment holding `lsn` is read; an earlier segment whose
+  /// parsed cache is valid is known readable without a read. kNotFound
+  /// for an LSN above stable_lsn() or absent from the log. The record
+  /// comes back by value: a Force between two lookups may seal the
+  /// active segment and move its cache.
+  Result<LogRecord> StableRecordAt(core::Lsn lsn) const;
 
   /// Truncates the active segment at the last valid record, making tail
   /// damage permanent and acknowledged: stable_lsn() afterwards is the

@@ -16,6 +16,7 @@
 
 #include "engine/minidb.h"
 #include "engine/ops.h"
+#include "storage/fault_injector.h"
 #include "util/rng.h"
 
 namespace redo::engine {
@@ -100,6 +101,48 @@ std::vector<storage::Page> BuildCrashState(MiniDb& db, uint64_t seed,
   EXPECT_TRUE(db.log().ForceAll().ok());
   db.Crash();
   return SnapshotDisk(db);
+}
+
+// The crash state of `seed`'s workload with one loser stranded at the
+// crash: its writes to pages 0-5 are stable, its commit never came.
+std::unique_ptr<MiniDb> CrashWithLoser(MethodKind kind, uint64_t seed) {
+  auto db = MakeDb(kind, InstantEngine(2));
+  RunWorkload(*db, seed, /*ops=*/400);
+  MiniDb::Session loser = db->NewSession();
+  EXPECT_TRUE(loser.Begin().ok());
+  for (PageId p = 0; p < 6; ++p) {
+    EXPECT_TRUE(loser.WriteSlot(p, 0, -1 - static_cast<int64_t>(p)).ok());
+  }
+  EXPECT_TRUE(db->log().ForceAll().ok());
+  db->Crash();
+  return db;  // the loser's handle dies after the crash: no runtime abort
+}
+
+// Every page's full bytes, header included, through the cache.
+std::vector<storage::Page> PageBytes(MiniDb& db) {
+  std::vector<storage::Page> pages;
+  pages.reserve(kPages);
+  for (PageId p = 0; p < kPages; ++p) {
+    Result<storage::Page*> page = db.FetchPage(p);
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    pages.push_back(page.ok() ? *page.value() : storage::Page());
+  }
+  return pages;
+}
+
+// Makes `page` unreadable until healed: a sticky read fault.
+void MakeUnreadable(MiniDb& db, storage::FaultInjector& injector,
+                    PageId page) {
+  db.disk().set_fault_injector(&injector);
+  injector.set_paused(false);
+  EXPECT_FALSE(db.disk().ReadPage(page).ok());
+  injector.set_paused(true);  // no new faults; the sticky one stays
+}
+
+storage::FaultInjectorOptions EveryReadFails() {
+  storage::FaultInjectorOptions options;
+  options.read_error_probability = 1.0;
+  return options;
 }
 
 TEST(InstantRestartGuardsTest, RecoverInstantRequiresTheOptIn) {
@@ -205,6 +248,141 @@ TEST(InstantRestartTest, OnDemandDrainServesReadsDuringRecovery) {
   ASSERT_TRUE(db->EndConcurrent().ok());
   const auto& metrics = db->instant_redo_metrics();
   EXPECT_GT(metrics.tasks_applied.load() + metrics.tasks_skipped.load(), 0u);
+}
+
+// §6.2: a physical write replaces a whole page, so the stable page it
+// overwrites is unexposed. Every chain of a physical instant restart
+// starts with a page image, and the drain installs it without reading
+// the page — as the parallel scheduler's first touch does.
+TEST(InstantRestartTest, PhysicalDrainReadsNoPages) {
+  auto offline = CrashWithLoser(MethodKind::kPhysical, /*seed=*/31);
+  ASSERT_TRUE(offline->Recover().ok());
+  const std::vector<storage::Page> expected = PageBytes(*offline);
+
+  auto db = CrashWithLoser(MethodKind::kPhysical, /*seed=*/31);
+  db->disk().ResetStats();
+  db->pool().ResetStats();
+  ASSERT_TRUE(db->RecoverInstant().ok());
+  ASSERT_TRUE(db->WaitUntilRecovered().ok());
+  EXPECT_EQ(db->disk().stats().reads, 0u);
+  EXPECT_EQ(db->txn_undo_metrics().losers.load(), 1u);
+  const storage::BufferPoolStats& pool = db->pool().stats();
+  EXPECT_GT(pool.blind_installs, 0u);
+  EXPECT_EQ(pool.misses, 0u);
+  EXPECT_EQ(pool.fetches, pool.hits + pool.misses + pool.blind_installs);
+  ASSERT_TRUE(db->EndConcurrent().ok());
+  EXPECT_EQ(PageBytes(*db), expected);
+}
+
+// Every fetch is exactly one of a hit, a miss or a blind install, after
+// a serial, a parallel and an instant restart alike: the parallel
+// partitions' blind installs are summed at the merge.
+TEST(InstantRestartTest, PoolFetchesBalanceAfterEveryRestartKind) {
+  auto expect_balanced = [](MiniDb& db, const char* restart) {
+    const storage::BufferPoolStats& pool = db.pool().stats();
+    EXPECT_EQ(pool.fetches, pool.hits + pool.misses + pool.blind_installs)
+        << restart;
+  };
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    auto db = CrashWithLoser(MethodKind::kPhysical, /*seed=*/43);
+    EngineOptions engine = db->engine_options();
+    engine.parallel_workers = workers;
+    db->set_engine_options(engine);
+    db->pool().ResetStats();
+    ASSERT_TRUE(db->Recover().ok());
+    expect_balanced(*db, workers > 1 ? "parallel" : "serial");
+    if (workers > 1) {
+      EXPECT_GT(db->pool().stats().blind_installs, 0u);
+    }
+  }
+  auto db = CrashWithLoser(MethodKind::kPhysical, /*seed=*/43);
+  db->pool().ResetStats();
+  ASSERT_TRUE(db->RecoverInstant().ok());
+  ASSERT_TRUE(db->WaitUntilRecovered().ok());
+  expect_balanced(*db, "instant");
+  EXPECT_GT(db->pool().stats().blind_installs, 0u);
+  ASSERT_TRUE(db->EndConcurrent().ok());
+}
+
+// The LSN test must read every page it tests: blind installs never
+// apply, and the instant drain reads exactly the pages the quiescing
+// redo reads.
+TEST(InstantRestartTest, PhysiologicalDrainReadsWhatOfflineRedoReads) {
+  auto offline = CrashWithLoser(MethodKind::kPhysiological, /*seed=*/37);
+  offline->disk().ResetStats();
+  ASSERT_TRUE(offline->Recover().ok());
+  const uint64_t offline_reads = offline->disk().stats().reads;
+
+  auto db = CrashWithLoser(MethodKind::kPhysiological, /*seed=*/37);
+  db->disk().ResetStats();
+  db->pool().ResetStats();
+  ASSERT_TRUE(db->RecoverInstant().ok());
+  ASSERT_TRUE(db->WaitUntilRecovered().ok());
+  EXPECT_GT(offline_reads, 0u);
+  EXPECT_EQ(db->disk().stats().reads, offline_reads);
+  EXPECT_EQ(db->pool().stats().blind_installs, 0u);
+  ASSERT_TRUE(db->EndConcurrent().ok());
+}
+
+// A logical whole split whose transform does not read dst computes dst
+// from src alone: the drain installs dst without reading it, so a dst
+// that cannot be read does not fail the drain. (Page 20 is touched by
+// the split alone; an earlier logged write would read it first.)
+TEST(InstantRestartTest, LogicalWholeSplitInstallsDstBlind) {
+  auto build = [] {
+    auto db = MakeDb(MethodKind::kLogical, InstantEngine(1));
+    MiniDb::Session session = db->NewSession();
+    for (uint32_t slot = 0; slot < storage::Page::NumSlots(); slot += 37) {
+      EXPECT_TRUE(session.WriteSlot(1, slot, 1000 + slot).ok());
+    }
+    EXPECT_TRUE(
+        session.Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 20})
+            .ok());
+    EXPECT_TRUE(db->log().ForceAll().ok());
+    db->Crash();
+    return db;
+  };
+  auto offline = build();
+  ASSERT_TRUE(offline->Recover().ok());
+  const std::vector<storage::Page> expected = PageBytes(*offline);
+
+  auto db = build();
+  storage::FaultInjector injector(EveryReadFails(), /*seed=*/1);
+  MakeUnreadable(*db, injector, 20);
+  ASSERT_TRUE(db->RecoverInstant().ok());
+  const Status drained = db->WaitUntilRecovered();
+  ASSERT_TRUE(drained.ok()) << drained.ToString();
+  EXPECT_GE(db->pool().stats().blind_installs, 1u);
+  ASSERT_TRUE(db->EndConcurrent().ok());
+  EXPECT_EQ(PageBytes(*db), expected);
+  db->disk().set_fault_injector(nullptr);
+}
+
+// A sticky read fault on a page whose chain starts with a page image
+// never fires under redo-all: the page is installed, not read. Under
+// the LSN test the same fault surfaces as the drain's first error.
+TEST(InstantRestartTest, StickyReadFaultOnlyFailsDrainsThatRead) {
+  constexpr PageId kFaulty = 7;
+  {
+    auto db = CrashWithLoser(MethodKind::kPhysical, /*seed=*/41);
+    storage::FaultInjector injector(EveryReadFails(), /*seed=*/1);
+    MakeUnreadable(*db, injector, kFaulty);
+    ASSERT_TRUE(db->RecoverInstant().ok());
+    const Status drained = db->WaitUntilRecovered();
+    EXPECT_TRUE(drained.ok()) << drained.ToString();
+    ASSERT_TRUE(db->EndConcurrent().ok());
+    db->disk().set_fault_injector(nullptr);
+  }
+  {
+    auto db = CrashWithLoser(MethodKind::kPhysiological, /*seed=*/41);
+    storage::FaultInjector injector(EveryReadFails(), /*seed=*/1);
+    MakeUnreadable(*db, injector, kFaulty);
+    ASSERT_TRUE(db->RecoverInstant().ok());
+    const Status drained = db->WaitUntilRecovered();
+    EXPECT_EQ(drained.code(), StatusCode::kUnavailable) << drained.ToString();
+    db->Crash();
+    db->disk().set_fault_injector(nullptr);
+  }
 }
 
 // Session writes committed while redo is still draining are durable

@@ -4,7 +4,8 @@
 // restartable — a crash mid-undo (injected after K CLRs) converges over
 // arbitrarily many re-crashes. The same contracts are checked for the
 // quiescing Recover(), the parallel redo scheduler, and instant restart
-// (a loser's page must be undone before serving exposes it).
+// (a loser's page must be undone before serving exposes it). Undo reads
+// only the chain records it walks, into the archive if need be.
 
 #include <memory>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "engine/minidb.h"
 #include "engine/ops.h"
 #include "methods/method.h"
+#include "methods/txn_recovery.h"
 
 namespace redo::methods {
 namespace {
@@ -248,6 +250,108 @@ TEST_P(UndoRecoveryTest, InstantRestartNeverServesALosersDirtyPage) {
   ASSERT_TRUE(drained.ok()) << drained.ToString();
   ASSERT_TRUE(db->EndConcurrent().ok());
   ExpectLoserUndoneWinnersKept(db.get());
+}
+
+// A serial engine whose log seals a segment every 128 bytes.
+std::unique_ptr<MiniDb> MakeSegmentedDb(MethodKind kind) {
+  MiniDbOptions options;
+  options.num_pages = kPages;
+  options.wal.segment_bytes = 128;
+  return std::make_unique<MiniDb>(options, MakeMethod(kind, {kPages}));
+}
+
+// `count` committed one-write transactions on page 5: log filler.
+void CommitWinners(MiniDb* db, int count) {
+  MiniDb::Session winner = db->NewSession();
+  for (int i = 0; i < count; ++i) {
+    ASSERT_TRUE(winner.Begin().ok());
+    ASSERT_TRUE(winner.WriteSlot(5, static_cast<uint32_t>(i % 4), i).ok());
+    ASSERT_TRUE(winner.Commit().ok());
+  }
+}
+
+TEST_P(UndoRecoveryTest, UndoReadsTrackTheChainNotTheLog) {
+  // The loser's chain is spread over a log of many sealed segments.
+  // Undo looks each chain record up by LSN, so the pass reads one
+  // segment per record it walks, however long the log is.
+  constexpr size_t kChain = 6;
+  auto db = MakeSegmentedDb(GetParam());
+  {
+    MiniDb::Session loser = db->NewSession();
+    ASSERT_TRUE(loser.Begin().ok());
+    for (size_t i = 0; i < kChain; ++i) {
+      ASSERT_TRUE(
+          loser.WriteSlot(2 + i % 2, static_cast<uint32_t>(i), 900).ok());
+      CommitWinners(db.get(), 10);  // forces the loser's records too
+    }
+    db->Crash();  // the loser's handle dies after the crash
+  }
+  ASSERT_GE(db->log().LiveSegments().size(), 50u);
+
+  // The three passes by hand, so the undo pass's reads count alone.
+  db->log().SalvageTornTail();
+  EngineContext ctx = db->ctx();
+  Result<TxnAnalysis> analysis = AnalyzeTransactions(ctx);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  ASSERT_EQ(analysis.value().losers.size(), 1u);
+  ASSERT_TRUE(db->method().Recover(ctx).ok());
+  const wal::LogStats before = db->log().stats();
+  const Status undone = UndoLosers(ctx, analysis.value());
+  ASSERT_TRUE(undone.ok()) << undone.ToString();
+  const wal::LogStats& after = db->log().stats();
+  const uint64_t segment_reads =
+      (after.scan_cache_hits - before.scan_cache_hits) +
+      (after.scan_decodes - before.scan_decodes);
+  EXPECT_GT(segment_reads, 0u);
+  EXPECT_LE(segment_reads, kChain) << "undo read more segments than the "
+                                      "loser's chain has records";
+
+  // The rollback is durable: the next recovery finds no loser, and the
+  // loser's writes are gone.
+  db->Crash();
+  ASSERT_TRUE(db->Recover().ok());
+  for (size_t i = 0; i < kChain; ++i) {
+    Result<int64_t> slot =
+        db->NewSession().ReadSlot(2 + i % 2, static_cast<uint32_t>(i));
+    ASSERT_TRUE(slot.ok()) << slot.status().ToString();
+    EXPECT_EQ(slot.value(), 0) << "slot " << i;
+  }
+}
+
+TEST_P(UndoRecoveryTest, LoserChainReachingIntoTheArchiveRollsBack) {
+  // The loser's first update sits in segments that checkpoint
+  // truncation dropped from the live log: only the archive still holds
+  // it, and undo must read it from there.
+  auto db = MakeSegmentedDb(GetParam());
+  {
+    MiniDb::Session setup = db->NewSession();
+    ASSERT_TRUE(setup.WriteSlot(2, 0, 111).ok());
+    ASSERT_TRUE(setup.Commit().ok());
+  }
+  {
+    MiniDb::Session loser = db->NewSession();
+    ASSERT_TRUE(loser.Begin().ok());
+    ASSERT_TRUE(loser.WriteSlot(2, 0, 900).ok());
+    const core::Lsn first_update = db->log().last_lsn();
+    CommitWinners(db.get(), 20);
+    ASSERT_TRUE(db->Checkpoint().ok());
+    CommitWinners(db.get(), 1);  // the checkpoint record is stable
+    ASSERT_GT(db->log().TruncateArchived(db->log().stable_lsn()), 0u);
+    ASSERT_GT(db->log().live_begin_lsn(), first_update)
+        << "the chain's first record must be archive-only";
+    ASSERT_TRUE(loser.WriteSlot(3, 0, 903).ok());
+    CommitWinners(db.get(), 1);
+    db->Crash();
+  }
+  const Status recovered = db->Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  Result<int64_t> s20 = db->NewSession().ReadSlot(2, 0);
+  ASSERT_TRUE(s20.ok());
+  EXPECT_EQ(s20.value(), 111);
+  Result<int64_t> s30 = db->NewSession().ReadSlot(3, 0);
+  ASSERT_TRUE(s30.ok());
+  EXPECT_EQ(s30.value(), 0);
+  EXPECT_GE(db->txn_undo_metrics().clrs_emitted.load(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

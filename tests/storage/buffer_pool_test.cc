@@ -384,6 +384,60 @@ TEST(BufferPoolTest, RedoPartitionRoundTripPreservesFramesAndStats) {
   EXPECT_EQ(disk.PeekPage(2).ReadSlot(0), 44);
 }
 
+// FetchBlind is Fetch for a caller about to overwrite the whole page: a
+// miss installs a zeroed frame without the read, a hit is an ordinary
+// hit, and the miss path evicts exactly as Fetch does.
+TEST(BufferPoolTest, FetchBlindInstallsWithoutReading) {
+  Disk disk(8);
+  Page seed;
+  seed.WriteSlot(0, 9);
+  ASSERT_TRUE(disk.WritePage(3, seed).ok());
+  BufferPool pool(&disk, 2);
+
+  Result<Page*> blind = pool.FetchBlind(3);
+  ASSERT_TRUE(blind.ok());
+  EXPECT_EQ(blind.value()->ReadSlot(0), 0) << "stable bytes not read";
+  EXPECT_EQ(disk.stats().reads, 0u);
+  blind.value()->WriteSlot(0, 44);
+  ASSERT_TRUE(pool.MarkDirty(3, 5).ok());
+  Result<Page*> again = pool.FetchBlind(3);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value()->ReadSlot(0), 44) << "a hit returns the frame";
+
+  (void)pool.Fetch(1).value();
+  ASSERT_TRUE(pool.FetchBlind(2).ok());  // at capacity: evicts
+  EXPECT_LE(pool.num_cached(), 2u);
+  EXPECT_EQ(disk.PeekPage(3).ReadSlot(0), 44) << "dirty victim was flushed";
+  EXPECT_EQ(disk.stats().reads, 1u);
+
+  const BufferPoolStats& stats = pool.stats();
+  EXPECT_EQ(stats.blind_installs, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.fetches, stats.hits + stats.misses + stats.blind_installs);
+}
+
+// Partition blind installs reach the pool's stats at the merge, so the
+// fetch identity holds after a parallel redo pass too.
+TEST(BufferPoolTest, MergeSumsPartitionBlindInstalls) {
+  Disk disk(8);
+  BufferPool pool(&disk, 0);
+  (void)pool.Fetch(0).value();
+  std::vector<BufferPool::RedoPartition> parts =
+      pool.SplitForRedo(2, [](PageId id) { return static_cast<size_t>(id % 2); });
+  ASSERT_TRUE(parts[0].Fetch(0).ok());  // hit
+  ASSERT_TRUE(parts[1].Fetch(1).ok());  // miss
+  Page* blind = parts[0].FetchBlind(2);
+  ASSERT_NE(blind, nullptr);
+  EXPECT_EQ(parts[0].FetchBlind(2), blind) << "a hit returns the frame";
+  pool.MergeRedoPartitions(parts);
+
+  const BufferPoolStats& stats = pool.stats();
+  EXPECT_EQ(stats.blind_installs, 1u);
+  EXPECT_EQ(stats.fetches, 5u);
+  EXPECT_EQ(stats.fetches, stats.hits + stats.misses + stats.blind_installs);
+}
+
 // While frames are split out for redo, the pool must refuse — with a
 // diagnosed Status, not silent staleness — every entry point that could
 // touch a frame now living in a partition. Instant restart leans on

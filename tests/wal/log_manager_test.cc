@@ -1,5 +1,8 @@
 #include "wal/log_manager.h"
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace redo::wal {
@@ -222,6 +225,166 @@ TEST(LogManagerTest, SalvageOnCleanLogIsFreeAndExact) {
   EXPECT_EQ(salvage.dropped_bytes, 0u);
   EXPECT_EQ(salvage.salvaged_records, 0u);
   EXPECT_EQ(log.stable_lsn(), 1u);
+}
+
+// A log over many small sealed segments plus a non-empty active one.
+// Every tenth record is a checkpoint, so TruncateArchived has a
+// checkpoint to stop below.
+std::unique_ptr<LogManager> SegmentedLog(LogManagerOptions options,
+                                         int records) {
+  options.segment_bytes = 96;
+  auto log = std::make_unique<LogManager>(options);
+  for (int i = 1; i <= records; ++i) {
+    const uint8_t b = static_cast<uint8_t>(i);
+    log->Append(i % 10 == 0 ? RecordType::kCheckpoint : RecordType::kSlotWrite,
+                {b, b, b, b, b, b});
+    if (i % 3 == 0) {
+      EXPECT_TRUE(log->ForceAll().ok());
+    }
+  }
+  EXPECT_TRUE(log->ForceAll().ok());
+  return log;
+}
+
+// The point lookup returns, for every stable LSN, exactly the record the
+// whole-log scan holds.
+void ExpectLookupsMatchTheScan(const LogManager& log, const char* where) {
+  const std::vector<LogRecord> all = log.StableRecords(1).value();
+  ASSERT_EQ(all.size(), log.stable_lsn()) << where;
+  for (const LogRecord& record : all) {
+    Result<LogRecord> found = log.StableRecordAt(record.lsn);
+    ASSERT_TRUE(found.ok()) << where << ": LSN " << record.lsn << ": "
+                            << found.status().ToString();
+    EXPECT_EQ(found.value(), record) << where << ": LSN " << record.lsn;
+  }
+}
+
+TEST(LogManagerTest, StableRecordAtMatchesTheScanInEverySegmentKind) {
+  const std::unique_ptr<LogManager> owned = SegmentedLog({}, 61);
+  LogManager& log = *owned;
+  const std::vector<SegmentInfo> live = log.LiveSegments();
+  ASSERT_GE(live.size(), 10u);
+  ASSERT_FALSE(live.back().sealed);
+  ASSERT_NE(live.back().first_lsn, 0u) << "the active segment holds records";
+  ExpectLookupsMatchTheScan(log, "sealed and active");
+
+  // Truncation leaves the oldest segments only in the archive.
+  ASSERT_GT(log.TruncateArchived(log.stable_lsn()), 0u);
+  ASSERT_GT(log.live_begin_lsn(), 1u);
+  ExpectLookupsMatchTheScan(log, "archive-only prefix");
+
+  EXPECT_EQ(log.StableRecordAt(0).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(log.StableRecordAt(log.stable_lsn() + 1).status().code(),
+            StatusCode::kNotFound);
+  // Appended but not forced: above stable_lsn(), so refused.
+  const core::Lsn volatile_lsn = log.Append(RecordType::kSlotWrite, {1});
+  EXPECT_EQ(log.StableRecordAt(volatile_lsn).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(LogManagerTest, StableRecordAtReadsOnlyTheSegmentHoldingTheLsn) {
+  const std::unique_ptr<LogManager> owned = SegmentedLog({}, 90);
+  LogManager& log = *owned;
+  ASSERT_GE(log.LiveSegments().size(), 20u);
+  log.ResetStats();
+  for (core::Lsn lsn : {1u, 40u, 89u}) {
+    ASSERT_TRUE(log.StableRecordAt(lsn).ok()) << lsn;
+  }
+  EXPECT_EQ(log.stats().scan_cache_hits + log.stats().scan_decodes, 3u)
+      << "one segment read per lookup, whatever precedes it";
+}
+
+TEST(LogManagerTest, StableRecordAtReadsAnUnverifiedActiveTail) {
+  LogManager log;
+  for (uint8_t i = 1; i <= 5; ++i) log.Append(RecordType::kSlotWrite, {i});
+  ASSERT_TRUE(log.ForceAll().ok());
+  // The cut leaves the active segment unverified: LSNs 1-4 are decodable
+  // bytes no cache vouches for, and LSN 5 is torn.
+  log.CorruptStableTail(2);
+  for (core::Lsn lsn = 1; lsn <= 4; ++lsn) {
+    Result<LogRecord> found = log.StableRecordAt(lsn);
+    ASSERT_TRUE(found.ok()) << lsn << ": " << found.status().ToString();
+    EXPECT_EQ(found.value().payload,
+              std::vector<uint8_t>{static_cast<uint8_t>(lsn)});
+  }
+  EXPECT_FALSE(log.StableRecordAt(5).ok()) << "past the damage";
+}
+
+TEST(LogManagerTest, StableRecordAtRefusesAtOrPastAHole) {
+  LogManagerOptions options;
+  options.archive_sealed = false;  // no twin to read around the hole
+  const std::unique_ptr<LogManager> owned = SegmentedLog(options, 61);
+  LogManager& log = *owned;
+  const std::vector<SegmentInfo> live = log.LiveSegments();
+  ASSERT_GE(live.size(), 5u);
+  const SegmentInfo hole = live[2];
+  ASSERT_TRUE(hole.sealed);
+  ASSERT_TRUE(log.LoseSegmentCopy(hole.id, LogCopy::kPrimary));
+  ASSERT_TRUE(log.LoseSegmentCopy(hole.id, LogCopy::kMirror));
+  ASSERT_EQ(log.FirstHoleLsn(), hole.first_lsn);
+
+  // The scan stops at the hole; the lookup serves exactly what it holds.
+  const std::vector<LogRecord> prefix = log.StableRecords(1).value();
+  ASSERT_EQ(prefix.size(), hole.first_lsn - 1);
+  for (const LogRecord& record : prefix) {
+    Result<LogRecord> found = log.StableRecordAt(record.lsn);
+    ASSERT_TRUE(found.ok()) << record.lsn;
+    EXPECT_EQ(found.value(), record);
+  }
+  for (core::Lsn lsn = hole.first_lsn; lsn <= log.stable_lsn(); ++lsn) {
+    EXPECT_EQ(log.StableRecordAt(lsn).status().code(),
+              StatusCode::kCorruption)
+        << "LSN " << lsn << " is at or past the hole";
+  }
+}
+
+TEST(LogManagerTest, StableRecordAtArchiveHoleRefusesOnlyTheArchivePrefix) {
+  const std::unique_ptr<LogManager> owned = SegmentedLog({}, 61);
+  LogManager& log = *owned;
+  ASSERT_GT(log.TruncateArchived(log.stable_lsn()), 2u);
+  const std::vector<SegmentInfo> archived = log.ArchivedSegments();
+  const SegmentInfo hole = archived[1];
+  ASSERT_LT(hole.last_lsn, log.live_begin_lsn()) << "archive-only";
+  ASSERT_TRUE(log.LoseSegmentCopy(hole.id, LogCopy::kArchive));
+
+  // Below the live log the archive is read as a scan from LSN 1 would
+  // read it: up to the hole.
+  for (core::Lsn lsn = 1; lsn < hole.first_lsn; ++lsn) {
+    EXPECT_TRUE(log.StableRecordAt(lsn).ok()) << lsn;
+  }
+  for (core::Lsn lsn = hole.first_lsn; lsn < log.live_begin_lsn(); ++lsn) {
+    EXPECT_EQ(log.StableRecordAt(lsn).status().code(),
+              StatusCode::kCorruption)
+        << lsn;
+  }
+  // The live log does not depend on the archive.
+  const std::vector<LogRecord> live = log.StableRecords(log.live_begin_lsn()).value();
+  ASSERT_FALSE(live.empty());
+  for (const LogRecord& record : live) {
+    Result<LogRecord> found = log.StableRecordAt(record.lsn);
+    ASSERT_TRUE(found.ok()) << record.lsn;
+    EXPECT_EQ(found.value(), record);
+  }
+}
+
+TEST(LogManagerTest, VisitStableStopsAtTheVisitorsError) {
+  LogManager log;
+  for (uint8_t i = 1; i <= 5; ++i) log.Append(RecordType::kSlotWrite, {i});
+  ASSERT_TRUE(log.ForceAll().ok());
+  std::vector<core::Lsn> seen;
+  const Result<ScanExtent> visited =
+      log.VisitStable(2, [&seen](const LogRecord& record) {
+        seen.push_back(record.lsn);
+        return record.lsn == 4 ? Status::Corruption("stop") : Status::Ok();
+      });
+  EXPECT_EQ(visited.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(seen, (std::vector<core::Lsn>{2, 3, 4}));
+
+  const Result<ScanExtent> whole =
+      log.VisitStable(1, [](const LogRecord&) { return Status::Ok(); });
+  ASSERT_TRUE(whole.ok());
+  EXPECT_FALSE(whole.value().torn);
+  EXPECT_EQ(whole.value().last_valid_lsn, 5u);
 }
 
 TEST(LogManagerTest, StatsTrackForces) {

@@ -231,13 +231,17 @@ Result<core::Lsn> MiniDb::SessionApply(Session& session,
                                        const SinglePageOp& op) {
   REDO_SANITIZER_CHECK(!recovering_.load(std::memory_order_relaxed))
       << "Session op raced a quiescing Recover()";
+  // Refuse a bad op before it touches the gate, the latch table or the
+  // log: the record of an op the apply then rejects would stay in the
+  // log and fail the next recovery.
+  REDO_RETURN_IF_ERROR(CheckPageInRange(op.page));
+  REDO_RETURN_IF_ERROR(ValidateSinglePageOp(op));
   obs::FlightScope op_span(obs::FlightEventType::kSessionOp, op.page,
                            static_cast<uint64_t>(op.type));
-  // On-demand redo runs BEFORE the shared gate: the drain takes the
-  // gate exclusive (replaying a split dst re-arms its §6.4 constraint,
-  // which can cascade flushes no latch covers).
+  // On-demand redo runs BEFORE this op takes the gate: the drain takes
+  // the gate itself, and no thread holds it twice.
   REDO_RETURN_IF_ERROR(EnsureRedoneForAccess(op.page));
-  std::shared_lock<std::shared_mutex> gate(op_gate_);
+  std::shared_lock<std::shared_mutex> gate = LockGateShared(op.page);
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const uint64_t latch_tick = recorder.enabled() ? recorder.NowTick() : 0;
   storage::PageLatchGuard latch = pool_.LatchPage(op.page);
@@ -264,6 +268,9 @@ Result<methods::RecoveryMethod::SplitLsns> MiniDb::SessionSplit(
   if (op.src == op.dst) {
     return Status::InvalidArgument("split: src and dst must differ");
   }
+  REDO_RETURN_IF_ERROR(CheckPageInRange(op.src));
+  REDO_RETURN_IF_ERROR(CheckPageInRange(op.dst));
+  REDO_RETURN_IF_ERROR(ValidateSplitOp(op));
   REDO_SANITIZER_CHECK(!recovering_.load(std::memory_order_relaxed))
       << "Session split raced a quiescing Recover()";
   obs::FlightScope op_span(obs::FlightEventType::kSessionOp, op.src,
@@ -275,7 +282,7 @@ Result<methods::RecoveryMethod::SplitLsns> MiniDb::SessionSplit(
   // latch-couples src -> dst. See DESIGN.md §10. The urgent flag keeps
   // the background drain workers from queueing ahead of us.
   drain_urgent_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::shared_mutex> gate(op_gate_);
+  std::unique_lock<std::shared_mutex> gate = LockGateExclusive(op.src);
   drain_urgent_.fetch_sub(1, std::memory_order_relaxed);
   // Serving-while-redoing: both halves must be current before a new
   // split stacks on top of them; the gate is already exclusive here, so
@@ -359,7 +366,7 @@ Result<uint64_t> MiniDb::SessionBegin(Session& session) {
   // our kTxnBegin always carries this transaction in its tail, so the
   // analysis pass (which scans forward from the checkpoint) never
   // misses a live transaction that began below the checkpoint.
-  std::shared_lock<std::shared_mutex> gate(op_gate_);
+  std::shared_lock<std::shared_mutex> gate = LockGateShared(0);
   const uint64_t txn_id = txn_registry_.AllocateId();
   log_.Append(wal::RecordType::kTxnBegin, engine::EncodeTxnMeta(txn_id));
   txn_registry_.NoteBegin(txn_id);
@@ -380,7 +387,7 @@ Result<core::Lsn> MiniDb::SessionCommitTxn(Session& session) {
     // gate: a checkpoint barrier observes either {commit not on the
     // log, txn in the table} or {commit on the log, txn gone} — in
     // every interleaving analysis classifies the transaction correctly.
-    std::shared_lock<std::shared_mutex> gate(op_gate_);
+    std::shared_lock<std::shared_mutex> gate = LockGateShared(0);
     commit_lsn =
         log_.Append(wal::RecordType::kTxnCommit, engine::EncodeTxnMeta(txn_id));
     txn_registry_.NoteEnd(txn_id);
@@ -398,7 +405,7 @@ Result<core::Lsn> MiniDb::SessionCommitTxn(Session& session) {
   // winner without consulting the commit record again. Losing it to a
   // crash costs nothing — a stable kTxnCommit alone makes a winner.
   {
-    std::shared_lock<std::shared_mutex> gate(op_gate_);
+    std::shared_lock<std::shared_mutex> gate = LockGateShared(0);
     log_.Append(wal::RecordType::kTxnEnd, engine::EncodeTxnMeta(txn_id));
   }
   return acked;
@@ -412,7 +419,7 @@ Status MiniDb::SessionAbort(Session& session) {
   // structure modification. The urgent flag keeps instant-restart's
   // background drain workers from queueing ahead of us.
   drain_urgent_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::shared_mutex> gate(op_gate_);
+  std::unique_lock<std::shared_mutex> gate = LockGateExclusive(0);
   drain_urgent_.fetch_sub(1, std::memory_order_relaxed);
   const bool serving =
       phase_.load(std::memory_order_acquire) == RecoveryPhase::kServing &&
@@ -454,10 +461,16 @@ Status MiniDb::SessionAbort(Session& session) {
 Result<int64_t> MiniDb::SessionReadSlot(storage::PageId page, uint32_t slot) {
   REDO_SANITIZER_CHECK(!recovering_.load(std::memory_order_relaxed))
       << "Session read raced a quiescing Recover()";
+  // Range-check first: LatchFor would otherwise keep a latch for any
+  // page id a client names.
+  REDO_RETURN_IF_ERROR(CheckPageInRange(page));
+  if (slot >= storage::Page::NumSlots()) {
+    return Status::InvalidArgument("slot out of range");
+  }
   obs::FlightScope op_span(obs::FlightEventType::kSessionOp, page,
                            /*a1=0: read*/ 0);
   REDO_RETURN_IF_ERROR(EnsureRedoneForAccess(page));
-  std::shared_lock<std::shared_mutex> gate(op_gate_);
+  std::shared_lock<std::shared_mutex> gate = LockGateShared(page);
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const uint64_t latch_tick = recorder.enabled() ? recorder.NowTick() : 0;
   storage::PageLatchGuard latch = pool_.LatchPage(page);
@@ -466,9 +479,6 @@ Result<int64_t> MiniDb::SessionReadSlot(storage::PageId page, uint32_t slot) {
   }
   Result<storage::Page*> cached = pool_.Fetch(page);
   if (!cached.ok()) return cached.status();
-  if (slot >= storage::Page::NumSlots()) {
-    return Status::InvalidArgument("slot out of range");
-  }
   return cached.value()->ReadSlot(slot);
 }
 
@@ -683,7 +693,7 @@ Status MiniDb::RecoverInstant() {
   const size_t pending_tasks = analysis.value().plan.tasks.size();
   const size_t multi_page = analysis.value().plan.multi_page_tasks;
   instant_driver_ = std::make_unique<par::InstantRedoDriver>(
-      &pool_, std::move(analysis.value().plan),
+      &pool_, num_pages(), std::move(analysis.value().plan),
       std::move(analysis.value().options), &instant_metrics_);
   // Loser rollback happens BEFORE the doors open: no session may
   // observe a loser's write, and no loser page may be served before its
@@ -711,11 +721,6 @@ Status MiniDb::RecoverInstant() {
     }
     txn_registry_.SeedNextId(txns.value().max_txn_id);
   }
-  const Status begun = BeginConcurrent();
-  if (!begun.ok()) {
-    instant_driver_.reset();
-    return fail(begun);
-  }
   if (tracer != nullptr) {
     tracer->Note("instant restart: open for traffic with " +
                  std::to_string(pending_tasks) + " redo tasks pending (" +
@@ -725,19 +730,33 @@ Status MiniDb::RecoverInstant() {
   }
   ttfc_recorded_.store(false, std::memory_order_relaxed);
   serving_since_ = std::chrono::steady_clock::now();
+  // kServing is published BEFORE the engine turns concurrent: the
+  // network front end admits sessions the moment concurrent() reads
+  // true, and a session that still saw kAnalyzing would skip
+  // EnsureRedoneForAccess and write a page whose chain is pending —
+  // the LSN test would then skip that chain as already installed.
   phase_.store(RecoveryPhase::kServing, std::memory_order_release);
+  const Status begun = BeginConcurrent();
+  if (!begun.ok()) {
+    if (instant_run_open_) {
+      tracer->EndPhase();  // serving-while-redoing
+      instant_run_open_ = false;
+    }
+    instant_driver_.reset();
+    return fail(begun);
+  }
   par::InstantRedoDriver* driver = instant_driver_.get();
   for (size_t i = 0; i < engine_options_.instant_drain_workers; ++i) {
     drain_threads_.emplace_back([this, driver] {
       storage::PageId page = 0;
       while (driver->NextPendingPage(&page)) {
-        // On-demand drains outrank the background sweep: a session is
-        // blocked on its page; this chain can wait a beat.
+        // A session waiting for the exclusive gate (a bridged drain, a
+        // split or a rollback) outranks the background sweep, whose
+        // back-to-back shared holds would otherwise starve it.
         while (drain_urgent_.load(std::memory_order_relaxed) > 0) {
           std::this_thread::yield();
         }
-        std::unique_lock<std::shared_mutex> gate(op_gate_);
-        if (!driver->DrainPage(page, /*on_demand=*/false).ok()) break;
+        if (!DrainForAccess(driver, page, /*on_demand=*/false).ok()) break;
       }
       // The worker that drains (or observes) the last chain flips the
       // engine to fully recovered. The tracer is closed later by the
@@ -785,24 +804,58 @@ Status MiniDb::EnsureRedoneForAccess(storage::PageId page) {
     return Status::Ok();
   }
   par::InstantRedoDriver* driver = instant_driver_.get();
-  if (driver == nullptr) return Status::Ok();
-  // The urgent flag makes the background workers stand aside. It goes up
-  // BEFORE the pending check: HasPendingWork shares the driver's mutex
-  // with background drains, and a worker re-taking it chain after chain
-  // would otherwise starve this session until its own page had drained
-  // in the background too.
-  drain_urgent_.fetch_add(1, std::memory_order_relaxed);
-  if (!driver->HasPendingWork(page)) {
-    drain_urgent_.fetch_sub(1, std::memory_order_relaxed);
-    return Status::Ok();
+  if (driver == nullptr || !driver->HasPendingWork(page)) return Status::Ok();
+  return DrainForAccess(driver, page, /*on_demand=*/true);
+}
+
+Status MiniDb::DrainForAccess(par::InstantRedoDriver* driver,
+                              storage::PageId page, bool on_demand) {
+  if (!driver->IsBridged(page)) {
+    // A single-page chain touches nothing but its page: the shared gate
+    // and the page's latch cover it, so the drain — device read
+    // included — blocks only sessions that want this page.
+    std::shared_lock<std::shared_mutex> gate = LockGateShared(page);
+    storage::PageLatchGuard latch = pool_.LatchPage(page);
+    return driver->DrainPage(page, on_demand);
   }
-  // The drain takes the gate exclusive: replaying a split dst re-arms
-  // its §6.4 write-order constraint, which can cascade a flush onto
-  // pages no latch covers. Callers invoke this BEFORE their shared-gate
-  // acquisition, never while holding the gate.
+  // A bridged chain may replay a split dst, which re-arms its §6.4
+  // write-order constraint; that can cascade a flush onto pages no latch
+  // covers, so the drain takes the gate exclusive.
+  if (on_demand) drain_urgent_.fetch_add(1, std::memory_order_relaxed);
+  std::unique_lock<std::shared_mutex> gate = LockGateExclusive(page);
+  if (on_demand) drain_urgent_.fetch_sub(1, std::memory_order_relaxed);
+  return driver->DrainPage(page, on_demand);
+}
+
+std::shared_lock<std::shared_mutex> MiniDb::LockGateShared(
+    storage::PageId page) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  const uint64_t tick = recorder.enabled() ? recorder.NowTick() : 0;
+  std::shared_lock<std::shared_mutex> gate(op_gate_);
+  if (recorder.enabled()) {
+    recorder.EndSpan(obs::FlightEventType::kGateWait, tick, page,
+                     /*exclusive=*/0);
+  }
+  return gate;
+}
+
+std::unique_lock<std::shared_mutex> MiniDb::LockGateExclusive(
+    storage::PageId page) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  const uint64_t tick = recorder.enabled() ? recorder.NowTick() : 0;
   std::unique_lock<std::shared_mutex> gate(op_gate_);
-  drain_urgent_.fetch_sub(1, std::memory_order_relaxed);
-  return driver->DrainPage(page, /*on_demand=*/true);
+  if (recorder.enabled()) {
+    recorder.EndSpan(obs::FlightEventType::kGateWait, tick, page,
+                     /*exclusive=*/1);
+  }
+  return gate;
+}
+
+Status MiniDb::CheckPageInRange(storage::PageId page) const {
+  if (page < num_pages()) return Status::Ok();
+  return Status::InvalidArgument("page " + std::to_string(page) +
+                                 " out of range (the disk has " +
+                                 std::to_string(num_pages()) + " pages)");
 }
 
 void MiniDb::RecordFirstCommitDuringServing() {

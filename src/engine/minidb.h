@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
@@ -131,7 +132,7 @@ class MiniDb {
   /// immediately — entering concurrent mode itself — while redo drains
   /// lazily. A session touching page P first drains P's pending chain;
   /// instant_drain_workers background threads drain the remaining
-  /// chains in write-graph (global LSN) order. Returns once the engine
+  /// chains in head-LSN order. Returns once the engine
   /// is SERVING (phase kServing), not once it is recovered; call
   /// WaitUntilRecovered() to quiesce into kRecovered, or Crash() to
   /// tear serving down. Refuses with live sessions, in concurrent mode,
@@ -380,10 +381,25 @@ class MiniDb {
   /// The shared preamble of both recovery paths: salvage the torn log
   /// tail, then refuse (Corruption) on a mid-log hole.
   Status PrepareLogForRecovery();
-  /// Serving-while-redoing: drains `page`'s pending redo chain (taking
-  /// the op gate exclusive) before a session or read touches it. A
-  /// no-op outside the kServing phase or when the chain is empty.
+  /// Serving-while-redoing: drains `page`'s pending redo chain before a
+  /// session or read touches it. A no-op (one atomic load) outside the
+  /// kServing phase or once the chain is done. Callers hold no gate and
+  /// no latch: the drain takes them itself (DrainForAccess).
   Status EnsureRedoneForAccess(storage::PageId page);
+  /// Drains `page`'s chain on the path its kind needs: a single-page
+  /// chain under the op gate shared and the page's latch, a bridged
+  /// chain under the gate exclusive (InstantRedoDriver's contract). An
+  /// on-demand bridged drain bumps drain_urgent_ while it waits.
+  Status DrainForAccess(par::InstantRedoDriver* driver, storage::PageId page,
+                        bool on_demand);
+  /// Take the op gate, tracing the wait as a gate.wait span (a0 = the
+  /// page the holder is about to touch, 0 for page-less acquisitions;
+  /// a1 = 1 if exclusive).
+  std::shared_lock<std::shared_mutex> LockGateShared(storage::PageId page);
+  std::unique_lock<std::shared_mutex> LockGateExclusive(storage::PageId page);
+  /// Refuses a page id beyond the disk (InvalidArgument) before any
+  /// gate, latch, log record or redo lookup sees it.
+  Status CheckPageInRange(storage::PageId page) const;
   /// Records time-to-first-commit once per restart (first successful
   /// Session::Commit while serving-while-redoing).
   void RecordFirstCommitDuringServing();
@@ -428,10 +444,11 @@ class MiniDb {
   engine::TxnUndoMetrics undo_metrics_;
 
   /// The op gate (DESIGN.md §10). Shared: single-page session ops and
-  /// reads (which then latch their page). Exclusive: splits (the SMO
-  /// barrier), checkpoints, background flushes, and instant-restart
-  /// redo drains — anything whose page footprint is not captured by one
-  /// latch.
+  /// reads, and instant-restart drains of single-page redo chains (each
+  /// then latches its page). Exclusive: splits (the SMO barrier),
+  /// rollbacks, checkpoints, background flushes, and drains of bridged
+  /// redo chains — anything whose page footprint is not captured by one
+  /// latch. No thread takes it twice.
   std::shared_mutex op_gate_;
   std::atomic<bool> concurrent_{false};
 
@@ -454,9 +471,11 @@ class MiniDb {
   /// points hard-stop on it under sanitizers (REDO_SANITIZER_CHECK) to
   /// catch the racing call site, not just the diagnosed Recover().
   std::atomic<bool> recovering_{false};
-  /// Count of on-demand drains waiting for the exclusive gate. The
-  /// background drain workers yield while it is non-zero so a session
-  /// blocked on its page never queues behind a full background chain.
+  /// Count of session-side waiters for the exclusive gate: on-demand
+  /// drains of bridged chains, splits and rollbacks. The background
+  /// drain workers yield while it is non-zero before taking the gate in
+  /// either mode, so the waiter never queues behind a background chain
+  /// and is not starved by back-to-back shared holders.
   std::atomic<int> drain_urgent_{0};
 };
 

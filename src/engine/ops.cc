@@ -101,6 +101,73 @@ SinglePageOp MakeBtreeInit(PageId page, bool is_leaf, uint32_t aux) {
                       /*blind=*/true};
 }
 
+Status ValidateSinglePageOp(const SinglePageOp& op) {
+  wal::PayloadReader r(op.args);
+  switch (op.type) {
+    case wal::RecordType::kSlotWrite: {
+      Result<uint32_t> slot = r.U32();
+      if (!slot.ok()) return slot.status();
+      Result<int64_t> value = r.I64();
+      if (!value.ok()) return value.status();
+      if (slot.value() != 0xffffffff && slot.value() >= Page::NumSlots()) {
+        return Status::InvalidArgument("slot out of range");
+      }
+      return Status::Ok();
+    }
+    case wal::RecordType::kPageRewrite: {
+      Result<uint8_t> transform = r.U8();
+      if (!transform.ok()) return transform.status();
+      Result<uint32_t> aux = r.U32();
+      if (!aux.ok()) return aux.status();
+      switch (static_cast<SplitTransform>(transform.value())) {
+        case SplitTransform::kSlotHalf:
+        case SplitTransform::kBtreeNode:
+        case SplitTransform::kBtreeMerge:
+          return Status::Ok();
+        case SplitTransform::kSlotTransfer:
+          if (aux.value() >= Page::NumSlots()) {
+            return Status::InvalidArgument("transfer slot out of range");
+          }
+          return Status::Ok();
+      }
+      return Status::InvalidArgument("unknown split transform");
+    }
+    case wal::RecordType::kBtreeInsert: {
+      Result<int64_t> key = r.I64();
+      if (!key.ok()) return key.status();
+      Result<int64_t> value = r.I64();
+      return value.ok() ? Status::Ok() : value.status();
+    }
+    case wal::RecordType::kBtreeRemove: {
+      Result<int64_t> key = r.I64();
+      return key.ok() ? Status::Ok() : key.status();
+    }
+    case wal::RecordType::kBtreeInit: {
+      Result<uint8_t> is_leaf = r.U8();
+      if (!is_leaf.ok()) return is_leaf.status();
+      Result<uint32_t> aux = r.U32();
+      return aux.ok() ? Status::Ok() : aux.status();
+    }
+    default:
+      return Status::InvalidArgument("not a single-page op record type");
+  }
+}
+
+Status ValidateSplitOp(const SplitOp& op) {
+  switch (op.transform) {
+    case SplitTransform::kSlotHalf:
+    case SplitTransform::kBtreeNode:
+    case SplitTransform::kBtreeMerge:
+      return Status::Ok();
+    case SplitTransform::kSlotTransfer:
+      if (op.arg0 >= Page::NumSlots() || op.arg1 >= Page::NumSlots()) {
+        return Status::InvalidArgument("transfer slot out of range");
+      }
+      return Status::Ok();
+  }
+  return Status::InvalidArgument("unknown split transform");
+}
+
 Status ApplySinglePageOp(const SinglePageOp& op, Page* page) {
   wal::PayloadReader r(op.args);
   switch (op.type) {

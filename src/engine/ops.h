@@ -81,6 +81,13 @@ SinglePageOp MakeBtreeRemove(PageId page, int64_t key);
 /// Formats a page as an empty B-tree node (blind write).
 SinglePageOp MakeBtreeInit(PageId page, bool is_leaf, uint32_t aux);
 
+/// Checks that `op` is a single-page op type with well-formed,
+/// in-range arguments — everything ApplySinglePageOp checks that does
+/// not depend on the page's contents. InvalidArgument otherwise.
+/// Callers validate before logging: a record the apply then refuses
+/// would stay in the log and fail the next recovery.
+Status ValidateSinglePageOp(const SinglePageOp& op);
+
 /// Applies a single-page op to the page image. Deterministic; returns
 /// InvalidArgument on malformed args. Does NOT set the page LSN (the
 /// caller tags the page with the log record's LSN).
@@ -97,6 +104,11 @@ struct SplitOp {
 
   friend bool operator==(const SplitOp&, const SplitOp&) = default;
 };
+
+/// Checks that `op` names a known transform with in-range slot
+/// arguments (page ids are the engine's to range-check).
+/// InvalidArgument otherwise.
+Status ValidateSplitOp(const SplitOp& op);
 
 /// Builds a slot transfer: dst[dst_slot] <- src[src_slot]; the paired
 /// rewrite (MakeRewriteForSplit) zeroes src[src_slot].

@@ -128,24 +128,29 @@ Result<uint64_t> DecodeTxnMeta(const std::vector<uint8_t>& payload) {
   return r.U64();
 }
 
-Status ApplyOneUndoAction(storage::BufferPool* pool, const UndoAction& action,
-                          core::Lsn lsn) {
-  Result<storage::Page*> page = pool->Fetch(action.page);
-  if (!page.ok()) return page.status();
+Status RestoreUndoAction(const UndoAction& action, storage::Page* page) {
   switch (action.kind) {
     case UndoAction::Kind::kSlotRestore:
       if (action.slot >= storage::Page::NumSlots()) {
         return Status::Corruption("undo action: slot out of range");
       }
-      page.value()->WriteSlot(action.slot, action.old_value);
-      break;
+      page->WriteSlot(action.slot, action.old_value);
+      return Status::Ok();
     case UndoAction::Kind::kPageRestore:
-      // Restore the payload only; the LSN header is re-tagged below so
+      // Restore the payload only; the caller re-tags the LSN header so
       // the LSN-test methods see the restore as the page's newest write.
-      std::memcpy(page.value()->payload().data(),
-                  action.image.payload().data(), storage::Page::kPayloadSize);
-      break;
+      std::memcpy(page->payload().data(), action.image.payload().data(),
+                  storage::Page::kPayloadSize);
+      return Status::Ok();
   }
+  return Status::Corruption("undo action: unknown kind");
+}
+
+Status ApplyOneUndoAction(storage::BufferPool* pool, const UndoAction& action,
+                          core::Lsn lsn) {
+  Result<storage::Page*> page = pool->Fetch(action.page);
+  if (!page.ok()) return page.status();
+  REDO_RETURN_IF_ERROR(RestoreUndoAction(action, page.value()));
   return pool->MarkDirty(action.page, lsn);
 }
 

@@ -94,6 +94,10 @@ Status ApplyUndoActions(storage::BufferPool* pool,
 Status ApplyOneUndoAction(storage::BufferPool* pool, const UndoAction& action,
                           core::Lsn lsn);
 
+/// What one action does to its page's bytes, for a caller that already
+/// holds the page and tags it itself.
+Status RestoreUndoAction(const UndoAction& action, storage::Page* page);
+
 /// One live transaction's registry entry.
 struct TxnTableEntry {
   uint64_t txn_id = 0;

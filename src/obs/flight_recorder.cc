@@ -25,6 +25,7 @@ const char* FlightEventName(FlightEventType type) {
     case FlightEventType::kInstantDrain: return "instant.drain";
     case FlightEventType::kSlowOp: return "watchdog.slow_op";
     case FlightEventType::kIoBatch: return "io.batch";
+    case FlightEventType::kGateWait: return "gate.wait";
   }
   return "?";
 }
@@ -34,6 +35,7 @@ const char* FlightEventCategory(FlightEventType type) {
     case FlightEventType::kSessionOp:
     case FlightEventType::kLatchWait:
     case FlightEventType::kCkptBarrier:
+    case FlightEventType::kGateWait:
       return "engine";
     case FlightEventType::kTxnBegin:
     case FlightEventType::kTxnCommit:

@@ -68,6 +68,8 @@ enum class FlightEventType : uint16_t {
   kSlowOp = 14,        ///< instant: watchdog promotion (a0=type, a1=dur)
   kIoBatch = 15,       ///< span: async I/O batch submit→complete
                        ///< (a0=ops, a1=reads, a2=writes)
+  kGateWait = 16,      ///< span: op-gate acquire+wait (a0=page, 0 if
+                       ///< page-less; a1=1 if exclusive)
 };
 
 /// Human-readable event name ("gc.force") and Chrome-trace category

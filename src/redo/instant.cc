@@ -1,7 +1,9 @@
 #include "redo/instant.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "engine/ops.h"
@@ -13,98 +15,157 @@ namespace redo::par {
 using storage::Page;
 using storage::PageId;
 
-InstantRedoDriver::InstantRedoDriver(storage::BufferPool* pool, RedoPlan plan,
+namespace {
+
+/// Every page `task` touches, each once.
+std::vector<PageId> TouchedPages(const RedoTask& task) {
+  std::vector<PageId> pages = task.Writes();
+  for (PageId page : task.Reads()) pages.push_back(page);
+  std::sort(pages.begin(), pages.end());
+  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  return pages;
+}
+
+/// True if replaying `task` touches exactly one page and nothing a
+/// latch does not cover. Splits never qualify: replaying one may re-arm
+/// a §6.4 write-order constraint.
+bool IsSinglePageTask(const RedoTask& task,
+                      const std::vector<PageId>& touched) {
+  return task.kind != RedoTaskKind::kSplitDst &&
+         task.kind != RedoTaskKind::kWholeSplit && touched.size() == 1;
+}
+
+}  // namespace
+
+InstantRedoDriver::InstantRedoDriver(storage::BufferPool* pool,
+                                     size_t num_pages, RedoPlan plan,
                                      InstantRedoOptions options,
                                      InstantRedoMetrics* metrics)
     : pool_(pool),
       plan_(std::move(plan)),
       options_(std::move(options)),
-      metrics_(metrics) {
+      metrics_(metrics),
+      pages_(num_pages),
+      remaining_(plan_.tasks.size()) {
   applied_.assign(plan_.tasks.size(), 0);
-  remaining_ = plan_.tasks.size();
   for (size_t i = 0; i < plan_.tasks.size(); ++i) {
-    for (PageId page : plan_.tasks[i].Writes()) chains_[page].push_back(i);
-    for (PageId page : plan_.tasks[i].Reads()) chains_[page].push_back(i);
+    const std::vector<PageId> touched = TouchedPages(plan_.tasks[i]);
+    if (touched.empty()) {
+      // Nothing to replay (a CLR with no actions), as in offline redo.
+      remaining_.fetch_sub(1, std::memory_order_relaxed);
+      continue;
+    }
+    const bool bridges = !IsSinglePageTask(plan_.tasks[i], touched);
+    for (PageId page : touched) {
+      if (page >= num_pages) {
+        FailLocked(Status::NotFound(
+            "instant redo: plan touches page " + std::to_string(page) +
+            " beyond the " + std::to_string(num_pages) + "-page disk"));
+        continue;
+      }
+      pages_[page].tasks.push_back(i);
+      pages_[page].bridged = pages_[page].bridged || bridges;
+    }
   }
+  for (PageId page = 0; page < pages_.size(); ++page) {
+    if (pages_[page].tasks.empty()) continue;
+    pages_[page].state.store(kPending, std::memory_order_relaxed);
+    order_.push_back(page);
+  }
+  // Task indices ascend with LSN, so a chain's first index is its head.
+  std::sort(order_.begin(), order_.end(), [this](PageId a, PageId b) {
+    return pages_[a].tasks.front() < pages_[b].tasks.front();
+  });
   if (metrics_ != nullptr) {
     metrics_->restarts.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-bool InstantRedoDriver::HasPendingWork(PageId page) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = chains_.find(page);
-  if (it == chains_.end()) return false;
-  std::deque<size_t>& chain = it->second;
-  while (!chain.empty() && applied_[chain.front()]) chain.pop_front();
-  if (chain.empty()) {
-    chains_.erase(it);
-    return false;
-  }
-  return true;
+Status InstantRedoDriver::DrainPage(PageId page, bool on_demand) {
+  REDO_RETURN_IF_ERROR(StoppedStatus());
+  if (!HasPendingWork(page)) return Status::Ok();
+  return IsBridged(page) ? DrainBridged(page, on_demand)
+                         : DrainSinglePage(page, on_demand);
 }
 
-Status InstantRedoDriver::DrainPage(PageId page, bool on_demand) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!first_error_.ok()) return first_error_;
-  if (aborted_) return Status::Unavailable("instant redo aborted");
-  const size_t before = remaining_;
+Status InstantRedoDriver::DrainSinglePage(PageId page, bool on_demand) {
+  PageChain& chain = pages_[page];
+  uint8_t expected = kPending;
+  if (!chain.state.compare_exchange_strong(expected, kDraining,
+                                           std::memory_order_acquire)) {
+    if (expected == kDone) return Status::Ok();
+    // Every drain of this chain holds its page's latch or the exclusive
+    // gate, so a chain left draining was abandoned by a failed drain.
+    const Status stopped = StoppedStatus();
+    REDO_CHECK(!stopped.ok()) << "page " << page
+                              << ": single-page chain drained concurrently";
+    return stopped;
+  }
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const uint64_t drain_tick = recorder.enabled() ? recorder.NowTick() : 0;
-  const Status status =
-      DrainChainLocked(page, std::numeric_limits<core::Lsn>::max());
-  if (!status.ok()) {
-    first_error_ = status;
-    return status;
+  ChainFrame frame;
+  Status status = Status::Ok();
+  size_t replayed = 0;
+  for (size_t index : chain.tasks) {
+    status = ApplyTask(plan_.tasks[index], &frame);
+    if (!status.ok()) break;
+    ++replayed;
   }
-  if (remaining_ < before) {
-    // Only a drain that applied work is traced: every session op probes
-    // its page, and the post-drain no-ops would swamp the ring.
-    if (recorder.enabled()) {
-      recorder.EndSpan(obs::FlightEventType::kInstantDrain, drain_tick, page,
-                       on_demand ? 1 : 0, before - remaining_);
+  // One tag for everything the drain applied (also when a task failed,
+  // so the frame's dirty state covers the applied prefix): the first
+  // applied LSN dirties the page, the last one is its LSN.
+  if (frame.first_applied != core::kNullLsn) {
+    Status tagged = pool_->MarkDirty(page, frame.first_applied);
+    if (tagged.ok() && frame.last_applied != frame.first_applied) {
+      tagged = pool_->MarkDirty(page, frame.last_applied);
     }
-    if (metrics_ != nullptr) {
-      (on_demand ? metrics_->pages_on_demand : metrics_->pages_background)
-          .fetch_add(1, std::memory_order_relaxed);
-    }
+    if (status.ok()) status = tagged;
   }
+  remaining_.fetch_sub(replayed, std::memory_order_acq_rel);
+  if (!status.ok()) return Fail(status);
+  chain.state.store(kDone, std::memory_order_release);
+  RecordDrain(page, on_demand, chain.tasks.size(), drain_tick);
   return Status::Ok();
 }
 
-bool InstantRedoDriver::NextPendingPage(PageId* out) {
+Status InstantRedoDriver::DrainBridged(PageId page, bool on_demand) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (aborted_ || !first_error_.ok()) return false;
-  PageId best_page = 0;
-  core::Lsn best_lsn = std::numeric_limits<core::Lsn>::max();
-  bool found = false;
-  for (auto it = chains_.begin(); it != chains_.end();) {
-    std::deque<size_t>& chain = it->second;
-    while (!chain.empty() && applied_[chain.front()]) chain.pop_front();
-    if (chain.empty()) {
-      it = chains_.erase(it);
-      continue;
-    }
-    const core::Lsn head = plan_.tasks[chain.front()].lsn;
-    if (!found || head < best_lsn) {
-      found = true;
-      best_lsn = head;
-      best_page = it->first;
-    }
-    ++it;
+  if (!first_error_.ok()) return first_error_;
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  const uint64_t drain_tick = recorder.enabled() ? recorder.NowTick() : 0;
+  size_t drained = 0;
+  const Status status = DrainChainLocked(
+      page, std::numeric_limits<core::Lsn>::max(), &drained);
+  if (!status.ok()) return FailLocked(status);
+  // Only a drain that replayed work is traced: a recursive drain may
+  // already have emptied this chain.
+  if (drained > 0) RecordDrain(page, on_demand, drained, drain_tick);
+  return Status::Ok();
+}
+
+void InstantRedoDriver::RecordDrain(PageId page, bool on_demand, size_t tasks,
+                                    uint64_t begin_tick) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  if (recorder.enabled()) {
+    recorder.EndSpan(obs::FlightEventType::kInstantDrain, begin_tick, page,
+                     on_demand ? 1 : 0, tasks);
   }
-  if (found) *out = best_page;
-  return found;
+  if (metrics_ != nullptr) {
+    (on_demand ? metrics_->pages_on_demand : metrics_->pages_background)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
-bool InstantRedoDriver::Done() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return remaining_ == 0;
-}
-
-size_t InstantRedoDriver::tasks_remaining() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return remaining_;
+bool InstantRedoDriver::NextPendingPage(PageId* out) {
+  for (size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+       i < order_.size(); i = cursor_.fetch_add(1, std::memory_order_relaxed)) {
+    if (!StoppedStatus().ok()) return false;
+    if (HasPendingWork(order_[i])) {
+      *out = order_[i];
+      return true;
+    }
+  }
+  return false;
 }
 
 Status InstantRedoDriver::first_error() const {
@@ -112,27 +173,30 @@ Status InstantRedoDriver::first_error() const {
   return first_error_;
 }
 
-void InstantRedoDriver::Abort() {
-  std::lock_guard<std::mutex> lock(mu_);
-  aborted_ = true;
+Status InstantRedoDriver::StoppedStatus() const {
+  if (failed_.load(std::memory_order_acquire)) return first_error();
+  if (aborted_.load(std::memory_order_acquire)) {
+    return Status::Unavailable("instant redo aborted");
+  }
+  return Status::Ok();
 }
 
-Status InstantRedoDriver::DrainChainLocked(PageId page, core::Lsn bound) {
-  const auto it = chains_.find(page);
-  if (it == chains_.end()) return Status::Ok();
-  // Note: no reference to it->second across the recursion — the
-  // recursive drain may erase *other* chains, and map iterators to this
-  // chain stay valid, but re-find keeps the invariant obvious.
-  while (true) {
-    const auto chain_it = chains_.find(page);
-    if (chain_it == chains_.end()) return Status::Ok();
-    std::deque<size_t>& chain = chain_it->second;
-    while (!chain.empty() && applied_[chain.front()]) chain.pop_front();
-    if (chain.empty()) {
-      chains_.erase(chain_it);
-      return Status::Ok();
-    }
-    const size_t index = chain.front();
+Status InstantRedoDriver::Fail(const Status& status) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return FailLocked(status);
+}
+
+Status InstantRedoDriver::FailLocked(const Status& status) {
+  if (first_error_.ok()) first_error_ = status;
+  failed_.store(true, std::memory_order_release);
+  return first_error_;
+}
+
+Status InstantRedoDriver::DrainChainLocked(PageId page, core::Lsn bound,
+                                           size_t* drained) {
+  PageChain& chain = pages_[page];
+  while (chain.head < chain.tasks.size()) {
+    const size_t index = chain.tasks[chain.head];
     const RedoTask& task = plan_.tasks[index];
     if (task.lsn >= bound) return Status::Ok();
     // Bridge the write graph: every other chain this task touches must
@@ -141,20 +205,34 @@ Status InstantRedoDriver::DrainChainLocked(PageId page, core::Lsn bound) {
     // `page` finds this task (LSN ≥ the strictly lower bound) at the
     // head — any unapplied earlier toucher of `page` would sit in front
     // of it, contradicting `index` being the head.
-    for (PageId other : task.Writes()) {
-      if (other != page) REDO_RETURN_IF_ERROR(DrainChainLocked(other, task.lsn));
+    const std::vector<PageId> touched = TouchedPages(task);
+    for (PageId other : touched) {
+      if (other != page) {
+        REDO_RETURN_IF_ERROR(DrainChainLocked(other, task.lsn, drained));
+      }
     }
-    for (PageId other : task.Reads()) {
-      if (other != page) REDO_RETURN_IF_ERROR(DrainChainLocked(other, task.lsn));
-    }
-    REDO_RETURN_IF_ERROR(ApplyTaskLocked(task));
+    REDO_RETURN_IF_ERROR(ApplyTask(task));
     applied_[index] = 1;
-    --remaining_;
-    chain.pop_front();
+    remaining_.fetch_sub(1, std::memory_order_acq_rel);
+    ++*drained;
+    // The task now heads every chain it touches: retire it from all of
+    // them, so a chain it emptied reads done without another drain.
+    for (PageId other : touched) RetireAppliedHeadsLocked(other);
+  }
+  return Status::Ok();
+}
+
+void InstantRedoDriver::RetireAppliedHeadsLocked(PageId page) {
+  PageChain& chain = pages_[page];
+  while (chain.head < chain.tasks.size() && applied_[chain.tasks[chain.head]]) {
+    ++chain.head;
+  }
+  if (chain.head == chain.tasks.size()) {
+    chain.state.store(kDone, std::memory_order_release);
   }
 }
 
-Status InstantRedoDriver::ApplyTaskLocked(const RedoTask& task) {
+Status InstantRedoDriver::ApplyTask(const RedoTask& task, ChainFrame* chain) {
   const bool redo_all = options_.mode == InstantRedoOptions::Mode::kRedoAll;
   // The analysis-DPT skip (§4.3): decided without any page I/O.
   auto dpt_skips = [this](PageId page, core::Lsn lsn) {
@@ -175,20 +253,43 @@ Status InstantRedoDriver::ApplyTaskLocked(const RedoTask& task) {
     return Status::Ok();
   };
   // A page the task overwrites whole installs without a read — the
-  // parallel scheduler's first-touch rule (plan.h).
-  auto fetch = [this, &task, redo_all](PageId page) {
-    return BlindFirstTouch(task, page, redo_all) ? pool_->FetchBlind(page)
-                                                 : pool_->Fetch(page);
+  // parallel scheduler's first-touch rule (plan.h). A single-page
+  // chain's drain fetches its page once and reuses the frame.
+  auto fetch = [this, &task, redo_all, chain](PageId page) -> Result<Page*> {
+    if (chain != nullptr && chain->page != nullptr) return chain->page;
+    Result<Page*> fetched = BlindFirstTouch(task, page, redo_all)
+                                ? pool_->FetchBlind(page)
+                                : pool_->Fetch(page);
+    if (chain != nullptr && fetched.ok()) chain->page = fetched.value();
+    return fetched;
+  };
+  // The LSN test (kLsnTest only): `page` already holds `lsn`. A
+  // single-page chain's drain counts the tag it has deferred, so the
+  // test reads what per-task tagging would have left.
+  auto installed = [redo_all, chain](const Page& page, core::Lsn lsn) {
+    if (redo_all) return false;
+    const core::Lsn tagged = chain != nullptr
+                                 ? std::max(page.lsn(), chain->last_applied)
+                                 : page.lsn();
+    return tagged >= lsn;
+  };
+  // Tags the page with the task's LSN, or — in a single-page chain's
+  // drain — leaves the tag to the drain's end.
+  auto mark = [this, chain](PageId page, core::Lsn lsn) {
+    if (chain == nullptr) return pool_->MarkDirty(page, lsn);
+    if (chain->first_applied == core::kNullLsn) chain->first_applied = lsn;
+    chain->last_applied = lsn;
+    return Status::Ok();
   };
 
   switch (task.kind) {
     case RedoTaskKind::kSinglePage: {
       if (dpt_skips(task.op.page, task.lsn)) return skipped();
-      Result<Page*> page = pool_->Fetch(task.op.page);
+      Result<Page*> page = fetch(task.op.page);
       if (!page.ok()) return page.status();
-      if (!redo_all && page.value()->lsn() >= task.lsn) return skipped();
+      if (installed(*page.value(), task.lsn)) return skipped();
       REDO_RETURN_IF_ERROR(engine::ApplySinglePageOp(task.op, page.value()));
-      REDO_RETURN_IF_ERROR(pool_->MarkDirty(task.op.page, task.lsn));
+      REDO_RETURN_IF_ERROR(mark(task.op.page, task.lsn));
       return applied();
     }
 
@@ -196,14 +297,14 @@ Status InstantRedoDriver::ApplyTaskLocked(const RedoTask& task) {
       if (dpt_skips(task.image_page, task.lsn)) return skipped();
       Result<Page*> page = fetch(task.image_page);
       if (!page.ok()) return page.status();
-      if (!redo_all && page.value()->lsn() >= task.lsn) return skipped();
+      if (installed(*page.value(), task.lsn)) return skipped();
       // One memcpy from the still-encoded payload straight into the
       // frame, as in the parallel scheduler.
       std::memcpy(page.value()->bytes().data(),
                   task.image_payload.data() +
                       (task.image_payload.size() - Page::kSize),
                   Page::kSize);
-      REDO_RETURN_IF_ERROR(pool_->MarkDirty(task.image_page, task.lsn));
+      REDO_RETURN_IF_ERROR(mark(task.image_page, task.lsn));
       return applied();
     }
 
@@ -226,8 +327,8 @@ Status InstantRedoDriver::ApplyTaskLocked(const RedoTask& task) {
       if (options_.add_split_constraints) {
         // §6.4 careful write order, re-armed eagerly so flushes issued
         // while the engine is already serving respect it. Same
-        // acyclicity rule as during normal operation; the caller's
-        // exclusive gate makes the cascading flush safe.
+        // acyclicity rule as during normal operation; the exclusive
+        // gate a bridged drain holds makes the cascading flush safe.
         if (pool_->HasPendingOrderPath(task.split.src, task.split.dst)) {
           REDO_RETURN_IF_ERROR(pool_->FlushPageCascading(task.split.dst));
         } else {
@@ -263,11 +364,11 @@ Status InstantRedoDriver::ApplyTaskLocked(const RedoTask& task) {
       bool any = false;
       for (const engine::UndoAction& action : task.clr_actions) {
         if (dpt_skips(action.page, task.lsn)) continue;
-        Result<Page*> page = pool_->Fetch(action.page);
+        Result<Page*> page = fetch(action.page);
         if (!page.ok()) return page.status();
-        if (!redo_all && page.value()->lsn() >= task.lsn) continue;
-        REDO_RETURN_IF_ERROR(
-            engine::ApplyOneUndoAction(pool_, action, task.lsn));
+        if (installed(*page.value(), task.lsn)) continue;
+        REDO_RETURN_IF_ERROR(engine::RestoreUndoAction(action, page.value()));
+        REDO_RETURN_IF_ERROR(mark(action.page, task.lsn));
         any = true;
       }
       return any ? applied() : skipped();

@@ -68,22 +68,33 @@ Result<Page*> BufferPool::FetchBlind(PageId id) {
 }
 
 Result<Page*> BufferPool::FetchFrame(PageId id, bool blind) {
-  // mu_ covers the whole fetch, including the miss path's disk read (the
-  // Disk mutates stats and consults its fault injector on every read, so
-  // concurrent sessions' misses must serialize) and eviction (serial-only:
-  // concurrent mode runs unbounded).
-  std::lock_guard<std::mutex> lock(mu_);
+  // mu_ guards the frame map, not the device: a miss releases it across
+  // the read (the backend serializes every Disk call on its own mutex),
+  // so a hit on any other page never queues behind this one's read. The
+  // page is marked in flight meanwhile, and a concurrent fetch of it
+  // waits for this read instead of issuing its own.
+  std::unique_lock<std::mutex> lock(mu_);
   if (redo_partitioned_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition(
         "buffer pool: frames are split out for redo (merge partitions "
         "before fetching)");
   }
   ++stats_.fetches;
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
-    ++stats_.hits;
-    it->second.last_use = ++use_clock_;
-    return &it->second.page;
+  auto in_flight = [this, id] {
+    return std::find(reads_in_flight_.begin(), reads_in_flight_.end(), id) !=
+           reads_in_flight_.end();
+  };
+  for (;;) {
+    auto it = frames_.find(id);
+    if (it != frames_.end()) {
+      ++stats_.hits;
+      it->second.last_use = ++use_clock_;
+      return &it->second.page;
+    }
+    if (!in_flight()) break;
+    // A failed read leaves the page uncached: this fetch then misses
+    // and reads the page itself.
+    read_done_.wait(lock, [&in_flight] { return !in_flight(); });
   }
   Frame frame;
   if (blind) {
@@ -94,10 +105,19 @@ Result<Page*> BufferPool::FetchFrame(PageId id, bool blind) {
     // cached — possibly dirty — page must not have been sacrificed for
     // it. The transient overshoot of capacity by one local Page copy is
     // the price of not losing work to a failed I/O.
+    reads_in_flight_.push_back(id);
+    lock.unlock();
     Result<Page> from_disk = ReadThrough(*io_, id);
+    lock.lock();
+    reads_in_flight_.erase(
+        std::find(reads_in_flight_.begin(), reads_in_flight_.end(), id));
+    // Every waiter re-checks its own page.
+    read_done_.notify_all();
     if (!from_disk.ok()) return from_disk.status();
     frame.page = std::move(from_disk).value();
   }
+  // Eviction stays under mu_: it runs only with a bounded pool, which
+  // is serial-only (concurrent mode runs unbounded).
   if (capacity_ != 0 && frames_.size() >= capacity_) {
     REDO_RETURN_IF_ERROR(EvictOne());
   }

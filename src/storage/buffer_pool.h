@@ -12,6 +12,7 @@
 #define REDO_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -85,9 +86,12 @@ struct DirtyPageEntry {
 /// Threading contract (the concurrent front end, DESIGN.md §10):
 ///  - Fetch / FetchBlind / MarkDirty / the const observers are
 ///    thread-safe: they serialize on an internal mutex that guards the
-///    frame map and counters. Page *bytes* are NOT guarded by that
-///    mutex — callers must hold the page's latch (LatchPage) while
-///    reading or writing the returned Page.
+///    frame map and counters. A miss releases that mutex across its
+///    device read, so other pages' fetches proceed meanwhile; the page
+///    is marked in flight, and concurrent misses of it cost one read.
+///    Page *bytes* are NOT guarded by that mutex — callers must hold the
+///    page's latch (LatchPage) while reading or writing the returned
+///    Page.
 ///  - Everything that flushes, evicts, or rewires write-order
 ///    constraints (FlushPage*, FlushAll, Evict, Crash, DropPage,
 ///    AddWriteOrderConstraint, redo partitioning) must run
@@ -115,7 +119,10 @@ class BufferPool {
 
   /// Returns a mutable pointer to the cached copy of `id`, reading it
   /// from disk on a miss (evicting if at capacity). The pointer is valid
-  /// until the next Fetch/Flush/Evict/Crash call.
+  /// until the next Fetch/Flush/Evict/Crash call. A miss holds no pool
+  /// lock across its read; a fetch of a page another thread is reading
+  /// waits for that read and counts as a hit (or, if the read failed,
+  /// misses and reads the page itself).
   Result<Page*> Fetch(PageId id);
 
   /// Fetch for a caller about to overwrite every byte of the page (a
@@ -341,7 +348,8 @@ class BufferPool {
   };
 
   /// The one body of Fetch and FetchBlind: `blind` installs a zeroed
-  /// frame on a miss instead of reading the page.
+  /// frame on a miss instead of reading the page. Releases mu_ across a
+  /// miss read (see the class comment).
   Result<Page*> FetchFrame(PageId id, bool blind);
 
   /// Pages that must be flushed before `id` can be (unsatisfied
@@ -386,10 +394,15 @@ class BufferPool {
   uint64_t use_clock_ = 0;
   BufferPoolStats stats_;
 
-  /// Guards frames_, use_clock_, and the fetch-path counters on the
-  /// session hot path (Fetch/MarkDirty/observers). Flush and eviction
-  /// paths run writer-exclusive and do not take it (see class comment).
+  /// Guards frames_, use_clock_, reads_in_flight_, and the fetch-path
+  /// counters on the session hot path (Fetch/MarkDirty/observers). Flush
+  /// and eviction paths run writer-exclusive and do not take it (see
+  /// class comment). Never held across a device read.
   mutable std::mutex mu_;
+  /// Pages whose miss read is in flight with mu_ released; read_done_
+  /// wakes the fetches waiting for one of them.
+  std::vector<PageId> reads_in_flight_;
+  std::condition_variable read_done_;
 
   /// Per-page latch table. Entries are created on demand and never
   /// erased, so PageLatchGuards stay valid across eviction and Crash.

@@ -8,6 +8,7 @@
 // concurrent simulator's instant mode.
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 
 #include "engine/minidb.h"
 #include "engine/ops.h"
+#include "obs/recovery_trace.h"
 #include "storage/fault_injector.h"
 #include "util/rng.h"
 
@@ -52,13 +54,16 @@ std::unique_ptr<MiniDb> MakeDb(MethodKind kind, const EngineOptions& engine) {
 
 // Deterministic serial workload: slot writes with a sprinkle of slot
 // transfers so the redo plan has multi-page records bridging chains.
-void RunWorkload(MiniDb& db, uint64_t seed, size_t ops) {
+// Transfers stay among pages [0, transfer_pages): the chains of the
+// pages above are single-page, and 0 leaves no multi-page record.
+void RunWorkload(MiniDb& db, uint64_t seed, size_t ops,
+                 PageId transfer_pages = kPages) {
   Rng rng(seed);
   for (size_t i = 0; i < ops; ++i) {
     const PageId page = static_cast<PageId>(rng.Below(kPages));
-    if (rng.Below(100) < 6) {
-      PageId dst = static_cast<PageId>(rng.Below(kPages));
-      if (dst == page) dst = static_cast<PageId>((dst + 1) % kPages);
+    if (rng.Below(100) < 6 && page < transfer_pages) {
+      PageId dst = static_cast<PageId>(rng.Below(transfer_pages));
+      if (dst == page) dst = static_cast<PageId>((dst + 1) % transfer_pages);
       ASSERT_TRUE(db.NewSession().Split(MakeSlotTransfer(page, 0, dst, 1)).ok());
     } else {
       const uint32_t slot = static_cast<uint32_t>(rng.Below(kSlots));
@@ -96,8 +101,9 @@ std::vector<int64_t> SlotSnapshot(MiniDb& db) {
 // Crash a warmed-up engine and return the crash-time disk image, so a
 // test can recover the identical state as many times as it likes.
 std::vector<storage::Page> BuildCrashState(MiniDb& db, uint64_t seed,
-                                           size_t ops) {
-  RunWorkload(db, seed, ops);
+                                           size_t ops,
+                                           PageId transfer_pages = kPages) {
+  RunWorkload(db, seed, ops, transfer_pages);
   EXPECT_TRUE(db.log().ForceAll().ok());
   db.Crash();
   return SnapshotDisk(db);
@@ -415,12 +421,17 @@ TEST(InstantRestartTest, WritesDuringServingSurviveTheNextCrash) {
 }
 
 // The TSan target: reader threads hammer every page through Sessions
-// while two background workers drain chains under the exclusive gate.
-// Every read must return the recovered value; nothing may race.
+// while two background workers drain chains, and writer threads commit
+// transactions on every page meanwhile. Transfers among the lower half
+// of the pages bridge those chains, so bridged chains drain under the
+// exclusive gate while the upper half's single-page chains drain under
+// the shared gate and their page latches — both paths at once. Every
+// read must return the recovered value, every acked write must read
+// back after the drain and after a second crash, and nothing may race.
 TEST(InstantRestartTest, ReadersRaceTheBackgroundDrain) {
   auto db = MakeDb(MethodKind::kPhysiological, InstantEngine(2));
-  const std::vector<storage::Page> crash_disk =
-      BuildCrashState(*db, /*seed=*/19, /*ops=*/1500);
+  const std::vector<storage::Page> crash_disk = BuildCrashState(
+      *db, /*seed=*/19, /*ops=*/1500, /*transfer_pages=*/kPages / 2);
 
   ASSERT_TRUE(db->Recover().ok());
   const std::vector<int64_t> expected = SlotSnapshot(*db);
@@ -428,9 +439,15 @@ TEST(InstantRestartTest, ReadersRaceTheBackgroundDrain) {
   RestoreCrashState(*db, crash_disk);
   ASSERT_TRUE(db->RecoverInstant().ok());
   constexpr size_t kReaders = 4;
-  std::vector<std::thread> readers;
+  constexpr size_t kWriters = 2;
+  // Writers own the slots above the workload's (and the transfers'),
+  // one slot each, so readers' expectations stay exact.
+  auto written = [](size_t writer, PageId page) {
+    return static_cast<int64_t>(100000 * (writer + 1) + page);
+  };
+  std::vector<std::thread> threads;
   for (size_t t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&db, &expected, t] {
+    threads.emplace_back([&db, &expected, t] {
       MiniDb::Session session = db->NewSession();
       // Each reader starts at a different page so on-demand drains and
       // the background sweep collide from several directions at once.
@@ -445,10 +462,120 @@ TEST(InstantRestartTest, ReadersRaceTheBackgroundDrain) {
       }
     });
   }
-  for (std::thread& t : readers) t.join();
+  for (size_t w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&db, &written, w] {
+      MiniDb::Session session = db->NewSession();
+      for (size_t i = 0; i < kPages; ++i) {
+        const PageId p = static_cast<PageId>((w * 11 + i) % kPages);
+        ASSERT_TRUE(session.Begin().ok());
+        ASSERT_TRUE(session
+                        .WriteSlot(p, static_cast<uint32_t>(kSlots + w),
+                                   written(w, p))
+                        .ok());
+        ASSERT_TRUE(session.Commit().ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
   ASSERT_TRUE(db->WaitUntilRecovered().ok());
   ASSERT_TRUE(db->EndConcurrent().ok());
+  auto expect_writes_read_back = [&](const char* when) {
+    for (size_t w = 0; w < kWriters; ++w) {
+      for (PageId p = 0; p < kPages; ++p) {
+        Result<int64_t> got =
+            db->NewSession().ReadSlot(p, static_cast<uint32_t>(kSlots + w));
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got.value(), written(w, p))
+            << when << ": writer " << w << " page " << p;
+      }
+    }
+  };
   EXPECT_EQ(SlotSnapshot(*db), expected);
+  expect_writes_read_back("after the drain");
+
+  db->Crash();
+  ASSERT_TRUE(db->Recover().ok());
+  EXPECT_EQ(SlotSnapshot(*db), expected);
+  expect_writes_read_back("after a second crash");
+}
+
+// Serving while redoing blocks only the pages redo touches. With no
+// multi-page record every chain is single-page: a session op on a page
+// already drained takes the gate shared and its own latch, so it
+// finishes while another session's on-demand drain still waits out a
+// 20 ms device read — instead of queueing behind that read on the
+// driver's mutex and the exclusive gate.
+TEST(InstantRestartTest, DrainedPageOpsDoNotWaitForAnotherPagesRead) {
+  auto db = MakeDb(MethodKind::kPhysiological, InstantEngine(1));
+  const std::vector<storage::Page> crash_disk = BuildCrashState(
+      *db, /*seed=*/47, /*ops=*/600, /*transfer_pages=*/0);
+  RestoreCrashState(*db, crash_disk);
+  constexpr uint64_t kReadUs = 20000;
+  EngineOptions engine = db->engine_options();
+  engine.simulated_read_latency_us = kReadUs;
+  db->set_engine_options(engine);
+
+  ASSERT_TRUE(db->RecoverInstant().ok());
+  {
+    MiniDb::Session session = db->NewSession();
+    ASSERT_TRUE(session.ReadSlot(0, 0).ok());  // drains page 0 on demand
+    std::thread drainer([&db] {
+      MiniDb::Session other = db->NewSession();
+      Result<int64_t> got = other.ReadSlot(kPages - 1, 0);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+    });
+    // Let the drainer reach its page's read.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto start = std::chrono::steady_clock::now();
+    const Result<core::Lsn> wrote = session.WriteSlot(0, 1, 4242);
+    const Result<int64_t> read = session.ReadSlot(0, 1);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    drainer.join();
+    ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read.value(), 4242);
+    EXPECT_LT(elapsed, std::chrono::microseconds(kReadUs / 2))
+        << "an op on a drained page waited for another page's read";
+  }
+  ASSERT_TRUE(db->WaitUntilRecovered().ok());
+  ASSERT_TRUE(db->EndConcurrent().ok());
+  EXPECT_GT(db->instant_redo_metrics().pages_on_demand.load(), 0u);
+}
+
+// The network front end admits sessions once the engine reads
+// concurrent. Instant restart publishes kServing first: a session that
+// saw a concurrent engine still in kAnalyzing would skip its page's
+// pending chain, and the LSN test would later skip that chain as
+// installed. A watcher thread checks the order across restarts, with a
+// recovery tracer attached so the restart does real work in between.
+TEST(InstantRestartTest, ConcurrentIsPublishedOnlyOnceServing) {
+  auto db = MakeDb(MethodKind::kPhysiological, InstantEngine(1));
+  const std::vector<storage::Page> crash_disk =
+      BuildCrashState(*db, /*seed=*/53, /*ops=*/300);
+  obs::RecoveryTracer tracer(&db->metrics());
+  db->Attach({nullptr, &tracer});
+  for (int round = 0; round < 10; ++round) {
+    RestoreCrashState(*db, crash_disk);
+    std::atomic<bool> stop{false};
+    std::atomic<int> seen{-1};
+    std::thread watcher([&db, &stop, &seen] {
+      while (!stop.load()) {
+        if (db->concurrent()) {
+          seen.store(static_cast<int>(db->recovery_phase()));
+          return;
+        }
+      }
+    });
+    const Status recovered = db->RecoverInstant();
+    stop.store(true);
+    watcher.join();
+    ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+    EXPECT_NE(seen.load(), static_cast<int>(MiniDb::RecoveryPhase::kAnalyzing))
+        << "round " << round << ": concurrent before kServing";
+    ASSERT_TRUE(db->WaitUntilRecovered().ok());
+    ASSERT_TRUE(db->EndConcurrent().ok());
+  }
+  db->Attach({});
 }
 
 // Crashing mid-drain (before any traffic) must leave a state the

@@ -72,6 +72,54 @@ TEST_P(MiniDbMethodTest, ForcedUpdatesSurviveCrash) {
   EXPECT_EQ(db->NewSession().ReadSlot(2, 3).value(), 8);
 }
 
+// A refused op must leave no record behind: a record whose apply the
+// engine refuses would stay in the log, and once a later force covered
+// it the next recovery would fail on it.
+TEST_P(MiniDbMethodTest, RefusedOpsLeaveTheLogUntouched) {
+  auto db = MakeDb(GetParam());
+  {
+    MiniDb::Session session = db->NewSession();
+    ASSERT_TRUE(session.WriteSlot(1, 0, 7).ok());
+    const core::Lsn before = db->log().last_lsn();
+
+    const Result<core::Lsn> bad_page = session.WriteSlot(kPages, 0, 1);
+    ASSERT_FALSE(bad_page.ok());
+    EXPECT_EQ(bad_page.status().code(), StatusCode::kInvalidArgument);
+    const Result<core::Lsn> bad_slot = session.WriteSlot(
+        2, static_cast<uint32_t>(storage::Page::NumSlots()), 1);
+    ASSERT_FALSE(bad_slot.ok());
+    EXPECT_EQ(bad_slot.status().code(), StatusCode::kInvalidArgument);
+    SinglePageOp bad_type = MakeSlotWrite(2, 0, 1);
+    bad_type.type = wal::RecordType::kCheckpoint;
+    EXPECT_EQ(session.Apply(bad_type).status().code(),
+              StatusCode::kInvalidArgument);
+    SinglePageOp truncated = MakeSlotWrite(2, 0, 1);
+    truncated.args.resize(3);
+    EXPECT_FALSE(session.Apply(truncated).ok());
+    EXPECT_EQ(
+        session.Split(MakeSlotTransfer(0, 0, kPages + 3, 1)).status().code(),
+        StatusCode::kInvalidArgument);
+    SplitOp bad_transfer = MakeSlotTransfer(0, 0, 3, 1);
+    bad_transfer.arg1 = static_cast<uint32_t>(storage::Page::NumSlots());
+    EXPECT_EQ(session.Split(bad_transfer).status().code(),
+              StatusCode::kInvalidArgument);
+    const SplitOp bad_transform{static_cast<SplitTransform>(9), 0, 3};
+    EXPECT_EQ(session.Split(bad_transform).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session.ReadSlot(kPages, 0).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db->log().last_lsn(), before) << "a refused op was logged";
+
+    ASSERT_TRUE(session.WriteSlot(3, 1, 9).ok());
+    ASSERT_TRUE(session.Commit().ok());
+  }
+  db->Crash();
+  const Status recovered = db->Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 7);
+  EXPECT_EQ(db->NewSession().ReadSlot(3, 1).value(), 9);
+}
+
 TEST_P(MiniDbMethodTest, PrefixOfLogSurvives) {
   auto db = MakeDb(GetParam());
   Result<core::Lsn> first = db->NewSession().WriteSlot(0, 0, 1);

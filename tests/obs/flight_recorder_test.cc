@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -235,7 +236,63 @@ TEST_F(FlightRecorderTest, RecoverThenServeTracesAllSubsystems) {
   EXPECT_TRUE(names.count("gc.force")) << "missing force spans";
   // ...plus the redo side of instant restart.
   EXPECT_TRUE(names.count("instant.drain")) << "missing redo drain spans";
+  EXPECT_TRUE(names.count("gate.wait")) << "missing op-gate wait spans";
   EXPECT_GE(categories.size(), 3u) << "fewer than three subsystems traced";
+}
+
+// Every op-gate acquisition is a gate.wait span (a0 = page, a1 = 1 if
+// exclusive). A plan without multi-page records holds only single-page
+// chains, and those drain under the SHARED gate: each instant.drain
+// span follows a shared gate.wait on its own page and thread, and
+// nothing in the run takes the gate exclusive.
+TEST_F(FlightRecorderTest, SinglePageChainDrainsWaitOnTheSharedGate) {
+  FlightRecorder& recorder = FlightRecorder::Global();
+
+  engine::MiniDbOptions options;
+  options.num_pages = 8;
+  options.cache_capacity = 0;
+  options.engine.group_commit_window_us = 100;
+  options.engine.instant_restart = true;
+  options.engine.instant_drain_workers = 2;
+  engine::MiniDb db(options,
+                    methods::MakeMethod(methods::MethodKind::kPhysiological,
+                                        {options.num_pages}));
+  auto run_round = [&db] {
+    engine::MiniDb::Session session = db.NewSession();
+    for (uint32_t i = 0; i < 16; ++i) {
+      ASSERT_TRUE(session.Begin().ok());
+      ASSERT_TRUE(session.WriteSlot(i % 8, i, i).ok());
+      ASSERT_TRUE(session.Commit().ok());
+    }
+  };
+  ASSERT_TRUE(db.BeginConcurrent().ok());
+  run_round();
+  db.Crash();
+  ASSERT_TRUE(db.RecoverInstant().ok());
+  run_round();
+  ASSERT_TRUE(db.WaitUntilRecovered().ok());
+  ASSERT_TRUE(db.EndConcurrent().ok());
+
+  std::vector<FlightEvent> gate_waits;
+  std::vector<FlightEvent> drains;
+  for (const FlightEvent& event : recorder.Drain()) {
+    if (event.type == FlightEventType::kGateWait) gate_waits.push_back(event);
+    if (event.type == FlightEventType::kInstantDrain) drains.push_back(event);
+  }
+  ASSERT_FALSE(gate_waits.empty());
+  ASSERT_FALSE(drains.empty());
+  for (const FlightEvent& wait : gate_waits) {
+    EXPECT_EQ(wait.a1, 0u) << "exclusive gate wait on page " << wait.a0;
+  }
+  for (const FlightEvent& drain : drains) {
+    const bool shared_gate_first = std::any_of(
+        gate_waits.begin(), gate_waits.end(), [&drain](const FlightEvent& w) {
+          return w.tid == drain.tid && w.a0 == drain.a0 && w.a1 == 0 &&
+                 w.tick + w.dur <= drain.tick;
+        });
+    EXPECT_TRUE(shared_gate_first)
+        << "drain of page " << drain.a0 << " took no shared gate first";
+  }
 }
 
 // ---- The golden trace: a fixed single-threaded event sequence under

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "storage/async_io.h"
@@ -641,6 +643,99 @@ TEST(BufferPoolTest, EveryFetchMissIsOneBackendRead) {
   EXPECT_EQ(io.reads, pool.stats().misses);
   EXPECT_EQ(io.writes, 0u);
   EXPECT_EQ(disk.stats().reads, pool.stats().misses);
+}
+
+// ---- Concurrent fetches: a miss holds no pool lock across its read ----
+
+constexpr uint64_t kSlowReadUs = 20000;
+
+AsyncIoOptions SlowReads() {
+  AsyncIoOptions device;
+  device.read_latency_us = kSlowReadUs;
+  return device;
+}
+
+// Spins until `reads` device reads have been submitted: the last one is
+// then on the device, charging its latency.
+void AwaitDeviceReads(BufferPool& pool, uint64_t reads) {
+  while (pool.async_io()->stats().reads < reads) std::this_thread::yield();
+}
+
+TEST(BufferPoolTest, HitDoesNotWaitForAnotherPagesMissRead) {
+  Disk disk(4);
+  BufferPool pool(&disk, 0, SlowReads());
+  ASSERT_TRUE(pool.Fetch(0).ok());
+  std::thread miss([&pool] { EXPECT_TRUE(pool.Fetch(1).ok()); });
+  AwaitDeviceReads(pool, 2);
+  const auto start = std::chrono::steady_clock::now();
+  const Result<Page*> hit = pool.Fetch(0);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  miss.join();
+  ASSERT_TRUE(hit.ok());
+  EXPECT_LT(elapsed, std::chrono::microseconds(kSlowReadUs / 2))
+      << "a hit waited out another page's read";
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(pool.stats().misses, 2u);
+}
+
+// Fetches of a page whose read is in flight wait for that read: one
+// device read, one miss, and hits for the rest — a blind fetch too,
+// which must not install a zeroed frame over the page being read.
+TEST(BufferPoolTest, ConcurrentMissesOfOnePageCostOneRead) {
+  Disk disk(4);
+  Page seed;
+  seed.WriteSlot(0, 77);
+  ASSERT_TRUE(disk.WritePage(2, seed).ok());
+  BufferPool pool(&disk, 0, SlowReads());
+  std::thread first([&pool] { EXPECT_TRUE(pool.Fetch(2).ok()); });
+  AwaitDeviceReads(pool, 1);
+  std::thread blind([&pool] {
+    Result<Page*> page = pool.FetchBlind(2);
+    ASSERT_TRUE(page.ok());
+    EXPECT_EQ(page.value()->ReadSlot(0), 77);
+  });
+  const Result<Page*> second = pool.Fetch(2);
+  first.join();
+  blind.join();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value()->ReadSlot(0), 77);
+  EXPECT_EQ(pool.async_io()->stats().reads, 1u);
+  EXPECT_EQ(disk.stats().reads, 1u);
+  const BufferPoolStats& stats = pool.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.blind_installs, 0u);
+  EXPECT_EQ(stats.fetches, stats.hits + stats.misses + stats.blind_installs);
+}
+
+// A failed miss read clears its in-flight mark: the fetch waiting on it
+// misses and reads the page itself (failing too, the fault is sticky),
+// and once the fault heals the page is read normally — nobody hangs.
+TEST(BufferPoolTest, FailedMissReadClearsTheInFlightMark) {
+  Disk disk(4);
+  FaultInjectorOptions faults;
+  faults.read_error_probability = 1.0;
+  FaultInjector injector(faults, /*seed=*/1);
+  disk.set_fault_injector(&injector);
+  BufferPool pool(&disk, 0, SlowReads());
+  Status first_status;
+  std::thread first([&pool, &first_status] {
+    first_status = pool.Fetch(3).status();
+  });
+  AwaitDeviceReads(pool, 1);
+  const Result<Page*> second = pool.Fetch(3);
+  first.join();
+  EXPECT_FALSE(first_status.ok());
+  EXPECT_FALSE(second.ok());
+  EXPECT_FALSE(pool.IsCached(3));
+  const BufferPoolStats& stats = pool.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.fetches, stats.hits + stats.misses + stats.blind_installs);
+
+  injector.set_paused(true);
+  injector.HealAll(&disk);
+  EXPECT_TRUE(pool.Fetch(3).ok());
+  disk.set_fault_injector(nullptr);
 }
 
 TEST(BufferPoolTest, FlushCleanPageIsNoOp) {

@@ -248,6 +248,13 @@ Result<core::Lsn> MiniDb::SessionApply(Session& session,
   if (recorder.enabled()) {
     recorder.EndSpan(obs::FlightEventType::kLatchWait, latch_tick, op.page);
   }
+  if (OpDependsOnPageShape(op)) {
+    // A B-tree op on a page that is not the node it needs is refused
+    // here, under the latch, before its undo info or record is logged.
+    Result<storage::Page*> cached = pool_.Fetch(op.page);
+    if (!cached.ok()) return cached.status();
+    REDO_RETURN_IF_ERROR(ValidateOpOnPage(op, *cached.value()));
+  }
   if (session.txn_id_ != 0) {
     // Transactional: log the inverse BEFORE the operation record, under
     // the same latch. Any force that makes the operation durable has
@@ -300,6 +307,17 @@ Result<methods::RecoveryMethod::SplitLsns> MiniDb::SessionSplit(
   if (recorder.enabled()) {
     recorder.EndSpan(obs::FlightEventType::kLatchWait, latch_tick, op.src, 0,
                      op.dst);
+  }
+  if (op.transform == SplitTransform::kBtreeNode ||
+      op.transform == SplitTransform::kBtreeMerge) {
+    // Node shapes are checked before anything is logged. src is copied
+    // out: fetching dst may evict it under a bounded cache.
+    Result<storage::Page*> src = pool_.Fetch(op.src);
+    if (!src.ok()) return src.status();
+    const storage::Page src_copy = *src.value();
+    Result<storage::Page*> dst = pool_.Fetch(op.dst);
+    if (!dst.ok()) return dst.status();
+    REDO_RETURN_IF_ERROR(ValidateSplitOnPages(op, src_copy, *dst.value()));
   }
   if (session.txn_id_ != 0) {
     // A split's inverse restores both halves from their before-images.
@@ -598,18 +616,32 @@ Status MiniDb::Recover() {
 Status MiniDb::RecoverInternal() {
   REDO_RETURN_IF_ERROR(PrepareLogForRecovery());
   // Three passes (DESIGN.md §12): analysis classifies winners/losers
-  // from the salvaged log, the method's redo repeats history (CLRs
-  // included), undo rolls the losers back emitting new CLRs. Each pass
-  // is idempotent, so degradation-ladder reruns and crash-mid-undo
-  // re-recoveries converge to the same committed-only state.
+  // from the salvaged log, redo repeats history (CLRs included), undo
+  // rolls the losers back emitting new CLRs. Each pass is idempotent,
+  // so degradation-ladder reruns and crash-mid-undo re-recoveries
+  // converge to the same committed-only state.
   txn_registry_.Clear();
   methods::EngineContext context = ctx();
-  Result<methods::TxnAnalysis> analysis =
-      methods::AnalyzeTransactions(context);
-  if (!analysis.ok()) return analysis.status();
-  REDO_RETURN_IF_ERROR(method_->Recover(context));
-  REDO_RETURN_IF_ERROR(methods::UndoLosers(context, analysis.value()));
-  txn_registry_.SeedNextId(analysis.value().max_txn_id);
+  methods::TxnAnalysis txns;
+  if (engine_options_.parallel_workers > 1) {
+    // One analysis visit builds the transaction table, the DPT and the
+    // plan the parallel scheduler replays (DESIGN.md §9).
+    Result<methods::RestartAnalysis> analysis = [&] {
+      obs::PhaseScope analysis_phase(recovery_tracer(), "analysis");
+      return methods::AnalyzeForRestart(*method_, context);
+    }();
+    if (!analysis.ok()) return analysis.status();
+    REDO_RETURN_IF_ERROR(methods::RedoInParallel(context, analysis.value()));
+    txns = std::move(analysis.value().txns);
+  } else {
+    Result<methods::TxnAnalysis> analysis =
+        methods::AnalyzeTransactions(context);
+    if (!analysis.ok()) return analysis.status();
+    REDO_RETURN_IF_ERROR(method_->Recover(context));
+    txns = std::move(analysis).value();
+  }
+  REDO_RETURN_IF_ERROR(methods::UndoLosers(context, txns));
+  txn_registry_.SeedNextId(txns.max_txn_id);
   return Status::Ok();
 }
 
@@ -684,17 +716,18 @@ Status MiniDb::RecoverInstant() {
   instant_driver_.reset();  // quiesced here: no sessions, no workers
   const Status prepared = PrepareLogForRecovery();
   if (!prepared.ok()) return fail(prepared);
-  Result<methods::RecoveryMethod::InstantAnalysis> analysis = [&] {
+  // One analysis visit: the transaction table, the DPT and the plan.
+  Result<methods::RestartAnalysis> analysis = [&] {
     obs::PhaseScope analysis_phase(tracer, "analysis");
     methods::EngineContext context = ctx();
-    return method_->AnalyzeForInstantRestart(context);
+    return methods::AnalyzeForRestart(*method_, context);
   }();
   if (!analysis.ok()) return fail(analysis.status());
   const size_t pending_tasks = analysis.value().plan.tasks.size();
   const size_t multi_page = analysis.value().plan.multi_page_tasks;
   instant_driver_ = std::make_unique<par::InstantRedoDriver>(
       &pool_, num_pages(), std::move(analysis.value().plan),
-      std::move(analysis.value().options), &instant_metrics_);
+      std::move(analysis.value().redo), &instant_metrics_);
   // Loser rollback happens BEFORE the doors open: no session may
   // observe a loser's write, and no loser page may be served before its
   // redo chain is drained. The before_touch hook drains each page the
@@ -704,22 +737,17 @@ Status MiniDb::RecoverInstant() {
   {
     txn_registry_.Clear();
     methods::EngineContext context = ctx();
-    Result<methods::TxnAnalysis> txns =
-        methods::AnalyzeTransactions(context);
-    if (!txns.ok()) {
-      instant_driver_.reset();
-      return fail(txns.status());
-    }
+    const methods::TxnAnalysis& txns = analysis.value().txns;
     par::InstantRedoDriver* driver = instant_driver_.get();
     const Status undone = methods::UndoLosers(
-        context, txns.value(), [driver](storage::PageId page) {
+        context, txns, [driver](storage::PageId page) {
           return driver->DrainPage(page, /*on_demand=*/true);
         });
     if (!undone.ok()) {
       instant_driver_.reset();
       return fail(undone);
     }
-    txn_registry_.SeedNextId(txns.value().max_txn_id);
+    txn_registry_.SeedNextId(txns.max_txn_id);
   }
   if (tracer != nullptr) {
     tracer->Note("instant restart: open for traffic with " +

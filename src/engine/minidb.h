@@ -128,7 +128,8 @@ class MiniDb {
   }
 
   /// Instant restart (requires engine_options().instant_restart): runs
-  /// salvage + the method's analysis, then opens for Session traffic
+  /// salvage, the analysis visit (methods/analysis.h) and loser undo,
+  /// then opens for Session traffic
   /// immediately — entering concurrent mode itself — while redo drains
   /// lazily. A session touching page P first drains P's pending chain;
   /// instant_drain_workers background threads drain the remaining
@@ -136,7 +137,7 @@ class MiniDb {
   /// is SERVING (phase kServing), not once it is recovered; call
   /// WaitUntilRecovered() to quiesce into kRecovered, or Crash() to
   /// tear serving down. Refuses with live sessions, in concurrent mode,
-  /// or when the method/configuration cannot serve while redoing.
+  /// or when the configuration cannot serve while redoing.
   Status RecoverInstant();
 
   /// Blocks until the background drain finishes, closes the timeline

@@ -168,6 +168,83 @@ Status ValidateSplitOp(const SplitOp& op) {
   return Status::InvalidArgument("unknown split transform");
 }
 
+bool OpDependsOnPageShape(const SinglePageOp& op) {
+  return op.type == wal::RecordType::kBtreeInsert ||
+         op.type == wal::RecordType::kBtreeRemove ||
+         op.type == wal::RecordType::kPageRewrite;
+}
+
+Status ValidateOpOnPage(const SinglePageOp& op, const Page& page) {
+  const btree::NodeRef node(page);
+  wal::PayloadReader r(op.args);
+  switch (op.type) {
+    case wal::RecordType::kBtreeInsert: {
+      Result<int64_t> key = r.I64();
+      if (!key.ok()) return key.status();
+      if (!node.initialized()) {
+        return Status::InvalidArgument("btree insert into uninitialized node");
+      }
+      if (node.count() >= btree::NodeRef::Capacity() &&
+          !node.Contains(key.value())) {
+        return Status::FailedPrecondition("btree node full");
+      }
+      return Status::Ok();
+    }
+    case wal::RecordType::kBtreeRemove:
+      if (!node.initialized()) {
+        return Status::InvalidArgument("btree remove from uninitialized node");
+      }
+      return Status::Ok();
+    case wal::RecordType::kPageRewrite: {
+      Result<uint8_t> transform = r.U8();
+      if (!transform.ok()) return transform.status();
+      if (static_cast<SplitTransform>(transform.value()) ==
+              SplitTransform::kBtreeNode &&
+          !node.initialized()) {
+        return Status::InvalidArgument("btree rewrite of uninitialized node");
+      }
+      return Status::Ok();
+    }
+    default:
+      return Status::Ok();
+  }
+}
+
+Status ValidateSplitOnPages(const SplitOp& op, const Page& src,
+                            const Page& dst) {
+  const btree::NodeRef from(src);
+  switch (op.transform) {
+    case SplitTransform::kBtreeNode:
+      if (!from.initialized()) {
+        return Status::InvalidArgument("btree split of uninitialized node");
+      }
+      if (!from.is_leaf() && from.count() == 0) {
+        return Status::InvalidArgument(
+            "btree split of an internal node with no entry to push up");
+      }
+      return Status::Ok();
+    case SplitTransform::kBtreeMerge: {
+      const btree::NodeRef into(dst);
+      if (!from.initialized() || !into.initialized() || !from.is_leaf() ||
+          !into.is_leaf()) {
+        return Status::InvalidArgument("btree merge needs two leaves");
+      }
+      uint32_t merged = into.count();
+      for (uint32_t i = 0; i < from.count(); ++i) {
+        if (!into.Contains(from.key(i))) ++merged;
+      }
+      if (merged > btree::NodeRef::Capacity()) {
+        return Status::FailedPrecondition("btree merge overflows dst");
+      }
+      return Status::Ok();
+    }
+    case SplitTransform::kSlotHalf:
+    case SplitTransform::kSlotTransfer:
+      return Status::Ok();
+  }
+  return Status::InvalidArgument("unknown split transform");
+}
+
 Status ApplySinglePageOp(const SinglePageOp& op, Page* page) {
   wal::PayloadReader r(op.args);
   switch (op.type) {

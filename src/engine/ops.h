@@ -88,6 +88,18 @@ SinglePageOp MakeBtreeInit(PageId page, bool is_leaf, uint32_t aux);
 /// would stay in the log and fail the next recovery.
 Status ValidateSinglePageOp(const SinglePageOp& op);
 
+/// True if whether `page` can take `op` depends on the page's contents
+/// (B-tree inserts, removes and node rewrites): ValidateOpOnPage then
+/// needs the cached page.
+bool OpDependsOnPageShape(const SinglePageOp& op);
+
+/// Checks that `page` has the node shape `op` needs: a B-tree insert an
+/// initialized node with a free entry (or the key already present), a
+/// remove an initialized node, a kBtreeNode rewrite an initialized
+/// source. Everything else passes. Callers check under the page latch,
+/// before any record is appended: the apply would refuse or abort.
+Status ValidateOpOnPage(const SinglePageOp& op, const Page& page);
+
 /// Applies a single-page op to the page image. Deterministic; returns
 /// InvalidArgument on malformed args. Does NOT set the page LSN (the
 /// caller tags the page with the log record's LSN).
@@ -109,6 +121,14 @@ struct SplitOp {
 /// arguments (page ids are the engine's to range-check).
 /// InvalidArgument otherwise.
 Status ValidateSplitOp(const SplitOp& op);
+
+/// Checks that `src` and `dst` have the node shapes `op` needs: a
+/// kBtreeNode split an initialized source (an internal one with an
+/// entry to push up), a merge two initialized leaves whose keys fit in
+/// dst. Slot transforms pass. Checked under both latches, before any
+/// record is appended.
+Status ValidateSplitOnPages(const SplitOp& op, const Page& src,
+                            const Page& dst);
 
 /// Builds a slot transfer: dst[dst_slot] <- src[src_slot]; the paired
 /// rewrite (MakeRewriteForSplit) zeroes src[src_slot].

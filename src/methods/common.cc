@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "redo/plan.h"
-#include "redo/scheduler.h"
-
 namespace redo::methods {
 
 Result<core::Lsn> RecoveryMethod::RedoScanStart(const EngineContext& ctx) const {
@@ -15,13 +12,6 @@ Result<core::Lsn> RecoveryMethod::FuzzyCheckpoint(EngineContext& ctx) {
   (void)ctx;
   return Status::FailedPrecondition(std::string(name()) +
                                     " cannot checkpoint fuzzily");
-}
-
-Result<RecoveryMethod::InstantAnalysis> RecoveryMethod::AnalyzeForInstantRestart(
-    EngineContext& ctx) {
-  (void)ctx;
-  return Status::FailedPrecondition(std::string(name()) +
-                                    " does not support instant restart");
 }
 
 namespace internal_methods {
@@ -279,51 +269,6 @@ Status SerialLsnApply(EngineContext& ctx,
   return Status::Ok();
 }
 
-// Parallel LSN-test apply: partition pages across workers, replay the
-// write-graph chains concurrently, then finish the serial-order parts
-// (tracer verdicts, §6.4 constraint re-arming) from the merged result.
-Status ParallelLsnApply(EngineContext& ctx,
-                        std::vector<wal::LogRecord> records,
-                        bool add_split_constraints,
-                        const std::map<storage::PageId, core::Lsn>* dpt,
-                        RecoveryMethod::RedoScanStats& s) {
-  Result<par::RedoPlan> plan =
-      par::BuildRedoPlan(std::move(records), /*whole_splits=*/false);
-  if (!plan.ok()) return plan.status();
-  par::ParallelRedoOptions options;
-  options.workers = ctx.options.parallel_workers;
-  options.mode = par::ParallelRedoOptions::Mode::kLsnTest;
-  options.dpt = dpt;
-  const par::ParallelRedoReport report = par::RunParallelRedo(
-      ctx.pool, plan.value(), options, ctx.parallel_metrics);
-  s.scanned += report.scanned;
-  s.replayed += report.replayed;
-  s.skipped_without_fetch += report.skipped_without_fetch;
-  s.page_fetches += report.page_fetches;
-  if (ctx.tracer != nullptr) {
-    for (const par::TaskVerdict& v : report.verdicts) {
-      ctx.tracer->Verdict(v.lsn, v.page, v.verdict, v.reason);
-    }
-  }
-  REDO_RETURN_IF_ERROR(report.status);
-  if (add_split_constraints) {
-    // Re-arm write-order constraints single-threaded in LSN order over
-    // the merged pool — same acyclicity rule as the serial scan.
-    for (size_t index : report.replayed_splits) {
-      const engine::SplitOp& split = plan.value().tasks[index].split;
-      const core::Lsn lsn = plan.value().tasks[index].lsn;
-      if (ctx.pool->HasPendingOrderPath(split.src, split.dst)) {
-        REDO_RETURN_IF_ERROR(ctx.pool->FlushPageCascading(split.dst));
-      } else {
-        ctx.pool->AddWriteOrderConstraint(split.dst, lsn, split.src);
-      }
-    }
-  }
-  // Partitions are unbounded; shrink back under the pool's capacity now
-  // that eviction-triggered flushes see the re-armed constraints.
-  return ctx.pool->ReduceToCapacity();
-}
-
 }  // namespace
 
 Status LsnRedoScan(EngineContext& ctx, bool add_split_constraints,
@@ -342,12 +287,8 @@ Status LsnRedoScan(EngineContext& ctx, bool add_split_constraints,
   // keep earlier rungs' counts — per-rung work comes from deltas,
   // totals from the sum — instead of having rung 0 zeroed away.
   RecoveryMethod::RedoScanStats local;
-  const Status status =
-      ctx.options.parallel_workers > 1
-          ? ParallelLsnApply(ctx, std::move(records.value()),
-                             add_split_constraints, dpt, local)
-          : SerialLsnApply(ctx, records.value(), add_split_constraints, dpt,
-                           local);
+  const Status status = SerialLsnApply(ctx, records.value(),
+                                       add_split_constraints, dpt, local);
   if (stats != nullptr) {
     stats->scanned += local.scanned;
     stats->replayed += local.replayed;
@@ -355,38 +296,6 @@ Status LsnRedoScan(EngineContext& ctx, bool add_split_constraints,
     stats->page_fetches += local.page_fetches;
   }
   return status;
-}
-
-Result<std::vector<wal::LogRecord>> StableSuffixForRedo(EngineContext& ctx) {
-  Result<core::Lsn> redo_start = ReadRedoScanStart(ctx);
-  if (!redo_start.ok()) return redo_start.status();
-  REDO_RETURN_IF_ERROR(TraceCheckpointChosen(ctx, redo_start.value()));
-  return ctx.log->StableRecords(redo_start.value());
-}
-
-Status ParallelRedoAll(EngineContext& ctx, std::vector<wal::LogRecord> records,
-                       bool whole_splits,
-                       RecoveryMethod::RedoScanStats* stats) {
-  Result<par::RedoPlan> plan =
-      par::BuildRedoPlan(std::move(records), whole_splits);
-  if (!plan.ok()) return plan.status();
-  par::ParallelRedoOptions options;
-  options.workers = ctx.options.parallel_workers;
-  options.mode = par::ParallelRedoOptions::Mode::kRedoAll;
-  const par::ParallelRedoReport report = par::RunParallelRedo(
-      ctx.pool, plan.value(), options, ctx.parallel_metrics);
-  if (stats != nullptr) {
-    stats->scanned += report.scanned;
-    stats->replayed += report.replayed;
-    stats->page_fetches += report.page_fetches;
-  }
-  if (ctx.tracer != nullptr) {
-    for (const par::TaskVerdict& v : report.verdicts) {
-      ctx.tracer->Verdict(v.lsn, v.page, v.verdict, v.reason);
-    }
-  }
-  REDO_RETURN_IF_ERROR(report.status);
-  return ctx.pool->ReduceToCapacity();
 }
 
 Result<core::Lsn> AppendCheckpointRecordWithDpt(EngineContext& ctx,

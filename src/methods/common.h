@@ -69,10 +69,10 @@ Status TraceLoggedOp(EngineContext& ctx, core::Lsn lsn, std::string name,
                      std::vector<storage::PageId> reads,
                      const std::vector<storage::PageId>& writes);
 
-/// LSN-tag redo scan shared by the physiological and generalized-LSN
-/// methods: replays every stable record from the redo point whose target
-/// page carries an older LSN. `add_split_constraints` re-arms the §6.4
-/// write-order constraint when a split is redone.
+/// Serial LSN-tag redo scan shared by the physiological and
+/// generalized-LSN methods: replays every stable record from the redo
+/// point whose target page carries an older LSN. `add_split_constraints`
+/// re-arms the §6.4 write-order constraint when a split is redone.
 ///
 /// With a non-null `dpt` (dirty page table, page -> rec_lsn, produced by
 /// an analysis pass), records whose target page is absent from the table
@@ -82,24 +82,6 @@ Status TraceLoggedOp(EngineContext& ctx, core::Lsn lsn, std::string name,
 Status LsnRedoScan(EngineContext& ctx, bool add_split_constraints,
                    const std::map<storage::PageId, core::Lsn>* dpt = nullptr,
                    RecoveryMethod::RedoScanStats* stats = nullptr);
-
-/// The stable-log suffix recovery must consider: decodes the scan start
-/// from the latest stable checkpoint, emits the checkpoint-chosen
-/// timeline event, and reads the stable records from there. Shared by
-/// the methods' AnalyzeForInstantRestart implementations.
-Result<std::vector<wal::LogRecord>> StableSuffixForRedo(EngineContext& ctx);
-
-/// Parallel redo-all apply (§6.1/§6.2 methods) over the already-read
-/// stable records, used when ctx.options.parallel_workers > 1:
-/// partitions pages across workers (src/redo), replays every record,
-/// emits the merged verdicts in LSN order, and re-enforces the pool's
-/// capacity. `whole_splits` selects the logical method's one-record
-/// split shape. `stats`, if non-null, accumulates scan counters. Takes
-/// the records by value so their payloads (notably 4KB page images)
-/// move into the plan rather than being copied in the serial section.
-Status ParallelRedoAll(EngineContext& ctx, std::vector<wal::LogRecord> records,
-                       bool whole_splits,
-                       RecoveryMethod::RedoScanStats* stats = nullptr);
 
 /// Appends a checkpoint record carrying the redo-scan start AND the
 /// current dirty page table (for analysis-based recovery), then forces

@@ -105,20 +105,12 @@ class GeneralizedLsnMethod : public RecoveryMethod {
 
   RedoScanStats last_scan_stats() const override { return last_stats_; }
 
-  Result<InstantAnalysis> AnalyzeForInstantRestart(EngineContext& ctx) override {
-    Result<std::vector<wal::LogRecord>> records =
-        internal_methods::StableSuffixForRedo(ctx);
-    if (!records.ok()) return records.status();
-    Result<par::RedoPlan> plan = par::BuildRedoPlan(std::move(records.value()),
-                                                    /*whole_splits=*/false);
-    if (!plan.ok()) return plan.status();
-    InstantAnalysis analysis;
-    analysis.plan = std::move(plan.value());
-    analysis.options.mode = par::InstantRedoOptions::Mode::kLsnTest;
-    // §6.4: replayed splits re-arm the careful write order eagerly, so
-    // flushes issued while serving respect it.
-    analysis.options.add_split_constraints = true;
-    return analysis;
+  RedoPlanning redo_planning() const override {
+    // §6.4: replayed splits re-arm the careful write order, so flushes
+    // issued while serving (or after the merge) respect it.
+    RedoPlanning planning;
+    planning.add_split_constraints = true;
+    return planning;
   }
 
  private:

@@ -126,22 +126,6 @@ class LogicalMethod : public RecoveryMethod {
     Result<std::vector<wal::LogRecord>> records =
         ctx.log->StableRecords(redo_start.value());
     if (!records.ok()) return records.status();
-    if (ctx.options.parallel_workers > 1) {
-      // whole_splits: a kPageSplit record replays both halves (dst and
-      // the src rewrite) as one atomic task, exactly like
-      // ApplyWholeSplit below.
-      for (const wal::LogRecord& record : records.value()) {
-        if (record.type != wal::RecordType::kCheckpoint &&
-            record.type != wal::RecordType::kLogicalOp &&
-            record.type != wal::RecordType::kPageSplit &&
-            record.type != wal::RecordType::kClr &&
-            !wal::IsTxnMetaRecord(record.type)) {
-          return Status::Corruption("unexpected record type in logical log");
-        }
-      }
-      return internal_methods::ParallelRedoAll(ctx, std::move(records.value()),
-                                               /*whole_splits=*/true);
-    }
     // Redo-all test: everything since the checkpoint is uninstalled.
     auto applied = [&ctx](core::Lsn lsn, PageId page) {
       if (ctx.tracer != nullptr) {
@@ -195,32 +179,29 @@ class LogicalMethod : public RecoveryMethod {
     return Status::Ok();
   }
 
-  Result<InstantAnalysis> AnalyzeForInstantRestart(EngineContext& ctx) override {
-    // The heal is analysis work: it repairs the *stable* state (disk
-    // from staging), touching no cached page, so it belongs before the
-    // engine opens for traffic.
-    REDO_RETURN_IF_ERROR(HealStagedPages(ctx));
-    Result<std::vector<wal::LogRecord>> records =
-        internal_methods::StableSuffixForRedo(ctx);
-    if (!records.ok()) return records.status();
-    for (const wal::LogRecord& record : records.value()) {
-      if (record.type != wal::RecordType::kCheckpoint &&
-          record.type != wal::RecordType::kLogicalOp &&
-          record.type != wal::RecordType::kPageSplit &&
-          record.type != wal::RecordType::kClr &&
-          !wal::IsTxnMetaRecord(record.type)) {
-        return Status::Corruption("unexpected record type in logical log");
-      }
+  RedoPlanning redo_planning() const override {
+    // A kPageSplit record replays both halves (dst and the src rewrite)
+    // as one atomic task, exactly like ApplyWholeSplit below.
+    RedoPlanning planning;
+    planning.whole_splits = true;
+    return planning;
+  }
+
+  Status ClassifyRecord(wal::RecordType type) const override {
+    if (type == wal::RecordType::kCheckpoint ||
+        type == wal::RecordType::kLogicalOp ||
+        type == wal::RecordType::kPageSplit || type == wal::RecordType::kClr ||
+        wal::IsTxnMetaRecord(type)) {
+      return Status::Ok();
     }
-    // whole_splits: one kPageSplit task replays both halves atomically,
-    // exactly like ApplyWholeSplit.
-    Result<par::RedoPlan> plan = par::BuildRedoPlan(std::move(records.value()),
-                                                    /*whole_splits=*/true);
-    if (!plan.ok()) return plan.status();
-    InstantAnalysis analysis;
-    analysis.plan = std::move(plan.value());
-    analysis.options.mode = par::InstantRedoOptions::Mode::kRedoAll;
-    return analysis;
+    return Status::Corruption("unexpected record type in logical log");
+  }
+
+  /// The heal is analysis work: it repairs the *stable* state (disk from
+  /// staging), touching no cached page, so it runs before the analysis
+  /// visit and before the engine opens for traffic.
+  Status PrepareStableState(EngineContext& ctx) override {
+    return HealStagedPages(ctx);
   }
 
  private:

@@ -18,8 +18,6 @@
 #include "engine/trace.h"
 #include "engine/txn.h"
 #include "obs/recovery_trace.h"
-#include "redo/instant.h"
-#include "redo/plan.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
 #include "util/status.h"
@@ -92,22 +90,35 @@ class RecoveryMethod {
   /// FailedPrecondition when supports_fuzzy_checkpoint() is false.
   virtual Result<core::Lsn> FuzzyCheckpoint(EngineContext& ctx);
 
-  /// Runs crash recovery: rebuilds the cached state from the stable
-  /// state and the stable log.
+  /// Runs serial crash recovery: rebuilds the cached state from the
+  /// stable state and the stable log, one record at a time. Parallel
+  /// and instant restarts replay the plan of the one analysis visit
+  /// instead (methods/analysis.h), shaped by the three hooks below.
   virtual Status Recover(EngineContext& ctx) = 0;
 
-  /// The analysis prefix of Recover(), for instant restart: everything
-  /// short of touching pages. The caller has already salvaged the log
-  /// tail; the method validates the stable suffix, performs any
-  /// method-specific repair of the stable state (the logical method's
-  /// staging-area heal), and returns the §5 redo plan plus the redo-test
-  /// configuration an InstantRedoDriver needs to replay it lazily.
-  /// Default: FailedPrecondition (method cannot serve while redoing).
-  struct InstantAnalysis {
-    par::RedoPlan plan;
-    par::InstantRedoOptions options;
+  /// How the analysis visit plans this method's redo. The visit is the
+  /// same for every method; each answers only these questions.
+  struct RedoPlanning {
+    /// One kPageSplit record replays both halves as one atomic task
+    /// (the logical method's split shape).
+    bool whole_splits = false;
+    /// Replayed splits re-arm the §6.4 careful write order.
+    bool add_split_constraints = false;
+    /// The visit rebuilds the dirty-page table (§4.3), so redo skips
+    /// installed records without page I/O.
+    bool analysis_dpt = false;
   };
-  virtual Result<InstantAnalysis> AnalyzeForInstantRestart(EngineContext& ctx);
+  virtual RedoPlanning redo_planning() const { return {}; }
+
+  /// Classifies one stable record from the redo start on: Ok if the
+  /// method's redo replays or ignores it, Corruption if its log can
+  /// never hold it (a physical log holds only images). Default: Ok.
+  virtual Status ClassifyRecord(wal::RecordType) const { return Status::Ok(); }
+
+  /// Repairs the stable state before the analysis visit reads the log,
+  /// touching no cached page (the logical method finishes an
+  /// interrupted checkpoint's staging copy). Default: nothing to do.
+  virtual Status PrepareStableState(EngineContext&) { return Status::Ok(); }
 
   /// Classification of the method's redo test, used by the checker to
   /// instantiate the matching formal policy.

@@ -74,24 +74,9 @@ class PhysicalMethod : public RecoveryMethod {
     Result<std::vector<wal::LogRecord>> records =
         ctx.log->StableRecords(redo_start.value());
     if (!records.ok()) return records.status();
-    if (ctx.options.parallel_workers > 1) {
-      // Page images on different pages never conflict, so the write
-      // graph is pure per-page chains — the ideal parallel shape.
-      // Validate the log's record types up front, as the serial loop
-      // would.
-      for (const wal::LogRecord& record : records.value()) {
-        if (record.type != wal::RecordType::kCheckpoint &&
-            record.type != wal::RecordType::kPageImage &&
-            record.type != wal::RecordType::kClr &&
-            !wal::IsTxnMetaRecord(record.type)) {
-          return Status::Corruption("physical log contains a non-image record");
-        }
-      }
-      return internal_methods::ParallelRedoAll(ctx, std::move(records.value()),
-                                               /*whole_splits=*/false);
-    }
     // Redo everything, unconditionally, in log order.
     for (const wal::LogRecord& record : records.value()) {
+      REDO_RETURN_IF_ERROR(ClassifyRecord(record.type));
       if (record.type == wal::RecordType::kCheckpoint ||
           wal::IsTxnMetaRecord(record.type)) {
         continue;
@@ -110,9 +95,6 @@ class PhysicalMethod : public RecoveryMethod {
         }
         continue;
       }
-      if (record.type != wal::RecordType::kPageImage) {
-        return Status::Corruption("physical log contains a non-image record");
-      }
       Result<std::pair<PageId, Page>> decoded =
           engine::DecodePageImage(record.payload);
       if (!decoded.ok()) return decoded.status();
@@ -126,25 +108,14 @@ class PhysicalMethod : public RecoveryMethod {
     return Status::Ok();
   }
 
-  Result<InstantAnalysis> AnalyzeForInstantRestart(EngineContext& ctx) override {
-    Result<std::vector<wal::LogRecord>> records =
-        internal_methods::StableSuffixForRedo(ctx);
-    if (!records.ok()) return records.status();
-    for (const wal::LogRecord& record : records.value()) {
-      if (record.type != wal::RecordType::kCheckpoint &&
-          record.type != wal::RecordType::kPageImage &&
-          record.type != wal::RecordType::kClr &&
-          !wal::IsTxnMetaRecord(record.type)) {
-        return Status::Corruption("physical log contains a non-image record");
-      }
+  /// A physical log holds page images, CLRs and metadata, nothing else.
+  Status ClassifyRecord(wal::RecordType type) const override {
+    if (type == wal::RecordType::kCheckpoint ||
+        type == wal::RecordType::kPageImage ||
+        type == wal::RecordType::kClr || wal::IsTxnMetaRecord(type)) {
+      return Status::Ok();
     }
-    Result<par::RedoPlan> plan = par::BuildRedoPlan(std::move(records.value()),
-                                                    /*whole_splits=*/false);
-    if (!plan.ok()) return plan.status();
-    InstantAnalysis analysis;
-    analysis.plan = std::move(plan.value());
-    analysis.options.mode = par::InstantRedoOptions::Mode::kRedoAll;
-    return analysis;
+    return Status::Corruption("physical log contains a non-image record");
   }
 
  private:

@@ -83,11 +83,6 @@ class PartialPhysicalMethod : public RecoveryMethod {
     Result<std::vector<wal::LogRecord>> records =
         ctx.log->StableRecords(redo_start.value());
     if (!records.ok()) return records.status();
-    if (ctx.options.parallel_workers > 1) {
-      return internal_methods::ParallelRedoAll(ctx, std::move(records.value()),
-                                               /*whole_splits=*/false,
-                                               &last_stats_);
-    }
     // Counters accumulate across Recover() calls (see last_scan_stats):
     // ladder reruns add to, never clobber, earlier rungs' work.
     for (const wal::LogRecord& record : records.value()) {
@@ -136,19 +131,6 @@ class PartialPhysicalMethod : public RecoveryMethod {
   }
 
   RedoScanStats last_scan_stats() const override { return last_stats_; }
-
-  Result<InstantAnalysis> AnalyzeForInstantRestart(EngineContext& ctx) override {
-    Result<std::vector<wal::LogRecord>> records =
-        internal_methods::StableSuffixForRedo(ctx);
-    if (!records.ok()) return records.status();
-    Result<par::RedoPlan> plan = par::BuildRedoPlan(std::move(records.value()),
-                                                    /*whole_splits=*/false);
-    if (!plan.ok()) return plan.status();
-    InstantAnalysis analysis;
-    analysis.plan = std::move(plan.value());
-    analysis.options.mode = par::InstantRedoOptions::Mode::kRedoAll;
-    return analysis;
-  }
 
  private:
   Result<core::Lsn> LogImage(EngineContext& ctx, PageId page_id) {

@@ -13,6 +13,7 @@
 
 #include "methods/common.h"
 #include "methods/method.h"
+#include "redo/plan.h"
 
 namespace redo::methods {
 namespace {
@@ -123,23 +124,10 @@ class PhysiologicalMethod : public RecoveryMethod {
 
   RedoScanStats last_scan_stats() const override { return last_stats_; }
 
-  Result<InstantAnalysis> AnalyzeForInstantRestart(EngineContext& ctx) override {
-    InstantAnalysis analysis;
-    analysis.options.mode = par::InstantRedoOptions::Mode::kLsnTest;
-    if (aries_analysis_) {
-      Result<std::map<storage::PageId, core::Lsn>> dpt = BuildAnalysisDpt(ctx);
-      if (!dpt.ok()) return dpt.status();
-      analysis.options.use_dpt = true;
-      analysis.options.dpt = std::move(dpt).value();
-    }
-    Result<std::vector<wal::LogRecord>> records =
-        internal_methods::StableSuffixForRedo(ctx);
-    if (!records.ok()) return records.status();
-    Result<par::RedoPlan> plan = par::BuildRedoPlan(std::move(records.value()),
-                                                    /*whole_splits=*/false);
-    if (!plan.ok()) return plan.status();
-    analysis.plan = std::move(plan.value());
-    return analysis;
+  RedoPlanning redo_planning() const override {
+    RedoPlanning planning;
+    planning.analysis_dpt = aries_analysis_;
+    return planning;
   }
 
  private:
@@ -159,48 +147,14 @@ class PhysiologicalMethod : public RecoveryMethod {
     if (!checkpoint.ok()) return checkpoint.status();
     const core::Lsn analysis_from =
         checkpoint.value().has_value() ? checkpoint.value()->lsn + 1 : 1;
-    // Visit the suffix in place: only each record's target page matters.
+    // Visit the suffix in place: only each record's written pages matter.
     const Result<wal::ScanExtent> scanned = ctx.log->VisitStable(
         analysis_from, [&dpt](const wal::LogRecord& record) -> Status {
-          std::vector<storage::PageId> written;
-          switch (record.type) {
-            case wal::RecordType::kCheckpoint:
-            case wal::RecordType::kTxnBegin:
-            case wal::RecordType::kTxnCommit:
-            case wal::RecordType::kTxnEnd:
-            case wal::RecordType::kTxnUpdate:
-              return Status::Ok();  // no page dirtied
-            case wal::RecordType::kClr: {
-              Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-              if (!clr.ok()) return clr.status();
-              for (const engine::UndoAction& action : clr.value().actions) {
-                written.push_back(action.page);
-              }
-              break;
-            }
-            case wal::RecordType::kPageImage: {
-              Result<std::pair<storage::PageId, storage::Page>> decoded =
-                  engine::DecodePageImage(record.payload);
-              if (!decoded.ok()) return decoded.status();
-              written.push_back(decoded.value().first);
-              break;
-            }
-            case wal::RecordType::kPageSplit: {
-              Result<engine::SplitOp> split =
-                  engine::DecodeSplitOp(record.payload);
-              if (!split.ok()) return split.status();
-              written.push_back(split.value().dst);
-              break;
-            }
-            default: {
-              Result<engine::SinglePageOp> op =
-                  engine::DecodeSinglePageOp(record.type, record.payload);
-              if (!op.ok()) return op.status();
-              written.push_back(op.value().page);
-              break;
-            }
-          }
-          for (storage::PageId page : written) {
+          Result<std::optional<par::RedoTask>> task =
+              par::DecodeRedoTask(record, /*whole_splits=*/false);
+          if (!task.ok()) return task.status();
+          if (!task.value().has_value()) return Status::Ok();  // no page dirtied
+          for (storage::PageId page : task.value()->Writes()) {
             dpt.emplace(page, record.lsn);  // keeps the earliest rec_lsn
           }
           return Status::Ok();

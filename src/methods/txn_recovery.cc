@@ -7,86 +7,6 @@
 
 namespace redo::methods {
 
-Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx) {
-  TxnAnalysis analysis;
-  Result<std::optional<wal::LogRecord>> checkpoint =
-      ctx.log->LatestStableCheckpoint();
-  if (!checkpoint.ok()) return checkpoint.status();
-  core::Lsn scan_from = 1;
-  if (checkpoint.value().has_value()) {
-    scan_from = checkpoint.value()->lsn;
-    const engine::CheckpointTxnTable table =
-        engine::ReadTxnTableTail(checkpoint.value()->payload);
-    if (table.present) {
-      analysis.max_txn_id = table.max_txn_id;
-      for (const engine::TxnTableEntry& entry : table.entries) {
-        analysis.losers[entry.txn_id] = entry.last_lsn;
-      }
-    }
-  }
-  // Visit the suffix in place: analysis reads a few header fields per
-  // record, and the suffix may hold megabytes of page images.
-  const Result<wal::ScanExtent> scanned = ctx.log->VisitStable(
-      scan_from, [&analysis](const wal::LogRecord& record) -> Status {
-        switch (record.type) {
-          case wal::RecordType::kTxnBegin: {
-            Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
-            if (!txn.ok()) return txn.status();
-            analysis.losers.emplace(txn.value(), 0);
-            analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
-            ++analysis.records_seen;
-            break;
-          }
-          case wal::RecordType::kTxnCommit: {
-            Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
-            if (!txn.ok()) return txn.status();
-            analysis.winners.insert(txn.value());
-            analysis.losers.erase(txn.value());
-            analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
-            ++analysis.records_seen;
-            break;
-          }
-          case wal::RecordType::kTxnEnd: {
-            // Fully committed or fully rolled back before the crash;
-            // either way nothing remains to undo.
-            Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
-            if (!txn.ok()) return txn.status();
-            analysis.losers.erase(txn.value());
-            analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
-            ++analysis.records_seen;
-            break;
-          }
-          case wal::RecordType::kTxnUpdate: {
-            Result<engine::TxnUpdate> update =
-                engine::DecodeTxnUpdate(record.payload);
-            if (!update.ok()) return update.status();
-            analysis.losers[update.value().txn_id] = record.lsn;
-            analysis.max_txn_id =
-                std::max(analysis.max_txn_id, update.value().txn_id);
-            ++analysis.records_seen;
-            break;
-          }
-          case wal::RecordType::kClr: {
-            // A CLR on the log means a previous rollback (runtime abort
-            // or a crashed undo pass) got this far; resuming from it
-            // hops the already-compensated prefix via undo_next.
-            Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-            if (!clr.ok()) return clr.status();
-            analysis.losers[clr.value().txn_id] = record.lsn;
-            analysis.max_txn_id =
-                std::max(analysis.max_txn_id, clr.value().txn_id);
-            ++analysis.records_seen;
-            break;
-          }
-          default:
-            break;
-        }
-        return Status::Ok();
-      });
-  if (!scanned.ok()) return scanned.status();
-  return analysis;
-}
-
 Status UndoLosers(EngineContext& ctx, const TxnAnalysis& analysis,
                   const std::function<Status(storage::PageId)>& before_touch) {
   if (analysis.losers.empty()) return Status::Ok();

@@ -1,55 +1,32 @@
-// Transaction analysis and loser undo — the two passes that bracket
-// every method's redo.
+// Loser undo — the pass that follows every method's redo.
 //
-// Analysis re-anchors the live-transaction table from the latest stable
-// checkpoint's txn tail (when present) and rolls it forward over the
-// stable suffix: a transaction with a stable kTxnCommit is a winner;
-// one with a stable kTxnEnd needs nothing; everything else live at the
-// crash is a loser. Undo then walks each loser's update chain in
-// reverse-LSN order (one merged reverse pass across all losers),
-// emitting a kClr per compensated kTxnUpdate whose undo_next back-chain
-// makes the pass restartable: resuming at a CLR jumps straight to the
-// first not-yet-compensated record, so a crash mid-undo never undoes
-// the same update twice, and arbitrarily many re-crashes converge to
-// the same committed-only state.
+// Analysis (methods/analysis.h) re-anchors the live-transaction table
+// from the latest stable checkpoint's txn tail (when present) and rolls
+// it forward over the stable suffix: a transaction with a stable
+// kTxnCommit is a winner; one with a stable kTxnEnd needs nothing;
+// everything else live at the crash is a loser. Undo then walks each
+// loser's update chain in reverse-LSN order (one merged reverse pass
+// across all losers), emitting a kClr per compensated kTxnUpdate whose
+// undo_next back-chain makes the pass restartable: resuming at a CLR
+// jumps straight to the first not-yet-compensated record, so a crash
+// mid-undo never undoes the same update twice, and arbitrarily many
+// re-crashes converge to the same committed-only state.
 //
 // Both passes are method-agnostic: they read the same salvaged log and
 // use only the buffer pool, so MiniDb runs them around whichever
-// method's Recover() is configured. With no losers both are silent —
-// no tracer phases, no CLRs, no metrics — keeping loser-free golden
+// method's redo is configured. With no losers both are silent — no
+// tracer phases, no CLRs, no metrics — keeping loser-free golden
 // timelines byte-identical.
 
 #ifndef REDO_METHODS_TXN_RECOVERY_H_
 #define REDO_METHODS_TXN_RECOVERY_H_
 
-#include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 
+#include "methods/analysis.h"
 #include "methods/method.h"
 
 namespace redo::methods {
-
-/// The analysis pass's winners/losers verdict over the stable log.
-struct TxnAnalysis {
-  /// Losers: live at the crash, to be rolled back. txn id -> last LSN of
-  /// its undo chain (kTxnUpdate or kClr; 0 = began but logged nothing).
-  std::map<uint64_t, core::Lsn> losers;
-  /// Winners: stable kTxnCommit found (their kTxnEnd may be missing).
-  std::set<uint64_t> winners;
-  /// Highest transaction id observed (checkpoint tail or records); the
-  /// id allocator is re-seeded past it after recovery.
-  uint64_t max_txn_id = 0;
-  /// Transaction records examined by the forward scan.
-  size_t records_seen = 0;
-};
-
-/// Builds the winners/losers table: seeds from the latest stable
-/// checkpoint's transaction tail, then scans the stable records from
-/// the checkpoint forward. Safe (and cheap) on logs with no
-/// transaction records: returns an empty table.
-Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx);
 
 /// Rolls back every loser in one merged reverse-LSN walk, emitting CLRs
 /// and a final kTxnEnd per loser, then forces the log. `before_touch`,

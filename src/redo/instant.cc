@@ -295,6 +295,14 @@ Status InstantRedoDriver::ApplyTask(const RedoTask& task, ChainFrame* chain) {
 
     case RedoTaskKind::kPageImage: {
       if (dpt_skips(task.image_page, task.lsn)) return skipped();
+      if (task.superseded) {
+        // A later image of the page overwrites this one before anything
+        // reads the page (plan.h): replayed by installing nothing.
+        if (metrics_ != nullptr) {
+          metrics_->images_superseded.fetch_add(1, std::memory_order_relaxed);
+        }
+        return applied();
+      }
       Result<Page*> page = fetch(task.image_page);
       if (!page.ok()) return page.status();
       if (installed(*page.value(), task.lsn)) return skipped();

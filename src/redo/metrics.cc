@@ -9,6 +9,7 @@ void ParallelRedoMetrics::EmitMetrics(obs::MetricEmitter& emit) const {
   emit.Counter("handoffs", handoffs);
   emit.Counter("cross_edges", cross_edges);
   emit.Counter("blind_installs", blind_installs);
+  emit.Counter("images_superseded", images_superseded);
   emit.Counter("prefetched_pages", prefetched_pages);
   emit.Counter("verdicts_merged", verdicts_merged);
   emit.Counter("apply_busy_us", apply_busy_us);
@@ -23,6 +24,8 @@ void InstantRedoMetrics::EmitMetrics(obs::MetricEmitter& emit) const {
                pages_background.load(std::memory_order_relaxed));
   emit.Counter("tasks_applied", tasks_applied.load(std::memory_order_relaxed));
   emit.Counter("tasks_skipped", tasks_skipped.load(std::memory_order_relaxed));
+  emit.Counter("images_superseded",
+               images_superseded.load(std::memory_order_relaxed));
   emit.Counter("time_to_first_commit_us",
                time_to_first_commit_us.load(std::memory_order_relaxed));
 }
@@ -33,6 +36,7 @@ void InstantRedoMetrics::Reset() {
   pages_background.store(0, std::memory_order_relaxed);
   tasks_applied.store(0, std::memory_order_relaxed);
   tasks_skipped.store(0, std::memory_order_relaxed);
+  images_superseded.store(0, std::memory_order_relaxed);
   time_to_first_commit_us.store(0, std::memory_order_relaxed);
 }
 

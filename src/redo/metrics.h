@@ -20,6 +20,7 @@ struct ParallelRedoMetrics {
   uint64_t handoffs = 0;         ///< cross-worker page transfers
   uint64_t cross_edges = 0;      ///< multi-page tasks spanning two workers
   uint64_t blind_installs = 0;   ///< first-touch installs skipping a read
+  uint64_t images_superseded = 0;  ///< superseded images installed as nothing
   uint64_t prefetched_pages = 0; ///< pages installed by async read batches
   uint64_t verdicts_merged = 0;  ///< verdicts LSN-sorted at the join
 
@@ -43,6 +44,9 @@ struct InstantRedoMetrics {
   std::atomic<uint64_t> pages_background{0};  ///< chains drained by a worker
   std::atomic<uint64_t> tasks_applied{0};     ///< planned tasks replayed
   std::atomic<uint64_t> tasks_skipped{0};     ///< redo test said installed
+  /// Applied tasks that were superseded images: counted in
+  /// tasks_applied, but nothing was copied or installed for them.
+  std::atomic<uint64_t> images_superseded{0};
   /// Wall time from RecoverInstant's return to the first Session commit
   /// acked while still serving-while-redoing (last restart; 0 if none).
   std::atomic<uint64_t> time_to_first_commit_us{0};

@@ -1,7 +1,9 @@
 #include "redo/plan.h"
 
-#include <optional>
-#include <unordered_map>
+#include <string>
+#include <utility>
+
+#include "wal/log_manager.h"
 
 namespace redo::par {
 
@@ -66,76 +68,136 @@ bool BlindFirstTouch(const RedoTask& task, storage::PageId page,
   }
 }
 
-Result<RedoPlan> BuildRedoPlan(std::vector<wal::LogRecord> records,
-                               bool whole_splits) {
-  RedoPlan plan;
-  plan.tasks.reserve(records.size());
-  for (wal::LogRecord& record : records) {
-    RedoTask task;
-    task.lsn = record.lsn;
-    switch (record.type) {
-      case wal::RecordType::kCheckpoint:
-      case wal::RecordType::kTxnBegin:
-      case wal::RecordType::kTxnCommit:
-      case wal::RecordType::kTxnEnd:
-      case wal::RecordType::kTxnUpdate:
-        continue;  // carries no redo work
-      case wal::RecordType::kClr: {
-        Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-        if (!clr.ok()) return clr.status();
-        task.kind = RedoTaskKind::kClrRestore;
-        task.clr_actions = std::move(clr.value().actions);
-        if (task.clr_actions.size() > 1) ++plan.multi_page_tasks;
-        break;
-      }
-      case wal::RecordType::kPageImage: {
-        // Peek the page id and validate the length; the raw bytes stay
-        // encoded until the owning worker installs them.
-        wal::PayloadReader r(record.payload);
-        Result<uint32_t> page = r.U32();
-        if (!page.ok()) return page.status();
-        if (r.remaining() != storage::Page::kSize) {
-          return Status::Corruption("page image payload truncated");
-        }
-        task.kind = RedoTaskKind::kPageImage;
-        task.image_page = page.value();
-        task.image_payload = std::move(record.payload);
-        break;
-      }
-      case wal::RecordType::kPageSplit: {
-        Result<engine::SplitOp> split = engine::DecodeSplitOp(record.payload);
-        if (!split.ok()) return split.status();
-        task.kind = whole_splits ? RedoTaskKind::kWholeSplit
-                                 : RedoTaskKind::kSplitDst;
-        task.split = split.value();
-        ++plan.multi_page_tasks;
-        break;
-      }
-      case wal::RecordType::kLogicalOp: {
-        wal::PayloadReader r(record.payload);
-        Result<uint16_t> inner_type = r.U16();
-        if (!inner_type.ok()) return inner_type.status();
-        Result<std::vector<uint8_t>> inner = r.Bytes(r.remaining());
-        if (!inner.ok()) return inner.status();
-        Result<engine::SinglePageOp> op = engine::DecodeSinglePageOp(
-            static_cast<wal::RecordType>(inner_type.value()), inner.value());
-        if (!op.ok()) return op.status();
-        task.kind = RedoTaskKind::kSinglePage;
-        task.op = op.value();
-        break;
-      }
-      default: {
-        Result<engine::SinglePageOp> op =
-            engine::DecodeSinglePageOp(record.type, record.payload);
-        if (!op.ok()) return op.status();
-        task.kind = RedoTaskKind::kSinglePage;
-        task.op = op.value();
-        break;
-      }
+Result<std::optional<RedoTask>> DecodeRedoTask(const wal::LogRecord& record,
+                                               bool whole_splits) {
+  RedoTask task;
+  task.lsn = record.lsn;
+  switch (record.type) {
+    case wal::RecordType::kCheckpoint:
+    case wal::RecordType::kTxnBegin:
+    case wal::RecordType::kTxnCommit:
+    case wal::RecordType::kTxnEnd:
+    case wal::RecordType::kTxnUpdate:
+      return std::optional<RedoTask>{};  // carries no redo work
+    case wal::RecordType::kClr: {
+      Result<engine::Clr> clr = engine::DecodeClr(record.payload);
+      if (!clr.ok()) return clr.status();
+      task.kind = RedoTaskKind::kClrRestore;
+      task.clr_actions = std::move(clr.value().actions);
+      break;
     }
-    plan.tasks.push_back(std::move(task));
+    case wal::RecordType::kPageImage: {
+      // Peek the page id and validate the length; the bytes stay in the
+      // log until Finish knows whether the image survives.
+      wal::PayloadReader r(record.payload);
+      Result<uint32_t> page = r.U32();
+      if (!page.ok()) return page.status();
+      if (r.remaining() != storage::Page::kSize) {
+        return Status::Corruption("page image payload truncated");
+      }
+      task.kind = RedoTaskKind::kPageImage;
+      task.image_page = page.value();
+      break;
+    }
+    case wal::RecordType::kPageSplit: {
+      Result<engine::SplitOp> split = engine::DecodeSplitOp(record.payload);
+      if (!split.ok()) return split.status();
+      task.kind =
+          whole_splits ? RedoTaskKind::kWholeSplit : RedoTaskKind::kSplitDst;
+      task.split = split.value();
+      break;
+    }
+    case wal::RecordType::kLogicalOp: {
+      wal::PayloadReader r(record.payload);
+      Result<uint16_t> inner_type = r.U16();
+      if (!inner_type.ok()) return inner_type.status();
+      Result<std::vector<uint8_t>> inner = r.Bytes(r.remaining());
+      if (!inner.ok()) return inner.status();
+      Result<engine::SinglePageOp> op = engine::DecodeSinglePageOp(
+          static_cast<wal::RecordType>(inner_type.value()), inner.value());
+      if (!op.ok()) return op.status();
+      task.kind = RedoTaskKind::kSinglePage;
+      task.op = std::move(op.value());
+      break;
+    }
+    default: {
+      Result<engine::SinglePageOp> op =
+          engine::DecodeSinglePageOp(record.type, record.payload);
+      if (!op.ok()) return op.status();
+      task.kind = RedoTaskKind::kSinglePage;
+      task.op = std::move(op.value());
+      break;
+    }
   }
-  return plan;
+  return std::optional<RedoTask>{std::move(task)};
+}
+
+void RedoPlanBuilder::Add(RedoTask task) {
+  const size_t index = plan_.tasks.size();
+  if (task.kind == RedoTaskKind::kSplitDst ||
+      task.kind == RedoTaskKind::kWholeSplit ||
+      (task.kind == RedoTaskKind::kClrRestore &&
+       task.clr_actions.size() > 1)) {
+    ++plan_.multi_page_tasks;
+  }
+  if (supersede_images_) {
+    // Each page's last toucher, reads included: an image supersedes the
+    // page's previous image only if nothing touched the page in between.
+    auto touch = [this, index](storage::PageId page) {
+      last_toucher_[page] = index;
+    };
+    switch (task.kind) {
+      case RedoTaskKind::kPageImage: {
+        const auto [it, first] =
+            last_toucher_.try_emplace(task.image_page, index);
+        if (!first) {
+          RedoTask& previous = plan_.tasks[it->second];
+          if (previous.kind == RedoTaskKind::kPageImage) {
+            previous.superseded = true;
+            ++plan_.images_superseded;
+          }
+          it->second = index;
+        }
+        break;
+      }
+      case RedoTaskKind::kSinglePage:
+        touch(task.op.page);
+        break;
+      case RedoTaskKind::kSplitDst:
+      case RedoTaskKind::kWholeSplit:
+        touch(task.split.src);
+        touch(task.split.dst);
+        break;
+      case RedoTaskKind::kClrRestore:
+        for (const engine::UndoAction& action : task.clr_actions) {
+          touch(action.page);
+        }
+        break;
+    }
+  }
+  plan_.tasks.push_back(std::move(task));
+}
+
+Result<RedoPlan> RedoPlanBuilder::Finish(const wal::LogManager& log) && {
+  for (RedoTask& task : plan_.tasks) {
+    if (task.kind != RedoTaskKind::kPageImage || task.superseded) continue;
+    // The one copy of a surviving image: the 4KB install later reads it
+    // on whichever thread replays the task.
+    Result<wal::LogRecord> record = log.StableRecordAt(task.lsn);
+    if (!record.ok()) {
+      return Status::Corruption("redo plan: image at LSN " +
+                                std::to_string(task.lsn) +
+                                " unreadable: " + record.status().message());
+    }
+    if (record.value().type != wal::RecordType::kPageImage ||
+        record.value().payload.size() !=
+            sizeof(uint32_t) + storage::Page::kSize) {
+      return Status::Corruption("redo plan: LSN " + std::to_string(task.lsn) +
+                                " no longer holds the planned page image");
+    }
+    task.image_payload = std::move(record.value().payload);
+  }
+  return std::move(plan_);
 }
 
 core::Dag BuildTaskDag(const RedoPlan& plan) {

@@ -1,5 +1,6 @@
-// Parallel-redo planning: decode the stable-log suffix into a task
-// list whose dependency structure *is* the paper's write graph (§5).
+// Redo planning: the restart analysis visit (methods/analysis.h)
+// decodes the stable-log suffix into a task list whose dependency
+// structure *is* the paper's write graph (§5).
 //
 // Two logged operations with no path between them in the write graph
 // commute, so recovery may apply them in either order — or concurrently
@@ -14,6 +15,8 @@
 #define REDO_REDO_PLAN_H_
 
 #include <cstdint>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/dag.h"
@@ -23,6 +26,10 @@
 #include "storage/page.h"
 #include "util/status.h"
 #include "wal/log_record.h"
+
+namespace redo::wal {
+class LogManager;
+}  // namespace redo::wal
 
 namespace redo::par {
 
@@ -43,15 +50,21 @@ struct RedoTask {
   engine::SplitOp split;            ///< kSplitDst / kWholeSplit
   storage::PageId image_page = 0;   ///< kPageImage
   /// kPageImage: the record payload (page-id header + raw page bytes),
-  /// kept encoded so the 4KB image decode happens on the worker that
-  /// installs it — planning stays O(records) in cheap header peeks and
-  /// the expensive byte movement parallelizes.
+  /// copied once by RedoPlanBuilder::Finish (empty when superseded) and
+  /// kept encoded, so the install is one memcpy on the worker that
+  /// replays it.
   std::vector<uint8_t> image_payload;
   /// kClrRestore: the compensation record's absolute restores. Each
   /// action touches exactly one page, so workers apply the actions whose
   /// pages they own with no cross-worker hand-off (unlike splits, no
   /// value flows between the pages).
   std::vector<engine::UndoAction> clr_actions;
+  /// kPageImage under the redo-all test: a later image of the same page
+  /// follows, and no task in between touches the page, so this image is
+  /// unexposed (§2.3) — blind-overwritten before any read (§7). The task
+  /// keeps its place and its verdict; its payload is never copied, and
+  /// the executors install nothing for it.
+  bool superseded = false;
 
   /// Pages the task writes (write-graph conflict set).
   std::vector<storage::PageId> Writes() const;
@@ -62,6 +75,7 @@ struct RedoTask {
 struct RedoPlan {
   std::vector<RedoTask> tasks;    ///< ascending LSN
   size_t multi_page_tasks = 0;    ///< tasks touching two pages (splits)
+  size_t images_superseded = 0;   ///< kPageImage tasks marked superseded
 };
 
 /// The first-touch rule, shared by the parallel scheduler and the
@@ -75,17 +89,44 @@ struct RedoPlan {
 bool BlindFirstTouch(const RedoTask& task, storage::PageId page,
                      bool redo_all);
 
-/// Decodes the stable-log suffix into a plan. `whole_splits` selects the
-/// logical method's record shape: one kPageSplit record replays both
-/// halves (dst := P(src), then the src rewrite Q) as a single atomic
-/// task; otherwise the record writes dst only and the rewrite arrives
-/// as its own single-page record. kLogicalOp records are unwrapped to
-/// their inner single-page op; checkpoints are skipped. Takes the
-/// records by value so image payloads move into the plan instead of
-/// being copied — planning is a serial section, so it must not pay a
-/// per-image memcpy.
-Result<RedoPlan> BuildRedoPlan(std::vector<wal::LogRecord> records,
-                               bool whole_splits);
+/// Decodes one stable record into its redo task, or nullopt for a
+/// record that carries no redo work (checkpoints, transaction
+/// metadata). `whole_splits` selects the logical method's record shape:
+/// one kPageSplit record replays both halves (dst := P(src), then the
+/// src rewrite Q) as a single atomic task; otherwise the record writes
+/// dst only and the rewrite arrives as its own single-page record.
+/// kLogicalOp records are unwrapped to their inner single-page op. A
+/// page image's task carries only its page id: the record is visited
+/// in place, and RedoPlanBuilder::Finish copies the payloads it keeps.
+Result<std::optional<RedoTask>> DecodeRedoTask(const wal::LogRecord& record,
+                                               bool whole_splits);
+
+/// Builds a plan from tasks decoded during one in-place visit of the
+/// stable log, in LSN order. Under the redo-all test it also applies
+/// the supersession rule: an image followed by a later image of the
+/// same page, with no task touching that page in between, is marked
+/// superseded (§2.3: installing it and then the later one leaves the
+/// same page as installing the later one alone). The LSN test never
+/// supersedes — it must read each page's LSN anyway.
+class RedoPlanBuilder {
+ public:
+  explicit RedoPlanBuilder(bool supersede_images)
+      : supersede_images_(supersede_images) {}
+
+  /// Appends `task`, whose LSN exceeds every task added so far.
+  void Add(RedoTask task);
+
+  /// Completes the plan: copies each surviving image's payload out of
+  /// `log` once, by LSN (StableRecordAt). Superseded images copy
+  /// nothing. Corruption if a planned image cannot be read back.
+  Result<RedoPlan> Finish(const wal::LogManager& log) &&;
+
+ private:
+  const bool supersede_images_;
+  RedoPlan plan_;
+  /// Per page: the index of the last task touching it (redo-all only).
+  std::unordered_map<storage::PageId, size_t> last_toucher_;
+};
 
 /// The plan's write graph over task indices. Edge rule (§5): two tasks
 /// conflict iff they touch a common page (read-write or write-write),

@@ -90,6 +90,7 @@ struct WorkerResult {
   size_t replayed = 0;
   size_t skipped_without_fetch = 0;
   size_t handoffs = 0;
+  size_t images_superseded = 0;
   size_t prefetched = 0;  ///< pages installed by async read batches
   uint64_t busy_us = 0;   ///< this worker's thread-CPU time in the loop
   std::vector<TaskVerdict> verdicts;
@@ -311,6 +312,14 @@ void RunWorker(const WorkerEnv& env, size_t me,
           ++result.skipped_without_fetch;
           verdict(lsn, task.image_page, obs::RedoVerdict::kNotExposed,
                   "analysis-dpt");
+          break;
+        }
+        if (task.superseded) {
+          // A later image of the page overwrites this one before anything
+          // reads the page (plan.h): replayed by installing nothing.
+          ++result.replayed;
+          ++result.images_superseded;
+          verdict(lsn, task.image_page, obs::RedoVerdict::kApplied, "redo-all");
           break;
         }
         Result<Page*> fetched = fetch(task, task.image_page);
@@ -639,6 +648,7 @@ ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
     report.replayed += result.replayed;
     report.skipped_without_fetch += result.skipped_without_fetch;
     report.handoffs += result.handoffs;
+    report.images_superseded += result.images_superseded;
     report.prefetched_pages += result.prefetched;
     report.worker_busy_total_us += result.busy_us;
     report.worker_busy_max_us =
@@ -673,6 +683,7 @@ ParallelRedoReport RunParallelRedo(BufferPool* pool, const RedoPlan& plan,
     metrics->handoffs += report.handoffs;
     metrics->cross_edges += report.cross_edges;
     metrics->blind_installs += report.blind_installs;
+    metrics->images_superseded += report.images_superseded;
     metrics->prefetched_pages += report.prefetched_pages;
     metrics->verdicts_merged += report.verdicts.size();
     metrics->apply_busy_us += report.worker_busy_total_us;

@@ -92,6 +92,7 @@ struct ParallelRedoReport {
   size_t handoffs = 0;        ///< cross-worker page snapshot transfers
   size_t cross_edges = 0;     ///< split tasks whose pages hash to two workers
   size_t blind_installs = 0;  ///< disk reads elided by BlindFirstTouch
+  size_t images_superseded = 0;  ///< superseded images, installed as nothing
   /// Pages installed by async read-prefetch batches (0 at queue depth
   /// 0 — every read is a partition miss).
   size_t prefetched_pages = 0;

@@ -125,6 +125,7 @@ void LogStats::EmitMetrics(obs::MetricEmitter& emit) const {
   emit.Counter("archive_repairs", archive_repairs);
   emit.Counter("scan_cache_hits", scan_cache_hits);
   emit.Counter("scan_decodes", scan_decodes);
+  emit.Counter("stable_visits", stable_visits);
   emit.Counter("group_commits", group_commits);
   emit.Counter("group_batches", group_batches);
   emit.Counter("group_max_batch", group_max_batch);
@@ -471,6 +472,7 @@ const std::vector<LogRecord>* LogManager::ReadableSealedRecords(
 
 Result<ScanExtent> LogManager::VisitStable(core::Lsn from,
                                            const StableVisitor& visit) const {
+  ++stats_.stable_visits;
   ScanExtent extent;
   const core::Lsn live_begin = live_begin_lsn();
   // Truncated-away prefix: served from the archive.

@@ -127,6 +127,7 @@ struct LogStats {
   // re-deserializing the stable image).
   uint64_t scan_cache_hits = 0;  ///< segments served from the parsed cache
   uint64_t scan_decodes = 0;     ///< segment decodes forced by a cold/invalid cache
+  uint64_t stable_visits = 0;    ///< VisitStable passes (copying scans included)
   // Group-commit counters.
   uint64_t group_commits = 0;      ///< CommitWait calls acknowledged
   uint64_t group_batches = 0;      ///< committer forces (one per batch)

@@ -223,8 +223,94 @@ TEST_P(InstantRestartMethodTest, InstantEqualsOfflineRecovery) {
   EXPECT_GE(db->instant_redo_metrics().restarts.load(), 1u);
 }
 
+// A restart reads the stable log once: one analysis visit builds the
+// transaction table, the DPT and the plan, for instant restart and for
+// the parallel quiescing restart alike. The drain and the undo pass
+// read records by LSN, never by another visit.
+TEST_P(InstantRestartMethodTest, OneStableVisitPerRestart) {
+  EngineOptions engine = InstantEngine(2);
+  engine.parallel_workers = 4;
+  auto db = MakeDb(GetParam(), engine);
+  RunWorkload(*db, /*seed=*/5, /*ops=*/200);
+  ASSERT_TRUE(db->Checkpoint().ok());
+  RunWorkload(*db, /*seed=*/6, /*ops=*/200);
+  {
+    // A loser stranded at the crash: its handle dies after the crash.
+    MiniDb::Session loser = db->NewSession();
+    ASSERT_TRUE(loser.Begin().ok());
+    ASSERT_TRUE(loser.WriteSlot(2, 0, -2).ok());
+    ASSERT_TRUE(db->log().ForceAll().ok());
+    db->Crash();
+  }
+  const std::vector<storage::Page> crash_disk = SnapshotDisk(*db);
+  auto visits = [&db] { return db->log().stats().stable_visits; };
+
+  uint64_t before = visits();
+  ASSERT_TRUE(db->Recover().ok());
+  EXPECT_EQ(visits() - before, 1u) << "parallel Recover()";
+  EXPECT_EQ(db->txn_undo_metrics().losers.load(), 1u);
+
+  RestoreCrashState(*db, crash_disk);
+  before = visits();
+  ASSERT_TRUE(db->RecoverInstant().ok());
+  EXPECT_EQ(visits() - before, 1u) << "RecoverInstant()";
+  ASSERT_TRUE(db->WaitUntilRecovered().ok());
+  ASSERT_TRUE(db->EndConcurrent().ok());
+  EXPECT_EQ(visits() - before, 1u) << "the drain visited the log";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMethods, InstantRestartMethodTest,
                          ::testing::ValuesIn(kAllKinds));
+
+// Physical logging images a page on every write, so most images of a
+// suffix are superseded by a later image of the same page. An aborted
+// transaction's CLRs, interleaved with them, block supersession where
+// they restore a page. Both executors must still land on the serial
+// redo's bytes, installing nothing for the superseded images.
+TEST(InstantRestartTest, SupersededImagesRecoverLikeOffline) {
+  auto db = MakeDb(MethodKind::kPhysical, InstantEngine(2));
+  for (int round = 0; round < 8; ++round) {
+    for (PageId p = 0; p < 6; ++p) {
+      ASSERT_TRUE(db->NewSession().WriteSlot(p, round % kSlots, 10 * round + p).ok());
+    }
+    if (round % 2 == 0) {
+      MiniDb::Session txn = db->NewSession();
+      ASSERT_TRUE(txn.Begin().ok());
+      for (PageId p : {1u, 3u, 5u}) {
+        ASSERT_TRUE(txn.WriteSlot(p, 1, -round).ok());
+      }
+      ASSERT_TRUE(txn.Abort().ok());
+    }
+  }
+  ASSERT_TRUE(db->log().ForceAll().ok());
+  db->Crash();
+  const std::vector<storage::Page> crash_disk = SnapshotDisk(*db);
+
+  ASSERT_TRUE(db->Recover().ok());  // the serial redo loop
+  const std::vector<storage::Page> expected = PageBytes(*db);
+
+  RestoreCrashState(*db, crash_disk);
+  EngineOptions parallel = db->engine_options();
+  parallel.parallel_workers = 4;
+  db->set_engine_options(parallel);
+  ASSERT_TRUE(db->Recover().ok());
+  EXPECT_EQ(PageBytes(*db), expected) << "parallel redo";
+  const uint64_t superseded = db->parallel_redo_metrics().images_superseded;
+  EXPECT_GT(superseded, 0u);
+
+  RestoreCrashState(*db, crash_disk);
+  db->disk().ResetStats();
+  ASSERT_TRUE(db->RecoverInstant().ok());
+  ASSERT_TRUE(db->WaitUntilRecovered().ok());
+  EXPECT_EQ(db->disk().stats().reads, 0u) << "every chain starts with an image";
+  ASSERT_TRUE(db->EndConcurrent().ok());
+  EXPECT_EQ(PageBytes(*db), expected) << "instant restart";
+  const par::InstantRedoMetrics& metrics = db->instant_redo_metrics();
+  EXPECT_EQ(metrics.images_superseded.load(), superseded)
+      << "both executors replay the same plan";
+  EXPECT_EQ(metrics.tasks_skipped.load(), 0u)
+      << "a superseded image still counts as applied";
+}
 
 // A session read issued the moment the engine opens must see the fully
 // recovered value for that page — the on-demand drain runs before the

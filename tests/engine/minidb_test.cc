@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "btree/node_format.h"
 #include "engine/workload.h"
 
 namespace redo::engine {
@@ -80,6 +81,16 @@ TEST_P(MiniDbMethodTest, RefusedOpsLeaveTheLogUntouched) {
   {
     MiniDb::Session session = db->NewSession();
     ASSERT_TRUE(session.WriteSlot(1, 0, 7).ok());
+    // B-tree nodes for the shape checks: page 5 a full leaf, page 6 a
+    // one-key leaf, page 7 an internal node with no entry; page 4 stays
+    // zeroed.
+    ASSERT_TRUE(session.Apply(MakeBtreeInit(5, /*is_leaf=*/true, 0)).ok());
+    for (uint32_t key = 0; key < btree::NodeRef::Capacity(); ++key) {
+      ASSERT_TRUE(session.Apply(MakeBtreeInsert(5, key, key)).ok());
+    }
+    ASSERT_TRUE(session.Apply(MakeBtreeInit(6, /*is_leaf=*/true, 0)).ok());
+    ASSERT_TRUE(session.Apply(MakeBtreeInsert(6, -1, 1)).ok());
+    ASSERT_TRUE(session.Apply(MakeBtreeInit(7, /*is_leaf=*/false, 0)).ok());
     const core::Lsn before = db->log().last_lsn();
 
     const Result<core::Lsn> bad_page = session.WriteSlot(kPages, 0, 1);
@@ -108,7 +119,43 @@ TEST_P(MiniDbMethodTest, RefusedOpsLeaveTheLogUntouched) {
               StatusCode::kInvalidArgument);
     EXPECT_EQ(session.ReadSlot(kPages, 0).status().code(),
               StatusCode::kInvalidArgument);
+    // B-tree ops on pages that are not the nodes they need: refused
+    // before the record is appended, not by the apply after it (nor by
+    // an abort inside the node code).
+    EXPECT_EQ(session.Apply(MakeBtreeInsert(4, 5, 7)).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session.Apply(MakeBtreeRemove(4, 5)).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session.Apply(MakeBtreeSplitRewrite(4, 3)).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session.Apply(MakeBtreeInsert(5, -7, 1)).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "a full leaf has no free entry";
+    EXPECT_EQ(
+        session.Split(SplitOp{SplitTransform::kBtreeNode, 4, 3}).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        session.Split(SplitOp{SplitTransform::kBtreeNode, 7, 3}).status().code(),
+        StatusCode::kInvalidArgument)
+        << "an internal node with no entry has no separator to push up";
+    EXPECT_EQ(
+        session.Split(SplitOp{SplitTransform::kBtreeMerge, 1, 2}).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        session.Split(SplitOp{SplitTransform::kBtreeMerge, 6, 5}).status().code(),
+        StatusCode::kFailedPrecondition)
+        << "the merged keys do not fit in dst";
     EXPECT_EQ(db->log().last_lsn(), before) << "a refused op was logged";
+    {
+      // Inside a transaction the undo info is not logged either.
+      MiniDb::Session txn = db->NewSession();
+      ASSERT_TRUE(txn.Begin().ok());
+      const core::Lsn begun = db->log().last_lsn();
+      EXPECT_FALSE(txn.Apply(MakeBtreeInsert(4, 5, 7)).ok());
+      EXPECT_FALSE(txn.Split(SplitOp{SplitTransform::kBtreeNode, 4, 3}).ok());
+      EXPECT_EQ(db->log().last_lsn(), begun) << "undo info was logged";
+      ASSERT_TRUE(txn.Abort().ok());
+    }
 
     ASSERT_TRUE(session.WriteSlot(3, 1, 9).ok());
     ASSERT_TRUE(session.Commit().ok());

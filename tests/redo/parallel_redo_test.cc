@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/minidb.h"
+#include "engine/ops.h"
+#include "methods/analysis.h"
 #include "redo/plan.h"
 #include "storage/page.h"
 
@@ -37,6 +40,27 @@ std::unique_ptr<MiniDb> MakeDb(MethodKind kind, size_t capacity = 0) {
 std::vector<wal::LogRecord> StableRecords(MiniDb& db) {
   EXPECT_TRUE(db.log().ForceAll().ok());
   return db.log().StableRecords(1).value();
+}
+
+// The plan of the whole stable log, built as the restart analysis
+// builds it: each record decoded in place, surviving images read back
+// by Finish.
+RedoPlan PlanFromLog(MiniDb& db, bool whole_splits,
+                     bool supersede_images = false) {
+  EXPECT_TRUE(db.log().ForceAll().ok());
+  RedoPlanBuilder builder(supersede_images);
+  const Result<wal::ScanExtent> visited = db.log().VisitStable(
+      1, [&](const wal::LogRecord& record) -> Status {
+        Result<std::optional<RedoTask>> task =
+            DecodeRedoTask(record, whole_splits);
+        if (!task.ok()) return task.status();
+        if (task.value().has_value()) builder.Add(std::move(*task.value()));
+        return Status::Ok();
+      });
+  EXPECT_TRUE(visited.ok()) << visited.status().ToString();
+  Result<RedoPlan> plan = std::move(builder).Finish(db.log());
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  return plan.ok() ? std::move(plan).value() : RedoPlan{};
 }
 
 // The effective (cache-else-disk) post-recovery state: per-page content
@@ -88,25 +112,23 @@ TEST(ParallelPlanTest, DecodesEveryRecordShape) {
   auto db = MakeDb(MethodKind::kGeneralized);
   ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
-  const Result<RedoPlan> plan = BuildRedoPlan(StableRecords(*db), false);
-  ASSERT_TRUE(plan.ok());
+  const RedoPlan plan = PlanFromLog(*db, false);
   // slot write, split, rewrite — in LSN order.
-  ASSERT_EQ(plan.value().tasks.size(), 3u);
-  EXPECT_EQ(plan.value().tasks[0].kind, RedoTaskKind::kSinglePage);
-  EXPECT_EQ(plan.value().tasks[1].kind, RedoTaskKind::kSplitDst);
-  EXPECT_EQ(plan.value().tasks[2].kind, RedoTaskKind::kSinglePage);
-  EXPECT_EQ(plan.value().multi_page_tasks, 1u);
-  EXPECT_LT(plan.value().tasks[0].lsn, plan.value().tasks[1].lsn);
+  ASSERT_EQ(plan.tasks.size(), 3u);
+  EXPECT_EQ(plan.tasks[0].kind, RedoTaskKind::kSinglePage);
+  EXPECT_EQ(plan.tasks[1].kind, RedoTaskKind::kSplitDst);
+  EXPECT_EQ(plan.tasks[2].kind, RedoTaskKind::kSinglePage);
+  EXPECT_EQ(plan.multi_page_tasks, 1u);
+  EXPECT_LT(plan.tasks[0].lsn, plan.tasks[1].lsn);
 }
 
 TEST(ParallelPlanTest, WholeSplitsCarryBothPagesAsWrites) {
   auto db = MakeDb(MethodKind::kLogical);
   ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
-  const Result<RedoPlan> plan = BuildRedoPlan(StableRecords(*db), true);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan.value().tasks.size(), 1u);
-  EXPECT_EQ(plan.value().tasks[0].kind, RedoTaskKind::kWholeSplit);
-  EXPECT_EQ(plan.value().tasks[0].Writes(),
+  const RedoPlan plan = PlanFromLog(*db, true);
+  ASSERT_EQ(plan.tasks.size(), 1u);
+  EXPECT_EQ(plan.tasks[0].kind, RedoTaskKind::kWholeSplit);
+  EXPECT_EQ(plan.tasks[0].Writes(),
             (std::vector<PageId>{2, 1}));  // dst and the rewritten src
 }
 
@@ -115,9 +137,134 @@ TEST(ParallelPlanTest, CheckpointsCarryNoTask) {
   ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
   const std::vector<wal::LogRecord> records = StableRecords(*db);
-  const Result<RedoPlan> plan = BuildRedoPlan(records, false);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_LT(plan.value().tasks.size(), records.size());
+  const RedoPlan plan = PlanFromLog(*db, false);
+  EXPECT_LT(plan.tasks.size(), records.size());
+}
+
+// ---- Superseded images (§2.3) ----
+
+// Under the redo-all test, an image followed by a later image of the
+// same page, with no task touching the page in between, is unexposed:
+// the analysis visit keeps its task but copies and installs nothing.
+TEST(ParallelPlanTest, ImageAfterImageOnOnePageSupersedes) {
+  auto db = MakeDb(MethodKind::kPhysical);
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 1).ok());  // task 0: p1
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 2).ok());  // task 1: p1
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 3).ok());  // task 2: p2
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 2, 4).ok());  // task 3: p1
+  ASSERT_TRUE(db->log().ForceAll().ok());
+  methods::EngineContext ctx = db->ctx();
+  const Result<methods::RestartAnalysis> analysis =
+      methods::AnalyzeForRestart(db->method(), ctx);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  const RedoPlan& plan = analysis.value().plan;
+  ASSERT_EQ(plan.tasks.size(), 4u);
+  EXPECT_TRUE(plan.tasks[0].superseded);
+  EXPECT_TRUE(plan.tasks[1].superseded) << "p2's image does not touch p1";
+  EXPECT_FALSE(plan.tasks[2].superseded);
+  EXPECT_FALSE(plan.tasks[3].superseded) << "a page's last image survives";
+  EXPECT_EQ(plan.images_superseded, 2u);
+}
+
+TEST(ParallelPlanTest, SurvivingPayloadsEqualTheirLogRecords) {
+  auto db = MakeDb(MethodKind::kPhysical);
+  for (int round = 0; round < 3; ++round) {
+    for (PageId p = 1; p < 4; ++p) {
+      ASSERT_TRUE(db->NewSession().WriteSlot(p, round, 10 * round + p).ok());
+    }
+  }
+  const RedoPlan plan = PlanFromLog(*db, false, /*supersede_images=*/true);
+  ASSERT_EQ(plan.tasks.size(), 9u);
+  EXPECT_EQ(plan.images_superseded, 6u);
+  for (const RedoTask& task : plan.tasks) {
+    if (task.superseded) {
+      EXPECT_TRUE(task.image_payload.empty()) << "lsn " << task.lsn;
+      continue;
+    }
+    EXPECT_EQ(task.image_payload,
+              db->log().StableRecordAt(task.lsn).value().payload)
+        << "lsn " << task.lsn;
+  }
+}
+
+TEST(ParallelPlanTest, InterveningClrBlocksSupersession) {
+  auto db = MakeDb(MethodKind::kPhysical);
+  {
+    MiniDb::Session session = db->NewSession();
+    ASSERT_TRUE(session.Begin().ok());
+    ASSERT_TRUE(session.WriteSlot(1, 0, 1).ok());  // image of p1
+    ASSERT_TRUE(session.Abort().ok());             // CLR restoring p1
+  }
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 2).ok());  // image of p1
+  const RedoPlan plan = PlanFromLog(*db, false, /*supersede_images=*/true);
+  ASSERT_EQ(plan.tasks.size(), 3u);
+  EXPECT_EQ(plan.tasks[1].kind, RedoTaskKind::kClrRestore);
+  EXPECT_FALSE(plan.tasks[0].superseded)
+      << "the CLR restores p1 between the two images";
+  EXPECT_EQ(plan.images_superseded, 0u);
+}
+
+TEST(ParallelPlanTest, InterveningSlotPokeBlocksSupersession) {
+  // Partial physical logging: splits log images of both pages, slot
+  // writes log blind pokes.
+  auto db = MakeDb(MethodKind::kPhysicalPartial);
+  // Tasks 0-1: images of p2 and p1. Task 2: a poke on p2. Tasks 3-4:
+  // images of p2 and p3. Tasks 5-6: images of p1 and p4.
+  ASSERT_TRUE(
+      db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 5).ok());
+  ASSERT_TRUE(
+      db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 3, 2}).ok());
+  ASSERT_TRUE(
+      db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 4, 1}).ok());
+  const RedoPlan plan = PlanFromLog(*db, false, /*supersede_images=*/true);
+  ASSERT_EQ(plan.tasks.size(), 7u);
+  EXPECT_EQ(plan.tasks[2].kind, RedoTaskKind::kSinglePage);
+  EXPECT_FALSE(plan.tasks[0].superseded) << "the poke touches p2 in between";
+  EXPECT_TRUE(plan.tasks[1].superseded) << "nothing touches p1 in between";
+  EXPECT_EQ(plan.images_superseded, 1u);
+}
+
+TEST(ParallelPlanTest, InterveningSplitBlocksSupersession) {
+  // The rule is stated on tasks, whatever logged them: an image of p2,
+  // a generalized split writing p2, then another image of p2.
+  auto db = MakeDb(MethodKind::kGeneralized);
+  Page image;
+  image.WriteSlot(0, 7);
+  db->log().Append(wal::RecordType::kPageImage, engine::EncodePageImage(2, image));
+  ASSERT_TRUE(
+      db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
+  db->log().Append(wal::RecordType::kPageImage, engine::EncodePageImage(2, image));
+  const RedoPlan plan = PlanFromLog(*db, false, /*supersede_images=*/true);
+  // Image of p2, split 1 -> 2, rewrite of p1, image of p2.
+  ASSERT_EQ(plan.tasks.size(), 4u);
+  EXPECT_EQ(plan.tasks[1].kind, RedoTaskKind::kSplitDst);
+  EXPECT_FALSE(plan.tasks[0].superseded) << "the split writes p2 in between";
+  EXPECT_EQ(plan.images_superseded, 0u);
+}
+
+TEST(ParallelPlanTest, LsnTestPlansNeverSupersede) {
+  // Physiological logging images a split's new page: two splits into p2
+  // leave two images of p2 with nothing touching p2 between them.
+  auto db = MakeDb(MethodKind::kPhysiological);
+  ASSERT_TRUE(
+      db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
+  ASSERT_TRUE(
+      db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 3, 2}).ok());
+  ASSERT_TRUE(db->log().ForceAll().ok());
+  methods::EngineContext ctx = db->ctx();
+  const Result<methods::RestartAnalysis> analysis =
+      methods::AnalyzeForRestart(db->method(), ctx);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  const RedoPlan& plan = analysis.value().plan;
+  ASSERT_EQ(plan.tasks.size(), 4u);
+  EXPECT_EQ(plan.images_superseded, 0u);
+  for (const RedoTask& task : plan.tasks) EXPECT_FALSE(task.superseded);
+  EXPECT_EQ(plan.tasks[0].image_payload.size(), 4 + Page::kSize);
+  // The same log planned under the redo-all rule supersedes the first.
+  EXPECT_EQ(PlanFromLog(*db, false, /*supersede_images=*/true)
+                .images_superseded,
+            1u);
 }
 
 // ---- The write-graph DAG ----
@@ -130,7 +277,7 @@ TEST(ParallelPlanTest, TaskDagChainsPerPageAndBridgesAtSplits) {
       db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
   // task 2: split reads p1, writes p2; task 3: rewrite writes p1
   ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 9).ok());    // task 4: writes p2
-  const RedoPlan plan = BuildRedoPlan(StableRecords(*db), false).value();
+  const RedoPlan plan = PlanFromLog(*db, false);
   ASSERT_EQ(plan.tasks.size(), 5u);
   const core::Dag dag = BuildTaskDag(plan);
   EXPECT_TRUE(dag.IsAcyclic());
@@ -151,7 +298,7 @@ TEST(ParallelPlanTest, IndependentPagesFormDisconnectedChains) {
       ASSERT_TRUE(db->NewSession().WriteSlot(p, round, round).ok());
     }
   }
-  const RedoPlan plan = BuildRedoPlan(StableRecords(*db), false).value();
+  const RedoPlan plan = PlanFromLog(*db, false);
   const core::Dag dag = BuildTaskDag(plan);
   // 3 pages x 3 images each: three chains of 2 edges, nothing across.
   EXPECT_EQ(dag.NumEdges(), 6u);
@@ -177,8 +324,7 @@ TEST(ParallelSchedulerTest, CrossWorkerSplitHandoffRespectsWriteGraphOrder) {
   const auto serial_state = EffectiveState(*db);
 
   RestoreCrashState(*db, crash_disk);
-  const RedoPlan plan =
-      BuildRedoPlan(db->log().StableRecords(1).value(), false).value();
+  const RedoPlan plan = PlanFromLog(*db, false);
   ParallelRedoOptions options;
   options.workers = 2;
   options.mode = ParallelRedoOptions::Mode::kLsnTest;

@@ -115,10 +115,10 @@ MatrixRow RunMethod(MethodKind kind, size_t seeds) {
 //    thread-CPU time (CLOCK_THREAD_CPUTIME_ID, excludes time spent
 //    descheduled), and `wall - busy_total + busy_max` removes the
 //    serialized sibling work the single core forced, leaving the
-//    slowest worker's chain plus the serial sections (plan build,
-//    partition split/merge, verdict sort). This is what the write-graph
-//    schedule *permits*, independent of host core count, and is the
-//    number the x4 target checks.
+//    slowest worker's drain plus the serial sections (analysis, the
+//    LSN-ordered verdict emission, undo). This is what the write graph
+//    *permits*, independent of host core count, and is the number the
+//    x4 target checks.
 
 struct RecoverTiming {
   uint64_t wall_us = 0;
@@ -157,8 +157,8 @@ RecoverTiming TimedRecover(engine::MiniDb& db, size_t workers,
           .count());
   t.busy_total_us = after.apply_busy_us - before.apply_busy_us;
   t.busy_max_us = after.apply_critical_path_us - before.apply_critical_path_us;
-  // Serial runs bypass the scheduler entirely; the whole wall is the
-  // one chain.
+  // Serial runs bypass the drain workers entirely; the whole wall is
+  // the one chain.
   if (workers <= 1) {
     t.busy_total_us = t.wall_us;
     t.busy_max_us = t.wall_us;
@@ -175,7 +175,7 @@ int RunParallelSpeedup() {
   std::printf(
       "Parallel redo speedup: one workload per method (%zu actions,\n"
       "%zu pages, no checkpoints — the full log replays), the identical\n"
-      "crash state recovered with 1/2/4/8 write-graph-scheduled workers.\n"
+      "crash state recovered with 1/2/4/8 redo drain workers.\n"
       "All times are the best of %zu runs. `model` is the critical-path\n"
       "model (wall - sum(worker cpu) + max(worker cpu)): the wall time a\n"
       "host with >= workers cores would see; on a 1-core host the wall\n"
@@ -234,8 +234,8 @@ int RunParallelSpeedup() {
   std::printf(
       "\nRedo-all methods parallelize best: pure per-page image chains\n"
       "with blind first-touch installs (no disk reads). The LSN-test\n"
-      "methods read each first-touched page to consult its LSN; split\n"
-      "hand-offs serialize the bridged chains.\n");
+      "methods read each first-touched page to consult its LSN; bridged\n"
+      "chains drain one at a time under the exclusive gate.\n");
   std::printf("physical x4 target (model >=1.50x): %s\n",
               physical_meets_target ? "MET" : "NOT MET");
   return physical_meets_target ? 0 : 1;
@@ -628,9 +628,9 @@ int RunTracingOverhead() {
 //    (constraint-free waves through AsyncIoBackend::Submit), each page
 //    write costing a simulated 150us of device time.
 //  * recovery — a heavy no-checkpoint crash state recovered with 4
-//    redo workers; every first-touch page read costs a simulated 200us
-//    (prefetch batches overlap it above depth 0; at depth 0 the
-//    partitions' misses serialize on the device's disk mutex).
+//    redo drain workers; every first-touch page read costs a simulated
+//    200us. Above depth 0 the workers' misses overlap, up to the four
+//    workers; at depth 0 they serialize on the device's disk mutex.
 //
 // Targets: depth >= 4 beats depth 0 by >= 1.3x on both workloads, and
 // depth 1 is within 15% of depth 0 (the batch plumbing itself must not
@@ -692,7 +692,6 @@ int RunAsyncIoSweep() {
   constexpr size_t kRecPages = 128;
   constexpr size_t kRecActions = 3000;
   uint64_t rec_us[kNumDepths];
-  uint64_t rec_prefetched[kNumDepths] = {0, 0, 0, 0, 0};
   {
     engine::MiniDbOptions db_options;
     db_options.num_pages = kRecPages;
@@ -725,8 +724,6 @@ int RunAsyncIoSweep() {
         recovery.async_io_workers = kDepths[d];
         recovery.simulated_read_latency_us = kReadLatencyUs;
         db.set_engine_options(recovery);
-        const redo::par::ParallelRedoMetrics before =
-            db.parallel_redo_metrics();
         const auto start = std::chrono::steady_clock::now();
         REDO_CHECK(db.Recover().ok());
         const auto end = std::chrono::steady_clock::now();
@@ -734,15 +731,13 @@ int RunAsyncIoSweep() {
             std::chrono::duration_cast<std::chrono::microseconds>(end - start)
                 .count());
         if (us < rec_us[d]) rec_us[d] = us;
-        rec_prefetched[d] = db.parallel_redo_metrics().prefetched_pages -
-                            before.prefetched_pages;
       }
     }
     db.set_engine_options(engine::EngineOptions{});
   }
 
-  std::printf("%-10s %12s %9s %9s %12s %10s %9s\n", "depth", "writeback ms",
-              "wb x", "batches", "recovery ms", "rec x", "prefetch");
+  std::printf("%-10s %12s %9s %9s %12s %10s\n", "depth", "writeback ms",
+              "wb x", "batches", "recovery ms", "rec x");
   for (size_t d = 0; d < kNumDepths; ++d) {
     const double wb_x = wb_us[d] > 0 ? double(wb_us[0]) / double(wb_us[d]) : 0;
     const double rec_x =
@@ -753,10 +748,9 @@ int RunAsyncIoSweep() {
     } else {
       std::snprintf(label, sizeof label, "%zu", kDepths[d]);
     }
-    std::printf("%-10s %12.2f %8.2fx %9llu %12.2f %9.2fx %9llu\n", label,
+    std::printf("%-10s %12.2f %8.2fx %9llu %12.2f %9.2fx\n", label,
                 wb_us[d] / 1000.0, wb_x, (unsigned long long)wb_batches[d],
-                rec_us[d] / 1000.0, rec_x,
-                (unsigned long long)rec_prefetched[d]);
+                rec_us[d] / 1000.0, rec_x);
   }
 
   const double wb4 = wb_us[3] > 0 ? double(wb_us[0]) / double(wb_us[3]) : 0;
@@ -769,8 +763,8 @@ int RunAsyncIoSweep() {
       "\nDepth 0 pays every op's device time serially; the batched arms\n"
       "keep up to `depth` ops in flight, so the wave's wall time is the\n"
       "per-op latency times ceil(ops/depth). Writeback batches come from\n"
-      "the pool's constraint-free flush waves; recovery batches are the\n"
-      "redo workers' plan prefetches (the apply loop then hits cache).\n");
+      "the pool's constraint-free flush waves. Recovery reads are the\n"
+      "drain workers' misses: at most one per worker is in flight.\n");
   std::printf("depth-4 target (>= 1.30x over sync on both): %s "
               "(writeback %.2fx, recovery %.2fx)\n",
               depth4_wins ? "MET" : "NOT MET", wb4, rec4);

@@ -1285,7 +1285,9 @@ Status ValidateSimOptions(const SimOptions& o) {
     return refuse("double crashes strike during instant restart");
   }
   if (o.parallel_redo_workers > 1 && o.instant_restart) {
-    return refuse("instant restart never runs the parallel redo scheduler");
+    return refuse(
+        "instant restart drains with instant_drain_workers, not "
+        "parallel_redo_workers");
   }
   if (o.undo_crash_after_clrs > 0 && !o.txn_mode) {
     return refuse("undo re-crashes need transactions to undo");

@@ -113,8 +113,8 @@ struct SimOptions {
   /// (EngineOptions hook), and recovery reruns until the CLRs'
   /// undo_next chains converge. 0 = never.
   size_t undo_crash_after_clrs = 0;
-  /// Redo workers for quiescing recovery; > 1 routes redo through the
-  /// write-graph parallel scheduler.
+  /// Redo workers for quiescing recovery; > 1 drains the analysis plan
+  /// with that many workers (InstantRedoDriver, doors closed).
   size_t parallel_redo_workers = 1;
 
   // ---- Serial engine only ----

@@ -26,10 +26,12 @@ class TraceRecorder;
 /// Execution knobs for the engine: recovery parallelism plus the
 /// concurrent front end's commit and checkpoint policy.
 struct EngineOptions {
-  /// Redo worker threads. <= 1 replays serially, in exact log order
-  /// (the default; golden byte-identical timelines rely on it). > 1
-  /// partitions pages across workers (src/redo) and replays each
-  /// write-graph chain concurrently.
+  /// Redo worker threads of a quiescing Recover(). <= 1 runs the
+  /// method's serial redo loop, in exact log order (the default; golden
+  /// byte-identical timelines rely on it). > 1 drains the analysis plan
+  /// with that many threads through the instant-restart driver
+  /// (src/redo/instant.h), the doors closed: each write-graph chain
+  /// replays in LSN order, chains concurrently.
   size_t parallel_workers = 1;
 
   /// Group commit (concurrent mode only): how long the committer thread
@@ -92,8 +94,8 @@ struct EngineOptions {
 
   /// Completion workers of the device (storage::AsyncIoBackend) — the
   /// modeled queue depth. 0 (the default) executes every page I/O
-  /// inline, one op in flight; > 0 overlaps that many ops, lets
-  /// parallel-redo workers prefetch their plans, and overlaps the
+  /// inline, one op in flight; > 0 overlaps that many ops (flush waves,
+  /// concurrent redo drains' and sessions' misses), and overlaps the
   /// group-commit force with staging. The environment variable
   /// REDO_ASYNC_IO overrides a zero here (the CI seam for running
   /// existing suites at depth N). Results are identical at any setting;

@@ -1,12 +1,28 @@
 #include "engine/minidb.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <ctime>
 
 #include "engine/command.h"
 #include "methods/txn_recovery.h"
 #include "obs/flight_recorder.h"
 
 namespace redo::engine {
+namespace {
+
+// Thread-CPU time of the calling thread, in microseconds. Unlike the
+// wall clock it excludes time the thread spent descheduled (waiting on
+// the gate, a latch or a device read, or preempted on an oversubscribed
+// host), so it measures redo work, not host parallelism.
+uint64_t ThreadCpuUs() {
+  timespec ts{};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000ull +
+         static_cast<uint64_t>(ts.tv_nsec) / 1000ull;
+}
+
+}  // namespace
 
 Status MiniDbOptions::Validate() const {
   if (num_pages == 0) {
@@ -625,13 +641,14 @@ Status MiniDb::RecoverInternal() {
   methods::TxnAnalysis txns;
   if (engine_options_.parallel_workers > 1) {
     // One analysis visit builds the transaction table, the DPT and the
-    // plan the parallel scheduler replays (DESIGN.md §9).
+    // plan the drain workers replay (DESIGN.md §9).
     Result<methods::RestartAnalysis> analysis = [&] {
       obs::PhaseScope analysis_phase(recovery_tracer(), "analysis");
       return methods::AnalyzeForRestart(*method_, context);
     }();
     if (!analysis.ok()) return analysis.status();
-    REDO_RETURN_IF_ERROR(methods::RedoInParallel(context, analysis.value()));
+    REDO_RETURN_IF_ERROR(DrainQuiescing(std::move(analysis.value().plan),
+                                        std::move(analysis.value().redo)));
     txns = std::move(analysis.value().txns);
   } else {
     Result<methods::TxnAnalysis> analysis =
@@ -643,6 +660,61 @@ Status MiniDb::RecoverInternal() {
   REDO_RETURN_IF_ERROR(methods::UndoLosers(context, txns));
   txn_registry_.SeedNextId(txns.max_txn_id);
   return Status::Ok();
+}
+
+Status MiniDb::DrainQuiescing(par::RedoPlan plan,
+                              par::InstantRedoOptions options) {
+  obs::RecoveryTracer* tracer = recovery_tracer();
+  obs::PhaseScope phase(tracer, "redo-scan");
+  const size_t tasks = plan.tasks.size();
+  const size_t superseded = plan.images_superseded;
+  // No metrics sink: redo.instant counts instant restarts only.
+  par::InstantRedoDriver driver(&pool_, num_pages(), std::move(plan),
+                                std::move(options), /*metrics=*/nullptr);
+  if (tracer != nullptr) driver.KeepVerdicts();
+  // The workers share the pool: no fetch may evict a frame another
+  // worker is replaying into.
+  pool_.HoldEviction();
+  const size_t workers = engine_options_.parallel_workers;
+  std::vector<uint64_t> busy_us(workers, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
+    threads.emplace_back([this, &driver, &busy = busy_us[i]] {
+      const uint64_t start = ThreadCpuUs();
+      DrainPending(&driver);
+      busy = ThreadCpuUs() - start;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  driver.EmitVerdicts(tracer);
+  ++parallel_metrics_.runs;
+  parallel_metrics_.workers_spawned += workers;
+  parallel_metrics_.tasks += tasks;
+  parallel_metrics_.images_superseded += superseded;
+  for (uint64_t us : busy_us) parallel_metrics_.apply_busy_us += us;
+  parallel_metrics_.apply_critical_path_us +=
+      *std::max_element(busy_us.begin(), busy_us.end());
+  // A failed drain leaves each page an LSN-ordered prefix of its chain,
+  // a valid intermediate state (redo is idempotent): the caller crashes
+  // and reruns, and the crash releases the eviction hold.
+  REDO_RETURN_IF_ERROR(driver.first_error());
+  REDO_CHECK(driver.Done()) << "drain workers left redo tasks pending";
+  // Eviction-triggered flushes now see every re-armed §6.4 constraint.
+  return pool_.ReduceToCapacity();
+}
+
+void MiniDb::DrainPending(par::InstantRedoDriver* driver) {
+  storage::PageId page = 0;
+  while (driver->NextPendingPage(&page)) {
+    // A session waiting for the exclusive gate (a bridged drain, a
+    // split or a rollback) outranks the background sweep, whose
+    // back-to-back shared holds would otherwise starve it.
+    while (drain_urgent_.load(std::memory_order_relaxed) > 0) {
+      std::this_thread::yield();
+    }
+    if (!DrainForAccess(driver, page, /*on_demand=*/false).ok()) break;
+  }
 }
 
 Status MiniDb::PrepareLogForRecovery() {
@@ -776,16 +848,7 @@ Status MiniDb::RecoverInstant() {
   par::InstantRedoDriver* driver = instant_driver_.get();
   for (size_t i = 0; i < engine_options_.instant_drain_workers; ++i) {
     drain_threads_.emplace_back([this, driver] {
-      storage::PageId page = 0;
-      while (driver->NextPendingPage(&page)) {
-        // A session waiting for the exclusive gate (a bridged drain, a
-        // split or a rollback) outranks the background sweep, whose
-        // back-to-back shared holds would otherwise starve it.
-        while (drain_urgent_.load(std::memory_order_relaxed) > 0) {
-          std::this_thread::yield();
-        }
-        if (!DrainForAccess(driver, page, /*on_demand=*/false).ok()) break;
-      }
+      DrainPending(driver);
       // The worker that drains (or observes) the last chain flips the
       // engine to fully recovered. The tracer is closed later by the
       // coordinator in WaitUntilRecovered — workers never touch it.

@@ -367,7 +367,6 @@ class MiniDb {
                                   instr_.trace,
                                   instr_.recovery_tracer,
                                   engine_options_,
-                                  &parallel_metrics_,
                                   &txn_registry_,
                                   &undo_metrics_};
   }
@@ -387,6 +386,16 @@ class MiniDb {
   /// kServing phase or once the chain is done. Callers hold no gate and
   /// no latch: the drain takes them itself (DrainForAccess).
   Status EnsureRedoneForAccess(storage::PageId page);
+  /// The quiescing multi-worker redo (parallel_workers > 1, DESIGN.md
+  /// §9): parallel_workers threads drain `plan` through an
+  /// InstantRedoDriver with the doors closed and eviction held, under
+  /// the "redo-scan" phase; then the kept verdicts are emitted in LSN
+  /// order and the pool shrinks back to its capacity.
+  Status DrainQuiescing(par::RedoPlan plan, par::InstantRedoOptions options);
+  /// The drain workers' body, for both restart kinds: claims chains in
+  /// head-LSN order and drains each (DrainForAccess) until none is left
+  /// or a drain fails.
+  void DrainPending(par::InstantRedoDriver* driver);
   /// Drains `page`'s chain on the path its kind needs: a single-page
   /// chain under the op gate shared and the page's latch, a bridged
   /// chain under the gate exclusive (InstantRedoDriver's contract). An

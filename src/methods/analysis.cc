@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "methods/common.h"
-#include "redo/scheduler.h"
 
 namespace redo::methods {
 namespace {
@@ -163,41 +162,6 @@ Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx) {
   Result<RestartAnalysis> visited = Visit(ctx, nullptr);
   if (!visited.ok()) return visited.status();
   return std::move(visited.value().txns);
-}
-
-Status RedoInParallel(EngineContext& ctx, const RestartAnalysis& analysis) {
-  obs::PhaseScope phase(ctx.tracer, "redo-scan");
-  const par::InstantRedoOptions& redo = analysis.redo;
-  par::ParallelRedoOptions options;
-  options.workers = ctx.options.parallel_workers;
-  options.mode = redo.mode == par::InstantRedoOptions::Mode::kRedoAll
-                     ? par::ParallelRedoOptions::Mode::kRedoAll
-                     : par::ParallelRedoOptions::Mode::kLsnTest;
-  options.dpt = redo.use_dpt ? &redo.dpt : nullptr;
-  const par::ParallelRedoReport report = par::RunParallelRedo(
-      ctx.pool, analysis.plan, options, ctx.parallel_metrics);
-  if (ctx.tracer != nullptr) {
-    for (const par::TaskVerdict& v : report.verdicts) {
-      ctx.tracer->Verdict(v.lsn, v.page, v.verdict, v.reason);
-    }
-  }
-  REDO_RETURN_IF_ERROR(report.status);
-  if (redo.add_split_constraints) {
-    // Re-arm write-order constraints single-threaded in LSN order over
-    // the merged pool — the serial scan's acyclicity rule.
-    for (size_t index : report.replayed_splits) {
-      const engine::SplitOp& split = analysis.plan.tasks[index].split;
-      const core::Lsn lsn = analysis.plan.tasks[index].lsn;
-      if (ctx.pool->HasPendingOrderPath(split.src, split.dst)) {
-        REDO_RETURN_IF_ERROR(ctx.pool->FlushPageCascading(split.dst));
-      } else {
-        ctx.pool->AddWriteOrderConstraint(split.dst, lsn, split.src);
-      }
-    }
-  }
-  // Partitions are unbounded; shrink back under the pool's capacity now
-  // that eviction-triggered flushes see the re-armed constraints.
-  return ctx.pool->ReduceToCapacity();
 }
 
 }  // namespace redo::methods

@@ -11,9 +11,11 @@
 // (RecoveryMethod::redo_planning, ClassifyRecord, PrepareStableState).
 //
 // Instant restart and the parallel quiescing restart (Recover with
-// parallel_workers > 1) run the whole visit. The serial restart runs it
-// without a plan (AnalyzeTransactions) ahead of the method's own serial
-// redo loop.
+// parallel_workers > 1) run the whole visit, and both replay its plan
+// through one executor, par::InstantRedoDriver (redo/instant.h). The
+// serial restart runs the visit without a plan (AnalyzeTransactions)
+// ahead of the method's own serial redo loop, the exact-log-order
+// reference the golden timelines pin.
 
 #ifndef REDO_METHODS_ANALYSIS_H_
 #define REDO_METHODS_ANALYSIS_H_
@@ -63,12 +65,6 @@ Result<RestartAnalysis> AnalyzeForRestart(RecoveryMethod& method,
 /// The visit run without a plan: the transaction table alone. Safe (and
 /// cheap) on logs with no transaction records: returns an empty table.
 Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx);
-
-/// Replays an analysis plan with ctx.options.parallel_workers workers
-/// (redo/scheduler.h) under the "redo-scan" tracer phase: emits the
-/// merged verdicts in LSN order, re-arms §6.4 write-order constraints
-/// when the plan asks, and re-enforces the pool's capacity.
-Status RedoInParallel(EngineContext& ctx, const RestartAnalysis& analysis);
 
 }  // namespace redo::methods
 

@@ -23,10 +23,6 @@
 #include "util/status.h"
 #include "wal/log_manager.h"
 
-namespace redo::par {
-struct ParallelRedoMetrics;
-}  // namespace redo::par
-
 namespace redo::methods {
 
 /// The engine components a method operates on. Non-owning. Assembled in
@@ -38,7 +34,6 @@ struct EngineContext {
   engine::TraceRecorder* trace = nullptr;   ///< optional
   obs::RecoveryTracer* tracer = nullptr;    ///< optional recovery timeline
   engine::EngineOptions options;            ///< execution knobs
-  par::ParallelRedoMetrics* parallel_metrics = nullptr;  ///< optional sink
   engine::TxnRegistry* txns = nullptr;      ///< optional live-txn table;
                                             ///  when set, checkpoints embed
                                             ///  its snapshot as a tail

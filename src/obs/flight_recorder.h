@@ -64,7 +64,10 @@ enum class FlightEventType : uint16_t {
   kRedoTask = 11,      ///< span: one redo task (a0=worker, a1=lsn, a2=page)
   kRedoHandoff = 12,   ///< instant: split snapshot hand-off
                        ///< (a0=from worker, a1=to worker, a2=lsn)
-  kInstantDrain = 13,  ///< span: chain drain (a0=page, a1=1 if on-demand)
+                       ///< (no engine path emits 11 or 12; the ids stay
+                       ///< reserved so recorded traces keep their meaning)
+  kInstantDrain = 13,  ///< span: chain drain, instant or quiescing
+                       ///< (a0=page, a1=1 if on-demand, a2=tasks)
   kSlowOp = 14,        ///< instant: watchdog promotion (a0=type, a1=dur)
   kIoBatch = 15,       ///< span: async I/O batch submit→complete
                        ///< (a0=ops, a1=reads, a2=writes)

@@ -8,6 +8,7 @@
 
 #include "engine/ops.h"
 #include "obs/flight_recorder.h"
+#include "obs/recovery_trace.h"
 #include "util/logging.h"
 
 namespace redo::par {
@@ -24,6 +25,43 @@ std::vector<PageId> TouchedPages(const RedoTask& task) {
   std::sort(pages.begin(), pages.end());
   pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
   return pages;
+}
+
+/// The first-touch rule: true when replaying `task` under redo-all
+/// overwrites every byte of `page` without reading it — a page image,
+/// or the dst of a whole split whose transform does not read dst. The
+/// page's stable bytes are then dead (§6.2: a physical write's target
+/// is unexposed), so the replay may install a zeroed frame instead of
+/// reading the page (FetchBlind). An LSN-tested replay must read the
+/// page LSN, so the rule never applies.
+bool BlindFirstTouch(const RedoTask& task, PageId page, bool redo_all) {
+  if (!redo_all) return false;
+  switch (task.kind) {
+    case RedoTaskKind::kPageImage:
+      return page == task.image_page;
+    case RedoTaskKind::kWholeSplit:
+      return page == task.split.dst &&
+             !engine::SplitReadsDst(task.split.transform);
+    default:
+      return false;
+  }
+}
+
+/// The page a task's verdict names, per verdict slot: each CLR action's
+/// page, else the page the task writes (a split's dst).
+PageId VerdictPage(const RedoTask& task, size_t slot) {
+  switch (task.kind) {
+    case RedoTaskKind::kSinglePage:
+      return task.op.page;
+    case RedoTaskKind::kPageImage:
+      return task.image_page;
+    case RedoTaskKind::kSplitDst:
+    case RedoTaskKind::kWholeSplit:
+      return task.split.dst;
+    case RedoTaskKind::kClrRestore:
+      return task.clr_actions[slot].page;
+  }
+  return 0;
 }
 
 /// True if replaying `task` touches exactly one page and nothing a
@@ -81,6 +119,40 @@ InstantRedoDriver::InstantRedoDriver(storage::BufferPool* pool,
   }
 }
 
+void InstantRedoDriver::KeepVerdicts() {
+  verdict_begin_.assign(1, 0);
+  for (const RedoTask& task : plan_.tasks) {
+    const size_t slots = task.kind == RedoTaskKind::kClrRestore
+                             ? task.clr_actions.size()
+                             : 1;
+    verdict_begin_.push_back(verdict_begin_.back() + slots);
+  }
+  verdicts_.assign(verdict_begin_.back(), 0);
+}
+
+void InstantRedoDriver::EmitVerdicts(obs::RecoveryTracer* tracer) const {
+  if (tracer == nullptr || verdicts_.empty()) return;
+  const bool redo_all = options_.mode == InstantRedoOptions::Mode::kRedoAll;
+  for (size_t i = 0; i < plan_.tasks.size(); ++i) {
+    const RedoTask& task = plan_.tasks[i];
+    for (size_t slot = verdict_begin_[i]; slot < verdict_begin_[i + 1];
+         ++slot) {
+      if (verdicts_[slot] == 0) continue;
+      const auto verdict = static_cast<obs::RedoVerdict>(verdicts_[slot] - 1);
+      const char* reason = "page-lsn-older";
+      if (verdict == obs::RedoVerdict::kNotExposed) {
+        reason = "analysis-dpt";
+      } else if (verdict == obs::RedoVerdict::kSkippedInstalled) {
+        reason = "page-lsn-current";
+      } else if (redo_all) {
+        reason = "redo-all";
+      }
+      tracer->Verdict(task.lsn, VerdictPage(task, slot - verdict_begin_[i]),
+                      verdict, reason);
+    }
+  }
+}
+
 Status InstantRedoDriver::DrainPage(PageId page, bool on_demand) {
   REDO_RETURN_IF_ERROR(StoppedStatus());
   if (!HasPendingWork(page)) return Status::Ok();
@@ -107,7 +179,7 @@ Status InstantRedoDriver::DrainSinglePage(PageId page, bool on_demand) {
   Status status = Status::Ok();
   size_t replayed = 0;
   for (size_t index : chain.tasks) {
-    status = ApplyTask(plan_.tasks[index], &frame);
+    status = ApplyTask(index, &frame);
     if (!status.ok()) break;
     ++replayed;
   }
@@ -211,7 +283,7 @@ Status InstantRedoDriver::DrainChainLocked(PageId page, core::Lsn bound,
         REDO_RETURN_IF_ERROR(DrainChainLocked(other, task.lsn, drained));
       }
     }
-    REDO_RETURN_IF_ERROR(ApplyTask(task));
+    REDO_RETURN_IF_ERROR(ApplyTask(index));
     applied_[index] = 1;
     remaining_.fetch_sub(1, std::memory_order_acq_rel);
     ++*drained;
@@ -232,29 +304,40 @@ void InstantRedoDriver::RetireAppliedHeadsLocked(PageId page) {
   }
 }
 
-Status InstantRedoDriver::ApplyTask(const RedoTask& task, ChainFrame* chain) {
+Status InstantRedoDriver::ApplyTask(size_t index, ChainFrame* chain) {
+  const RedoTask& task = plan_.tasks[index];
   const bool redo_all = options_.mode == InstantRedoOptions::Mode::kRedoAll;
+  using obs::RedoVerdict;
   // The analysis-DPT skip (§4.3): decided without any page I/O.
   auto dpt_skips = [this](PageId page, core::Lsn lsn) {
     if (!options_.use_dpt) return false;
     const auto it = options_.dpt.find(page);
     return it == options_.dpt.end() || lsn < it->second;
   };
-  auto skipped = [this] {
+  // Keeps the verdict on the task's `slot`-th tested page (KeepVerdicts).
+  auto keep = [this, index](RedoVerdict verdict, size_t slot = 0) {
+    if (verdicts_.empty()) return;
+    verdicts_[verdict_begin_[index] + slot] =
+        static_cast<uint8_t>(1 + static_cast<int>(verdict));
+  };
+  auto count = [this](bool replayed) {
     if (metrics_ != nullptr) {
-      metrics_->tasks_skipped.fetch_add(1, std::memory_order_relaxed);
+      (replayed ? metrics_->tasks_applied : metrics_->tasks_skipped)
+          .fetch_add(1, std::memory_order_relaxed);
     }
     return Status::Ok();
   };
-  auto applied = [this] {
-    if (metrics_ != nullptr) {
-      metrics_->tasks_applied.fetch_add(1, std::memory_order_relaxed);
-    }
-    return Status::Ok();
+  auto skipped = [&keep, &count](RedoVerdict verdict) {
+    keep(verdict);
+    return count(false);
   };
-  // A page the task overwrites whole installs without a read — the
-  // parallel scheduler's first-touch rule (plan.h). A single-page
-  // chain's drain fetches its page once and reuses the frame.
+  auto applied = [&keep, &count] {
+    keep(RedoVerdict::kApplied);
+    return count(true);
+  };
+  // A page the task overwrites whole installs without a read
+  // (BlindFirstTouch). A single-page chain's drain fetches its page
+  // once and reuses the frame.
   auto fetch = [this, &task, redo_all, chain](PageId page) -> Result<Page*> {
     if (chain != nullptr && chain->page != nullptr) return chain->page;
     Result<Page*> fetched = BlindFirstTouch(task, page, redo_all)
@@ -284,17 +367,23 @@ Status InstantRedoDriver::ApplyTask(const RedoTask& task, ChainFrame* chain) {
 
   switch (task.kind) {
     case RedoTaskKind::kSinglePage: {
-      if (dpt_skips(task.op.page, task.lsn)) return skipped();
+      if (dpt_skips(task.op.page, task.lsn)) {
+        return skipped(RedoVerdict::kNotExposed);
+      }
       Result<Page*> page = fetch(task.op.page);
       if (!page.ok()) return page.status();
-      if (installed(*page.value(), task.lsn)) return skipped();
+      if (installed(*page.value(), task.lsn)) {
+        return skipped(RedoVerdict::kSkippedInstalled);
+      }
       REDO_RETURN_IF_ERROR(engine::ApplySinglePageOp(task.op, page.value()));
       REDO_RETURN_IF_ERROR(mark(task.op.page, task.lsn));
       return applied();
     }
 
     case RedoTaskKind::kPageImage: {
-      if (dpt_skips(task.image_page, task.lsn)) return skipped();
+      if (dpt_skips(task.image_page, task.lsn)) {
+        return skipped(RedoVerdict::kNotExposed);
+      }
       if (task.superseded) {
         // A later image of the page overwrites this one before anything
         // reads the page (plan.h): replayed by installing nothing.
@@ -305,9 +394,11 @@ Status InstantRedoDriver::ApplyTask(const RedoTask& task, ChainFrame* chain) {
       }
       Result<Page*> page = fetch(task.image_page);
       if (!page.ok()) return page.status();
-      if (installed(*page.value(), task.lsn)) return skipped();
+      if (installed(*page.value(), task.lsn)) {
+        return skipped(RedoVerdict::kSkippedInstalled);
+      }
       // One memcpy from the still-encoded payload straight into the
-      // frame, as in the parallel scheduler.
+      // frame — no intermediate Page materializes.
       std::memcpy(page.value()->bytes().data(),
                   task.image_payload.data() +
                       (task.image_payload.size() - Page::kSize),
@@ -317,10 +408,14 @@ Status InstantRedoDriver::ApplyTask(const RedoTask& task, ChainFrame* chain) {
     }
 
     case RedoTaskKind::kSplitDst: {
-      if (dpt_skips(task.split.dst, task.lsn)) return skipped();
+      if (dpt_skips(task.split.dst, task.lsn)) {
+        return skipped(RedoVerdict::kNotExposed);
+      }
       Result<Page*> dst = pool_->Fetch(task.split.dst);
       if (!dst.ok()) return dst.status();
-      if (!redo_all && dst.value()->lsn() >= task.lsn) return skipped();
+      if (!redo_all && dst.value()->lsn() >= task.lsn) {
+        return skipped(RedoVerdict::kSkippedInstalled);
+      }
       Result<Page*> src = pool_->Fetch(task.split.src);
       if (!src.ok()) return src.status();
       // Copy src out and re-run the redo test on a refetched dst: the
@@ -329,7 +424,9 @@ Status InstantRedoDriver::ApplyTask(const RedoTask& task, ChainFrame* chain) {
       const Page src_copy = *src.value();
       dst = pool_->Fetch(task.split.dst);
       if (!dst.ok()) return dst.status();
-      if (!redo_all && dst.value()->lsn() >= task.lsn) return skipped();
+      if (!redo_all && dst.value()->lsn() >= task.lsn) {
+        return skipped(RedoVerdict::kSkippedInstalled);
+      }
       engine::ApplySplitToDst(task.split, src_copy, dst.value());
       REDO_RETURN_IF_ERROR(pool_->MarkDirty(task.split.dst, task.lsn));
       if (options_.add_split_constraints) {
@@ -370,16 +467,24 @@ Status InstantRedoDriver::ApplyTask(const RedoTask& task, ChainFrame* chain) {
       // A CLR from a previous crashed rollback: restore each action's
       // page (absolute), testing the LSN per page in kLsnTest mode.
       bool any = false;
-      for (const engine::UndoAction& action : task.clr_actions) {
-        if (dpt_skips(action.page, task.lsn)) continue;
+      for (size_t a = 0; a < task.clr_actions.size(); ++a) {
+        const engine::UndoAction& action = task.clr_actions[a];
+        if (dpt_skips(action.page, task.lsn)) {
+          keep(RedoVerdict::kNotExposed, a);
+          continue;
+        }
         Result<Page*> page = fetch(action.page);
         if (!page.ok()) return page.status();
-        if (installed(*page.value(), task.lsn)) continue;
+        if (installed(*page.value(), task.lsn)) {
+          keep(RedoVerdict::kSkippedInstalled, a);
+          continue;
+        }
         REDO_RETURN_IF_ERROR(engine::RestoreUndoAction(action, page.value()));
         REDO_RETURN_IF_ERROR(mark(action.page, task.lsn));
+        keep(RedoVerdict::kApplied, a);
         any = true;
       }
-      return any ? applied() : skipped();
+      return count(any);
     }
   }
   return Status::InvalidArgument("unhandled redo task kind");

@@ -1,4 +1,6 @@
-// Instant restart (on-demand redo): serve new traffic while redo drains.
+// The redo executor: drains the analysis plan chain by chain, for
+// instant restart (serve new traffic while redo drains) and for the
+// quiescing parallel restart alike.
 //
 // The paper's §5 write graph decomposes redo into per-page chains,
 // bridged by the multi-page records; any linear extension is a correct
@@ -12,7 +14,9 @@
 // chains in head-LSN order until nothing is pending. Either path
 // executes a linear extension of the write graph, so the final state is
 // the offline-recovery state (Theorem 3) — restart becomes a throughput
-// dip instead of a pause.
+// dip instead of a pause. A quiescing Recover() with parallel_workers
+// > 1 runs the same background workers with the doors closed, then
+// emits the kept verdicts in LSN order (KeepVerdicts, EmitVerdicts).
 //
 // Threading contract. A *single-page chain* is one whose tasks each
 // touch only that chain's page; a *bridged chain* is one a multi-page
@@ -50,10 +54,14 @@
 #include "storage/buffer_pool.h"
 #include "util/status.h"
 
+namespace redo::obs {
+class RecoveryTracer;
+}  // namespace redo::obs
+
 namespace redo::par {
 
 /// How the driver decides whether a planned task still needs redo —
-/// the per-method redo test (§4/§5), mirroring ParallelRedoOptions.
+/// the per-method redo test (§4/§5).
 struct InstantRedoOptions {
   enum class Mode : uint8_t {
     kRedoAll,   ///< replay unconditionally (logical/physical families)
@@ -75,14 +83,26 @@ struct InstantRedoOptions {
 };
 
 /// Tracks which planned tasks are still pending, per page chain, and
-/// drains chains on demand. Construct once per instant restart from the
+/// drains chains on demand. Construct once per restart from the
 /// analysis plan; destroy (or just drop) after the last drain.
 class InstantRedoDriver {
  public:
   /// `num_pages` is the disk's page count. A plan task on a page beyond
-  /// it fails the driver up front, as its drain would have.
+  /// it fails the driver up front, as its drain would have. `metrics`
+  /// may be null (a quiescing restart counts into redo.parallel).
   InstantRedoDriver(storage::BufferPool* pool, size_t num_pages, RedoPlan plan,
                     InstantRedoOptions options, InstantRedoMetrics* metrics);
+
+  /// Keeps every drained task's redo-test verdicts for EmitVerdicts:
+  /// one per task, one per action for a CLR. Call before the first
+  /// drain.
+  void KeepVerdicts();
+
+  /// Replays the kept verdicts into `tracer` (if non-null) in plan
+  /// order, which is ascending LSN — the sequence a serial scan emits.
+  /// Tasks no drain reached emit nothing. Call once every drain has
+  /// returned.
+  void EmitVerdicts(obs::RecoveryTracer* tracer) const;
 
   /// True if `page`'s chain still holds pending tasks. One atomic load;
   /// safe from any thread. A false result is stable (chains only ever
@@ -179,13 +199,13 @@ class InstantRedoDriver {
     core::Lsn last_applied = core::kNullLsn;
   };
 
-  /// Applies (or redo-test-skips) one planned task. Mirrors the serial
+  /// Applies (or redo-test-skips) plan task `index`. Mirrors the serial
   /// scan's per-kind machinery, including the kSplitDst refetch +
-  /// re-test double-apply guard; a page the task overwrites whole is
-  /// installed without a read (BlindFirstTouch), as in the scheduler.
+  /// re-test double-apply guard; under redo-all, a page the task
+  /// overwrites whole is installed without a read (FetchBlind).
   /// `chain` is the single-page path's frame (null on the bridged path,
   /// which fetches and tags per task).
-  Status ApplyTask(const RedoTask& task, ChainFrame* chain = nullptr);
+  Status ApplyTask(size_t index, ChainFrame* chain = nullptr);
 
   /// Traces and counts one drain that replayed `tasks` tasks.
   void RecordDrain(storage::PageId page, bool on_demand, size_t tasks,
@@ -209,6 +229,13 @@ class InstantRedoDriver {
   mutable std::mutex mu_;
   std::vector<char> applied_;  ///< per task: replayed by a bridged drain
   Status first_error_;
+
+  /// Kept verdicts (KeepVerdicts; empty otherwise): task i owns slots
+  /// [verdict_begin_[i], verdict_begin_[i + 1]), one per page it tests,
+  /// each 0 (not reached) or 1 + its obs::RedoVerdict. Only the task's
+  /// drainer writes its slots, so no lock guards them.
+  std::vector<size_t> verdict_begin_;
+  std::vector<uint8_t> verdicts_;
 };
 
 }  // namespace redo::par

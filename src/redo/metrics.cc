@@ -6,12 +6,7 @@ void ParallelRedoMetrics::EmitMetrics(obs::MetricEmitter& emit) const {
   emit.Counter("runs", runs);
   emit.Counter("workers_spawned", workers_spawned);
   emit.Counter("tasks", tasks);
-  emit.Counter("handoffs", handoffs);
-  emit.Counter("cross_edges", cross_edges);
-  emit.Counter("blind_installs", blind_installs);
   emit.Counter("images_superseded", images_superseded);
-  emit.Counter("prefetched_pages", prefetched_pages);
-  emit.Counter("verdicts_merged", verdicts_merged);
   emit.Counter("apply_busy_us", apply_busy_us);
   emit.Counter("apply_critical_path_us", apply_critical_path_us);
 }

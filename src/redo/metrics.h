@@ -1,6 +1,7 @@
-// Counters for the parallel redo scheduler, exported through the
-// metrics registry as the "redo.parallel" source (see src/obs). The
-// engine owns one instance and hands it to every parallel run.
+// Counters for the two kinds of drain over the redo plan, exported
+// through the metrics registry as the "redo.parallel" source (quiescing
+// restarts with parallel_workers > 1) and the "redo.instant" source
+// (instant restarts); see src/obs. The engine owns one of each.
 
 #ifndef REDO_REDO_METRICS_H_
 #define REDO_REDO_METRICS_H_
@@ -12,22 +13,17 @@
 
 namespace redo::par {
 
-/// Cumulative counters across every parallel redo invocation.
+/// Cumulative counters across every quiescing multi-worker drain.
 struct ParallelRedoMetrics {
-  uint64_t runs = 0;             ///< parallel redo invocations
-  uint64_t workers_spawned = 0;  ///< worker threads launched (sum)
-  uint64_t tasks = 0;            ///< planned redo tasks executed
-  uint64_t handoffs = 0;         ///< cross-worker page transfers
-  uint64_t cross_edges = 0;      ///< multi-page tasks spanning two workers
-  uint64_t blind_installs = 0;   ///< first-touch installs skipping a read
+  uint64_t runs = 0;             ///< quiescing multi-worker drains
+  uint64_t workers_spawned = 0;  ///< drain worker threads launched (sum)
+  uint64_t tasks = 0;            ///< planned redo tasks
   uint64_t images_superseded = 0;  ///< superseded images installed as nothing
-  uint64_t prefetched_pages = 0; ///< pages installed by async read batches
-  uint64_t verdicts_merged = 0;  ///< verdicts LSN-sorted at the join
 
-  /// Thread-CPU time spent in worker loops (sum across workers), and
-  /// the per-run critical path (the slowest worker's CPU time, summed
-  /// across runs). busy/critical ≈ the speedup the write-graph
-  /// schedule permits, independent of how many cores the host has.
+  /// Thread-CPU time spent in the drain workers (sum across workers),
+  /// and the per-run critical path (the slowest worker's CPU time,
+  /// summed across runs). busy/critical ≈ the speedup the write graph
+  /// permits, independent of how many cores the host has.
   uint64_t apply_busy_us = 0;
   uint64_t apply_critical_path_us = 0;
 

@@ -54,20 +54,6 @@ std::vector<storage::PageId> RedoTask::Reads() const {
   return {};
 }
 
-bool BlindFirstTouch(const RedoTask& task, storage::PageId page,
-                     bool redo_all) {
-  if (!redo_all) return false;
-  switch (task.kind) {
-    case RedoTaskKind::kPageImage:
-      return page == task.image_page;
-    case RedoTaskKind::kWholeSplit:
-      return page == task.split.dst &&
-             !engine::SplitReadsDst(task.split.transform);
-    default:
-      return false;
-  }
-}
-
 Result<std::optional<RedoTask>> DecodeRedoTask(const wal::LogRecord& record,
                                                bool whole_splits) {
   RedoTask task;
@@ -207,7 +193,7 @@ core::Dag BuildTaskDag(const RedoPlan& plan) {
   // a write conflicts with the last write and every read since it.
   // Tasks are in ascending LSN order, so every edge runs forward and
   // the graph is acyclic by construction; multi-page tasks appear in
-  // two pages' chains, which is where cross-partition edges come from.
+  // two pages' chains, which is where the chains get bridged.
   struct PageChain {
     std::optional<uint32_t> last_writer;
     std::vector<uint32_t> readers_since_write;

@@ -9,7 +9,7 @@
 // graph decomposes into per-page chains, stitched together by the
 // multi-page records (kPageSplit and the generalized B-tree ops) whose
 // two pages bridge two chains. BuildTaskDag materializes that graph;
-// the scheduler (scheduler.h) executes a linear extension of it.
+// InstantRedoDriver (instant.h) executes a linear extension of it.
 
 #ifndef REDO_REDO_PLAN_H_
 #define REDO_REDO_PLAN_H_
@@ -51,19 +51,18 @@ struct RedoTask {
   storage::PageId image_page = 0;   ///< kPageImage
   /// kPageImage: the record payload (page-id header + raw page bytes),
   /// copied once by RedoPlanBuilder::Finish (empty when superseded) and
-  /// kept encoded, so the install is one memcpy on the worker that
+  /// kept encoded, so the install is one memcpy by whichever drain
   /// replays it.
   std::vector<uint8_t> image_payload;
   /// kClrRestore: the compensation record's absolute restores. Each
-  /// action touches exactly one page, so workers apply the actions whose
-  /// pages they own with no cross-worker hand-off (unlike splits, no
-  /// value flows between the pages).
+  /// action touches exactly one page, and no value flows between the
+  /// pages (unlike a split's).
   std::vector<engine::UndoAction> clr_actions;
   /// kPageImage under the redo-all test: a later image of the same page
   /// follows, and no task in between touches the page, so this image is
   /// unexposed (§2.3) — blind-overwritten before any read (§7). The task
   /// keeps its place and its verdict; its payload is never copied, and
-  /// the executors install nothing for it.
+  /// the drain installs nothing for it.
   bool superseded = false;
 
   /// Pages the task writes (write-graph conflict set).
@@ -77,17 +76,6 @@ struct RedoPlan {
   size_t multi_page_tasks = 0;    ///< tasks touching two pages (splits)
   size_t images_superseded = 0;   ///< kPageImage tasks marked superseded
 };
-
-/// The first-touch rule, shared by the parallel scheduler and the
-/// instant-restart drain (instant.h) so the two cannot drift apart: true
-/// when replaying `task` under redo-all overwrites every byte of `page`
-/// without reading it — a page image, or the dst of a whole split whose
-/// transform does not read dst. The page's stable bytes are then dead
-/// (§6.2: a physical write's target is unexposed), so the replay may
-/// install a zeroed frame instead of reading the page (FetchBlind). An
-/// LSN-tested replay must read the page LSN, so the rule never applies.
-bool BlindFirstTouch(const RedoTask& task, storage::PageId page,
-                     bool redo_all);
 
 /// Decodes one stable record into its redo task, or nullopt for a
 /// record that carries no redo work (checkpoints, transaction
@@ -134,8 +122,8 @@ class RedoPlanBuilder {
 /// is acyclic by construction. Only chain edges are added (each page's
 /// consecutive touchers); the transitive closure equals the full
 /// conflict order. Any linear extension is a correct redo order — the
-/// scheduler realizes one by keeping each worker in LSN order and
-/// handing split pages across workers.
+/// driver realizes one by draining each page's chain in LSN order and
+/// bridging the chains a multi-page task links up to its LSN.
 core::Dag BuildTaskDag(const RedoPlan& plan);
 
 }  // namespace redo::par

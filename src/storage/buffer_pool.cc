@@ -5,8 +5,7 @@
 namespace redo::storage {
 namespace {
 
-// One page read through the device: the miss path of the pool and of
-// every redo partition.
+// One page read through the device: the pool's miss path.
 Result<Page> ReadThrough(AsyncIoBackend& io, PageId id) {
   AsyncIoBatch batch = io.Submit({AsyncIoOp::Read(id)});
   REDO_RETURN_IF_ERROR(batch.Wait());
@@ -41,7 +40,6 @@ void BufferPoolStats::EmitMetrics(obs::MetricEmitter& emit) const {
   emit.Counter("flush_failures", flush_failures);
   emit.Counter("constraint_checks", constraint_checks);
   emit.Counter("batch_flushes", batch_flushes);
-  emit.Counter("prefetch_installs", prefetch_installs);
   emit.Counter("blind_installs", blind_installs);
 }
 
@@ -74,11 +72,6 @@ Result<Page*> BufferPool::FetchFrame(PageId id, bool blind) {
   // page is marked in flight meanwhile, and a concurrent fetch of it
   // waits for this read instead of issuing its own.
   std::unique_lock<std::mutex> lock(mu_);
-  if (redo_partitioned_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "buffer pool: frames are split out for redo (merge partitions "
-        "before fetching)");
-  }
   ++stats_.fetches;
   auto in_flight = [this, id] {
     return std::find(reads_in_flight_.begin(), reads_in_flight_.end(), id) !=
@@ -116,9 +109,10 @@ Result<Page*> BufferPool::FetchFrame(PageId id, bool blind) {
     if (!from_disk.ok()) return from_disk.status();
     frame.page = std::move(from_disk).value();
   }
-  // Eviction stays under mu_: it runs only with a bounded pool, which
-  // is serial-only (concurrent mode runs unbounded).
-  if (capacity_ != 0 && frames_.size() >= capacity_) {
+  // Eviction stays under mu_: it runs only with a bounded pool and no
+  // eviction hold, which is serial-only (concurrent mode runs
+  // unbounded, and a multi-worker redo drain holds eviction).
+  if (capacity_ != 0 && !eviction_held_ && frames_.size() >= capacity_) {
     REDO_RETURN_IF_ERROR(EvictOne());
   }
   frame.last_use = ++use_clock_;
@@ -197,11 +191,6 @@ std::vector<PageId> BufferPool::BlockingPages(PageId id) {
 }
 
 Status BufferPool::FlushPage(PageId id) {
-  if (redo_partitioned_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "buffer pool: frames are split out for redo (merge partitions "
-        "before flushing)");
-  }
   auto it = frames_.find(id);
   if (it == frames_.end() || !it->second.dirty) return Status::Ok();
   const std::vector<PageId> blocking = BlockingPages(id);
@@ -222,11 +211,6 @@ Status BufferPool::FlushPageCascading(PageId id) {
   // so hitting one here is a caller bug). A blocking page that is not
   // dirty can never satisfy its constraint (the required version was
   // lost).
-  if (redo_partitioned_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "buffer pool: frames are split out for redo (merge partitions "
-        "before flushing)");
-  }
   std::vector<PageId> on_path;
   std::function<Status(PageId)> flush_rec = [&](PageId page) -> Status {
     if (std::find(on_path.begin(), on_path.end(), page) != on_path.end()) {
@@ -265,11 +249,6 @@ Status BufferPool::FlushPageCascading(PageId id) {
 }
 
 Status BufferPool::FlushAll() {
-  if (redo_partitioned_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "buffer pool: frames are split out for redo (merge partitions "
-        "before flushing)");
-  }
   // Collect ids first: flushing mutates constraint state, not frames_.
   std::vector<PageId> dirty;
   for (const auto& [id, frame] : frames_) {
@@ -279,11 +258,6 @@ Status BufferPool::FlushAll() {
 }
 
 Status BufferPool::FlushBatch(const std::vector<PageId>& ids) {
-  if (redo_partitioned_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "buffer pool: frames are split out for redo (merge partitions "
-        "before flushing)");
-  }
   // The dirty subset, sorted and deduped (deterministic wave order).
   std::vector<PageId> remaining;
   for (PageId id : ids) {
@@ -451,7 +425,7 @@ void BufferPool::Crash() {
   frames_.clear();
   constraints_by_after_.clear();
   constraint_count_ = 0;
-  redo_partitioned_.store(false, std::memory_order_relaxed);
+  eviction_held_ = false;
 }
 
 void BufferPool::DropPage(PageId id) { frames_.erase(id); }
@@ -484,11 +458,6 @@ std::vector<DirtyPageEntry> BufferPool::DirtyPages() const {
 }
 
 Status BufferPool::EvictOne() {
-  if (redo_partitioned_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "buffer pool: frames are split out for redo (merge partitions "
-        "before evicting)");
-  }
   // Clean-first LRU: the least-recently-used clean page, falling back to
   // the least-recently-used dirty page only when every frame is dirty.
   // The most-recently-used frame is never the victim: callers fetch up
@@ -529,110 +498,6 @@ Status BufferPool::EvictOne() {
   ++stats_.evictions;
   frames_.erase(victim);
   return Status::Ok();
-}
-
-// ---- Parallel-redo partitioning ----
-
-Result<Page*> BufferPool::RedoPartition::Fetch(PageId id) {
-  return FetchFrame(id, /*blind=*/false);
-}
-
-Page* BufferPool::RedoPartition::FetchBlind(PageId id) {
-  return FetchFrame(id, /*blind=*/true).value();  // a blind fetch never fails
-}
-
-Result<Page*> BufferPool::RedoPartition::FetchFrame(PageId id, bool blind) {
-  ++fetches_;
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
-    ++hits_;
-    return &it->second.page;
-  }
-  Frame frame;
-  if (blind) {
-    ++blind_installs_;
-  } else {
-    ++misses_;
-    Result<Page> from_disk = ReadThrough(*io_, id);
-    if (!from_disk.ok()) return from_disk.status();
-    frame.page = std::move(from_disk).value();
-  }
-  auto [inserted, ok] = frames_.emplace(id, std::move(frame));
-  REDO_CHECK(ok);
-  return &inserted->second.page;
-}
-
-bool BufferPool::RedoPartition::InstallPrefetched(PageId id, Page&& page) {
-  if (frames_.count(id) != 0) return false;
-  Frame frame;
-  frame.page = std::move(page);
-  auto [inserted, ok] = frames_.emplace(id, std::move(frame));
-  REDO_CHECK(ok);
-  ++prefetch_installs_;
-  return true;
-}
-
-Status BufferPool::RedoPartition::MarkDirty(PageId id, core::Lsn lsn) {
-  auto it = frames_.find(id);
-  if (it == frames_.end()) {
-    return Status::FailedPrecondition("redo partition: page not cached");
-  }
-  Frame& frame = it->second;
-  if (!frame.dirty) {
-    frame.dirty = true;
-    frame.rec_lsn = lsn;
-  }
-  frame.page.set_lsn(lsn);
-  return Status::Ok();
-}
-
-std::vector<BufferPool::RedoPartition> BufferPool::SplitForRedo(
-    size_t workers, const std::function<size_t(PageId)>& owner) {
-  REDO_CHECK(workers >= 1);
-  std::vector<RedoPartition> partitions;
-  partitions.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    partitions.push_back(RedoPartition(io_.get()));
-  }
-  // Move the pool's frames into their owning partitions: a cached —
-  // possibly dirty — page must keep shadowing the disk copy, or the
-  // LSN-based redo test would see a stale page LSN.
-  for (auto& [id, frame] : frames_) {
-    const size_t w = owner(id);
-    REDO_CHECK(w < workers);
-    partitions[w].frames_.emplace(id, std::move(frame));
-  }
-  frames_.clear();
-  redo_partitioned_.store(true, std::memory_order_relaxed);
-  return partitions;
-}
-
-void BufferPool::MergeRedoPartitions(std::vector<RedoPartition>& partitions) {
-  // Re-enter frames in page-id order with fresh last_use stamps: the
-  // post-merge LRU state (and therefore every later eviction decision)
-  // is a function of the final page set alone, never of how the worker
-  // threads happened to interleave.
-  std::vector<std::pair<PageId, RedoPartition*>> pages;
-  for (RedoPartition& partition : partitions) {
-    stats_.fetches += partition.fetches_;
-    stats_.hits += partition.hits_;
-    stats_.misses += partition.misses_;
-    stats_.prefetch_installs += partition.prefetch_installs_;
-    stats_.blind_installs += partition.blind_installs_;
-    for (auto& [id, frame] : partition.frames_) {
-      pages.emplace_back(id, &partition);
-    }
-  }
-  std::sort(pages.begin(), pages.end());
-  for (auto& [id, partition] : pages) {
-    auto it = partition->frames_.find(id);
-    REDO_CHECK(it != partition->frames_.end());
-    it->second.last_use = ++use_clock_;
-    const auto [_, ok] = frames_.emplace(id, std::move(it->second));
-    REDO_CHECK(ok) << "page " << id << " cached in two redo partitions";
-  }
-  for (RedoPartition& partition : partitions) partition.frames_.clear();
-  redo_partitioned_.store(false, std::memory_order_relaxed);
 }
 
 Status BufferPool::EvictBatch(size_t count) {
@@ -679,6 +544,7 @@ Status BufferPool::EvictBatch(size_t count) {
 }
 
 Status BufferPool::ReduceToCapacity() {
+  eviction_held_ = false;
   if (capacity_ == 0) return Status::Ok();
   if (frames_.size() > capacity_ + 1) {
     REDO_RETURN_IF_ERROR(EvictBatch(frames_.size() - capacity_));

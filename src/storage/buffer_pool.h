@@ -11,7 +11,6 @@
 #ifndef REDO_STORAGE_BUFFER_POOL_H_
 #define REDO_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -62,8 +61,6 @@ struct BufferPoolStats {
   uint64_t flush_failures = 0;     ///< flushes that failed after all retries
   uint64_t constraint_checks = 0;  ///< order-constraint entries examined
   uint64_t batch_flushes = 0;      ///< write batches submitted to the device
-  uint64_t prefetch_installs = 0;  ///< redo-partition pages installed from
-                                   ///< an async read-prefetch batch
   /// Fetches that installed a zeroed frame without a read (FetchBlind
   /// misses). Every fetch is exactly one of a hit, a miss or a blind
   /// install: fetches == hits + misses + blind_installs.
@@ -94,14 +91,15 @@ struct DirtyPageEntry {
 ///    Page.
 ///  - Everything that flushes, evicts, or rewires write-order
 ///    constraints (FlushPage*, FlushAll, Evict, Crash, DropPage,
-///    AddWriteOrderConstraint, redo partitioning) must run
+///    AddWriteOrderConstraint, HoldEviction, ReduceToCapacity) must run
 ///    writer-exclusive: the engine's op gate guarantees no session op
 ///    is in flight. These paths recurse into each other and stay
 ///    lock-free, exactly as in the serial engine.
-///  - Concurrent mode requires an unbounded pool (capacity 0), so
-///    Fetch never evicts while sessions run; frame pointers stay valid
-///    under the page latch (unordered_map never invalidates references
-///    on insert).
+///  - Fetch never evicts while threads share the pool: concurrent mode
+///    requires an unbounded pool (capacity 0), and a bounded pool's
+///    multi-worker redo drain holds eviction (HoldEviction) until
+///    ReduceToCapacity. Frame pointers then stay valid under the page
+///    latch (unordered_map never invalidates references on insert).
 ///
 /// No pin counts are needed because callers never hold page pointers
 /// across calls that may evict.
@@ -118,11 +116,11 @@ class BufferPool {
   void set_wal_hook(WalHook hook) { wal_hook_ = std::move(hook); }
 
   /// Returns a mutable pointer to the cached copy of `id`, reading it
-  /// from disk on a miss (evicting if at capacity). The pointer is valid
-  /// until the next Fetch/Flush/Evict/Crash call. A miss holds no pool
-  /// lock across its read; a fetch of a page another thread is reading
-  /// waits for that read and counts as a hit (or, if the read failed,
-  /// misses and reads the page itself).
+  /// from disk on a miss (evicting if at capacity, unless eviction is
+  /// held). The pointer is valid until the next Fetch/Flush/Evict/Crash
+  /// call. A miss holds no pool lock across its read; a fetch of a page
+  /// another thread is reading waits for that read and counts as a hit
+  /// (or, if the read failed, misses and reads the page itself).
   Result<Page*> Fetch(PageId id);
 
   /// Fetch for a caller about to overwrite every byte of the page (a
@@ -211,8 +209,21 @@ class BufferPool {
   /// (§5.1) — which the caller must resolve by flushing first.
   bool HasPendingOrderPath(PageId from, PageId to) const;
 
-  /// Discards every cached page and all constraints — the crash.
+  /// Discards every cached page and all constraints, and releases an
+  /// eviction hold — the crash.
   void Crash();
+
+  /// Holds eviction: until ReduceToCapacity or Crash, a fetch miss
+  /// installs its frame without evicting, so the pool may grow past its
+  /// capacity and every frame pointer stays valid — what lets several
+  /// redo drain workers fetch from a bounded pool at once. Frames,
+  /// dirty bits, rec_lsns and write-order constraints are untouched.
+  void HoldEviction() { eviction_held_ = true; }
+
+  /// Releases an eviction hold, then evicts (flushing dirty victims,
+  /// honoring constraints) until the pool is back within capacity.
+  /// No eviction for an unbounded pool.
+  Status ReduceToCapacity();
 
   /// Discards one cached page without writing it (drops dirty data;
   /// used by tests and by the logical method's quiesce logic).
@@ -261,86 +272,6 @@ class BufferPool {
     uint64_t last_use = 0;
   };
 
- public:
-  // ---- Parallel-redo partitioning ----
-
-  /// A shared-nothing sub-pool for one parallel-redo worker. Pages are
-  /// hashed to workers, so two partitions never hold the same page and
-  /// no latches are needed on the redo hot path. Created by
-  /// SplitForRedo (which moves the pool's frames into their owning
-  /// partitions) and dissolved by MergeRedoPartitions.
-  ///
-  /// Partitions are unbounded: eviction — and with it flushing, WAL
-  /// forces, and write-order constraint checks — never happens during
-  /// parallel redo; capacity is re-enforced at merge (ReduceToCapacity).
-  /// A miss reads through the pool's device, which serializes the Disk
-  /// call against every other partition and batch.
-  class RedoPartition {
-   public:
-    RedoPartition(RedoPartition&&) = default;
-    RedoPartition& operator=(RedoPartition&&) = default;
-
-    /// Fetch-or-read, like BufferPool::Fetch, but never evicting: the
-    /// returned pointer stays valid until the partition is merged.
-    Result<Page*> Fetch(PageId id);
-
-    /// BufferPool::FetchBlind for the partition: a hit returns the
-    /// cached frame, a miss installs a zeroed frame without reading disk.
-    Page* FetchBlind(PageId id);
-
-    /// Marks a partition-cached page dirty and tags it with `lsn`.
-    Status MarkDirty(PageId id, core::Lsn lsn);
-
-    /// Installs a page read by an async prefetch batch as a clean frame.
-    /// No-op (returns false) if the page is already cached — the
-    /// partition copy may be newer than the prefetched disk bytes.
-    /// Counted as prefetch_installs, NOT as a fetch (the worker's later
-    /// Fetch of the page records the hit).
-    bool InstallPrefetched(PageId id, Page&& page);
-
-    bool IsCached(PageId id) const { return frames_.count(id) != 0; }
-    size_t num_cached() const { return frames_.size(); }
-    uint64_t fetches() const { return fetches_; }
-    uint64_t blind_installs() const { return blind_installs_; }
-    uint64_t prefetch_installs() const { return prefetch_installs_; }
-
-   private:
-    friend class BufferPool;
-    explicit RedoPartition(AsyncIoBackend* io) : io_(io) {}
-
-    /// The one body of Fetch and FetchBlind.
-    Result<Page*> FetchFrame(PageId id, bool blind);
-
-    AsyncIoBackend* io_;  ///< the pool's device (not owned)
-    std::unordered_map<PageId, Frame> frames_;
-    uint64_t fetches_ = 0;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-    uint64_t blind_installs_ = 0;
-    uint64_t prefetch_installs_ = 0;
-  };
-
-  /// Carves the pool into `workers` shared-nothing partitions, moving
-  /// every cached frame (dirty bits and rec_lsns intact) to its owner:
-  /// partition `owner(page)`, which must be < workers. The pool is left
-  /// empty and must not serve Fetch/Flush until MergeRedoPartitions.
-  std::vector<RedoPartition> SplitForRedo(
-      size_t workers, const std::function<size_t(PageId)>& owner);
-
-  /// Moves every partition frame back into the pool. Deterministic
-  /// regardless of worker interleaving: frames re-enter in page-id
-  /// order (re-stamping last_use), partition fetch counters (blind
-  /// installs included) are summed into the pool's stats, and dirty
-  /// bits / rec_lsns survive the round trip. Does NOT enforce capacity:
-  /// the caller re-arms write-order constraints first, then calls
-  /// ReduceToCapacity.
-  void MergeRedoPartitions(std::vector<RedoPartition>& partitions);
-
-  /// Evicts (flushing dirty victims, honoring constraints) until the
-  /// pool is back within capacity. No-op for an unbounded pool.
-  Status ReduceToCapacity();
-
- private:
   struct OrderConstraint {
     PageId before;
     core::Lsn before_lsn;
@@ -409,11 +340,9 @@ class BufferPool {
   std::mutex latch_table_mu_;
   std::unordered_map<PageId, std::unique_ptr<std::mutex>> latches_;
 
-  /// True between SplitForRedo and MergeRedoPartitions, while the
-  /// frames live in the partitions. Fetch and the flush/evict paths
-  /// refuse with a diagnosed Status instead of silently serving stale
-  /// disk bytes (or flushing a frame that is not there).
-  std::atomic<bool> redo_partitioned_{false};
+  /// True between HoldEviction and ReduceToCapacity/Crash. Set and
+  /// cleared only while quiesced; Fetch reads it under mu_.
+  bool eviction_held_ = false;
 };
 
 }  // namespace redo::storage

@@ -114,8 +114,8 @@ TEST(ConcurrentSimTest, BothInjectorsComposeWithFuzzyCheckpoints) {
 }
 
 // The async I/O backend under the full concurrent oracle: batched
-// checkpoint writeback, overlapped group-commit forces, and parallel
-// redo with read prefetch must not change what recovery produces — no
+// checkpoint writeback, overlapped group-commit forces, and drain
+// workers' overlapped redo reads must not change what recovery produces — no
 // acked commit lost, every page verifies, with both injectors active.
 TEST(ConcurrentSimTest, AsyncIoBackendPreservesEveryOracle) {
   SimOptions options = SmallRun();

@@ -265,8 +265,9 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, InstantRestartMethodTest,
 // Physical logging images a page on every write, so most images of a
 // suffix are superseded by a later image of the same page. An aborted
 // transaction's CLRs, interleaved with them, block supersession where
-// they restore a page. Both executors must still land on the serial
-// redo's bytes, installing nothing for the superseded images.
+// they restore a page. Both drains — quiescing and instant — must still
+// land on the serial redo's bytes, installing nothing for the
+// superseded images.
 TEST(InstantRestartTest, SupersededImagesRecoverLikeOffline) {
   auto db = MakeDb(MethodKind::kPhysical, InstantEngine(2));
   for (int round = 0; round < 8; ++round) {
@@ -307,7 +308,7 @@ TEST(InstantRestartTest, SupersededImagesRecoverLikeOffline) {
   EXPECT_EQ(PageBytes(*db), expected) << "instant restart";
   const par::InstantRedoMetrics& metrics = db->instant_redo_metrics();
   EXPECT_EQ(metrics.images_superseded.load(), superseded)
-      << "both executors replay the same plan";
+      << "both drains replay the same plan";
   EXPECT_EQ(metrics.tasks_skipped.load(), 0u)
       << "a superseded image still counts as applied";
 }
@@ -345,7 +346,7 @@ TEST(InstantRestartTest, OnDemandDrainServesReadsDuringRecovery) {
 // §6.2: a physical write replaces a whole page, so the stable page it
 // overwrites is unexposed. Every chain of a physical instant restart
 // starts with a page image, and the drain installs it without reading
-// the page — as the parallel scheduler's first touch does.
+// the page (the first-touch rule).
 TEST(InstantRestartTest, PhysicalDrainReadsNoPages) {
   auto offline = CrashWithLoser(MethodKind::kPhysical, /*seed=*/31);
   ASSERT_TRUE(offline->Recover().ok());
@@ -367,8 +368,8 @@ TEST(InstantRestartTest, PhysicalDrainReadsNoPages) {
 }
 
 // Every fetch is exactly one of a hit, a miss or a blind install, after
-// a serial, a parallel and an instant restart alike: the parallel
-// partitions' blind installs are summed at the merge.
+// a serial, a parallel and an instant restart alike: every drain
+// fetches through the one pool.
 TEST(InstantRestartTest, PoolFetchesBalanceAfterEveryRestartKind) {
   auto expect_balanced = [](MiniDb& db, const char* restart) {
     const storage::BufferPoolStats& pool = db.pool().stats();
@@ -452,7 +453,10 @@ TEST(InstantRestartTest, LogicalWholeSplitInstallsDstBlind) {
 
 // A sticky read fault on a page whose chain starts with a page image
 // never fires under redo-all: the page is installed, not read. Under
-// the LSN test the same fault surfaces as the drain's first error.
+// the LSN test the same fault surfaces as the drain's first error. The
+// quiescing multi-worker Recover() runs the same drain: it fails only
+// where the instant drain fails, and once the fault is gone a crash and
+// rerun land on the serial recovery's bytes.
 TEST(InstantRestartTest, StickyReadFaultOnlyFailsDrainsThatRead) {
   constexpr PageId kFaulty = 7;
   {
@@ -474,6 +478,32 @@ TEST(InstantRestartTest, StickyReadFaultOnlyFailsDrainsThatRead) {
     EXPECT_EQ(drained.code(), StatusCode::kUnavailable) << drained.ToString();
     db->Crash();
     db->disk().set_fault_injector(nullptr);
+  }
+  for (const MethodKind kind :
+       {MethodKind::kPhysical, MethodKind::kPhysiological}) {
+    auto serial = CrashWithLoser(kind, /*seed=*/41);
+    ASSERT_TRUE(serial->Recover().ok());
+    const std::vector<storage::Page> expected = PageBytes(*serial);
+
+    auto db = CrashWithLoser(kind, /*seed=*/41);
+    EngineOptions engine = db->engine_options();
+    engine.parallel_workers = 4;
+    db->set_engine_options(engine);
+    storage::FaultInjector injector(EveryReadFails(), /*seed=*/1);
+    MakeUnreadable(*db, injector, kFaulty);
+    const Status recovered = db->Recover();
+    if (kind == MethodKind::kPhysical) {
+      EXPECT_TRUE(recovered.ok()) << recovered.ToString();
+      db->disk().set_fault_injector(nullptr);
+    } else {
+      EXPECT_EQ(recovered.code(), StatusCode::kUnavailable)
+          << recovered.ToString();
+      db->Crash();
+      db->disk().set_fault_injector(nullptr);
+      const Status rerun = db->Recover();
+      ASSERT_TRUE(rerun.ok()) << rerun.ToString();
+    }
+    EXPECT_EQ(PageBytes(*db), expected) << methods::MethodKindName(kind);
   }
 }
 

@@ -3,7 +3,7 @@
 // survive, checkpoints re-anchor the transaction table, and the pass is
 // restartable — a crash mid-undo (injected after K CLRs) converges over
 // arbitrarily many re-crashes. The same contracts are checked for the
-// quiescing Recover(), the parallel redo scheduler, and instant restart
+// quiescing Recover(), its multi-worker redo drain, and instant restart
 // (a loser's page must be undone before serving exposes it). Undo reads
 // only the chain records it walks, into the archive if need be.
 
@@ -210,9 +210,9 @@ TEST_P(UndoRecoveryTest, ClrReplayIsIdempotentAcrossRecoveries) {
 }
 
 TEST_P(UndoRecoveryTest, ParallelRedoSchedulesClrsAndUndoes) {
-  // Route the redo between crash and verify through the write-graph
-  // scheduler: kClrRestore tasks must order against the ordinary writes
-  // of the same pages, and the undo pass runs after the parallel redo.
+  // Route the redo between crash and verify through the multi-worker
+  // drain: kClrRestore tasks must order against the ordinary writes of
+  // the same pages, and the undo pass runs after the drain.
   engine::EngineOptions engine;
   engine.parallel_workers = 4;
   auto db = MakeDb(GetParam(), engine);
@@ -220,7 +220,7 @@ TEST_P(UndoRecoveryTest, ParallelRedoSchedulesClrsAndUndoes) {
   ASSERT_TRUE(db->Recover().ok());
   ExpectLoserUndoneWinnersKept(db.get());
   // Recover once more so the emitted CLRs themselves flow through the
-  // parallel scheduler as redo records.
+  // drain as redo records.
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
   ExpectLoserUndoneWinnersKept(db.get());

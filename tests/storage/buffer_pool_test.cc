@@ -341,46 +341,45 @@ TEST(BufferPoolTest, DirtyPageZeroEvictionFlushesIt) {
   EXPECT_EQ(disk.PeekPage(0).lsn(), 5u);
 }
 
+// While eviction is held (a multi-worker redo drain), a bounded pool
+// grows past its capacity instead of evicting: every frame, dirty bit
+// and rec_lsn survives, a miss still reads, a blind install still does
+// not, and every fetch is still exactly one hit, miss or blind install.
 TEST(BufferPoolTest, RedoPartitionRoundTripPreservesFramesAndStats) {
   Disk disk(8);
   Page seed;
   seed.WriteSlot(0, 9);
   ASSERT_TRUE(disk.WritePage(5, seed).ok());
 
-  BufferPool pool(&disk, 4);
+  BufferPool pool(&disk, 2);
   Page* p = pool.Fetch(0).value();
   p->WriteSlot(1, 11);
   ASSERT_TRUE(pool.MarkDirty(0, 3).ok());
-  (void)pool.Fetch(1).value();  // clean frame
+  (void)pool.Fetch(1).value();  // clean frame, pool now full
 
-  const auto owner = [](PageId id) { return static_cast<size_t>(id % 2); };
-  std::vector<BufferPool::RedoPartition> parts = pool.SplitForRedo(2, owner);
-  ASSERT_EQ(parts.size(), 2u);
-  EXPECT_EQ(pool.num_cached(), 0u) << "frames moved out, not copied";
-  EXPECT_TRUE(parts[0].IsCached(0)) << "even page to partition 0";
-  EXPECT_TRUE(parts[1].IsCached(1));
-
-  // A partition miss reads the disk; a blind install does not.
-  Result<Page*> fetched = parts[1].Fetch(5);
+  pool.HoldEviction();
+  Result<Page*> fetched = pool.Fetch(5);
   ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(fetched.value()->ReadSlot(0), 9);
-  Page* blind = parts[0].FetchBlind(2);
-  blind->WriteSlot(0, 44);
-  ASSERT_TRUE(parts[0].MarkDirty(2, 7).ok());
-  EXPECT_EQ(parts[0].blind_installs(), 1u);
+  EXPECT_EQ(fetched.value()->ReadSlot(0), 9) << "a held miss still reads";
+  Result<Page*> blind = pool.FetchBlind(2);
+  ASSERT_TRUE(blind.ok());
+  blind.value()->WriteSlot(0, 44);
+  ASSERT_TRUE(pool.MarkDirty(2, 7).ok());
+  EXPECT_EQ(disk.stats().reads, 3u) << "pages 0, 1 and 5; not the blind 2";
 
-  pool.MergeRedoPartitions(parts);
-  EXPECT_EQ(pool.num_cached(), 4u);
-  EXPECT_TRUE(pool.IsDirty(0)) << "dirty bit survives the round trip";
+  EXPECT_EQ(pool.num_cached(), 4u) << "nothing evicted past capacity 2";
+  EXPECT_EQ(pool.stats().evictions, 0u);
+  EXPECT_TRUE(pool.IsDirty(0)) << "dirty bit survives the hold";
   EXPECT_FALSE(pool.IsDirty(1));
   EXPECT_TRUE(pool.IsDirty(2));
-  const std::vector<DirtyPageEntry> dirty = pool.DirtyPages();
-  for (const DirtyPageEntry& entry : dirty) {
+  for (const DirtyPageEntry& entry : pool.DirtyPages()) {
     if (entry.page == 0) {
-      EXPECT_EQ(entry.rec_lsn, 3u) << "rec_lsn survives the round trip";
+      EXPECT_EQ(entry.rec_lsn, 3u) << "rec_lsn survives the hold";
     }
   }
-  // The moved frame kept its content and can flush normally afterwards.
+  const BufferPoolStats& stats = pool.stats();
+  EXPECT_EQ(stats.fetches, stats.hits + stats.misses + stats.blind_installs);
+  // The held frames kept their content and flush normally afterwards.
   EXPECT_EQ(pool.Fetch(0).value()->ReadSlot(1), 11);
   ASSERT_TRUE(pool.FlushAll().ok());
   EXPECT_EQ(disk.PeekPage(2).ReadSlot(0), 44);
@@ -419,20 +418,22 @@ TEST(BufferPoolTest, FetchBlindInstallsWithoutReading) {
   EXPECT_EQ(stats.fetches, stats.hits + stats.misses + stats.blind_installs);
 }
 
-// Partition blind installs reach the pool's stats at the merge, so the
-// fetch identity holds after a parallel redo pass too.
+// Blind installs made while eviction is held count in the pool's own
+// stats, so the fetch identity holds after a multi-worker redo drain
+// too: every fetch is one hit, one miss or one blind install.
 TEST(BufferPoolTest, MergeSumsPartitionBlindInstalls) {
   Disk disk(8);
-  BufferPool pool(&disk, 0);
+  BufferPool pool(&disk, 2);
   (void)pool.Fetch(0).value();
-  std::vector<BufferPool::RedoPartition> parts =
-      pool.SplitForRedo(2, [](PageId id) { return static_cast<size_t>(id % 2); });
-  ASSERT_TRUE(parts[0].Fetch(0).ok());  // hit
-  ASSERT_TRUE(parts[1].Fetch(1).ok());  // miss
-  Page* blind = parts[0].FetchBlind(2);
-  ASSERT_NE(blind, nullptr);
-  EXPECT_EQ(parts[0].FetchBlind(2), blind) << "a hit returns the frame";
-  pool.MergeRedoPartitions(parts);
+  pool.HoldEviction();
+  ASSERT_TRUE(pool.Fetch(0).ok());  // hit
+  ASSERT_TRUE(pool.Fetch(1).ok());  // miss
+  Result<Page*> blind = pool.FetchBlind(2);
+  ASSERT_TRUE(blind.ok());
+  Result<Page*> again = pool.FetchBlind(2);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), blind.value()) << "a hit returns the frame";
+  ASSERT_TRUE(pool.ReduceToCapacity().ok());
 
   const BufferPoolStats& stats = pool.stats();
   EXPECT_EQ(stats.blind_installs, 1u);
@@ -440,59 +441,55 @@ TEST(BufferPoolTest, MergeSumsPartitionBlindInstalls) {
   EXPECT_EQ(stats.fetches, stats.hits + stats.misses + stats.blind_installs);
 }
 
-// While frames are split out for redo, the pool must refuse — with a
-// diagnosed Status, not silent staleness — every entry point that could
-// touch a frame now living in a partition. Instant restart leans on
-// this: a stray fetch or background flush during a partitioned redo
-// pass would read a page that is mid-replay.
+// Holding eviction takes nothing away from the pool: fetches, dirty
+// marks and flushes serve as ever (a held redo drain re-arms §6.4
+// constraints, whose cycle case flushes), a flushed frame stays cached
+// instead of leaving, and frame pointers stay valid across later
+// misses — the pool only stops evicting.
 TEST(BufferPoolTest, SplitForRedoRefusesPoolAccessUntilMerged) {
   Disk disk(8);
-  BufferPool pool(&disk, 4);
-  Page* p = pool.Fetch(0).value();
-  p->WriteSlot(0, 1);
+  BufferPool pool(&disk, 2);
+  pool.HoldEviction();
+  Page* first = pool.Fetch(0).value();
+  first->WriteSlot(0, 1);
   ASSERT_TRUE(pool.MarkDirty(0, 2).ok());
-  (void)pool.Fetch(1).value();
+  for (PageId id = 1; id < 6; ++id) ASSERT_TRUE(pool.Fetch(id).ok());
+  EXPECT_EQ(pool.Fetch(0).value(), first) << "no miss moved page 0's frame";
 
-  std::vector<BufferPool::RedoPartition> parts =
-      pool.SplitForRedo(1, [](PageId) { return 0u; });
-
-  EXPECT_EQ(pool.Fetch(0).status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(pool.FlushPage(0).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(pool.FlushPageCascading(0).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(pool.FlushAll().code(), StatusCode::kFailedPrecondition);
-
-  // Merging restores normal service with the frames intact.
-  pool.MergeRedoPartitions(parts);
-  EXPECT_TRUE(pool.Fetch(0).ok());
+  EXPECT_TRUE(pool.FlushPage(0).ok());
+  EXPECT_TRUE(pool.FlushPageCascading(0).ok());
   EXPECT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(disk.PeekPage(0).ReadSlot(0), 1);
+  EXPECT_FALSE(pool.IsDirty(0));
+  EXPECT_TRUE(pool.IsCached(0)) << "a flush under the hold never evicts";
+  EXPECT_EQ(pool.num_cached(), 6u);
+  EXPECT_EQ(pool.stats().evictions, 0u);
 }
 
-// The crash path must also clear the partitioned flag: a recovery that
-// dies mid-pass may not leave the pool permanently refusing service.
+// A recovery that dies mid-drain leaves the hold set; the crash that
+// precedes its rerun releases it, so the pool evicts again.
 TEST(BufferPoolTest, CrashClearsTheRedoPartitionedFlag) {
   Disk disk(4);
   BufferPool pool(&disk, 2);
-  (void)pool.Fetch(0).value();
-  std::vector<BufferPool::RedoPartition> parts =
-      pool.SplitForRedo(1, [](PageId) { return 0u; });
-  EXPECT_FALSE(pool.Fetch(0).ok());
+  pool.HoldEviction();
+  for (PageId id = 0; id < 3; ++id) ASSERT_TRUE(pool.Fetch(id).ok());
+  EXPECT_EQ(pool.num_cached(), 3u);
   pool.Crash();
-  EXPECT_TRUE(pool.Fetch(0).ok());
+  for (PageId id = 0; id < 3; ++id) ASSERT_TRUE(pool.Fetch(id).ok());
+  EXPECT_EQ(pool.num_cached(), 2u) << "the crash released the hold";
+  EXPECT_EQ(pool.stats().evictions, 1u);
 }
 
 TEST(BufferPoolTest, ReduceToCapacityEvictsBackDown) {
   Disk disk(8);
   BufferPool pool(&disk, 2);
-  std::vector<BufferPool::RedoPartition> parts =
-      pool.SplitForRedo(1, [](PageId) { return 0u; });
+  pool.HoldEviction();
   for (PageId id = 0; id < 6; ++id) {
-    Page* p = parts[0].FetchBlind(id);
+    Page* p = pool.FetchBlind(id).value();
     p->WriteSlot(0, id + 1);
-    ASSERT_TRUE(parts[0].MarkDirty(id, id + 1).ok());
+    ASSERT_TRUE(pool.MarkDirty(id, id + 1).ok());
   }
-  pool.MergeRedoPartitions(parts);
-  EXPECT_EQ(pool.num_cached(), 6u) << "merge itself never evicts";
+  EXPECT_EQ(pool.num_cached(), 6u) << "a held pool never evicts";
   ASSERT_TRUE(pool.ReduceToCapacity().ok());
   EXPECT_LE(pool.num_cached(), 2u);
   for (PageId id = 0; id < 6; ++id) {
@@ -502,6 +499,9 @@ TEST(BufferPoolTest, ReduceToCapacityEvictsBackDown) {
           << "evicted dirty page " << id << " was flushed, not dropped";
     }
   }
+  // ReduceToCapacity released the hold: the next miss evicts.
+  ASSERT_TRUE(pool.Fetch(7).ok());
+  EXPECT_LE(pool.num_cached(), 2u);
 }
 
 TEST(BufferPoolTest, ReduceToCapacityIsNoOpWhenUnbounded) {

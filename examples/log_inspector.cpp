@@ -333,8 +333,7 @@ int main(int argc, char** argv) {
     w.Bool(recovered.ok());
     w.Key("status");
     w.String(recovered.ToString());
-    const methods::RecoveryMethod::RedoScanStats stats =
-        db.method().last_scan_stats();
+    const methods::RedoScanStats& stats = db.redo_scan_stats();
     w.Key("scanned");
     w.UInt(stats.scanned);
     w.Key("replayed");
@@ -473,8 +472,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- recovery ---\n");
   const Status recovered = db.Recover();
   std::printf("recover(): %s\n", recovered.ToString().c_str());
-  const methods::RecoveryMethod::RedoScanStats stats =
-      db.method().last_scan_stats();
+  const methods::RedoScanStats& stats = db.redo_scan_stats();
   if (stats.scanned > 0) {
     std::printf("scanned %zu records, replayed %zu, skipped-without-fetch %zu, "
                 "page fetches %zu\n",

@@ -1,8 +1,10 @@
 #include "engine/backup.h"
 
+#include <algorithm>
 #include <limits>
+#include <span>
 
-#include "engine/txn.h"
+#include "methods/analysis.h"
 
 namespace redo::engine {
 
@@ -33,83 +35,6 @@ void DestroyMedia(MiniDb& db) {
 
 namespace {
 
-// Replays one stable record into the cache, by type. Unconditional: the
-// caller only feeds records after the backup point, all of which are
-// uninstalled relative to the restored backup.
-Status ReplayRecord(MiniDb& db, const wal::LogRecord& record) {
-  switch (record.type) {
-    case wal::RecordType::kCheckpoint:
-    case wal::RecordType::kTxnBegin:
-    case wal::RecordType::kTxnCommit:
-    case wal::RecordType::kTxnEnd:
-    case wal::RecordType::kTxnUpdate:
-      return Status::Ok();
-    case wal::RecordType::kClr: {
-      Result<Clr> clr = DecodeClr(record.payload);
-      if (!clr.ok()) return clr.status();
-      return ApplyUndoActions(&db.pool(), clr.value().actions, record.lsn);
-    }
-    case wal::RecordType::kPageImage: {
-      Result<std::pair<storage::PageId, storage::Page>> decoded =
-          DecodePageImage(record.payload);
-      if (!decoded.ok()) return decoded.status();
-      Result<storage::Page*> cached = db.FetchPage(decoded.value().first);
-      if (!cached.ok()) return cached.status();
-      *cached.value() = decoded.value().second;
-      return db.pool().MarkDirty(decoded.value().first, record.lsn);
-    }
-    case wal::RecordType::kLogicalOp: {
-      wal::PayloadReader r(record.payload);
-      Result<uint16_t> inner_type = r.U16();
-      if (!inner_type.ok()) return inner_type.status();
-      Result<std::vector<uint8_t>> inner = r.Bytes(r.remaining());
-      if (!inner.ok()) return inner.status();
-      Result<SinglePageOp> op = DecodeSinglePageOp(
-          static_cast<wal::RecordType>(inner_type.value()), inner.value());
-      if (!op.ok()) return op.status();
-      Result<storage::Page*> cached = db.FetchPage(op.value().page);
-      if (!cached.ok()) return cached.status();
-      REDO_RETURN_IF_ERROR(ApplySinglePageOp(op.value(), cached.value()));
-      return db.pool().MarkDirty(op.value().page, record.lsn);
-    }
-    case wal::RecordType::kPageSplit: {
-      Result<SplitOp> split = DecodeSplitOp(record.payload);
-      if (!split.ok()) return split.status();
-      Result<storage::Page*> src = db.FetchPage(split.value().src);
-      if (!src.ok()) return src.status();
-      const storage::Page src_copy = *src.value();
-      Result<storage::Page*> dst = db.FetchPage(split.value().dst);
-      if (!dst.ok()) return dst.status();
-      ApplySplitToDst(split.value(), src_copy, dst.value());
-      REDO_RETURN_IF_ERROR(db.pool().MarkDirty(split.value().dst, record.lsn));
-      // The logical method's split record covers the rewrite too.
-      if (db.method().redo_test_kind() ==
-              methods::RecoveryMethod::RedoTestKind::kRedoAllSinceCheckpoint &&
-          !db.method().allows_background_flush()) {
-        const SinglePageOp rewrite = MakeRewriteForSplit(split.value());
-        src = db.FetchPage(split.value().src);
-        if (!src.ok()) return src.status();
-        REDO_RETURN_IF_ERROR(ApplySinglePageOp(rewrite, src.value()));
-        return db.pool().MarkDirty(split.value().src, record.lsn);
-      }
-      return Status::Ok();
-    }
-    default: {
-      Result<SinglePageOp> op =
-          DecodeSinglePageOp(record.type, record.payload);
-      if (!op.ok()) return op.status();
-      Result<storage::Page*> cached = db.FetchPage(op.value().page);
-      if (!cached.ok()) return cached.status();
-      REDO_RETURN_IF_ERROR(ApplySinglePageOp(op.value(), cached.value()));
-      return db.pool().MarkDirty(op.value().page, record.lsn);
-    }
-  }
-}
-
-}  // namespace
-
-namespace {
-
 Status RestoreAndReplay(MiniDb& db, const Backup& backup, core::Lsn upto_lsn) {
   if (backup.pages.size() != db.num_pages()) {
     return Status::InvalidArgument("backup size does not match the database");
@@ -128,10 +53,19 @@ Status RestoreAndReplay(MiniDb& db, const Backup& backup, core::Lsn upto_lsn) {
   Result<std::vector<wal::LogRecord>> records =
       db.log().ReadWithArchive(backup.backup_lsn + 1);
   if (!records.ok()) return records.status();
-  for (const wal::LogRecord& record : records.value()) {
-    if (record.lsn > upto_lsn) break;
-    REDO_RETURN_IF_ERROR(ReplayRecord(db, record));
-  }
+  const std::vector<wal::LogRecord>& suffix = records.value();
+  const auto end = std::find_if(
+      suffix.begin(), suffix.end(),
+      [upto_lsn](const wal::LogRecord& r) { return r.lsn > upto_lsn; });
+  // Every record after the backup point is uninstalled relative to the
+  // restored pages, so the replay is redo-all under every method. It
+  // records no verdicts and no scan counts: the timeline and the stats
+  // describe crash recovery.
+  methods::EngineContext ctx = db.ctx();
+  ctx.tracer = nullptr;
+  REDO_RETURN_IF_ERROR(methods::ReplayInLogOrder(
+      db.method(), ctx, std::span(suffix.begin(), end),
+      par::InstantRedoOptions{}, /*stats=*/nullptr));
   // Media recovery is atomic in this simulation: make the result stable
   // before returning (a crash during media recovery in a real system
   // restarts the restore from the backup, which remains available).

@@ -38,10 +38,20 @@ Result<Backup> TakeBackup(MiniDb& db);
 void DestroyMedia(MiniDb& db);
 
 /// Media recovery: restores the backup's pages and replays every stable
-/// log record after the backup point, in log order, using the redo
-/// semantics of each record type. Works for every method: records at or
-/// below backup_lsn are installed by construction, and page-LSN tests
-/// (where the method uses them) see the backup's tags.
+/// log record after the backup point (ReadWithArchive) through the
+/// serial log-order replayer (methods::ReplayInLogOrder), then flushes.
+/// Records at or below backup_lsn are installed by construction and
+/// every later one is uninstalled relative to the restored pages, so
+/// the replay is redo-all under every method, page-LSN methods
+/// included: no page-LSN test runs. Each record is classified by the
+/// method and replayed in its split shape, so a record the method's
+/// log can never hold fails with the Corruption crash recovery
+/// returns. No verdicts and no scan counts are recorded.
+///
+/// No undo pass follows the replay: a transaction still open at the
+/// end of the replayed log keeps its updates. The ladder's re-anchor
+/// checkpoint after media recovery then records an empty transaction
+/// table, so no later recovery rolls that transaction back.
 Status MediaRecover(MiniDb& db, const Backup& backup);
 
 /// Point-in-time recovery: like MediaRecover but stops replaying at

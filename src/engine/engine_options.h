@@ -26,12 +26,13 @@ class TraceRecorder;
 /// Execution knobs for the engine: recovery parallelism plus the
 /// concurrent front end's commit and checkpoint policy.
 struct EngineOptions {
-  /// Redo worker threads of a quiescing Recover(). <= 1 runs the
-  /// method's serial redo loop, in exact log order (the default; golden
-  /// byte-identical timelines rely on it). > 1 drains the analysis plan
-  /// with that many threads through the instant-restart driver
-  /// (src/redo/instant.h), the doors closed: each write-graph chain
-  /// replays in LSN order, chains concurrently.
+  /// Redo worker threads of a quiescing Recover(). <= 1 runs the one
+  /// serial log-order replayer (methods::RedoInLogOrder) under the
+  /// method's redo test (the default; golden byte-identical timelines
+  /// rely on it). > 1 drains the analysis plan with that many threads
+  /// through the instant-restart driver (src/redo/instant.h), the doors
+  /// closed: each write-graph chain replays in LSN order, chains
+  /// concurrently.
   size_t parallel_workers = 1;
 
   /// Group commit (concurrent mode only): how long the committer thread

@@ -654,7 +654,8 @@ Status MiniDb::RecoverInternal() {
     Result<methods::TxnAnalysis> analysis =
         methods::AnalyzeTransactions(context);
     if (!analysis.ok()) return analysis.status();
-    REDO_RETURN_IF_ERROR(method_->Recover(context));
+    REDO_RETURN_IF_ERROR(
+        methods::RedoInLogOrder(*method_, context, &redo_scan_stats_));
     txns = std::move(analysis).value();
   }
   REDO_RETURN_IF_ERROR(methods::UndoLosers(context, txns));

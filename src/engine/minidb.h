@@ -31,6 +31,7 @@
 #include "engine/ops.h"
 #include "engine/trace.h"
 #include "engine/txn.h"
+#include "methods/analysis.h"
 #include "methods/method.h"
 #include "obs/metrics.h"
 #include "obs/recovery_trace.h"
@@ -106,11 +107,15 @@ class MiniDb {
   /// mode ends. Session worker threads must be joined first.
   void Crash();
 
-  /// Post-crash recovery via the method. With a tracer attached, the
-  /// whole run (salvage, refusals, the method's phases) is recorded as
-  /// one timeline; nested calls from the degradation ladder join the
-  /// enclosing run. Refuses (FailedPrecondition) while Session handles
-  /// are still alive — recovery rebuilds the state they operate on.
+  /// Post-crash recovery: salvage, analysis, redo, loser undo. Redo
+  /// follows the method's redo test. With parallel_workers <= 1 it is
+  /// the serial log-order replay (methods::RedoInLogOrder); above that
+  /// the analysis plan drains through par::InstantRedoDriver. With a
+  /// tracer attached, the whole run (salvage, refusals, the phases) is
+  /// recorded as one timeline; nested calls from the degradation ladder
+  /// join the enclosing run. Refuses (FailedPrecondition) while Session
+  /// handles are still alive — recovery rebuilds the state they operate
+  /// on.
   Status Recover();
 
   // ---- Instant restart (serving-while-redoing) ----
@@ -312,6 +317,11 @@ class MiniDb {
   const wal::LogManager& log() const { return log_; }
   methods::RecoveryMethod& method() { return *method_; }
   const methods::RecoveryMethod& method() const { return *method_; }
+  /// Work of the serial log-order redo, summed over every serial
+  /// Recover() of this engine (parallel and instant restarts add none).
+  const methods::RedoScanStats& redo_scan_stats() const {
+    return redo_scan_stats_;
+  }
   size_t num_pages() const { return disk_.num_pages(); }
 
   /// Attaches instrumentation (trace recorder and/or recovery tracer).
@@ -446,6 +456,7 @@ class MiniDb {
   Instrumentation instr_;
   EngineOptions engine_options_;
   par::ParallelRedoMetrics parallel_metrics_;
+  methods::RedoScanStats redo_scan_stats_;
   /// Live transactions (DESIGN.md §12). Sessions mutate it under the
   /// shared op gate together with the log append it mirrors, so a
   /// checkpoint's exclusive barrier always snapshots a table consistent

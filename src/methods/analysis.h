@@ -1,4 +1,4 @@
-// The restart analysis visit: one in-place pass over the stable log.
+// The restart analysis visit and the log-order replayer.
 //
 // Before a restart touches a page it must know three things: which
 // transactions won and which lost (the transaction table), which pages
@@ -14,8 +14,11 @@
 // parallel_workers > 1) run the whole visit, and both replay its plan
 // through one executor, par::InstantRedoDriver (redo/instant.h). The
 // serial restart runs the visit without a plan (AnalyzeTransactions)
-// ahead of the method's own serial redo loop, the exact-log-order
-// reference the golden timelines pin.
+// and then the paper's Figure 6 loop, ReplayInLogOrder: the next
+// record in log order, the method's redo test, replay or skip. That
+// loop is the exact-log-order reference the golden timelines pin and
+// every multi-worker restart is compared against; media recovery runs
+// it too, over the archive-backed log suffix.
 
 #ifndef REDO_METHODS_ANALYSIS_H_
 #define REDO_METHODS_ANALYSIS_H_
@@ -23,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 
 #include "methods/method.h"
 #include "redo/instant.h"
@@ -65,6 +69,40 @@ Result<RestartAnalysis> AnalyzeForRestart(RecoveryMethod& method,
 /// The visit run without a plan: the transaction table alone. Safe (and
 /// cheap) on logs with no transaction records: returns an empty table.
 Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx);
+
+/// Work of the log-order replayer. MiniDb accumulates it across every
+/// serial Recover() (MiniDb::redo_scan_stats); accumulation, never
+/// zeroing, lets degradation-ladder reruns report per-rung work (the
+/// deltas) and total work (the sum) instead of clobbering earlier rungs.
+struct RedoScanStats {
+  size_t scanned = 0;                ///< records carrying redo work
+  size_t replayed = 0;               ///< records redone
+  size_t skipped_without_fetch = 0;  ///< skipped by the DPT, no page I/O
+  size_t page_fetches = 0;           ///< fetches for LSN tests and splits
+};
+
+/// Replays `records` in LSN order. For each record it asks the method's
+/// ClassifyRecord, decodes it with par::DecodeRedoTask (in the method's
+/// split shape) and applies `rule`: redo-all replays it; the page-LSN
+/// test first skips a page the DPT rules out, without I/O, then fetches
+/// the page and replays only onto an older page LSN. It fetches every
+/// page it applies to and installs every image (no blind first touch,
+/// no supersession): it is the exact-log-order reference that
+/// multi-worker restarts are checked against. Verdicts go to
+/// ctx.tracer and counts to `stats`, either may be null; a failure
+/// keeps the counts of the records before it.
+Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
+                        std::span<const wal::LogRecord> records,
+                        const par::InstantRedoOptions& rule,
+                        RedoScanStats* stats);
+
+/// The serial restart's redo: the DPT pass when the method rebuilds one
+/// (the "analysis" phase, from the record after the latest checkpoint),
+/// then, in the "redo-scan" phase, PrepareStableState, the
+/// checkpoint-chosen event and ReplayInLogOrder over the stable records
+/// from the redo start under the method's own rule.
+Status RedoInLogOrder(RecoveryMethod& method, EngineContext& ctx,
+                      RedoScanStats* stats);
 
 }  // namespace redo::methods
 

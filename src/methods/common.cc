@@ -84,12 +84,16 @@ Status RedoSinglePageOp(EngineContext& ctx, const engine::SinglePageOp& op,
   return ctx.pool->MarkDirty(op.page, lsn);
 }
 
-Status RedoPageImage(EngineContext& ctx, storage::PageId page,
-                     const storage::Page& image, core::Lsn lsn) {
-  Result<storage::Page*> cached = ctx.pool->Fetch(page);
-  if (!cached.ok()) return cached.status();
-  *cached.value() = image;
-  return ctx.pool->MarkDirty(page, lsn);
+Status ApplyWholeSplit(EngineContext& ctx, const engine::SplitOp& op,
+                       core::Lsn lsn) {
+  Result<storage::Page*> src = ctx.pool->Fetch(op.src);
+  if (!src.ok()) return src.status();
+  const storage::Page src_copy = *src.value();
+  Result<storage::Page*> dst = ctx.pool->Fetch(op.dst);
+  if (!dst.ok()) return dst.status();
+  engine::ApplySplitToDst(op, src_copy, dst.value());
+  REDO_RETURN_IF_ERROR(ctx.pool->MarkDirty(op.dst, lsn));
+  return RedoSinglePageOp(ctx, engine::MakeRewriteForSplit(op), lsn);
 }
 
 Status TraceLoggedOp(EngineContext& ctx, core::Lsn lsn, std::string name,
@@ -105,197 +109,6 @@ Status TraceLoggedOp(EngineContext& ctx, core::Lsn lsn, std::string name,
   ctx.trace->OnLoggedOp(lsn, std::move(name), std::move(reads),
                         writes_with_hash);
   return Status::Ok();
-}
-
-namespace {
-
-// Serial LSN-test apply over the already-read stable records. Counts
-// into `s` in place; LsnRedoScan folds `s` into the caller's stats so
-// partial work is still reported after a mid-scan failure.
-Status SerialLsnApply(EngineContext& ctx,
-                      const std::vector<wal::LogRecord>& records,
-                      bool add_split_constraints,
-                      const std::map<storage::PageId, core::Lsn>* dpt,
-                      RecoveryMethod::RedoScanStats& s) {
-  obs::RecoveryTracer* tracer = ctx.tracer;
-  // Skip test from the analysis-produced dirty page table: a record on a
-  // page outside the table, or older than the page's rec_lsn, is
-  // installed — decided without any page I/O (§4.3: the operation is
-  // provably not exposed, so the scan never even reads the page).
-  auto analysis_says_installed = [dpt, &s, tracer](storage::PageId page,
-                                                   core::Lsn lsn) {
-    if (dpt == nullptr) return false;
-    const auto it = dpt->find(page);
-    if (it == dpt->end() || lsn < it->second) {
-      ++s.skipped_without_fetch;
-      if (tracer != nullptr) {
-        tracer->Verdict(lsn, page, obs::RedoVerdict::kNotExposed,
-                        "analysis-dpt");
-      }
-      return true;
-    }
-    return false;
-  };
-  // The two page-LSN redo-test outcomes, in timeline form.
-  auto installed = [tracer](core::Lsn lsn, storage::PageId page) {
-    if (tracer != nullptr) {
-      tracer->Verdict(lsn, page, obs::RedoVerdict::kSkippedInstalled,
-                      "page-lsn-current");
-    }
-  };
-  auto applied = [tracer](core::Lsn lsn, storage::PageId page) {
-    if (tracer != nullptr) {
-      tracer->Verdict(lsn, page, obs::RedoVerdict::kApplied,
-                      "page-lsn-older");
-    }
-  };
-  auto fetch = [&ctx, &s](storage::PageId page) {
-    ++s.page_fetches;
-    return ctx.pool->Fetch(page);
-  };
-
-  for (const wal::LogRecord& record : records) {
-    if (record.type != wal::RecordType::kCheckpoint &&
-        !wal::IsTxnMetaRecord(record.type)) {
-      ++s.scanned;
-    }
-    switch (record.type) {
-      case wal::RecordType::kCheckpoint:
-      // Transaction metadata carries no redo work (kClr does, and falls
-      // through to its own case below).
-      case wal::RecordType::kTxnBegin:
-      case wal::RecordType::kTxnCommit:
-      case wal::RecordType::kTxnEnd:
-      case wal::RecordType::kTxnUpdate:
-        break;
-      case wal::RecordType::kClr: {
-        Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-        if (!clr.ok()) return clr.status();
-        bool any_applied = false;
-        for (const engine::UndoAction& action : clr.value().actions) {
-          if (analysis_says_installed(action.page, record.lsn)) continue;
-          Result<storage::Page*> cached = fetch(action.page);
-          if (!cached.ok()) return cached.status();
-          if (cached.value()->lsn() >= record.lsn) {  // installed
-            installed(record.lsn, action.page);
-            continue;
-          }
-          REDO_RETURN_IF_ERROR(
-              engine::ApplyOneUndoAction(ctx.pool, action, record.lsn));
-          any_applied = true;
-          applied(record.lsn, action.page);
-        }
-        if (any_applied) ++s.replayed;
-        break;
-      }
-      case wal::RecordType::kPageImage: {
-        Result<std::pair<storage::PageId, storage::Page>> decoded =
-            engine::DecodePageImage(record.payload);
-        if (!decoded.ok()) return decoded.status();
-        const auto& [page, image] = decoded.value();
-        if (analysis_says_installed(page, record.lsn)) break;
-        Result<storage::Page*> cached = fetch(page);
-        if (!cached.ok()) return cached.status();
-        if (cached.value()->lsn() >= record.lsn) {  // installed
-          installed(record.lsn, page);
-          break;
-        }
-        REDO_RETURN_IF_ERROR(RedoPageImage(ctx, page, image, record.lsn));
-        ++s.replayed;
-        applied(record.lsn, page);
-        break;
-      }
-      case wal::RecordType::kPageSplit: {
-        Result<engine::SplitOp> split = engine::DecodeSplitOp(record.payload);
-        if (!split.ok()) return split.status();
-        if (analysis_says_installed(split.value().dst, record.lsn)) break;
-        Result<storage::Page*> dst = fetch(split.value().dst);
-        if (!dst.ok()) return dst.status();
-        if (dst.value()->lsn() >= record.lsn) {  // installed
-          installed(record.lsn, split.value().dst);
-          break;
-        }
-        Result<storage::Page*> src = fetch(split.value().src);
-        if (!src.ok()) return src.status();
-        // Copy src out: fetching one page may evict the other under a
-        // tiny cache capacity, invalidating the first pointer.
-        const storage::Page src_copy = *src.value();
-        dst = fetch(split.value().dst);
-        if (!dst.ok()) return dst.status();
-        // Re-run the redo test on the refetched dst: the test above and
-        // this apply are separated by a fetch that can change what the
-        // cache holds, and an already-current dst must never absorb the
-        // split twice (a kSlotTransfer double-apply corrupts the slot).
-        if (dst.value()->lsn() >= record.lsn) {  // installed
-          installed(record.lsn, split.value().dst);
-          break;
-        }
-        engine::ApplySplitToDst(split.value(), src_copy, dst.value());
-        REDO_RETURN_IF_ERROR(
-            ctx.pool->MarkDirty(split.value().dst, record.lsn));
-        ++s.replayed;
-        applied(record.lsn, split.value().dst);
-        if (add_split_constraints) {
-          // Same acyclicity rule as during normal operation.
-          if (ctx.pool->HasPendingOrderPath(split.value().src,
-                                            split.value().dst)) {
-            REDO_RETURN_IF_ERROR(
-                ctx.pool->FlushPageCascading(split.value().dst));
-          } else {
-            ctx.pool->AddWriteOrderConstraint(split.value().dst, record.lsn,
-                                              split.value().src);
-          }
-        }
-        break;
-      }
-      default: {  // single-page ops
-        Result<engine::SinglePageOp> op =
-            engine::DecodeSinglePageOp(record.type, record.payload);
-        if (!op.ok()) return op.status();
-        if (analysis_says_installed(op.value().page, record.lsn)) break;
-        Result<storage::Page*> cached = fetch(op.value().page);
-        if (!cached.ok()) return cached.status();
-        if (cached.value()->lsn() >= record.lsn) {  // installed
-          installed(record.lsn, op.value().page);
-          break;
-        }
-        REDO_RETURN_IF_ERROR(RedoSinglePageOp(ctx, op.value(), record.lsn));
-        ++s.replayed;
-        applied(record.lsn, op.value().page);
-        break;
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status LsnRedoScan(EngineContext& ctx, bool add_split_constraints,
-                   const std::map<storage::PageId, core::Lsn>* dpt,
-                   RecoveryMethod::RedoScanStats* stats) {
-  obs::PhaseScope phase(ctx.tracer, "redo-scan");
-  Result<core::Lsn> redo_start = ReadRedoScanStart(ctx);
-  if (!redo_start.ok()) return redo_start.status();
-  REDO_RETURN_IF_ERROR(TraceCheckpointChosen(ctx, redo_start.value()));
-  Result<std::vector<wal::LogRecord>> records =
-      ctx.log->StableRecords(redo_start.value());
-  if (!records.ok()) return records.status();
-
-  // Count into a local struct and *add* to the caller's at the end:
-  // callers that recover repeatedly (the degradation ladder's reruns)
-  // keep earlier rungs' counts — per-rung work comes from deltas,
-  // totals from the sum — instead of having rung 0 zeroed away.
-  RecoveryMethod::RedoScanStats local;
-  const Status status = SerialLsnApply(ctx, records.value(),
-                                       add_split_constraints, dpt, local);
-  if (stats != nullptr) {
-    stats->scanned += local.scanned;
-    stats->replayed += local.replayed;
-    stats->skipped_without_fetch += local.skipped_without_fetch;
-    stats->page_fetches += local.page_fetches;
-  }
-  return status;
 }
 
 Result<core::Lsn> AppendCheckpointRecordWithDpt(EngineContext& ctx,

@@ -58,30 +58,17 @@ core::Lsn FuzzyRedoPoint(const EngineContext& ctx);
 Status RedoSinglePageOp(EngineContext& ctx, const engine::SinglePageOp& op,
                         core::Lsn lsn);
 
-/// Overwrites the cached page with a logged full image (the image
-/// already carries its LSN).
-Status RedoPageImage(EngineContext& ctx, storage::PageId page,
-                     const storage::Page& image, core::Lsn lsn);
+/// Applies both halves of a split as one operation: dst := upper(src),
+/// then src := lower(src), both tagged `lsn` (the logical method's
+/// split, logged and replayed as one record).
+Status ApplyWholeSplit(EngineContext& ctx, const engine::SplitOp& op,
+                       core::Lsn lsn);
 
 /// Records a traced op if tracing is active. `reads`/`writes` are page
 /// ids; write hashes are taken from the current cached contents.
 Status TraceLoggedOp(EngineContext& ctx, core::Lsn lsn, std::string name,
                      std::vector<storage::PageId> reads,
                      const std::vector<storage::PageId>& writes);
-
-/// Serial LSN-tag redo scan shared by the physiological and
-/// generalized-LSN methods: replays every stable record from the redo
-/// point whose target page carries an older LSN. `add_split_constraints`
-/// re-arms the §6.4 write-order constraint when a split is redone.
-///
-/// With a non-null `dpt` (dirty page table, page -> rec_lsn, produced by
-/// an analysis pass), records whose target page is absent from the table
-/// or whose LSN precedes the page's rec_lsn are skipped *without
-/// fetching the page* — the ARIES-style analysis optimization. `stats`,
-/// if non-null, receives scan counters.
-Status LsnRedoScan(EngineContext& ctx, bool add_split_constraints,
-                   const std::map<storage::PageId, core::Lsn>* dpt = nullptr,
-                   RecoveryMethod::RedoScanStats* stats = nullptr);
 
 /// Appends a checkpoint record carrying the redo-scan start AND the
 /// current dirty page table (for analysis-based recovery), then forces

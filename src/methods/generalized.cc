@@ -98,13 +98,6 @@ class GeneralizedLsnMethod : public RecoveryMethod {
         ctx, internal_methods::FuzzyRedoPoint(ctx));
   }
 
-  Status Recover(EngineContext& ctx) override {
-    return internal_methods::LsnRedoScan(ctx, /*add_split_constraints=*/true,
-                                         nullptr, &last_stats_);
-  }
-
-  RedoScanStats last_scan_stats() const override { return last_stats_; }
-
   RedoPlanning redo_planning() const override {
     // §6.4: replayed splits re-arm the careful write order, so flushes
     // issued while serving (or after the merge) respect it.
@@ -112,9 +105,6 @@ class GeneralizedLsnMethod : public RecoveryMethod {
     planning.add_split_constraints = true;
     return planning;
   }
-
- private:
-  RedoScanStats last_stats_;
 };
 
 }  // namespace

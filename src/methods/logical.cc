@@ -58,7 +58,7 @@ class LogicalMethod : public RecoveryMethod {
     // (new page AND source rewrite) is ONE record, replayed functionally.
     const core::Lsn lsn =
         ctx.log->Append(wal::RecordType::kPageSplit, engine::EncodeSplitOp(op));
-    REDO_RETURN_IF_ERROR(ApplyWholeSplit(ctx, op, lsn));
+    REDO_RETURN_IF_ERROR(internal_methods::ApplyWholeSplit(ctx, op, lsn));
     std::vector<PageId> split_reads = {op.src};
     if (engine::SplitReadsDst(op.transform)) split_reads.push_back(op.dst);
     REDO_RETURN_IF_ERROR(internal_methods::TraceLoggedOp(
@@ -116,72 +116,9 @@ class LogicalMethod : public RecoveryMethod {
     });
   }
 
-  Status Recover(EngineContext& ctx) override {
-    obs::PhaseScope phase(ctx.tracer, "redo-scan");
-    Result<core::Lsn> redo_start = internal_methods::ReadRedoScanStart(ctx);
-    if (!redo_start.ok()) return redo_start.status();
-    REDO_RETURN_IF_ERROR(HealStagedPages(ctx));
-    REDO_RETURN_IF_ERROR(
-        internal_methods::TraceCheckpointChosen(ctx, redo_start.value()));
-    Result<std::vector<wal::LogRecord>> records =
-        ctx.log->StableRecords(redo_start.value());
-    if (!records.ok()) return records.status();
-    // Redo-all test: everything since the checkpoint is uninstalled.
-    auto applied = [&ctx](core::Lsn lsn, PageId page) {
-      if (ctx.tracer != nullptr) {
-        ctx.tracer->Verdict(lsn, page, obs::RedoVerdict::kApplied, "redo-all");
-      }
-    };
-    for (const wal::LogRecord& record : records.value()) {
-      switch (record.type) {
-        case wal::RecordType::kCheckpoint:
-          break;
-        case wal::RecordType::kLogicalOp: {
-          wal::PayloadReader r(record.payload);
-          Result<uint16_t> inner_type = r.U16();
-          if (!inner_type.ok()) return inner_type.status();
-          Result<std::vector<uint8_t>> inner = r.Bytes(r.remaining());
-          if (!inner.ok()) return inner.status();
-          Result<SinglePageOp> op = engine::DecodeSinglePageOp(
-              static_cast<wal::RecordType>(inner_type.value()), inner.value());
-          if (!op.ok()) return op.status();
-          REDO_RETURN_IF_ERROR(
-              internal_methods::RedoSinglePageOp(ctx, op.value(), record.lsn));
-          applied(record.lsn, op.value().page);
-          break;
-        }
-        case wal::RecordType::kPageSplit: {
-          Result<SplitOp> split = engine::DecodeSplitOp(record.payload);
-          if (!split.ok()) return split.status();
-          REDO_RETURN_IF_ERROR(ApplyWholeSplit(ctx, split.value(), record.lsn));
-          applied(record.lsn, split.value().dst);
-          break;
-        }
-        case wal::RecordType::kTxnBegin:
-        case wal::RecordType::kTxnCommit:
-        case wal::RecordType::kTxnEnd:
-        case wal::RecordType::kTxnUpdate:
-          break;
-        case wal::RecordType::kClr: {
-          Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-          if (!clr.ok()) return clr.status();
-          REDO_RETURN_IF_ERROR(engine::ApplyUndoActions(
-              ctx.pool, clr.value().actions, record.lsn));
-          for (const engine::UndoAction& action : clr.value().actions) {
-            applied(record.lsn, action.page);
-          }
-          break;
-        }
-        default:
-          return Status::Corruption("unexpected record type in logical log");
-      }
-    }
-    return Status::Ok();
-  }
-
   RedoPlanning redo_planning() const override {
     // A kPageSplit record replays both halves (dst and the src rewrite)
-    // as one atomic task, exactly like ApplyWholeSplit below.
+    // as one atomic task, exactly as LogAndApplySplit applies it.
     RedoPlanning planning;
     planning.whole_splits = true;
     return planning;
@@ -233,20 +170,6 @@ class LogicalMethod : public RecoveryMethod {
       heals.push_back(storage::AsyncIoOp::Write(page, stage));
     }
     return ctx.pool->WriteThrough(std::move(heals));
-  }
-
-  /// Applies both halves of a split functionally: dst := upper(src),
-  /// then src := lower(src). Atomic at the operation level.
-  Status ApplyWholeSplit(EngineContext& ctx, const SplitOp& op, core::Lsn lsn) {
-    Result<Page*> src = ctx.pool->Fetch(op.src);
-    if (!src.ok()) return src.status();
-    const Page src_copy = *src.value();
-    Result<Page*> dst = ctx.pool->Fetch(op.dst);
-    if (!dst.ok()) return dst.status();
-    engine::ApplySplitToDst(op, src_copy, dst.value());
-    REDO_RETURN_IF_ERROR(ctx.pool->MarkDirty(op.dst, lsn));
-    const SinglePageOp rewrite = engine::MakeRewriteForSplit(op);
-    return internal_methods::RedoSinglePageOp(ctx, rewrite, lsn);
   }
 
   storage::Disk staging_;  ///< survives crashes (it is stable storage)

@@ -1,12 +1,15 @@
 // The recovery-method interface.
 //
-// A recovery method owns the answers to four questions (§6): how an
-// operation is logged, how a checkpoint is taken, what the redo test is,
-// and how recovery proceeds after a crash. The four implementations —
-// logical (§6.1), physical (§6.2), physiological (§6.3), and
-// generalized-LSN (§6.4) — are interchangeable behind this interface, so
-// the same workloads, crash simulator, and checker run against all of
-// them.
+// A recovery method (§6) answers three questions: how an operation is
+// logged, how a checkpoint is taken, and how its stable records are
+// classified for redo (the redo test, the split shape, §6.4 constraint
+// re-arming, the analysis DPT). Recovery itself is shared: every
+// restart replays the stable log through methods/analysis.h, shaped
+// only by those answers. The six implementations — logical (§6.1),
+// physical and partial physical (§6.2), physiological with and without
+// the analysis pass (§6.3), and generalized-LSN (§6.4) — are
+// interchangeable behind this interface, so the same workloads, crash
+// simulator, and checker run against all of them.
 
 #ifndef REDO_METHODS_METHOD_H_
 #define REDO_METHODS_METHOD_H_
@@ -85,21 +88,16 @@ class RecoveryMethod {
   /// FailedPrecondition when supports_fuzzy_checkpoint() is false.
   virtual Result<core::Lsn> FuzzyCheckpoint(EngineContext& ctx);
 
-  /// Runs serial crash recovery: rebuilds the cached state from the
-  /// stable state and the stable log, one record at a time. Parallel
-  /// and instant restarts replay the plan of the one analysis visit
-  /// instead (methods/analysis.h), shaped by the three hooks below.
-  virtual Status Recover(EngineContext& ctx) = 0;
-
-  /// How the analysis visit plans this method's redo. The visit is the
-  /// same for every method; each answers only these questions.
+  /// How recovery replays this method's log. The analysis visit, its
+  /// plan and the serial log-order replayer (methods/analysis.h) are
+  /// the same for every method; each answers only these questions.
   struct RedoPlanning {
     /// One kPageSplit record replays both halves as one atomic task
     /// (the logical method's split shape).
     bool whole_splits = false;
     /// Replayed splits re-arm the §6.4 careful write order.
     bool add_split_constraints = false;
-    /// The visit rebuilds the dirty-page table (§4.3), so redo skips
+    /// Recovery rebuilds the dirty-page table (§4.3), so redo skips
     /// installed records without page I/O.
     bool analysis_dpt = false;
   };
@@ -110,13 +108,13 @@ class RecoveryMethod {
   /// never hold it (a physical log holds only images). Default: Ok.
   virtual Status ClassifyRecord(wal::RecordType) const { return Status::Ok(); }
 
-  /// Repairs the stable state before the analysis visit reads the log,
-  /// touching no cached page (the logical method finishes an
-  /// interrupted checkpoint's staging copy). Default: nothing to do.
+  /// Repairs the stable state before redo reads the log, touching no
+  /// cached page (the logical method finishes an interrupted
+  /// checkpoint's staging copy). Default: nothing to do.
   virtual Status PrepareStableState(EngineContext&) { return Status::Ok(); }
 
-  /// Classification of the method's redo test, used by the checker to
-  /// instantiate the matching formal policy.
+  /// The method's redo test: the rule recovery replays with, and the
+  /// formal policy the checker instantiates.
   enum class RedoTestKind {
     kRedoAllSinceCheckpoint,  ///< logical, physical
     kLsnTag,                  ///< physiological, generalized
@@ -126,19 +124,6 @@ class RecoveryMethod {
   /// The LSN at which this method's recovery scan would start right now
   /// (decoded from the latest stable checkpoint record; 1 if none).
   Result<core::Lsn> RedoScanStart(const EngineContext& ctx) const;
-
-  /// Redo-scan work, accumulated across every Recover() call on this
-  /// method instance (methods that do not track this return zeros).
-  /// Accumulation — never zeroing — is what lets degradation-ladder
-  /// reruns report per-rung and total work instead of clobbering the
-  /// earlier rungs' counts.
-  struct RedoScanStats {
-    size_t scanned = 0;              ///< records examined
-    size_t replayed = 0;             ///< records redone
-    size_t skipped_without_fetch = 0;///< skipped by analysis, no page I/O
-    size_t page_fetches = 0;         ///< pool fetches the scan performed
-  };
-  virtual RedoScanStats last_scan_stats() const { return {}; }
 };
 
 /// Enumerates the methods for matrix tests/benches.

@@ -65,49 +65,6 @@ class PhysicalMethod : public RecoveryMethod {
                                                    ctx.log->last_lsn() + 1);
   }
 
-  Status Recover(EngineContext& ctx) override {
-    obs::PhaseScope phase(ctx.tracer, "redo-scan");
-    Result<core::Lsn> redo_start = internal_methods::ReadRedoScanStart(ctx);
-    if (!redo_start.ok()) return redo_start.status();
-    REDO_RETURN_IF_ERROR(
-        internal_methods::TraceCheckpointChosen(ctx, redo_start.value()));
-    Result<std::vector<wal::LogRecord>> records =
-        ctx.log->StableRecords(redo_start.value());
-    if (!records.ok()) return records.status();
-    // Redo everything, unconditionally, in log order.
-    for (const wal::LogRecord& record : records.value()) {
-      REDO_RETURN_IF_ERROR(ClassifyRecord(record.type));
-      if (record.type == wal::RecordType::kCheckpoint ||
-          wal::IsTxnMetaRecord(record.type)) {
-        continue;
-      }
-      if (record.type == wal::RecordType::kClr) {
-        Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-        if (!clr.ok()) return clr.status();
-        REDO_RETURN_IF_ERROR(
-            engine::ApplyUndoActions(ctx.pool, clr.value().actions,
-                                     record.lsn));
-        if (ctx.tracer != nullptr) {
-          for (const engine::UndoAction& action : clr.value().actions) {
-            ctx.tracer->Verdict(record.lsn, action.page,
-                                obs::RedoVerdict::kApplied, "redo-all");
-          }
-        }
-        continue;
-      }
-      Result<std::pair<PageId, Page>> decoded =
-          engine::DecodePageImage(record.payload);
-      if (!decoded.ok()) return decoded.status();
-      REDO_RETURN_IF_ERROR(internal_methods::RedoPageImage(
-          ctx, decoded.value().first, decoded.value().second, record.lsn));
-      if (ctx.tracer != nullptr) {
-        ctx.tracer->Verdict(record.lsn, decoded.value().first,
-                            obs::RedoVerdict::kApplied, "redo-all");
-      }
-    }
-    return Status::Ok();
-  }
-
   /// A physical log holds page images, CLRs and metadata, nothing else.
   Status ClassifyRecord(wal::RecordType type) const override {
     if (type == wal::RecordType::kCheckpoint ||

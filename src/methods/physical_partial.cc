@@ -74,64 +74,6 @@ class PartialPhysicalMethod : public RecoveryMethod {
                                                    ctx.log->last_lsn() + 1);
   }
 
-  Status Recover(EngineContext& ctx) override {
-    obs::PhaseScope phase(ctx.tracer, "redo-scan");
-    Result<core::Lsn> redo_start = internal_methods::ReadRedoScanStart(ctx);
-    if (!redo_start.ok()) return redo_start.status();
-    REDO_RETURN_IF_ERROR(
-        internal_methods::TraceCheckpointChosen(ctx, redo_start.value()));
-    Result<std::vector<wal::LogRecord>> records =
-        ctx.log->StableRecords(redo_start.value());
-    if (!records.ok()) return records.status();
-    // Counters accumulate across Recover() calls (see last_scan_stats):
-    // ladder reruns add to, never clobber, earlier rungs' work.
-    for (const wal::LogRecord& record : records.value()) {
-      if (record.type == wal::RecordType::kCheckpoint ||
-          wal::IsTxnMetaRecord(record.type)) {
-        continue;
-      }
-      ++last_stats_.scanned;
-      if (record.type == wal::RecordType::kClr) {
-        Result<engine::Clr> clr = engine::DecodeClr(record.payload);
-        if (!clr.ok()) return clr.status();
-        REDO_RETURN_IF_ERROR(engine::ApplyUndoActions(
-            ctx.pool, clr.value().actions, record.lsn));
-        ++last_stats_.replayed;
-        if (ctx.tracer != nullptr) {
-          for (const engine::UndoAction& action : clr.value().actions) {
-            ctx.tracer->Verdict(record.lsn, action.page,
-                                obs::RedoVerdict::kApplied, "redo-all");
-          }
-        }
-        continue;
-      }
-      PageId target = 0;
-      if (record.type == wal::RecordType::kPageImage) {
-        Result<std::pair<PageId, Page>> decoded =
-            engine::DecodePageImage(record.payload);
-        if (!decoded.ok()) return decoded.status();
-        REDO_RETURN_IF_ERROR(internal_methods::RedoPageImage(
-            ctx, decoded.value().first, decoded.value().second, record.lsn));
-        target = decoded.value().first;
-      } else {
-        Result<SinglePageOp> op =
-            engine::DecodeSinglePageOp(record.type, record.payload);
-        if (!op.ok()) return op.status();
-        REDO_RETURN_IF_ERROR(
-            internal_methods::RedoSinglePageOp(ctx, op.value(), record.lsn));
-        target = op.value().page;
-      }
-      ++last_stats_.replayed;
-      if (ctx.tracer != nullptr) {
-        ctx.tracer->Verdict(record.lsn, target, obs::RedoVerdict::kApplied,
-                            "redo-all");
-      }
-    }
-    return Status::Ok();
-  }
-
-  RedoScanStats last_scan_stats() const override { return last_stats_; }
-
  private:
   Result<core::Lsn> LogImage(EngineContext& ctx, PageId page_id) {
     Result<Page*> page = ctx.pool->Fetch(page_id);
@@ -148,8 +90,6 @@ class PartialPhysicalMethod : public RecoveryMethod {
         {page_id}));
     return lsn;
   }
-
-  RedoScanStats last_stats_;
 };
 
 }  // namespace

@@ -8,12 +8,8 @@
 // page's contents are logged *physically* (a full page image) — exactly
 // the cost §6.4's generalized operations eliminate.
 
-#include <map>
-#include <utility>
-
 #include "methods/common.h"
 #include "methods/method.h"
-#include "redo/plan.h"
 
 namespace redo::methods {
 namespace {
@@ -106,24 +102,6 @@ class PhysiologicalMethod : public RecoveryMethod {
         ctx, internal_methods::FuzzyRedoPoint(ctx));
   }
 
-  Status Recover(EngineContext& ctx) override {
-    if (!aries_analysis_) {
-      return internal_methods::LsnRedoScan(ctx, /*add_split_constraints=*/false,
-                                           nullptr, &last_stats_);
-    }
-    std::map<storage::PageId, core::Lsn> dpt;
-    {
-      obs::PhaseScope analysis_phase(ctx.tracer, "analysis");
-      Result<std::map<storage::PageId, core::Lsn>> built = BuildAnalysisDpt(ctx);
-      if (!built.ok()) return built.status();
-      dpt = std::move(built).value();
-    }
-    return internal_methods::LsnRedoScan(ctx, /*add_split_constraints=*/false,
-                                         &dpt, &last_stats_);
-  }
-
-  RedoScanStats last_scan_stats() const override { return last_stats_; }
-
   RedoPlanning redo_planning() const override {
     RedoPlanning planning;
     planning.analysis_dpt = aries_analysis_;
@@ -131,40 +109,7 @@ class PhysiologicalMethod : public RecoveryMethod {
   }
 
  private:
-  /// Analysis pass (§4.3): start from the checkpoint's DPT and extend
-  /// it with every page a post-checkpoint record dirties (emplace keeps
-  /// the earliest rec_lsn). The redo scan then skips installed records
-  /// without page I/O. The caller owns the tracer phase.
-  Result<std::map<storage::PageId, core::Lsn>> BuildAnalysisDpt(
-      EngineContext& ctx) {
-    Result<std::map<storage::PageId, core::Lsn>> checkpoint_dpt =
-        internal_methods::ReadCheckpointDpt(ctx);
-    if (!checkpoint_dpt.ok()) return checkpoint_dpt.status();
-    std::map<storage::PageId, core::Lsn> dpt =
-        std::move(checkpoint_dpt).value();
-    Result<std::optional<wal::LogRecord>> checkpoint =
-        ctx.log->LatestStableCheckpoint();
-    if (!checkpoint.ok()) return checkpoint.status();
-    const core::Lsn analysis_from =
-        checkpoint.value().has_value() ? checkpoint.value()->lsn + 1 : 1;
-    // Visit the suffix in place: only each record's written pages matter.
-    const Result<wal::ScanExtent> scanned = ctx.log->VisitStable(
-        analysis_from, [&dpt](const wal::LogRecord& record) -> Status {
-          Result<std::optional<par::RedoTask>> task =
-              par::DecodeRedoTask(record, /*whole_splits=*/false);
-          if (!task.ok()) return task.status();
-          if (!task.value().has_value()) return Status::Ok();  // no page dirtied
-          for (storage::PageId page : task.value()->Writes()) {
-            dpt.emplace(page, record.lsn);  // keeps the earliest rec_lsn
-          }
-          return Status::Ok();
-        });
-    if (!scanned.ok()) return scanned.status();
-    return dpt;
-  }
-
   const bool aries_analysis_;
-  RedoScanStats last_stats_;
 };
 
 }  // namespace

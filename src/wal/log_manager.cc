@@ -882,53 +882,8 @@ core::Lsn LogManager::FirstHoleLsn() const {
   return 0;
 }
 
-core::Lsn LogManager::FirstUncoveredLsn(core::Lsn from) const {
-  // Same walk as ReadWithArchive, without materializing the records.
-  core::Lsn expected = from;
-  while (expected <= stable_lsn_) {
-    const std::vector<LogRecord>* records = nullptr;
-    for (const Segment& seg : live_) {
-      const core::Lsn first =
-          seg.sealed ? seg.first_lsn
-                     : (seg.records.empty() ? 0 : seg.records.front().lsn);
-      const core::Lsn last =
-          seg.sealed ? seg.last_lsn
-                     : (seg.records.empty() ? 0 : seg.records.back().lsn);
-      if (first == 0 || expected < first || expected > last) continue;
-      if (!seg.sealed) {
-        records = &seg.records;
-        break;
-      }
-      records = ReadableSealedRecords(seg);
-      if (records == nullptr) {
-        const Segment* archived = FindArchive(seg.id);
-        if (archived != nullptr) records = ReadableSealedRecords(*archived);
-      }
-      break;
-    }
-    if (records == nullptr) {
-      for (const Segment& seg : archive_) {
-        if (expected < seg.first_lsn || expected > seg.last_lsn) continue;
-        records = ReadableSealedRecords(seg);
-        break;
-      }
-    }
-    if (records == nullptr) return expected;
-    bool advanced = false;
-    for (const LogRecord& record : *records) {
-      if (record.lsn < expected) continue;
-      if (record.lsn != expected) return expected;
-      ++expected;
-      advanced = true;
-    }
-    if (!advanced) return expected;
-  }
-  return 0;
-}
-
-Result<std::vector<LogRecord>> LogManager::ReadWithArchive(
-    core::Lsn from) const {
-  std::vector<LogRecord> out;
+core::Lsn LogManager::WalkWithArchive(core::Lsn from,
+                                     std::vector<LogRecord>* out) const {
   core::Lsn expected = from;
   while (expected <= stable_lsn_) {
     // Locate an intact source covering `expected`: a live segment (or
@@ -961,17 +916,29 @@ Result<std::vector<LogRecord>> LogManager::ReadWithArchive(
         break;
       }
     }
-    if (records == nullptr) return GapStatus(expected);
+    if (records == nullptr) return expected;
     bool advanced = false;
     for (const LogRecord& record : *records) {
       if (record.lsn < expected) continue;
-      if (record.lsn != expected) return GapStatus(expected);
-      out.push_back(record);
+      if (record.lsn != expected) return expected;
+      if (out != nullptr) out->push_back(record);
       ++expected;
       advanced = true;
     }
-    if (!advanced) return GapStatus(expected);
+    if (!advanced) return expected;
   }
+  return 0;
+}
+
+core::Lsn LogManager::FirstUncoveredLsn(core::Lsn from) const {
+  return WalkWithArchive(from, nullptr);
+}
+
+Result<std::vector<LogRecord>> LogManager::ReadWithArchive(
+    core::Lsn from) const {
+  std::vector<LogRecord> out;
+  const core::Lsn gap = WalkWithArchive(from, &out);
+  if (gap != 0) return GapStatus(gap);
   return out;
 }
 

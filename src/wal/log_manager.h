@@ -512,6 +512,12 @@ class LogManager {
   const std::vector<LogRecord>* ReadableSealedRecords(
       const Segment& segment) const;
 
+  /// The archive-aware walk behind ReadWithArchive and FirstUncoveredLsn:
+  /// visits records from `from` through stable_lsn() using every intact
+  /// source, appending them to `out` when it is non-null. Returns the
+  /// first LSN no source covers, or 0 when the range is gap-free.
+  core::Lsn WalkWithArchive(core::Lsn from, std::vector<LogRecord>* out) const;
+
   Segment* FindLive(uint64_t id);
   const Segment* FindLive(uint64_t id) const;
   Segment* FindArchive(uint64_t id);

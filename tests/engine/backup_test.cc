@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "btree/btree.h"
 #include "btree/node_format.h"
@@ -123,6 +125,60 @@ TEST_P(BackupMethodTest, MatchesCrashRecoveryStateExactly) {
   EXPECT_EQ(RunOne(false), RunOne(true));
 }
 
+TEST_P(BackupMethodTest, TransactionsReplayLikeCrashRecovery) {
+  // Transaction records and CLRs after the backup point: one committed
+  // transaction and one rolled back with Abort(). Media recovery and
+  // crash recovery must leave byte-identical stable pages.
+  auto RunOne = [&](bool media) {
+    auto db = MakeDb(GetParam());
+    REDO_CHECK(db->NewSession().WriteSlot(1, 0, 5).ok());
+    const Backup backup = TakeBackup(*db).value();
+    {
+      MiniDb::Session winner = db->NewSession();
+      REDO_CHECK(winner.Begin().ok());
+      REDO_CHECK(winner.WriteSlot(1, 0, 6).ok());
+      REDO_CHECK(winner.WriteSlot(2, 1, 7).ok());
+      REDO_CHECK(winner.Commit().ok());
+    }
+    {
+      MiniDb::Session loser = db->NewSession();
+      REDO_CHECK(loser.Begin().ok());
+      REDO_CHECK(loser.WriteSlot(1, 0, 98).ok());
+      REDO_CHECK(loser.WriteSlot(3, 2, 99).ok());
+      REDO_CHECK(loser.Abort().ok());
+    }
+    REDO_CHECK(db->log().ForceAll().ok());
+    const std::vector<wal::LogRecord> suffix =
+        db->log().StableRecords(backup.backup_lsn + 1).value();
+    EXPECT_TRUE(std::any_of(suffix.begin(), suffix.end(),
+                            [](const wal::LogRecord& record) {
+                              return record.type == wal::RecordType::kClr;
+                            }))
+        << "the rollback must log CLRs after the backup";
+    db->Crash();
+    if (media) {
+      DestroyMedia(*db);
+      REDO_CHECK(MediaRecover(*db, backup).ok());
+    } else {
+      REDO_CHECK(db->Recover().ok());
+      REDO_CHECK(db->FlushEverything().ok());
+      if (!db->method().allows_background_flush()) {
+        REDO_CHECK(db->Checkpoint().ok());
+      }
+    }
+    EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 6);
+    EXPECT_EQ(db->NewSession().ReadSlot(2, 1).value(), 7);
+    EXPECT_EQ(db->NewSession().ReadSlot(3, 2).value(), 0) << "rolled back";
+    std::vector<uint8_t> stable;
+    for (storage::PageId p = 0; p < kPages; ++p) {
+      const std::span<const uint8_t> bytes = db->disk().PeekPage(p).bytes();
+      stable.insert(stable.end(), bytes.begin(), bytes.end());
+    }
+    return stable;
+  };
+  EXPECT_EQ(RunOne(false), RunOne(true));
+}
+
 TEST(BackupTest, BtreeSurvivesMediaFailure) {
   auto db = MakeDb(MethodKind::kGeneralized);
   btree::Btree tree = btree::Btree::Create(db.get()).value();
@@ -166,6 +222,27 @@ TEST(BackupTest, PointInTimeBeforeBackupRejected) {
   const Backup backup = TakeBackup(*db).value();
   EXPECT_EQ(PointInTimeRecover(*db, backup, backup.backup_lsn - 1).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(BackupTest, NonImageRecordInPhysicalLogFailsMediaRecoveryToo) {
+  // A physical log holds only page images. Media recovery classifies
+  // each record with the method, as crash recovery does, and refuses a
+  // foreign record with the same Corruption instead of applying it.
+  auto db = MakeDb(MethodKind::kPhysical);
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
+  const Backup backup = TakeBackup(*db).value();
+  const SinglePageOp poke = MakeSlotWrite(1, 0, 6);
+  db->log().Append(poke.type, EncodeSinglePageOp(poke));
+  ASSERT_TRUE(db->log().ForceAll().ok());
+  db->Crash();
+  const Status crash = db->Recover();
+  ASSERT_EQ(crash.code(), StatusCode::kCorruption) << crash.ToString();
+
+  db->Crash();
+  DestroyMedia(*db);
+  const Status media = MediaRecover(*db, backup);
+  EXPECT_EQ(media.code(), StatusCode::kCorruption) << media.ToString();
+  EXPECT_EQ(media.ToString(), crash.ToString());
 }
 
 TEST(BackupTest, SizeMismatchRejected) {

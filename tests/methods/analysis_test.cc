@@ -60,7 +60,7 @@ TEST(AnalysisTest, SkipsInstalledRecordsWithoutFetching) {
   ASSERT_TRUE(db->Checkpoint().ok());  // redo point = page 2's rec_lsn = 3
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  const RecoveryMethod::RedoScanStats stats = db->method().last_scan_stats();
+  const RedoScanStats stats = db->redo_scan_stats();
   EXPECT_EQ(stats.replayed, 1u) << "only page 2's record replays";
   EXPECT_EQ(stats.skipped_without_fetch, 0u)
       << "page 1's records precede the redo point entirely";
@@ -81,7 +81,7 @@ TEST(AnalysisTest, AnalysisSavesFetchesWhenRedoPointReachesBack) {
   ASSERT_TRUE(db->Checkpoint().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  const RecoveryMethod::RedoScanStats stats = db->method().last_scan_stats();
+  const RedoScanStats stats = db->redo_scan_stats();
   EXPECT_EQ(stats.scanned, 21u);
   EXPECT_EQ(stats.replayed, 1u);
   EXPECT_EQ(stats.skipped_without_fetch, 20u)
@@ -100,7 +100,7 @@ TEST(AnalysisTest, PlainPhysiologicalFetchesForEveryScannedRecord) {
   ASSERT_TRUE(db->Checkpoint().ok());
   db->Crash();
   ASSERT_TRUE(db->Recover().ok());
-  const RecoveryMethod::RedoScanStats stats = db->method().last_scan_stats();
+  const RedoScanStats stats = db->redo_scan_stats();
   EXPECT_EQ(stats.skipped_without_fetch, 0u);
   EXPECT_GE(stats.page_fetches, 21u)
       << "without analysis every scanned record costs a fetch";

@@ -132,7 +132,7 @@ TEST(PartialPhysicalMethodTest, RedoAllConvergesOnNewerDiskVersions) {
   ASSERT_TRUE(db->Recover().ok());  // replays both onto the newer page
   EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5);
   EXPECT_EQ(db->NewSession().ReadSlot(1, 1).value(), 6);
-  EXPECT_EQ(db->method().last_scan_stats().replayed, 2u);
+  EXPECT_EQ(db->redo_scan_stats().replayed, 2u);
 }
 
 // ---- Page LSN tagging ----
@@ -289,13 +289,15 @@ TEST(GeneralizedMethodTest, ConstraintRearmedDuringRecovery) {
 // ---- Redo-scan stats accumulate across recoveries ----
 
 TEST(RedoScanStatsTest, StatsAccumulateAcrossRecoverCalls) {
-  // Regression: LsnRedoScan used to zero the caller's stats struct on
-  // entry, so a second Recover() (a degradation-ladder rerun, a
-  // recovery rehearsal) clobbered the first run's counts instead of
-  // reporting per-rung and total work.
+  // Regression: the serial redo scan used to zero the caller's stats
+  // struct on entry, so a second Recover() (a degradation-ladder rerun,
+  // a recovery rehearsal) clobbered the first run's counts instead of
+  // reporting per-rung and total work. Every method's serial redo runs
+  // the one log-order replayer, so every method counts.
   for (const MethodKind kind :
-       {MethodKind::kPhysiological, MethodKind::kGeneralized,
-        MethodKind::kPhysicalPartial}) {
+       {MethodKind::kLogical, MethodKind::kPhysical,
+        MethodKind::kPhysiological, MethodKind::kGeneralized,
+        MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial}) {
     auto db = MakeDb(kind);
     obs::RecoveryTracer tracer;
     db->Attach(engine::Instrumentation{db->trace(), &tracer});
@@ -305,7 +307,7 @@ TEST(RedoScanStatsTest, StatsAccumulateAcrossRecoverCalls) {
     ASSERT_TRUE(db->log().ForceAll().ok());
     db->Crash();
     ASSERT_TRUE(db->Recover().ok());
-    const size_t after_first = db->method().last_scan_stats().scanned;
+    const size_t after_first = db->redo_scan_stats().scanned;
     EXPECT_EQ(after_first, 3u) << MethodKindName(kind);
 
     for (int i = 0; i < 2; ++i) {
@@ -315,9 +317,9 @@ TEST(RedoScanStatsTest, StatsAccumulateAcrossRecoverCalls) {
     db->Crash();
     ASSERT_TRUE(db->Recover().ok());
     // The second scan sees all 5 records; the total is cumulative.
-    EXPECT_EQ(db->method().last_scan_stats().scanned, after_first + 5)
+    EXPECT_EQ(db->redo_scan_stats().scanned, after_first + 5)
         << MethodKindName(kind) << ": second Recover() clobbered the total";
-    EXPECT_GE(db->method().last_scan_stats().replayed, 2u)
+    EXPECT_GE(db->redo_scan_stats().replayed, 2u)
         << MethodKindName(kind);
     // The tracer separates runs: per-run counts stay per-run while the
     // stats struct totals.

@@ -294,7 +294,7 @@ TEST_P(UndoRecoveryTest, UndoReadsTrackTheChainNotTheLog) {
   Result<TxnAnalysis> analysis = AnalyzeTransactions(ctx);
   ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
   ASSERT_EQ(analysis.value().losers.size(), 1u);
-  ASSERT_TRUE(db->method().Recover(ctx).ok());
+  ASSERT_TRUE(RedoInLogOrder(db->method(), ctx, /*stats=*/nullptr).ok());
   const wal::LogStats before = db->log().stats();
   const Status undone = UndoLosers(ctx, analysis.value());
   ASSERT_TRUE(undone.ok()) << undone.ToString();

@@ -88,6 +88,12 @@ TEST(TimelineGolden, Physiological) {
 TEST(TimelineGolden, GeneralizedLsn) {
   CheckMethod(methods::MethodKind::kGeneralized);
 }
+TEST(TimelineGolden, PhysioAries) {
+  CheckMethod(methods::MethodKind::kPhysiologicalAnalysis);
+}
+TEST(TimelineGolden, PhysicalPartial) {
+  CheckMethod(methods::MethodKind::kPhysicalPartial);
+}
 
 }  // namespace
 }  // namespace redo

@@ -162,9 +162,10 @@ int main() {
     if (kind == MethodKind::kGeneralized) generalized = c.log_bytes_per_split;
   }
   std::printf("\nGeneralized / physiological split cost: %.1fx smaller\n"
-              "(the paper's point: no physical image of the new node; a page\n"
-              "image is ~%zu bytes, a generalized split record ~40 bytes).\n",
-              physio / generalized, storage::Page::kSize);
+              "(the paper's point: no physical image of the new node, whose\n"
+              "image logs every byte of the moved half; a generalized split\n"
+              "record is ~40 bytes).\n",
+              physio / generalized);
   MergeCostTable();
   WriteOrderDemo();
   return 0;

@@ -1,5 +1,7 @@
 #include "engine/ops.h"
 
+#include <bit>
+#include <cstring>
 #include <sstream>
 
 #include "btree/node_format.h"
@@ -411,23 +413,113 @@ Result<SplitOp> DecodeSplitOp(const std::vector<uint8_t>& payload) {
                  dst.value(), arg0.value(), arg1.value()};
 }
 
+namespace {
+
+struct ZeroHole {
+  size_t offset = 0;
+  size_t length = 0;
+};
+
+// The page's longest run of zero bytes, the earliest on a tie, in one
+// pass a word at a time. A nonzero word ends the run in progress at its
+// first nonzero byte and starts the next run after its last one. A run
+// inside one word is at most six bytes long, so a word's inner bytes
+// are looked at only while no longer run has been seen.
+ZeroHole FindZeroHole(const Page& page) {
+  constexpr size_t kWord = sizeof(uint64_t);
+  constexpr bool kLittle = std::endian::native == std::endian::little;
+  const uint8_t* bytes = page.bytes().data();
+  ZeroHole best;
+  size_t run_start = 0;
+  auto close_run = [&](size_t end) {
+    if (end - run_start > best.length) best = {run_start, end - run_start};
+  };
+  for (size_t offset = 0; offset < Page::kSize; offset += kWord) {
+    uint64_t word;
+    std::memcpy(&word, bytes + offset, kWord);
+    if (word == 0) continue;
+    // Zero bytes before the word's first nonzero byte, and after its
+    // last, in memory order.
+    const size_t lead = static_cast<size_t>(
+        (kLittle ? std::countr_zero(word) : std::countl_zero(word)) / 8);
+    const size_t trail = static_cast<size_t>(
+        (kLittle ? std::countl_zero(word) : std::countr_zero(word)) / 8);
+    close_run(offset + lead);
+    if (best.length < kWord - 2) {
+      run_start = offset + lead + 1;
+      for (size_t i = run_start; i < offset + kWord - trail; ++i) {
+        if (bytes[i] != 0) {
+          run_start = i + 1;
+        } else if (i + 1 - run_start > best.length) {
+          best = {run_start, i + 1 - run_start};
+        }
+      }
+    }
+    run_start = offset + kWord - trail;
+  }
+  close_run(Page::kSize);
+  return best;
+}
+
+}  // namespace
+
+void PageImageView::InstallInto(Page* out) const {
+  uint8_t* dst = out->bytes().data();
+  std::memcpy(dst, bytes.data(), hole_offset);
+  std::memset(dst + hole_offset, 0, hole_length);
+  const size_t tail = hole_offset + hole_length;
+  std::memcpy(dst + tail, bytes.data() + hole_offset, Page::kSize - tail);
+}
+
+void AppendPageImage(wal::PayloadWriter& w, PageId page, const Page& image) {
+  const ZeroHole hole = FindZeroHole(image);
+  const uint8_t* bytes = image.bytes().data();
+  const size_t tail = hole.offset + hole.length;
+  w.U32(page)
+      .U16(static_cast<uint16_t>(hole.offset))
+      .U16(static_cast<uint16_t>(hole.length));
+  w.Bytes(bytes, hole.offset).Bytes(bytes + tail, Page::kSize - tail);
+}
+
 std::vector<uint8_t> EncodePageImage(PageId page, const Page& image) {
   wal::PayloadWriter w;
-  w.U32(page);
-  w.Bytes(image.bytes().data(), Page::kSize);
+  AppendPageImage(w, page, image);
   return w.Take();
+}
+
+Result<PageImageView> ReadPageImage(wal::PayloadReader& r) {
+  Result<uint32_t> page = r.U32();
+  if (!page.ok()) return page.status();
+  Result<uint16_t> hole_offset = r.U16();
+  if (!hole_offset.ok()) return hole_offset.status();
+  Result<uint16_t> hole_length = r.U16();
+  if (!hole_length.ok()) return hole_length.status();
+  if (size_t{hole_offset.value()} + hole_length.value() > Page::kSize) {
+    return Status::Corruption("page image: hole past the page end");
+  }
+  Result<std::span<const uint8_t>> bytes =
+      r.View(Page::kSize - hole_length.value());
+  if (!bytes.ok()) return Status::Corruption("page image: truncated bytes");
+  return PageImageView{page.value(), hole_offset.value(), hole_length.value(),
+                       bytes.value()};
+}
+
+Result<PageImageView> ParsePageImage(const std::vector<uint8_t>& payload) {
+  wal::PayloadReader r(payload);
+  Result<PageImageView> image = ReadPageImage(r);
+  if (image.ok() && !r.AtEnd()) {
+    return Status::Corruption("page image: bytes past the image");
+  }
+  return image;
 }
 
 Result<std::pair<PageId, Page>> DecodePageImage(
     const std::vector<uint8_t>& payload) {
-  wal::PayloadReader r(payload);
-  Result<uint32_t> page = r.U32();
-  if (!page.ok()) return page.status();
-  Result<std::vector<uint8_t>> bytes = r.Bytes(Page::kSize);
-  if (!bytes.ok()) return bytes.status();
-  Page image;
-  std::memcpy(image.bytes().data(), bytes.value().data(), Page::kSize);
-  return std::make_pair(page.value(), image);
+  Result<PageImageView> image = ParsePageImage(payload);
+  if (!image.ok()) return image.status();
+  Page page;
+  image.value().InstallInto(&page);
+  return std::make_pair(image.value().page, page);
 }
 
 std::string DescribeRecord(const wal::LogRecord& record) {

@@ -15,6 +15,7 @@
 #define REDO_ENGINE_OPS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -153,9 +154,56 @@ Result<SinglePageOp> DecodeSinglePageOp(wal::RecordType type,
 std::vector<uint8_t> EncodeSplitOp(const SplitOp& op);
 Result<SplitOp> DecodeSplitOp(const std::vector<uint8_t>& payload);
 
-/// Full page image records (physical logging and physiological new-page
-/// initialization): payload = page id + raw page bytes.
+// ---- Page images ----
+//
+// The one page-image format. kPageImage records (physical, partial
+// physical, and physiological new-page logging) are one image each; the
+// kPageRestore before-images inside kTxnUpdate and kClr payloads embed
+// one per action:
+//
+//   u32 page id | u16 hole offset | u16 hole length | bytes outside the hole
+//
+// The hole is the page's longest run of zero bytes (the earliest, on a
+// tie; length 0 when the page holds no zero byte). The bytes before the
+// hole and the bytes after it follow the header back to back. An image
+// still describes the whole page, LSN header included: installing it
+// writes all Page::kSize bytes, the hole as zeros, so replaying it stays
+// a blind overwrite (§6.2).
+
+/// Bytes of the image header; an all-zero page encodes to this alone.
+inline constexpr size_t kPageImageHeaderBytes = 8;
+
+/// One image validated in place. `bytes` borrows the payload it was
+/// read from: the Page::kSize - hole_length bytes around the hole.
+struct PageImageView {
+  PageId page = 0;
+  uint16_t hole_offset = 0;
+  uint16_t hole_length = 0;
+  std::span<const uint8_t> bytes;
+
+  /// Writes all Page::kSize bytes of `out`: the logged bytes around the
+  /// hole, and zeros in it.
+  void InstallInto(Page* out) const;
+};
+
+/// Appends the image of `image` (page `page`) to `w`. Finds the hole in
+/// one pass over the page, a word at a time: this runs under the log
+/// mutex, inside AppendWithLsn's callback.
+void AppendPageImage(wal::PayloadWriter& w, PageId page, const Page& image);
+
+/// A kPageImage record payload: one image and nothing else.
 std::vector<uint8_t> EncodePageImage(PageId page, const Page& image);
+
+/// Reads one image at `r`'s cursor, consuming exactly its bytes.
+/// Corruption on a truncated header, a hole past the page end, or fewer
+/// bytes than the hole leaves.
+Result<PageImageView> ReadPageImage(wal::PayloadReader& r);
+
+/// A kPageImage payload: ReadPageImage, and Corruption unless the image
+/// is the whole payload.
+Result<PageImageView> ParsePageImage(const std::vector<uint8_t>& payload);
+
+/// A kPageImage payload as its page id and the page it installs.
 Result<std::pair<PageId, Page>> DecodePageImage(
     const std::vector<uint8_t>& payload);
 

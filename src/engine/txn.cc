@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "engine/ops.h"
+
 namespace redo::engine {
 
 namespace {
@@ -12,19 +14,24 @@ namespace {
 // body field with it.
 constexpr uint32_t kTxnTailMagic = 0x54584E54u;
 
+// The smallest encoded action: a kind byte and the image of an all-zero
+// page. A count the remaining bytes cannot hold is refused before any
+// action is reserved.
+constexpr size_t kMinActionBytes = 1 + kPageImageHeaderBytes;
+
 void EncodeActions(wal::PayloadWriter& w,
                    const std::vector<UndoAction>& actions) {
   w.U32(static_cast<uint32_t>(actions.size()));
   for (const UndoAction& action : actions) {
     w.U8(static_cast<uint8_t>(action.kind));
-    w.U32(action.page);
     switch (action.kind) {
       case UndoAction::Kind::kSlotRestore:
+        w.U32(action.page);
         w.U32(action.slot);
         w.I64(action.old_value);
         break;
       case UndoAction::Kind::kPageRestore:
-        w.Bytes(action.image.bytes().data(), storage::Page::kSize);
+        AppendPageImage(w, action.page, action.image.page());
         break;
     }
   }
@@ -33,32 +40,35 @@ void EncodeActions(wal::PayloadWriter& w,
 Result<std::vector<UndoAction>> DecodeActions(wal::PayloadReader& r) {
   Result<uint32_t> count = r.U32();
   if (!count.ok()) return count.status();
+  if (count.value() > r.remaining() / kMinActionBytes) {
+    return Status::Corruption("undo actions: count exceeds the payload");
+  }
   std::vector<UndoAction> actions;
   actions.reserve(count.value());
   for (uint32_t i = 0; i < count.value(); ++i) {
     UndoAction action;
     Result<uint8_t> kind = r.U8();
     if (!kind.ok()) return kind.status();
-    Result<uint32_t> page = r.U32();
-    if (!page.ok()) return page.status();
-    action.page = page.value();
     switch (kind.value()) {
       case static_cast<uint8_t>(UndoAction::Kind::kSlotRestore): {
         action.kind = UndoAction::Kind::kSlotRestore;
+        Result<uint32_t> page = r.U32();
+        if (!page.ok()) return page.status();
         Result<uint32_t> slot = r.U32();
         if (!slot.ok()) return slot.status();
         Result<int64_t> old_value = r.I64();
         if (!old_value.ok()) return old_value.status();
+        action.page = page.value();
         action.slot = slot.value();
         action.old_value = old_value.value();
         break;
       }
       case static_cast<uint8_t>(UndoAction::Kind::kPageRestore): {
         action.kind = UndoAction::Kind::kPageRestore;
-        Result<std::vector<uint8_t>> bytes = r.Bytes(storage::Page::kSize);
-        if (!bytes.ok()) return bytes.status();
-        std::memcpy(action.image.bytes().data(), bytes.value().data(),
-                    storage::Page::kSize);
+        Result<PageImageView> image = ReadPageImage(r);
+        if (!image.ok()) return image.status();
+        action.page = image.value().page;
+        image.value().InstallInto(&action.image.mutable_page());
         break;
       }
       default:
@@ -128,6 +138,25 @@ Result<uint64_t> DecodeTxnMeta(const std::vector<uint8_t>& payload) {
   return r.U64();
 }
 
+BeforeImage& BeforeImage::operator=(const BeforeImage& other) {
+  if (this != &other) {
+    page_ = other.page_ == nullptr
+                ? nullptr
+                : std::make_unique<storage::Page>(*other.page_);
+  }
+  return *this;
+}
+
+const storage::Page& BeforeImage::page() const {
+  static const storage::Page kZeroed;
+  return page_ == nullptr ? kZeroed : *page_;
+}
+
+storage::Page& BeforeImage::mutable_page() {
+  if (page_ == nullptr) page_ = std::make_unique<storage::Page>();
+  return *page_;
+}
+
 Status RestoreUndoAction(const UndoAction& action, storage::Page* page) {
   switch (action.kind) {
     case UndoAction::Kind::kSlotRestore:
@@ -139,7 +168,7 @@ Status RestoreUndoAction(const UndoAction& action, storage::Page* page) {
     case UndoAction::Kind::kPageRestore:
       // Restore the payload only; the caller re-tags the LSN header so
       // the LSN-test methods see the restore as the page's newest write.
-      std::memcpy(page->payload().data(), action.image.payload().data(),
+      std::memcpy(page->payload().data(), action.image.page().payload().data(),
                   storage::Page::kPayloadSize);
       return Status::Ok();
   }

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -37,6 +38,33 @@
 #include "wal/log_record.h"
 
 namespace redo::engine {
+
+/// A whole-page before-image, held out of line so that an action which
+/// restores one slot carries no page. Reads as a zeroed page until it
+/// is set or written.
+class BeforeImage {
+ public:
+  BeforeImage() = default;
+  BeforeImage(const BeforeImage& other) { *this = other; }
+  BeforeImage& operator=(const BeforeImage& other);
+  BeforeImage(BeforeImage&&) noexcept = default;
+  BeforeImage& operator=(BeforeImage&&) noexcept = default;
+  BeforeImage& operator=(const storage::Page& page) {
+    mutable_page() = page;
+    return *this;
+  }
+
+  const storage::Page& page() const;
+  storage::Page& mutable_page();
+
+  int64_t ReadSlot(size_t slot) const { return page().ReadSlot(slot); }
+  void WriteSlot(size_t slot, int64_t value) {
+    mutable_page().WriteSlot(slot, value);
+  }
+
+ private:
+  std::unique_ptr<storage::Page> page_;
+};
 
 /// One inverse step of a logged operation. Absolute (state, not delta):
 /// applying it is idempotent and safe even if the forward operation
@@ -51,8 +79,11 @@ struct UndoAction {
   storage::PageId page = 0;
   uint32_t slot = 0;       ///< kSlotRestore
   int64_t old_value = 0;   ///< kSlotRestore
-  storage::Page image;     ///< kPageRestore (payload is what restores)
+  BeforeImage image;       ///< kPageRestore (payload is what restores)
 };
+// Every transactional write captures one and every restart's analysis
+// decodes one per kTxnUpdate: no page may live inline.
+static_assert(sizeof(UndoAction) <= 64);
 
 /// Payload of a kTxnUpdate record: the undo information for one logged
 /// operation, chained per transaction through prev_lsn (0 = first).

@@ -1,7 +1,6 @@
 #include "methods/analysis.h"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <utility>
 
@@ -279,14 +278,13 @@ Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
         Result<bool> apply = must_apply(task.image_page, lsn);
         if (!apply.ok()) return apply.status();
         if (!apply.value()) break;
+        Result<engine::PageImageView> image =
+            engine::ParsePageImage(record.payload);
+        if (!image.ok()) return image.status();
         Result<storage::Page*> cached = pool->Fetch(task.image_page);
         if (!cached.ok()) return cached.status();
-        // The image is the payload's tail, after the page-id header
-        // (DecodeRedoTask checked the length); it carries its own LSN.
-        std::memcpy(cached.value()->bytes().data(),
-                    record.payload.data() +
-                        (record.payload.size() - storage::Page::kSize),
-                    storage::Page::kSize);
+        // The image carries its own LSN.
+        image.value().InstallInto(cached.value());
         REDO_RETURN_IF_ERROR(pool->MarkDirty(task.image_page, lsn));
         applied(lsn, task.image_page);
         break;

@@ -1,7 +1,6 @@
 #include "redo/instant.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -397,12 +396,12 @@ Status InstantRedoDriver::ApplyTask(size_t index, ChainFrame* chain) {
       if (installed(*page.value(), task.lsn)) {
         return skipped(RedoVerdict::kSkippedInstalled);
       }
-      // One memcpy from the still-encoded payload straight into the
+      // Installed from the still-encoded payload straight into the
       // frame — no intermediate Page materializes.
-      std::memcpy(page.value()->bytes().data(),
-                  task.image_payload.data() +
-                      (task.image_payload.size() - Page::kSize),
-                  Page::kSize);
+      Result<engine::PageImageView> image =
+          engine::ParsePageImage(task.image_payload);
+      if (!image.ok()) return image.status();
+      image.value().InstallInto(page.value());
       REDO_RETURN_IF_ERROR(mark(task.image_page, task.lsn));
       return applied();
     }

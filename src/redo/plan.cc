@@ -73,16 +73,13 @@ Result<std::optional<RedoTask>> DecodeRedoTask(const wal::LogRecord& record,
       break;
     }
     case wal::RecordType::kPageImage: {
-      // Peek the page id and validate the length; the bytes stay in the
-      // log until Finish knows whether the image survives.
-      wal::PayloadReader r(record.payload);
-      Result<uint32_t> page = r.U32();
-      if (!page.ok()) return page.status();
-      if (r.remaining() != storage::Page::kSize) {
-        return Status::Corruption("page image payload truncated");
-      }
+      // Validate the image in place and keep its page id; the bytes stay
+      // in the log until Finish knows whether the image survives.
+      Result<engine::PageImageView> image =
+          engine::ParsePageImage(record.payload);
+      if (!image.ok()) return image.status();
       task.kind = RedoTaskKind::kPageImage;
-      task.image_page = page.value();
+      task.image_page = image.value().page;
       break;
     }
     case wal::RecordType::kPageSplit: {
@@ -167,8 +164,8 @@ void RedoPlanBuilder::Add(RedoTask task) {
 Result<RedoPlan> RedoPlanBuilder::Finish(const wal::LogManager& log) && {
   for (RedoTask& task : plan_.tasks) {
     if (task.kind != RedoTaskKind::kPageImage || task.superseded) continue;
-    // The one copy of a surviving image: the 4KB install later reads it
-    // on whichever thread replays the task.
+    // The one copy of a surviving image: the install later reads it on
+    // whichever thread replays the task.
     Result<wal::LogRecord> record = log.StableRecordAt(task.lsn);
     if (!record.ok()) {
       return Status::Corruption("redo plan: image at LSN " +
@@ -176,8 +173,7 @@ Result<RedoPlan> RedoPlanBuilder::Finish(const wal::LogManager& log) && {
                                 " unreadable: " + record.status().message());
     }
     if (record.value().type != wal::RecordType::kPageImage ||
-        record.value().payload.size() !=
-            sizeof(uint32_t) + storage::Page::kSize) {
+        !engine::ParsePageImage(record.value().payload).ok()) {
       return Status::Corruption("redo plan: LSN " + std::to_string(task.lsn) +
                                 " no longer holds the planned page image");
     }

@@ -49,10 +49,10 @@ struct RedoTask {
   engine::SinglePageOp op;          ///< kSinglePage
   engine::SplitOp split;            ///< kSplitDst / kWholeSplit
   storage::PageId image_page = 0;   ///< kPageImage
-  /// kPageImage: the record payload (page-id header + raw page bytes),
+  /// kPageImage: the record payload (engine/ops.h's image format),
   /// copied once by RedoPlanBuilder::Finish (empty when superseded) and
-  /// kept encoded, so the install is one memcpy by whichever drain
-  /// replays it.
+  /// kept encoded: whichever drain replays it installs the page straight
+  /// from these bytes.
   std::vector<uint8_t> image_payload;
   /// kClrRestore: the compensation record's absolute restores. Each
   /// action touches exactly one page, and no value flows between the

@@ -76,9 +76,13 @@ Result<int64_t> PayloadReader::I64() {
   return static_cast<int64_t>(v.value());
 }
 Result<std::vector<uint8_t>> PayloadReader::Bytes(size_t size) {
+  Result<std::span<const uint8_t>> view = View(size);
+  if (!view.ok()) return view.status();
+  return std::vector<uint8_t>(view.value().begin(), view.value().end());
+}
+Result<std::span<const uint8_t>> PayloadReader::View(size_t size) {
   if (remaining() < size) return Status::Corruption("payload underrun");
-  std::vector<uint8_t> out(bytes_.begin() + static_cast<ptrdiff_t>(offset_),
-                           bytes_.begin() + static_cast<ptrdiff_t>(offset_ + size));
+  const std::span<const uint8_t> out(bytes_.data() + offset_, size);
   offset_ += size;
   return out;
 }

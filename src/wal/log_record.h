@@ -9,6 +9,7 @@
 #define REDO_WAL_LOG_RECORD_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,7 @@ namespace redo::wal {
 /// they are defined here so every layer shares one vocabulary.
 enum class RecordType : uint16_t {
   kSlotWrite = 1,     ///< physiological: read-modify-write one page slot
-  kPageImage = 2,     ///< physical: full after-image of a page
+  kPageImage = 2,     ///< physical: a page's whole after-image (engine/ops.h)
   kLogicalOp = 3,     ///< logical: operation description, replayed by function
   kPageSplit = 4,     ///< generalized: read one page, write another (§6.4)
   kPageRewrite = 5,   ///< generalized: rewrite a page in place (§6.4's Q)
@@ -84,6 +85,9 @@ class PayloadReader {
   Result<uint64_t> U64();
   Result<int64_t> I64();
   Result<std::vector<uint8_t>> Bytes(size_t size);
+  /// The next `size` bytes, borrowed in place: valid while the payload
+  /// lives.
+  Result<std::span<const uint8_t>> View(size_t size);
 
   size_t remaining() const { return bytes_.size() - offset_; }
   bool AtEnd() const { return offset_ == bytes_.size(); }

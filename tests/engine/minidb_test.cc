@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "btree/node_format.h"
 #include "engine/workload.h"
@@ -348,15 +349,39 @@ TEST(MiniDbTest, PhysiologicalSplitHasNoWriteOrderConstraint) {
 TEST(MiniDbTest, GeneralizedSplitLogsFarFewerBytesThanPhysiological) {
   auto gen = MakeDb(MethodKind::kGeneralized);
   auto physio = MakeDb(MethodKind::kPhysiological);
+  std::vector<uint64_t> measured;
   for (auto* db : {gen.get(), physio.get()}) {
-    ASSERT_TRUE(db->NewSession().WriteSlot(0, 1, 7).ok());
+    // An image costs what its page holds: fill the half the split moves,
+    // then measure the split alone.
+    for (size_t slot = storage::Page::NumSlots() / 2;
+         slot < storage::Page::NumSlots(); ++slot) {
+      ASSERT_TRUE(db->NewSession()
+                      .WriteSlot(0, static_cast<uint32_t>(slot),
+                                 static_cast<int64_t>(slot) + 1)
+                      .ok());
+    }
+    ASSERT_TRUE(db->log().ForceAll().ok());
+    const uint64_t before = db->log().stats().stable_bytes;
     ASSERT_TRUE(db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 0, 1}).ok());
     ASSERT_TRUE(db->log().ForceAll().ok());
+    measured.push_back(db->log().stats().stable_bytes - before);
   }
-  EXPECT_LT(gen->log().stats().stable_bytes * 10,
-            physio->log().stats().stable_bytes)
+  EXPECT_LT(measured[0] * 10, measured[1])
       << "the split record must be an order of magnitude smaller than a "
          "physical page image";
+
+  // The converse: the image of a near-empty new page is a few dozen
+  // bytes.
+  auto fresh = MakeDb(MethodKind::kPhysiological);
+  ASSERT_TRUE(fresh->NewSession().WriteSlot(0, 1, 7).ok());
+  ASSERT_TRUE(
+      fresh->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 0, 1}).ok());
+  ASSERT_TRUE(fresh->log().ForceAll().ok());
+  const std::vector<wal::LogRecord> records =
+      fresh->log().StableRecords(1).value();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].type, wal::RecordType::kPageImage);
+  EXPECT_LT(records[1].payload.size(), 64u);
 }
 
 TEST(MiniDbTest, LogicalMethodNeverWritesDiskBetweenCheckpoints) {

@@ -93,6 +93,23 @@ TEST(TxnCodecTest, TxnMetaRoundTripsAndRejectsGarbage) {
   EXPECT_FALSE(DecodeClr(short_payload).ok());
 }
 
+TEST(TxnCodecTest, ActionCountPastThePayloadIsCorruption) {
+  // One slot restore follows a count it cannot satisfy; the decoders
+  // refuse the count before reserving anything for it.
+  for (const uint32_t count : {0xffffffffu, 2u}) {
+    wal::PayloadWriter w;
+    w.U64(42).U64(7).U32(count);
+    w.U8(static_cast<uint8_t>(UndoAction::Kind::kSlotRestore));
+    w.U32(1).U32(2).I64(3);
+    const std::vector<uint8_t> payload = w.Take();
+    EXPECT_EQ(DecodeTxnUpdate(payload).status().code(),
+              StatusCode::kCorruption)
+        << "count " << count;
+    EXPECT_EQ(DecodeClr(payload).status().code(), StatusCode::kCorruption)
+        << "count " << count;
+  }
+}
+
 // ---- Checkpoint transaction-table tail ----
 
 TEST(TxnCheckpointTailTest, TailRoundTripsBehindAnyBody) {

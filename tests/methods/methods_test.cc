@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "engine/minidb.h"
 #include "methods/common.h"
@@ -38,9 +41,19 @@ TEST(PhysicalMethodTest, LogsOnlyFullPageImages) {
       db->NewSession()
           .Split(engine::SplitOp{engine::SplitTransform::kSlotHalf, 1, 2})
           .ok());
+  // Each record decodes to a whole page; each page's last one is the
+  // cached page, byte for byte.
+  std::map<storage::PageId, storage::Page> logged;
   for (const wal::LogRecord& record : StableRecords(*db)) {
     EXPECT_EQ(record.type, wal::RecordType::kPageImage);
-    EXPECT_GT(record.payload.size(), storage::Page::kSize);
+    Result<std::pair<storage::PageId, storage::Page>> image =
+        engine::DecodePageImage(record.payload);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    logged.insert_or_assign(image.value().first, image.value().second);
+  }
+  ASSERT_EQ(logged.size(), 2u);
+  for (const auto& [page, image] : logged) {
+    EXPECT_TRUE(image == *db->pool().Fetch(page).value()) << "page " << page;
   }
 }
 
@@ -86,15 +99,28 @@ TEST(LogicalMethodTest, SplitIsOneMultiPageRecord) {
 TEST(PartialPhysicalMethodTest, SlotWritesLogBytesNotImages) {
   auto full = MakeDb(MethodKind::kPhysical);
   auto partial = MakeDb(MethodKind::kPhysicalPartial);
+  std::vector<uint64_t> measured;
   for (auto* db : {full.get(), partial.get()}) {
+    // An image costs what its page holds: fill every slot first, then
+    // measure the ten slot writes alone.
+    ASSERT_TRUE(db->NewSession().Apply(engine::MakeBlindFormat(1, -1)).ok());
+    ASSERT_TRUE(db->log().ForceAll().ok());
+    const uint64_t before = db->log().stats().stable_bytes;
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(db->NewSession().WriteSlot(1, i, i).ok());
     }
     ASSERT_TRUE(db->log().ForceAll().ok());
+    measured.push_back(db->log().stats().stable_bytes - before);
   }
-  EXPECT_LT(partial->log().stats().stable_bytes * 20,
-            full->log().stats().stable_bytes)
+  EXPECT_LT(measured[1] * 20, measured[0])
       << "a byte-poke record is orders of magnitude smaller than an image";
+
+  // The converse: the image of a near-empty page is a few dozen bytes.
+  auto fresh = MakeDb(MethodKind::kPhysical);
+  ASSERT_TRUE(fresh->NewSession().WriteSlot(1, 0, 5).ok());
+  const std::vector<wal::LogRecord> records = StableRecords(*fresh);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_LT(records[0].payload.size(), 64u);
 }
 
 TEST(PartialPhysicalMethodTest, RecordsAreBlind) {

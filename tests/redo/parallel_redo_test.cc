@@ -296,7 +296,8 @@ TEST(ParallelPlanTest, LsnTestPlansNeverSupersede) {
   ASSERT_EQ(plan.tasks.size(), 4u);
   EXPECT_EQ(plan.images_superseded, 0u);
   for (const RedoTask& task : plan.tasks) EXPECT_FALSE(task.superseded);
-  EXPECT_EQ(plan.tasks[0].image_payload.size(), 4 + Page::kSize);
+  EXPECT_EQ(plan.tasks[0].image_payload.size(),
+            db->log().StableRecordAt(plan.tasks[0].lsn).value().payload.size());
   // The same log planned under the redo-all rule supersedes the first.
   EXPECT_EQ(PlanFromLog(*db, false, /*supersede_images=*/true)
                 .images_superseded,

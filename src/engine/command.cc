@@ -213,8 +213,9 @@ Reply Dispatch(MiniDb::Session& session, const Command& command) {
       if (session.txn_id_ != 0) {
         acked = db->SessionCommitTxn(session);
       } else {
-        acked = db->log().CommitWait(command.lsn != 0 ? command.lsn
-                                                      : session.last_lsn_);
+        acked = db->log().CommitWait(
+            command.lsn != 0 ? command.lsn : session.last_lsn_,
+            wal::LogManager::Waiter::kSession);
         if (acked.ok()) db->RecordFirstCommitDuringServing();
       }
       if (acked.ok()) {

@@ -35,10 +35,12 @@ struct EngineOptions {
   /// concurrently.
   size_t parallel_workers = 1;
 
-  /// Group commit (concurrent mode only): how long the committer thread
-  /// waits for more commit requests before forcing the batch it has.
-  /// Larger windows amortize one force over more commits at the price
-  /// of commit latency.
+  /// Group commit (concurrent mode only): the longest a commit may
+  /// linger. After the first commit request the committer waits up to
+  /// this long for more requests before forcing the batch it has; it
+  /// stops waiting as soon as every live session has a commit in the
+  /// batch, since no other commit could join it. Larger windows amortize
+  /// one force over more commits at the price of commit latency.
   uint64_t group_commit_window_us = 100;
 
   /// Group commit: capacity of the bounded staging ring between

@@ -187,6 +187,7 @@ Status MiniDb::BeginConcurrent() {
   // the log mutex released so appenders stage the next window during
   // the in-flight force.
   gc.overlap_staging = !pool_.async_io()->synchronous();
+  gc.live_sessions = &live_sessions_;
   REDO_RETURN_IF_ERROR(log_.StartGroupCommit(gc));
   concurrent_.store(true);
   return Status::Ok();
@@ -432,16 +433,11 @@ Result<core::Lsn> MiniDb::SessionCommitTxn(Session& session) {
   session.txn_id_ = 0;
   session.txn_last_lsn_ = 0;
   session.undo_log_.clear();
-  Result<core::Lsn> acked = log_.CommitWait(commit_lsn);
-  if (!acked.ok()) return acked;
-  RecordFirstCommitDuringServing();
-  // kTxnEnd is an optimization: it lets a future analysis drop the
-  // winner without consulting the commit record again. Losing it to a
-  // crash costs nothing — a stable kTxnCommit alone makes a winner.
-  {
-    std::shared_lock<std::shared_mutex> gate = LockGateShared(0);
-    log_.Append(wal::RecordType::kTxnEnd, engine::EncodeTxnMeta(txn_id));
-  }
+  // The stable kTxnCommit alone makes a winner, so it is the committed
+  // transaction's last record: the ack appends nothing after it.
+  Result<core::Lsn> acked =
+      log_.CommitWait(commit_lsn, wal::LogManager::Waiter::kSession);
+  if (acked.ok()) RecordFirstCommitDuringServing();
   return acked;
 }
 

@@ -236,12 +236,16 @@ class MiniDb {
     /// With an open transaction, `lsn` is ignored: Commit appends
     /// kTxnCommit (atomically removing the transaction from the live
     /// table under the shared gate, so a concurrent checkpoint's
-    /// snapshot stays consistent with the log), waits for the commit
-    /// record to be stable, then logs kTxnEnd. The transaction's fate is
-    /// decided by the commit record's durability alone: if the wait
-    /// fails (frozen pipeline), recovery's analysis classifies it —
-    /// stable kTxnCommit makes it a winner, a torn-away one a loser to
-    /// be undone. Either way this session's transaction is closed.
+    /// snapshot stays consistent with the log) and waits for the commit
+    /// record to be stable. That record is the transaction's last: the
+    /// ack logs nothing more. The transaction's fate is decided by the
+    /// commit record's durability alone: if the wait fails (frozen
+    /// pipeline), recovery's analysis classifies it — stable kTxnCommit
+    /// makes it a winner, a torn-away one a loser to be undone. Either
+    /// way this session's transaction is closed.
+    ///
+    /// The wait counts as a session's toward closing the group-commit
+    /// window early: once every live session waits, the force starts.
     Result<core::Lsn> Commit(core::Lsn lsn = 0);
 
     /// LSN of this session's last logged operation (0 if none).
@@ -451,6 +455,10 @@ class MiniDb {
   obs::MetricsRegistry metrics_;  ///< destroyed last: sources deregister into it
   storage::Disk disk_;
   storage::BufferPool pool_;
+  /// Live Session handles: the Recover() guard, and the group-commit
+  /// committer's count of sessions that could still join a window.
+  /// Declared before log_, whose committer reads it until log_ dies.
+  std::atomic<int> live_sessions_{0};
   wal::LogManager log_;
   std::unique_ptr<methods::RecoveryMethod> method_;
   Instrumentation instr_;
@@ -486,8 +494,6 @@ class MiniDb {
   std::chrono::steady_clock::time_point serving_since_{};
   std::atomic<bool> ttfc_recorded_{false};
 
-  /// Live Session handles (satellite of the Recover() guard).
-  std::atomic<int> live_sessions_{0};
   /// True only while a quiescing Recover() runs; session op entry
   /// points hard-stop on it under sanitizers (REDO_SANITIZER_CHECK) to
   /// catch the racing call site, not just the diagnosed Recover().

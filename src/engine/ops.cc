@@ -409,6 +409,7 @@ Result<SplitOp> DecodeSplitOp(const std::vector<uint8_t>& payload) {
   if (!arg0.ok()) return arg0.status();
   Result<uint32_t> arg1 = r.U32();
   if (!arg1.ok()) return arg1.status();
+  if (!r.AtEnd()) return Status::Corruption("split op: bytes past the op");
   return SplitOp{static_cast<SplitTransform>(transform.value()), src.value(),
                  dst.value(), arg0.value(), arg1.value()};
 }

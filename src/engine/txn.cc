@@ -100,6 +100,9 @@ Result<TxnUpdate> DecodeTxnUpdate(const std::vector<uint8_t>& payload) {
   update.prev_lsn = prev.value();
   Result<std::vector<UndoAction>> actions = DecodeActions(r);
   if (!actions.ok()) return actions.status();
+  if (!r.AtEnd()) {
+    return Status::Corruption("txn update: bytes past the actions");
+  }
   update.actions = std::move(actions.value());
   return update;
 }
@@ -123,6 +126,7 @@ Result<Clr> DecodeClr(const std::vector<uint8_t>& payload) {
   clr.undo_next = undo_next.value();
   Result<std::vector<UndoAction>> actions = DecodeActions(r);
   if (!actions.ok()) return actions.status();
+  if (!r.AtEnd()) return Status::Corruption("clr: bytes past the actions");
   clr.actions = std::move(actions.value());
   return clr;
 }
@@ -135,7 +139,11 @@ std::vector<uint8_t> EncodeTxnMeta(uint64_t txn_id) {
 
 Result<uint64_t> DecodeTxnMeta(const std::vector<uint8_t>& payload) {
   wal::PayloadReader r(payload);
-  return r.U64();
+  Result<uint64_t> txn = r.U64();
+  if (txn.ok() && !r.AtEnd()) {
+    return Status::Corruption("txn record: bytes past the transaction id");
+  }
+  return txn;
 }
 
 BeforeImage& BeforeImage::operator=(const BeforeImage& other) {

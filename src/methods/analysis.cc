@@ -30,8 +30,8 @@ Status NoteTxnRecord(const wal::LogRecord& record, TxnAnalysis& analysis) {
       break;
     }
     case wal::RecordType::kTxnEnd: {
-      // Fully committed or fully rolled back before the crash; either
-      // way nothing remains to undo.
+      // Fully rolled back before the crash (a commit ends at its
+      // kTxnCommit): nothing remains to undo.
       Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
       if (!txn.ok()) return txn.status();
       analysis.losers.erase(txn.value());

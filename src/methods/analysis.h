@@ -39,7 +39,7 @@ struct TxnAnalysis {
   /// Losers: live at the crash, to be rolled back. txn id -> last LSN of
   /// its undo chain (kTxnUpdate or kClr; 0 = began but logged nothing).
   std::map<uint64_t, core::Lsn> losers;
-  /// Winners: stable kTxnCommit found (their kTxnEnd may be missing).
+  /// Winners: stable kTxnCommit found (a commit logs no kTxnEnd).
   std::set<uint64_t> winners;
   /// Highest transaction id observed (checkpoint tail or records); the
   /// id allocator is re-seeded past it after recovery.

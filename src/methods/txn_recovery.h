@@ -3,14 +3,15 @@
 // Analysis (methods/analysis.h) re-anchors the live-transaction table
 // from the latest stable checkpoint's txn tail (when present) and rolls
 // it forward over the stable suffix: a transaction with a stable
-// kTxnCommit is a winner; one with a stable kTxnEnd needs nothing;
-// everything else live at the crash is a loser. Undo then walks each
-// loser's update chain in reverse-LSN order (one merged reverse pass
-// across all losers), emitting a kClr per compensated kTxnUpdate whose
-// undo_next back-chain makes the pass restartable: resuming at a CLR
-// jumps straight to the first not-yet-compensated record, so a crash
-// mid-undo never undoes the same update twice, and arbitrarily many
-// re-crashes converge to the same committed-only state.
+// kTxnCommit is a winner; one with a stable kTxnEnd (a finished
+// rollback) needs nothing; everything else live at the crash is a
+// loser. Undo then walks each loser's update chain in reverse-LSN order
+// (one merged reverse pass across all losers), emitting a kClr per
+// compensated kTxnUpdate whose undo_next back-chain makes the pass
+// restartable: resuming at a CLR jumps straight to the first
+// not-yet-compensated record, so a crash mid-undo never undoes the same
+// update twice, and arbitrarily many re-crashes converge to the same
+// committed-only state.
 //
 // Both passes are method-agnostic: they read the same salvaged log and
 // use only the buffer pool, so MiniDb runs them around whichever

@@ -57,7 +57,8 @@ enum class FlightEventType : uint16_t {
   kTxnCommit = 4,      ///< span: Commit() incl. CommitWait (a0=txn, a1=lsn)
   kTxnAbort = 5,       ///< span: runtime rollback (a0=txn)
   kGcStageWait = 6,    ///< span: append blocked on a full staging ring
-  kGcWindow = 7,       ///< span: committer window wait (a0=batch size)
+  kGcWindow = 7,       ///< span: committer window wait (a0=batch size,
+                       ///< a1=1 if every live session had joined)
   kGcForce = 8,        ///< span: one force (a0=target lsn, a1=records)
   kGcAckWait = 9,      ///< span: CommitWait durability wait (a0=lsn)
   kCkptBarrier = 10,   ///< span: checkpoint barrier (a0=1 if fuzzy)

@@ -128,9 +128,10 @@ void LogStats::EmitMetrics(obs::MetricEmitter& emit) const {
   emit.Counter("stable_visits", stable_visits);
   emit.Counter("group_commits", group_commits);
   emit.Counter("group_batches", group_batches);
-  emit.Counter("group_max_batch", group_max_batch);
+  emit.Gauge("group_max_batch", static_cast<int64_t>(group_max_batch));
   emit.Counter("group_ring_stalls", group_ring_stalls);
   emit.Counter("group_overlapped_forces", group_overlapped_forces);
+  emit.Counter("group_early_closes", group_early_closes);
 }
 
 void LogManager::RegisterMetrics(obs::MetricsRegistry& registry,
@@ -281,17 +282,24 @@ void LogManager::CommitterLoop() {
       break;
     }
     // The commit window: linger so commits racing in right now join
-    // this batch instead of paying for their own force.
+    // this batch instead of paying for their own force, until every
+    // live session has joined it. An idle session keeps the window open
+    // because it might still commit inside it.
     if (gc_options_.window_us > 0 && !gc_stop_) {
       obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
       const bool traced = recorder.enabled();
       const uint64_t tick0 = traced ? recorder.NowTick() : 0;
-      committer_cv_.wait_for(lock,
-                             std::chrono::microseconds(gc_options_.window_us),
-                             [this] { return gc_frozen_ || gc_stop_; });
+      const bool closed_early =
+          committer_cv_.wait_for(
+              lock, std::chrono::microseconds(gc_options_.window_us),
+              [this] {
+                return gc_frozen_ || gc_stop_ || EverySessionJoined();
+              }) &&
+          !gc_frozen_ && !gc_stop_;
+      if (closed_early) ++stats_.group_early_closes;
       if (traced) {
         recorder.EndSpan(obs::FlightEventType::kGcWindow, tick0,
-                         commits_in_batch_);
+                         commits_in_batch_, closed_early ? 1 : 0);
       }
       if (gc_frozen_) break;
     }
@@ -302,8 +310,10 @@ void LogManager::CommitterLoop() {
         gc_stop_ || staging_ring_.size() >= gc_options_.ring_capacity
             ? last_lsn_.load()
             : std::min(commit_requested_, last_lsn_.load());
-    const uint64_t acked = commits_in_batch_;
+    force_target_ = target;
+    commits_in_force_ = commits_in_batch_;
     commits_in_batch_ = 0;
+    sessions_in_batch_ = 0;
     bool latency_prepaid = false;
     if (gc_options_.overlap_staging && gc_options_.force_latency_us > 0) {
       // Charge the device latency with the mutex RELEASED: appenders
@@ -327,12 +337,24 @@ void LogManager::CommitterLoop() {
     REDO_CHECK(forced.ok()) << "group-commit force failed: "
                             << forced.ToString();
     ++stats_.group_batches;
-    stats_.group_commits += acked;
-    stats_.group_max_batch = std::max(stats_.group_max_batch, acked);
+    stats_.group_commits += commits_in_force_;
+    stats_.group_max_batch =
+        std::max(stats_.group_max_batch, commits_in_force_);
+    force_target_ = 0;
+    commits_in_force_ = 0;
   }
   // Frozen or stopping: wake everyone so nobody waits on a dead thread.
   durable_cv_.notify_all();
   ring_cv_.notify_all();
+}
+
+bool LogManager::EverySessionJoined() const {
+  if (gc_options_.live_sessions == nullptr) return false;
+  // With no live session nobody can join, so there is nothing to wait
+  // for. The count may move under us; a session that arrives after the
+  // window closed commits in the next one.
+  const int live = gc_options_.live_sessions->load(std::memory_order_relaxed);
+  return live <= 0 || sessions_in_batch_ >= static_cast<uint64_t>(live);
 }
 
 Status LogManager::StartGroupCommit(const GroupCommitOptions& options) {
@@ -349,6 +371,9 @@ Status LogManager::StartGroupCommit(const GroupCommitOptions& options) {
   gc_stop_ = false;
   commit_requested_ = 0;
   commits_in_batch_ = 0;
+  sessions_in_batch_ = 0;
+  force_target_ = 0;
+  commits_in_force_ = 0;
   gc_active_.store(true);
   committer_ = std::thread([this] { CommitterLoop(); });
   return Status::Ok();
@@ -385,7 +410,7 @@ Status LogManager::StopGroupCommit() {
 
 void LogManager::FreezeGroupCommit() { HaltGroupCommit(/*freeze=*/true); }
 
-Result<core::Lsn> LogManager::CommitWait(core::Lsn lsn) {
+Result<core::Lsn> LogManager::CommitWait(core::Lsn lsn, Waiter waiter) {
   std::unique_lock<std::mutex> lock(mu_);
   if (gc_frozen_) {
     return Status::Unavailable("group commit frozen by crash");
@@ -401,9 +426,16 @@ Result<core::Lsn> LogManager::CommitWait(core::Lsn lsn) {
     ++stats_.group_commits;
     return stable_lsn_.load();
   }
-  commit_requested_ = std::max(commit_requested_, lsn);
-  ++commits_in_batch_;
-  committer_cv_.notify_one();
+  if (lsn <= force_target_) {
+    // The force in flight covers it: that force acknowledges it, and it
+    // neither joins nor closes the next window.
+    ++commits_in_force_;
+  } else {
+    commit_requested_ = std::max(commit_requested_, lsn);
+    ++commits_in_batch_;
+    if (waiter == Waiter::kSession) ++sessions_in_batch_;
+    committer_cv_.notify_one();
+  }
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const bool traced = recorder.enabled();
   const uint64_t tick0 = traced ? recorder.NowTick() : 0;

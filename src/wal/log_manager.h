@@ -85,8 +85,11 @@ struct GroupCommitOptions {
   /// Capacity of the staging ring between appenders and the committer.
   /// A full ring blocks appenders until the committer drains it.
   size_t ring_capacity = 256;
-  /// How long the committer waits after the first pending commit
-  /// request, collecting more requests into the same force.
+  /// The longest a commit may linger: after the first pending commit
+  /// request the committer waits up to this long, collecting more
+  /// requests into the same force. The window closes early once every
+  /// live session (`live_sessions`) waits on a commit the next force
+  /// covers, since no further commit could join it.
   uint64_t window_us = 100;
   /// Simulated stable-write latency charged per force while group
   /// commit is active (modeling a device fsync). 0 = no delay.
@@ -99,6 +102,10 @@ struct GroupCommitOptions {
   /// force entirely (zero bytes reach stable storage, no waiter is
   /// acknowledged) — the torn-force crash semantics are unchanged.
   bool overlap_staging = false;
+  /// The engine's count of live sessions, which the committer reads to
+  /// close a window early. Not owned; it must outlive the pipeline. Null
+  /// (a log driven without sessions) keeps every window its full length.
+  const std::atomic<int>* live_sessions = nullptr;
 };
 
 /// Log manager counters.
@@ -132,9 +139,12 @@ struct LogStats {
   uint64_t group_commits = 0;      ///< CommitWait calls acknowledged
   uint64_t group_batches = 0;      ///< committer forces (one per batch)
   uint64_t group_max_batch = 0;    ///< most commits one force acknowledged
+                                   ///< (a high-water mark: emitted as a gauge)
   uint64_t group_ring_stalls = 0;  ///< appender waits on a full staging ring
   uint64_t group_overlapped_forces = 0;  ///< forces whose latency was charged
                                          ///< with the mutex released
+  uint64_t group_early_closes = 0;  ///< windows that ended because every
+                                    ///< live session had joined
 
   /// Emits every counter (metrics-registry source enumeration).
   void EmitMetrics(obs::MetricEmitter& emit) const;
@@ -277,12 +287,17 @@ class LogManager {
 
   bool group_commit_active() const { return gc_active_.load(); }
 
+  /// Who waits in CommitWait. Only a session's wait counts toward
+  /// closing the commit window early: the window waits for the live
+  /// sessions, and a checkpoint is not one of them.
+  enum class Waiter : uint8_t { kOther, kSession };
+
   /// Blocks until every record with lsn <= `lsn` is stable (group mode:
   /// woken by the committer at the batch force; serial mode: forces
   /// synchronously). Returns the stable LSN at acknowledgment, or
   /// kUnavailable if the pipeline froze first — the caller must treat
   /// the commit as NOT durable.
-  Result<core::Lsn> CommitWait(core::Lsn lsn);
+  Result<core::Lsn> CommitWait(core::Lsn lsn, Waiter waiter = Waiter::kOther);
 
   /// Called once per record by VisitStable; a non-Ok result stops the
   /// scan and becomes its result.
@@ -541,6 +556,11 @@ class LogManager {
   /// collects a window's worth, forces once.
   void CommitterLoop();
 
+  /// True once every live session waits on a commit the next force
+  /// covers (always false without the engine's session count). Caller
+  /// holds `mu_`.
+  bool EverySessionJoined() const;
+
   /// Stops the committer thread (joining it). With `freeze` the
   /// pipeline halts without a final force and pending waiters fail;
   /// without, everything pending is forced and acknowledged first.
@@ -574,6 +594,12 @@ class LogManager {
   bool gc_stop_ = false;
   core::Lsn commit_requested_ = 0;   // highest LSN a CommitWait asked for
   uint64_t commits_in_batch_ = 0;    // waiters the next force acknowledges
+  uint64_t sessions_in_batch_ = 0;   // of those, sessions' waits
+  // The force whose target is fixed but which is not yet stable (its
+  // latency charged with the mutex released): a waiter at or below its
+  // target belongs to it, not to the next window. 0 = none in flight.
+  core::Lsn force_target_ = 0;
+  uint64_t commits_in_force_ = 0;    // waiters that force acknowledges
   // Staged frames, position-aligned with volatile_tail_ while group
   // commit runs: frame i holds the encoded bytes of volatile_tail_[i].
   std::deque<std::vector<uint8_t>> staging_ring_;

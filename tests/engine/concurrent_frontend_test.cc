@@ -6,6 +6,7 @@
 // clean-path (drain, crash, recover) behavior for every method.
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -379,6 +380,8 @@ TEST(ConcurrentFrontendTest, FuzzyDptSnapshotCoversGroupCommitWindow) {
     }
   });
   {
+    // An idle second session keeps every window open its full length.
+    MiniDb::Session idle = db.NewSession();
     MiniDb::Session session = db.NewSession();
     for (int i = 0; i < kRounds; ++i) {
       const PageId page = static_cast<PageId>(i % 4);
@@ -401,6 +404,86 @@ TEST(ConcurrentFrontendTest, FuzzyDptSnapshotCoversGroupCommitWindow) {
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), kRounds - 4 + p) << "page " << p;
   }
+}
+
+// ---- The group-commit window (DESIGN.md §10) ----
+//
+// The window is the longest a commit may linger. It closes as soon as
+// every live session waits on a commit, and runs its full length while
+// a live session is idle, since that session might still commit inside
+// it.
+
+std::unique_ptr<MiniDb> MakeWindowDb(uint64_t window_us) {
+  MiniDbOptions options;
+  options.num_pages = kPages;
+  options.engine.group_commit_window_us = window_us;
+  return std::make_unique<MiniDb>(
+      options, methods::MakeMethod(MethodKind::kPhysiological, {kPages}));
+}
+
+constexpr auto kWellInsideTheWindow = std::chrono::milliseconds(250);
+
+TEST(ConcurrentFrontendTest, CommitWindowClosesOnceEverySessionJoined) {
+  auto db = MakeWindowDb(1000000);
+  ASSERT_TRUE(db->BeginConcurrent().ok());
+  const wal::LogStats before = db->log().stats();
+  std::atomic<int> ready{0};
+  std::vector<std::chrono::steady_clock::duration> waited(2);
+  std::vector<std::thread> threads;
+  for (int s = 0; s < 2; ++s) {
+    threads.emplace_back([&db, &ready, &waited, s] {
+      MiniDb::Session session = db->NewSession();
+      const bool wrote =
+          session.WriteSlot(static_cast<PageId>(s), 0, s + 1).ok();
+      // Both sessions are live before either commits.
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      ASSERT_TRUE(wrote);
+      const auto start = std::chrono::steady_clock::now();
+      ASSERT_TRUE(session.Commit().ok());
+      waited[s] = std::chrono::steady_clock::now() - start;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_LT(waited[s], kWellInsideTheWindow) << "session " << s;
+  }
+  const wal::LogStats& after = db->log().stats();
+  EXPECT_EQ(after.group_batches - before.group_batches, 1u);
+  EXPECT_EQ(after.group_commits - before.group_commits, 2u);
+  EXPECT_EQ(after.group_early_closes - before.group_early_closes, 1u);
+  ASSERT_TRUE(db->EndConcurrent().ok());
+}
+
+TEST(ConcurrentFrontendTest, CommitWindowClosesForALoneSession) {
+  auto db = MakeWindowDb(1000000);
+  ASSERT_TRUE(db->BeginConcurrent().ok());
+  {
+    MiniDb::Session session = db->NewSession();
+    ASSERT_TRUE(session.WriteSlot(0, 0, 1).ok());
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(session.Commit().ok());
+    EXPECT_LT(std::chrono::steady_clock::now() - start, kWellInsideTheWindow);
+  }
+  ASSERT_TRUE(db->EndConcurrent().ok());
+}
+
+TEST(ConcurrentFrontendTest, CommitWindowLingersForAnIdleSession) {
+  constexpr uint64_t kWindowUs = 50000;
+  auto db = MakeWindowDb(kWindowUs);
+  ASSERT_TRUE(db->BeginConcurrent().ok());
+  {
+    MiniDb::Session idle = db->NewSession();
+    MiniDb::Session session = db->NewSession();
+    ASSERT_TRUE(session.WriteSlot(0, 0, 1).ok());
+    const uint64_t early_before = db->log().stats().group_early_closes;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(session.Commit().ok());
+    EXPECT_GE(std::chrono::steady_clock::now() - start,
+              std::chrono::microseconds(kWindowUs));
+    EXPECT_EQ(db->log().stats().group_early_closes, early_before);
+  }
+  ASSERT_TRUE(db->EndConcurrent().ok());
 }
 
 }  // namespace

@@ -240,5 +240,55 @@ TEST(DecoderMutationTest, ClrFlipsAndTruncationsAreDiagnosed) {
                   4);
 }
 
+// A fixed-layout payload is whole: a decoder that stops reading before
+// the end would hand back a record the bytes do not describe.
+TEST(DecoderMutationTest, ByteAfterAFixedLayoutIsCorruption) {
+  auto appended = [](std::vector<uint8_t> payload) {
+    payload.push_back(0);
+    return payload;
+  };
+  const std::vector<uint8_t> update =
+      EncodeTxnUpdate(TxnUpdate{17, 400, MixedActions()});
+  const std::vector<uint8_t> clr = EncodeClr(Clr{17, 380, MixedActions()});
+  const std::vector<uint8_t> meta = EncodeTxnMeta(17);
+  const std::vector<uint8_t> split =
+      EncodeSplitOp(SplitOp{SplitTransform::kSlotTransfer, 1, 2, 3, 4});
+  ASSERT_TRUE(DecodeTxnUpdate(update).ok());
+  ASSERT_TRUE(DecodeClr(clr).ok());
+  ASSERT_TRUE(DecodeTxnMeta(meta).ok());
+  ASSERT_TRUE(DecodeSplitOp(split).ok());
+  EXPECT_EQ(DecodeTxnUpdate(appended(update)).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(DecodeClr(appended(clr)).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(DecodeTxnMeta(appended(meta)).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(DecodeSplitOp(appended(split)).status().code(),
+            StatusCode::kCorruption);
+}
+
+// The flip that lengthens an embedded before-image's hole makes the
+// image one byte shorter than the payload: the reader must not stop
+// there and return a different before-image.
+TEST(DecoderMutationTest, HoleLengtheningFlipOfABeforeImageIsCorruption) {
+  const std::vector<UndoAction> actions = MixedActions();
+  const size_t hole_length = 40;  // MixedActions' image: hole [200, 240)
+  for (const std::vector<uint8_t>& payload :
+       {EncodeTxnUpdate(TxnUpdate{17, 400, actions}),
+        EncodeClr(Clr{17, 380, actions})}) {
+    // The image is the payload's last field; its hole length is the u16
+    // just before the bytes outside the hole.
+    const size_t at = payload.size() - (Page::kSize - hole_length) - 2;
+    std::vector<uint8_t> mutant = payload;
+    wal::PayloadReader field(mutant);
+    ASSERT_TRUE(field.Bytes(at).ok());
+    ASSERT_EQ(field.U16().value(), hole_length);
+    mutant[at] ^= 0x01;  // 40 -> 41
+    EXPECT_EQ(DecodeTxnUpdate(mutant).status().code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(DecodeClr(mutant).status().code(), StatusCode::kCorruption);
+  }
+}
+
 }  // namespace
 }  // namespace redo::engine

@@ -4,6 +4,7 @@
 // during recovery) lives in undo_recovery_test and the txn simulator;
 // these tests pin the runtime contracts.
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -213,6 +214,74 @@ TEST(TxnSessionTest, BeginCommitMakesWritesDurable) {
   }
   ASSERT_TRUE(db->EndConcurrent().ok());
   EXPECT_EQ(db->txn_registry().live_count(), 0u);
+}
+
+// The last stable record of transaction `txn` (any record type that
+// carries a transaction id), or nullopt if the log holds none.
+std::optional<wal::LogRecord> LastTxnRecord(const MiniDb& db, uint64_t txn) {
+  const Result<std::vector<wal::LogRecord>> records =
+      db.log().StableRecords(1);
+  REDO_CHECK(records.ok()) << records.status().ToString();
+  std::optional<wal::LogRecord> last;
+  for (const wal::LogRecord& record : records.value()) {
+    Result<uint64_t> id = Status::NotFound("no transaction id");
+    switch (record.type) {
+      case wal::RecordType::kTxnBegin:
+      case wal::RecordType::kTxnCommit:
+      case wal::RecordType::kTxnEnd:
+        id = DecodeTxnMeta(record.payload);
+        break;
+      case wal::RecordType::kTxnUpdate:
+        id = DecodeTxnUpdate(record.payload).value().txn_id;
+        break;
+      case wal::RecordType::kClr:
+        id = DecodeClr(record.payload).value().txn_id;
+        break;
+      default:
+        break;
+    }
+    if (id.ok() && id.value() == txn) last = record;
+  }
+  return last;
+}
+
+TEST(TxnSessionTest, CommittedTransactionEndsWithItsCommitRecord) {
+  auto db = MakeDb(MethodKind::kPhysiological);
+  ASSERT_TRUE(db->BeginConcurrent().ok());
+  uint64_t txn = 0;
+  {
+    MiniDb::Session session = db->NewSession();
+    Result<uint64_t> begun = session.Begin();
+    ASSERT_TRUE(begun.ok());
+    txn = begun.value();
+    ASSERT_TRUE(session.WriteSlot(2, 0, 100).ok());
+    ASSERT_TRUE(session.Commit().ok());
+  }
+  // Drain: everything appended, the ack path included, becomes stable.
+  ASSERT_TRUE(db->EndConcurrent().ok());
+  const std::optional<wal::LogRecord> last = LastTxnRecord(*db, txn);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->type, wal::RecordType::kTxnCommit)
+      << "the ack must append nothing after the commit record";
+}
+
+TEST(TxnSessionTest, AbortStillEndsWithTxnEnd) {
+  auto db = MakeDb(MethodKind::kPhysiological);
+  ASSERT_TRUE(db->BeginConcurrent().ok());
+  uint64_t txn = 0;
+  {
+    MiniDb::Session session = db->NewSession();
+    Result<uint64_t> begun = session.Begin();
+    ASSERT_TRUE(begun.ok());
+    txn = begun.value();
+    ASSERT_TRUE(session.WriteSlot(2, 0, 100).ok());
+    ASSERT_TRUE(session.Abort().ok());
+  }
+  ASSERT_TRUE(db->EndConcurrent().ok());
+  const std::optional<wal::LogRecord> last = LastTxnRecord(*db, txn);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->type, wal::RecordType::kTxnEnd)
+      << "analysis needs kTxnEnd to drop a finished rollback";
 }
 
 TEST(TxnSessionTest, NestedBeginRefused) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "wal/log_manager.h"
 
 namespace redo::wal {
@@ -328,6 +329,101 @@ TEST(GroupCommitTest, FreezeDuringOverlappedForceDropsTheWindowWhole) {
   log.Crash();
   EXPECT_EQ(log.stable_lsn(), 0u) << "the torn force left nothing stable";
   EXPECT_EQ(log.last_lsn(), 0u);
+}
+
+// A waiter whose LSN the in-flight force already covers is that force's:
+// the force that makes it durable counts it, not the next one.
+TEST(GroupCommitTest, OverlappedForceCountsTheWaitersItCovers) {
+  LogManager log;
+  GroupCommitOptions gc = FastOptions();
+  gc.window_us = 0;
+  gc.force_latency_us = 300000;  // wide enough to join mid-flight
+  gc.overlap_staging = true;
+  ASSERT_TRUE(log.StartGroupCommit(gc).ok());
+
+  log.Append(RecordType::kSlotWrite, {1});
+  const core::Lsn last = log.Append(RecordType::kSlotWrite, {2});
+  std::thread first([&log, last] { ASSERT_TRUE(log.CommitWait(last).ok()); });
+  // The committer fixes the force's target at `last` and charges its
+  // latency with the mutex released; this waiter arrives meanwhile.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const bool acked = log.CommitWait(1).ok();
+  first.join();
+  ASSERT_TRUE(acked);
+
+  EXPECT_EQ(log.stats().group_batches, 1u);
+  EXPECT_EQ(log.stats().group_commits, 2u)
+      << "the force that acknowledged both waiters must count both";
+  EXPECT_EQ(log.stats().group_max_batch, 2u);
+  ASSERT_TRUE(log.StopGroupCommit().ok());
+}
+
+// Appends one record per waiter and has every waiter wait on its own
+// record from its own thread, as sessions do.
+void CommitTogether(LogManager& log, size_t waiters) {
+  std::vector<core::Lsn> lsns;
+  for (size_t i = 0; i < waiters; ++i) {
+    lsns.push_back(log.Append(RecordType::kSlotWrite, {}));
+  }
+  std::vector<std::thread> threads;
+  for (const core::Lsn lsn : lsns) {
+    threads.emplace_back([&log, lsn] {
+      ASSERT_TRUE(log.CommitWait(lsn, LogManager::Waiter::kSession).ok());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+}
+
+TEST(GroupCommitTest, WindowClosesOnceEverySessionJoined) {
+  std::atomic<int> live_sessions{2};
+  LogManager log;
+  GroupCommitOptions gc = FastOptions();
+  gc.window_us = 10000000;  // 10 s: only the early close can end it
+  gc.live_sessions = &live_sessions;
+  ASSERT_TRUE(log.StartGroupCommit(gc).ok());
+  CommitTogether(log, 2);
+  EXPECT_EQ(log.stats().group_batches, 1u);
+  EXPECT_EQ(log.stats().group_commits, 2u);
+  EXPECT_EQ(log.stats().group_early_closes, 1u);
+  ASSERT_TRUE(log.StopGroupCommit().ok());
+}
+
+// A waiter that is not a session (a fuzzy checkpoint) never closes the
+// window on a live session that has not joined.
+TEST(GroupCommitTest, NonSessionWaitKeepsTheFullWindow) {
+  std::atomic<int> live_sessions{1};
+  LogManager log;
+  GroupCommitOptions gc = FastOptions();
+  gc.window_us = 50000;
+  gc.live_sessions = &live_sessions;
+  ASSERT_TRUE(log.StartGroupCommit(gc).ok());
+  const core::Lsn lsn = log.Append(RecordType::kCheckpoint, {});
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(log.CommitWait(lsn).ok());
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::microseconds(gc.window_us));
+  EXPECT_EQ(log.stats().group_early_closes, 0u);
+  ASSERT_TRUE(log.StopGroupCommit().ok());
+}
+
+// group_max_batch is a high-water mark: a delta across a window reports
+// the largest batch so far, not the (usually zero) growth of the mark.
+TEST(GroupCommitTest, MaxBatchSurvivesASnapshotDelta) {
+  std::atomic<int> live_sessions{2};
+  LogManager log;
+  obs::MetricsRegistry registry;
+  log.RegisterMetrics(registry);
+  GroupCommitOptions gc = FastOptions();
+  gc.window_us = 10000000;
+  gc.live_sessions = &live_sessions;
+  ASSERT_TRUE(log.StartGroupCommit(gc).ok());
+  CommitTogether(log, 2);
+  const obs::Snapshot before = registry.TakeSnapshot();
+  CommitTogether(log, 2);
+  const obs::Snapshot delta = registry.TakeSnapshot().Delta(before);
+  EXPECT_EQ(delta.Value("wal.group_batches"), 1);
+  EXPECT_GE(delta.Value("wal.group_max_batch"), 2);
+  ASSERT_TRUE(log.StopGroupCommit().ok());
 }
 
 TEST(GroupCommitTest, SerialCommitWaitForcesSynchronously) {

@@ -43,15 +43,16 @@ struct EngineOptions {
   /// one force over more commits at the price of commit latency.
   uint64_t group_commit_window_us = 100;
 
-  /// Group commit: capacity of the bounded staging ring between
-  /// appenders and the committer. A full ring blocks appenders
-  /// (backpressure) until the committer drains it.
+  /// Group commit: the most log records that may wait for a force.
+  /// An appender that finds this many pending blocks (backpressure)
+  /// until the committer forces them.
   size_t group_commit_ring = 256;
 
   /// Simulated latency of one stable-log force, charged by the log
-  /// manager per force while group commit is active. 0 (the default)
-  /// adds no delay; benchmarks set it to model a device fsync so
-  /// group-commit batching is visible in wall-clock throughput.
+  /// manager per force, with the log held, while group commit is
+  /// active. 0 (the default) adds no delay; benchmarks set it to model
+  /// a device fsync so group-commit batching is visible in wall-clock
+  /// throughput.
   uint64_t simulated_force_latency_us = 0;
 
   /// Simulated latency of one page read / page write, charged by the
@@ -98,11 +99,11 @@ struct EngineOptions {
   /// Completion workers of the device (storage::AsyncIoBackend) — the
   /// modeled queue depth. 0 (the default) executes every page I/O
   /// inline, one op in flight; > 0 overlaps that many ops (flush waves,
-  /// concurrent redo drains' and sessions' misses), and overlaps the
-  /// group-commit force with staging. The environment variable
-  /// REDO_ASYNC_IO overrides a zero here (the CI seam for running
-  /// existing suites at depth N). Results are identical at any setting;
-  /// only the I/O schedule changes.
+  /// concurrent redo drains' and sessions' misses). The log's force is
+  /// not a page I/O: it holds the log at every depth. The environment
+  /// variable REDO_ASYNC_IO overrides a zero here (the CI seam for
+  /// running existing suites at depth N). Results are identical at any
+  /// setting; only the I/O schedule changes.
   size_t async_io_workers = 0;
 };
 

@@ -183,10 +183,6 @@ Status MiniDb::BeginConcurrent() {
   gc.ring_capacity = engine_options_.group_commit_ring;
   gc.window_us = engine_options_.group_commit_window_us;
   gc.force_latency_us = engine_options_.simulated_force_latency_us;
-  // Above queue depth 0, the committer charges the force latency with
-  // the log mutex released so appenders stage the next window during
-  // the in-flight force.
-  gc.overlap_staging = !pool_.async_io()->synchronous();
   gc.live_sessions = &live_sessions_;
   REDO_RETURN_IF_ERROR(log_.StartGroupCommit(gc));
   concurrent_.store(true);

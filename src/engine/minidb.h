@@ -54,8 +54,8 @@ struct MiniDbOptions {
   /// background flushes (logical) require 0; so does the concurrent
   /// front end (no eviction may run under sessions' feet).
   size_t cache_capacity = 0;
-  /// Stable-log segmentation/redundancy (defaults: one unbounded,
-  /// mirrored active segment — the PR-1 behavior).
+  /// Stable-log segmentation (default: one unbounded active segment).
+  /// Every live segment is mirrored and every sealed segment archived.
   wal::LogManagerOptions wal;
   /// Execution knobs: parallel redo workers, the group-commit pipeline,
   /// fuzzy checkpoints. Adjustable later via set_engine_options().

@@ -253,6 +253,7 @@ CheckpointTxnTable ReadTxnTableTail(const std::vector<uint8_t>& payload) {
   const size_t tail_bytes = 16 + size_t{count} * 16;
   if (payload.size() < tail_bytes) return table;
   table.present = true;
+  table.bytes = tail_bytes;
   table.max_txn_id = read_u64(payload.size() - 16);
   size_t offset = payload.size() - tail_bytes;
   for (uint32_t i = 0; i < count; ++i) {

@@ -235,6 +235,7 @@ struct CheckpointTxnTable {
   bool present = false;
   std::vector<TxnTableEntry> entries;
   uint64_t max_txn_id = 0;  ///< highest id allocated before the checkpoint
+  size_t bytes = 0;  ///< payload bytes the tail occupies (0 when absent)
 };
 CheckpointTxnTable ReadTxnTableTail(const std::vector<uint8_t>& payload);
 

@@ -16,6 +16,21 @@ Result<core::Lsn> RecoveryMethod::FuzzyCheckpoint(EngineContext& ctx) {
 
 namespace internal_methods {
 
+namespace {
+
+// Every engine checkpoint payload is the redo start, the method's body
+// (a DPT, a staged-page list, or nothing) and the transaction-table
+// tail, which ReadTxnTableTail finds from the back. A body reader stops
+// where the tail starts and refuses a body that runs past it or stops
+// short of it.
+Status BodyEndsAtTxnTail(const wal::PayloadReader& r, size_t tail_bytes) {
+  if (r.remaining() == tail_bytes) return Status::Ok();
+  return Status::Corruption(
+      "checkpoint body does not end at its transaction tail");
+}
+
+}  // namespace
+
 Result<core::Lsn> AppendCheckpointRecord(EngineContext& ctx,
                                          core::Lsn redo_start) {
   // The checkpoint record consumes the next LSN itself; "nothing needs
@@ -159,10 +174,12 @@ Result<StagedCheckpoint> ReadCheckpointStagedPages(const EngineContext& ctx) {
       ctx.log->LatestStableCheckpoint();
   if (!checkpoint.ok()) return checkpoint.status();
   if (!checkpoint.value().has_value()) return staged;
-  wal::PayloadReader r(checkpoint.value()->payload);
+  const std::vector<uint8_t>& payload = checkpoint.value()->payload;
+  wal::PayloadReader r(payload);
   Result<uint64_t> redo_start = r.U64();
   if (!redo_start.ok()) return redo_start.status();
-  if (r.AtEnd()) return staged;  // a checkpoint without a staged list
+  const size_t tail_bytes = engine::ReadTxnTableTail(payload).bytes;
+  if (r.remaining() == tail_bytes) return staged;  // no staged list
   Result<uint32_t> count = r.U32();
   if (!count.ok()) return count.status();
   for (uint32_t i = 0; i < count.value(); ++i) {
@@ -170,6 +187,7 @@ Result<StagedCheckpoint> ReadCheckpointStagedPages(const EngineContext& ctx) {
     if (!page.ok()) return page.status();
     staged.pages.push_back(page.value());
   }
+  REDO_RETURN_IF_ERROR(BodyEndsAtTxnTail(r, tail_bytes));
   staged.record_lsn = checkpoint.value()->lsn;
   return staged;
 }
@@ -181,10 +199,12 @@ Result<std::map<storage::PageId, core::Lsn>> ReadCheckpointDpt(
       ctx.log->LatestStableCheckpoint();
   if (!checkpoint.ok()) return checkpoint.status();
   if (!checkpoint.value().has_value()) return dpt;
-  wal::PayloadReader r(checkpoint.value()->payload);
+  const std::vector<uint8_t>& payload = checkpoint.value()->payload;
+  wal::PayloadReader r(payload);
   Result<uint64_t> redo_start = r.U64();
   if (!redo_start.ok()) return redo_start.status();
-  if (r.AtEnd()) return dpt;  // a checkpoint without a DPT
+  const size_t tail_bytes = engine::ReadTxnTableTail(payload).bytes;
+  if (r.remaining() == tail_bytes) return dpt;  // a checkpoint without a DPT
   Result<uint32_t> count = r.U32();
   if (!count.ok()) return count.status();
   for (uint32_t i = 0; i < count.value(); ++i) {
@@ -194,6 +214,7 @@ Result<std::map<storage::PageId, core::Lsn>> ReadCheckpointDpt(
     if (!rec_lsn.ok()) return rec_lsn.status();
     dpt.emplace(page.value(), rec_lsn.value());
   }
+  REDO_RETURN_IF_ERROR(BodyEndsAtTxnTail(r, tail_bytes));
   return dpt;
 }
 

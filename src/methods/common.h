@@ -81,7 +81,8 @@ Result<core::Lsn> AppendCheckpointRecordWithDpt(EngineContext& ctx,
                                                 core::Lsn redo_start);
 
 /// Decodes the DPT stored in the latest stable checkpoint (empty if no
-/// checkpoint or a checkpoint without a DPT).
+/// checkpoint or a checkpoint without a DPT). The body ends where the
+/// transaction-table tail starts; kCorruption if it does not.
 Result<std::map<storage::PageId, core::Lsn>> ReadCheckpointDpt(
     const EngineContext& ctx);
 
@@ -97,7 +98,8 @@ Result<core::Lsn> WriteCheckpointRecordWithStagedPages(
     const std::vector<storage::PageId>& pages);
 
 /// The staged-page list of the latest stable checkpoint, plus that
-/// record's LSN (0 if no checkpoint / no staged list). The LSN lets
+/// record's LSN (0 if no checkpoint / no staged list). The list ends
+/// where the transaction-table tail starts; kCorruption if it does not. The LSN lets
 /// recovery check the staging area actually belongs to the chosen
 /// checkpoint: after media recovery re-anchors to an OLDER checkpoint,
 /// the staging area holds newer content and must not be healed from.

@@ -121,7 +121,7 @@ std::unique_ptr<RecoveryMethod> MakeMethod(MethodKind kind,
     case MethodKind::kPhysical:
       return internal_methods::MakePhysical();
     case MethodKind::kPhysiological:
-      return internal_methods::MakePhysiological(options.aries_analysis);
+      return internal_methods::MakePhysiological(/*aries_analysis=*/false);
     case MethodKind::kGeneralized:
       return internal_methods::MakeGeneralized();
     case MethodKind::kPhysiologicalAnalysis:

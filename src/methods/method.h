@@ -127,7 +127,10 @@ class RecoveryMethod {
 };
 
 /// Enumerates the methods for matrix tests/benches.
-/// kPhysiologicalAnalysis is kPhysiological plus the analysis pass.
+/// kPhysiologicalAnalysis is kPhysiological plus the §4.3-style ARIES
+/// analysis pass: checkpoints carry the dirty page table, and recovery
+/// first reconstructs it from the log so the redo scan can skip records
+/// without fetching their pages.
 /// kPhysicalPartial is §6.2's partial-page-logging variant: it logs
 /// only the bytes an update changes (a blind slot poke) instead of the
 /// full after-image, falling back to images for whole-page changes
@@ -147,11 +150,6 @@ struct MethodOptions {
   /// Size of the logical method's staging area, in pages. Must cover
   /// the database (kLogical only).
   size_t num_pages = 64;
-  /// Enables the §4.3-style ARIES analysis pass on kPhysiological:
-  /// checkpoints carry the dirty page table, and recovery first
-  /// reconstructs it from the log so the redo scan can skip records
-  /// without fetching their pages. kPhysiologicalAnalysis implies it.
-  bool aries_analysis = false;
 };
 
 /// The one constructor path for every recovery method.

@@ -56,7 +56,7 @@ enum class FlightEventType : uint16_t {
   kTxnBegin = 3,       ///< instant: transaction started (a0=txn)
   kTxnCommit = 4,      ///< span: Commit() incl. CommitWait (a0=txn, a1=lsn)
   kTxnAbort = 5,       ///< span: runtime rollback (a0=txn)
-  kGcStageWait = 6,    ///< span: append blocked on a full staging ring
+  kGcStageWait = 6,    ///< span: append blocked on a full pending queue
   kGcWindow = 7,       ///< span: committer window wait (a0=batch size,
                        ///< a1=1 if every live session had joined)
   kGcForce = 8,        ///< span: one force (a0=target lsn, a1=records)

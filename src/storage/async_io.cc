@@ -161,14 +161,14 @@ void AsyncIoBackend::ExecuteOp(AsyncIoOp& op) {
   const uint64_t latency_us = op.kind == AsyncIoOp::Kind::kRead
                                   ? options_.read_latency_us
                                   : options_.write_latency_us;
-  auto charge_latency = [latency_us] {
+  auto simulate_latency = [latency_us] {
     if (latency_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(latency_us));
     }
   };
-  if (!synchronous()) charge_latency();
+  if (!synchronous()) simulate_latency();
   std::lock_guard<std::mutex> lock(disk_mu_);
-  if (synchronous()) charge_latency();
+  if (synchronous()) simulate_latency();
   if (op.kind == AsyncIoOp::Kind::kRead) {
     Result<Page> read = disk_->ReadPage(op.page);
     if (read.ok()) {

@@ -62,29 +62,30 @@ core::Lsn LogManager::AppendWithLsn(
     const std::function<std::vector<uint8_t>(core::Lsn)>& encode) {
   std::unique_lock<std::mutex> lock(mu_);
   if (gc_active_.load() &&
-      staging_ring_.size() >= gc_options_.ring_capacity && !gc_frozen_ &&
+      volatile_tail_.size() >= gc_options_.ring_capacity && !gc_frozen_ &&
       !gc_stop_) {
-    // Backpressure: a full staging ring blocks the appender until the
-    // committer frees space (or the pipeline dies under it).
+    // Backpressure: a full pending queue blocks the appender until the
+    // committer forces it (or the pipeline dies under it).
     obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
     const bool traced = recorder.enabled();
     const uint64_t tick0 = traced ? recorder.NowTick() : 0;
     const uint64_t real0 = NowRealUs();
-    while (staging_ring_.size() >= gc_options_.ring_capacity && !gc_frozen_ &&
-           !gc_stop_) {
+    while (volatile_tail_.size() >= gc_options_.ring_capacity &&
+           !gc_frozen_ && !gc_stop_) {
       ++stats_.group_ring_stalls;
       committer_cv_.notify_one();
-      ring_cv_.wait(lock);
+      room_cv_.wait(lock);
     }
     if (commit_latency_.stage_wait_us != nullptr) {
       commit_latency_.stage_wait_us->Observe(NowRealUs() - real0);
     }
     if (traced) {
       recorder.EndSpan(obs::FlightEventType::kGcStageWait, tick0,
-                       staging_ring_.size());
+                       volatile_tail_.size());
     }
   }
-  LogRecord record;
+  PendingRecord pending;
+  LogRecord& record = pending.record;
   record.lsn = ++last_lsn_;
   record.type = type;
   // The encode callback runs under the log mutex with the assigned LSN,
@@ -94,14 +95,12 @@ core::Lsn LogManager::AppendWithLsn(
   if (append_size_histogram_ != nullptr) {
     append_size_histogram_->Observe(record.payload.size());
   }
-  if (gc_active_.load()) {
-    // Pre-encode the frame on the appender's dime; the committer just
-    // splices bytes at force time.
-    staging_ring_.push_back(EncodeRecord(record));
-  }
-  volatile_tail_.push_back(std::move(record));
+  // Encode the frame on the appender's dime; a force just copies bytes.
+  pending.frame = EncodeRecord(record);
+  const core::Lsn lsn = record.lsn;
+  volatile_tail_.push_back(std::move(pending));
   ++stats_.appends;
-  return record.lsn;
+  return lsn;
 }
 
 void LogStats::EmitMetrics(obs::MetricEmitter& emit) const {
@@ -130,7 +129,6 @@ void LogStats::EmitMetrics(obs::MetricEmitter& emit) const {
   emit.Counter("group_batches", group_batches);
   emit.Gauge("group_max_batch", static_cast<int64_t>(group_max_batch));
   emit.Counter("group_ring_stalls", group_ring_stalls);
-  emit.Counter("group_overlapped_forces", group_overlapped_forces);
   emit.Counter("group_early_closes", group_early_closes);
 }
 
@@ -164,22 +162,18 @@ void LogManager::SealActive() {
   seg.first_lsn = seg.records.front().lsn;
   seg.last_lsn = seg.records.back().lsn;
   seg.primary.seal = Crc32c(seg.primary.bytes.data(), seg.primary.bytes.size());
-  if (options_.mirror) {
-    seg.mirror.seal = Crc32c(seg.mirror.bytes.data(), seg.mirror.bytes.size());
-  }
-  if (options_.archive_sealed) {
-    Segment copy;
-    copy.id = seg.id;
-    copy.first_lsn = seg.first_lsn;
-    copy.last_lsn = seg.last_lsn;
-    copy.sealed = true;
-    copy.primary = seg.primary;
-    copy.mirror.lost = true;  // the archive keeps a single copy
-    copy.records = seg.records;
-    copy.records_valid = true;
-    archive_.push_back(std::move(copy));
-    ++stats_.segments_archived;
-  }
+  seg.mirror.seal = Crc32c(seg.mirror.bytes.data(), seg.mirror.bytes.size());
+  Segment copy;
+  copy.id = seg.id;
+  copy.first_lsn = seg.first_lsn;
+  copy.last_lsn = seg.last_lsn;
+  copy.sealed = true;
+  copy.primary = seg.primary;
+  copy.mirror.lost = true;  // the archive keeps a single copy
+  copy.records = seg.records;
+  copy.records_valid = true;
+  archive_.push_back(std::move(copy));
+  ++stats_.segments_archived;
   ++stats_.segments_sealed;
   StartNewActive();
 }
@@ -198,34 +192,30 @@ Status LogManager::Force(core::Lsn upto) {
   return ForceLocked(upto);
 }
 
-Status LogManager::ForceLocked(core::Lsn upto, bool charge_latency) {
+Status LogManager::ForceLocked(core::Lsn upto) {
   ++stats_.forces;
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const bool traced = recorder.enabled();
   const uint64_t force_tick0 = traced ? recorder.NowTick() : 0;
   const uint64_t force_real0 = NowRealUs();
-  if (charge_latency && gc_active_.load() && gc_options_.force_latency_us > 0) {
+  if (gc_active_.load() && gc_options_.force_latency_us > 0) {
     // One synchronous stable write per force: the device latency every
     // commit would pay alone, amortized across the batch.
     std::this_thread::sleep_for(
         std::chrono::microseconds(gc_options_.force_latency_us));
   }
-  bool verified = verified_prefix_ == active().primary.bytes.size();
+  const bool verified = verified_prefix_ == active().primary.bytes.size();
   size_t moved = 0;
-  for (const LogRecord& record : volatile_tail_) {
+  for (PendingRecord& pending : volatile_tail_) {
+    LogRecord& record = pending.record;
     if (record.lsn > upto) break;
     Segment& seg = active();  // re-fetch: sealing replaces the active segment
-    // While group commit runs, frame `moved` of the ring holds this
-    // record's bytes already encoded by its appender.
-    const std::vector<uint8_t> encoded = moved < staging_ring_.size()
-                                             ? std::move(staging_ring_[moved])
-                                             : EncodeRecord(record);
-    seg.primary.bytes.insert(seg.primary.bytes.end(), encoded.begin(),
-                             encoded.end());
-    if (options_.mirror) {
-      seg.mirror.bytes.insert(seg.mirror.bytes.end(), encoded.begin(),
-                              encoded.end());
-    }
+    seg.primary.bytes.insert(seg.primary.bytes.end(), pending.frame.begin(),
+                             pending.frame.end());
+    seg.mirror.bytes.insert(seg.mirror.bytes.end(), pending.frame.begin(),
+                            pending.frame.end());
+    stable_lsn_ = record.lsn;
+    ++moved;
     // An acknowledged force's bytes are durable and framed; extend the
     // verified prefix (and the parsed-record cache) past them — unless
     // unverified damage already sits before them (a torn/corrupted tail
@@ -237,25 +227,17 @@ Status LogManager::ForceLocked(core::Lsn upto, bool charge_latency) {
       if (record.type == RecordType::kCheckpoint) {
         checkpoints_.push_back(CheckpointOffset{seg.id, record.lsn});
       }
-      seg.records.push_back(record);
+      seg.records.push_back(std::move(record));
       verified_prefix_ = seg.primary.bytes.size();
       if (options_.segment_bytes > 0 &&
           seg.primary.bytes.size() >= options_.segment_bytes) {
         SealActive();  // verified stays true: the new active is empty
       }
     }
-    stable_lsn_ = record.lsn;
-    ++moved;
   }
   volatile_tail_.erase(volatile_tail_.begin(),
                        volatile_tail_.begin() + static_cast<ptrdiff_t>(moved));
-  if (!staging_ring_.empty()) {
-    staging_ring_.erase(
-        staging_ring_.begin(),
-        staging_ring_.begin() +
-            static_cast<ptrdiff_t>(std::min(moved, staging_ring_.size())));
-    ring_cv_.notify_all();
-  }
+  if (moved > 0) room_cv_.notify_all();
   stats_.forced_records += moved;
   RefreshStableBytes();
   durable_cv_.notify_all();
@@ -274,7 +256,7 @@ void LogManager::CommitterLoop() {
     committer_cv_.wait(lock, [this] {
       return gc_frozen_ || gc_stop_ ||
              commit_requested_ > stable_lsn_.load() ||
-             staging_ring_.size() >= gc_options_.ring_capacity;
+             volatile_tail_.size() >= gc_options_.ring_capacity;
     });
     if (gc_frozen_) break;
     if (gc_stop_ && volatile_tail_.empty() &&
@@ -303,49 +285,28 @@ void LogManager::CommitterLoop() {
       }
       if (gc_frozen_) break;
     }
-    // A full staging ring forces a drain of everything staged even with
-    // no commit pending — backpressure must stall appenders, never
+    // A full pending queue forces a drain of everything pending even
+    // with no commit pending — backpressure must stall appenders, never
     // deadlock them against a committer waiting for commits.
     const core::Lsn target =
-        gc_stop_ || staging_ring_.size() >= gc_options_.ring_capacity
+        gc_stop_ || volatile_tail_.size() >= gc_options_.ring_capacity
             ? last_lsn_.load()
             : std::min(commit_requested_, last_lsn_.load());
-    force_target_ = target;
-    commits_in_force_ = commits_in_batch_;
-    commits_in_batch_ = 0;
-    sessions_in_batch_ = 0;
-    bool latency_prepaid = false;
-    if (gc_options_.overlap_staging && gc_options_.force_latency_us > 0) {
-      // Charge the device latency with the mutex RELEASED: appenders
-      // stage the next window while this force is "on the wire". The
-      // target was fixed above, so nothing staged during the overlap
-      // leaks into this force.
-      lock.unlock();
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(gc_options_.force_latency_us));
-      lock.lock();
-      ++stats_.group_overlapped_forces;
-      latency_prepaid = true;
-      if (gc_frozen_) {
-        // Crashed mid-force: the in-flight force is torn away whole —
-        // zero bytes stable, nobody acknowledged.
-        break;
-      }
-    }
-    const Status forced = ForceLocked(target, /*charge_latency=*/
-                                      !latency_prepaid);
+    // The mutex stays held until the force is stable, so every waiter
+    // counted in this window is one this force covers.
+    const Status forced = ForceLocked(target);
     REDO_CHECK(forced.ok()) << "group-commit force failed: "
                             << forced.ToString();
     ++stats_.group_batches;
-    stats_.group_commits += commits_in_force_;
+    stats_.group_commits += commits_in_batch_;
     stats_.group_max_batch =
-        std::max(stats_.group_max_batch, commits_in_force_);
-    force_target_ = 0;
-    commits_in_force_ = 0;
+        std::max(stats_.group_max_batch, commits_in_batch_);
+    commits_in_batch_ = 0;
+    sessions_in_batch_ = 0;
   }
   // Frozen or stopping: wake everyone so nobody waits on a dead thread.
   durable_cv_.notify_all();
-  ring_cv_.notify_all();
+  room_cv_.notify_all();
 }
 
 bool LogManager::EverySessionJoined() const {
@@ -362,8 +323,7 @@ Status LogManager::StartGroupCommit(const GroupCommitOptions& options) {
   if (committer_.joinable() || gc_active_.load()) {
     return Status::FailedPrecondition("group commit already running");
   }
-  // Align the ring with the volatile tail: force any leftover records
-  // so both start empty.
+  // Force any leftover records so the pipeline starts with none pending.
   REDO_RETURN_IF_ERROR(ForceLocked(last_lsn_.load()));
   gc_options_ = options;
   if (gc_options_.ring_capacity == 0) gc_options_.ring_capacity = 1;
@@ -372,8 +332,6 @@ Status LogManager::StartGroupCommit(const GroupCommitOptions& options) {
   commit_requested_ = 0;
   commits_in_batch_ = 0;
   sessions_in_batch_ = 0;
-  force_target_ = 0;
-  commits_in_force_ = 0;
   gc_active_.store(true);
   committer_ = std::thread([this] { CommitterLoop(); });
   return Status::Ok();
@@ -389,13 +347,11 @@ void LogManager::HaltGroupCommit(bool freeze) {
       gc_stop_ = true;
     }
     committer_cv_.notify_all();
-    ring_cv_.notify_all();
+    room_cv_.notify_all();
     durable_cv_.notify_all();
   }
   committer_.join();
-  std::lock_guard<std::mutex> lock(mu_);
   gc_active_.store(false);
-  staging_ring_.clear();
   // gc_frozen_ stays set after a freeze: CommitWait must keep failing
   // until the next StartGroupCommit — those commits were never acked.
 }
@@ -426,16 +382,10 @@ Result<core::Lsn> LogManager::CommitWait(core::Lsn lsn, Waiter waiter) {
     ++stats_.group_commits;
     return stable_lsn_.load();
   }
-  if (lsn <= force_target_) {
-    // The force in flight covers it: that force acknowledges it, and it
-    // neither joins nor closes the next window.
-    ++commits_in_force_;
-  } else {
-    commit_requested_ = std::max(commit_requested_, lsn);
-    ++commits_in_batch_;
-    if (waiter == Waiter::kSession) ++sessions_in_batch_;
-    committer_cv_.notify_one();
-  }
+  commit_requested_ = std::max(commit_requested_, lsn);
+  ++commits_in_batch_;
+  if (waiter == Waiter::kSession) ++sessions_in_batch_;
+  committer_cv_.notify_one();
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const bool traced = recorder.enabled();
   const uint64_t tick0 = traced ? recorder.NowTick() : 0;
@@ -459,7 +409,6 @@ void LogManager::Crash() {
   if (committer_.joinable()) HaltGroupCommit(/*freeze=*/true);
   std::lock_guard<std::mutex> lock(mu_);
   volatile_tail_.clear();
-  staging_ring_.clear();
   // LSNs of lost records are reusable: the WAL rule guarantees no page
   // on disk carries them.
   last_lsn_ = stable_lsn_.load();
@@ -696,9 +645,7 @@ SalvageResult LogManager::SalvageTornTail() {
 
   result.dropped_bytes = seg.primary.bytes.size() - offset;
   seg.primary.bytes.resize(offset);
-  if (options_.mirror) {
-    seg.mirror.bytes.resize(std::min(seg.mirror.bytes.size(), offset));
-  }
+  seg.mirror.bytes.resize(std::min(seg.mirror.bytes.size(), offset));
   verified_prefix_ = offset;
   stable_lsn_ = last_valid;
   last_lsn_ = stable_lsn_.load();
@@ -750,8 +697,8 @@ Result<std::optional<LogRecord>> LogManager::LatestStableCheckpoint() const {
 
 size_t LogManager::PendingForceBytes() const {
   size_t bytes = 0;
-  for (const LogRecord& record : volatile_tail_) {
-    bytes += EncodedRecordSize(record);
+  for (const PendingRecord& pending : volatile_tail_) {
+    bytes += pending.frame.size();
   }
   return bytes;
 }
@@ -819,8 +766,8 @@ ScrubReport LogManager::Scrub() {
     verdict.first_lsn = seg.first_lsn;
     verdict.last_lsn = seg.last_lsn;
     const bool primary_ok = copy_intact(seg.primary);
-    const bool mirror_ok = options_.mirror && copy_intact(seg.mirror);
-    if (primary_ok && (mirror_ok || !options_.mirror)) {
+    const bool mirror_ok = copy_intact(seg.mirror);
+    if (primary_ok && mirror_ok) {
       verdict.state = SegmentVerdict::State::kIntact;
     } else if (primary_ok) {
       seg.mirror = seg.primary;
@@ -848,7 +795,7 @@ ScrubReport LogManager::Scrub() {
         seg.records_valid = true;
         // Both copies now carry the verified, resealed bytes.
         if (copy == &seg.mirror) seg.primary = seg.mirror;
-        if (options_.mirror) seg.mirror = seg.primary;
+        seg.mirror = seg.primary;
         ++report.repairs;
         ++stats_.reseals;
         verdict.state = SegmentVerdict::State::kResealed;
@@ -1006,7 +953,7 @@ size_t LogManager::RepairFromArchive() {
     const std::vector<LogRecord>* records = ReadableSealedRecords(*archived);
     if (records == nullptr) continue;
     seg.primary = archived->primary;
-    if (options_.mirror) seg.mirror = archived->primary;
+    seg.mirror = archived->primary;
     seg.records = *records;
     seg.records_valid = true;
     ++repaired;
@@ -1043,16 +990,14 @@ size_t LogManager::DropUnreadableThrough(core::Lsn covered_lsn) {
 size_t LogManager::TearInFlightForce(size_t bytes) {
   size_t appended = 0;
   Segment& seg = active();
-  for (const LogRecord& record : volatile_tail_) {
+  for (const PendingRecord& pending : volatile_tail_) {
     if (appended >= bytes) break;
-    const std::vector<uint8_t> encoded = EncodeRecord(record);
-    const size_t take = std::min(encoded.size(), bytes - appended);
-    seg.primary.bytes.insert(seg.primary.bytes.end(), encoded.begin(),
-                             encoded.begin() + static_cast<ptrdiff_t>(take));
-    if (options_.mirror) {
-      seg.mirror.bytes.insert(seg.mirror.bytes.end(), encoded.begin(),
-                              encoded.begin() + static_cast<ptrdiff_t>(take));
-    }
+    const size_t take = std::min(pending.frame.size(), bytes - appended);
+    const auto taken = pending.frame.begin() + static_cast<ptrdiff_t>(take);
+    seg.primary.bytes.insert(seg.primary.bytes.end(), pending.frame.begin(),
+                             taken);
+    seg.mirror.bytes.insert(seg.mirror.bytes.end(), pending.frame.begin(),
+                            taken);
     appended += take;
   }
   // The bytes are unacknowledged: stable_lsn_, the verified prefix, and
@@ -1069,10 +1014,8 @@ void LogManager::CorruptStableTail(size_t drop_bytes) {
     Segment& seg = active();
     const size_t cut = std::min(drop, seg.primary.bytes.size());
     seg.primary.bytes.resize(seg.primary.bytes.size() - cut);
-    if (options_.mirror) {
-      seg.mirror.bytes.resize(
-          std::min(seg.mirror.bytes.size(), seg.primary.bytes.size()));
-    }
+    seg.mirror.bytes.resize(
+        std::min(seg.mirror.bytes.size(), seg.primary.bytes.size()));
     drop -= cut;
     // The cut may land mid-record anywhere; nothing in this segment is
     // verified until the next salvage re-scans it.

@@ -37,22 +37,23 @@
 
 // Group commit (concurrent mode): StartGroupCommit spawns a committer
 // thread and switches Append/CommitWait into a pipelined mode — each
-// appender encodes its record into a bounded staging ring under the log
-// mutex and returns immediately; commit callers block in CommitWait;
-// the committer drains the ring in LSN order and makes the whole batch
-// stable with ONE force (the same CRC-framed byte format as the serial
-// path, so stable images are indistinguishable), then wakes every
-// waiter whose LSN the force covered. FreezeGroupCommit models the
-// crash boundary: the committer stops mid-pipeline and unacknowledged
-// CommitWaits fail — exactly the commits a recovery oracle must NOT
-// find guaranteed durable.
+// appender adds its record (encoded once, under the log mutex, as every
+// append is) to a bounded queue of pending records and returns
+// immediately; commit callers block in CommitWait; the committer makes
+// the whole batch stable with ONE force (the same CRC-framed bytes as
+// the serial path, so stable images are indistinguishable), then wakes
+// every waiter whose LSN the force covered. The committer holds the log
+// mutex for the whole force, simulated device latency included, at
+// every I/O queue depth. FreezeGroupCommit models the crash boundary:
+// it waits for a force already holding the log, then stops the
+// committer, and unacknowledged CommitWaits fail — exactly the commits
+// a recovery oracle must NOT find guaranteed durable.
 
 #ifndef REDO_WAL_LOG_MANAGER_H_
 #define REDO_WAL_LOG_MANAGER_H_
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -66,15 +67,12 @@
 
 namespace redo::wal {
 
-/// Configuration for the stable log's segmentation and redundancy.
+/// Configuration for the stable log's segmentation. Every live segment
+/// is mirrored and every sealed segment is archived.
 struct LogManagerOptions {
   /// Seal the active segment once it reaches this many bytes; 0 means
   /// never seal (one unbounded active segment — the PR-1 behavior).
   size_t segment_bytes = 0;
-  /// Keep a mirror copy of every live segment.
-  bool mirror = true;
-  /// Ship every sealed segment to the archive at seal time.
-  bool archive_sealed = true;
 };
 
 /// Which physical copy of a segment an operation targets.
@@ -82,8 +80,8 @@ enum class LogCopy { kPrimary, kMirror, kArchive };
 
 /// Configuration of the group-commit pipeline (StartGroupCommit).
 struct GroupCommitOptions {
-  /// Capacity of the staging ring between appenders and the committer.
-  /// A full ring blocks appenders until the committer drains it.
+  /// The most records that may wait for a force. An appender that
+  /// finds this many pending blocks until the committer forces them.
   size_t ring_capacity = 256;
   /// The longest a commit may linger: after the first pending commit
   /// request the committer waits up to this long, collecting more
@@ -92,16 +90,9 @@ struct GroupCommitOptions {
   /// covers, since no further commit could join it.
   uint64_t window_us = 100;
   /// Simulated stable-write latency charged per force while group
-  /// commit is active (modeling a device fsync). 0 = no delay.
+  /// commit is active (modeling a device fsync), with the log mutex
+  /// held. 0 = no delay.
   uint64_t force_latency_us = 0;
-  /// Overlap staging with the in-flight force: the committer charges
-  /// force_latency_us with the log mutex RELEASED, so appenders stage
-  /// the next commit window while the device "writes". Records staged
-  /// during the overlap have LSNs above the force target and are not
-  /// consumed by it. A freeze during the overlapped latency aborts the
-  /// force entirely (zero bytes reach stable storage, no waiter is
-  /// acknowledged) — the torn-force crash semantics are unchanged.
-  bool overlap_staging = false;
   /// The engine's count of live sessions, which the committer reads to
   /// close a window early. Not owned; it must outlive the pipeline. Null
   /// (a log driven without sessions) keeps every window its full length.
@@ -140,9 +131,7 @@ struct LogStats {
   uint64_t group_batches = 0;      ///< committer forces (one per batch)
   uint64_t group_max_batch = 0;    ///< most commits one force acknowledged
                                    ///< (a high-water mark: emitted as a gauge)
-  uint64_t group_ring_stalls = 0;  ///< appender waits on a full staging ring
-  uint64_t group_overlapped_forces = 0;  ///< forces whose latency was charged
-                                         ///< with the mutex released
+  uint64_t group_ring_stalls = 0;  ///< appender waits on a full pending queue
   uint64_t group_early_closes = 0;  ///< windows that ended because every
                                     ///< live session had joined
 
@@ -230,10 +219,10 @@ class LogManager {
   explicit LogManager(const LogManagerOptions& options);
   ~LogManager();
 
-  /// Appends a record to the volatile tail; assigns and returns its LSN
-  /// (monotonically increasing from 1). Thread-safe. While group commit
-  /// is active the encoded frame also enters the staging ring, blocking
-  /// when the ring is full (backpressure).
+  /// Appends a record to the volatile tail, encoding its frame; assigns
+  /// and returns its LSN (monotonically increasing from 1). Thread-safe.
+  /// While group commit is active it blocks when `ring_capacity` records
+  /// already wait for a force (backpressure).
   core::Lsn Append(RecordType type, std::vector<uint8_t> payload);
 
   /// Appends a record whose payload must embed its own LSN (a page
@@ -270,19 +259,22 @@ class LogManager {
   // ---- Group commit ----
 
   /// Starts the group-commit pipeline: a committer thread that batches
-  /// staged records into one force per commit window. Any records
-  /// already pending are forced first so the ring starts aligned with
-  /// the volatile tail. Fails if the pipeline is already running.
+  /// pending records into one force per commit window. Any records
+  /// already pending are forced first, so the pipeline starts with an
+  /// empty queue. Fails if the pipeline is already running.
   Status StartGroupCommit(const GroupCommitOptions& options);
 
   /// Drains and stops the pipeline cleanly: everything appended is
   /// forced, every waiter is acknowledged, the committer joins.
   Status StopGroupCommit();
 
-  /// The crash boundary: stops the committer WITHOUT forcing. Staged
-  /// records that no force covered stay volatile (a following Crash()
-  /// discards them) and pending CommitWait callers fail with
-  /// kUnavailable — their commits were never acknowledged. Idempotent.
+  /// The crash boundary: stops the committer WITHOUT starting another
+  /// force. A force that already holds the log finishes whole first, and
+  /// its waiters are acknowledged; a freeze never tears a force
+  /// (TearInFlightForce models that). Pending records that no force
+  /// covered stay volatile (a following Crash() discards them) and the
+  /// remaining CommitWait callers fail with kUnavailable — their commits
+  /// were never acknowledged. Idempotent.
   void FreezeGroupCommit();
 
   bool group_commit_active() const { return gc_active_.load(); }
@@ -368,7 +360,7 @@ class LogManager {
   /// Commit-latency attribution: where a CommitWait's time went. All
   /// pointers optional, not owned; observed in microseconds under mu_.
   struct CommitLatencyHistograms {
-    /// Append blocked on a full staging ring (backpressure).
+    /// Append blocked on a full pending queue (backpressure).
     obs::Histogram* stage_wait_us = nullptr;
     /// One force — the write+seal work plus any simulated device
     /// latency, serial or group-commit.
@@ -388,8 +380,8 @@ class LogManager {
 
   // ---- Segments, scrub, archive ----
 
-  /// Seals the active segment now (if it holds any verified records),
-  /// archiving it per the options. Returns true if a seal happened.
+  /// Seals the active segment now (if it holds any verified records)
+  /// and archives it. Returns true if a seal happened.
   /// Useful at clean points (backups) so the whole acked log is sealed.
   bool SealActiveSegment();
 
@@ -490,6 +482,13 @@ class LogManager {
     bool lost = false;
   };
 
+  /// One record waiting for a force, with its wire frame (EncodeRecord),
+  /// encoded once at append.
+  struct PendingRecord {
+    LogRecord record;
+    std::vector<uint8_t> frame;
+  };
+
   /// One log segment. The parsed-record cache (`records`) holds the
   /// decoded records of the verified region: for sealed segments the
   /// whole segment (invalidated by fault hooks, rebuilt by decode); for
@@ -542,17 +541,14 @@ class LogManager {
   size_t LiveBytes() const;
   void RefreshStableBytes() { stats_.stable_bytes = LiveBytes(); }
 
-  /// The body of Force, assuming `mu_` is held. Consumes pre-encoded
-  /// staging-ring frames when they lead the volatile tail (group mode),
-  /// encoding on the fly otherwise — the stable bytes are identical
-  /// either way.
-  /// `charge_latency` = false skips the simulated force latency — used
-  /// by the committer after it already charged the latency with the
-  /// mutex released (GroupCommitOptions::overlap_staging).
-  Status ForceLocked(core::Lsn upto, bool charge_latency = true);
+  /// The body of Force, assuming `mu_` is held: copies each pending
+  /// frame up to `upto` into the active segment and moves its record
+  /// into the parsed cache. Group mode charges the simulated device
+  /// latency here, with the mutex held.
+  Status ForceLocked(core::Lsn upto);
 
-  /// The committer thread: waits for commit requests, a full staging
-  /// ring (backpressure drains, it never deadlocks), or shutdown;
+  /// The committer thread: waits for commit requests, a full pending
+  /// queue (backpressure drains, it never deadlocks), or shutdown;
   /// collects a window's worth, forces once.
   void CommitterLoop();
 
@@ -570,7 +566,7 @@ class LogManager {
   std::atomic<core::Lsn> last_lsn_{0};
   std::atomic<core::Lsn> stable_lsn_{0};
   uint64_t next_segment_id_ = 1;
-  std::vector<LogRecord> volatile_tail_;  // records with lsn > stable_lsn_
+  std::vector<PendingRecord> volatile_tail_;  // records with lsn > stable_lsn_
   std::vector<Segment> live_;             // last = active (never sealed)
   std::vector<Segment> archive_;          // sealed copies (primary slot only)
   size_t verified_prefix_ = 0;  // bytes of the ACTIVE segment known to decode
@@ -585,7 +581,7 @@ class LogManager {
   // committer always lock.
   mutable std::mutex mu_;
   std::condition_variable committer_cv_;  // work for the committer
-  std::condition_variable ring_cv_;       // space freed in the ring
+  std::condition_variable room_cv_;       // pending records forced
   std::condition_variable durable_cv_;    // stable_lsn_ advanced / frozen
   std::thread committer_;
   GroupCommitOptions gc_options_;
@@ -595,14 +591,6 @@ class LogManager {
   core::Lsn commit_requested_ = 0;   // highest LSN a CommitWait asked for
   uint64_t commits_in_batch_ = 0;    // waiters the next force acknowledges
   uint64_t sessions_in_batch_ = 0;   // of those, sessions' waits
-  // The force whose target is fixed but which is not yet stable (its
-  // latency charged with the mutex released): a waiter at or below its
-  // target belongs to it, not to the next window. 0 = none in flight.
-  core::Lsn force_target_ = 0;
-  uint64_t commits_in_force_ = 0;    // waiters that force acknowledges
-  // Staged frames, position-aligned with volatile_tail_ while group
-  // commit runs: frame i holds the encoded bytes of volatile_tail_[i].
-  std::deque<std::vector<uint8_t>> staging_ring_;
 };
 
 }  // namespace redo::wal

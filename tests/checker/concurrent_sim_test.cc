@@ -114,9 +114,9 @@ TEST(ConcurrentSimTest, BothInjectorsComposeWithFuzzyCheckpoints) {
 }
 
 // The async I/O backend under the full concurrent oracle: batched
-// checkpoint writeback, overlapped group-commit forces, and drain
-// workers' overlapped redo reads must not change what recovery produces — no
-// acked commit lost, every page verifies, with both injectors active.
+// checkpoint writeback and drain workers' overlapped redo reads must
+// not change what recovery produces — no acked commit lost, every page
+// verifies, with both injectors active.
 TEST(ConcurrentSimTest, AsyncIoBackendPreservesEveryOracle) {
   SimOptions options = SmallRun();
   options.async_io_workers = 4;

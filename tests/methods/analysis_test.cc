@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "checker/recovery_checker.h"
@@ -48,6 +49,40 @@ TEST(AnalysisTest, PlainCheckpointYieldsEmptyDpt) {
   ASSERT_TRUE(db->Checkpoint().ok());
   const methods::EngineContext ctx = db->ctx();
   EXPECT_TRUE(internal_methods::ReadCheckpointDpt(ctx).value().empty());
+}
+
+// Every engine checkpoint payload ends with the transaction-table tail.
+// The DPT reader stops where that tail starts, so a checkpoint without a
+// DPT body reads as an empty table instead of the tail misread as DPT
+// entries.
+TEST(AnalysisTest, CheckpointDptReaderStopsAtTheTxnTail) {
+  for (const MethodKind kind :
+       {MethodKind::kPhysiological, MethodKind::kGeneralized,
+        MethodKind::kPhysiologicalAnalysis}) {
+    engine::MiniDbOptions options;
+    options.num_pages = kPages;  // unbounded cache: the concurrent front end
+    MiniDb db(options, MakeMethod(kind, {kPages}));
+    ASSERT_TRUE(db.BeginConcurrent().ok());
+    MiniDb::Session session = db.NewSession();
+    for (storage::PageId page = 1; page <= 3; ++page) {
+      ASSERT_TRUE(session.Begin().ok());
+      ASSERT_TRUE(session.WriteSlot(page, 0, page).ok());
+      ASSERT_TRUE(session.Commit().ok());
+    }
+    ASSERT_TRUE(session.Begin().ok());  // left open across the checkpoint
+    ASSERT_TRUE(session.WriteSlot(4, 0, 4).ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
+
+    const Result<std::map<storage::PageId, core::Lsn>> dpt =
+        internal_methods::ReadCheckpointDpt(db.ctx());
+    ASSERT_TRUE(dpt.ok()) << MethodKindName(kind) << ": "
+                          << dpt.status().ToString();
+    if (kind == MethodKind::kPhysiologicalAnalysis) {
+      EXPECT_EQ(dpt.value().size(), 4u) << "the four dirty pages";
+    } else {
+      EXPECT_TRUE(dpt.value().empty()) << MethodKindName(kind);
+    }
+  }
 }
 
 TEST(AnalysisTest, SkipsInstalledRecordsWithoutFetching) {

@@ -297,8 +297,8 @@ TEST_F(FlightRecorderTest, SinglePageChainDrainsWaitOnTheSharedGate) {
 
 // ---- The golden trace: a fixed single-threaded event sequence under
 // ---- virtual ticks must export byte-identical text across runs and
-// ---- match the checked-in golden. Regenerate with:
-// ----   REDO_REGEN_GOLDENS=1 ./build/tests/obs_test \
+// ---- match the checked-in golden. Regenerate with (one command line):
+// ----   REDO_REGEN_GOLDENS=1 ./build/tests/obs_test
 // ----       --gtest_filter='FlightRecorderTest.GoldenTrace'
 
 std::string RunGoldenScenario() {

@@ -230,8 +230,8 @@ TEST(LogManagerTest, SalvageOnCleanLogIsFreeAndExact) {
 // A log over many small sealed segments plus a non-empty active one.
 // Every tenth record is a checkpoint, so TruncateArchived has a
 // checkpoint to stop below.
-std::unique_ptr<LogManager> SegmentedLog(LogManagerOptions options,
-                                         int records) {
+std::unique_ptr<LogManager> SegmentedLog(int records) {
+  LogManagerOptions options;
   options.segment_bytes = 96;
   auto log = std::make_unique<LogManager>(options);
   for (int i = 1; i <= records; ++i) {
@@ -260,7 +260,7 @@ void ExpectLookupsMatchTheScan(const LogManager& log, const char* where) {
 }
 
 TEST(LogManagerTest, StableRecordAtMatchesTheScanInEverySegmentKind) {
-  const std::unique_ptr<LogManager> owned = SegmentedLog({}, 61);
+  const std::unique_ptr<LogManager> owned = SegmentedLog(61);
   LogManager& log = *owned;
   const std::vector<SegmentInfo> live = log.LiveSegments();
   ASSERT_GE(live.size(), 10u);
@@ -283,7 +283,7 @@ TEST(LogManagerTest, StableRecordAtMatchesTheScanInEverySegmentKind) {
 }
 
 TEST(LogManagerTest, StableRecordAtReadsOnlyTheSegmentHoldingTheLsn) {
-  const std::unique_ptr<LogManager> owned = SegmentedLog({}, 90);
+  const std::unique_ptr<LogManager> owned = SegmentedLog(90);
   LogManager& log = *owned;
   ASSERT_GE(log.LiveSegments().size(), 20u);
   log.ResetStats();
@@ -311,9 +311,7 @@ TEST(LogManagerTest, StableRecordAtReadsAnUnverifiedActiveTail) {
 }
 
 TEST(LogManagerTest, StableRecordAtRefusesAtOrPastAHole) {
-  LogManagerOptions options;
-  options.archive_sealed = false;  // no twin to read around the hole
-  const std::unique_ptr<LogManager> owned = SegmentedLog(options, 61);
+  const std::unique_ptr<LogManager> owned = SegmentedLog(61);
   LogManager& log = *owned;
   const std::vector<SegmentInfo> live = log.LiveSegments();
   ASSERT_GE(live.size(), 5u);
@@ -321,6 +319,8 @@ TEST(LogManagerTest, StableRecordAtRefusesAtOrPastAHole) {
   ASSERT_TRUE(hole.sealed);
   ASSERT_TRUE(log.LoseSegmentCopy(hole.id, LogCopy::kPrimary));
   ASSERT_TRUE(log.LoseSegmentCopy(hole.id, LogCopy::kMirror));
+  // No twin to read around the hole.
+  ASSERT_TRUE(log.LoseSegmentCopy(hole.id, LogCopy::kArchive));
   ASSERT_EQ(log.FirstHoleLsn(), hole.first_lsn);
 
   // The scan stops at the hole; the lookup serves exactly what it holds.
@@ -339,7 +339,7 @@ TEST(LogManagerTest, StableRecordAtRefusesAtOrPastAHole) {
 }
 
 TEST(LogManagerTest, StableRecordAtArchiveHoleRefusesOnlyTheArchivePrefix) {
-  const std::unique_ptr<LogManager> owned = SegmentedLog({}, 61);
+  const std::unique_ptr<LogManager> owned = SegmentedLog(61);
   LogManager& log = *owned;
   ASSERT_GT(log.TruncateArchived(log.stable_lsn()), 2u);
   const std::vector<SegmentInfo> archived = log.ArchivedSegments();

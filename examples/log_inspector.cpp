@@ -31,7 +31,7 @@
 #include "obs/json_writer.h"
 #include "wal/log_manager.h"
 #include "engine/workload.h"
-#include "methods/common.h"
+#include "methods/analysis.h"
 #include "methods/txn_recovery.h"
 
 namespace {
@@ -225,9 +225,10 @@ int main(int argc, char** argv) {
     const std::vector<wal::SegmentInfo> live = db.log().LiveSegments();
     const std::vector<wal::SegmentInfo> archived = db.log().ArchivedSegments();
     const wal::ScrubReport scrub = db.log().Scrub();
-    const methods::EngineContext jctx = db.ctx();
-    const core::Lsn scan_start = db.method().RedoScanStart(jctx).value();
-    const auto dpt = methods::internal_methods::ReadCheckpointDpt(jctx).value();
+    const methods::StableCheckpoint checkpoint =
+        methods::ReadStableCheckpoint(db.log()).value();
+    const core::Lsn scan_start = checkpoint.payload.redo_start;
+    const auto& dpt = checkpoint.payload.dpt;
     const checker::CheckResult verdict = checker::CheckCrashState(db, trace);
     const Status recovered = db.Recover();
 
@@ -439,10 +440,11 @@ int main(int argc, char** argv) {
                 VerdictName(verdict.state));
   }
 
-  const methods::EngineContext ctx = db.ctx();
-  const core::Lsn scan_start = db.method().RedoScanStart(ctx).value();
+  const methods::StableCheckpoint checkpoint =
+      methods::ReadStableCheckpoint(db.log()).value();
+  const core::Lsn scan_start = checkpoint.payload.redo_start;
   std::printf("redo scan starts at lsn %llu\n", (unsigned long long)scan_start);
-  const auto dpt = methods::internal_methods::ReadCheckpointDpt(ctx).value();
+  const auto& dpt = checkpoint.payload.dpt;
   if (!dpt.empty()) {
     std::printf("checkpoint dirty page table:");
     for (const auto& [page, rec_lsn] : dpt) {

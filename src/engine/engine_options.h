@@ -27,7 +27,7 @@ class TraceRecorder;
 /// concurrent front end's commit and checkpoint policy.
 struct EngineOptions {
   /// Redo worker threads of a quiescing Recover(). <= 1 runs the one
-  /// serial log-order replayer (methods::RedoInLogOrder) under the
+  /// serial log-order replayer (methods::RestartInLogOrder) under the
   /// method's redo test (the default; golden byte-identical timelines
   /// rely on it). > 1 drains the analysis plan with that many threads
   /// through the instant-restart driver (src/redo/instant.h), the doors
@@ -89,12 +89,6 @@ struct EngineOptions {
   /// returns Unavailable, modelling a re-crash mid-undo; the next
   /// Recover() must resume from the CLRs' undo_next chains and converge.
   size_t undo_crash_after_clrs = 0;
-
-  /// Flight-recorder slow-op watchdog: any traced span lasting at least
-  /// this many microseconds is promoted to a counter plus a retained
-  /// detail record (obs::FlightRecorder). 0 (the default) disables the
-  /// watchdog; tracing itself stays on either way.
-  uint64_t slow_op_threshold_us = 0;
 
   /// Completion workers of the device (storage::AsyncIoBackend) — the
   /// modeled queue depth. 0 (the default) executes every page I/O

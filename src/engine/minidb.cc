@@ -127,10 +127,8 @@ MiniDb::MiniDb(const MiniDbOptions& options,
        metrics_.GetHistogram("wal.commit.force_us", obs::LatencyBucketsUs()),
        metrics_.GetHistogram("wal.commit.ack_wait_us",
                              obs::LatencyBucketsUs())});
-  // The flight recorder is process-global; surface its counters here
-  // and arm the slow-op watchdog with this engine's threshold.
-  obs::FlightRecorder::Global().set_slow_op_threshold_us(
-      engine_options_.slow_op_threshold_us);
+  // The flight recorder is process-global, and so is its slow-op
+  // watchdog; surface its counters here.
   obs::FlightRecorder::Global().RegisterMetrics(metrics_, "flight");
   ConfigureDevice();
 }
@@ -644,10 +642,8 @@ Status MiniDb::RecoverInternal() {
     txns = std::move(analysis.value().txns);
   } else {
     Result<methods::TxnAnalysis> analysis =
-        methods::AnalyzeTransactions(context);
+        methods::RestartInLogOrder(*method_, context, &redo_scan_stats_);
     if (!analysis.ok()) return analysis.status();
-    REDO_RETURN_IF_ERROR(
-        methods::RedoInLogOrder(*method_, context, &redo_scan_stats_));
     txns = std::move(analysis).value();
   }
   REDO_RETURN_IF_ERROR(methods::UndoLosers(context, txns));

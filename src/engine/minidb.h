@@ -109,7 +109,7 @@ class MiniDb {
 
   /// Post-crash recovery: salvage, analysis, redo, loser undo. Redo
   /// follows the method's redo test. With parallel_workers <= 1 it is
-  /// the serial log-order replay (methods::RedoInLogOrder); above that
+  /// the serial log-order replay (methods::RestartInLogOrder); above that
   /// the analysis plan drains through par::InstantRedoDriver. With a
   /// tracer attached, the whole run (salvage, refusals, the phases) is
   /// recorded as one timeline; nested calls from the degradation ladder

@@ -9,9 +9,8 @@ namespace redo::engine {
 namespace {
 
 // Self-identifying suffix marker of a checkpoint's transaction table
-// ("TNXT" little-endian). Body counts (DPT entries, staged pages) are
-// bounded by the page count, so no front-to-back reader can confuse a
-// body field with it.
+// ("TNXT" little-endian). A body ends in a page id or the high half of
+// a rec_lsn, neither of which reaches this value.
 constexpr uint32_t kTxnTailMagic = 0x54584E54u;
 
 // The smallest encoded action: a kind byte and the image of an all-zero
@@ -222,48 +221,97 @@ void TxnUndoMetrics::Reset() {
   injected_crashes.store(0, std::memory_order_relaxed);
 }
 
-void AppendTxnTableTail(wal::PayloadWriter& w,
-                        const std::vector<TxnTableEntry>& entries,
-                        uint64_t next_txn_id) {
-  for (const TxnTableEntry& entry : entries) {
-    w.U64(entry.txn_id);
-    w.U64(entry.last_lsn);
+std::vector<uint8_t> EncodeCheckpoint(const CheckpointPayload& checkpoint) {
+  wal::PayloadWriter w;
+  w.U64(checkpoint.redo_start);
+  switch (checkpoint.body) {
+    case CheckpointBody::kNone:
+      break;
+    case CheckpointBody::kDirtyPages:
+      w.U32(static_cast<uint32_t>(checkpoint.dpt.size()));
+      for (const auto& [page, rec_lsn] : checkpoint.dpt) {
+        w.U32(page);
+        w.U64(rec_lsn);
+      }
+      break;
+    case CheckpointBody::kStagedPages:
+      w.U32(static_cast<uint32_t>(checkpoint.staged_pages.size()));
+      for (storage::PageId page : checkpoint.staged_pages) w.U32(page);
+      break;
   }
-  w.U64(next_txn_id == 0 ? 0 : next_txn_id - 1);  // high water mark
-  w.U32(static_cast<uint32_t>(entries.size()));
-  w.U32(kTxnTailMagic);
+  if (checkpoint.has_txn_table) {
+    for (const TxnTableEntry& entry : checkpoint.txns) {
+      w.U64(entry.txn_id);
+      w.U64(entry.last_lsn);
+    }
+    w.U64(checkpoint.max_txn_id);
+    w.U32(static_cast<uint32_t>(checkpoint.txns.size()));
+    w.U32(kTxnTailMagic);
+  }
+  return w.Take();
 }
 
-CheckpointTxnTable ReadTxnTableTail(const std::vector<uint8_t>& payload) {
-  CheckpointTxnTable table;
-  auto read_u32 = [&payload](size_t offset) {
-    uint32_t v;
-    std::memcpy(&v, payload.data() + offset, sizeof(v));
-    return v;
-  };
-  auto read_u64 = [&payload](size_t offset) {
-    uint64_t v;
-    std::memcpy(&v, payload.data() + offset, sizeof(v));
-    return v;
-  };
-  // Fixed trailer: u64 max_txn_id, u32 count, u32 magic = 16 bytes.
-  if (payload.size() < 16) return table;
-  if (read_u32(payload.size() - 4) != kTxnTailMagic) return table;
-  const uint32_t count = read_u32(payload.size() - 8);
-  const size_t tail_bytes = 16 + size_t{count} * 16;
-  if (payload.size() < tail_bytes) return table;
-  table.present = true;
-  table.bytes = tail_bytes;
-  table.max_txn_id = read_u64(payload.size() - 16);
-  size_t offset = payload.size() - tail_bytes;
-  for (uint32_t i = 0; i < count; ++i) {
-    TxnTableEntry entry;
-    entry.txn_id = read_u64(offset);
-    entry.last_lsn = read_u64(offset + 8);
-    table.entries.push_back(entry);
-    offset += 16;
+Result<CheckpointPayload> DecodeCheckpoint(
+    const std::vector<uint8_t>& payload) {
+  // The table is found from the back: its 16-byte trailer (u64
+  // max_txn_id, u32 count, u32 magic) follows `count` 16-byte entries,
+  // and the 8-byte redo start must still fit in front of it.
+  uint64_t table_bytes = 0;
+  if (payload.size() >= 8 + 16) {
+    uint32_t count_and_magic[2] = {};
+    std::memcpy(count_and_magic, payload.data() + payload.size() - 8,
+                sizeof(count_and_magic));
+    if (count_and_magic[1] == kTxnTailMagic) {
+      table_bytes = 16 + 16 * uint64_t{count_and_magic[0]};
+      if (table_bytes > payload.size() - 8) {
+        return Status::Corruption(
+            "checkpoint: transaction table runs into the redo start");
+      }
+    }
   }
-  return table;
+  CheckpointPayload checkpoint;
+  wal::PayloadReader r(payload);
+  Result<uint64_t> redo_start = r.U64();
+  if (!redo_start.ok()) return redo_start.status();
+  checkpoint.redo_start = redo_start.value();
+
+  // The body is told by its length: none, a DPT or a staged-page list.
+  const uint64_t body_bytes = r.remaining() - table_bytes;
+  if (body_bytes > 0) {
+    if (body_bytes < 4) {
+      return Status::Corruption("checkpoint: body shorter than its count");
+    }
+    const uint64_t count = r.U32().value();
+    const uint64_t entry_bytes = body_bytes - 4;
+    if (entry_bytes == 12 * count) {
+      checkpoint.body = CheckpointBody::kDirtyPages;
+      for (uint64_t i = 0; i < count; ++i) {
+        const storage::PageId page = r.U32().value();
+        checkpoint.dpt.emplace(page, r.U64().value());
+      }
+    } else if (entry_bytes == 4 * count) {
+      checkpoint.body = CheckpointBody::kStagedPages;
+      for (uint64_t i = 0; i < count; ++i) {
+        checkpoint.staged_pages.push_back(r.U32().value());
+      }
+    } else {
+      return Status::Corruption(
+          "checkpoint: body length fits neither a dirty-page table nor a "
+          "staged-page list");
+    }
+  }
+
+  if (table_bytes > 0) {
+    checkpoint.has_txn_table = true;
+    for (uint64_t i = 0; i < (table_bytes - 16) / 16; ++i) {
+      TxnTableEntry entry;
+      entry.txn_id = r.U64().value();
+      entry.last_lsn = r.U64().value();
+      checkpoint.txns.push_back(entry);
+    }
+    checkpoint.max_txn_id = r.U64().value();
+  }
+  return checkpoint;
 }
 
 }  // namespace redo::engine

@@ -218,26 +218,42 @@ struct TxnUndoMetrics {
   void Reset();
 };
 
-// ---- Checkpoint transaction-table tail ----
+// ---- Checkpoint payload ----
 
-/// Appends the live-transaction snapshot (plus the id allocator's high
-/// water mark) as a self-identifying SUFFIX of a checkpoint payload:
-///   {u64 txn_id, u64 last_lsn}*  u64 max_txn_id  u32 count  u32 magic.
-/// Parsing from the back keeps every existing body layout (plain / DPT /
-/// staged-page) readable by its unchanged front-to-back reader.
-void AppendTxnTableTail(wal::PayloadWriter& w,
-                        const std::vector<TxnTableEntry>& entries,
-                        uint64_t next_txn_id);
-
-/// The decoded tail, or empty when the payload carries none (pre-txn
-/// checkpoints).
-struct CheckpointTxnTable {
-  bool present = false;
-  std::vector<TxnTableEntry> entries;
-  uint64_t max_txn_id = 0;  ///< highest id allocated before the checkpoint
-  size_t bytes = 0;  ///< payload bytes the tail occupies (0 when absent)
+/// What a checkpoint carries between its redo start and its transaction
+/// table: how the §6 method that wrote it takes operations out of
+/// redo_set.
+enum class CheckpointBody : uint8_t {
+  kNone,         ///< the redo start alone
+  kDirtyPages,   ///< the dirty-page table analysis rebuilds from (§4.3)
+  kStagedPages,  ///< the pages the logical pointer swing staged (§6.1)
 };
-CheckpointTxnTable ReadTxnTableTail(const std::vector<uint8_t>& payload);
+
+/// A checkpoint record's payload, the one layout every checkpoint
+/// writer and reader shares: u64 redo_start, at most one body, then the
+/// transaction table when the writer had a registry.
+///   DPT body:     u32 count, count x {u32 page, u64 rec_lsn}
+///   staged body:  u32 count, count x u32 page
+///   txn table:    {u64 txn_id, u64 last_lsn}*, u64 max_txn_id, u32 count,
+///                 u32 magic
+/// The table is a self-identifying suffix found from the back. The body
+/// is told by its length, so no reader needs to know which method wrote
+/// the record; a zero count fits both bodies and reads as an empty DPT.
+struct CheckpointPayload {
+  core::Lsn redo_start = 1;  ///< the first record redo must consider
+  CheckpointBody body = CheckpointBody::kNone;
+  std::map<storage::PageId, core::Lsn> dpt{};  ///< page -> rec_lsn
+  std::vector<storage::PageId> staged_pages{};
+  bool has_txn_table = false;  ///< false: written without a registry
+  std::vector<TxnTableEntry> txns{};  ///< live at the checkpoint
+  uint64_t max_txn_id = 0;  ///< highest id allocated before the checkpoint
+};
+
+std::vector<uint8_t> EncodeCheckpoint(const CheckpointPayload& checkpoint);
+/// Refuses, with kCorruption, a payload that holds no redo start, a
+/// table that runs into the redo start, or a body whose length fits
+/// neither layout.
+Result<CheckpointPayload> DecodeCheckpoint(const std::vector<uint8_t>& payload);
 
 }  // namespace redo::engine
 

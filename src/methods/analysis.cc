@@ -78,87 +78,40 @@ par::InstantRedoOptions RedoRule(const RecoveryMethod& method) {
   return rule;
 }
 
-// Extends the DPT with the pages `task` writes; emplace keeps each
-// page's earliest rec_lsn.
-void NoteDirtyPages(const par::RedoTask& task,
-                    std::map<storage::PageId, core::Lsn>& dpt) {
-  for (storage::PageId page : task.Writes()) dpt.emplace(page, task.lsn);
-}
-
-// The serial restart's DPT pass (§4.3): the checkpoint's DPT, extended
-// by every record after the checkpoint.
-Result<std::map<storage::PageId, core::Lsn>> RebuildDpt(
-    EngineContext& ctx, bool whole_splits) {
-  Result<std::map<storage::PageId, core::Lsn>> dpt =
-      internal_methods::ReadCheckpointDpt(ctx);
-  if (!dpt.ok()) return dpt.status();
-  Result<std::optional<wal::LogRecord>> checkpoint =
-      ctx.log->LatestStableCheckpoint();
-  if (!checkpoint.ok()) return checkpoint.status();
-  const core::Lsn from =
-      checkpoint.value().has_value() ? checkpoint.value()->lsn + 1 : 1;
-  // Visit the suffix in place: only each record's written pages matter.
-  const Result<wal::ScanExtent> visited = ctx.log->VisitStable(
-      from, [&](const wal::LogRecord& record) -> Status {
-        Result<std::optional<par::RedoTask>> task =
-            par::DecodeRedoTask(record, whole_splits);
-        if (!task.ok()) return task.status();
-        if (task.value().has_value()) {
-          NoteDirtyPages(*task.value(), dpt.value());
-        }
-        return Status::Ok();
-      });
-  if (!visited.ok()) return visited.status();
-  return dpt;
-}
-
-// The visit. Without a method it builds the transaction table alone.
+// The visit. Without a method it builds the transaction table alone;
+// with one it also seeds the DPT at the checkpoint's (when the method
+// rebuilds one) and extends it by every later record; with `plan` it
+// also plans every record from the redo start.
 Result<RestartAnalysis> Visit(EngineContext& ctx,
-                              const RecoveryMethod* method) {
+                              const StableCheckpoint& checkpoint,
+                              const RecoveryMethod* method, bool plan) {
   RestartAnalysis out;
-  Result<std::optional<wal::LogRecord>> checkpoint =
-      ctx.log->LatestStableCheckpoint();
-  if (!checkpoint.ok()) return checkpoint.status();
-  // The checkpoint's transaction tail is the table as of its record, so
-  // the table rolls forward from that record on; the DPT it carries
+  // The checkpoint's transaction table is the table as of its record,
+  // so the table rolls forward from that record on; the DPT it carries
   // grows with the records after it.
-  core::Lsn txn_from = 1;
-  core::Lsn dpt_from = 1;
-  if (checkpoint.value().has_value()) {
-    txn_from = checkpoint.value()->lsn;
-    dpt_from = txn_from + 1;
-    const engine::CheckpointTxnTable table =
-        engine::ReadTxnTableTail(checkpoint.value()->payload);
-    if (table.present) {
-      out.txns.max_txn_id = table.max_txn_id;
-      for (const engine::TxnTableEntry& entry : table.entries) {
-        out.txns.losers[entry.txn_id] = entry.last_lsn;
-      }
-    }
+  const core::Lsn txn_from = checkpoint.lsn == 0 ? 1 : checkpoint.lsn;
+  const core::Lsn dpt_from = checkpoint.lsn + 1;
+  out.txns.max_txn_id = checkpoint.payload.max_txn_id;
+  for (const engine::TxnTableEntry& entry : checkpoint.payload.txns) {
+    out.txns.losers[entry.txn_id] = entry.last_lsn;
   }
 
+  const core::Lsn redo_start = checkpoint.payload.redo_start;
   core::Lsn from = txn_from;
-  core::Lsn redo_start = 0;
   RecoveryMethod::RedoPlanning planning;
   std::optional<par::RedoPlanBuilder> builder;
   if (method != nullptr) {
     planning = method->redo_planning();
-    Result<core::Lsn> start = internal_methods::ReadRedoScanStart(ctx);
-    if (!start.ok()) return start.status();
-    redo_start = start.value();
-    REDO_RETURN_IF_ERROR(
-        internal_methods::TraceCheckpointChosen(ctx, redo_start));
-    from = std::min(from, redo_start);
     out.redo = RedoRule(*method);
     if (planning.analysis_dpt) {
-      Result<std::map<storage::PageId, core::Lsn>> dpt =
-          internal_methods::ReadCheckpointDpt(ctx);
-      if (!dpt.ok()) return dpt.status();
       out.redo.use_dpt = true;
-      out.redo.dpt = std::move(dpt).value();
+      out.redo.dpt = checkpoint.payload.dpt;
     }
-    builder.emplace(/*supersede_images=*/out.redo.mode ==
-                    par::InstantRedoOptions::Mode::kRedoAll);
+    if (plan) {
+      from = std::min(from, redo_start);
+      builder.emplace(/*supersede_images=*/out.redo.mode ==
+                      par::InstantRedoOptions::Mode::kRedoAll);
+    }
   }
 
   const Result<wal::ScanExtent> visited = ctx.log->VisitStable(
@@ -166,27 +119,28 @@ Result<RestartAnalysis> Visit(EngineContext& ctx,
         if (record.lsn >= txn_from) {
           REDO_RETURN_IF_ERROR(NoteTxnRecord(record, out.txns));
         }
-        if (!builder.has_value() || record.lsn < redo_start) {
-          return Status::Ok();
-        }
-        REDO_RETURN_IF_ERROR(method->ClassifyRecord(record.type));
+        const bool planned = builder.has_value() && record.lsn >= redo_start;
+        const bool extends_dpt = out.redo.use_dpt && record.lsn >= dpt_from;
+        if (!planned && !extends_dpt) return Status::Ok();
+        if (planned) REDO_RETURN_IF_ERROR(method->ClassifyRecord(record.type));
         Result<std::optional<par::RedoTask>> task =
             par::DecodeRedoTask(record, planning.whole_splits);
         if (!task.ok()) return task.status();
         if (!task.value().has_value()) return Status::Ok();
-        // The redo start never passes the record after the checkpoint,
-        // so every record that extends the DPT is planned here too.
-        if (out.redo.use_dpt && record.lsn >= dpt_from) {
-          NoteDirtyPages(*task.value(), out.redo.dpt);
+        // emplace keeps each page's earliest rec_lsn.
+        if (extends_dpt) {
+          for (storage::PageId page : task.value()->Writes()) {
+            out.redo.dpt.emplace(page, record.lsn);
+          }
         }
-        builder->Add(std::move(*task.value()));
+        if (planned) builder->Add(std::move(*task.value()));
         return Status::Ok();
       });
   if (!visited.ok()) return visited.status();
   if (builder.has_value()) {
-    Result<par::RedoPlan> plan = std::move(*builder).Finish(*ctx.log);
-    if (!plan.ok()) return plan.status();
-    out.plan = std::move(plan).value();
+    Result<par::RedoPlan> planned = std::move(*builder).Finish(*ctx.log);
+    if (!planned.ok()) return planned.status();
+    out.plan = std::move(planned).value();
   }
   return out;
 }
@@ -195,12 +149,21 @@ Result<RestartAnalysis> Visit(EngineContext& ctx,
 
 Result<RestartAnalysis> AnalyzeForRestart(RecoveryMethod& method,
                                           EngineContext& ctx) {
-  REDO_RETURN_IF_ERROR(method.PrepareStableState(ctx));
-  return Visit(ctx, &method);
+  Result<StableCheckpoint> checkpoint = ReadStableCheckpoint(*ctx.log);
+  if (!checkpoint.ok()) return checkpoint.status();
+  REDO_RETURN_IF_ERROR(method.PrepareStableState(ctx, checkpoint.value()));
+  if (ctx.tracer != nullptr) {
+    ctx.tracer->CheckpointChosen(checkpoint.value().lsn,
+                                 checkpoint.value().payload.redo_start);
+  }
+  return Visit(ctx, checkpoint.value(), &method, /*plan=*/true);
 }
 
 Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx) {
-  Result<RestartAnalysis> visited = Visit(ctx, nullptr);
+  Result<StableCheckpoint> checkpoint = ReadStableCheckpoint(*ctx.log);
+  if (!checkpoint.ok()) return checkpoint.status();
+  Result<RestartAnalysis> visited =
+      Visit(ctx, checkpoint.value(), /*method=*/nullptr, /*plan=*/false);
   if (!visited.ok()) return visited.status();
   return std::move(visited.value().txns);
 }
@@ -219,12 +182,8 @@ Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
   auto emit = [&ctx, redo_all](core::Lsn lsn, storage::PageId page,
                                RedoVerdict verdict) {
     if (ctx.tracer == nullptr) return;
-    const char* reason = verdict == RedoVerdict::kNotExposed ? "analysis-dpt"
-                         : verdict == RedoVerdict::kSkippedInstalled
-                             ? "page-lsn-current"
-                         : redo_all ? "redo-all"
-                                    : "page-lsn-older";
-    ctx.tracer->Verdict(lsn, page, verdict, reason);
+    ctx.tracer->Verdict(lsn, page, verdict,
+                        obs::RedoVerdictReason(verdict, redo_all));
   };
   auto fetch = [pool, &s](storage::PageId page) {
     ++s.page_fetches;
@@ -348,28 +307,31 @@ Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
   return Status::Ok();
 }
 
-Status RedoInLogOrder(RecoveryMethod& method, EngineContext& ctx,
-                      RedoScanStats* stats) {
-  const RecoveryMethod::RedoPlanning planning = method.redo_planning();
-  par::InstantRedoOptions rule = RedoRule(method);
-  if (planning.analysis_dpt) {
-    obs::PhaseScope phase(ctx.tracer, "analysis");
-    Result<std::map<storage::PageId, core::Lsn>> dpt =
-        RebuildDpt(ctx, planning.whole_splits);
-    if (!dpt.ok()) return dpt.status();
-    rule.use_dpt = true;
-    rule.dpt = std::move(dpt).value();
-  }
+Result<TxnAnalysis> RestartInLogOrder(RecoveryMethod& method,
+                                      EngineContext& ctx,
+                                      RedoScanStats* stats) {
+  Result<StableCheckpoint> checkpoint = ReadStableCheckpoint(*ctx.log);
+  if (!checkpoint.ok()) return checkpoint.status();
+  Result<RestartAnalysis> visited = [&] {
+    // Only the method that rebuilds a DPT shows the visit as a phase.
+    obs::PhaseScope phase(
+        method.redo_planning().analysis_dpt ? ctx.tracer : nullptr,
+        "analysis");
+    return Visit(ctx, checkpoint.value(), &method, /*plan=*/false);
+  }();
+  if (!visited.ok()) return visited.status();
   obs::PhaseScope phase(ctx.tracer, "redo-scan");
-  REDO_RETURN_IF_ERROR(method.PrepareStableState(ctx));
-  Result<core::Lsn> redo_start = internal_methods::ReadRedoScanStart(ctx);
-  if (!redo_start.ok()) return redo_start.status();
-  REDO_RETURN_IF_ERROR(
-      internal_methods::TraceCheckpointChosen(ctx, redo_start.value()));
+  REDO_RETURN_IF_ERROR(method.PrepareStableState(ctx, checkpoint.value()));
+  if (ctx.tracer != nullptr) {
+    ctx.tracer->CheckpointChosen(checkpoint.value().lsn,
+                                 checkpoint.value().payload.redo_start);
+  }
   Result<std::vector<wal::LogRecord>> records =
-      ctx.log->StableRecords(redo_start.value());
+      ctx.log->StableRecords(checkpoint.value().payload.redo_start);
   if (!records.ok()) return records.status();
-  return ReplayInLogOrder(method, ctx, records.value(), rule, stats);
+  REDO_RETURN_IF_ERROR(ReplayInLogOrder(method, ctx, records.value(),
+                                        visited.value().redo, stats));
+  return std::move(visited.value().txns);
 }
 
 }  // namespace redo::methods

@@ -10,15 +10,18 @@
 // after the visit. Each method supplies only how it classifies records
 // (RecoveryMethod::redo_planning, ClassifyRecord, PrepareStableState).
 //
-// Instant restart and the parallel quiescing restart (Recover with
-// parallel_workers > 1) run the whole visit, and both replay its plan
-// through one executor, par::InstantRedoDriver (redo/instant.h). The
-// serial restart runs the visit without a plan (AnalyzeTransactions)
-// and then the paper's Figure 6 loop, ReplayInLogOrder: the next
-// record in log order, the method's redo test, replay or skip. That
-// loop is the exact-log-order reference the golden timelines pin and
-// every multi-worker restart is compared against; media recovery runs
-// it too, over the archive-backed log suffix.
+// Every restart reads the latest stable checkpoint once
+// (ReadStableCheckpoint) and hands it to the method's PrepareStableState,
+// the checkpoint-chosen event and the visit. Instant restart and the
+// parallel quiescing restart (Recover with parallel_workers > 1) run the
+// whole visit, and both replay its plan through one executor,
+// par::InstantRedoDriver (redo/instant.h). The serial restart
+// (RestartInLogOrder) runs the visit without a plan, then the paper's
+// Figure 6 loop, ReplayInLogOrder: the next record in log order, the
+// method's redo test, replay or skip. That loop is the exact-log-order
+// reference the golden timelines pin and every multi-worker restart is
+// compared against; media recovery runs it too, over the archive-backed
+// log suffix.
 
 #ifndef REDO_METHODS_ANALYSIS_H_
 #define REDO_METHODS_ANALYSIS_H_
@@ -57,17 +60,18 @@ struct RestartAnalysis {
   par::InstantRedoOptions redo;
 };
 
-/// Runs `method`'s stable-state repair, then the one visit: the
-/// transaction table is seeded at the latest stable checkpoint's
-/// transaction tail and rolled forward from that record; the DPT starts
-/// from the checkpoint's and grows with every later record; the plan
-/// covers every record from the redo start. Emits the checkpoint-chosen
-/// timeline event; the caller owns the tracer phase.
+/// Reads the latest stable checkpoint, runs `method`'s stable-state
+/// repair, emits the checkpoint-chosen timeline event, then the one
+/// visit: the transaction table is seeded at the checkpoint's table and
+/// rolled forward from that record; the DPT starts from the
+/// checkpoint's and grows with every later record; the plan covers
+/// every record from the redo start. The caller owns the tracer phase.
 Result<RestartAnalysis> AnalyzeForRestart(RecoveryMethod& method,
                                           EngineContext& ctx);
 
-/// The visit run without a plan: the transaction table alone. Safe (and
-/// cheap) on logs with no transaction records: returns an empty table.
+/// The visit run without a method: the transaction table alone. Safe
+/// (and cheap) on logs with no transaction records: returns an empty
+/// table.
 Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx);
 
 /// Work of the log-order replayer. MiniDb accumulates it across every
@@ -96,13 +100,16 @@ Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
                         const par::InstantRedoOptions& rule,
                         RedoScanStats* stats);
 
-/// The serial restart's redo: the DPT pass when the method rebuilds one
-/// (the "analysis" phase, from the record after the latest checkpoint),
-/// then, in the "redo-scan" phase, PrepareStableState, the
-/// checkpoint-chosen event and ReplayInLogOrder over the stable records
-/// from the redo start under the method's own rule.
-Status RedoInLogOrder(RecoveryMethod& method, EngineContext& ctx,
-                      RedoScanStats* stats);
+/// The serial restart's analysis and redo. It reads the latest stable
+/// checkpoint, then runs the visit without a plan: the transaction
+/// table and, when the method rebuilds one, the DPT (inside an
+/// "analysis" phase only then). In the "redo-scan" phase it runs
+/// PrepareStableState, the checkpoint-chosen event and ReplayInLogOrder
+/// over the stable records from the redo start under the method's own
+/// rule. Returns the transaction table for the undo pass.
+Result<TxnAnalysis> RestartInLogOrder(RecoveryMethod& method,
+                                      EngineContext& ctx,
+                                      RedoScanStats* stats);
 
 }  // namespace redo::methods
 

@@ -82,8 +82,9 @@ class GeneralizedLsnMethod : public RecoveryMethod {
   }
 
   Status Checkpoint(EngineContext& ctx) override {
-    return internal_methods::WriteCheckpointRecord(
-        ctx, internal_methods::FuzzyRedoPoint(ctx));
+    return internal_methods::WriteCheckpoint(
+               ctx, {.redo_start = internal_methods::FuzzyRedoPoint(ctx)})
+        .status();
   }
 
   bool supports_fuzzy_checkpoint() const override { return true; }
@@ -94,8 +95,8 @@ class GeneralizedLsnMethod : public RecoveryMethod {
     // held back by a constraint is still dirty, so its rec_lsn keeps
     // the scan start below every record the careful write order has
     // not yet installed.
-    return internal_methods::AppendCheckpointRecord(
-        ctx, internal_methods::FuzzyRedoPoint(ctx));
+    return internal_methods::AppendCheckpoint(
+        ctx, {.redo_start = internal_methods::FuzzyRedoPoint(ctx)});
   }
 
   RedoPlanning redo_planning() const override {

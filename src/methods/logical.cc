@@ -90,9 +90,10 @@ class LogicalMethod : public RecoveryMethod {
     // the stable database and installs everything logged so far. (In
     // System R this is a page-table pointer update; a record on the
     // forced log is the same single atomic switch.)
-    Result<core::Lsn> swung =
-        internal_methods::WriteCheckpointRecordWithStagedPages(
-            ctx, ctx.log->last_lsn() + 1, staged);
+    Result<core::Lsn> swung = internal_methods::WriteCheckpoint(
+        ctx, {.redo_start = ctx.log->last_lsn() + 1,
+              .body = engine::CheckpointBody::kStagedPages,
+              .staged_pages = std::move(staged)});
     if (!swung.ok()) return swung.status();
     staged_at_lsn_ = swung.value();
 
@@ -134,35 +135,25 @@ class LogicalMethod : public RecoveryMethod {
     return Status::Corruption("unexpected record type in logical log");
   }
 
-  /// The heal is analysis work: it repairs the *stable* state (disk from
-  /// staging), touching no cached page, so it runs before the analysis
-  /// visit and before the engine opens for traffic.
-  Status PrepareStableState(EngineContext& ctx) override {
-    return HealStagedPages(ctx);
-  }
-
- private:
   /// Completes the pointer swing the checkpoint committed: finishes the
   /// interrupted copy of any staged page that never reached the main
   /// disk, straight to the disk (not through the cache — the disk must
   /// BE the stable state before redo starts, or a backup taken after
   /// recovery would miss content the checkpoint record promises). A
   /// copy the device still refuses fails the recovery, which the
-  /// caller retries. The heal only applies when the staging area
-  /// belongs to the chosen checkpoint: after media recovery re-anchors
-  /// the log to an OLDER checkpoint, the staging area holds content
-  /// from a later epoch and must be ignored (the restore already
-  /// rebuilt the disk).
-  Status HealStagedPages(EngineContext& ctx) {
-    Result<internal_methods::StagedCheckpoint> staged =
-        internal_methods::ReadCheckpointStagedPages(ctx);
-    if (!staged.ok()) return staged.status();
-    if (staged.value().record_lsn == 0 ||
-        staged.value().record_lsn != staged_at_lsn_) {
+  /// caller retries. The heal is analysis work: it repairs the *stable*
+  /// state, touching no cached page, so it runs before the engine opens
+  /// for traffic. It only applies when the staging area belongs to the
+  /// chosen checkpoint: after media recovery re-anchors the log to an
+  /// OLDER checkpoint, the staging area holds content from a later
+  /// epoch and must be ignored (the restore already rebuilt the disk).
+  Status PrepareStableState(EngineContext& ctx,
+                            const StableCheckpoint& checkpoint) override {
+    if (checkpoint.lsn == 0 || checkpoint.lsn != staged_at_lsn_) {
       return Status::Ok();
     }
     std::vector<storage::AsyncIoOp> heals;
-    for (PageId page : staged.value().pages) {
+    for (PageId page : checkpoint.payload.staged_pages) {
       const Page& stage = staging_.PeekPage(page);
       if (stage.ContentHash() == ctx.disk->PeekPage(page).ContentHash()) {
         continue;  // the swing's copy reached the disk
@@ -172,6 +163,7 @@ class LogicalMethod : public RecoveryMethod {
     return ctx.pool->WriteThrough(std::move(heals));
   }
 
+ private:
   storage::Disk staging_;  ///< survives crashes (it is stable storage)
   /// LSN of the checkpoint record the staging area was written for —
   /// the swing's identity. Recovery heals from the staging area only

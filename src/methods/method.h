@@ -43,6 +43,16 @@ struct EngineContext {
   engine::TxnUndoMetrics* undo_metrics = nullptr;  ///< optional sink
 };
 
+/// The latest checkpoint on the stable log, read and decoded once per
+/// restart and handed to every step that needs it.
+struct StableCheckpoint {
+  core::Lsn lsn = 0;  ///< the record's LSN; 0 when the log holds none
+  engine::CheckpointPayload payload{};  ///< redo start 1 when there is none
+};
+
+/// Finds and decodes the latest stable checkpoint record.
+Result<StableCheckpoint> ReadStableCheckpoint(const wal::LogManager& log);
+
 class RecoveryMethod {
  public:
   virtual ~RecoveryMethod() = default;
@@ -109,9 +119,11 @@ class RecoveryMethod {
   virtual Status ClassifyRecord(wal::RecordType) const { return Status::Ok(); }
 
   /// Repairs the stable state before redo reads the log, touching no
-  /// cached page (the logical method finishes an interrupted
-  /// checkpoint's staging copy). Default: nothing to do.
-  virtual Status PrepareStableState(EngineContext&) { return Status::Ok(); }
+  /// cached page (the logical method finishes the staging copy of the
+  /// `checkpoint` recovery anchors on). Default: nothing to do.
+  virtual Status PrepareStableState(EngineContext&, const StableCheckpoint&) {
+    return Status::Ok();
+  }
 
   /// The method's redo test: the rule recovery replays with, and the
   /// formal policy the checker instantiates.
@@ -122,7 +134,7 @@ class RecoveryMethod {
   virtual RedoTestKind redo_test_kind() const = 0;
 
   /// The LSN at which this method's recovery scan would start right now
-  /// (decoded from the latest stable checkpoint record; 1 if none).
+  /// (the latest stable checkpoint's redo start; 1 if none).
   Result<core::Lsn> RedoScanStart(const EngineContext& ctx) const;
 };
 

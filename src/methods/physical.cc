@@ -61,8 +61,9 @@ class PhysicalMethod : public RecoveryMethod {
     // logged operation out of redo_set with the checkpoint record.
     REDO_RETURN_IF_ERROR(ctx.log->ForceAll());
     REDO_RETURN_IF_ERROR(ctx.pool->FlushAll());
-    return internal_methods::WriteCheckpointRecord(ctx,
-                                                   ctx.log->last_lsn() + 1);
+    return internal_methods::WriteCheckpoint(
+               ctx, {.redo_start = ctx.log->last_lsn() + 1})
+        .status();
   }
 
   /// A physical log holds page images, CLRs and metadata, nothing else.

@@ -70,8 +70,9 @@ class PartialPhysicalMethod : public RecoveryMethod {
   Status Checkpoint(EngineContext& ctx) override {
     REDO_RETURN_IF_ERROR(ctx.log->ForceAll());
     REDO_RETURN_IF_ERROR(ctx.pool->FlushAll());
-    return internal_methods::WriteCheckpointRecord(ctx,
-                                                   ctx.log->last_lsn() + 1);
+    return internal_methods::WriteCheckpoint(
+               ctx, {.redo_start = ctx.log->last_lsn() + 1})
+        .status();
   }
 
  private:

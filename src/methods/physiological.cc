@@ -78,14 +78,7 @@ class PhysiologicalMethod : public RecoveryMethod {
 
   Status Checkpoint(EngineContext& ctx) override {
     // Fuzzy checkpoint: no page flushing; record where redo must start.
-    // The analysis variant also records the dirty page table so recovery
-    // can rebuild it (the ARIES begin-checkpoint payload).
-    if (aries_analysis_) {
-      return internal_methods::WriteCheckpointRecordWithDpt(
-          ctx, internal_methods::FuzzyRedoPoint(ctx));
-    }
-    return internal_methods::WriteCheckpointRecord(
-        ctx, internal_methods::FuzzyRedoPoint(ctx));
+    return internal_methods::WriteCheckpoint(ctx, Snapshot(ctx)).status();
   }
 
   bool supports_fuzzy_checkpoint() const override { return true; }
@@ -94,12 +87,7 @@ class PhysiologicalMethod : public RecoveryMethod {
     // Append-only Checkpoint: the LSN-tag redo test makes a scan start
     // at min(rec_lsn) safe regardless of what writers do after the
     // snapshot, so the force can happen later, off the writers' path.
-    if (aries_analysis_) {
-      return internal_methods::AppendCheckpointRecordWithDpt(
-          ctx, internal_methods::FuzzyRedoPoint(ctx));
-    }
-    return internal_methods::AppendCheckpointRecord(
-        ctx, internal_methods::FuzzyRedoPoint(ctx));
+    return internal_methods::AppendCheckpoint(ctx, Snapshot(ctx));
   }
 
   RedoPlanning redo_planning() const override {
@@ -109,6 +97,21 @@ class PhysiologicalMethod : public RecoveryMethod {
   }
 
  private:
+  // The redo point and, for the analysis variant, the dirty page table
+  // recovery rebuilds from (the ARIES begin-checkpoint payload). The
+  // caller's barrier keeps the two consistent.
+  engine::CheckpointPayload Snapshot(const EngineContext& ctx) const {
+    engine::CheckpointPayload checkpoint{
+        .redo_start = internal_methods::FuzzyRedoPoint(ctx)};
+    if (aries_analysis_) {
+      checkpoint.body = engine::CheckpointBody::kDirtyPages;
+      for (const storage::DirtyPageEntry& entry : ctx.pool->DirtyPages()) {
+        checkpoint.dpt.emplace(entry.page, entry.rec_lsn);
+      }
+    }
+    return checkpoint;
+  }
+
   const bool aries_analysis_;
 };
 

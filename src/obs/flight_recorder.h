@@ -23,10 +23,12 @@
 //     microseconds; virtual ticks are a process-global counter that
 //     advances once per NowTick(), making single-threaded traces
 //     byte-identical across runs (the golden test's mode).
-//   - A slow-op watchdog (threshold from `EngineOptions`) promotes any
-//     span at or over the threshold to a counter plus a retained
-//     detail record (bounded; oldest evicted), so "something stalled"
-//     survives even after the ring has wrapped past the event.
+//   - A slow-op watchdog promotes any span at or over the threshold
+//     to a counter plus a retained detail record (bounded; oldest
+//     evicted), so "something stalled" survives even after the ring
+//     has wrapped past the event. The threshold belongs to the recorder
+//     (`set_slow_op_threshold_us`; 0, the default, disables it): it is
+//     process-global like the recorder, and no engine resets it.
 //
 // The recorder is process-global (`FlightRecorder::Global()`): the
 // engine, the WAL, and the redo workers all trace into one place, and

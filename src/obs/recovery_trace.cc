@@ -43,6 +43,18 @@ const char* RedoVerdictName(RedoVerdict verdict) {
   return "?";
 }
 
+const char* RedoVerdictReason(RedoVerdict verdict, bool redo_all) {
+  switch (verdict) {
+    case RedoVerdict::kApplied:
+      return redo_all ? "redo-all" : "page-lsn-older";
+    case RedoVerdict::kSkippedInstalled:
+      return "page-lsn-current";
+    case RedoVerdict::kNotExposed:
+      return "analysis-dpt";
+  }
+  return "?";
+}
+
 std::string TraceEvent::ToText(bool include_timing) const {
   std::string out = event;
   for (const auto& [key, value] : strings) {

@@ -56,6 +56,11 @@ enum class RedoVerdict {
 
 const char* RedoVerdictName(RedoVerdict verdict);
 
+/// The DESIGN.md §8 reason code of `verdict` under the method's redo
+/// test: an applied record says whether redo-all or an older page LSN
+/// replayed it.
+const char* RedoVerdictReason(RedoVerdict verdict, bool redo_all);
+
 /// One timeline event: a kind plus ordered string/number attributes
 /// (insertion order is serialization order, keeping output
 /// deterministic).

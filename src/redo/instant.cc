@@ -138,16 +138,8 @@ void InstantRedoDriver::EmitVerdicts(obs::RecoveryTracer* tracer) const {
          ++slot) {
       if (verdicts_[slot] == 0) continue;
       const auto verdict = static_cast<obs::RedoVerdict>(verdicts_[slot] - 1);
-      const char* reason = "page-lsn-older";
-      if (verdict == obs::RedoVerdict::kNotExposed) {
-        reason = "analysis-dpt";
-      } else if (verdict == obs::RedoVerdict::kSkippedInstalled) {
-        reason = "page-lsn-current";
-      } else if (redo_all) {
-        reason = "redo-all";
-      }
       tracer->Verdict(task.lsn, VerdictPage(task, slot - verdict_begin_[i]),
-                      verdict, reason);
+                      verdict, obs::RedoVerdictReason(verdict, redo_all));
     }
   }
 }

@@ -239,6 +239,15 @@ Status LogManager::ForceLocked(core::Lsn upto) {
                        volatile_tail_.begin() + static_cast<ptrdiff_t>(moved));
   if (moved > 0) room_cv_.notify_all();
   stats_.forced_records += moved;
+  // This force acknowledges every waiting commit it covers: they leave
+  // the commit window's count, and the batch is this force's.
+  const size_t waiting = waiting_commits_.size();
+  std::erase_if(waiting_commits_, [this](const WaitingCommit& commit) {
+    return commit.lsn <= stable_lsn_.load();
+  });
+  const uint64_t acked = waiting - waiting_commits_.size();
+  stats_.group_commits += acked;
+  stats_.group_max_batch = std::max(stats_.group_max_batch, acked);
   RefreshStableBytes();
   durable_cv_.notify_all();
   if (commit_latency_.force_us != nullptr) {
@@ -281,28 +290,25 @@ void LogManager::CommitterLoop() {
       if (closed_early) ++stats_.group_early_closes;
       if (traced) {
         recorder.EndSpan(obs::FlightEventType::kGcWindow, tick0,
-                         commits_in_batch_, closed_early ? 1 : 0);
+                         waiting_commits_.size(), closed_early ? 1 : 0);
       }
       if (gc_frozen_) break;
     }
     // A full pending queue forces a drain of everything pending even
     // with no commit pending — backpressure must stall appenders, never
     // deadlock them against a committer waiting for commits.
+    const bool drain =
+        gc_stop_ || volatile_tail_.size() >= gc_options_.ring_capacity;
+    // Another force (a checkpoint's, a page flush's) may have covered
+    // every commit the window waited for: then there is nothing to force.
+    if (!drain && commit_requested_ <= stable_lsn_.load()) continue;
     const core::Lsn target =
-        gc_stop_ || volatile_tail_.size() >= gc_options_.ring_capacity
-            ? last_lsn_.load()
-            : std::min(commit_requested_, last_lsn_.load());
-    // The mutex stays held until the force is stable, so every waiter
-    // counted in this window is one this force covers.
+        drain ? last_lsn_.load()
+              : std::min(commit_requested_, last_lsn_.load());
     const Status forced = ForceLocked(target);
     REDO_CHECK(forced.ok()) << "group-commit force failed: "
                             << forced.ToString();
     ++stats_.group_batches;
-    stats_.group_commits += commits_in_batch_;
-    stats_.group_max_batch =
-        std::max(stats_.group_max_batch, commits_in_batch_);
-    commits_in_batch_ = 0;
-    sessions_in_batch_ = 0;
   }
   // Frozen or stopping: wake everyone so nobody waits on a dead thread.
   durable_cv_.notify_all();
@@ -315,7 +321,12 @@ bool LogManager::EverySessionJoined() const {
   // for. The count may move under us; a session that arrives after the
   // window closed commits in the next one.
   const int live = gc_options_.live_sessions->load(std::memory_order_relaxed);
-  return live <= 0 || sessions_in_batch_ >= static_cast<uint64_t>(live);
+  const auto sessions = std::count_if(
+      waiting_commits_.begin(), waiting_commits_.end(),
+      [](const WaitingCommit& commit) {
+        return commit.waiter == Waiter::kSession;
+      });
+  return live <= 0 || sessions >= live;
 }
 
 Status LogManager::StartGroupCommit(const GroupCommitOptions& options) {
@@ -330,8 +341,6 @@ Status LogManager::StartGroupCommit(const GroupCommitOptions& options) {
   gc_frozen_ = false;
   gc_stop_ = false;
   commit_requested_ = 0;
-  commits_in_batch_ = 0;
-  sessions_in_batch_ = 0;
   gc_active_.store(true);
   committer_ = std::thread([this] { CommitterLoop(); });
   return Status::Ok();
@@ -343,6 +352,7 @@ void LogManager::HaltGroupCommit(bool freeze) {
     if (!committer_.joinable()) return;
     if (freeze) {
       gc_frozen_ = true;
+      waiting_commits_.clear();  // they fail: no force acknowledges them
     } else {
       gc_stop_ = true;
     }
@@ -383,8 +393,7 @@ Result<core::Lsn> LogManager::CommitWait(core::Lsn lsn, Waiter waiter) {
     return stable_lsn_.load();
   }
   commit_requested_ = std::max(commit_requested_, lsn);
-  ++commits_in_batch_;
-  if (waiter == Waiter::kSession) ++sessions_in_batch_;
+  waiting_commits_.push_back({lsn, waiter});
   committer_cv_.notify_one();
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const bool traced = recorder.enabled();

@@ -86,8 +86,8 @@ struct GroupCommitOptions {
   /// The longest a commit may linger: after the first pending commit
   /// request the committer waits up to this long, collecting more
   /// requests into the same force. The window closes early once every
-  /// live session (`live_sessions`) waits on a commit the next force
-  /// covers, since no further commit could join it.
+  /// live session (`live_sessions`) waits on a commit no force has
+  /// covered yet, since no further commit could join it.
   uint64_t window_us = 100;
   /// Simulated stable-write latency charged per force while group
   /// commit is active (modeling a device fsync), with the log mutex
@@ -543,8 +543,9 @@ class LogManager {
 
   /// The body of Force, assuming `mu_` is held: copies each pending
   /// frame up to `upto` into the active segment and moves its record
-  /// into the parsed cache. Group mode charges the simulated device
-  /// latency here, with the mutex held.
+  /// into the parsed cache, then credits every waiting commit it
+  /// covers (whichever caller forced). Group mode charges the simulated
+  /// device latency here, with the mutex held.
   Status ForceLocked(core::Lsn upto);
 
   /// The committer thread: waits for commit requests, a full pending
@@ -552,9 +553,9 @@ class LogManager {
   /// collects a window's worth, forces once.
   void CommitterLoop();
 
-  /// True once every live session waits on a commit the next force
-  /// covers (always false without the engine's session count). Caller
-  /// holds `mu_`.
+  /// True once every live session waits on a commit no force has
+  /// covered yet (always false without the engine's session count).
+  /// Caller holds `mu_`.
   bool EverySessionJoined() const;
 
   /// Stops the committer thread (joining it). With `freeze` the
@@ -589,8 +590,13 @@ class LogManager {
   bool gc_frozen_ = false;  // sticky until the next StartGroupCommit
   bool gc_stop_ = false;
   core::Lsn commit_requested_ = 0;   // highest LSN a CommitWait asked for
-  uint64_t commits_in_batch_ = 0;    // waiters the next force acknowledges
-  uint64_t sessions_in_batch_ = 0;   // of those, sessions' waits
+  // Group-mode CommitWaits no force has covered yet: the window counts
+  // these, and the force that covers one acknowledges and credits it.
+  struct WaitingCommit {
+    core::Lsn lsn;
+    Waiter waiter;
+  };
+  std::vector<WaitingCommit> waiting_commits_;
 };
 
 }  // namespace redo::wal

@@ -1,8 +1,9 @@
 // The page-image codec (engine/ops.h): an image is the page id, the
 // page's longest run of zero bytes (the hole), and the bytes outside
 // it. These tests pin the format's size rules and its refusals, and
-// mutate encoded kPageImage, kTxnUpdate and kClr payloads byte by byte:
-// every mutant must decode or come back as a diagnosed Status.
+// mutate encoded kPageImage, kTxnUpdate, kClr and kCheckpoint payloads
+// byte by byte: every mutant must decode or come back as a diagnosed
+// Status.
 
 #include <cstring>
 #include <functional>
@@ -164,13 +165,17 @@ TEST(PageImageCodecTest, BeforeImagesUseTheSameFormat) {
 // ---- Decoders that refuse garbage ----
 
 // Every single-byte flip and every truncation of `payload` must decode
-// or return a diagnosed Corruption; neither may crash. Truncations
-// never decode: each format's last byte is one it needs.
-void MutateAndDecode(const std::vector<uint8_t>& payload,
-                     const std::function<Status(const std::vector<uint8_t>&)>&
-                         decode,
-                     uint64_t seed) {
-  ASSERT_TRUE(decode(payload).ok());
+// or return a diagnosed Corruption; neither may crash. Unless
+// `prefixes_decode`, no truncation decodes: the format's last byte is
+// one it needs. Returns how many flips were refused.
+size_t SweepMutants(const std::vector<uint8_t>& payload,
+                    const std::function<Status(const std::vector<uint8_t>&)>&
+                        decode,
+                    uint64_t seed, bool prefixes_decode) {
+  if (!decode(payload).ok()) {
+    ADD_FAILURE() << "the unmutated payload must decode";
+    return 0;
+  }
   Rng rng(seed);
   size_t refused = 0;
   std::vector<uint8_t> mutant = payload;
@@ -188,14 +193,27 @@ void MutateAndDecode(const std::vector<uint8_t>& payload,
       mutant[i] = payload[i];
     }
   }
-  EXPECT_GT(refused, 0u) << "some header flip must be refused";
   for (size_t size = 0; size < payload.size(); ++size) {
     const std::vector<uint8_t> truncated(payload.begin(),
                                          payload.begin() + size);
     const Status status = decode(truncated);
+    if (prefixes_decode && status.ok()) continue;
     EXPECT_EQ(status.code(), StatusCode::kCorruption)
         << "truncated to " << size << ": " << status.ToString();
+    EXPECT_FALSE(status.message().empty()) << "truncated to " << size;
   }
+  return refused;
+}
+
+// SweepMutants for a format that needs its last byte, some header flip
+// of which must be refused.
+void MutateAndDecode(const std::vector<uint8_t>& payload,
+                     const std::function<Status(const std::vector<uint8_t>&)>&
+                         decode,
+                     uint64_t seed) {
+  EXPECT_GT(SweepMutants(payload, decode, seed, /*prefixes_decode=*/false),
+            0u)
+      << "some header flip must be refused";
 }
 
 Status DecodeImageStatus(const std::vector<uint8_t>& payload) {
@@ -206,6 +224,9 @@ Status DecodeUpdateStatus(const std::vector<uint8_t>& payload) {
 }
 Status DecodeClrStatus(const std::vector<uint8_t>& payload) {
   return DecodeClr(payload).status();
+}
+Status DecodeCheckpointStatus(const std::vector<uint8_t>& payload) {
+  return DecodeCheckpoint(payload).status();
 }
 
 // Two actions: a slot restore and a before-image with a short hole, so
@@ -238,6 +259,35 @@ TEST(DecoderMutationTest, TxnUpdateFlipsAndTruncationsAreDiagnosed) {
 TEST(DecoderMutationTest, ClrFlipsAndTruncationsAreDiagnosed) {
   MutateAndDecode(EncodeClr(Clr{17, 380, MixedActions()}), DecodeClrStatus,
                   4);
+}
+
+// Every checkpoint body, with and without a transaction table. A prefix
+// may decode: cutting a whole table off leaves a valid checkpoint.
+TEST(DecoderMutationTest, CheckpointFlipsAndTruncationsAreDiagnosed) {
+  const std::vector<CheckpointPayload> bodies = {
+      {.redo_start = 42},
+      {.redo_start = 42,
+       .body = CheckpointBody::kDirtyPages,
+       .dpt = {{3, 40}, {5, 41}}},
+      {.redo_start = 42,
+       .body = CheckpointBody::kStagedPages,
+       .staged_pages = {5, 3, 7}},
+  };
+  size_t refused = 0;
+  uint64_t seed = 5;
+  for (const bool table : {false, true}) {
+    for (CheckpointPayload checkpoint : bodies) {
+      if (table) {
+        checkpoint.has_txn_table = true;
+        checkpoint.txns = {{3, 90}, {11, 200}};
+        checkpoint.max_txn_id = 11;
+      }
+      refused += SweepMutants(EncodeCheckpoint(checkpoint),
+                              DecodeCheckpointStatus, seed++,
+                              /*prefixes_decode=*/true);
+    }
+  }
+  EXPECT_GT(refused, 0u) << "some count flip must be refused";
 }
 
 // A fixed-layout payload is whole: a decoder that stops reading before

@@ -1,6 +1,6 @@
 // Transactions (DESIGN.md §12): the Session Begin/Commit/Abort API, the
 // undo-information codecs, the live-transaction registry, and the
-// checkpoint transaction-table tail. Crash-time atomicity (losers undone
+// checkpoint payload codec. Crash-time atomicity (losers undone
 // during recovery) lives in undo_recovery_test and the txn simulator;
 // these tests pin the runtime contracts.
 
@@ -111,49 +111,107 @@ TEST(TxnCodecTest, ActionCountPastThePayloadIsCorruption) {
   }
 }
 
-// ---- Checkpoint transaction-table tail ----
+// ---- Checkpoint payload codec ----
+
+// One checkpoint per body; `table` adds a three-entry transaction table.
+std::vector<CheckpointPayload> EveryBody(bool table) {
+  std::vector<CheckpointPayload> checkpoints = {
+      {.redo_start = 42},
+      {.redo_start = 42,
+       .body = CheckpointBody::kDirtyPages,
+       .dpt = {{3, 40}, {5, 41}}},
+      {.redo_start = 42,
+       .body = CheckpointBody::kStagedPages,
+       .staged_pages = {5, 3, 7}},
+  };
+  if (table) {
+    for (CheckpointPayload& checkpoint : checkpoints) {
+      checkpoint.has_txn_table = true;
+      checkpoint.txns = {{3, 90}, {7, 0}, {11, 200}};
+      checkpoint.max_txn_id = 11;
+    }
+  }
+  return checkpoints;
+}
+
+void ExpectSameCheckpoint(const CheckpointPayload& decoded,
+                          const CheckpointPayload& expected) {
+  EXPECT_EQ(decoded.redo_start, expected.redo_start);
+  EXPECT_EQ(decoded.body, expected.body);
+  EXPECT_EQ(decoded.dpt, expected.dpt);
+  EXPECT_EQ(decoded.staged_pages, expected.staged_pages);
+  EXPECT_EQ(decoded.has_txn_table, expected.has_txn_table);
+  ASSERT_EQ(decoded.txns.size(), expected.txns.size());
+  for (size_t i = 0; i < expected.txns.size(); ++i) {
+    EXPECT_EQ(decoded.txns[i].txn_id, expected.txns[i].txn_id);
+    EXPECT_EQ(decoded.txns[i].last_lsn, expected.txns[i].last_lsn);
+  }
+  EXPECT_EQ(decoded.max_txn_id, expected.max_txn_id);
+}
 
 TEST(TxnCheckpointTailTest, TailRoundTripsBehindAnyBody) {
-  // The tail is a self-identifying suffix: whatever body bytes precede
-  // it must come back out untouched by the back-to-front parser.
-  wal::PayloadWriter w;
-  w.U32(0xdeadbeef).U64(12345);  // an arbitrary checkpoint "body"
-  std::vector<TxnTableEntry> entries = {{3, 90}, {7, 0}, {11, 200}};
-  AppendTxnTableTail(w, entries, /*next_txn_id=*/12);
-  const std::vector<uint8_t> payload = w.Take();
-
-  const CheckpointTxnTable table = ReadTxnTableTail(payload);
-  ASSERT_TRUE(table.present);
-  EXPECT_EQ(table.max_txn_id, 11u);  // next_id 12 => highest allocated 11
-  ASSERT_EQ(table.entries.size(), 3u);
-  EXPECT_EQ(table.entries[0].txn_id, 3u);
-  EXPECT_EQ(table.entries[0].last_lsn, 90u);
-  EXPECT_EQ(table.entries[1].txn_id, 7u);
-  EXPECT_EQ(table.entries[1].last_lsn, 0u);
-  EXPECT_EQ(table.entries[2].txn_id, 11u);
-  EXPECT_EQ(table.entries[2].last_lsn, 200u);
+  // The table is a self-identifying suffix and the body is told by its
+  // length: every body comes back out with the table behind it.
+  for (const bool table : {true, false}) {
+    for (const CheckpointPayload& checkpoint : EveryBody(table)) {
+      SCOPED_TRACE(testing::Message() << "body " << int(checkpoint.body)
+                                      << ", table " << table);
+      const std::vector<uint8_t> payload = EncodeCheckpoint(checkpoint);
+      const Result<CheckpointPayload> decoded = DecodeCheckpoint(payload);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      ExpectSameCheckpoint(decoded.value(), checkpoint);
+      EXPECT_EQ(EncodeCheckpoint(decoded.value()), payload);
+    }
+  }
 }
 
 TEST(TxnCheckpointTailTest, EmptyTableStillMarksPresence) {
-  wal::PayloadWriter w;
-  AppendTxnTableTail(w, {}, /*next_txn_id=*/1);
-  const CheckpointTxnTable table = ReadTxnTableTail(w.Take());
-  EXPECT_TRUE(table.present);
-  EXPECT_TRUE(table.entries.empty());
-  EXPECT_EQ(table.max_txn_id, 0u);
+  for (CheckpointPayload checkpoint : EveryBody(/*table=*/false)) {
+    checkpoint.has_txn_table = true;
+    const Result<CheckpointPayload> decoded =
+        DecodeCheckpoint(EncodeCheckpoint(checkpoint));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(decoded.value().has_txn_table);
+    EXPECT_TRUE(decoded.value().txns.empty());
+    EXPECT_EQ(decoded.value().max_txn_id, 0u);
+    ExpectSameCheckpoint(decoded.value(), checkpoint);
+  }
 }
 
 TEST(TxnCheckpointTailTest, PreTxnPayloadsReadAsAbsent) {
-  // Back-compat: a checkpoint payload written before the tail existed
-  // (no magic) must decode as "no table", not as garbage entries.
-  wal::PayloadWriter w;
-  w.U64(42).U32(7);
-  const CheckpointTxnTable table = ReadTxnTableTail(w.Take());
-  EXPECT_FALSE(table.present);
-  EXPECT_TRUE(table.entries.empty());
+  // A checkpoint written without a transaction registry carries no
+  // table: it must decode as "no table", not as garbage entries.
+  wal::PayloadWriter plain;
+  plain.U64(42);
+  wal::PayloadWriter with_dpt;
+  with_dpt.U64(42).U32(1).U32(3).U64(40);
+  for (const std::vector<uint8_t>& payload : {plain.Take(), with_dpt.Take()}) {
+    const Result<CheckpointPayload> decoded = DecodeCheckpoint(payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().redo_start, 42u);
+    EXPECT_FALSE(decoded.value().has_txn_table);
+    EXPECT_TRUE(decoded.value().txns.empty());
+  }
 
-  const CheckpointTxnTable empty = ReadTxnTableTail({});
-  EXPECT_FALSE(empty.present);
+  // A count with no entries behind it, or no redo start at all, is no
+  // checkpoint any writer produces.
+  wal::PayloadWriter count_only;
+  count_only.U64(42).U32(7);
+  EXPECT_EQ(DecodeCheckpoint(count_only.Take()).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(DecodeCheckpoint({}).status().code(), StatusCode::kCorruption);
+}
+
+// A zero count fits both bodies; either way the body is empty.
+TEST(TxnCheckpointTailTest, ZeroCountReadsAsAnEmptyBody) {
+  const CheckpointPayload staged{.redo_start = 9,
+                                 .body = CheckpointBody::kStagedPages};
+  const Result<CheckpointPayload> decoded =
+      DecodeCheckpoint(EncodeCheckpoint(staged));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded.value().dpt.empty());
+  EXPECT_TRUE(decoded.value().staged_pages.empty());
+  EXPECT_EQ(EncodeCheckpoint(decoded.value()), EncodeCheckpoint(staged));
 }
 
 // ---- Registry ----

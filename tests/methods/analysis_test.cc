@@ -4,13 +4,14 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "checker/recovery_checker.h"
 #include "engine/minidb.h"
 #include "engine/workload.h"
-#include "methods/common.h"
+#include "methods/analysis.h"
+#include "obs/recovery_trace.h"
 
 namespace redo::methods {
 namespace {
@@ -37,8 +38,7 @@ TEST(AnalysisTest, CheckpointCarriesDirtyPageTable) {
   const core::Lsn first = db->NewSession().WriteSlot(1, 0, 5).value();
   ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 6).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
-  const methods::EngineContext ctx = db->ctx();
-  const auto dpt = internal_methods::ReadCheckpointDpt(ctx).value();
+  const auto dpt = ReadStableCheckpoint(db->log()).value().payload.dpt;
   ASSERT_EQ(dpt.size(), 2u);
   EXPECT_EQ(dpt.at(1), first);
 }
@@ -47,18 +47,17 @@ TEST(AnalysisTest, PlainCheckpointYieldsEmptyDpt) {
   auto db = MakeDb(MethodKind::kPhysiological);
   ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
-  const methods::EngineContext ctx = db->ctx();
-  EXPECT_TRUE(internal_methods::ReadCheckpointDpt(ctx).value().empty());
+  EXPECT_TRUE(ReadStableCheckpoint(db->log()).value().payload.dpt.empty());
 }
 
-// Every engine checkpoint payload ends with the transaction-table tail.
-// The DPT reader stops where that tail starts, so a checkpoint without a
-// DPT body reads as an empty table instead of the tail misread as DPT
-// entries.
+// Every engine checkpoint payload ends with the transaction table. The
+// decoder finds the table from the back and tells the body by its
+// length, so neither the table nor the logical method's staged-page
+// list is misread as DPT entries.
 TEST(AnalysisTest, CheckpointDptReaderStopsAtTheTxnTail) {
   for (const MethodKind kind :
        {MethodKind::kPhysiological, MethodKind::kGeneralized,
-        MethodKind::kPhysiologicalAnalysis}) {
+        MethodKind::kPhysiologicalAnalysis, MethodKind::kLogical}) {
     engine::MiniDbOptions options;
     options.num_pages = kPages;  // unbounded cache: the concurrent front end
     MiniDb db(options, MakeMethod(kind, {kPages}));
@@ -73,14 +72,74 @@ TEST(AnalysisTest, CheckpointDptReaderStopsAtTheTxnTail) {
     ASSERT_TRUE(session.WriteSlot(4, 0, 4).ok());
     ASSERT_TRUE(db.Checkpoint().ok());
 
-    const Result<std::map<storage::PageId, core::Lsn>> dpt =
-        internal_methods::ReadCheckpointDpt(db.ctx());
-    ASSERT_TRUE(dpt.ok()) << MethodKindName(kind) << ": "
-                          << dpt.status().ToString();
+    const Result<StableCheckpoint> checkpoint = ReadStableCheckpoint(db.log());
+    ASSERT_TRUE(checkpoint.ok()) << MethodKindName(kind) << ": "
+                                 << checkpoint.status().ToString();
+    const engine::CheckpointPayload& payload = checkpoint.value().payload;
+    EXPECT_EQ(payload.txns.size(), 1u) << "the open transaction";
     if (kind == MethodKind::kPhysiologicalAnalysis) {
-      EXPECT_EQ(dpt.value().size(), 4u) << "the four dirty pages";
+      EXPECT_EQ(payload.dpt.size(), 4u) << "the four dirty pages";
     } else {
-      EXPECT_TRUE(dpt.value().empty()) << MethodKindName(kind);
+      EXPECT_TRUE(payload.dpt.empty()) << MethodKindName(kind);
+    }
+    if (kind == MethodKind::kLogical) {
+      EXPECT_EQ(payload.staged_pages,
+                (std::vector<storage::PageId>{1, 2, 3, 4}))
+          << "the four staged pages";
+    } else {
+      EXPECT_TRUE(payload.staged_pages.empty()) << MethodKindName(kind);
+    }
+  }
+}
+
+// Every restart reads the latest stable checkpoint once, with a tracer
+// attached, and hands it to each step that needs it: the stable-state
+// repair, the checkpoint-chosen event and the analysis visit.
+TEST(AnalysisTest, EveryRestartReadsTheCheckpointOnce) {
+  enum class Restart { kSerial, kTwoWorkers, kInstant };
+  for (const MethodKind kind :
+       {MethodKind::kLogical, MethodKind::kPhysical,
+        MethodKind::kPhysiological, MethodKind::kGeneralized,
+        MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial}) {
+    for (const Restart restart :
+         {Restart::kSerial, Restart::kTwoWorkers, Restart::kInstant}) {
+      SCOPED_TRACE(testing::Message() << MethodKindName(kind) << ", restart "
+                                      << static_cast<int>(restart));
+      engine::MiniDbOptions options;
+      options.num_pages = kPages;  // unbounded cache: logical, instant
+      options.engine.parallel_workers =
+          restart == Restart::kTwoWorkers ? 2 : 1;
+      options.engine.instant_restart = restart == Restart::kInstant;
+      options.engine.instant_drain_workers = 1;
+      MiniDb db(options, MakeMethod(kind, {kPages}));
+      for (storage::PageId page = 1; page <= 4; ++page) {
+        ASSERT_TRUE(db.NewSession().WriteSlot(page, 0, page).ok());
+      }
+      ASSERT_TRUE(db.Checkpoint().ok());
+      ASSERT_TRUE(db.NewSession().WriteSlot(5, 0, 5).ok());
+      ASSERT_TRUE(db.log().ForceAll().ok());
+      db.Crash();
+
+      obs::RecoveryTracer tracer;
+      db.Attach(engine::Instrumentation{nullptr, &tracer});
+      const wal::LogStats before = db.log().stats();
+      if (restart == Restart::kInstant) {
+        ASSERT_TRUE(db.RecoverInstant().ok());
+        ASSERT_TRUE(db.WaitUntilRecovered().ok());
+        ASSERT_TRUE(db.EndConcurrent().ok());
+      } else {
+        ASSERT_TRUE(db.Recover().ok());
+      }
+      const wal::LogStats& after = db.log().stats();
+      EXPECT_EQ(after.checkpoint_cache_hits - before.checkpoint_cache_hits +
+                    after.checkpoint_full_scans - before.checkpoint_full_scans,
+                1u);
+      if (kind == MethodKind::kPhysiologicalAnalysis &&
+          restart == Restart::kSerial) {
+        EXPECT_EQ(after.stable_visits - before.stable_visits, 2u)
+            << "the visit, then the redo scan";
+      }
+      db.Attach({});
     }
   }
 }

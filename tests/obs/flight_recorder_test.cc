@@ -160,6 +160,23 @@ TEST_F(FlightRecorderTest, WatchdogPromotesSlowSpans) {
   EXPECT_TRUE(saw_marker);
 }
 
+// The watchdog's threshold is the process-global recorder's own: an
+// engine constructed after it was armed leaves it armed.
+TEST_F(FlightRecorderTest, WatchdogStaysArmedAcrossEngineConstruction) {
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.UseVirtualTicks(true);
+  recorder.set_slow_op_threshold_us(5);
+  engine::MiniDbOptions options;
+  options.num_pages = 4;
+  engine::MiniDb db(options,
+                    methods::MakeMethod(methods::MethodKind::kPhysiological,
+                                        {options.num_pages}));
+  const uint64_t slow = recorder.NowTick();
+  for (int i = 0; i < 10; ++i) recorder.NowTick();
+  recorder.EndSpan(FlightEventType::kSessionOp, slow, /*a0=*/1);
+  EXPECT_EQ(recorder.slow_ops(), 1u);
+}
+
 TEST_F(FlightRecorderTest, ChromeTraceJsonShape) {
   FlightRecorder& recorder = FlightRecorder::Global();
   recorder.UseVirtualTicks(true);

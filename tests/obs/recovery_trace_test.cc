@@ -126,5 +126,19 @@ TEST(RedoVerdictName, CoversEveryVerdict) {
   EXPECT_STREQ(RedoVerdictName(RedoVerdict::kNotExposed), "not-exposed");
 }
 
+// The DESIGN.md §8 reason codes both redo executors emit.
+TEST(RedoVerdictReason, CoversEveryVerdictUnderBothTests) {
+  for (const bool redo_all : {false, true}) {
+    EXPECT_STREQ(RedoVerdictReason(RedoVerdict::kSkippedInstalled, redo_all),
+                 "page-lsn-current");
+    EXPECT_STREQ(RedoVerdictReason(RedoVerdict::kNotExposed, redo_all),
+                 "analysis-dpt");
+  }
+  EXPECT_STREQ(RedoVerdictReason(RedoVerdict::kApplied, /*redo_all=*/true),
+               "redo-all");
+  EXPECT_STREQ(RedoVerdictReason(RedoVerdict::kApplied, /*redo_all=*/false),
+               "page-lsn-older");
+}
+
 }  // namespace
 }  // namespace redo::obs

@@ -330,6 +330,43 @@ TEST(GroupCommitTest, WindowClosesOnceEverySessionJoined) {
   ASSERT_TRUE(log.StopGroupCommit().ok());
 }
 
+// A force that another caller makes (a checkpoint's, a page flush's)
+// acknowledges the waiters it covers, and they leave the window: a
+// second session that then waits alone does not close it early, and
+// each force is credited with the one commit it covered.
+TEST(GroupCommitTest, AWaiterAnotherForceAckedLeavesTheWindow) {
+  std::atomic<int> live_sessions{2};
+  LogManager log;
+  GroupCommitOptions gc = FastOptions();
+  gc.window_us = 10000000;  // 10 s: only an early close ends it in time
+  gc.live_sessions = &live_sessions;
+  ASSERT_TRUE(log.StartGroupCommit(gc).ok());
+  // Each session waits on its own record; the caller's own force acks it.
+  auto wait_then_force = [&log](std::chrono::milliseconds linger) {
+    const core::Lsn lsn = log.Append(RecordType::kSlotWrite, {});
+    std::atomic<bool> acked{false};
+    std::thread session([&log, &acked, lsn] {
+      ASSERT_TRUE(log.CommitWait(lsn, LogManager::Waiter::kSession).ok());
+      acked.store(true);
+    });
+    std::this_thread::sleep_for(linger);
+    const bool acked_before_force = acked.load();
+    EXPECT_TRUE(log.Force(lsn).ok());
+    session.join();
+    return acked_before_force;
+  };
+  ASSERT_FALSE(wait_then_force(std::chrono::milliseconds(20)));
+  EXPECT_FALSE(wait_then_force(std::chrono::milliseconds(50)))
+      << "the second session waited alone, one of two live sessions, "
+         "yet the window closed";
+  EXPECT_EQ(log.stats().group_early_closes, 0u);
+  EXPECT_EQ(log.stats().group_commits, 2u);
+  EXPECT_EQ(log.stats().group_max_batch, 1u);
+  EXPECT_EQ(log.stats().group_batches, 0u)
+      << "the callers' forces covered every waiter";
+  ASSERT_TRUE(log.StopGroupCommit().ok());
+}
+
 // A waiter that is not a session (a fuzzy checkpoint) never closes the
 // window on a live session that has not joined.
 TEST(GroupCommitTest, NonSessionWaitKeepsTheFullWindow) {

@@ -186,10 +186,7 @@ int RunParallelSpeedup() {
               "model x4");
 
   bool physical_meets_target = false;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     engine::MiniDbOptions db_options;
     db_options.num_pages = kPages;
     db_options.cache_capacity = 0;  // unbounded: time redo, not eviction
@@ -391,10 +388,7 @@ int RunInstantRestart() {
               "backgrnd", "drain ms", "depth");
 
   bool physical_meets_target = false;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     const InstantTiming t = RunInstantConfig(kind, kPages, kActions, kRepeats);
     const double ratio =
         t.offline_us > 0 ? double(t.ttfc_us) / double(t.offline_us) : 0.0;
@@ -524,10 +518,7 @@ int RunFrontendThroughput() {
               "f/c@4", "p50@4", "p95@4", "p99@4");
 
   bool physical_meets_target = false;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     FrontendRow rows[4];
     for (size_t s = 0; s < 4; ++s) {
       rows[s] = RunFrontendConfig(kind, kSessionCounts[s]);
@@ -583,10 +574,7 @@ int RunTracingOverhead() {
 
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   bool within_budget = true;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     double best_off = 0.0, best_on = 0.0;
     for (size_t repeat = 0; repeat < kRepeats; ++repeat) {
       recorder.set_enabled(false);
@@ -811,10 +799,7 @@ int RunTxnUndoCost() {
               "losers", "clrs", "walked", "records", "undo ms", "total ms");
 
   bool silent_at_zero = true;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     for (const size_t abort_percent : kAbortPercents) {
       engine::MiniDbOptions db_options;
       db_options.num_pages = kPages;
@@ -953,10 +938,7 @@ int main(int argc, char** argv) {
   std::printf("%-16s %10s %12s %11s %11s %9s %9s\n", "", "holds",
               "recovered", "", "writes", "forces", "");
   std::vector<std::pair<MethodKind, MatrixRow>> rows;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     rows.emplace_back(kind, RunMethod(kind, kSeeds));
     const MatrixRow& row = rows.back().second;
     std::printf("%-16s %10s %12zu %11llu %11llu %9llu %9zu\n",
@@ -971,19 +953,17 @@ int main(int argc, char** argv) {
   std::printf("\nRecovery observability (redo-test verdicts across every\n"
               "crash-sim recovery; phase wall time from one traced\n"
               "full-log recovery per seed):\n\n");
-  std::printf("%-16s %9s %9s %9s %12s %13s\n", "method", "applied", "skipped",
-              "notexp", "analysis us", "redo-scan us");
+  std::printf("%-16s %9s %9s %9s %13s\n", "method", "applied", "skipped",
+              "notexp", "redo-scan us");
   for (const auto& [kind, row] : rows) {
-    const auto phase = [&row](const char* name) -> unsigned long long {
-      const auto it = row.phase_us.find(name);
-      return it != row.phase_us.end() ? it->second : 0;
-    };
-    std::printf("%-16s %9llu %9llu %9llu %12llu %13llu\n",
+    const auto scan = row.phase_us.find("redo-scan");
+    std::printf("%-16s %9llu %9llu %9llu %13llu\n",
                 methods::MethodKindName(kind),
                 (unsigned long long)row.applied,
                 (unsigned long long)row.skipped_installed,
-                (unsigned long long)row.not_exposed, phase("analysis"),
-                phase("redo-scan"));
+                (unsigned long long)row.not_exposed,
+                (unsigned long long)(scan != row.phase_us.end() ? scan->second
+                                                                 : 0));
   }
   std::printf(
       "\nThe verdict columns are the paper's redo test made visible:\n"

@@ -17,12 +17,14 @@
 // parseable by `python3 -m json.tool`, which is exactly what CI runs
 // against it.
 //
-// Usage: log_inspector [--json] [method: logical|physical|physiological|
-//                       generalized|aries] [actions] [seed]
+// Usage: log_inspector [--json] [method] [actions] [seed]
+// `method` is one of methods::MethodKindName's six names (default
+// physiological); any other name prints them and exits 2.
 
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -167,18 +169,6 @@ std::map<uint64_t, std::vector<ClrEntry>> CollectClrChains(
   return chains;
 }
 
-methods::MethodKind ParseMethod(const char* name) {
-  if (std::strcmp(name, "logical") == 0) return methods::MethodKind::kLogical;
-  if (std::strcmp(name, "physical") == 0) return methods::MethodKind::kPhysical;
-  if (std::strcmp(name, "generalized") == 0) {
-    return methods::MethodKind::kGeneralized;
-  }
-  if (std::strcmp(name, "aries") == 0) {
-    return methods::MethodKind::kPhysiologicalAnalysis;
-  }
-  return methods::MethodKind::kPhysiological;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -188,8 +178,17 @@ int main(int argc, char** argv) {
     --argc;
     ++argv;
   }
-  const methods::MethodKind kind =
-      argc > 1 ? ParseMethod(argv[1]) : methods::MethodKind::kPhysiological;
+  const std::optional<methods::MethodKind> kind =
+      argc > 1 ? methods::ParseMethodKind(argv[1])
+               : methods::MethodKind::kPhysiological;
+  if (!kind.has_value()) {
+    std::fprintf(stderr, "unknown method '%s'; one of:", argv[1]);
+    for (const methods::MethodKind k : methods::kMethodKinds) {
+      std::fprintf(stderr, " %s", methods::MethodKindName(k));
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
   const int actions = argc > 2 ? std::atoi(argv[2]) : 60;
   const uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 12;
 
@@ -201,7 +200,7 @@ int main(int argc, char** argv) {
   // Small segments so the workload seals a few and the segment map below
   // has something to show.
   options.wal.segment_bytes = 256;
-  engine::MiniDb db(options, methods::MakeMethod(kind, {options.num_pages}));
+  engine::MiniDb db(options, methods::MakeMethod(*kind, {options.num_pages}));
   engine::TraceRecorder trace(db.disk());
   db.Attach(redo::engine::Instrumentation{&trace, nullptr});
 

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -45,23 +46,13 @@ std::atomic<bool> g_stop{false};
 void HandleSignal(int) { g_stop.store(true); }
 
 redo::methods::MethodKind ParseMethod(const std::string& name) {
-  using redo::methods::MethodKind;
-  const struct {
-    const char* name;
-    MethodKind kind;
-  } kinds[] = {
-      {"logical", MethodKind::kLogical},
-      {"physical", MethodKind::kPhysical},
-      {"physiological", MethodKind::kPhysiological},
-      {"generalized", MethodKind::kGeneralized},
-      {"physiological-analysis", MethodKind::kPhysiologicalAnalysis},
-      {"physical-partial", MethodKind::kPhysicalPartial},
-  };
-  for (const auto& k : kinds) {
-    if (name == k.name) return k.kind;
-  }
+  using namespace redo::methods;
+  const std::optional<MethodKind> kind = ParseMethodKind(name);
+  if (kind.has_value()) return *kind;
   std::fprintf(stderr, "unknown --method '%s'; one of:", name.c_str());
-  for (const auto& k : kinds) std::fprintf(stderr, " %s", k.name);
+  for (const MethodKind k : kMethodKinds) {
+    std::fprintf(stderr, " %s", MethodKindName(k));
+  }
   std::fprintf(stderr, "\n");
   std::exit(2);
 }

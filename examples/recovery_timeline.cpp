@@ -15,8 +15,9 @@
 //   --json       one JSON document {"runs":[{method, timeline, metrics}]}
 //                (parseable by `python3 -m json.tool`; CI does exactly that)
 //   --no-timing  omit wall-clock fields for byte-identical output
-//   --method     run only one method (logical | physical | physiological
-//                | generalized-lsn)
+//   --method     run only the named method, any of methods::MethodKindName's
+//                six (default: logical, physical, physiological and
+//                generalized-lsn)
 //   --trace-out  instead of the timeline, run a recover-then-serve
 //                scenario (group commit, crash, instant restart, session
 //                traffic racing the drain) and write the flight
@@ -26,6 +27,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -229,22 +231,28 @@ int main(int argc, char** argv) {
   }
   if (!trace_out.empty()) return RunTraceScenario(trace_out);
 
+  std::vector<methods::MethodKind> kinds = {
+      methods::MethodKind::kLogical, methods::MethodKind::kPhysical,
+      methods::MethodKind::kPhysiological, methods::MethodKind::kGeneralized};
+  if (!only_method.empty()) {
+    const std::optional<methods::MethodKind> kind =
+        methods::ParseMethodKind(only_method);
+    if (!kind.has_value()) {
+      std::fprintf(stderr, "unknown method '%s'; one of:",
+                   only_method.c_str());
+      for (const methods::MethodKind k : methods::kMethodKinds) {
+        std::fprintf(stderr, " %s", methods::MethodKindName(k));
+      }
+      std::fprintf(stderr, "\n");
+      return 2;
+    }
+    kinds = {*kind};
+  }
   std::vector<RunOutput> runs;
   bool all_ok = true;
-  for (const methods::MethodKind kind :
-       {methods::MethodKind::kLogical, methods::MethodKind::kPhysical,
-        methods::MethodKind::kPhysiological,
-        methods::MethodKind::kGeneralized}) {
-    if (!only_method.empty() &&
-        only_method != methods::MethodKindName(kind)) {
-      continue;
-    }
+  for (const methods::MethodKind kind : kinds) {
     runs.push_back(RunScenario(kind, include_timing));
     all_ok = all_ok && runs.back().ok;
-  }
-  if (runs.empty()) {
-    std::fprintf(stderr, "unknown method '%s'\n", only_method.c_str());
-    return 2;
   }
 
   if (json) {

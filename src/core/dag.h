@@ -22,7 +22,7 @@ namespace redo::core {
 ///
 /// Edge insertion does not enforce acyclicity (callers constructing
 /// graphs from execution orders are acyclic by construction; the write
-/// graph checks acyclicity explicitly via WouldCreateCycle / IsAcyclic).
+/// graph checks acyclicity explicitly via IsAcyclic).
 class Dag {
  public:
   Dag() = default;
@@ -45,12 +45,6 @@ class Dag {
   /// True if there is a path u -> v (u != v; a node does not reach
   /// itself). O(E) DFS; use Ancestors() for repeated queries.
   bool HasPath(uint32_t u, uint32_t v) const;
-
-  /// True if adding u -> v would create a cycle (i.e. v already reaches u
-  /// or u == v).
-  bool WouldCreateCycle(uint32_t u, uint32_t v) const {
-    return u == v || HasPath(v, u);
-  }
 
   /// True if the graph is acyclic.
   bool IsAcyclic() const;

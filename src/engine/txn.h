@@ -114,8 +114,8 @@ Result<uint64_t> DecodeTxnMeta(const std::vector<uint8_t>& payload);
 
 /// Applies every action of a CLR (or a runtime rollback step) to the
 /// cached pages and tags them with `lsn` — the one definition of what a
-/// compensation record *does*, shared by the serial redo scans, the
-/// parallel scheduler, the instant-restart driver, and the undo pass.
+/// compensation record *does*, shared by the runtime rollback and the
+/// undo pass; redo applies it action by action (ApplyOneUndoAction).
 Status ApplyUndoActions(storage::BufferPool* pool,
                         const std::vector<UndoAction>& actions, core::Lsn lsn);
 

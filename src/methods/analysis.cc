@@ -11,42 +11,32 @@ namespace {
 
 // Rolls the transaction table forward over one record.
 Status NoteTxnRecord(const wal::LogRecord& record, TxnAnalysis& analysis) {
+  uint64_t txn = 0;
   switch (record.type) {
-    case wal::RecordType::kTxnBegin: {
-      Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
-      if (!txn.ok()) return txn.status();
-      analysis.losers.emplace(txn.value(), 0);
-      analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
-      ++analysis.records_seen;
-      break;
-    }
-    case wal::RecordType::kTxnCommit: {
-      Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
-      if (!txn.ok()) return txn.status();
-      analysis.winners.insert(txn.value());
-      analysis.losers.erase(txn.value());
-      analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
-      ++analysis.records_seen;
-      break;
-    }
+    case wal::RecordType::kTxnBegin:
+    case wal::RecordType::kTxnCommit:
     case wal::RecordType::kTxnEnd: {
-      // Fully rolled back before the crash (a commit ends at its
-      // kTxnCommit): nothing remains to undo.
-      Result<uint64_t> txn = engine::DecodeTxnMeta(record.payload);
-      if (!txn.ok()) return txn.status();
-      analysis.losers.erase(txn.value());
-      analysis.max_txn_id = std::max(analysis.max_txn_id, txn.value());
-      ++analysis.records_seen;
+      Result<uint64_t> meta = engine::DecodeTxnMeta(record.payload);
+      if (!meta.ok()) return meta.status();
+      txn = meta.value();
+      if (record.type == wal::RecordType::kTxnBegin) {
+        analysis.losers.emplace(txn, 0);
+        break;
+      }
+      // A commit wins; a kTxnEnd closes a rollback finished before the
+      // crash (a commit ends at its kTxnCommit). Neither leaves undo.
+      if (record.type == wal::RecordType::kTxnCommit) {
+        analysis.winners.insert(txn);
+      }
+      analysis.losers.erase(txn);
       break;
     }
     case wal::RecordType::kTxnUpdate: {
       Result<engine::TxnUpdate> update =
           engine::DecodeTxnUpdate(record.payload);
       if (!update.ok()) return update.status();
-      analysis.losers[update.value().txn_id] = record.lsn;
-      analysis.max_txn_id =
-          std::max(analysis.max_txn_id, update.value().txn_id);
-      ++analysis.records_seen;
+      txn = update.value().txn_id;
+      analysis.losers[txn] = record.lsn;
       break;
     }
     case wal::RecordType::kClr: {
@@ -55,14 +45,15 @@ Status NoteTxnRecord(const wal::LogRecord& record, TxnAnalysis& analysis) {
       // already-compensated prefix via undo_next.
       Result<engine::Clr> clr = engine::DecodeClr(record.payload);
       if (!clr.ok()) return clr.status();
-      analysis.losers[clr.value().txn_id] = record.lsn;
-      analysis.max_txn_id = std::max(analysis.max_txn_id, clr.value().txn_id);
-      ++analysis.records_seen;
+      txn = clr.value().txn_id;
+      analysis.losers[txn] = record.lsn;
       break;
     }
     default:
-      break;
+      return Status::Ok();
   }
+  analysis.max_txn_id = std::max(analysis.max_txn_id, txn);
+  ++analysis.records_seen;
   return Status::Ok();
 }
 
@@ -78,13 +69,153 @@ par::InstantRedoOptions RedoRule(const RecoveryMethod& method) {
   return rule;
 }
 
-// The visit. Without a method it builds the transaction table alone;
-// with one it also seeds the DPT at the checkpoint's (when the method
-// rebuilds one) and extends it by every later record; with `plan` it
-// also plans every record from the redo start.
+// The Figure 6 loop body (see ReplayInLogOrder), one decoded record at
+// a time. `rule` is read as it stands at each record: the serial visit
+// grows its DPT while replaying. Null `stats` counts nothing.
+struct LogOrderReplayer {
+  EngineContext& ctx;
+  const par::InstantRedoOptions& rule;
+  RedoScanStats* stats;
+  const bool redo_all = rule.mode == par::InstantRedoOptions::Mode::kRedoAll;
+  RedoScanStats ignored{};
+  RedoScanStats& s = stats != nullptr ? *stats : ignored;
+
+  Status Replay(const wal::LogRecord& record, const par::RedoTask& task) {
+    storage::BufferPool* pool = ctx.pool;
+    const core::Lsn lsn = task.lsn;
+    ++s.scanned;
+    switch (task.kind) {
+      case par::RedoTaskKind::kSinglePage: {
+        Result<bool> apply = MustApply(task.op.page, lsn);
+        if (!apply.ok()) return apply.status();
+        if (!apply.value()) break;
+        REDO_RETURN_IF_ERROR(
+            internal_methods::RedoSinglePageOp(ctx, task.op, lsn));
+        Applied(lsn, task.op.page);
+        break;
+      }
+      case par::RedoTaskKind::kPageImage: {
+        Result<bool> apply = MustApply(task.image_page, lsn);
+        if (!apply.ok()) return apply.status();
+        if (!apply.value()) break;
+        Result<engine::PageImageView> image =
+            engine::ParsePageImage(record.payload);
+        if (!image.ok()) return image.status();
+        Result<storage::Page*> cached = pool->Fetch(task.image_page);
+        if (!cached.ok()) return cached.status();
+        // The image carries its own LSN.
+        image.value().InstallInto(cached.value());
+        REDO_RETURN_IF_ERROR(pool->MarkDirty(task.image_page, lsn));
+        Applied(lsn, task.image_page);
+        break;
+      }
+      case par::RedoTaskKind::kSplitDst: {
+        const engine::SplitOp& split = task.split;
+        Result<bool> apply = MustApply(split.dst, lsn);
+        if (!apply.ok()) return apply.status();
+        if (!apply.value()) break;
+        Result<storage::Page*> src = Fetch(split.src);
+        if (!src.ok()) return src.status();
+        // Copy src out: fetching one page may evict the other under a
+        // tiny cache capacity, invalidating the first pointer.
+        const storage::Page src_copy = *src.value();
+        Result<storage::Page*> dst = Fetch(split.dst);
+        if (!dst.ok()) return dst.status();
+        // Re-run the LSN test on the refetched dst: the fetches between
+        // can change what the cache holds, and an already-current dst
+        // must never absorb the split twice (a kSlotTransfer
+        // double-apply corrupts the slot).
+        if (!redo_all && dst.value()->lsn() >= lsn) {
+          Emit(lsn, split.dst, obs::RedoVerdict::kSkippedInstalled);
+          break;
+        }
+        engine::ApplySplitToDst(split, src_copy, dst.value());
+        REDO_RETURN_IF_ERROR(pool->MarkDirty(split.dst, lsn));
+        Applied(lsn, split.dst);
+        if (rule.add_split_constraints) {
+          // Same acyclicity rule as during normal operation.
+          if (pool->HasPendingOrderPath(split.src, split.dst)) {
+            REDO_RETURN_IF_ERROR(pool->FlushPageCascading(split.dst));
+          } else {
+            pool->AddWriteOrderConstraint(split.dst, lsn, split.src);
+          }
+        }
+        break;
+      }
+      case par::RedoTaskKind::kWholeSplit:
+        // The logical method's whole split, under its redo-all test.
+        REDO_RETURN_IF_ERROR(
+            internal_methods::ApplyWholeSplit(ctx, task.split, lsn));
+        Applied(lsn, task.split.dst);
+        break;
+      case par::RedoTaskKind::kClrRestore: {
+        // A CLR from an earlier rollback: restore each action's page
+        // (absolute), testing each page on its own.
+        bool any = false;
+        for (const engine::UndoAction& action : task.clr_actions) {
+          Result<bool> apply = MustApply(action.page, lsn);
+          if (!apply.ok()) return apply.status();
+          if (!apply.value()) continue;
+          REDO_RETURN_IF_ERROR(engine::ApplyOneUndoAction(pool, action, lsn));
+          any = true;
+          Emit(lsn, action.page, obs::RedoVerdict::kApplied);
+        }
+        if (any) ++s.replayed;
+        break;
+      }
+    }
+    return Status::Ok();
+  }
+
+  void Emit(core::Lsn lsn, storage::PageId page, obs::RedoVerdict verdict) {
+    if (ctx.tracer == nullptr) return;
+    ctx.tracer->Verdict(lsn, page, verdict,
+                        obs::RedoVerdictReason(verdict, redo_all));
+  }
+
+  Result<storage::Page*> Fetch(storage::PageId page) {
+    ++s.page_fetches;
+    return ctx.pool->Fetch(page);
+  }
+
+  // The redo test for one page of one record. Redo-all replays it. The
+  // page-LSN test skips a page the DPT rules out without any I/O (§4.3:
+  // the operation is provably not exposed), and otherwise fetches the
+  // page and replays only onto an older LSN; the apply fetches again.
+  Result<bool> MustApply(storage::PageId page, core::Lsn lsn) {
+    if (redo_all) return true;
+    if (rule.use_dpt) {
+      const auto it = rule.dpt.find(page);
+      if (it == rule.dpt.end() || lsn < it->second) {
+        ++s.skipped_without_fetch;
+        Emit(lsn, page, obs::RedoVerdict::kNotExposed);
+        return false;
+      }
+    }
+    Result<storage::Page*> cached = Fetch(page);
+    if (!cached.ok()) return cached.status();
+    if (cached.value()->lsn() < lsn) return true;
+    Emit(lsn, page, obs::RedoVerdict::kSkippedInstalled);
+    return false;
+  }
+
+  void Applied(core::Lsn lsn, storage::PageId page) {
+    ++s.replayed;
+    Emit(lsn, page, obs::RedoVerdict::kApplied);
+  }
+};
+
+// What one visit does besides rolling the transaction table forward:
+// nothing, or grow the DPT and plan or replay each redo record.
+enum class VisitMode { kTxnsOnly, kPlan, kReplay };
+
+// The visit. Without a method it rolls the transaction table forward
+// alone; with one it also grows the DPT and classifies and decodes each
+// record from the redo start once, then plans or replays it.
 Result<RestartAnalysis> Visit(EngineContext& ctx,
                               const StableCheckpoint& checkpoint,
-                              const RecoveryMethod* method, bool plan) {
+                              const RecoveryMethod* method, VisitMode mode,
+                              RedoScanStats* stats = nullptr) {
   RestartAnalysis out;
   // The checkpoint's transaction table is the table as of its record,
   // so the table rolls forward from that record on; the DPT it carries
@@ -100,17 +231,20 @@ Result<RestartAnalysis> Visit(EngineContext& ctx,
   core::Lsn from = txn_from;
   RecoveryMethod::RedoPlanning planning;
   std::optional<par::RedoPlanBuilder> builder;
-  if (method != nullptr) {
+  std::optional<LogOrderReplayer> replayer;
+  if (mode != VisitMode::kTxnsOnly) {
     planning = method->redo_planning();
     out.redo = RedoRule(*method);
     if (planning.analysis_dpt) {
       out.redo.use_dpt = true;
       out.redo.dpt = checkpoint.payload.dpt;
     }
-    if (plan) {
-      from = std::min(from, redo_start);
+    from = std::min(from, redo_start);
+    if (mode == VisitMode::kPlan) {
       builder.emplace(/*supersede_images=*/out.redo.mode ==
                       par::InstantRedoOptions::Mode::kRedoAll);
+    } else {
+      replayer.emplace(ctx, out.redo, stats);
     }
   }
 
@@ -119,21 +253,35 @@ Result<RestartAnalysis> Visit(EngineContext& ctx,
         if (record.lsn >= txn_from) {
           REDO_RETURN_IF_ERROR(NoteTxnRecord(record, out.txns));
         }
-        const bool planned = builder.has_value() && record.lsn >= redo_start;
+        const bool redone =
+            mode != VisitMode::kTxnsOnly && record.lsn >= redo_start;
         const bool extends_dpt = out.redo.use_dpt && record.lsn >= dpt_from;
-        if (!planned && !extends_dpt) return Status::Ok();
-        if (planned) REDO_RETURN_IF_ERROR(method->ClassifyRecord(record.type));
+        if (!redone && !extends_dpt) return Status::Ok();
+        if (redone) REDO_RETURN_IF_ERROR(method->ClassifyRecord(record.type));
         Result<std::optional<par::RedoTask>> task =
             par::DecodeRedoTask(record, planning.whole_splits);
         if (!task.ok()) return task.status();
         if (!task.value().has_value()) return Status::Ok();
-        // emplace keeps each page's earliest rec_lsn.
+        // The DPT grows before the record replays (emplace keeps each
+        // page's earliest rec_lsn), so every verdict equals one against
+        // the complete DPT. After the checkpoint a page enters only at
+        // its first touch: a record's page holds the checkpoint's entry
+        // or one no later than the record, as in the complete DPT.
+        // Before the checkpoint only its own entries exist; a page
+        // first dirtied after it has a rec_lsn above every such record,
+        // so both DPTs read not-exposed. Grown after the replay, a
+        // page's first touch after the checkpoint would read
+        // not-exposed.
         if (extends_dpt) {
           for (storage::PageId page : task.value()->Writes()) {
             out.redo.dpt.emplace(page, record.lsn);
           }
         }
-        if (planned) builder->Add(std::move(*task.value()));
+        if (!redone) return Status::Ok();
+        if (replayer.has_value()) {
+          return replayer->Replay(record, *task.value());
+        }
+        builder->Add(std::move(*task.value()));
         return Status::Ok();
       });
   if (!visited.ok()) return visited.status();
@@ -145,10 +293,10 @@ Result<RestartAnalysis> Visit(EngineContext& ctx,
   return out;
 }
 
-}  // namespace
-
-Result<RestartAnalysis> AnalyzeForRestart(RecoveryMethod& method,
-                                          EngineContext& ctx) {
+// Every restart's preamble: the latest stable checkpoint, read once,
+// the method's stable-state repair and the checkpoint-chosen event.
+Result<StableCheckpoint> OpenRestart(RecoveryMethod& method,
+                                     EngineContext& ctx) {
   Result<StableCheckpoint> checkpoint = ReadStableCheckpoint(*ctx.log);
   if (!checkpoint.ok()) return checkpoint.status();
   REDO_RETURN_IF_ERROR(method.PrepareStableState(ctx, checkpoint.value()));
@@ -156,14 +304,24 @@ Result<RestartAnalysis> AnalyzeForRestart(RecoveryMethod& method,
     ctx.tracer->CheckpointChosen(checkpoint.value().lsn,
                                  checkpoint.value().payload.redo_start);
   }
-  return Visit(ctx, checkpoint.value(), &method, /*plan=*/true);
+  return checkpoint;
+}
+
+}  // namespace
+
+Result<RestartAnalysis> AnalyzeForRestart(RecoveryMethod& method,
+                                          EngineContext& ctx) {
+  Result<StableCheckpoint> checkpoint = OpenRestart(method, ctx);
+  if (!checkpoint.ok()) return checkpoint.status();
+  return Visit(ctx, checkpoint.value(), &method, VisitMode::kPlan);
 }
 
 Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx) {
   Result<StableCheckpoint> checkpoint = ReadStableCheckpoint(*ctx.log);
   if (!checkpoint.ok()) return checkpoint.status();
-  Result<RestartAnalysis> visited =
-      Visit(ctx, checkpoint.value(), /*method=*/nullptr, /*plan=*/false);
+  Result<RestartAnalysis> visited = Visit(ctx, checkpoint.value(),
+                                          /*method=*/nullptr,
+                                          VisitMode::kTxnsOnly);
   if (!visited.ok()) return visited.status();
   return std::move(visited.value().txns);
 }
@@ -172,137 +330,15 @@ Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
                         std::span<const wal::LogRecord> records,
                         const par::InstantRedoOptions& rule,
                         RedoScanStats* stats) {
-  using obs::RedoVerdict;
-  const bool redo_all = rule.mode == par::InstantRedoOptions::Mode::kRedoAll;
   const bool whole_splits = method.redo_planning().whole_splits;
-  storage::BufferPool* pool = ctx.pool;
-  RedoScanStats ignored;
-  RedoScanStats& s = stats != nullptr ? *stats : ignored;
-
-  auto emit = [&ctx, redo_all](core::Lsn lsn, storage::PageId page,
-                               RedoVerdict verdict) {
-    if (ctx.tracer == nullptr) return;
-    ctx.tracer->Verdict(lsn, page, verdict,
-                        obs::RedoVerdictReason(verdict, redo_all));
-  };
-  auto fetch = [pool, &s](storage::PageId page) {
-    ++s.page_fetches;
-    return pool->Fetch(page);
-  };
-  // The redo test for one page of one record. Redo-all replays it. The
-  // page-LSN test skips a page the DPT rules out without any I/O (§4.3:
-  // the operation is provably not exposed), and otherwise fetches the
-  // page and replays only onto an older LSN; the apply fetches again.
-  auto must_apply = [&](storage::PageId page, core::Lsn lsn) -> Result<bool> {
-    if (redo_all) return true;
-    if (rule.use_dpt) {
-      const auto it = rule.dpt.find(page);
-      if (it == rule.dpt.end() || lsn < it->second) {
-        ++s.skipped_without_fetch;
-        emit(lsn, page, RedoVerdict::kNotExposed);
-        return false;
-      }
-    }
-    Result<storage::Page*> cached = fetch(page);
-    if (!cached.ok()) return cached.status();
-    if (cached.value()->lsn() < lsn) return true;
-    emit(lsn, page, RedoVerdict::kSkippedInstalled);
-    return false;
-  };
-  auto applied = [&](core::Lsn lsn, storage::PageId page) {
-    ++s.replayed;
-    emit(lsn, page, RedoVerdict::kApplied);
-  };
-
+  LogOrderReplayer replayer{ctx, rule, stats};
   for (const wal::LogRecord& record : records) {
     REDO_RETURN_IF_ERROR(method.ClassifyRecord(record.type));
-    Result<std::optional<par::RedoTask>> decoded =
+    Result<std::optional<par::RedoTask>> task =
         par::DecodeRedoTask(record, whole_splits);
-    if (!decoded.ok()) return decoded.status();
-    if (!decoded.value().has_value()) continue;  // carries no redo work
-    const par::RedoTask& task = *decoded.value();
-    const core::Lsn lsn = task.lsn;
-    ++s.scanned;
-    switch (task.kind) {
-      case par::RedoTaskKind::kSinglePage: {
-        Result<bool> apply = must_apply(task.op.page, lsn);
-        if (!apply.ok()) return apply.status();
-        if (!apply.value()) break;
-        REDO_RETURN_IF_ERROR(
-            internal_methods::RedoSinglePageOp(ctx, task.op, lsn));
-        applied(lsn, task.op.page);
-        break;
-      }
-      case par::RedoTaskKind::kPageImage: {
-        Result<bool> apply = must_apply(task.image_page, lsn);
-        if (!apply.ok()) return apply.status();
-        if (!apply.value()) break;
-        Result<engine::PageImageView> image =
-            engine::ParsePageImage(record.payload);
-        if (!image.ok()) return image.status();
-        Result<storage::Page*> cached = pool->Fetch(task.image_page);
-        if (!cached.ok()) return cached.status();
-        // The image carries its own LSN.
-        image.value().InstallInto(cached.value());
-        REDO_RETURN_IF_ERROR(pool->MarkDirty(task.image_page, lsn));
-        applied(lsn, task.image_page);
-        break;
-      }
-      case par::RedoTaskKind::kSplitDst: {
-        const engine::SplitOp& split = task.split;
-        Result<bool> apply = must_apply(split.dst, lsn);
-        if (!apply.ok()) return apply.status();
-        if (!apply.value()) break;
-        Result<storage::Page*> src = fetch(split.src);
-        if (!src.ok()) return src.status();
-        // Copy src out: fetching one page may evict the other under a
-        // tiny cache capacity, invalidating the first pointer.
-        const storage::Page src_copy = *src.value();
-        Result<storage::Page*> dst = fetch(split.dst);
-        if (!dst.ok()) return dst.status();
-        // Re-run the LSN test on the refetched dst: the fetches between
-        // can change what the cache holds, and an already-current dst
-        // must never absorb the split twice (a kSlotTransfer
-        // double-apply corrupts the slot).
-        if (!redo_all && dst.value()->lsn() >= lsn) {
-          emit(lsn, split.dst, RedoVerdict::kSkippedInstalled);
-          break;
-        }
-        engine::ApplySplitToDst(split, src_copy, dst.value());
-        REDO_RETURN_IF_ERROR(pool->MarkDirty(split.dst, lsn));
-        applied(lsn, split.dst);
-        if (rule.add_split_constraints) {
-          // Same acyclicity rule as during normal operation.
-          if (pool->HasPendingOrderPath(split.src, split.dst)) {
-            REDO_RETURN_IF_ERROR(pool->FlushPageCascading(split.dst));
-          } else {
-            pool->AddWriteOrderConstraint(split.dst, lsn, split.src);
-          }
-        }
-        break;
-      }
-      case par::RedoTaskKind::kWholeSplit:
-        // The logical method's whole split, under its redo-all test.
-        REDO_RETURN_IF_ERROR(
-            internal_methods::ApplyWholeSplit(ctx, task.split, lsn));
-        applied(lsn, task.split.dst);
-        break;
-      case par::RedoTaskKind::kClrRestore: {
-        // A CLR from an earlier rollback: restore each action's page
-        // (absolute), testing each page on its own.
-        bool any = false;
-        for (const engine::UndoAction& action : task.clr_actions) {
-          Result<bool> apply = must_apply(action.page, lsn);
-          if (!apply.ok()) return apply.status();
-          if (!apply.value()) continue;
-          REDO_RETURN_IF_ERROR(engine::ApplyOneUndoAction(pool, action, lsn));
-          any = true;
-          emit(lsn, action.page, RedoVerdict::kApplied);
-        }
-        if (any) ++s.replayed;
-        break;
-      }
-    }
+    if (!task.ok()) return task.status();
+    if (!task.value().has_value()) continue;  // carries no redo work
+    REDO_RETURN_IF_ERROR(replayer.Replay(record, *task.value()));
   }
   return Status::Ok();
 }
@@ -310,27 +346,12 @@ Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
 Result<TxnAnalysis> RestartInLogOrder(RecoveryMethod& method,
                                       EngineContext& ctx,
                                       RedoScanStats* stats) {
-  Result<StableCheckpoint> checkpoint = ReadStableCheckpoint(*ctx.log);
-  if (!checkpoint.ok()) return checkpoint.status();
-  Result<RestartAnalysis> visited = [&] {
-    // Only the method that rebuilds a DPT shows the visit as a phase.
-    obs::PhaseScope phase(
-        method.redo_planning().analysis_dpt ? ctx.tracer : nullptr,
-        "analysis");
-    return Visit(ctx, checkpoint.value(), &method, /*plan=*/false);
-  }();
-  if (!visited.ok()) return visited.status();
   obs::PhaseScope phase(ctx.tracer, "redo-scan");
-  REDO_RETURN_IF_ERROR(method.PrepareStableState(ctx, checkpoint.value()));
-  if (ctx.tracer != nullptr) {
-    ctx.tracer->CheckpointChosen(checkpoint.value().lsn,
-                                 checkpoint.value().payload.redo_start);
-  }
-  Result<std::vector<wal::LogRecord>> records =
-      ctx.log->StableRecords(checkpoint.value().payload.redo_start);
-  if (!records.ok()) return records.status();
-  REDO_RETURN_IF_ERROR(ReplayInLogOrder(method, ctx, records.value(),
-                                        visited.value().redo, stats));
+  Result<StableCheckpoint> checkpoint = OpenRestart(method, ctx);
+  if (!checkpoint.ok()) return checkpoint.status();
+  Result<RestartAnalysis> visited =
+      Visit(ctx, checkpoint.value(), &method, VisitMode::kReplay, stats);
+  if (!visited.ok()) return visited.status();
   return std::move(visited.value().txns);
 }
 

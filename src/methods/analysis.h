@@ -12,16 +12,17 @@
 //
 // Every restart reads the latest stable checkpoint once
 // (ReadStableCheckpoint) and hands it to the method's PrepareStableState,
-// the checkpoint-chosen event and the visit. Instant restart and the
-// parallel quiescing restart (Recover with parallel_workers > 1) run the
-// whole visit, and both replay its plan through one executor,
-// par::InstantRedoDriver (redo/instant.h). The serial restart
-// (RestartInLogOrder) runs the visit without a plan, then the paper's
-// Figure 6 loop, ReplayInLogOrder: the next record in log order, the
-// method's redo test, replay or skip. That loop is the exact-log-order
+// the checkpoint-chosen event and the visit, and every restart reads
+// the log once. Instant restart and the parallel quiescing restart
+// (Recover with parallel_workers > 1) plan in the visit, and both
+// replay the plan through one executor, par::InstantRedoDriver
+// (redo/instant.h). The serial restart (RestartInLogOrder) replays in
+// the visit: each record from the redo start goes through the paper's
+// Figure 6 loop body (the method's redo test, replay or skip) as soon
+// as it has rolled the tables forward. That loop is the exact-log-order
 // reference the golden timelines pin and every multi-worker restart is
-// compared against; media recovery runs it too, over the archive-backed
-// log suffix.
+// compared against; media recovery runs it too (ReplayInLogOrder), over
+// the archive-backed log suffix.
 
 #ifndef REDO_METHODS_ANALYSIS_H_
 #define REDO_METHODS_ANALYSIS_H_
@@ -85,28 +86,28 @@ struct RedoScanStats {
   size_t page_fetches = 0;           ///< fetches for LSN tests and splits
 };
 
-/// Replays `records` in LSN order. For each record it asks the method's
-/// ClassifyRecord, decodes it with par::DecodeRedoTask (in the method's
-/// split shape) and applies `rule`: redo-all replays it; the page-LSN
-/// test first skips a page the DPT rules out, without I/O, then fetches
-/// the page and replays only onto an older page LSN. It fetches every
-/// page it applies to and installs every image (no blind first touch,
-/// no supersession): it is the exact-log-order reference that
-/// multi-worker restarts are checked against. Verdicts go to
-/// ctx.tracer and counts to `stats`, either may be null; a failure
-/// keeps the counts of the records before it.
+/// Replays `records` in LSN order through the serial restart's loop
+/// body. For each record it asks the method's ClassifyRecord, decodes
+/// it with par::DecodeRedoTask (in the method's split shape) and
+/// applies `rule`: redo-all replays it; the page-LSN test first skips a
+/// page the DPT rules out, without I/O, then fetches the page and
+/// replays only onto an older page LSN. It fetches every page it
+/// applies to and installs every image (no blind first touch, no
+/// supersession). Verdicts go to ctx.tracer and counts to `stats`,
+/// either may be null; a failure keeps the counts of the records before
+/// it.
 Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
                         std::span<const wal::LogRecord> records,
                         const par::InstantRedoOptions& rule,
                         RedoScanStats* stats);
 
-/// The serial restart's analysis and redo. It reads the latest stable
-/// checkpoint, then runs the visit without a plan: the transaction
-/// table and, when the method rebuilds one, the DPT (inside an
-/// "analysis" phase only then). In the "redo-scan" phase it runs
-/// PrepareStableState, the checkpoint-chosen event and ReplayInLogOrder
-/// over the stable records from the redo start under the method's own
-/// rule. Returns the transaction table for the undo pass.
+/// The serial restart, in a "redo-scan" phase: it reads the latest
+/// stable checkpoint, runs PrepareStableState and the checkpoint-chosen
+/// event, then one visit from min(redo start, checkpoint). Each record
+/// rolls the transaction table forward, extends the DPT (when the
+/// method rebuilds one) and, from the redo start, replays under the
+/// method's own rule as ReplayInLogOrder does. Returns the transaction
+/// table for the undo pass.
 Result<TxnAnalysis> RestartInLogOrder(RecoveryMethod& method,
                                       EngineContext& ctx,
                                       RedoScanStats* stats);

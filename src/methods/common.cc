@@ -24,12 +24,30 @@ Result<core::Lsn> RecoveryMethod::RedoScanStart(const EngineContext& ctx) const 
 }
 
 Result<core::Lsn> RecoveryMethod::FuzzyCheckpoint(EngineContext& ctx) {
-  (void)ctx;
-  return Status::FailedPrecondition(std::string(name()) +
-                                    " cannot checkpoint fuzzily");
+  if (!supports_fuzzy_checkpoint()) {
+    return Status::FailedPrecondition(std::string(name()) +
+                                      " cannot checkpoint fuzzily");
+  }
+  return internal_methods::AppendCheckpoint(
+      ctx, internal_methods::FuzzyCheckpointPayload(
+               ctx, redo_planning().analysis_dpt));
 }
 
 namespace internal_methods {
+namespace {
+
+// Traces a logged op on one page, named `prefix` + page id. The name is
+// built only when a recorder is attached.
+Status TraceOnePageOp(EngineContext& ctx, core::Lsn lsn, const char* prefix,
+                      storage::PageId page, bool reads) {
+  if (ctx.trace == nullptr) return Status::Ok();
+  std::vector<storage::PageId> read_set;
+  if (reads) read_set.push_back(page);
+  return TraceLoggedOp(ctx, lsn, prefix + std::to_string(page),
+                       std::move(read_set), {page});
+}
+
+}  // namespace
 
 Result<core::Lsn> AppendCheckpoint(EngineContext& ctx,
                                    engine::CheckpointPayload checkpoint) {
@@ -62,12 +80,72 @@ Result<core::Lsn> WriteCheckpoint(EngineContext& ctx,
   return appended;
 }
 
-core::Lsn FuzzyRedoPoint(const EngineContext& ctx) {
-  core::Lsn redo_point = ctx.log->last_lsn() + 1;
+Status FlushAndCheckpoint(EngineContext& ctx) {
+  REDO_RETURN_IF_ERROR(ctx.log->ForceAll());
+  REDO_RETURN_IF_ERROR(ctx.pool->FlushAll());
+  return WriteCheckpoint(ctx, {.redo_start = ctx.log->last_lsn() + 1})
+      .status();
+}
+
+engine::CheckpointPayload FuzzyCheckpointPayload(const EngineContext& ctx,
+                                                 bool dpt) {
+  engine::CheckpointPayload checkpoint{.redo_start = ctx.log->last_lsn() + 1};
+  if (dpt) checkpoint.body = engine::CheckpointBody::kDirtyPages;
   for (const storage::DirtyPageEntry& entry : ctx.pool->DirtyPages()) {
-    redo_point = std::min(redo_point, entry.rec_lsn);
+    checkpoint.redo_start = std::min(checkpoint.redo_start, entry.rec_lsn);
+    if (dpt) checkpoint.dpt.emplace(entry.page, entry.rec_lsn);
   }
-  return redo_point;
+  return checkpoint;
+}
+
+Result<core::Lsn> LogPageImage(EngineContext& ctx, storage::PageId page,
+                               const char* prefix) {
+  Result<storage::Page*> cached = ctx.pool->Fetch(page);
+  if (!cached.ok()) return cached.status();
+  const core::Lsn lsn = ctx.log->AppendWithLsn(
+      wal::RecordType::kPageImage, [&](core::Lsn assigned) {
+        cached.value()->set_lsn(assigned);
+        return engine::EncodePageImage(page, *cached.value());
+      });
+  REDO_RETURN_IF_ERROR(ctx.pool->MarkDirty(page, lsn));
+  REDO_RETURN_IF_ERROR(TraceOnePageOp(ctx, lsn, prefix, page, /*reads=*/false));
+  return lsn;
+}
+
+Result<core::Lsn> LogAndRedoOp(EngineContext& ctx, wal::RecordType type,
+                               std::vector<uint8_t> payload,
+                               const engine::SinglePageOp& op,
+                               const char* prefix) {
+  const core::Lsn lsn = ctx.log->Append(type, std::move(payload));
+  REDO_RETURN_IF_ERROR(RedoSinglePageOp(ctx, op, lsn));
+  REDO_RETURN_IF_ERROR(TraceOnePageOp(ctx, lsn, prefix, op.page, !op.blind));
+  return lsn;
+}
+
+Status ApplySplitInCache(EngineContext& ctx, const engine::SplitOp& op) {
+  Result<storage::Page*> src = ctx.pool->Fetch(op.src);
+  if (!src.ok()) return src.status();
+  // Copy src out: fetching dst may evict it under a tiny cache capacity.
+  const storage::Page src_copy = *src.value();
+  Result<storage::Page*> dst = ctx.pool->Fetch(op.dst);
+  if (!dst.ok()) return dst.status();
+  engine::ApplySplitToDst(op, src_copy, dst.value());
+  return Status::Ok();
+}
+
+Result<RecoveryMethod::SplitLsns> LogSplitAsImages(EngineContext& ctx,
+                                                   const engine::SplitOp& op,
+                                                   const char* prefix) {
+  REDO_RETURN_IF_ERROR(ApplySplitInCache(ctx, op));
+  Result<core::Lsn> split_lsn = LogPageImage(ctx, op.dst, prefix);
+  if (!split_lsn.ok()) return split_lsn.status();
+  Result<storage::Page*> src = ctx.pool->Fetch(op.src);
+  if (!src.ok()) return src.status();
+  REDO_RETURN_IF_ERROR(
+      engine::ApplySinglePageOp(engine::MakeRewriteForSplit(op), src.value()));
+  Result<core::Lsn> rewrite_lsn = LogPageImage(ctx, op.src, prefix);
+  if (!rewrite_lsn.ok()) return rewrite_lsn.status();
+  return RecoveryMethod::SplitLsns{split_lsn.value(), rewrite_lsn.value()};
 }
 
 Status RedoSinglePageOp(EngineContext& ctx, const engine::SinglePageOp& op,
@@ -80,12 +158,7 @@ Status RedoSinglePageOp(EngineContext& ctx, const engine::SinglePageOp& op,
 
 Status ApplyWholeSplit(EngineContext& ctx, const engine::SplitOp& op,
                        core::Lsn lsn) {
-  Result<storage::Page*> src = ctx.pool->Fetch(op.src);
-  if (!src.ok()) return src.status();
-  const storage::Page src_copy = *src.value();
-  Result<storage::Page*> dst = ctx.pool->Fetch(op.dst);
-  if (!dst.ok()) return dst.status();
-  engine::ApplySplitToDst(op, src_copy, dst.value());
+  REDO_RETURN_IF_ERROR(ApplySplitInCache(ctx, op));
   REDO_RETURN_IF_ERROR(ctx.pool->MarkDirty(op.dst, lsn));
   return RedoSinglePageOp(ctx, engine::MakeRewriteForSplit(op), lsn);
 }

@@ -34,10 +34,47 @@ Result<core::Lsn> AppendCheckpoint(EngineContext& ctx,
 Result<core::Lsn> WriteCheckpoint(EngineContext& ctx,
                                   engine::CheckpointPayload checkpoint);
 
-/// The fuzzy redo point (§6.3-style): the minimum rec_lsn of any dirty
-/// page, or last_lsn+1 when the cache is clean. Records below this LSN
-/// are fully installed.
-core::Lsn FuzzyRedoPoint(const EngineContext& ctx);
+/// The physical methods' checkpoint (§6.2): forces the log and flushes
+/// the cache, making every logged operation's effect stable, then
+/// writes the record that shifts them all out of redo_set at once.
+Status FlushAndCheckpoint(EngineContext& ctx);
+
+/// A fuzzy checkpoint's payload (§6.3-style): the redo point is the
+/// minimum rec_lsn of any dirty page, or last_lsn+1 when the cache is
+/// clean, so every record below it is fully installed. A page a §6.4
+/// write-order constraint holds back is still dirty, so its rec_lsn
+/// keeps the point below every record the careful write order has not
+/// installed yet. With `dpt` it also carries the dirty-page table
+/// recovery rebuilds from (the ARIES begin-checkpoint payload). The
+/// caller's barrier keeps the two consistent.
+engine::CheckpointPayload FuzzyCheckpointPayload(const EngineContext& ctx,
+                                                 bool dpt);
+
+/// Logs the cached page's image: fetches the page, tags it with the
+/// record's LSN and encodes it under the log mutex (the image embeds
+/// its own LSN, which concurrent appenders must not race), marks it
+/// dirty, and traces a blind write named `prefix` + page id.
+Result<core::Lsn> LogPageImage(EngineContext& ctx, storage::PageId page,
+                               const char* prefix);
+
+/// Appends a `type` record carrying `payload`, applies `op` to the
+/// cached page under its LSN, and traces it as `prefix` + page id,
+/// reading the page unless the op is blind. Returns the LSN.
+Result<core::Lsn> LogAndRedoOp(EngineContext& ctx, wal::RecordType type,
+                               std::vector<uint8_t> payload,
+                               const engine::SinglePageOp& op,
+                               const char* prefix);
+
+/// Applies a split's first half in the cache, dst := P(src), leaving
+/// dst for the caller to log or mark dirty.
+Status ApplySplitInCache(EngineContext& ctx, const engine::SplitOp& op);
+
+/// Logs a split as two page images (a physical log holds only images):
+/// dst after the split, then src after the rewrite, both traced as
+/// `prefix` + page id.
+Result<RecoveryMethod::SplitLsns> LogSplitAsImages(EngineContext& ctx,
+                                                   const engine::SplitOp& op,
+                                                   const char* prefix);
 
 /// Applies a decoded single-page op to the cached page and tags it with
 /// the record's LSN.

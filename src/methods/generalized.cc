@@ -15,43 +15,28 @@
 namespace redo::methods {
 namespace {
 
-using engine::SinglePageOp;
-using engine::SplitOp;
-using storage::Page;
-using storage::PageId;
-
 class GeneralizedLsnMethod : public RecoveryMethod {
  public:
-  const char* name() const override { return "generalized-lsn"; }
+  const char* name() const override {
+    return MethodKindName(MethodKind::kGeneralized);
+  }
 
   RedoTestKind redo_test_kind() const override { return RedoTestKind::kLsnTag; }
 
   Result<core::Lsn> LogAndApply(EngineContext& ctx,
-                                const SinglePageOp& op) override {
-    const core::Lsn lsn =
-        ctx.log->Append(op.type, engine::EncodeSinglePageOp(op));
-    REDO_RETURN_IF_ERROR(internal_methods::RedoSinglePageOp(ctx, op, lsn));
-    std::vector<PageId> reads;
-    if (!op.blind) reads.push_back(op.page);
-    REDO_RETURN_IF_ERROR(internal_methods::TraceLoggedOp(
-        ctx, lsn, "gen-op@" + std::to_string(op.page), std::move(reads),
-        {op.page}));
-    return lsn;
+                                const engine::SinglePageOp& op) override {
+    return internal_methods::LogAndRedoOp(
+        ctx, op.type, engine::EncodeSinglePageOp(op), op, "gen-op@");
   }
 
   Result<SplitLsns> LogAndApplySplit(EngineContext& ctx,
-                                     const SplitOp& op) override {
+                                     const engine::SplitOp& op) override {
     // P: one small record reading src and writing dst.
     const core::Lsn split_lsn =
         ctx.log->Append(wal::RecordType::kPageSplit, engine::EncodeSplitOp(op));
-    Result<Page*> src = ctx.pool->Fetch(op.src);
-    if (!src.ok()) return src.status();
-    const Page src_copy = *src.value();
-    Result<Page*> dst = ctx.pool->Fetch(op.dst);
-    if (!dst.ok()) return dst.status();
-    engine::ApplySplitToDst(op, src_copy, dst.value());
+    REDO_RETURN_IF_ERROR(internal_methods::ApplySplitInCache(ctx, op));
     REDO_RETURN_IF_ERROR(ctx.pool->MarkDirty(op.dst, split_lsn));
-    std::vector<PageId> split_reads = {op.src};
+    std::vector<storage::PageId> split_reads = {op.src};
     if (engine::SplitReadsDst(op.transform)) split_reads.push_back(op.dst);
     REDO_RETURN_IF_ERROR(internal_methods::TraceLoggedOp(
         ctx, split_lsn,
@@ -70,33 +55,20 @@ class GeneralizedLsnMethod : public RecoveryMethod {
     } else {
       ctx.pool->AddWriteOrderConstraint(op.dst, split_lsn, op.src);
     }
-    const SinglePageOp rewrite = engine::MakeRewriteForSplit(op);
-    const core::Lsn rewrite_lsn =
-        ctx.log->Append(rewrite.type, engine::EncodeSinglePageOp(rewrite));
-    REDO_RETURN_IF_ERROR(
-        internal_methods::RedoSinglePageOp(ctx, rewrite, rewrite_lsn));
-    REDO_RETURN_IF_ERROR(internal_methods::TraceLoggedOp(
-        ctx, rewrite_lsn, "gen-rewrite@" + std::to_string(op.src), {op.src},
-        {op.src}));
-    return SplitLsns{split_lsn, rewrite_lsn};
+    const engine::SinglePageOp rewrite = engine::MakeRewriteForSplit(op);
+    Result<core::Lsn> rewrite_lsn = internal_methods::LogAndRedoOp(
+        ctx, rewrite.type, engine::EncodeSinglePageOp(rewrite), rewrite,
+        "gen-rewrite@");
+    if (!rewrite_lsn.ok()) return rewrite_lsn.status();
+    return SplitLsns{split_lsn, rewrite_lsn.value()};
   }
 
   Status Checkpoint(EngineContext& ctx) override {
+    // Fuzzy checkpoint: no page flushing; record where redo must start.
     return internal_methods::WriteCheckpoint(
-               ctx, {.redo_start = internal_methods::FuzzyRedoPoint(ctx)})
+               ctx, internal_methods::FuzzyCheckpointPayload(
+                        ctx, redo_planning().analysis_dpt))
         .status();
-  }
-
-  bool supports_fuzzy_checkpoint() const override { return true; }
-
-  Result<core::Lsn> FuzzyCheckpoint(EngineContext& ctx) override {
-    // Append-only Checkpoint; the caller forces later (group commit).
-    // The redo point honors write-order constraints implicitly: a page
-    // held back by a constraint is still dirty, so its rec_lsn keeps
-    // the scan start below every record the careful write order has
-    // not yet installed.
-    return internal_methods::AppendCheckpoint(
-        ctx, {.redo_start = internal_methods::FuzzyRedoPoint(ctx)});
   }
 
   RedoPlanning redo_planning() const override {
@@ -150,6 +122,13 @@ const char* MethodKindName(MethodKind kind) {
       return "physical-partial";
   }
   return "unknown";
+}
+
+std::optional<MethodKind> ParseMethodKind(std::string_view name) {
+  for (const MethodKind kind : kMethodKinds) {
+    if (name == MethodKindName(kind)) return kind;
+  }
+  return std::nullopt;
 }
 
 }  // namespace redo::methods

@@ -27,7 +27,9 @@ class LogicalMethod : public RecoveryMethod {
  public:
   explicit LogicalMethod(size_t num_pages) : staging_(num_pages) {}
 
-  const char* name() const override { return "logical"; }
+  const char* name() const override {
+    return MethodKindName(MethodKind::kLogical);
+  }
 
   /// The stable database must not change between checkpoints.
   bool allows_background_flush() const override { return false; }
@@ -42,14 +44,8 @@ class LogicalMethod : public RecoveryMethod {
     w.U16(static_cast<uint16_t>(op.type));
     const std::vector<uint8_t> inner = engine::EncodeSinglePageOp(op);
     w.Bytes(inner.data(), inner.size());
-    const core::Lsn lsn = ctx.log->Append(wal::RecordType::kLogicalOp, w.Take());
-    REDO_RETURN_IF_ERROR(internal_methods::RedoSinglePageOp(ctx, op, lsn));
-    std::vector<PageId> reads;
-    if (!op.blind) reads.push_back(op.page);
-    REDO_RETURN_IF_ERROR(internal_methods::TraceLoggedOp(
-        ctx, lsn, "logical-op@" + std::to_string(op.page), std::move(reads),
-        {op.page}));
-    return lsn;
+    return internal_methods::LogAndRedoOp(ctx, wal::RecordType::kLogicalOp,
+                                          w.Take(), op, "logical-op@");
   }
 
   Result<SplitLsns> LogAndApplySplit(EngineContext& ctx,

@@ -15,6 +15,8 @@
 #define REDO_METHODS_METHOD_H_
 
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "engine/engine_options.h"
 #include "engine/ops.h"
@@ -86,17 +88,19 @@ class RecoveryMethod {
   /// True if the method can take a *fuzzy* checkpoint: one that neither
   /// flushes pages nor quiesces writers (the LSN-tag methods, whose
   /// redo test tolerates a scan start below already-installed work).
-  virtual bool supports_fuzzy_checkpoint() const { return false; }
+  bool supports_fuzzy_checkpoint() const {
+    return redo_test_kind() == RedoTestKind::kLsnTag;
+  }
 
   /// Appends — but does NOT force — a checkpoint record capturing the
-  /// current redo point (and, for analysis methods, the dirty-page
-  /// table). The caller must hold whatever barrier makes the dirty-page
-  /// snapshot and the append atomic with respect to writers, and must
-  /// make the record durable afterwards (the group-commit pipeline);
-  /// until then the checkpoint simply does not exist on the stable log,
-  /// which is always safe. Returns the record's LSN, or
+  /// current redo point (and, when redo_planning().analysis_dpt, the
+  /// dirty-page table). The caller must hold whatever barrier makes the
+  /// dirty-page snapshot and the append atomic with respect to writers,
+  /// and must make the record durable afterwards (the group-commit
+  /// pipeline); until then the checkpoint simply does not exist on the
+  /// stable log, which is always safe. Returns the record's LSN, or
   /// FailedPrecondition when supports_fuzzy_checkpoint() is false.
-  virtual Result<core::Lsn> FuzzyCheckpoint(EngineContext& ctx);
+  Result<core::Lsn> FuzzyCheckpoint(EngineContext& ctx);
 
   /// How recovery replays this method's log. The analysis visit, its
   /// plan and the serial log-order replayer (methods/analysis.h) are
@@ -155,6 +159,12 @@ enum class MethodKind {
   kPhysiologicalAnalysis,
   kPhysicalPartial,
 };
+/// Every kind, in declaration order.
+inline constexpr MethodKind kMethodKinds[] = {
+    MethodKind::kLogical,       MethodKind::kPhysical,
+    MethodKind::kPhysiological, MethodKind::kGeneralized,
+    MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial,
+};
 
 /// Per-method construction parameters. Defaults suit every method; a
 /// field irrelevant to the chosen kind is ignored.
@@ -167,7 +177,10 @@ struct MethodOptions {
 /// The one constructor path for every recovery method.
 std::unique_ptr<RecoveryMethod> MakeMethod(MethodKind kind,
                                            const MethodOptions& options = {});
+/// The one spelling of each method's name (RecoveryMethod::name()
+/// included), and its exact inverse: nullopt for any other name.
 const char* MethodKindName(MethodKind kind);
+std::optional<MethodKind> ParseMethodKind(std::string_view name);
 
 }  // namespace redo::methods
 

@@ -14,56 +14,34 @@
 namespace redo::methods {
 namespace {
 
-using engine::SinglePageOp;
-using engine::SplitOp;
-using storage::Page;
-using storage::PageId;
-
 class PhysicalMethod : public RecoveryMethod {
  public:
-  const char* name() const override { return "physical"; }
+  const char* name() const override {
+    return MethodKindName(MethodKind::kPhysical);
+  }
 
   RedoTestKind redo_test_kind() const override {
     return RedoTestKind::kRedoAllSinceCheckpoint;
   }
 
   Result<core::Lsn> LogAndApply(EngineContext& ctx,
-                                const SinglePageOp& op) override {
+                                const engine::SinglePageOp& op) override {
     // Apply in cache first, then log the resulting bytes.
-    Result<Page*> page = ctx.pool->Fetch(op.page);
+    Result<storage::Page*> page = ctx.pool->Fetch(op.page);
     if (!page.ok()) return page.status();
     REDO_RETURN_IF_ERROR(engine::ApplySinglePageOp(op, page.value()));
-    return LogImage(ctx, op.page, "physical-image@");
+    return internal_methods::LogPageImage(ctx, op.page, "physical-image@");
   }
 
   Result<SplitLsns> LogAndApplySplit(EngineContext& ctx,
-                                     const SplitOp& op) override {
-    Result<Page*> src = ctx.pool->Fetch(op.src);
-    if (!src.ok()) return src.status();
-    const Page src_copy = *src.value();
-    Result<Page*> dst = ctx.pool->Fetch(op.dst);
-    if (!dst.ok()) return dst.status();
-    engine::ApplySplitToDst(op, src_copy, dst.value());
-    Result<core::Lsn> split_lsn = LogImage(ctx, op.dst, "physical-image@");
-    if (!split_lsn.ok()) return split_lsn.status();
-
-    const SinglePageOp rewrite = engine::MakeRewriteForSplit(op);
-    src = ctx.pool->Fetch(op.src);
-    if (!src.ok()) return src.status();
-    REDO_RETURN_IF_ERROR(engine::ApplySinglePageOp(rewrite, src.value()));
-    Result<core::Lsn> rewrite_lsn = LogImage(ctx, op.src, "physical-image@");
-    if (!rewrite_lsn.ok()) return rewrite_lsn.status();
-    return SplitLsns{split_lsn.value(), rewrite_lsn.value()};
+                                     const engine::SplitOp& op) override {
+    return internal_methods::LogSplitAsImages(ctx, op, "physical-image@");
   }
 
   Status Checkpoint(EngineContext& ctx) override {
     // §6.2: make the cached values stable, then atomically shift every
     // logged operation out of redo_set with the checkpoint record.
-    REDO_RETURN_IF_ERROR(ctx.log->ForceAll());
-    REDO_RETURN_IF_ERROR(ctx.pool->FlushAll());
-    return internal_methods::WriteCheckpoint(
-               ctx, {.redo_start = ctx.log->last_lsn() + 1})
-        .status();
+    return internal_methods::FlushAndCheckpoint(ctx);
   }
 
   /// A physical log holds page images, CLRs and metadata, nothing else.
@@ -74,27 +52,6 @@ class PhysicalMethod : public RecoveryMethod {
       return Status::Ok();
     }
     return Status::Corruption("physical log contains a non-image record");
-  }
-
- private:
-  /// Tags the cached page with the upcoming LSN, logs its full image,
-  /// marks it dirty, and traces a blind write.
-  Result<core::Lsn> LogImage(EngineContext& ctx, PageId page_id,
-                             const char* prefix) {
-    Result<Page*> page = ctx.pool->Fetch(page_id);
-    if (!page.ok()) return page.status();
-    // The page must carry the image record's LSN *inside* the logged
-    // bytes, so tag-and-encode runs atomically with LSN assignment
-    // (concurrent sessions appending would otherwise race the tag).
-    const core::Lsn lsn = ctx.log->AppendWithLsn(
-        wal::RecordType::kPageImage, [&](core::Lsn assigned) {
-          page.value()->set_lsn(assigned);
-          return engine::EncodePageImage(page_id, *page.value());
-        });
-    REDO_RETURN_IF_ERROR(ctx.pool->MarkDirty(page_id, lsn));
-    REDO_RETURN_IF_ERROR(internal_methods::TraceLoggedOp(
-        ctx, lsn, prefix + std::to_string(page_id), /*reads=*/{}, {page_id}));
-    return lsn;
   }
 };
 

@@ -62,19 +62,6 @@ Status NetClient::Connect(const std::string& host, uint16_t port) {
   return Status::Ok();
 }
 
-Status NetClient::ConnectWithRetry(const std::string& host, uint16_t port,
-                                   int deadline_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms);
-  Status last = Status::Unavailable("connect never attempted");
-  while (std::chrono::steady_clock::now() < deadline) {
-    last = Connect(host, port);
-    if (last.ok()) return last;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return last;
-}
-
 void NetClient::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

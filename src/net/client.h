@@ -38,12 +38,6 @@ class NetClient {
   /// Connects to host:port (IPv4 dotted quad). Unavailable on refusal.
   Status Connect(const std::string& host, uint16_t port);
 
-  /// Retries Connect until it succeeds or `deadline_ms` elapses —
-  /// the reconnect path while the server tears connections down and
-  /// brings recovery up.
-  Status ConnectWithRetry(const std::string& host, uint16_t port,
-                          int deadline_ms);
-
   void Close();
   bool connected() const { return fd_ >= 0; }
 

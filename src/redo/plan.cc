@@ -182,41 +182,4 @@ Result<RedoPlan> RedoPlanBuilder::Finish(const wal::LogManager& log) && {
   return std::move(plan_);
 }
 
-core::Dag BuildTaskDag(const RedoPlan& plan) {
-  core::Dag dag(plan.tasks.size());
-  // Per-page conflict chains (§5's edge rule, restricted to this
-  // engine's operations): a read conflicts with the page's last write,
-  // a write conflicts with the last write and every read since it.
-  // Tasks are in ascending LSN order, so every edge runs forward and
-  // the graph is acyclic by construction; multi-page tasks appear in
-  // two pages' chains, which is where the chains get bridged.
-  struct PageChain {
-    std::optional<uint32_t> last_writer;
-    std::vector<uint32_t> readers_since_write;
-  };
-  std::unordered_map<storage::PageId, PageChain> chains;
-  for (uint32_t i = 0; i < plan.tasks.size(); ++i) {
-    const RedoTask& task = plan.tasks[i];
-    for (storage::PageId page : task.Reads()) {
-      PageChain& chain = chains[page];
-      if (chain.last_writer.has_value() && *chain.last_writer != i) {
-        dag.AddEdge(*chain.last_writer, i);  // read-after-write
-      }
-      chain.readers_since_write.push_back(i);
-    }
-    for (storage::PageId page : task.Writes()) {
-      PageChain& chain = chains[page];
-      if (chain.last_writer.has_value() && *chain.last_writer != i) {
-        dag.AddEdge(*chain.last_writer, i);  // write-after-write
-      }
-      for (uint32_t reader : chain.readers_since_write) {
-        if (reader != i) dag.AddEdge(reader, i);  // write-after-read
-      }
-      chain.readers_since_write.clear();
-      chain.last_writer = i;
-    }
-  }
-  return dag;
-}
-
 }  // namespace redo::par

@@ -8,8 +8,8 @@
 // a task conflicts with another iff they touch a common page, so the
 // graph decomposes into per-page chains, stitched together by the
 // multi-page records (kPageSplit and the generalized B-tree ops) whose
-// two pages bridge two chains. BuildTaskDag materializes that graph;
-// InstantRedoDriver (instant.h) executes a linear extension of it.
+// two pages bridge two chains. InstantRedoDriver (instant.h) keeps those
+// chains and executes a linear extension of the graph they form.
 
 #ifndef REDO_REDO_PLAN_H_
 #define REDO_REDO_PLAN_H_
@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/dag.h"
 #include "core/types.h"
 #include "engine/ops.h"
 #include "engine/txn.h"
@@ -115,16 +114,6 @@ class RedoPlanBuilder {
   /// Per page: the index of the last task touching it (redo-all only).
   std::unordered_map<storage::PageId, size_t> last_toucher_;
 };
-
-/// The plan's write graph over task indices. Edge rule (§5): two tasks
-/// conflict iff they touch a common page (read-write or write-write),
-/// and conflicting tasks are ordered low LSN -> high LSN, so the graph
-/// is acyclic by construction. Only chain edges are added (each page's
-/// consecutive touchers); the transitive closure equals the full
-/// conflict order. Any linear extension is a correct redo order — the
-/// driver realizes one by draining each page's chain in LSN order and
-/// bridging the chains a multi-page task links up to its LSN.
-core::Dag BuildTaskDag(const RedoPlan& plan);
 
 }  // namespace redo::par
 

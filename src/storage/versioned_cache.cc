@@ -74,18 +74,6 @@ Status VersionedCache::InstallVersion(PageId id, core::Lsn max_lsn) {
   return disk_->WritePage(id, *chosen);
 }
 
-Status VersionedCache::InstallEverything() {
-  for (auto& [id, entry] : entries_) {
-    if (!entry.live_dirty) continue;
-    if (wal_hook_) {
-      REDO_RETURN_IF_ERROR(wal_hook_(entry.live.lsn()));
-    }
-    REDO_RETURN_IF_ERROR(disk_->WritePage(id, entry.live));
-    entry.live_dirty = false;
-  }
-  return Status::Ok();
-}
-
 void VersionedCache::Crash() { entries_.clear(); }
 
 }  // namespace redo::storage

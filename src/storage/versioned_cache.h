@@ -56,9 +56,6 @@ class VersionedCache {
   /// Installing an old version does not discard newer ones.
   Status InstallVersion(PageId id, core::Lsn max_lsn);
 
-  /// Writes the live copies of every page to disk (single-copy flush).
-  Status InstallEverything();
-
   /// Drops all cached state (the crash).
   void Crash();
 

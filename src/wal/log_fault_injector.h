@@ -83,9 +83,6 @@ class LogFaultInjector {
   /// are dropped silently.
   size_t HealAll(LogManager& log);
 
-  /// True if any injected damage has not been healed.
-  bool HasOutstandingFaults() const { return !snapshots_.empty(); }
-
   const LogFaultStats& stats() const { return stats_; }
   void ResetStats() { stats_ = LogFaultStats{}; }
 

@@ -305,7 +305,9 @@ class LogManager {
   /// make the valid prefix unrecoverable). Truncated-away segments are
   /// read from the archive when `from` precedes the live log. Returns
   /// where the valid prefix ends, or the first error `visit` returned.
-  /// `visit` must not call back into the log.
+  /// `visit` must not append to the log or move records onto it: a
+  /// force with nothing pending (a page flush while redo replays inside
+  /// the visit, after the crash dropped the tail) is fine.
   Result<ScanExtent> VisitStable(core::Lsn from,
                                  const StableVisitor& visit) const;
 

@@ -20,10 +20,7 @@ class CrashSimMatrixTest : public ::testing::TestWithParam<MatrixParam> {};
 
 std::vector<MatrixParam> MatrixParams() {
   std::vector<MatrixParam> params;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       params.push_back(MatrixParam{kind, seed});
     }
@@ -85,10 +82,7 @@ TEST(CrashSimTest, NoCheckpointsEver) {
   options.workload.checkpoint_probability = 0.0;
   options.ops_per_session = 100;
   options.cycles = 2;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     const SimResult result = RunSim(kind, options, 5);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();
@@ -113,10 +107,7 @@ TEST(CrashSimTest, CrashesDuringRecoveryAreSurvivable) {
   options.ops_per_session = 120;
   options.cycles = 2;
   options.recovery_crashes = 3;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     const SimResult result = RunSim(kind, options, 21);
     EXPECT_TRUE(result.ok)
         << methods::MethodKindName(kind) << ": " << result.ToString();

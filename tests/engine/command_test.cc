@@ -12,6 +12,7 @@
 #include "engine/command.h"
 #include "engine/minidb.h"
 #include "engine/ops.h"
+#include "util/rng.h"
 
 namespace redo::engine {
 namespace {
@@ -145,6 +146,28 @@ TEST(NetCommandCodecTest, EveryReplyVariantRoundTripsByteIdentically) {
   }
 }
 
+// Flips every byte of `bytes` with the page-image sweep's masks (all
+// bits, then one random nonzero mask): each mutant decodes, or is
+// refused as Corruption with a message.
+template <typename Decode>
+void ExpectEveryFlipDecodesOrIsCorruption(const std::vector<uint8_t>& bytes,
+                                          const Decode& decode, Rng& rng) {
+  std::vector<uint8_t> mutant = bytes;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (const uint8_t mask :
+         {uint8_t{0xff}, static_cast<uint8_t>(1 + rng.Below(255))}) {
+      mutant[i] ^= mask;
+      const Status status = decode(mutant).status();
+      if (!status.ok()) {
+        EXPECT_EQ(status.code(), StatusCode::kCorruption)
+            << "flip at " << i << ": " << status.ToString();
+        EXPECT_FALSE(status.message().empty()) << "flip at " << i;
+      }
+      mutant[i] = bytes[i];
+    }
+  }
+}
+
 TEST(NetCommandCodecTest, MalformedBytesDecodeToErrorsNotCrashes) {
   // Empty input.
   EXPECT_FALSE(DecodeCommand({}).ok());
@@ -155,7 +178,9 @@ TEST(NetCommandCodecTest, MalformedBytesDecodeToErrorsNotCrashes) {
   EXPECT_FALSE(DecodeCommand({99}).ok());
   EXPECT_FALSE(DecodeReply({99, 0}).ok());
 
-  // Truncations of every valid encoding must fail cleanly.
+  // Truncations of every valid encoding must fail cleanly, and every
+  // single-byte flip must decode or be refused as Corruption.
+  Rng rng(148);
   for (const Command& command : AllCommandVariants()) {
     const std::vector<uint8_t> bytes = EncodeCommand(command);
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
@@ -167,6 +192,8 @@ TEST(NetCommandCodecTest, MalformedBytesDecodeToErrorsNotCrashes) {
     std::vector<uint8_t> padded = bytes;
     padded.push_back(0xAB);
     EXPECT_FALSE(DecodeCommand(padded).ok());
+    SCOPED_TRACE(CommandTypeName(command.type));
+    ExpectEveryFlipDecodesOrIsCorruption(bytes, DecodeCommand, rng);
   }
   for (const Reply& reply : AllReplyVariants()) {
     const std::vector<uint8_t> bytes = EncodeReply(reply);
@@ -177,6 +204,7 @@ TEST(NetCommandCodecTest, MalformedBytesDecodeToErrorsNotCrashes) {
     std::vector<uint8_t> padded = bytes;
     padded.push_back(0xCD);
     EXPECT_FALSE(DecodeReply(padded).ok());
+    ExpectEveryFlipDecodesOrIsCorruption(bytes, DecodeReply, rng);
   }
 }
 

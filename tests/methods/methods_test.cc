@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -320,10 +321,7 @@ TEST(RedoScanStatsTest, StatsAccumulateAcrossRecoverCalls) {
   // a recovery rehearsal) clobbered the first run's counts instead of
   // reporting per-rung and total work. Every method's serial redo runs
   // the one log-order replayer, so every method counts.
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical,
-        MethodKind::kPhysiological, MethodKind::kGeneralized,
-        MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : kMethodKinds) {
     auto db = MakeDb(kind);
     obs::RecoveryTracer tracer;
     db->Attach(engine::Instrumentation{db->trace(), &tracer});
@@ -375,6 +373,20 @@ TEST(MethodFactoryTest, NamesAndKindsAreConsistent) {
             RecoveryMethod::RedoTestKind::kLsnTag);
   EXPECT_FALSE(MakeMethod(MethodKind::kLogical, {4})->allows_background_flush());
   EXPECT_TRUE(MakeMethod(MethodKind::kPhysical, {4})->allows_background_flush());
+}
+
+// One vocabulary: every kind's name parses back to that kind, each
+// method spells its own name the same way, and nothing else parses.
+TEST(MethodsTest, KindNamesRoundTripAndUnknownNamesAreRefused) {
+  for (const MethodKind kind : kMethodKinds) {
+    EXPECT_EQ(ParseMethodKind(MethodKindName(kind)), kind)
+        << MethodKindName(kind);
+    EXPECT_STREQ(MakeMethod(kind, {4})->name(), MethodKindName(kind));
+  }
+  for (const char* name : {"bogus", "", "aries", "generalized",
+                           "physiological-analysis", "Logical", "physical "}) {
+    EXPECT_EQ(ParseMethodKind(name), std::nullopt) << "'" << name << "'";
+  }
 }
 
 }  // namespace

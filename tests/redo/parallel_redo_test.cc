@@ -1,4 +1,4 @@
-// Parallel redo: plan construction, the write-graph DAG, and end-to-end
+// Parallel redo: plan construction, the drain executor, and end-to-end
 // equivalence of the quiescing multi-worker drain with the serial redo
 // through every recovery method.
 
@@ -304,46 +304,6 @@ TEST(ParallelPlanTest, LsnTestPlansNeverSupersede) {
             1u);
 }
 
-// ---- The write-graph DAG ----
-
-TEST(ParallelPlanTest, TaskDagChainsPerPageAndBridgesAtSplits) {
-  auto db = MakeDb(MethodKind::kGeneralized);
-  ASSERT_TRUE(db->NewSession().WriteSlot(1, 300, 7).ok());  // task 0: writes p1
-  ASSERT_TRUE(db->NewSession().WriteSlot(3, 0, 8).ok());    // task 1: writes p3
-  ASSERT_TRUE(
-      db->NewSession().Split(SplitOp{SplitTransform::kSlotHalf, 1, 2}).ok());
-  // task 2: split reads p1, writes p2; task 3: rewrite writes p1
-  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 9).ok());    // task 4: writes p2
-  const RedoPlan plan = PlanFromLog(*db, false);
-  ASSERT_EQ(plan.tasks.size(), 5u);
-  const core::Dag dag = BuildTaskDag(plan);
-  EXPECT_TRUE(dag.IsAcyclic());
-  EXPECT_TRUE(dag.HasEdge(0, 2)) << "split reads p1 after task 0 wrote it";
-  EXPECT_TRUE(dag.HasEdge(2, 3)) << "the rewrite overwrites what the split read";
-  EXPECT_TRUE(dag.HasEdge(2, 4)) << "p2's chain continues after the split";
-  EXPECT_TRUE(dag.HasPath(0, 4))
-      << "the split bridges p1's chain into p2's chain";
-  EXPECT_FALSE(dag.HasPath(1, 4))
-      << "p3 shares no page with p2: no path, so the tasks commute (§5)";
-  EXPECT_FALSE(dag.HasPath(0, 1));
-}
-
-TEST(ParallelPlanTest, IndependentPagesFormDisconnectedChains) {
-  auto db = MakeDb(MethodKind::kPhysical);
-  for (int round = 0; round < 3; ++round) {
-    for (PageId p = 1; p < 4; ++p) {
-      ASSERT_TRUE(db->NewSession().WriteSlot(p, round, round).ok());
-    }
-  }
-  const RedoPlan plan = PlanFromLog(*db, false);
-  const core::Dag dag = BuildTaskDag(plan);
-  // 3 pages x 3 images each: three chains of 2 edges, nothing across.
-  EXPECT_EQ(dag.NumEdges(), 6u);
-  EXPECT_FALSE(dag.HasPath(0, 1));
-  EXPECT_TRUE(dag.HasPath(0, 3));  // p1's chain: tasks 0, 3, 6
-  EXPECT_TRUE(dag.IsAcyclic());
-}
-
 // ---- Bridged chains ----
 
 // p1's chain feeds the split which feeds p2's chain: the split bridges
@@ -404,10 +364,7 @@ TEST(ParallelSchedulerTest, WholeSplitHandoffMatchesSerialApply) {
 // ---- End-to-end equivalence across every method ----
 
 TEST(ParallelRedoEngineTest, EveryMethodRecoversIdenticallyAtEveryWorkerCount) {
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     auto db = MakeDb(kind);
     RunMixedWorkload(*db);
     if (testing::Test::HasFatalFailure()) return;
@@ -454,6 +411,49 @@ TEST(ParallelRedoEngineTest, EveryMethodRecoversIdenticallyAtEveryWorkerCount) {
   }
 }
 
+// The serial restart grows the DPT inside its one visit and replays
+// each record as soon as the record has extended it; a 2-worker restart
+// plans against the complete DPT. Their verdicts must agree on a log
+// where growing the DPT in the wrong order would show: a fuzzy
+// checkpoint whose redo start precedes it, page 1 flushed before it and
+// dirtied again after it, page 3 first dirtied after it.
+TEST(ParallelRedoEngineTest, SerialOnePassDptReachesTheCompleteDptsVerdicts) {
+  auto db = MakeDb(MethodKind::kPhysiologicalAnalysis);
+  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 1).ok());  // LSN 1
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 2).ok());  // LSN 2
+  ASSERT_TRUE(db->MaybeFlushPage(1).ok());
+  ASSERT_TRUE(db->Checkpoint().ok());                     // LSN 3
+  ASSERT_TRUE(db->NewSession().WriteSlot(1, 1, 4).ok());  // LSN 4
+  ASSERT_TRUE(db->NewSession().WriteSlot(3, 0, 5).ok());  // LSN 5
+  ASSERT_TRUE(db->log().ForceAll().ok());
+  const methods::StableCheckpoint checkpoint =
+      methods::ReadStableCheckpoint(db->log()).value();
+  ASSERT_EQ(checkpoint.lsn, 3u);
+  ASSERT_EQ(checkpoint.payload.redo_start, 1u) << "page 2 is still dirty";
+  db->Crash();
+  const std::vector<Page> crash_disk = SnapshotDisk(*db);
+
+  Verdicts serial;
+  ASSERT_TRUE(RecoverCollectingVerdicts(*db, &serial).ok());
+  const std::string older = R"(verdict="applied" reason="page-lsn-older")";
+  EXPECT_EQ(serial,
+            (Verdicts{
+                {1, "redo-verdict " + older + " lsn=1 page=2"},
+                {2, R"(redo-verdict verdict="not-exposed" reason="analysis-dpt")"
+                    " lsn=2 page=1"},
+                {4, "redo-verdict " + older + " lsn=4 page=1"},
+                {5, "redo-verdict " + older + " lsn=5 page=3"},
+            }));
+
+  RestoreCrashState(*db, crash_disk);
+  engine::EngineOptions recovery;
+  recovery.parallel_workers = 2;
+  db->set_engine_options(recovery);
+  Verdicts parallel;
+  ASSERT_TRUE(RecoverCollectingVerdicts(*db, &parallel).ok());
+  EXPECT_EQ(parallel, serial);
+}
+
 TEST(ParallelRedoEngineTest, BoundedPoolReenforcesCapacityAfterMerge) {
   auto db = MakeDb(MethodKind::kGeneralized, /*capacity=*/4);
   RunMixedWorkload(*db);
@@ -476,10 +476,7 @@ TEST(ParallelRedoEngineTest, BoundedPoolReenforcesCapacityAfterMerge) {
 // for every method. A page is read at most once per restart (eviction
 // is held), by the first task that touches it without overwriting it.
 TEST(ParallelRedoEngineTest, AsyncPrefetchRecoversIdenticallyForEveryMethod) {
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized, MethodKind::kPhysiologicalAnalysis,
-        MethodKind::kPhysicalPartial}) {
+  for (const MethodKind kind : methods::kMethodKinds) {
     auto db = MakeDb(kind);
     RunMixedWorkload(*db);
     if (testing::Test::HasFatalFailure()) return;

@@ -150,8 +150,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The crash choreography, also wired to the ADMIN_CRASH verb so a
-  // harness can trigger a cycle over the wire.
+  // The crash choreography (DESIGN.md §15), run from this thread.
   size_t cycles_done = 0;
   auto crash_cycle = [&]() -> bool {
     db.FreezeCommits();

@@ -22,8 +22,6 @@ const char* CommandTypeName(CommandType type) {
       return "abort";
     case CommandType::kStatus:
       return "status";
-    case CommandType::kAdminCrash:
-      return "admin_crash";
   }
   return "unknown";
 }
@@ -77,12 +75,6 @@ Command MakeAbortCommand() {
 Command MakeStatusCommand() {
   Command command;
   command.type = CommandType::kStatus;
-  return command;
-}
-
-Command MakeAdminCrashCommand() {
-  Command command;
-  command.type = CommandType::kAdminCrash;
   return command;
 }
 
@@ -235,13 +227,6 @@ Reply Dispatch(MiniDb::Session& session, const Command& command) {
       reply = DispatchStatus(*db);
       break;
     }
-    case CommandType::kAdminCrash: {
-      FillError(&reply,
-                Status::FailedPrecondition(
-                    "admin_crash is a server-level verb, not a session "
-                    "operation"));
-      break;
-    }
     default: {
       FillError(&reply, Status::InvalidArgument(
                             "unknown command type " +
@@ -283,7 +268,6 @@ std::vector<uint8_t> EncodeCommand(const Command& command) {
     case CommandType::kBegin:
     case CommandType::kAbort:
     case CommandType::kStatus:
-    case CommandType::kAdminCrash:
       break;
   }
   return writer.Take();
@@ -294,7 +278,7 @@ Result<Command> DecodeCommand(const std::vector<uint8_t>& bytes) {
   Result<uint8_t> raw_type = reader.U8();
   if (!raw_type.ok()) return raw_type.status();
   if (raw_type.value() < static_cast<uint8_t>(CommandType::kApply) ||
-      raw_type.value() > static_cast<uint8_t>(CommandType::kAdminCrash)) {
+      raw_type.value() > static_cast<uint8_t>(CommandType::kStatus)) {
     return Status::Corruption("command: unknown type tag " +
                               std::to_string(raw_type.value()));
   }
@@ -355,7 +339,6 @@ Result<Command> DecodeCommand(const std::vector<uint8_t>& bytes) {
     case CommandType::kBegin:
     case CommandType::kAbort:
     case CommandType::kStatus:
-    case CommandType::kAdminCrash:
       break;
   }
   if (!reader.AtEnd()) {
@@ -397,7 +380,6 @@ std::vector<uint8_t> EncodeReply(const Reply& reply) {
       writer.U8(reply.status.concurrent ? 1 : 0);
       break;
     case CommandType::kAbort:
-    case CommandType::kAdminCrash:
       break;
   }
   return writer.Take();
@@ -408,7 +390,7 @@ Result<Reply> DecodeReply(const std::vector<uint8_t>& bytes) {
   Result<uint8_t> raw_type = reader.U8();
   if (!raw_type.ok()) return raw_type.status();
   if (raw_type.value() < static_cast<uint8_t>(CommandType::kApply) ||
-      raw_type.value() > static_cast<uint8_t>(CommandType::kAdminCrash)) {
+      raw_type.value() > static_cast<uint8_t>(CommandType::kStatus)) {
     return Status::Corruption("reply: unknown type tag " +
                               std::to_string(raw_type.value()));
   }
@@ -480,7 +462,6 @@ Result<Reply> DecodeReply(const std::vector<uint8_t>& bytes) {
       break;
     }
     case CommandType::kAbort:
-    case CommandType::kAdminCrash:
       break;
   }
   if (!reader.AtEnd()) {

@@ -42,10 +42,6 @@ enum class CommandType : uint8_t {
   kCommit = 5,    ///< durability point (txn commit or plain CommitWait)
   kAbort = 6,     ///< roll the open transaction back
   kStatus = 7,    ///< engine health: recovery phase, stable LSN, sessions
-  /// Wire-only administrative verb: ask the server to run a crash/
-  /// recover cycle (harness orchestration). Dispatch refuses it — only
-  /// a NetServer with admin enabled acts on it.
-  kAdminCrash = 8,
 };
 
 /// Stable name for diagnostics ("apply", "split", ...).
@@ -73,7 +69,6 @@ Command MakeBeginCommand();
 Command MakeCommitCommand(core::Lsn lsn = 0);
 Command MakeAbortCommand();
 Command MakeStatusCommand();
-Command MakeAdminCrashCommand();
 
 /// The kStatus payload: where the engine stands, observable mid-restart.
 struct EngineStatus {
@@ -123,7 +118,7 @@ Result<uint64_t> ReplyTxnId(const Reply& reply);
 /// Executes one command against a session — THE front-end funnel. Every
 /// Session entry point, every checker sim, and the network server call
 /// this; there is exactly one way to run an operation. kStatus works on
-/// any session; kAdminCrash is refused (server-level verb).
+/// any session.
 Reply Dispatch(MiniDb::Session& session, const Command& command);
 
 /// The session-free subset: kStatus against the engine itself. The

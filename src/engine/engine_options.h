@@ -136,11 +136,6 @@ struct NetOptions {
   /// against a hostile length prefix; must be large enough for any
   /// command (>= 512) and at most the WAL record bound (16 MiB).
   size_t max_frame_bytes = 1 << 20;
-
-  /// Honor the wire-level kAdminCrash command (the crash-cycle
-  /// harness's trigger). Off by default: a production server must not
-  /// let a client crash it.
-  bool enable_admin = false;
 };
 
 /// Observers a caller may attach to a MiniDb (see MiniDb::Attach). All

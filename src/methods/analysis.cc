@@ -133,12 +133,8 @@ struct LogOrderReplayer {
         REDO_RETURN_IF_ERROR(pool->MarkDirty(split.dst, lsn));
         Applied(lsn, split.dst);
         if (rule.add_split_constraints) {
-          // Same acyclicity rule as during normal operation.
-          if (pool->HasPendingOrderPath(split.src, split.dst)) {
-            REDO_RETURN_IF_ERROR(pool->FlushPageCascading(split.dst));
-          } else {
-            pool->AddWriteOrderConstraint(split.dst, lsn, split.src);
-          }
+          // The same write-order rule as during normal operation.
+          REDO_RETURN_IF_ERROR(pool->OrderWrites(split.dst, lsn, split.src));
         }
         break;
       }
@@ -285,6 +281,15 @@ Result<RestartAnalysis> Visit(EngineContext& ctx,
         return Status::Ok();
       });
   if (!visited.ok()) return visited.status();
+  // The visit stopped at damage the live log's hole check cannot see (a
+  // hole in the archive prefix below it): the records past it are lost
+  // to this restart, so it must refuse, never replay a truncated prefix.
+  if (visited.value().torn) {
+    return Status::Corruption(
+        "stable log unreadable: first unreadable LSN " +
+        std::to_string(visited.value().last_valid_lsn + 1) +
+        "; refusing to recover past a gap");
+  }
   if (builder.has_value()) {
     Result<par::RedoPlan> planned = std::move(*builder).Finish(*ctx.log);
     if (!planned.ok()) return planned.status();

@@ -44,17 +44,10 @@ class GeneralizedLsnMethod : public RecoveryMethod {
         std::move(split_reads), {op.dst}));
 
     // Q: rewrite src to drop the moved half. The new page must reach
-    // disk before this rewrite does — the §6.4 careful write order.
-    // The write graph's Add-an-edge operation requires acyclicity
-    // (§5.1): if pending constraints already order src before dst
-    // (an earlier split in the opposite direction), flush dst now —
-    // cascading through the pending chain — so the edge is satisfied
-    // instead of cyclic.
-    if (ctx.pool->HasPendingOrderPath(op.src, op.dst)) {
-      REDO_RETURN_IF_ERROR(ctx.pool->FlushPageCascading(op.dst));
-    } else {
-      ctx.pool->AddWriteOrderConstraint(op.dst, split_lsn, op.src);
-    }
+    // disk before this rewrite does — the §6.4 careful write order (an
+    // earlier split in the opposite direction makes OrderWrites flush
+    // dst now instead).
+    REDO_RETURN_IF_ERROR(ctx.pool->OrderWrites(op.dst, split_lsn, op.src));
     const engine::SinglePageOp rewrite = engine::MakeRewriteForSplit(op);
     Result<core::Lsn> rewrite_lsn = internal_methods::LogAndRedoOp(
         ctx, rewrite.type, engine::EncodeSinglePageOp(rewrite), rewrite,

@@ -136,11 +136,9 @@ Status NetServer::Start() {
 
 void NetServer::Stop() {
   if (!running_.load()) return;
-  // Refuse further DisconnectAll calls (an admin hook racing Stop must
-  // not block on an event loop that is about to exit), then let any
-  // in-flight crash cycle finish before asking the loop to quit.
+  // Refuse further DisconnectAll calls: one racing Stop must not block
+  // on an event loop that is about to exit.
   stopping_.store(true);
-  if (admin_thread_.joinable()) admin_thread_.join();
   {
     std::lock_guard<std::mutex> lock(control_mu_);
     stop_requested_ = true;
@@ -154,7 +152,6 @@ void NetServer::Stop() {
   queue_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
   workers_.clear();
-  if (admin_thread_.joinable()) admin_thread_.join();
 
   ::close(event_fd_);
   ::close(epoll_fd_);
@@ -188,7 +185,6 @@ void NetServer::RegisterMetrics(obs::MetricsRegistry& registry,
     emit.Counter("replies_sent", stats_.replies_sent.load());
     emit.Counter("bytes_in", stats_.bytes_in.load());
     emit.Counter("bytes_out", stats_.bytes_out.load());
-    emit.Counter("admin_crashes", stats_.admin_crashes.load());
     emit.Gauge("active_connections",
                static_cast<int64_t>(active_connections_.load()));
   });
@@ -351,10 +347,6 @@ void NetServer::DrainInput(const ConnectionPtr& conn) {
                      decoded.status().message());
     } else {
       pending.command = std::move(decoded).value();
-      if (pending.command.type == engine::CommandType::kAdminCrash) {
-        HandleAdminCrash(conn, frame.request_id);
-        continue;
-      }
       if (pending.command.type != engine::CommandType::kStatus &&
           !commands_enabled_.load()) {
         stats_.commands_rejected.fetch_add(1);
@@ -393,33 +385,6 @@ void NetServer::DrainInput(const ConnectionPtr& conn) {
   }
   FlushOutput(conn);
   UpdateEpollInterest(conn);
-}
-
-void NetServer::HandleAdminCrash(const ConnectionPtr& conn,
-                                 uint64_t request_id) {
-  engine::Reply reply;
-  reply.type = engine::CommandType::kAdminCrash;
-  if (!options_.enable_admin || !admin_crash_hook_) {
-    reply.code = StatusCode::kFailedPrecondition;
-    reply.message = "admin commands disabled";
-  } else if (admin_in_progress_.exchange(true)) {
-    reply.code = StatusCode::kUnavailable;
-    reply.message = "crash cycle already in progress";
-  } else {
-    stats_.admin_crashes.fetch_add(1);
-    if (admin_thread_.joinable()) admin_thread_.join();
-    admin_thread_ = std::thread([this] {
-      admin_crash_hook_();
-      admin_in_progress_.store(false);
-    });
-  }
-  reply.stable_lsn = db_->log().stable_lsn();
-  Frame out;
-  out.request_id = request_id;
-  out.payload = engine::EncodeReply(reply);
-  std::lock_guard<std::mutex> lock(conn->mu);
-  AppendFrame(out, &conn->output);
-  stats_.replies_sent.fetch_add(1);
 }
 
 void NetServer::ScheduleLocked(const ConnectionPtr& conn) {

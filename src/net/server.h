@@ -45,7 +45,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -75,7 +74,6 @@ struct NetServerStats {
   std::atomic<uint64_t> replies_sent{0};
   std::atomic<uint64_t> bytes_in{0};
   std::atomic<uint64_t> bytes_out{0};
-  std::atomic<uint64_t> admin_crashes{0};  ///< kAdminCrash commands honored
 };
 
 class NetServer {
@@ -116,14 +114,6 @@ class NetServer {
   void EnableCommands() { commands_enabled_.store(true); }
   void DisableCommands() { commands_enabled_.store(false); }
   bool commands_enabled() const { return commands_enabled_.load(); }
-
-  /// The crash-cycle trigger: invoked (on a dedicated thread) when a
-  /// client sends kAdminCrash and NetOptions::enable_admin is set. The
-  /// hook runs the choreography described above. At most one cycle
-  /// runs at a time; overlapping requests are refused over the wire.
-  void set_admin_crash_hook(std::function<void()> hook) {
-    admin_crash_hook_ = std::move(hook);
-  }
 
   /// The actually-bound TCP port (resolves port 0 after Start()).
   uint16_t port() const { return port_.load(); }
@@ -185,7 +175,6 @@ class NetServer {
   /// Enqueues for a worker (caller holds conn->mu via `locked` proof).
   void ScheduleLocked(const ConnectionPtr& conn);
   void WakeLoop();
-  void HandleAdminCrash(const ConnectionPtr& conn, uint64_t request_id);
   /// Runs one command on a worker thread (caller holds conn->exec_mu):
   /// session-free STATUS, recovery-gate rejection, lazy session
   /// creation, then engine::Dispatch.
@@ -194,7 +183,6 @@ class NetServer {
 
   engine::MiniDb* db_;
   const engine::NetOptions options_;
-  std::function<void()> admin_crash_hook_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
@@ -227,11 +215,6 @@ class NetServer {
   std::condition_variable queue_cv_;
   std::deque<ConnectionPtr> runnable_;
   bool workers_stop_ = false;
-
-  // The admin crash cycle runs on its own thread (it blocks on
-  // DisconnectAll, which the event loop must stay free to process).
-  std::thread admin_thread_;
-  std::atomic<bool> admin_in_progress_{false};
 
   NetServerStats stats_;
 };

@@ -422,15 +422,11 @@ Status InstantRedoDriver::ApplyTask(size_t index, ChainFrame* chain) {
       REDO_RETURN_IF_ERROR(pool_->MarkDirty(task.split.dst, task.lsn));
       if (options_.add_split_constraints) {
         // §6.4 careful write order, re-armed eagerly so flushes issued
-        // while the engine is already serving respect it. Same
-        // acyclicity rule as during normal operation; the exclusive
-        // gate a bridged drain holds makes the cascading flush safe.
-        if (pool_->HasPendingOrderPath(task.split.src, task.split.dst)) {
-          REDO_RETURN_IF_ERROR(pool_->FlushPageCascading(task.split.dst));
-        } else {
-          pool_->AddWriteOrderConstraint(task.split.dst, task.lsn,
-                                         task.split.src);
-        }
+        // while the engine is already serving respect it. The same rule
+        // as during normal operation; the exclusive gate a bridged drain
+        // holds makes its cascading flush safe.
+        REDO_RETURN_IF_ERROR(pool_->OrderWrites(task.split.dst, task.lsn,
+                                                task.split.src));
       }
       return applied();
     }

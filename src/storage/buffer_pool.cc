@@ -397,6 +397,13 @@ void BufferPool::AddWriteOrderConstraint(PageId before, core::Lsn before_lsn,
   ++constraint_count_;
 }
 
+Status BufferPool::OrderWrites(PageId before, core::Lsn before_lsn,
+                               PageId after) {
+  if (HasPendingOrderPath(after, before)) return FlushPageCascading(before);
+  AddWriteOrderConstraint(before, before_lsn, after);
+  return Status::Ok();
+}
+
 bool BufferPool::HasPendingOrderPath(PageId from, PageId to) const {
   std::vector<PageId> stack = {from};
   std::vector<PageId> visited = {from};
@@ -500,55 +507,9 @@ Status BufferPool::EvictOne() {
   return Status::Ok();
 }
 
-Status BufferPool::EvictBatch(size_t count) {
-  // Rank candidates exactly as EvictOne would pick them one at a time:
-  // clean before dirty, LRU within each class, the most-recently-used
-  // frame exempt.
-  uint64_t newest = 0;
-  for (const auto& [id, frame] : frames_) {
-    newest = std::max(newest, frame.last_use);
-  }
-  struct Candidate {
-    bool dirty;
-    uint64_t last_use;
-    PageId id;
-  };
-  std::vector<Candidate> candidates;
-  for (const auto& [id, frame] : frames_) {
-    if (frame.last_use == newest && frames_.size() > 1) continue;
-    candidates.push_back(Candidate{frame.dirty, frame.last_use, id});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.dirty != b.dirty) return !a.dirty;
-              return a.last_use < b.last_use;
-            });
-  if (candidates.empty()) {
-    return Status::FailedPrecondition("buffer pool: nothing to evict");
-  }
-  candidates.resize(std::min(count, candidates.size()));
-  std::vector<PageId> dirty_victims;
-  for (const Candidate& c : candidates) {
-    if (c.dirty) dirty_victims.push_back(c.id);
-  }
-  // One batched writeback for every dirty victim; constraints are
-  // honored wave-by-wave inside FlushBatch (blockers outside the victim
-  // set get flushed too, but stay cached).
-  REDO_RETURN_IF_ERROR(FlushBatch(dirty_victims));
-  for (const Candidate& c : candidates) {
-    if (!c.dirty) ++stats_.clean_evictions;
-    ++stats_.evictions;
-    frames_.erase(c.id);
-  }
-  return Status::Ok();
-}
-
 Status BufferPool::ReduceToCapacity() {
   eviction_held_ = false;
   if (capacity_ == 0) return Status::Ok();
-  if (frames_.size() > capacity_ + 1) {
-    REDO_RETURN_IF_ERROR(EvictBatch(frames_.size() - capacity_));
-  }
   while (frames_.size() > capacity_) {
     REDO_RETURN_IF_ERROR(EvictOne());
   }

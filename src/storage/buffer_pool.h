@@ -91,7 +91,8 @@ struct DirtyPageEntry {
 ///    Page.
 ///  - Everything that flushes, evicts, or rewires write-order
 ///    constraints (FlushPage*, FlushAll, Evict, Crash, DropPage,
-///    AddWriteOrderConstraint, HoldEviction, ReduceToCapacity) must run
+///    AddWriteOrderConstraint, OrderWrites, HoldEviction,
+///    ReduceToCapacity) must run
 ///    writer-exclusive: the engine's op gate guarantees no session op
 ///    is in flight. These paths recurse into each other and stay
 ///    lock-free, exactly as in the serial engine.
@@ -209,6 +210,14 @@ class BufferPool {
   /// (§5.1) — which the caller must resolve by flushing first.
   bool HasPendingOrderPath(PageId from, PageId to) const;
 
+  /// The one rule for a §6.4 write-order edge (a split's new page before
+  /// its rewritten source, in normal operation and in every redo): adds
+  /// "`before` (tagged `before_lsn`) reaches disk before `after`", or,
+  /// when pending constraints already order `after` before `before`,
+  /// flushes `before` now, cascading through that chain, so the edge is
+  /// satisfied instead of cyclic (§5.1's acyclicity).
+  Status OrderWrites(PageId before, core::Lsn before_lsn, PageId after);
+
   /// Discards every cached page and all constraints, and releases an
   /// eviction hold — the crash.
   void Crash();
@@ -301,11 +310,6 @@ class BufferPool {
   /// covering the wave, then one WriteThrough that marks each written
   /// frame clean (a failed page stays dirty).
   Status FlushWave(const std::vector<PageId>& wave);
-
-  /// Evicts `count` victims in one pass: ranks them clean-first LRU
-  /// (newest exempt), flushes the dirty ones as one FlushBatch, then
-  /// erases all of them.
-  Status EvictBatch(size_t count);
 
   /// Get-or-create the latch for `id` (guarded by latch_table_mu_).
   std::mutex* LatchFor(PageId id);

@@ -44,8 +44,8 @@ const char* SegmentVerdictStateName(SegmentVerdict::State state) {
 }
 
 LogManager::LogManager(const LogManagerOptions& options) : options_(options) {
-  live_.push_back(Segment{});
-  live_.back().id = next_segment_id_++;
+  segments_.push_back(Segment{});
+  segments_.back().id = next_segment_id_++;
 }
 
 LogManager::~LogManager() {
@@ -140,8 +140,14 @@ void LogManager::RegisterMetrics(obs::MetricsRegistry& registry,
         stats_.EmitMetrics(emit);
         emit.Gauge("last_lsn", static_cast<int64_t>(last_lsn_));
         emit.Gauge("stable_lsn", static_cast<int64_t>(stable_lsn_));
-        emit.Gauge("live_segments", static_cast<int64_t>(live_.size()));
-        emit.Gauge("archived_segments", static_cast<int64_t>(archive_.size()));
+        emit.Gauge("live_segments",
+                   std::count_if(segments_.begin(), segments_.end(),
+                                 [](const Segment& seg) { return seg.live; }));
+        emit.Gauge("archived_segments",
+                   std::count_if(segments_.begin(), segments_.end(),
+                                 [](const Segment& seg) {
+                                   return seg.archive.has_value();
+                                 }));
         emit.Gauge("volatile_records",
                    static_cast<int64_t>(volatile_tail_.size()));
       },
@@ -149,8 +155,8 @@ void LogManager::RegisterMetrics(obs::MetricsRegistry& registry,
 }
 
 void LogManager::StartNewActive() {
-  live_.push_back(Segment{});
-  live_.back().id = next_segment_id_++;
+  segments_.push_back(Segment{});
+  segments_.back().id = next_segment_id_++;
   verified_prefix_ = 0;
 }
 
@@ -163,16 +169,7 @@ void LogManager::SealActive() {
   seg.last_lsn = seg.records.back().lsn;
   seg.primary.seal = Crc32c(seg.primary.bytes.data(), seg.primary.bytes.size());
   seg.mirror.seal = Crc32c(seg.mirror.bytes.data(), seg.mirror.bytes.size());
-  Segment copy;
-  copy.id = seg.id;
-  copy.first_lsn = seg.first_lsn;
-  copy.last_lsn = seg.last_lsn;
-  copy.sealed = true;
-  copy.primary = seg.primary;
-  copy.mirror.lost = true;  // the archive keeps a single copy
-  copy.records = seg.records;
-  copy.records_valid = true;
-  archive_.push_back(std::move(copy));
+  seg.archive = seg.primary;  // continuous archiving ships the sealed bytes
   ++stats_.segments_archived;
   ++stats_.segments_sealed;
   StartNewActive();
@@ -441,14 +438,20 @@ std::optional<std::vector<LogRecord>> LogManager::DecodeSealedCopy(
   return records;
 }
 
+std::array<const LogManager::Copy*, 2> LogManager::TrustedCopies(
+    const Segment& segment) {
+  if (segment.live) return {&segment.primary, &segment.mirror};
+  return {&segment.archive.value(), nullptr};
+}
+
 const std::vector<LogRecord>* LogManager::ReadableSealedRecords(
     const Segment& segment) const {
   if (segment.records_valid && !segment.records.empty()) {
     ++stats_.scan_cache_hits;
     return &segment.records;
   }
-  for (const Copy* copy : {&segment.primary, &segment.mirror}) {
-    if (copy->lost) continue;
+  for (const Copy* copy : TrustedCopies(segment)) {
+    if (copy == nullptr || copy->lost) continue;
     std::optional<std::vector<LogRecord>> decoded =
         DecodeSealedCopy(segment, *copy);
     if (decoded.has_value()) {
@@ -460,38 +463,44 @@ const std::vector<LogRecord>* LogManager::ReadableSealedRecords(
   return nullptr;
 }
 
+std::optional<std::vector<LogRecord>> LogManager::DecodeArchiveCopy(
+    const Segment& segment) const {
+  if (!segment.archive.has_value() || segment.archive->lost) {
+    return std::nullopt;
+  }
+  return DecodeSealedCopy(segment, *segment.archive);
+}
+
+template <typename OnRecord>
+size_t LogManager::DecodeTail(const Segment& segment, size_t offset,
+                              OnRecord&& on_record) const {
+  while (offset < segment.primary.bytes.size()) {
+    Result<LogRecord> record = DecodeRecord(segment.primary.bytes, &offset);
+    if (!record.ok() || !on_record(std::move(record).value())) break;
+  }
+  return offset;
+}
+
+bool LogManager::Reads(const Segment& segment, core::Lsn from,
+                       core::Lsn live_begin) {
+  if (segment.live) return true;
+  // A retired segment above the live log's start was amputated from
+  // inside it: nothing reads it but media recovery.
+  return live_begin == 0 || (from < live_begin && segment.last_lsn < live_begin);
+}
+
 Result<ScanExtent> LogManager::VisitStable(core::Lsn from,
                                            const StableVisitor& visit) const {
   ++stats_.stable_visits;
   ScanExtent extent;
   const core::Lsn live_begin = live_begin_lsn();
-  // Truncated-away prefix: served from the archive.
-  if (live_begin == 0 || from < live_begin) {
-    for (const Segment& seg : archive_) {
-      if (live_begin != 0 && seg.last_lsn >= live_begin) break;
-      if (seg.last_lsn < from) {
-        extent.last_valid_lsn = seg.last_lsn;
-        continue;
-      }
-      const std::vector<LogRecord>* records = ReadableSealedRecords(seg);
-      if (records == nullptr) {
-        extent.torn = true;
-        return extent;
-      }
-      extent.last_valid_lsn = seg.last_lsn;
-      for (const LogRecord& record : *records) {
-        if (record.lsn >= from) REDO_RETURN_IF_ERROR(visit(record));
-      }
-    }
-  }
-  for (size_t i = 0; i < live_.size(); ++i) {
-    const Segment& seg = live_[i];
+  for (const Segment& seg : segments_) {
+    if (!Reads(seg, from, live_begin)) continue;
     if (seg.sealed) {
       if (seg.last_lsn < from) {
         // Metadata skip: recovery does not need these records, so their
         // integrity is Scrub's business, not the scan's.
         extent.last_valid_lsn = seg.last_lsn;
-        extent.valid_bytes += seg.primary.bytes.size();
         continue;
       }
       const std::vector<LogRecord>* records = ReadableSealedRecords(seg);
@@ -499,56 +508,41 @@ Result<ScanExtent> LogManager::VisitStable(core::Lsn from,
         // A hole: everything from here on is untrustworthy — a redo
         // prefix must be unbroken.
         extent.torn = true;
-        for (size_t j = i; j < live_.size(); ++j) {
-          extent.damaged_bytes += live_[j].primary.bytes.size();
-        }
         return extent;
       }
       extent.last_valid_lsn = seg.last_lsn;
-      extent.valid_bytes += seg.primary.bytes.size();
       for (const LogRecord& record : *records) {
         if (record.lsn >= from) REDO_RETURN_IF_ERROR(visit(record));
       }
-    } else {
-      // The active segment: cached verified records, then a tolerant
-      // decode of any unverified (torn, unsalvaged) tail bytes.
-      if (!seg.records.empty()) ++stats_.scan_cache_hits;
-      for (const LogRecord& record : seg.records) {
-        extent.last_valid_lsn = record.lsn;
-        if (record.lsn >= from) REDO_RETURN_IF_ERROR(visit(record));
-      }
-      size_t offset = verified_prefix_;
-      while (offset < seg.primary.bytes.size()) {
-        Result<LogRecord> record = DecodeRecord(seg.primary.bytes, &offset);
-        if (!record.ok()) {
-          extent.torn = true;
-          break;
-        }
-        extent.last_valid_lsn = record.value().lsn;
-        if (record.value().lsn >= from) {
-          REDO_RETURN_IF_ERROR(visit(record.value()));
-        }
-      }
-      extent.valid_bytes += offset;
-      extent.damaged_bytes += seg.primary.bytes.size() - offset;
+      continue;
     }
+    // The active segment: cached verified records, then a tolerant
+    // decode of any unverified (torn, unsalvaged) tail bytes.
+    if (!seg.records.empty()) ++stats_.scan_cache_hits;
+    for (const LogRecord& record : seg.records) {
+      extent.last_valid_lsn = record.lsn;
+      if (record.lsn >= from) REDO_RETURN_IF_ERROR(visit(record));
+    }
+    Status visited;
+    const size_t end =
+        DecodeTail(seg, verified_prefix_, [&](LogRecord&& record) {
+          extent.last_valid_lsn = record.lsn;
+          if (record.lsn >= from) visited = visit(record);
+          return visited.ok();
+        });
+    REDO_RETURN_IF_ERROR(visited);
+    extent.torn = end < seg.primary.bytes.size();
   }
   return extent;
 }
 
-StableScan LogManager::ScanStable(core::Lsn from) const {
-  StableScan scan;
-  Result<ScanExtent> extent =
-      VisitStable(from, [&scan](const LogRecord& record) {
-        scan.records.push_back(record);
-        return Status::Ok();
-      });
-  static_cast<ScanExtent&>(scan) = extent.value();
-  return scan;
-}
-
 Result<std::vector<LogRecord>> LogManager::StableRecords(core::Lsn from) const {
-  return ScanStable(from).records;
+  std::vector<LogRecord> records;
+  REDO_RETURN_IF_ERROR(VisitStable(from, [&records](const LogRecord& record) {
+                         records.push_back(record);
+                         return Status::Ok();
+                       }).status());
+  return records;
 }
 
 Result<LogRecord> LogManager::StableRecordAt(core::Lsn lsn) const {
@@ -574,21 +568,9 @@ Result<LogRecord> LogManager::StableRecordAt(core::Lsn lsn) const {
     return (seg.records_valid && !seg.records.empty()) ||
            ReadableSealedRecords(seg) != nullptr;
   };
-  // Below the live log: the archive, under the scan's rules.
   const core::Lsn live_begin = live_begin_lsn();
-  if (live_begin == 0 || lsn < live_begin) {
-    for (const Segment& seg : archive_) {
-      if (live_begin != 0 && seg.last_lsn >= live_begin) break;
-      if (seg.last_lsn < lsn) {
-        if (!readable(seg)) return GapStatus(seg.first_lsn);
-        continue;
-      }
-      const std::vector<LogRecord>* records = ReadableSealedRecords(seg);
-      if (records == nullptr) return GapStatus(seg.first_lsn);
-      return find(*records);
-    }
-  }
-  for (const Segment& seg : live_) {
+  for (const Segment& seg : segments_) {
+    if (!Reads(seg, lsn, live_begin)) continue;
     if (seg.sealed) {
       if (seg.last_lsn < lsn) {
         if (!readable(seg)) return GapStatus(seg.first_lsn);
@@ -604,12 +586,12 @@ Result<LogRecord> LogManager::StableRecordAt(core::Lsn lsn) const {
       ++stats_.scan_cache_hits;
       return find(seg.records);
     }
-    size_t offset = verified_prefix_;
-    while (offset < seg.primary.bytes.size()) {
-      Result<LogRecord> record = DecodeRecord(seg.primary.bytes, &offset);
-      if (!record.ok()) break;
-      if (record.value().lsn == lsn) return record;
-    }
+    std::optional<LogRecord> found;
+    DecodeTail(seg, verified_prefix_, [&](LogRecord&& record) {
+      if (record.lsn == lsn) found = std::move(record);
+      return !found.has_value();
+    });
+    if (found.has_value()) return std::move(*found);
   }
   return Status::NotFound("stable log: no record with LSN " +
                           std::to_string(lsn));
@@ -622,35 +604,31 @@ SalvageResult LogManager::SalvageTornTail() {
   result.stable_lsn_before = stable_lsn_;
 
   Segment& seg = active();
-  size_t offset = verified_prefix_;
   core::Lsn last_valid = stable_lsn_;
   if (verified_prefix_ == 0) {
     // The whole active segment must be re-verified (CorruptStableTail
     // may have cut anywhere); rebuild its caches as we go.
     seg.records.clear();
-    const uint64_t seg_id = seg.id;
-    std::erase_if(checkpoints_, [seg_id](const CheckpointOffset& c) {
-      return c.segment_id == seg_id;
-    });
+    ForgetCheckpoints(seg.id);
     seg.first_lsn = 0;
     seg.last_lsn = 0;
-    last_valid = live_.size() >= 2 ? live_[live_.size() - 2].last_lsn : 0;
+    // The last LSN before the active segment, live or retired.
+    last_valid =
+        segments_.size() >= 2 ? segments_[segments_.size() - 2].last_lsn : 0;
   }
-  while (offset < seg.primary.bytes.size()) {
-    Result<LogRecord> record = DecodeRecord(seg.primary.bytes, &offset);
-    if (!record.ok()) {
-      result.torn = true;
-      break;
-    }
-    last_valid = record.value().lsn;
-    if (record.value().lsn > stable_lsn_) ++result.salvaged_records;
-    if (record.value().type == RecordType::kCheckpoint) {
-      checkpoints_.push_back(CheckpointOffset{seg.id, record.value().lsn});
-    }
-    if (seg.first_lsn == 0) seg.first_lsn = record.value().lsn;
-    seg.last_lsn = record.value().lsn;
-    seg.records.push_back(std::move(record).value());
-  }
+  const size_t offset =
+      DecodeTail(seg, verified_prefix_, [&](LogRecord&& record) {
+        last_valid = record.lsn;
+        if (record.lsn > stable_lsn_) ++result.salvaged_records;
+        if (record.type == RecordType::kCheckpoint) {
+          checkpoints_.push_back(CheckpointOffset{seg.id, record.lsn});
+        }
+        if (seg.first_lsn == 0) seg.first_lsn = record.lsn;
+        seg.last_lsn = record.lsn;
+        seg.records.push_back(std::move(record));
+        return true;
+      });
+  result.torn = offset < seg.primary.bytes.size();
 
   result.dropped_bytes = seg.primary.bytes.size() - offset;
   seg.primary.bytes.resize(offset);
@@ -675,7 +653,7 @@ Result<std::optional<LogRecord>> LogManager::LatestStableCheckpoint() const {
     // checkpoint cache is complete.
     if (checkpoints_.empty()) return std::optional<LogRecord>{};
     const CheckpointOffset& latest = checkpoints_.back();
-    const Segment* seg = FindLive(latest.segment_id);
+    const Segment* seg = Find(latest.segment_id);
     if (seg != nullptr) {
       const std::vector<LogRecord>* records =
           seg->sealed ? ReadableSealedRecords(*seg) : &seg->records;
@@ -716,8 +694,8 @@ size_t LogManager::PendingForceBytes() const {
 
 std::vector<SegmentInfo> LogManager::LiveSegments() const {
   std::vector<SegmentInfo> infos;
-  infos.reserve(live_.size());
-  for (const Segment& seg : live_) {
+  for (const Segment& seg : segments_) {
+    if (!seg.live) continue;
     SegmentInfo info;
     info.id = seg.id;
     info.first_lsn = seg.first_lsn;
@@ -726,7 +704,7 @@ std::vector<SegmentInfo> LogManager::LiveSegments() const {
     info.bytes = seg.primary.bytes.size();
     info.primary_seal = seg.primary.seal;
     info.mirror_seal = seg.mirror.seal;
-    info.archived = FindArchive(seg.id) != nullptr;
+    info.archived = seg.archive.has_value();
     infos.push_back(info);
   }
   return infos;
@@ -734,15 +712,15 @@ std::vector<SegmentInfo> LogManager::LiveSegments() const {
 
 std::vector<SegmentInfo> LogManager::ArchivedSegments() const {
   std::vector<SegmentInfo> infos;
-  infos.reserve(archive_.size());
-  for (const Segment& seg : archive_) {
+  for (const Segment& seg : segments_) {
+    if (!seg.archive.has_value()) continue;
     SegmentInfo info;
     info.id = seg.id;
     info.first_lsn = seg.first_lsn;
     info.last_lsn = seg.last_lsn;
     info.sealed = true;
-    info.bytes = seg.primary.bytes.size();
-    info.primary_seal = seg.primary.seal;
+    info.bytes = seg.archive->bytes.size();
+    info.primary_seal = seg.archive->seal;
     info.archived = true;
     infos.push_back(info);
   }
@@ -750,14 +728,17 @@ std::vector<SegmentInfo> LogManager::ArchivedSegments() const {
 }
 
 core::Lsn LogManager::live_begin_lsn() const {
-  for (const Segment& seg : live_) {
-    if (seg.first_lsn != 0) return seg.first_lsn;
+  for (const Segment& seg : segments_) {
+    if (seg.live && seg.first_lsn != 0) return seg.first_lsn;
   }
   return 0;
 }
 
 core::Lsn LogManager::archived_through() const {
-  return archive_.empty() ? 0 : archive_.back().last_lsn;
+  for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
+    if (it->archive.has_value()) return it->last_lsn;
+  }
+  return 0;
 }
 
 ScrubReport LogManager::Scrub() {
@@ -767,8 +748,8 @@ ScrubReport LogManager::Scrub() {
     return !copy.lost &&
            Crc32c(copy.bytes.data(), copy.bytes.size()) == copy.seal;
   };
-  for (Segment& seg : live_) {
-    if (!seg.sealed) continue;
+  for (Segment& seg : segments_) {
+    if (!seg.live || !seg.sealed) continue;
     ++report.segments;
     SegmentVerdict verdict;
     verdict.id = seg.id;
@@ -821,41 +802,29 @@ ScrubReport LogManager::Scrub() {
     }
     report.verdicts.push_back(verdict);
   }
-  // The archive: verify seals; repair a damaged archive copy from its
-  // live twin (now scrubbed) when possible.
-  for (Segment& seg : archive_) {
+  // The archive copies: verify seals; repair a damaged archive copy from
+  // its live twin (now scrubbed) when possible.
+  for (Segment& seg : segments_) {
+    if (!seg.archive.has_value()) continue;
     SegmentVerdict verdict;
     verdict.id = seg.id;
     verdict.first_lsn = seg.first_lsn;
     verdict.last_lsn = seg.last_lsn;
-    if (copy_intact(seg.primary)) {
+    if (copy_intact(*seg.archive)) {
       verdict.state = SegmentVerdict::State::kIntact;
-    } else if (std::optional<std::vector<LogRecord>> decoded =
-                   !seg.primary.lost ? DecodeSealedCopy(seg, seg.primary)
-                                     : std::nullopt;
-               decoded.has_value()) {
-      seg.primary.seal =
-          Crc32c(seg.primary.bytes.data(), seg.primary.bytes.size());
-      seg.records = std::move(*decoded);
-      seg.records_valid = true;
+    } else if (DecodeArchiveCopy(seg).has_value()) {
+      seg.archive->seal =
+          Crc32c(seg.archive->bytes.data(), seg.archive->bytes.size());
       ++report.archive_repairs;
       ++stats_.reseals;
       verdict.state = SegmentVerdict::State::kResealed;
+    } else if (seg.live && ReadableSealedRecords(seg) != nullptr) {
+      seg.archive = seg.primary;
+      ++report.archive_repairs;
+      verdict.state = SegmentVerdict::State::kRepairedFromMirror;
     } else {
-      const Segment* live = FindLive(seg.id);
-      const std::vector<LogRecord>* records =
-          live != nullptr && live->sealed ? ReadableSealedRecords(*live)
-                                          : nullptr;
-      if (records != nullptr) {
-        seg.primary = live->primary;
-        seg.records = *records;
-        seg.records_valid = true;
-        ++report.archive_repairs;
-        verdict.state = SegmentVerdict::State::kRepairedFromMirror;
-      } else {
-        verdict.state = SegmentVerdict::State::kHole;
-        ++report.archive_holes;
-      }
+      verdict.state = SegmentVerdict::State::kHole;
+      ++report.archive_holes;
     }
     report.archive_verdicts.push_back(verdict);
   }
@@ -863,8 +832,8 @@ ScrubReport LogManager::Scrub() {
 }
 
 core::Lsn LogManager::FirstHoleLsn() const {
-  for (const Segment& seg : live_) {
-    if (!seg.sealed) continue;
+  for (const Segment& seg : segments_) {
+    if (!seg.live || !seg.sealed) continue;
     if (ReadableSealedRecords(seg) == nullptr) return seg.first_lsn;
   }
   return 0;
@@ -873,49 +842,33 @@ core::Lsn LogManager::FirstHoleLsn() const {
 core::Lsn LogManager::WalkWithArchive(core::Lsn from,
                                      std::vector<LogRecord>* out) const {
   core::Lsn expected = from;
-  while (expected <= stable_lsn_) {
-    // Locate an intact source covering `expected`: a live segment (or
-    // its archive twin), else any archive segment (truncated prefix or
-    // an amputated middle).
-    const std::vector<LogRecord>* records = nullptr;
-    for (const Segment& seg : live_) {
-      const core::Lsn first =
-          seg.sealed ? seg.first_lsn
-                     : (seg.records.empty() ? 0 : seg.records.front().lsn);
-      const core::Lsn last =
-          seg.sealed ? seg.last_lsn
-                     : (seg.records.empty() ? 0 : seg.records.back().lsn);
-      if (first == 0 || expected < first || expected > last) continue;
-      if (!seg.sealed) {
-        records = &seg.records;
-        break;
-      }
-      records = ReadableSealedRecords(seg);
-      if (records == nullptr) {
-        const Segment* archived = FindArchive(seg.id);
-        if (archived != nullptr) records = ReadableSealedRecords(*archived);
-      }
-      break;
-    }
-    if (records == nullptr) {
-      for (const Segment& seg : archive_) {
-        if (expected < seg.first_lsn || expected > seg.last_lsn) continue;
-        records = ReadableSealedRecords(seg);
-        break;
-      }
+  for (const Segment& seg : segments_) {
+    if (expected > stable_lsn_) break;
+    // The active segment covers only its verified records.
+    const core::Lsn first =
+        seg.sealed ? seg.first_lsn
+                   : (seg.records.empty() ? 0 : seg.records.front().lsn);
+    const core::Lsn last =
+        seg.sealed ? seg.last_lsn
+                   : (seg.records.empty() ? 0 : seg.records.back().lsn);
+    if (first == 0 || last < expected) continue;
+    if (expected < first) return expected;  // no segment covers it
+    std::optional<std::vector<LogRecord>> archived;
+    const std::vector<LogRecord>* records =
+        seg.sealed ? ReadableSealedRecords(seg) : &seg.records;
+    if (records == nullptr && seg.live) {
+      archived = DecodeArchiveCopy(seg);
+      if (archived.has_value()) records = &*archived;
     }
     if (records == nullptr) return expected;
-    bool advanced = false;
     for (const LogRecord& record : *records) {
       if (record.lsn < expected) continue;
       if (record.lsn != expected) return expected;
       if (out != nullptr) out->push_back(record);
       ++expected;
-      advanced = true;
     }
-    if (!advanced) return expected;
   }
-  return 0;
+  return expected <= stable_lsn_ ? expected : 0;
 }
 
 core::Lsn LogManager::FirstUncoveredLsn(core::Lsn from) const {
@@ -930,40 +883,58 @@ Result<std::vector<LogRecord>> LogManager::ReadWithArchive(
   return out;
 }
 
+size_t LogManager::Retire(size_t index) {
+  Segment& seg = segments_[index];
+  ForgetCheckpoints(seg.id);
+  if (!seg.archive.has_value()) {
+    segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(index));
+    return index;
+  }
+  seg.live = false;
+  seg.primary = Copy{};
+  seg.mirror = Copy{};
+  seg.records.clear();
+  return index + 1;
+}
+
+void LogManager::ForgetCheckpoints(uint64_t id) {
+  std::erase_if(checkpoints_, [id](const CheckpointOffset& checkpoint) {
+    return checkpoint.segment_id == id;
+  });
+}
+
 size_t LogManager::TruncateArchived(core::Lsn upto) {
   // Never truncate the latest stable checkpoint (or anything after it):
   // recovery's scan start must stay in the live log.
   if (checkpoints_.empty()) return 0;
   const core::Lsn cap = std::min(upto, checkpoints_.back().lsn - 1);
-  size_t dropped = 0;
-  while (live_.size() > 1) {
-    const Segment& front = live_.front();
-    if (!front.sealed || front.first_lsn == 0 || front.last_lsn > cap) break;
-    if (FindArchive(front.id) == nullptr) break;  // unarchived: must stay
-    const uint64_t id = front.id;
-    std::erase_if(checkpoints_, [id](const CheckpointOffset& c) {
-      return c.segment_id == id;
-    });
-    live_.erase(live_.begin());
-    ++dropped;
+  size_t retired = 0;
+  for (size_t i = 0; i < segments_.size();) {
+    const Segment& seg = segments_[i];
+    if (!seg.live) {
+      ++i;
+      continue;
+    }
+    if (!seg.sealed || seg.first_lsn == 0 || seg.last_lsn > cap) break;
+    if (!seg.archive.has_value()) break;  // unarchived: must stay
+    i = Retire(i);
+    ++retired;
   }
-  stats_.segments_truncated += dropped;
+  stats_.segments_truncated += retired;
   RefreshStableBytes();
-  return dropped;
+  return retired;
 }
 
 size_t LogManager::RepairFromArchive() {
   size_t repaired = 0;
-  for (Segment& seg : live_) {
-    if (!seg.sealed) continue;
+  for (Segment& seg : segments_) {
+    if (!seg.live || !seg.sealed) continue;
     if (ReadableSealedRecords(seg) != nullptr) continue;
-    const Segment* archived = FindArchive(seg.id);
-    if (archived == nullptr) continue;
-    const std::vector<LogRecord>* records = ReadableSealedRecords(*archived);
-    if (records == nullptr) continue;
-    seg.primary = archived->primary;
-    seg.mirror = archived->primary;
-    seg.records = *records;
+    std::optional<std::vector<LogRecord>> records = DecodeArchiveCopy(seg);
+    if (!records.has_value()) continue;
+    seg.primary = *seg.archive;
+    seg.mirror = *seg.archive;
+    seg.records = std::move(*records);
     seg.records_valid = true;
     ++repaired;
     ++stats_.archive_repairs;
@@ -972,26 +943,21 @@ size_t LogManager::RepairFromArchive() {
 }
 
 size_t LogManager::DropUnreadableThrough(core::Lsn covered_lsn) {
-  size_t dropped = 0;
-  for (auto it = live_.begin(); it != live_.end();) {
-    Segment& seg = *it;
-    if (seg.sealed && seg.first_lsn != 0 && seg.last_lsn <= covered_lsn &&
-        ReadableSealedRecords(seg) == nullptr &&
-        (FindArchive(seg.id) == nullptr ||
-         ReadableSealedRecords(*FindArchive(seg.id)) == nullptr)) {
-      const uint64_t id = seg.id;
-      std::erase_if(checkpoints_, [id](const CheckpointOffset& c) {
-        return c.segment_id == id;
-      });
-      it = live_.erase(it);
-      ++dropped;
-      ++stats_.segments_amputated;
-    } else {
-      ++it;
+  size_t retired = 0;
+  for (size_t i = 0; i < segments_.size();) {
+    const Segment& seg = segments_[i];
+    if (!seg.live || !seg.sealed || seg.first_lsn == 0 ||
+        seg.last_lsn > covered_lsn || ReadableSealedRecords(seg) != nullptr ||
+        DecodeArchiveCopy(seg).has_value()) {
+      ++i;
+      continue;
     }
+    i = Retire(i);
+    ++retired;
+    ++stats_.segments_amputated;
   }
   RefreshStableBytes();
-  return dropped;
+  return retired;
 }
 
 // ---- Fault hooks ----
@@ -1031,16 +997,19 @@ void LogManager::CorruptStableTail(size_t drop_bytes) {
     seg.records.clear();
     seg.first_lsn = 0;
     seg.last_lsn = 0;
-    const uint64_t id = seg.id;
-    std::erase_if(checkpoints_, [id](const CheckpointOffset& c) {
-      return c.segment_id == id;
-    });
+    ForgetCheckpoints(seg.id);
     verified_prefix_ = 0;
-    if (drop == 0 || live_.size() == 1) break;
+    const bool only_live = std::none_of(
+        segments_.begin(), segments_.end() - 1,
+        [](const Segment& earlier) { return earlier.live; });
+    if (drop == 0 || only_live) break;
     // The cut consumed the whole active segment: the damage runs into
-    // the sealed segment before it, whose seal is now meaningless.
-    live_.pop_back();
-    Segment& prev = live_.back();
+    // the live segment before it, whose seal is now meaningless. A
+    // segment amputated in between lay past the cut.
+    do {
+      segments_.pop_back();
+    } while (!segments_.back().live);
+    Segment& prev = segments_.back();
     prev.sealed = false;
     prev.records.clear();
     prev.records_valid = true;
@@ -1048,60 +1017,35 @@ void LogManager::CorruptStableTail(size_t drop_bytes) {
     prev.mirror.seal = 0;
     prev.first_lsn = 0;
     prev.last_lsn = 0;
-    const uint64_t prev_id = prev.id;
-    std::erase_if(checkpoints_, [prev_id](const CheckpointOffset& c) {
-      return c.segment_id == prev_id;
-    });
+    ForgetCheckpoints(prev.id);
     // Tail damage voids the archive copy too (the model: the tail was
     // never durably shipped).
-    std::erase_if(archive_, [prev_id](const Segment& a) {
-      return a.id == prev_id;
-    });
+    prev.archive.reset();
   }
   RefreshStableBytes();
 }
 
-LogManager::Segment* LogManager::FindLive(uint64_t id) {
-  for (Segment& seg : live_) {
-    if (seg.id == id) return &seg;
-  }
-  return nullptr;
-}
-
-const LogManager::Segment* LogManager::FindLive(uint64_t id) const {
-  for (const Segment& seg : live_) {
-    if (seg.id == id) return &seg;
-  }
-  return nullptr;
-}
-
-LogManager::Segment* LogManager::FindArchive(uint64_t id) {
-  for (Segment& seg : archive_) {
-    if (seg.id == id) return &seg;
-  }
-  return nullptr;
-}
-
-const LogManager::Segment* LogManager::FindArchive(uint64_t id) const {
-  for (const Segment& seg : archive_) {
-    if (seg.id == id) return &seg;
-  }
-  return nullptr;
+const LogManager::Segment* LogManager::Find(uint64_t id) const {
+  // Segment ids grow in log order.
+  const auto it = std::lower_bound(
+      segments_.begin(), segments_.end(), id,
+      [](const Segment& seg, uint64_t target) { return seg.id < target; });
+  return it != segments_.end() && it->id == id ? &*it : nullptr;
 }
 
 LogManager::Copy* LogManager::FindCopy(uint64_t id, LogCopy copy) {
+  Segment* seg = Find(id);
+  if (seg == nullptr) return nullptr;
   if (copy == LogCopy::kArchive) {
-    Segment* seg = FindArchive(id);
-    return seg == nullptr ? nullptr : &seg->primary;
+    return seg->archive.has_value() ? &*seg->archive : nullptr;
   }
-  Segment* seg = FindLive(id);
-  if (seg == nullptr || !seg->sealed) return nullptr;
+  if (!seg->live || !seg->sealed) return nullptr;
   return copy == LogCopy::kMirror ? &seg->mirror : &seg->primary;
 }
 
 size_t LogManager::LiveBytes() const {
   size_t bytes = 0;
-  for (const Segment& seg : live_) bytes += seg.primary.bytes.size();
+  for (const Segment& seg : segments_) bytes += seg.primary.bytes.size();
   return bytes;
 }
 
@@ -1112,9 +1056,7 @@ bool LogManager::CorruptSegmentByte(uint64_t segment_id, LogCopy copy,
     return false;
   }
   target->bytes[offset] ^= xor_mask;
-  Segment* seg = copy == LogCopy::kArchive ? FindArchive(segment_id)
-                                           : FindLive(segment_id);
-  seg->records_valid = false;  // the cache must never mask damage
+  Find(segment_id)->records_valid = false;  // the cache must never mask damage
   return true;
 }
 
@@ -1122,9 +1064,7 @@ bool LogManager::LoseSegmentCopy(uint64_t segment_id, LogCopy copy) {
   Copy* target = FindCopy(segment_id, copy);
   if (target == nullptr) return false;
   target->lost = true;
-  Segment* seg = copy == LogCopy::kArchive ? FindArchive(segment_id)
-                                           : FindLive(segment_id);
-  seg->records_valid = false;
+  Find(segment_id)->records_valid = false;
   return true;
 }
 
@@ -1133,9 +1073,7 @@ bool LogManager::TearSeal(uint64_t segment_id, LogCopy copy,
   Copy* target = FindCopy(segment_id, copy);
   if (target == nullptr || xor_mask == 0) return false;
   target->seal ^= xor_mask;
-  Segment* seg = copy == LogCopy::kArchive ? FindArchive(segment_id)
-                                           : FindLive(segment_id);
-  seg->records_valid = false;
+  Find(segment_id)->records_valid = false;
   return true;
 }
 
@@ -1162,9 +1100,7 @@ bool LogManager::RestoreSegmentCopy(uint64_t segment_id, LogCopy copy,
   target->bytes = image.bytes;
   target->seal = image.seal;
   target->lost = image.lost;
-  Segment* seg = copy == LogCopy::kArchive ? FindArchive(segment_id)
-                                           : FindLive(segment_id);
-  seg->records_valid = false;  // re-derive from the restored bytes
+  Find(segment_id)->records_valid = false;  // re-derive from the restored bytes
   return true;
 }
 

@@ -9,14 +9,20 @@
 // log protocol requires an operation's log record be forced to disk
 // before the operation's effects are written to disk").
 //
-// Stable layout: the log body is a sequence of *segments*. The last
-// segment is the active one — an append-only byte stream exactly like
-// the PR-1 flat log, subject to torn-tail salvage. Once the active
-// segment reaches `segment_bytes`, it is *sealed* at a record boundary:
-// a CRC32C seal over the whole segment is recorded, a copy is shipped to
-// the *archive* (continuous log archiving), and a fresh active segment
-// begins. Every live segment is kept in two copies — primary and mirror
-// — so mid-stream damage to one copy is repairable from the other.
+// Stable layout: the log body is one list of *segments* in log order.
+// The last segment is the active one — an append-only byte stream
+// subject to torn-tail salvage. Once the active segment reaches
+// `segment_bytes`, it is *sealed* at a record boundary: a CRC32C seal
+// over the whole segment is recorded and the segment gains its *archive*
+// copy (continuous log archiving), and a fresh active segment begins.
+// So a segment carries up to three copies of the same bytes: a primary
+// and a mirror while it belongs to the live log (mid-stream damage to
+// one is repairable from the other), and an archive copy from its seal
+// on. Checkpoint truncation and amputation *retire* a segment: it loses
+// its live copies and stays listed while its archive copy exists. An
+// ordinary read trusts the live copies of a live segment and the
+// archive copy of a retired one; media reads also fall back to a live
+// segment's archive copy.
 //
 // Failure model (the log body is NOT assumed incorruptible):
 //  - torn tail: a crash can interrupt an in-flight force, leaving a
@@ -52,6 +58,7 @@
 #ifndef REDO_WAL_LOG_MANAGER_H_
 #define REDO_WAL_LOG_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
@@ -60,6 +67,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -139,17 +147,10 @@ struct LogStats {
   void EmitMetrics(obs::MetricEmitter& emit) const;
 };
 
-/// Where one tolerant scan over the stable byte image stopped.
+/// Where one tolerant scan over the stable log stopped.
 struct ScanExtent {
   bool torn = false;             ///< damage found after the valid prefix
   core::Lsn last_valid_lsn = 0;  ///< LSN of the last decodable record (0 if none)
-  size_t valid_bytes = 0;        ///< byte length of the decodable prefix
-  size_t damaged_bytes = 0;      ///< bytes beyond the decodable prefix
-};
-
-/// Result of one tolerant scan, with copies of the records it visited.
-struct StableScan : ScanExtent {
-  std::vector<LogRecord> records;  ///< valid records with lsn >= `from`
 };
 
 /// Result of SalvageTornTail.
@@ -296,14 +297,17 @@ class LogManager {
   using StableVisitor = std::function<Status(const LogRecord&)>;
 
   /// The one scan body. Visits stable records with lsn >= `from`, in LSN
-  /// order and in place (nothing is copied), verifying integrity. Sealed
-  /// segments wholly below `from` are skipped by metadata; segments in
-  /// range are read through the parsed cache from whichever copy is
-  /// intact (primary, then mirror). Damage with no intact copy is NOT an
-  /// error: the scan visits the valid prefix and stops at the damage
-  /// (recovery must never trust bytes past a hole, but damage must never
-  /// make the valid prefix unrecoverable). Truncated-away segments are
-  /// read from the archive when `from` precedes the live log. Returns
+  /// order and in place (nothing is copied), verifying integrity, in one
+  /// walk of the segment list. Sealed segments wholly below `from` are
+  /// skipped by metadata; segments in range are read through the parsed
+  /// cache from the copies an ordinary read trusts (a live segment's
+  /// primary, then its mirror). Retired segments are read, from their
+  /// archive copies, only as the prefix below the live log when `from`
+  /// precedes it; one amputated from inside the live range is not read.
+  /// Damage with no trusted copy is NOT an error: the scan visits the
+  /// valid prefix, stops at the damage and reports `torn` (recovery must
+  /// never trust bytes past a hole, so a restart refuses a torn visit,
+  /// but damage must never make the valid prefix unreadable). Returns
   /// where the valid prefix ends, or the first error `visit` returned.
   /// `visit` must not append to the log or move records onto it: a
   /// force with nothing pending (a page flush while redo replays inside
@@ -311,10 +315,8 @@ class LogManager {
   Result<ScanExtent> VisitStable(core::Lsn from,
                                  const StableVisitor& visit) const;
 
-  /// VisitStable, copying the visited records out.
-  StableScan ScanStable(core::Lsn from) const;
-
-  /// ScanStable's records alone.
+  /// The records VisitStable visits from `from`, copied out (the valid
+  /// prefix: damage ends them, as it ends the visit).
   Result<std::vector<LogRecord>> StableRecords(core::Lsn from) const;
 
   /// Point lookup of one stable record, following the scan's rules:
@@ -390,7 +392,8 @@ class LogManager {
   /// Metadata of every live segment, in log order (last = active).
   std::vector<SegmentInfo> LiveSegments() const;
 
-  /// Metadata of every archived segment, in log order.
+  /// Metadata of every segment's archive copy, in log order (the
+  /// primary fields describe the archive copy).
   std::vector<SegmentInfo> ArchivedSegments() const;
 
   /// First LSN still present in the live log (0 if the live log is
@@ -423,21 +426,22 @@ class LogManager {
   /// range [from, stable_lsn] is fully covered.
   core::Lsn FirstUncoveredLsn(core::Lsn from) const;
 
-  /// Checkpoint truncation: drops live sealed segments whose records are
-  /// all <= `upto`, provided they are archived and precede the latest
-  /// stable checkpoint (recovery must keep its scan start). The archive
-  /// retains them. Returns the number of segments dropped.
+  /// Checkpoint truncation: retires the live log's leading sealed
+  /// segments whose records are all <= `upto`, provided they are
+  /// archived and precede the latest stable checkpoint (recovery must
+  /// keep its scan start). Their archive copies remain. Returns the
+  /// number of segments retired.
   size_t TruncateArchived(core::Lsn upto);
 
   /// Rebuilds every unreadable live segment whose archive copy is
   /// intact. Returns the number of segments repaired.
   size_t RepairFromArchive();
 
-  /// Drops unreadable live sealed segments whose records are all <=
-  /// `covered_lsn` (a backup covers their effects) and that no intact
-  /// source can rebuild. Used after a rung-2 media recovery so the live
-  /// log is gap-free *above* the backup point again. Returns the number
-  /// of segments dropped.
+  /// Retires (amputates) unreadable live sealed segments whose records
+  /// are all <= `covered_lsn` (a backup covers their effects) and that
+  /// no intact source can rebuild. Used after a rung-2 media recovery so
+  /// the live log is gap-free *above* the backup point again. Returns
+  /// the number of segments retired.
   size_t DropUnreadableThrough(core::Lsn covered_lsn);
 
   // ---- Fault hooks (log-media damage) ----
@@ -491,17 +495,22 @@ class LogManager {
     std::vector<uint8_t> frame;
   };
 
-  /// One log segment. The parsed-record cache (`records`) holds the
-  /// decoded records of the verified region: for sealed segments the
-  /// whole segment (invalidated by fault hooks, rebuilt by decode); for
-  /// the active segment the bytes in [0, verified_prefix_).
+  /// One log segment. While `live` it holds a primary and a mirror;
+  /// from its seal on it also holds an archive copy. A retired segment
+  /// (not `live`) holds only its archive copy. The parsed-record cache
+  /// (`records`) holds records decoded from the copies an ordinary read
+  /// trusts (TrustedCopies): for sealed segments the whole segment
+  /// (invalidated by fault hooks, rebuilt by decode); for the active
+  /// segment the bytes in [0, verified_prefix_).
   struct Segment {
     uint64_t id = 0;
     core::Lsn first_lsn = 0;
     core::Lsn last_lsn = 0;
     bool sealed = false;
+    bool live = true;
     Copy primary;
     Copy mirror;
+    std::optional<Copy> archive;
     mutable std::vector<LogRecord> records;
     mutable bool records_valid = true;
   };
@@ -512,32 +521,75 @@ class LogManager {
     core::Lsn lsn;
   };
 
-  Segment& active() { return live_.back(); }
-  const Segment& active() const { return live_.back(); }
+  Segment& active() { return segments_.back(); }
+  const Segment& active() const { return segments_.back(); }
 
   void StartNewActive();
   void SealActive();
+
+  /// The one retire step (truncation, amputation): drops segment
+  /// `index`'s live copies, its checkpoint offsets and its parsed cache,
+  /// which was parsed from the live copies. It stays listed while its
+  /// archive copy exists and leaves the list otherwise. Returns the
+  /// index of the segment after it.
+  size_t Retire(size_t index);
+
+  /// Drops the cached checkpoint locations in segment `id`.
+  void ForgetCheckpoints(uint64_t id);
 
   /// Decodes a copy's bytes into records; nullopt unless the decode is
   /// clean end-to-end and matches the segment's recorded LSN range.
   std::optional<std::vector<LogRecord>> DecodeSealedCopy(
       const Segment& segment, const Copy& copy) const;
 
-  /// The records of a sealed segment from whichever copy is intact;
-  /// nullptr if the segment is a hole. Refills the parsed cache.
+  /// The copies of `segment` an ordinary read trusts, in the order it
+  /// tries them: primary then mirror while the segment is live, its
+  /// archive copy once it is retired. Unused slots are null.
+  static std::array<const Copy*, 2> TrustedCopies(const Segment& segment);
+
+  /// The records of a sealed segment from the first of its trusted
+  /// copies that decodes; nullptr if the segment is a hole. Refills the
+  /// parsed cache.
   const std::vector<LogRecord>* ReadableSealedRecords(
       const Segment& segment) const;
 
+  /// A media read of `segment`'s archive copy: its records if the copy
+  /// exists and decodes. Leaves the parsed cache alone — while the
+  /// segment is live the cache holds only its live copies' records.
+  std::optional<std::vector<LogRecord>> DecodeArchiveCopy(
+      const Segment& segment) const;
+
+  /// The one decoder of unverified bytes (a scan, a lookup and salvage
+  /// read the active segment's tail through it): decodes `segment`'s
+  /// primary frame by frame from byte `offset`, handing each record to
+  /// `on_record(LogRecord&&)`, until the bytes end, a frame does not
+  /// decode, or `on_record` returns false. Returns the offset past the
+  /// last record decoded.
+  template <typename OnRecord>
+  size_t DecodeTail(const Segment& segment, size_t offset,
+                    OnRecord&& on_record) const;
+
+  /// Whether a scan or lookup reaching back to `from` reads `segment`:
+  /// every live segment, and a retired one only as part of the prefix
+  /// below the live log (which begins at `live_begin`, 0 if empty), when
+  /// `from` precedes the live log.
+  static bool Reads(const Segment& segment, core::Lsn from,
+                    core::Lsn live_begin);
+
   /// The archive-aware walk behind ReadWithArchive and FirstUncoveredLsn:
-  /// visits records from `from` through stable_lsn() using every intact
-  /// source, appending them to `out` when it is non-null. Returns the
+  /// one forward pass from `from` through stable_lsn() that reads each
+  /// segment's trusted copies, else a live segment's archive copy,
+  /// appending the records to `out` when it is non-null. Returns the
   /// first LSN no source covers, or 0 when the range is gap-free.
   core::Lsn WalkWithArchive(core::Lsn from, std::vector<LogRecord>* out) const;
 
-  Segment* FindLive(uint64_t id);
-  const Segment* FindLive(uint64_t id) const;
-  Segment* FindArchive(uint64_t id);
-  const Segment* FindArchive(uint64_t id) const;
+  /// The listed segment with `id`, live or retired; nullptr if none.
+  const Segment* Find(uint64_t id) const;
+  Segment* Find(uint64_t id) {
+    return const_cast<Segment*>(std::as_const(*this).Find(id));
+  }
+  /// Segment `id`'s `copy` where it exists — a live copy of a sealed live
+  /// segment, or an archive copy; nullptr otherwise.
   Copy* FindCopy(uint64_t id, LogCopy copy);
 
   size_t LiveBytes() const;
@@ -570,8 +622,7 @@ class LogManager {
   std::atomic<core::Lsn> stable_lsn_{0};
   uint64_t next_segment_id_ = 1;
   std::vector<PendingRecord> volatile_tail_;  // records with lsn > stable_lsn_
-  std::vector<Segment> live_;             // last = active (never sealed)
-  std::vector<Segment> archive_;          // sealed copies (primary slot only)
+  std::vector<Segment> segments_;  // log order; last = active (never sealed)
   size_t verified_prefix_ = 0;  // bytes of the ACTIVE segment known to decode
   std::vector<CheckpointOffset> checkpoints_;  // in LSN order
   mutable LogStats stats_;

@@ -10,6 +10,7 @@
 
 #include "btree/node_format.h"
 #include "util/rng.h"
+#include "method_param_name.h"
 
 namespace redo::btree {
 namespace {
@@ -30,15 +31,8 @@ class BtreeMethodTest : public ::testing::TestWithParam<MethodKind> {};
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, BtreeMethodTest,
-    ::testing::Values(MethodKind::kLogical, MethodKind::kPhysical,
-                      MethodKind::kPhysiological, MethodKind::kGeneralized,
-                      MethodKind::kPhysiologicalAnalysis,
-                      MethodKind::kPhysicalPartial),
-    [](const ::testing::TestParamInfo<MethodKind>& info) {
-      std::string name = methods::MethodKindName(info.param);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name;
-    });
+    ::testing::ValuesIn(methods::kMethodKinds),
+    [](const auto& info) { return MethodParamName(info.param); });
 
 TEST_P(BtreeMethodTest, InsertLookupRoundTrip) {
   auto db = MakeDb(GetParam());

@@ -9,6 +9,7 @@
 #include "btree/btree.h"
 #include "btree/node_format.h"
 #include "util/rng.h"
+#include "method_param_name.h"
 
 namespace redo::btree {
 namespace {
@@ -31,11 +32,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MethodKind::kLogical, MethodKind::kPhysical,
                       MethodKind::kPhysiological, MethodKind::kGeneralized,
                       MethodKind::kPhysicalPartial),
-    [](const ::testing::TestParamInfo<MethodKind>& info) {
-      std::string name = methods::MethodKindName(info.param);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name;
-    });
+    [](const auto& info) { return MethodParamName(info.param); });
 
 TEST_P(BtreeMergeMethodTest, DrainLeavesTreeMergedAndValid) {
   auto db = MakeDb(GetParam());

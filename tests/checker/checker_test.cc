@@ -6,6 +6,8 @@
 
 #include <memory>
 
+#include "method_param_name.h"
+
 namespace redo::checker {
 namespace {
 
@@ -26,15 +28,8 @@ class CheckerMethodTest : public ::testing::TestWithParam<MethodKind> {};
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, CheckerMethodTest,
-    ::testing::Values(MethodKind::kLogical, MethodKind::kPhysical,
-                      MethodKind::kPhysiological, MethodKind::kGeneralized,
-                      MethodKind::kPhysiologicalAnalysis,
-                      MethodKind::kPhysicalPartial),
-    [](const ::testing::TestParamInfo<MethodKind>& info) {
-      std::string name = methods::MethodKindName(info.param);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name;
-    });
+    ::testing::ValuesIn(methods::kMethodKinds),
+    [](const auto& info) { return MethodParamName(info.param); });
 
 TEST_P(CheckerMethodTest, CleanCrashSatisfiesInvariant) {
   auto db = MakeDb(GetParam());

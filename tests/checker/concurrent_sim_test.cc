@@ -15,12 +15,6 @@ namespace {
 
 using methods::MethodKind;
 
-constexpr MethodKind kAllKinds[] = {
-    MethodKind::kLogical,        MethodKind::kPhysical,
-    MethodKind::kPhysiological,  MethodKind::kGeneralized,
-    MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial,
-};
-
 SimOptions SmallRun() {
   SimOptions options;
   options.sessions = 3;
@@ -61,7 +55,8 @@ TEST_P(ConcurrentSimMethodTest, TornForceNeverLosesAckedCommits) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllMethods, ConcurrentSimMethodTest, ::testing::ValuesIn(kAllKinds),
+    AllMethods, ConcurrentSimMethodTest,
+    ::testing::ValuesIn(methods::kMethodKinds),
     [](const ::testing::TestParamInfo<MethodKind>& info) {
       std::string name = methods::MethodKindName(info.param);
       for (char& c : name) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "method_param_name.h"
+
 namespace redo::checker {
 namespace {
 
@@ -31,9 +33,8 @@ std::vector<MatrixParam> MatrixParams() {
 INSTANTIATE_TEST_SUITE_P(
     Methods, CrashSimMatrixTest, ::testing::ValuesIn(MatrixParams()),
     [](const ::testing::TestParamInfo<MatrixParam>& info) {
-      std::string name = methods::MethodKindName(info.param.method);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name + "Seed" + std::to_string(info.param.seed);
+      return MethodParamName(info.param.method) + "Seed" +
+             std::to_string(info.param.seed);
     });
 
 TEST_P(CrashSimMatrixTest, InvariantHoldsAndRecoveryIsExact) {

@@ -12,6 +12,7 @@
 
 #include "checker/crash_sim.h"
 #include "engine/minidb.h"
+#include "method_param_name.h"
 
 namespace redo::checker {
 namespace {
@@ -100,9 +101,8 @@ std::vector<FaultMatrixParam> FaultMatrixParams() {
 INSTANTIATE_TEST_SUITE_P(
     Methods, FaultMatrixTest, ::testing::ValuesIn(FaultMatrixParams()),
     [](const ::testing::TestParamInfo<FaultMatrixParam>& info) {
-      std::string name = methods::MethodKindName(info.param.method);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name + "Seed" + std::to_string(info.param.seed);
+      return MethodParamName(info.param.method) + "Seed" +
+             std::to_string(info.param.seed);
     });
 
 TEST_P(FaultMatrixTest, NoSilentCorruptionUnderFaultSchedule) {
@@ -136,9 +136,8 @@ INSTANTIATE_TEST_SUITE_P(
     Methods, LogMediaMatrixTest,
     ::testing::ValuesIn(FaultMatrixParams()),
     [](const ::testing::TestParamInfo<FaultMatrixParam>& info) {
-      std::string name = methods::MethodKindName(info.param.method);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name + "Seed" + std::to_string(info.param.seed);
+      return MethodParamName(info.param.method) + "Seed" +
+             std::to_string(info.param.seed);
     });
 
 SimOptions LogMediaOptions() {

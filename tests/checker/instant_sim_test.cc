@@ -20,12 +20,6 @@ namespace {
 
 using methods::MethodKind;
 
-constexpr MethodKind kAllKinds[] = {
-    MethodKind::kLogical,        MethodKind::kPhysical,
-    MethodKind::kPhysiological,  MethodKind::kGeneralized,
-    MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial,
-};
-
 SimOptions InstantRun() {
   SimOptions options;
   options.sessions = 3;
@@ -75,7 +69,8 @@ TEST(InstantSimTest, InjectorsComposeWithInstantRestart) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllMethods, InstantSimMethodTest, ::testing::ValuesIn(kAllKinds),
+    AllMethods, InstantSimMethodTest,
+    ::testing::ValuesIn(methods::kMethodKinds),
     [](const ::testing::TestParamInfo<MethodKind>& info) {
       std::string name = methods::MethodKindName(info.param);
       for (char& c : name) {

@@ -17,12 +17,6 @@ namespace {
 
 using methods::MethodKind;
 
-constexpr MethodKind kAllKinds[] = {
-    MethodKind::kLogical,        MethodKind::kPhysical,
-    MethodKind::kPhysiological,  MethodKind::kGeneralized,
-    MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial,
-};
-
 SimOptions TxnRun() {
   SimOptions options;
   options.sessions = 3;
@@ -60,7 +54,8 @@ TEST_P(TxnSimMethodTest, TornTailAndRecrashDuringUndoConverge) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllMethods, TxnSimMethodTest, ::testing::ValuesIn(kAllKinds),
+    AllMethods, TxnSimMethodTest,
+    ::testing::ValuesIn(methods::kMethodKinds),
     [](const ::testing::TestParamInfo<MethodKind>& info) {
       std::string name = methods::MethodKindName(info.param);
       for (char& c : name) {

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "storage/fault_injector.h"
+#include "method_param_name.h"
 
 namespace redo::engine {
 namespace {
@@ -36,11 +37,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllMethods, BackupFaultTest,
     ::testing::Values(MethodKind::kLogical, MethodKind::kPhysical,
                       MethodKind::kPhysiological, MethodKind::kGeneralized),
-    [](const ::testing::TestParamInfo<MethodKind>& info) {
-      std::string name = methods::MethodKindName(info.param);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name;
-    });
+    [](const auto& info) { return MethodParamName(info.param); });
 
 TEST_P(BackupFaultTest, MediaRecoveryUnderDiskFaultSchedule) {
   // The crash sim's serial disk fault schedule, hot enough that most

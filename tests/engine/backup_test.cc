@@ -13,6 +13,7 @@
 #include "btree/btree.h"
 #include "btree/node_format.h"
 #include "engine/workload.h"
+#include "method_param_name.h"
 
 namespace redo::engine {
 namespace {
@@ -32,15 +33,8 @@ class BackupMethodTest : public ::testing::TestWithParam<MethodKind> {};
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, BackupMethodTest,
-    ::testing::Values(MethodKind::kLogical, MethodKind::kPhysical,
-                      MethodKind::kPhysiological, MethodKind::kGeneralized,
-                      MethodKind::kPhysiologicalAnalysis,
-                      MethodKind::kPhysicalPartial),
-    [](const ::testing::TestParamInfo<MethodKind>& info) {
-      std::string name = methods::MethodKindName(info.param);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name;
-    });
+    ::testing::ValuesIn(methods::kMethodKinds),
+    [](const auto& info) { return MethodParamName(info.param); });
 
 TEST_P(BackupMethodTest, RestoreAloneRecoversBackupPoint) {
   auto db = MakeDb(GetParam());

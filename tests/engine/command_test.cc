@@ -43,7 +43,6 @@ std::vector<Command> AllCommandVariants() {
       MakeCommitCommand(991),
       MakeAbortCommand(),
       MakeStatusCommand(),
-      MakeAdminCrashCommand(),
   };
 }
 
@@ -243,10 +242,6 @@ TEST(NetDispatchTest, DispatchMatchesSessionSemantics) {
     EXPECT_TRUE(status.status.concurrent);
     EXPECT_EQ(status.status.num_pages, kPages);
     EXPECT_GE(status.status.live_sessions, 1u);
-
-    // Admin crash is a server-level verb: Dispatch refuses it.
-    Reply admin = Dispatch(session, MakeAdminCrashCommand());
-    EXPECT_EQ(admin.code, StatusCode::kFailedPrecondition);
 
     // Bad page: the error carries the old entry point's code.
     Reply bad = Dispatch(session, MakeWriteSlotCommand(kPages + 10, 0, 1));

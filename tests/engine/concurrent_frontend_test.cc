@@ -24,12 +24,6 @@ using storage::PageId;
 
 constexpr size_t kPages = 16;
 
-constexpr MethodKind kAllKinds[] = {
-    MethodKind::kLogical,        MethodKind::kPhysical,
-    MethodKind::kPhysiological,  MethodKind::kGeneralized,
-    MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial,
-};
-
 std::unique_ptr<MiniDb> MakeDb(MethodKind kind, size_t cache_capacity = 0) {
   MiniDbOptions options;
   options.num_pages = kPages;
@@ -217,7 +211,7 @@ TEST_P(ConcurrentFrontendMethodTest, SplitsRunUnderConcurrentWriters) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, ConcurrentFrontendMethodTest,
-                         ::testing::ValuesIn(kAllKinds));
+                         ::testing::ValuesIn(methods::kMethodKinds));
 
 TEST(ConcurrentFrontendTest, FuzzyCheckpointNeedsAnLsnTagMethod) {
   auto db = MakeDb(MethodKind::kPhysical);

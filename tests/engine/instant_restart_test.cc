@@ -30,12 +30,6 @@ using storage::PageId;
 constexpr size_t kPages = 24;
 constexpr uint32_t kSlots = 4;
 
-constexpr MethodKind kAllKinds[] = {
-    MethodKind::kLogical,        MethodKind::kPhysical,
-    MethodKind::kPhysiological,  MethodKind::kGeneralized,
-    MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial,
-};
-
 EngineOptions InstantEngine(size_t workers) {
   EngineOptions engine;
   engine.instant_restart = true;
@@ -260,7 +254,7 @@ TEST_P(InstantRestartMethodTest, OneStableVisitPerRestart) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, InstantRestartMethodTest,
-                         ::testing::ValuesIn(kAllKinds));
+                         ::testing::ValuesIn(methods::kMethodKinds));
 
 // Physical logging images a page on every write, so most images of a
 // suffix are superseded by a later image of the same page. An aborted

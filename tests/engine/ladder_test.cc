@@ -17,6 +17,7 @@
 
 #include "engine/backup.h"
 #include "engine/minidb.h"
+#include "method_param_name.h"
 
 namespace redo::engine {
 namespace {
@@ -127,9 +128,7 @@ std::vector<LadderParam> LadderParams() {
 INSTANTIATE_TEST_SUITE_P(
     DamageMatrix, LadderMatrixTest, ::testing::ValuesIn(LadderParams()),
     [](const ::testing::TestParamInfo<LadderParam>& info) {
-      std::string name = methods::MethodKindName(info.param.method);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name + "_" + info.param.c.name;
+      return MethodParamName(info.param.method) + "_" + info.param.c.name;
     });
 
 TEST_P(LadderMatrixTest, ResolvesAtThePredictedRung) {
@@ -175,6 +174,86 @@ TEST_P(LadderMatrixTest, ResolvesAtThePredictedRung) {
     EXPECT_EQ(db.NewSession().ReadSlot(key.first, key.second).value(), value)
         << "page " << key.first << " slot " << key.second;
   }
+}
+
+// A restart must not replay past a hole below the live log. Checkpoint
+// truncation may retire records the checkpoint's redo start still needs
+// (a page dirty since LSN 1) to the archive; once that archive copy is
+// lost, every live segment is intact and no check of the live log sees
+// the hole, so the restart's log visit itself must refuse, naming the
+// first unreadable LSN, never replay the records after it onto pages
+// that miss the write before it.
+struct ArchiveHoleParam {
+  MethodKind method;
+  bool instant;  // RecoverInstant() instead of the quiescing Recover()
+};
+
+class ArchiveHoleRestartTest
+    : public ::testing::TestWithParam<ArchiveHoleParam> {};
+
+std::vector<ArchiveHoleParam> ArchiveHoleParams() {
+  std::vector<ArchiveHoleParam> params;
+  for (const MethodKind kind :
+       {MethodKind::kPhysiological, MethodKind::kPhysiologicalAnalysis,
+        MethodKind::kGeneralized}) {
+    for (const bool instant : {false, true}) params.push_back({kind, instant});
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FuzzyMethods, ArchiveHoleRestartTest,
+    ::testing::ValuesIn(ArchiveHoleParams()),
+    [](const ::testing::TestParamInfo<ArchiveHoleParam>& info) {
+      return MethodParamName(info.param.method) +
+             (info.param.instant ? "_instant" : "_quiescing");
+    });
+
+TEST_P(ArchiveHoleRestartTest, RestartRefusesAHoleUnderItsRedoStart) {
+  MiniDbOptions options;
+  options.num_pages = kPages;
+  options.wal.segment_bytes = 200;
+  options.engine.instant_restart = GetParam().instant;
+  MiniDb db(options, methods::MakeMethod(GetParam().method, {kPages}));
+  {
+    MiniDb::Session session = db.NewSession();
+    ASSERT_TRUE(session.WriteSlot(1, 0, 4242).ok());  // LSN 1
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(session.WriteSlot(2 + i % 5, i % 4, 7 + i).ok());
+    }
+  }
+  ASSERT_TRUE(db.Checkpoint().ok());  // page 1 is dirty since LSN 1
+  {
+    MiniDb::Session session = db.NewSession();
+    for (int value = 0; value <= 4; ++value) {
+      ASSERT_TRUE(session.WriteSlot(3, 2, value).ok());
+    }
+  }
+  wal::LogManager& log = db.log();
+  ASSERT_TRUE(log.ForceAll().ok());
+  log.SealActiveSegment();
+  ASSERT_GT(log.TruncateArchived(log.stable_lsn()), 0u);
+  const wal::SegmentInfo first = log.ArchivedSegments().front();
+  ASSERT_EQ(first.first_lsn, 1u);
+  ASSERT_GT(log.live_begin_lsn(), first.last_lsn)
+      << "LSN 1 must be archive-only";
+  ASSERT_TRUE(log.LoseSegmentCopy(first.id, wal::LogCopy::kArchive));
+  db.Crash();
+  EXPECT_TRUE(log.Scrub().clean());
+  EXPECT_EQ(log.FirstHoleLsn(), 0u);
+
+  const Status recovered =
+      GetParam().instant ? db.RecoverInstant() : db.Recover();
+  if (recovered.ok() && GetParam().instant) {
+    // The restart ran past the hole: stop its drain before failing.
+    (void)db.WaitUntilRecovered();
+    (void)db.EndConcurrent();
+  }
+  EXPECT_EQ(recovered.code(), StatusCode::kCorruption)
+      << recovered.ToString();
+  EXPECT_NE(recovered.message().find("first unreadable LSN 1;"),
+            std::string::npos)
+      << recovered.ToString();
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "btree/node_format.h"
 #include "engine/workload.h"
+#include "method_param_name.h"
 
 namespace redo::engine {
 namespace {
@@ -31,15 +32,8 @@ class MiniDbMethodTest : public ::testing::TestWithParam<MethodKind> {};
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, MiniDbMethodTest,
-    ::testing::Values(MethodKind::kLogical, MethodKind::kPhysical,
-                      MethodKind::kPhysiological, MethodKind::kGeneralized,
-                      MethodKind::kPhysiologicalAnalysis,
-                      MethodKind::kPhysicalPartial),
-    [](const ::testing::TestParamInfo<MethodKind>& info) {
-      std::string name = methods::MethodKindName(info.param);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      return name;
-    });
+    ::testing::ValuesIn(methods::kMethodKinds),
+    [](const auto& info) { return MethodParamName(info.param); });
 
 TEST_P(MiniDbMethodTest, WritesAreVisibleThroughCache) {
   auto db = MakeDb(GetParam());

@@ -26,12 +26,6 @@ using storage::PageId;
 
 constexpr size_t kPages = 16;
 
-constexpr MethodKind kAllKinds[] = {
-    MethodKind::kLogical,        MethodKind::kPhysical,
-    MethodKind::kPhysiological,  MethodKind::kGeneralized,
-    MethodKind::kPhysiologicalAnalysis, MethodKind::kPhysicalPartial,
-};
-
 std::unique_ptr<MiniDb> MakeDb(MethodKind kind,
                                const engine::EngineOptions& engine = {}) {
   MiniDbOptions options;
@@ -355,7 +349,7 @@ TEST_P(UndoRecoveryTest, LoserChainReachingIntoTheArchiveRollsBack) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllMethods, UndoRecoveryTest, ::testing::ValuesIn(kAllKinds),
+    AllMethods, UndoRecoveryTest, ::testing::ValuesIn(kMethodKinds),
     [](const ::testing::TestParamInfo<MethodKind>& info) {
       std::string name = MethodKindName(info.param);
       for (char& c : name) {

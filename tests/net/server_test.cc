@@ -477,52 +477,5 @@ TEST(NetServerCrashTest, ReadDuringServingDrainsTouchedPageOnDemand) {
       << " rounds the background drain always reached the page first";
 }
 
-TEST(NetServerCrashTest, AdminCrashHookRunsTheCycle) {
-  MiniDbOptions options = BaseOptions();
-  options.engine.instant_restart = true;
-  options.engine.instant_drain_workers = 1;
-  options.net.enable_admin = true;
-  auto db = MakeDb(options);
-  ASSERT_TRUE(db->BeginConcurrent().ok());
-  NetServer server(db.get(), options.net);
-  std::atomic<bool> cycled{false};
-  server.set_admin_crash_hook([&] {
-    db->FreezeCommits();
-    server.DisableCommands();
-    if (!server.DisconnectAll().ok()) return;
-    db->Crash();
-    if (!db->RecoverInstant().ok()) return;
-    server.EnableCommands();
-    cycled.store(true);
-  });
-  ASSERT_TRUE(server.Start().ok());
-
-  NetClient client;
-  ASSERT_TRUE(client.Connect(kHost, server.port()).ok());
-  ASSERT_TRUE(client.Call(engine::MakeWriteSlotCommand(1, 0, 31)).ok());
-  ASSERT_TRUE(client.Call(engine::MakeCommitCommand()).ok());
-  // Fire the crash cycle over the wire; the connection will drop.
-  (void)client.SendCommand(engine::MakeAdminCrashCommand());
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!cycled.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(cycled.load());
-  EXPECT_EQ(server.stats().admin_crashes.load(), 1u);
-
-  // Reconnect and verify the committed write survived the admin cycle.
-  auto serving = client.AwaitServing(kHost, server.port(), 5000);
-  ASSERT_TRUE(serving.ok());
-  auto read = client.Call(engine::MakeReadSlotCommand(1, 0));
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value().value, 31);
-
-  client.Close();
-  server.Stop();
-  ASSERT_TRUE(db->WaitUntilRecovered().ok());
-  ASSERT_TRUE(db->EndConcurrent().ok());
-}
-
 }  // namespace
 }  // namespace redo::net

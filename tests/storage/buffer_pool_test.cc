@@ -421,7 +421,7 @@ TEST(BufferPoolTest, FetchBlindInstallsWithoutReading) {
 // Blind installs made while eviction is held count in the pool's own
 // stats, so the fetch identity holds after a multi-worker redo drain
 // too: every fetch is one hit, one miss or one blind install.
-TEST(BufferPoolTest, MergeSumsPartitionBlindInstalls) {
+TEST(BufferPoolTest, HeldEvictionCountsBlindInstalls) {
   Disk disk(8);
   BufferPool pool(&disk, 2);
   (void)pool.Fetch(0).value();
@@ -446,7 +446,7 @@ TEST(BufferPoolTest, MergeSumsPartitionBlindInstalls) {
 // constraints, whose cycle case flushes), a flushed frame stays cached
 // instead of leaving, and frame pointers stay valid across later
 // misses — the pool only stops evicting.
-TEST(BufferPoolTest, SplitForRedoRefusesPoolAccessUntilMerged) {
+TEST(BufferPoolTest, HeldEvictionKeepsServingAndNeverEvicts) {
   Disk disk(8);
   BufferPool pool(&disk, 2);
   pool.HoldEviction();
@@ -468,7 +468,7 @@ TEST(BufferPoolTest, SplitForRedoRefusesPoolAccessUntilMerged) {
 
 // A recovery that dies mid-drain leaves the hold set; the crash that
 // precedes its rerun releases it, so the pool evicts again.
-TEST(BufferPoolTest, CrashClearsTheRedoPartitionedFlag) {
+TEST(BufferPoolTest, CrashReleasesTheEvictionHold) {
   Disk disk(4);
   BufferPool pool(&disk, 2);
   pool.HoldEviction();

@@ -107,16 +107,22 @@ TEST(LogManagerTest, TornStableTailTruncatedNotFatal) {
   log.Append(RecordType::kSlotWrite, {4, 5, 6});
   ASSERT_TRUE(log.ForceAll().ok());
   log.CorruptStableTail(3);  // cuts into the second record
-  const StableScan scan = log.ScanStable(1);
-  EXPECT_TRUE(scan.torn);
-  ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0].lsn, 1u);
-  EXPECT_EQ(scan.last_valid_lsn, 1u);
-  EXPECT_GT(scan.damaged_bytes, 0u);
+  std::vector<core::Lsn> visited;
+  const Result<ScanExtent> scan =
+      log.VisitStable(1, [&visited](const LogRecord& record) {
+        visited.push_back(record.lsn);
+        return Status::Ok();
+      });
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan.value().torn);
+  EXPECT_EQ(visited, std::vector<core::Lsn>{1});
+  EXPECT_EQ(scan.value().last_valid_lsn, 1u);
   // StableRecords returns the salvaged prefix instead of erroring.
   const auto records = log.StableRecords(1);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records.value().size(), 1u);
+  // The damage is bytes past the valid prefix, which salvage drops.
+  EXPECT_GT(log.SalvageTornTail().dropped_bytes, 0u);
 }
 
 TEST(LogManagerTest, SalvageTruncatesTornTailAtLastValidRecord) {
@@ -142,6 +148,54 @@ TEST(LogManagerTest, SalvageTruncatesTornTailAtLastValidRecord) {
   EXPECT_EQ(log.StableRecords(1).value().size(), 2u);
   EXPECT_EQ(log.stats().torn_tail_truncations, 1u);
   EXPECT_EQ(log.stats().torn_bytes_dropped, pending - 3);
+}
+
+TEST(LogManagerTest, SalvageKeepsExactlyTheWholeRecordsOfEveryTear) {
+  // A crash may tear a force after any of its bytes. Salvage keeps the
+  // records whose frames lie wholly inside the bytes that landed, reads
+  // them back unchanged, and drops the partial frame after them.
+  const std::vector<std::vector<uint8_t>> payloads = {
+      {}, {1, 2, 3}, std::vector<uint8_t>(40, 7), {9}};
+  auto stage = [&payloads](LogManager& log, std::vector<LogRecord>* tail) {
+    log.Append(RecordType::kSlotWrite, {0xaa});
+    ASSERT_TRUE(log.ForceAll().ok());
+    for (const std::vector<uint8_t>& payload : payloads) {
+      const core::Lsn lsn = log.Append(RecordType::kSlotWrite, payload);
+      tail->push_back(LogRecord{lsn, RecordType::kSlotWrite, payload});
+    }
+  };
+  size_t pending = 0;
+  {
+    LogManager log;
+    std::vector<LogRecord> tail;
+    stage(log, &tail);
+    pending = log.PendingForceBytes();
+  }
+  for (size_t landed = 0; landed < pending; ++landed) {
+    LogManager log;
+    std::vector<LogRecord> tail;
+    stage(log, &tail);
+    ASSERT_EQ(log.TearInFlightForce(landed), landed);
+    log.Crash();
+    size_t whole = 0;
+    size_t whole_bytes = 0;
+    while (whole < tail.size() &&
+           whole_bytes + EncodedRecordSize(tail[whole]) <= landed) {
+      whole_bytes += EncodedRecordSize(tail[whole]);
+      ++whole;
+    }
+    const SalvageResult salvage = log.SalvageTornTail();
+    EXPECT_EQ(salvage.salvaged_records, whole) << "landed " << landed;
+    EXPECT_EQ(salvage.dropped_bytes, landed - whole_bytes)
+        << "landed " << landed;
+    EXPECT_EQ(salvage.torn, landed > whole_bytes) << "landed " << landed;
+    EXPECT_EQ(log.stable_lsn(), 1 + whole) << "landed " << landed;
+    const std::vector<LogRecord> records = log.StableRecords(1).value();
+    ASSERT_EQ(records.size(), 1 + whole) << "landed " << landed;
+    for (size_t i = 0; i < whole; ++i) {
+      EXPECT_EQ(records[1 + i], tail[i]) << "landed " << landed;
+    }
+  }
 }
 
 TEST(LogManagerTest, SalvageRecoversCompleteUnacknowledgedRecords) {

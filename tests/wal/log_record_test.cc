@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace redo::wal {
 namespace {
 
@@ -118,6 +123,54 @@ TEST(LogRecordTest, BitFlipDetectedByChecksum) {
   size_t offset = 0;
   EXPECT_EQ(DecodeRecord(encoded, &offset).status().code(),
             StatusCode::kCorruption);
+}
+
+// ---- Decoders that refuse garbage ----
+
+// Every single-byte flip (mask 0xff and one random nonzero mask per
+// byte, as the engine decoders' sweep) and every proper prefix of an
+// encoded record is refused as a diagnosed Corruption that leaves the
+// offset alone: the length prefix and the CRC32C over header and
+// payload leave no byte whose damage decodes to a different record.
+TEST(LogRecordTest, EveryFlipAndPrefixOfARecordIsRefused) {
+  Rng rng(30);
+  std::vector<uint8_t> image(4096);  // a page image's worth of payload
+  for (uint8_t& byte : image) byte = static_cast<uint8_t>(rng.Next());
+  const LogRecord records[] = {
+      {1, RecordType::kCheckpoint, {}},
+      {42, RecordType::kSlotWrite, {1, 2, 3, 4, 5, 6, 7}},
+      {uint64_t{1} << 40, RecordType::kPageImage, image},
+  };
+  for (const LogRecord& record : records) {
+    const std::vector<uint8_t> encoded = EncodeRecord(record);
+    auto expect_refused = [](const std::vector<uint8_t>& bytes,
+                             const std::string& what) {
+      size_t offset = 0;
+      const Result<LogRecord> decoded = DecodeRecord(bytes, &offset);
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << what;
+      EXPECT_FALSE(decoded.status().message().empty()) << what;
+      EXPECT_EQ(offset, 0u) << what;
+    };
+    const std::string name =
+        "payload of " + std::to_string(record.payload.size()) + " bytes, ";
+    std::vector<uint8_t> mutant = encoded;
+    for (size_t i = 0; i < encoded.size(); ++i) {
+      for (const uint8_t mask :
+           {uint8_t{0xff}, static_cast<uint8_t>(1 + rng.Below(255))}) {
+        mutant[i] ^= mask;
+        expect_refused(mutant, name + "flip at " + std::to_string(i));
+        mutant[i] = encoded[i];
+      }
+    }
+    for (size_t size = 0; size < encoded.size(); ++size) {
+      expect_refused(std::vector<uint8_t>(encoded.begin(),
+                                          encoded.begin() +
+                                              static_cast<ptrdiff_t>(size)),
+                     name + "prefix of " + std::to_string(size));
+    }
+    size_t offset = 0;
+    EXPECT_EQ(DecodeRecord(encoded, &offset).value(), record);
+  }
 }
 
 }  // namespace

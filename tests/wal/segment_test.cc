@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "util/rng.h"
 #include "wal/log_manager.h"
 
 namespace redo::wal {
@@ -165,6 +166,90 @@ TEST(SegmentTest, ScrubResealsWhenOnlySealsAreTorn) {
   EXPECT_EQ(log.StableRecords(1).value().size(), 7u);
 }
 
+// Every byte of a sealed segment is covered. Rot one byte of the
+// primary and Scrub repairs it from the mirror, after which a full scan
+// reads every record unchanged. Rot the same byte of both copies and
+// the segment is a hole at its first LSN: a scan stops before it and a
+// lookup refuses at or past it. Flips use the engine decoders' sweep
+// masks (0xff and one random nonzero mask per byte).
+TEST(SegmentTest, EveryByteOfASealedSegmentIsRepairedOrAHole) {
+  auto fill = [](LogManager& log) {
+    for (uint8_t i = 1; i <= 8; ++i) AppendForced(log, i);
+  };
+  LogManager reference = MakeSegmented();
+  fill(reference);
+  const std::vector<LogRecord> expected = reference.StableRecords(1).value();
+  const SegmentInfo target = reference.LiveSegments()[1];
+  ASSERT_TRUE(target.sealed);
+  Rng rng(30);
+  for (size_t offset = 0; offset < target.bytes; ++offset) {
+    for (const uint8_t mask :
+         {uint8_t{0xff}, static_cast<uint8_t>(1 + rng.Below(255))}) {
+      const std::string at = "byte " + std::to_string(offset);
+      {
+        LogManager log = MakeSegmented();
+        fill(log);
+        ASSERT_TRUE(log.CorruptSegmentByte(target.id, LogCopy::kPrimary,
+                                           offset, mask));
+        const ScrubReport report = log.Scrub();
+        EXPECT_TRUE(report.clean()) << at;
+        ASSERT_EQ(report.verdicts.size(), 2u) << at;
+        EXPECT_EQ(report.verdicts[1].state,
+                  SegmentVerdict::State::kRepairedFromMirror)
+            << at;
+        EXPECT_EQ(log.StableRecords(1).value(), expected) << at;
+      }
+      LogManager log = MakeSegmented();
+      fill(log);
+      for (const LogCopy copy : {LogCopy::kPrimary, LogCopy::kMirror}) {
+        ASSERT_TRUE(log.CorruptSegmentByte(target.id, copy, offset, mask));
+      }
+      EXPECT_EQ(log.FirstHoleLsn(), target.first_lsn) << at;
+      core::Lsn last_visited = 0;
+      const Result<ScanExtent> scan =
+          log.VisitStable(1, [&last_visited](const LogRecord& record) {
+            last_visited = record.lsn;
+            return Status::Ok();
+          });
+      ASSERT_TRUE(scan.ok()) << at;
+      EXPECT_TRUE(scan.value().torn) << at;
+      EXPECT_EQ(scan.value().last_valid_lsn, target.first_lsn - 1) << at;
+      EXPECT_EQ(last_visited, target.first_lsn - 1) << at;
+      EXPECT_TRUE(log.StableRecordAt(target.first_lsn - 1).ok()) << at;
+      for (const core::Lsn lsn : {target.first_lsn, log.stable_lsn()}) {
+        EXPECT_EQ(log.StableRecordAt(lsn).status().code(),
+                  StatusCode::kCorruption)
+            << at << ", LSN " << lsn;
+      }
+      const ScrubReport report = log.Scrub();
+      EXPECT_EQ(report.holes, 1u) << at;
+      EXPECT_EQ(report.first_unreadable_lsn, target.first_lsn) << at;
+    }
+  }
+}
+
+// A torn seal never costs a segment whose bytes are intact: with the
+// same seal bit torn on both copies, Scrub re-derives the seal.
+TEST(SegmentTest, EveryTornSealBitIsResealed) {
+  for (int bit = 0; bit < 32; ++bit) {
+    LogManager log = MakeSegmented();
+    for (uint8_t i = 1; i <= 7; ++i) AppendForced(log, i);
+    const SegmentInfo target = FirstSealed(log);
+    for (const LogCopy copy : {LogCopy::kPrimary, LogCopy::kMirror}) {
+      ASSERT_TRUE(log.TearSeal(target.id, copy, uint32_t{1} << bit));
+    }
+    const ScrubReport report = log.Scrub();
+    EXPECT_TRUE(report.clean()) << "bit " << bit;
+    ASSERT_FALSE(report.verdicts.empty());
+    EXPECT_EQ(report.verdicts[0].state, SegmentVerdict::State::kResealed)
+        << "bit " << bit;
+    const SegmentInfo resealed = FirstSealed(log);
+    EXPECT_EQ(resealed.primary_seal, target.primary_seal) << "bit " << bit;
+    EXPECT_EQ(resealed.mirror_seal, target.mirror_seal) << "bit " << bit;
+    EXPECT_EQ(log.StableRecords(1).value().size(), 7u) << "bit " << bit;
+  }
+}
+
 TEST(SegmentTest, DoubleFaultIsAHoleAndScansStopThere) {
   LogManager log = MakeSegmented();
   for (uint8_t i = 1; i <= 10; ++i) AppendForced(log, i);
@@ -183,10 +268,15 @@ TEST(SegmentTest, DoubleFaultIsAHoleAndScansStopThere) {
 
   // A redo prefix must be unbroken: the scan yields the records before
   // the hole and reports the damage — never the records past it.
-  const StableScan scan = log.ScanStable(1);
-  EXPECT_TRUE(scan.torn);
-  ASSERT_FALSE(scan.records.empty());
-  EXPECT_EQ(scan.records.back().lsn, target.first_lsn - 1);
+  core::Lsn last_visited = 0;
+  const Result<ScanExtent> scan =
+      log.VisitStable(1, [&last_visited](const LogRecord& record) {
+        last_visited = record.lsn;
+        return Status::Ok();
+      });
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan.value().torn);
+  EXPECT_EQ(last_visited, target.first_lsn - 1);
 }
 
 TEST(SegmentTest, ArchiveCoversLiveHolesAndRepairsThem) {
@@ -334,6 +424,23 @@ TEST(SegmentTest, TornTailSalvageIsConfinedToTheActiveSegment) {
   EXPECT_EQ(log.stable_lsn(), stable);
   EXPECT_TRUE(log.Scrub().clean()) << "sealed segments unaffected";
   EXPECT_EQ(log.StableRecords(1).value().size(), stable);
+}
+
+TEST(SegmentTest, SalvageAfterTruncationKeepsTheArchivedLsnsStable) {
+  // Checkpoint truncation retired every sealed segment, so the live log
+  // is the active segment alone. A salvage that re-verifies it from its
+  // first byte must still count the retired LSNs before it as stable,
+  // or the next append would reuse an LSN the archive holds.
+  LogManager log = MakeSegmented();
+  for (uint8_t i = 1; i <= 3; ++i) AppendForced(log, i);  // sealed: 1-3
+  AppendForced(log, 4, RecordType::kCheckpoint);
+  ASSERT_EQ(log.TruncateArchived(log.stable_lsn()), 1u);
+  ASSERT_EQ(log.LiveSegments().size(), 1u);
+  log.CorruptStableTail(1);  // cuts into the checkpoint record
+  EXPECT_TRUE(log.SalvageTornTail().torn);
+  EXPECT_EQ(log.stable_lsn(), 3u);
+  EXPECT_EQ(log.Append(RecordType::kSlotWrite, {5}), 4u);
+  EXPECT_EQ(log.StableRecords(1).value().size(), 3u);
 }
 
 }  // namespace

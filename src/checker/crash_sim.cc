@@ -1081,7 +1081,8 @@ Status Sim::BackupAndTruncate(size_t cycle) {
   ++result_.backups_taken;
   if (options_.truncate_at_backup && options_.log_segment_bytes > 0) {
     db_.log().SealActiveSegment();
-    db_.log().TruncateArchived(backup_->backup_lsn);
+    return Annotate("truncate",
+                    engine::TruncateLog(db_, backup_->backup_lsn).status());
   }
   return Status::Ok();
 }

@@ -143,9 +143,11 @@ LadderReport RunLadder(MiniDb& db, const Backup* backup,
     return report;
   }
 
-  // Rung 2: media recovery. Restore the backup (or the genesis state —
-  // an all-zero database explained by the empty log prefix) and replay
-  // the gap-checked archive ∪ live suffix.
+  // Rung 2: media recovery. Re-seed unreadable live segments from the
+  // archive and drop what nothing can rebuild but the backup subsumes,
+  // so the live log is whole above the backup point; then run the
+  // restart from the backup (or the genesis state — an all-zero
+  // database explained by the empty log prefix).
   report.rung = LadderRung::kMediaRecovery;
   report.used_backup = backup != nullptr;
   if (tracer != nullptr) {
@@ -156,44 +158,12 @@ LadderReport RunLadder(MiniDb& db, const Backup* backup,
                                 " plus the archive"
                           : "the genesis state plus the archive"));
   }
-  {
-    obs::PhaseScope phase(tracer, "media-recovery");
-    if (backup != nullptr) {
-      report.status = MediaRecover(db, *backup);
-    } else {
-      Backup genesis;
-      genesis.backup_lsn = 0;
-      genesis.pages.assign(db.num_pages(), storage::Page());
-      report.status = MediaRecover(db, genesis);
-    }
-    if (!report.status.ok()) return report;
-
-    // Re-seed unreadable live segments from the archive, then drop what
-    // nothing can rebuild but the backup subsumes — the live log is
-    // whole again above the backup point, so the *next* crash recovers
-    // normally.
-    report.archive_repairs = log.RepairFromArchive();
-    report.segments_amputated = log.DropUnreadableThrough(base);
-  }
-  if (const core::Lsn hole = log.FirstHoleLsn(); hole != 0) {
-    // Cannot happen if FirstUncoveredLsn was 0; defend anyway.
-    report.status = Status::Corruption(
-        "live log still has a hole at LSN " + std::to_string(hole) +
-        " after archive repair");
-    return report;
-  }
-  // Re-anchor redo with a fresh checkpoint: media recovery *installed*
-  // the whole replayed suffix, so a method without a page-LSN redo test
-  // (logical) must not re-replay it on the next ordinary recovery —
-  // splits are not idempotent against an already-rewritten source page.
-  obs::PhaseScope phase(tracer, "re-anchor");
-  if (tracer != nullptr) {
-    tracer->Note("re-anchoring redo with a fresh checkpoint after media "
-                 "recovery (amputated " +
-                 std::to_string(report.segments_amputated) + " segments)");
-  }
-  report.status = db.Checkpoint();
-  if (report.status.ok()) report.status = log.ForceAll();
+  obs::PhaseScope phase(tracer, "media-recovery");
+  report.archive_repairs = log.RepairFromArchive();
+  report.segments_amputated = log.DropUnreadableThrough(base);
+  Backup genesis;
+  if (backup == nullptr) genesis.pages.resize(db.num_pages());
+  report.status = MediaRecover(db, backup != nullptr ? *backup : genesis);
   return report;
 }
 

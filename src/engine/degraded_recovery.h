@@ -13,18 +13,18 @@
 //                            log is whole and ordinary recovery runs.
 //   rung 2  kMediaRecovery — some segment has no intact live copy, but a
 //                            backup plus the archive cover the hole:
-//                            restore the backup, replay the archive ∪
-//                            live suffix (gap-checked), re-seed the live
-//                            log from the archive, and drop what nothing
-//                            can rebuild but the backup subsumes.
+//                            re-seed the live log from the archive, drop
+//                            what nothing can rebuild but the backup
+//                            subsumes, and run the crash restart from
+//                            the backup (MediaRecover).
 //   rung 3  kRefused       — the hole is uncoverable. Fail loudly with
 //                            the first unreadable LSN and what would be
 //                            needed. The database stays unrecovered:
 //                            a refusal is the *correct* outcome, never a
 //                            fallback to a guess.
 //
-// After a rung-2 recovery the caller should take a fresh checkpoint (and
-// ideally a fresh backup): amputated segments may have carried old
+// A rung-2 recovery ends with MediaRecover's fresh checkpoint (a fresh
+// backup is still advisable): amputated segments may have carried old
 // checkpoint records, and the next crash must find its scan start in the
 // surviving log.
 

@@ -565,13 +565,19 @@ Status MiniDb::FlushEverything() {
   return pool_.FlushAll();
 }
 
-void MiniDb::Crash() {
-  // Tear down an in-flight instant restart first: Abort() makes
-  // NextPendingPage/DrainPage return without work, so the drain workers
-  // fall out of their loops and can be joined.
+MiniDb::~MiniDb() { StopDrain(); }
+
+void MiniDb::StopDrain() {
+  // Abort() makes NextPendingPage/DrainPage return without work, so the
+  // drain workers fall out of their loops and can be joined.
   if (instant_driver_ != nullptr) instant_driver_->Abort();
   for (std::thread& worker : drain_threads_) worker.join();
   drain_threads_.clear();
+}
+
+void MiniDb::Crash() {
+  // Tear down an in-flight instant restart first.
+  StopDrain();
   if (instant_run_open_) {
     obs::RecoveryTracer* tracer = recovery_tracer();
     if (tracer != nullptr && tracer->in_run()) {
@@ -593,7 +599,7 @@ void MiniDb::Crash() {
   txn_registry_.Clear();
 }
 
-Status MiniDb::Recover() {
+Status MiniDb::Recover(const methods::RestartPoint& start) {
   if (live_sessions_.load(std::memory_order_relaxed) != 0) {
     return Status::FailedPrecondition(
         "Recover() with live Session handles: join the session workers "
@@ -607,7 +613,7 @@ Status MiniDb::Recover() {
   }
   recovering_.store(true, std::memory_order_relaxed);
   if (recovery_tracer() != nullptr) recovery_tracer()->BeginRun(method_->name());
-  const Status status = RecoverInternal();
+  const Status status = RecoverInternal(start);
   if (recovery_tracer() != nullptr) {
     recovery_tracer()->EndRun(status.ok(),
                               status.ok() ? "ok" : status.ToString());
@@ -619,7 +625,7 @@ Status MiniDb::Recover() {
   return status;
 }
 
-Status MiniDb::RecoverInternal() {
+Status MiniDb::RecoverInternal(const methods::RestartPoint& start) {
   REDO_RETURN_IF_ERROR(PrepareLogForRecovery());
   // Three passes (DESIGN.md §12): analysis classifies winners/losers
   // from the salvaged log, redo repeats history (CLRs included), undo
@@ -634,15 +640,15 @@ Status MiniDb::RecoverInternal() {
     // plan the drain workers replay (DESIGN.md §9).
     Result<methods::RestartAnalysis> analysis = [&] {
       obs::PhaseScope analysis_phase(recovery_tracer(), "analysis");
-      return methods::AnalyzeForRestart(*method_, context);
+      return methods::AnalyzeForRestart(*method_, context, start);
     }();
     if (!analysis.ok()) return analysis.status();
     REDO_RETURN_IF_ERROR(DrainQuiescing(std::move(analysis.value().plan),
                                         std::move(analysis.value().redo)));
     txns = std::move(analysis.value().txns);
   } else {
-    Result<methods::TxnAnalysis> analysis =
-        methods::RestartInLogOrder(*method_, context, &redo_scan_stats_);
+    Result<methods::TxnAnalysis> analysis = methods::RestartInLogOrder(
+        *method_, context, &redo_scan_stats_, start);
     if (!analysis.ok()) return analysis.status();
     txns = std::move(analysis).value();
   }

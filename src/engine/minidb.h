@@ -77,6 +77,10 @@ class MiniDb {
   MiniDb(const MiniDbOptions& options,
          std::unique_ptr<methods::RecoveryMethod> method);
 
+  /// Stops a restart still draining (as Crash() does) before the
+  /// engine's parts go.
+  ~MiniDb();
+
   MiniDb(const MiniDb&) = delete;
   MiniDb& operator=(const MiniDb&) = delete;
 
@@ -110,13 +114,15 @@ class MiniDb {
   /// Post-crash recovery: salvage, analysis, redo, loser undo. Redo
   /// follows the method's redo test. With parallel_workers <= 1 it is
   /// the serial log-order replay (methods::RestartInLogOrder); above that
-  /// the analysis plan drains through par::InstantRedoDriver. With a
+  /// the analysis plan drains through par::InstantRedoDriver. `start`
+  /// anchors the restart on the latest stable checkpoint by default;
+  /// media recovery (engine/backup.h) anchors it on a backup's. With a
   /// tracer attached, the whole run (salvage, refusals, the phases) is
   /// recorded as one timeline; nested calls from the degradation ladder
   /// join the enclosing run. Refuses (FailedPrecondition) while Session
   /// handles are still alive — recovery rebuilds the state they operate
   /// on.
-  Status Recover();
+  Status Recover(const methods::RestartPoint& start = {});
 
   // ---- Instant restart (serving-while-redoing) ----
 
@@ -391,7 +397,10 @@ class MiniDb {
   friend Reply Dispatch(Session& session, const Command& command);
   friend Reply DispatchStatus(MiniDb& db);
 
-  Status RecoverInternal();
+  Status RecoverInternal(const methods::RestartPoint& start);
+  /// Stops an instant restart's drain: aborts the driver and joins its
+  /// workers.
+  void StopDrain();
   /// The shared preamble of both recovery paths: salvage the torn log
   /// tail, then refuse (Corruption) on a mid-log hole.
   Status PrepareLogForRecovery();

@@ -69,8 +69,8 @@ par::InstantRedoOptions RedoRule(const RecoveryMethod& method) {
   return rule;
 }
 
-// The Figure 6 loop body (see ReplayInLogOrder), one decoded record at
-// a time. `rule` is read as it stands at each record: the serial visit
+// The Figure 6 loop body (see RestartInLogOrder), one decoded record
+// at a time. `rule` is read as it stands at each record: the serial visit
 // grows its DPT while replaying. Null `stats` counts nothing.
 struct LogOrderReplayer {
   EngineContext& ctx;
@@ -207,9 +207,11 @@ enum class VisitMode { kTxnsOnly, kPlan, kReplay };
 
 // The visit. Without a method it rolls the transaction table forward
 // alone; with one it also grows the DPT and classifies and decodes each
-// record from the redo start once, then plans or replays it.
+// record from the redo start once, then plans or replays it. It reads
+// no record at or below `installed_through`.
 Result<RestartAnalysis> Visit(EngineContext& ctx,
                               const StableCheckpoint& checkpoint,
+                              core::Lsn installed_through,
                               const RecoveryMethod* method, VisitMode mode,
                               RedoScanStats* stats = nullptr) {
   RestartAnalysis out;
@@ -235,7 +237,7 @@ Result<RestartAnalysis> Visit(EngineContext& ctx,
       out.redo.use_dpt = true;
       out.redo.dpt = checkpoint.payload.dpt;
     }
-    from = std::min(from, redo_start);
+    from = std::max(ScanStart(checkpoint), installed_through + 1);
     if (mode == VisitMode::kPlan) {
       builder.emplace(/*supersede_images=*/out.redo.mode ==
                       par::InstantRedoOptions::Mode::kRedoAll);
@@ -298,11 +300,15 @@ Result<RestartAnalysis> Visit(EngineContext& ctx,
   return out;
 }
 
-// Every restart's preamble: the latest stable checkpoint, read once,
-// the method's stable-state repair and the checkpoint-chosen event.
+// Every restart's preamble: its checkpoint (the latest stable one is
+// read once), the method's stable-state repair and the
+// checkpoint-chosen event.
 Result<StableCheckpoint> OpenRestart(RecoveryMethod& method,
-                                     EngineContext& ctx) {
-  Result<StableCheckpoint> checkpoint = ReadStableCheckpoint(*ctx.log);
+                                     EngineContext& ctx,
+                                     const RestartPoint& start) {
+  Result<StableCheckpoint> checkpoint =
+      start.checkpoint.has_value() ? *start.checkpoint
+                                   : ReadStableCheckpoint(*ctx.log);
   if (!checkpoint.ok()) return checkpoint.status();
   REDO_RETURN_IF_ERROR(method.PrepareStableState(ctx, checkpoint.value()));
   if (ctx.tracer != nullptr) {
@@ -314,48 +320,40 @@ Result<StableCheckpoint> OpenRestart(RecoveryMethod& method,
 
 }  // namespace
 
+core::Lsn ScanStart(const StableCheckpoint& checkpoint) {
+  return std::min(std::max<core::Lsn>(checkpoint.lsn, 1),
+                  checkpoint.payload.redo_start);
+}
+
 Result<RestartAnalysis> AnalyzeForRestart(RecoveryMethod& method,
-                                          EngineContext& ctx) {
-  Result<StableCheckpoint> checkpoint = OpenRestart(method, ctx);
+                                          EngineContext& ctx,
+                                          const RestartPoint& start) {
+  Result<StableCheckpoint> checkpoint = OpenRestart(method, ctx, start);
   if (!checkpoint.ok()) return checkpoint.status();
-  return Visit(ctx, checkpoint.value(), &method, VisitMode::kPlan);
+  return Visit(ctx, checkpoint.value(), start.installed_through, &method,
+               VisitMode::kPlan);
 }
 
 Result<TxnAnalysis> AnalyzeTransactions(EngineContext& ctx) {
   Result<StableCheckpoint> checkpoint = ReadStableCheckpoint(*ctx.log);
   if (!checkpoint.ok()) return checkpoint.status();
-  Result<RestartAnalysis> visited = Visit(ctx, checkpoint.value(),
-                                          /*method=*/nullptr,
-                                          VisitMode::kTxnsOnly);
+  Result<RestartAnalysis> visited =
+      Visit(ctx, checkpoint.value(), /*installed_through=*/0,
+            /*method=*/nullptr, VisitMode::kTxnsOnly);
   if (!visited.ok()) return visited.status();
   return std::move(visited.value().txns);
 }
 
-Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
-                        std::span<const wal::LogRecord> records,
-                        const par::InstantRedoOptions& rule,
-                        RedoScanStats* stats) {
-  const bool whole_splits = method.redo_planning().whole_splits;
-  LogOrderReplayer replayer{ctx, rule, stats};
-  for (const wal::LogRecord& record : records) {
-    REDO_RETURN_IF_ERROR(method.ClassifyRecord(record.type));
-    Result<std::optional<par::RedoTask>> task =
-        par::DecodeRedoTask(record, whole_splits);
-    if (!task.ok()) return task.status();
-    if (!task.value().has_value()) continue;  // carries no redo work
-    REDO_RETURN_IF_ERROR(replayer.Replay(record, *task.value()));
-  }
-  return Status::Ok();
-}
-
 Result<TxnAnalysis> RestartInLogOrder(RecoveryMethod& method,
                                       EngineContext& ctx,
-                                      RedoScanStats* stats) {
+                                      RedoScanStats* stats,
+                                      const RestartPoint& start) {
   obs::PhaseScope phase(ctx.tracer, "redo-scan");
-  Result<StableCheckpoint> checkpoint = OpenRestart(method, ctx);
+  Result<StableCheckpoint> checkpoint = OpenRestart(method, ctx, start);
   if (!checkpoint.ok()) return checkpoint.status();
   Result<RestartAnalysis> visited =
-      Visit(ctx, checkpoint.value(), &method, VisitMode::kReplay, stats);
+      Visit(ctx, checkpoint.value(), start.installed_through, &method,
+            VisitMode::kReplay, stats);
   if (!visited.ok()) return visited.status();
   return std::move(visited.value().txns);
 }

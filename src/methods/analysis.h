@@ -21,16 +21,19 @@
 // Figure 6 loop body (the method's redo test, replay or skip) as soon
 // as it has rolled the tables forward. That loop is the exact-log-order
 // reference the golden timelines pin and every multi-worker restart is
-// compared against; media recovery runs it too (ReplayInLogOrder), over
-// the archive-backed log suffix.
+// compared against.
+//
+// A restart starts from any explained stable state (Theorem 3): the
+// crash restart from the latest stable checkpoint, media recovery from
+// a backup (RestartPoint). Nothing else differs between them.
 
 #ifndef REDO_METHODS_ANALYSIS_H_
 #define REDO_METHODS_ANALYSIS_H_
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
-#include <span>
 
 #include "methods/method.h"
 #include "redo/instant.h"
@@ -61,14 +64,29 @@ struct RestartAnalysis {
   par::InstantRedoOptions redo;
 };
 
-/// Reads the latest stable checkpoint, runs `method`'s stable-state
+/// Where a restart starts. The default is the crash restart's: the
+/// latest stable checkpoint, read from the log, and a visit from
+/// min(its LSN, its redo start). Media recovery passes the checkpoint
+/// its backup kept and the backup LSN: the restored pages install every
+/// record at or below that LSN, so the visit reads none of them.
+struct RestartPoint {
+  std::optional<StableCheckpoint> checkpoint;  ///< nullopt: the latest
+  core::Lsn installed_through = 0;  ///< the visit reads no record <= it
+};
+
+/// The first LSN the crash restart anchored at `checkpoint` reads:
+/// min(its LSN, its redo start); 1 when the log holds no checkpoint.
+core::Lsn ScanStart(const StableCheckpoint& checkpoint);
+
+/// Reads the restart's checkpoint, runs `method`'s stable-state
 /// repair, emits the checkpoint-chosen timeline event, then the one
 /// visit: the transaction table is seeded at the checkpoint's table and
 /// rolled forward from that record; the DPT starts from the
 /// checkpoint's and grows with every later record; the plan covers
 /// every record from the redo start. The caller owns the tracer phase.
 Result<RestartAnalysis> AnalyzeForRestart(RecoveryMethod& method,
-                                          EngineContext& ctx);
+                                          EngineContext& ctx,
+                                          const RestartPoint& start = {});
 
 /// The visit run without a method: the transaction table alone. Safe
 /// (and cheap) on logs with no transaction records: returns an empty
@@ -86,31 +104,21 @@ struct RedoScanStats {
   size_t page_fetches = 0;           ///< fetches for LSN tests and splits
 };
 
-/// Replays `records` in LSN order through the serial restart's loop
-/// body. For each record it asks the method's ClassifyRecord, decodes
-/// it with par::DecodeRedoTask (in the method's split shape) and
-/// applies `rule`: redo-all replays it; the page-LSN test first skips a
-/// page the DPT rules out, without I/O, then fetches the page and
-/// replays only onto an older page LSN. It fetches every page it
-/// applies to and installs every image (no blind first touch, no
-/// supersession). Verdicts go to ctx.tracer and counts to `stats`,
-/// either may be null; a failure keeps the counts of the records before
-/// it.
-Status ReplayInLogOrder(const RecoveryMethod& method, EngineContext& ctx,
-                        std::span<const wal::LogRecord> records,
-                        const par::InstantRedoOptions& rule,
-                        RedoScanStats* stats);
-
-/// The serial restart, in a "redo-scan" phase: it reads the latest
-/// stable checkpoint, runs PrepareStableState and the checkpoint-chosen
-/// event, then one visit from min(redo start, checkpoint). Each record
-/// rolls the transaction table forward, extends the DPT (when the
-/// method rebuilds one) and, from the redo start, replays under the
-/// method's own rule as ReplayInLogOrder does. Returns the transaction
-/// table for the undo pass.
+/// The serial restart, in a "redo-scan" phase: AnalyzeForRestart's
+/// preamble and visit, which replays each record from the redo start
+/// instead of planning it. For each record the method's ClassifyRecord
+/// runs, par::DecodeRedoTask decodes it in the method's split shape and
+/// the method's redo rule applies: redo-all replays it; the page-LSN
+/// test first skips a page the DPT rules out, without I/O, then fetches
+/// the page and replays only onto an older page LSN. Every page it
+/// applies to is fetched and every image installed (no blind first
+/// touch, no supersession). Verdicts go to ctx.tracer and counts to
+/// `stats`, either may be null; a failure keeps the counts of the
+/// records before it. Returns the transaction table for the undo pass.
 Result<TxnAnalysis> RestartInLogOrder(RecoveryMethod& method,
                                       EngineContext& ctx,
-                                      RedoScanStats* stats);
+                                      RedoScanStats* stats,
+                                      const RestartPoint& start = {});
 
 }  // namespace redo::methods
 

@@ -140,9 +140,10 @@ class LogicalMethod : public RecoveryMethod {
   /// caller retries. The heal is analysis work: it repairs the *stable*
   /// state, touching no cached page, so it runs before the engine opens
   /// for traffic. It only applies when the staging area belongs to the
-  /// chosen checkpoint: after media recovery re-anchors the log to an
-  /// OLDER checkpoint, the staging area holds content from a later
-  /// epoch and must be ignored (the restore already rebuilt the disk).
+  /// chosen checkpoint: when media recovery anchors the restart at a
+  /// backup's OLDER checkpoint, the staging area holds content from a
+  /// later epoch and must be ignored (the restore already rebuilt the
+  /// disk).
   Status PrepareStableState(EngineContext& ctx,
                             const StableCheckpoint& checkpoint) override {
     if (checkpoint.lsn == 0 || checkpoint.lsn != staged_at_lsn_) {

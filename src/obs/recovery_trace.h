@@ -7,7 +7,7 @@
 //
 //   run-begin          method name
 //   phase-begin/end    named phase (salvage, scrub, analysis, redo-scan,
-//                      media-recovery, re-anchor) with wall-clock and
+//                      undo, media-recovery) with wall-clock and
 //                      the I/O cost the phase incurred (disk reads and
 //                      writes, pool fetches, log segment decodes —
 //                      deltas of the metrics registry across the phase)
@@ -21,7 +21,7 @@
 //   redo-verdict       one event per scanned record: applied /
 //                      skipped-installed / not-exposed, with a
 //                      per-method reason code (see DESIGN.md §8)
-//   note               free-form milestones (refusals, re-anchors)
+//   note               free-form milestones (refusals, instant restart)
 //   run-end            ok/error plus the run's verdict totals
 //
 // Exports: ToText() (one "event key=value..." line per event) and

@@ -485,7 +485,7 @@ bool LogManager::Reads(const Segment& segment, core::Lsn from,
                        core::Lsn live_begin) {
   if (segment.live) return true;
   // A retired segment above the live log's start was amputated from
-  // inside it: nothing reads it but media recovery.
+  // inside it: only the coverage check (FirstUncoveredLsn) reads it.
   return live_begin == 0 || (from < live_begin && segment.last_lsn < live_begin);
 }
 
@@ -839,8 +839,7 @@ core::Lsn LogManager::FirstHoleLsn() const {
   return 0;
 }
 
-core::Lsn LogManager::WalkWithArchive(core::Lsn from,
-                                     std::vector<LogRecord>* out) const {
+core::Lsn LogManager::FirstUncoveredLsn(core::Lsn from) const {
   core::Lsn expected = from;
   for (const Segment& seg : segments_) {
     if (expected > stable_lsn_) break;
@@ -864,23 +863,10 @@ core::Lsn LogManager::WalkWithArchive(core::Lsn from,
     for (const LogRecord& record : *records) {
       if (record.lsn < expected) continue;
       if (record.lsn != expected) return expected;
-      if (out != nullptr) out->push_back(record);
       ++expected;
     }
   }
   return expected <= stable_lsn_ ? expected : 0;
-}
-
-core::Lsn LogManager::FirstUncoveredLsn(core::Lsn from) const {
-  return WalkWithArchive(from, nullptr);
-}
-
-Result<std::vector<LogRecord>> LogManager::ReadWithArchive(
-    core::Lsn from) const {
-  std::vector<LogRecord> out;
-  const core::Lsn gap = WalkWithArchive(from, &out);
-  if (gap != 0) return GapStatus(gap);
-  return out;
 }
 
 size_t LogManager::Retire(size_t index) {
@@ -904,8 +890,7 @@ void LogManager::ForgetCheckpoints(uint64_t id) {
 }
 
 size_t LogManager::TruncateArchived(core::Lsn upto) {
-  // Never truncate the latest stable checkpoint (or anything after it):
-  // recovery's scan start must stay in the live log.
+  // Never truncate the latest stable checkpoint (or anything after it).
   if (checkpoints_.empty()) return 0;
   const core::Lsn cap = std::min(upto, checkpoints_.back().lsn - 1);
   size_t retired = 0;

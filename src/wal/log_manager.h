@@ -21,8 +21,9 @@
 // on. Checkpoint truncation and amputation *retire* a segment: it loses
 // its live copies and stays listed while its archive copy exists. An
 // ordinary read trusts the live copies of a live segment and the
-// archive copy of a retired one; media reads also fall back to a live
-// segment's archive copy.
+// archive copy of a retired one; only the coverage check and the repair
+// (FirstUncoveredLsn, RepairFromArchive) read a live segment's archive
+// copy.
 //
 // Failure model (the log body is NOT assumed incorruptible):
 //  - torn tail: a crash can interrupt an in-flight force, leaving a
@@ -415,22 +416,19 @@ class LogManager {
   /// this is nonzero (it would silently replay a truncated prefix).
   core::Lsn FirstHoleLsn() const;
 
-  /// Reads records with lsn >= `from` using every intact source — live
-  /// copies first, archive copies for live holes and truncated-away
-  /// prefixes — and verifies the LSN sequence is gap-free. This is the
-  /// media-recovery read path. Returns kCorruption naming the first
-  /// unreadable LSN if even the archive cannot cover a gap.
-  Result<std::vector<LogRecord>> ReadWithArchive(core::Lsn from) const;
-
-  /// First LSN >= `from` that no intact source can produce; 0 if the
-  /// range [from, stable_lsn] is fully covered.
+  /// First LSN >= `from` that no intact source can produce — a
+  /// segment's trusted copies, else a live segment's archive copy — in
+  /// one forward walk; 0 if the range [from, stable_lsn] is fully
+  /// covered (RepairFromArchive can then make the live log whole).
   core::Lsn FirstUncoveredLsn(core::Lsn from) const;
 
   /// Checkpoint truncation: retires the live log's leading sealed
   /// segments whose records are all <= `upto`, provided they are
-  /// archived and precede the latest stable checkpoint (recovery must
-  /// keep its scan start). Their archive copies remain. Returns the
-  /// number of segments retired.
+  /// archived and precede the latest stable checkpoint record. Their
+  /// archive copies remain. Returns the number of segments retired.
+  /// The log cannot decode a checkpoint's redo start, which a fuzzy
+  /// checkpoint may put below its record: this cap alone does not keep
+  /// a restart's scan start live. engine::TruncateLog caps there too.
   size_t TruncateArchived(core::Lsn upto);
 
   /// Rebuilds every unreadable live segment whose archive copy is
@@ -439,8 +437,8 @@ class LogManager {
 
   /// Retires (amputates) unreadable live sealed segments whose records
   /// are all <= `covered_lsn` (a backup covers their effects) and that
-  /// no intact source can rebuild. Used after a rung-2 media recovery so
-  /// the live log is gap-free *above* the backup point again. Returns
+  /// no intact source can rebuild. Rung 2 runs it before media recovery
+  /// so the live log is gap-free *above* the backup point again. Returns
   /// the number of segments retired.
   size_t DropUnreadableThrough(core::Lsn covered_lsn);
 
@@ -553,7 +551,7 @@ class LogManager {
   const std::vector<LogRecord>* ReadableSealedRecords(
       const Segment& segment) const;
 
-  /// A media read of `segment`'s archive copy: its records if the copy
+  /// A read of `segment`'s archive copy: its records if the copy
   /// exists and decodes. Leaves the parsed cache alone — while the
   /// segment is live the cache holds only its live copies' records.
   std::optional<std::vector<LogRecord>> DecodeArchiveCopy(
@@ -575,13 +573,6 @@ class LogManager {
   /// `from` precedes the live log.
   static bool Reads(const Segment& segment, core::Lsn from,
                     core::Lsn live_begin);
-
-  /// The archive-aware walk behind ReadWithArchive and FirstUncoveredLsn:
-  /// one forward pass from `from` through stable_lsn() that reads each
-  /// segment's trusted copies, else a live segment's archive copy,
-  /// appending the records to `out` when it is non-null. Returns the
-  /// first LSN no source covers, or 0 when the range is gap-free.
-  core::Lsn WalkWithArchive(core::Lsn from, std::vector<LogRecord>* out) const;
 
   /// The listed segment with `id`, live or retired; nullptr if none.
   const Segment* Find(uint64_t id) const;

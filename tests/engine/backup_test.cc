@@ -1,5 +1,5 @@
-// Media recovery: restore a backup + replay the stable log suffix — the
-// theory's redo claim at archive scale, for every method.
+// Media recovery: restore a backup and run the crash restart from it —
+// the theory's redo claim at archive scale, for every method.
 
 #include "engine/backup.h"
 
@@ -173,6 +173,48 @@ TEST_P(BackupMethodTest, TransactionsReplayLikeCrashRecovery) {
   EXPECT_EQ(RunOne(false), RunOne(true));
 }
 
+TEST_P(BackupMethodTest, LoserOpenAtCrashRollsBackLikeCrashRecovery) {
+  // A transaction open at the crash that wrote on both sides of the
+  // backup point: media recovery must roll it back as crash recovery
+  // does, through the backup checkpoint's transaction table, to
+  // byte-identical stable pages.
+  auto RunOne = [&](bool media) {
+    auto db = MakeDb(GetParam());
+    REDO_CHECK(db->NewSession().WriteSlot(1, 0, 5).ok());
+    Backup backup;
+    {
+      MiniDb::Session loser = db->NewSession();
+      REDO_CHECK(loser.Begin().ok());
+      REDO_CHECK(loser.WriteSlot(2, 1, 98).ok());
+      backup = TakeBackup(*db).value();
+      REDO_CHECK(loser.WriteSlot(1, 0, 99).ok());
+      REDO_CHECK(db->NewSession().WriteSlot(3, 2, 7).ok());
+      REDO_CHECK(db->log().ForceAll().ok());
+      db->Crash();  // the loser's handle dies after the crash
+    }
+    if (media) {
+      DestroyMedia(*db);
+      REDO_CHECK(MediaRecover(*db, backup).ok());
+    } else {
+      REDO_CHECK(db->Recover().ok());
+      REDO_CHECK(db->FlushEverything().ok());
+      if (!db->method().allows_background_flush()) {
+        REDO_CHECK(db->Checkpoint().ok());
+      }
+    }
+    EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5) << "rolled back";
+    EXPECT_EQ(db->NewSession().ReadSlot(2, 1).value(), 0) << "rolled back";
+    EXPECT_EQ(db->NewSession().ReadSlot(3, 2).value(), 7);
+    std::vector<uint8_t> stable;
+    for (storage::PageId p = 0; p < kPages; ++p) {
+      const std::span<const uint8_t> bytes = db->disk().PeekPage(p).bytes();
+      stable.insert(stable.end(), bytes.begin(), bytes.end());
+    }
+    return stable;
+  };
+  EXPECT_EQ(RunOne(false), RunOne(true));
+}
+
 TEST(BackupTest, BtreeSurvivesMediaFailure) {
   auto db = MakeDb(MethodKind::kGeneralized);
   btree::Btree tree = btree::Btree::Create(db.get()).value();
@@ -188,34 +230,6 @@ TEST(BackupTest, BtreeSurvivesMediaFailure) {
   btree::Btree reopened = btree::Btree::Open(db.get()).value();
   ASSERT_TRUE(reopened.ValidateStructure().ok());
   EXPECT_EQ(reopened.Size().value(), static_cast<size_t>(n - n / 4));
-}
-
-TEST_P(BackupMethodTest, PointInTimeRecoveryRewindsExactly) {
-  auto db = MakeDb(GetParam());
-  const Backup backup = TakeBackup(*db).value();
-  Result<core::Lsn> first = db->NewSession().WriteSlot(1, 0, 5);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 6).ok());
-  ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 7).ok());
-  ASSERT_TRUE(db->log().ForceAll().ok());
-
-  // Rewind to just after the first write.
-  ASSERT_TRUE(PointInTimeRecover(*db, backup, first.value()).ok());
-  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 5);
-  EXPECT_EQ(db->NewSession().ReadSlot(2, 0).value(), 0);
-
-  // The full media recovery still reaches the end of the log.
-  ASSERT_TRUE(MediaRecover(*db, backup).ok());
-  EXPECT_EQ(db->NewSession().ReadSlot(1, 0).value(), 6);
-  EXPECT_EQ(db->NewSession().ReadSlot(2, 0).value(), 7);
-}
-
-TEST(BackupTest, PointInTimeBeforeBackupRejected) {
-  auto db = MakeDb(MethodKind::kPhysiological);
-  ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
-  const Backup backup = TakeBackup(*db).value();
-  EXPECT_EQ(PointInTimeRecover(*db, backup, backup.backup_lsn - 1).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(BackupTest, NonImageRecordInPhysicalLogFailsMediaRecoveryToo) {

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -722,6 +723,21 @@ TEST(InstantRestartTest, CrashDuringServingRecoversCleanly) {
   Result<int64_t> got = db->NewSession().ReadSlot(2, 3);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), 424242);
+}
+
+// An engine destroyed mid-drain stops its drain workers, as Crash()
+// does; a joinable worker left behind would abort the process. Run in a
+// child process so an abort fails this test, not the binary.
+TEST(InstantRestartTest, DestroyedWhileServingExitsCleanly) {
+  EXPECT_EXIT(
+      {
+        auto db = MakeDb(MethodKind::kPhysiological, InstantEngine(2));
+        RestoreCrashState(*db, BuildCrashState(*db, /*seed=*/31, /*ops=*/2000));
+        if (!db->RecoverInstant().ok()) std::exit(1);
+        db.reset();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // The redo.instant source feeds the engine's unified registry: a

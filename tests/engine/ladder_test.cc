@@ -60,7 +60,10 @@ struct LadderRig {
   wal::SegmentInfo target;  // the (to-be-)damaged segment
 };
 
-void MakeRig(MethodKind kind, const LadderCase& c, LadderRig* out) {
+// With `loser_open`, a transaction is open at the crash, with writes on
+// both sides of the backup.
+void MakeRig(MethodKind kind, const LadderCase& c, bool loser_open,
+             LadderRig* out) {
   LadderRig& rig = *out;
   MiniDbOptions options;
   options.num_pages = kPages;
@@ -81,15 +84,26 @@ void MakeRig(MethodKind kind, const LadderCase& c, LadderRig* out) {
   ASSERT_TRUE(db.Checkpoint().ok());
   for (int i = 10; i < 16; ++i) write(1 + i % (kPages - 1), i % 4, 100 + i);
 
+  // The loser writes (1, 0) before the backup and (2, 0) after it; both
+  // keep their committed values (100 + 0 and 100 + 8).
+  MiniDb::Session loser = db.NewSession();
+  if (loser_open) {
+    ASSERT_TRUE(loser.Begin().ok());
+    ASSERT_TRUE(loser.WriteSlot(1, 0, -1).ok());
+  }
+
   // The backup (when present) is taken AFTER the target segment's
   // records, so it subsumes them — the precondition for amputating an
   // unrebuildable segment at rung 2.
   if (c.with_backup) rig.backup = TakeBackup(db).value();
+  if (loser_open) {
+    ASSERT_TRUE(loser.WriteSlot(2, 0, -2).ok());
+  }
 
   // Post-backup suffix, so rungs 1-2 must replay real work.
   for (int i = 16; i < 22; ++i) write(1 + i % (kPages - 1), i % 4, 100 + i);
 
-  db.Crash();
+  db.Crash();  // the loser's handle dies after the crash
   const std::vector<wal::SegmentInfo> live = db.log().LiveSegments();
   ASSERT_GE(live.size(), 3u) << "the rig must seal several segments";
   ASSERT_TRUE(live[0].sealed);
@@ -115,11 +129,13 @@ struct LadderParam {
 
 class LadderMatrixTest : public ::testing::TestWithParam<LadderParam> {};
 
+constexpr MethodKind kLadderMethods[] = {
+    MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
+    MethodKind::kGeneralized};
+
 std::vector<LadderParam> LadderParams() {
   std::vector<LadderParam> params;
-  for (const MethodKind kind :
-       {MethodKind::kLogical, MethodKind::kPhysical, MethodKind::kPhysiological,
-        MethodKind::kGeneralized}) {
+  for (const MethodKind kind : kLadderMethods) {
     for (const LadderCase& c : kMatrix) params.push_back(LadderParam{kind, c});
   }
   return params;
@@ -131,10 +147,11 @@ INSTANTIATE_TEST_SUITE_P(
       return MethodParamName(info.param.method) + "_" + info.param.c.name;
     });
 
-TEST_P(LadderMatrixTest, ResolvesAtThePredictedRung) {
-  const LadderCase& c = GetParam().c;
+// Runs the ladder on the rig `c` describes and checks it resolves at
+// `c.expected`.
+void ExpectResolution(MethodKind kind, const LadderCase& c, bool loser_open) {
   LadderRig rig;
-  MakeRig(GetParam().method, c, &rig);
+  MakeRig(kind, c, loser_open, &rig);
   if (::testing::Test::HasFatalFailure()) return;
   MiniDb& db = *rig.db;
 
@@ -156,8 +173,16 @@ TEST_P(LadderMatrixTest, ResolvesAtThePredictedRung) {
     return;
   }
 
-  // Rungs 0-2 must succeed and reproduce every pre-crash value exactly.
+  // Rungs 0-2 must succeed and reproduce every pre-crash value exactly
+  // (a loser's writes rolled back).
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  auto expect_values = [&](const char* when) {
+    for (const auto& [key, value] : rig.expected_slots) {
+      EXPECT_EQ(db.NewSession().ReadSlot(key.first, key.second).value(), value)
+          << when << ": page " << key.first << " slot " << key.second;
+    }
+  };
+  expect_values("after the ladder");
   if (c.expected == LadderRung::kMediaRecovery) {
     EXPECT_EQ(report.used_backup, c.with_backup);
     if (c.damage_archive) {
@@ -169,11 +194,28 @@ TEST_P(LadderMatrixTest, ResolvesAtThePredictedRung) {
     EXPECT_EQ(db.log().FirstHoleLsn(), 0u);
     db.Crash();
     ASSERT_TRUE(db.Recover().ok());
+    expect_values("after the next crash");
   }
-  for (const auto& [key, value] : rig.expected_slots) {
-    EXPECT_EQ(db.NewSession().ReadSlot(key.first, key.second).value(), value)
-        << "page " << key.first << " slot " << key.second;
-  }
+}
+
+TEST_P(LadderMatrixTest, ResolvesAtThePredictedRung) {
+  ExpectResolution(GetParam().method, GetParam().c, /*loser_open=*/false);
+}
+
+// A transaction open at the crash across the backup, over a
+// double-faulted segment: rung 2 restarts from the backup and rolls the
+// loser back, and the next crash keeps it rolled back.
+class LadderLoserTest : public ::testing::TestWithParam<MethodKind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    DamageMatrix, LadderLoserTest,
+    ::testing::ValuesIn(kLadderMethods),
+    [](const auto& info) { return MethodParamName(info.param); });
+
+TEST_P(LadderLoserTest, MediaRecoveryRollsTheLoserBack) {
+  const LadderCase c = {"double_fault_loser_backup", true, true, false, true,
+                        LadderRung::kMediaRecovery};
+  ExpectResolution(GetParam(), c, /*loser_open=*/true);
 }
 
 // A restart must not replay past a hole below the live log. Checkpoint
@@ -209,29 +251,41 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.instant ? "_instant" : "_quiescing");
     });
 
-TEST_P(ArchiveHoleRestartTest, RestartRefusesAHoleUnderItsRedoStart) {
+using SlotValues = std::map<std::pair<storage::PageId, uint32_t>, int64_t>;
+
+std::unique_ptr<MiniDb> MakeArchiveHoleDb(const ArchiveHoleParam& param) {
   MiniDbOptions options;
   options.num_pages = kPages;
   options.wal.segment_bytes = 200;
-  options.engine.instant_restart = GetParam().instant;
-  MiniDb db(options, methods::MakeMethod(GetParam().method, {kPages}));
-  {
-    MiniDb::Session session = db.NewSession();
-    ASSERT_TRUE(session.WriteSlot(1, 0, 4242).ok());  // LSN 1
-    for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(session.WriteSlot(2 + i % 5, i % 4, 7 + i).ok());
-    }
-  }
+  options.engine.instant_restart = param.instant;
+  return std::make_unique<MiniDb>(options,
+                                  methods::MakeMethod(param.method, {kPages}));
+}
+
+// Page 1 is written at LSN 1 and still dirty at a fuzzy checkpoint, so
+// the checkpoint's redo start is LSN 1; more writes follow, all forced
+// and the last segment sealed. `values` gets every slot's last value.
+void BuildArchiveHoleRig(MiniDb& db, SlotValues* values) {
+  MiniDb::Session session = db.NewSession();
+  auto write = [&](storage::PageId page, uint32_t slot, int64_t value) {
+    ASSERT_TRUE(session.WriteSlot(page, slot, value).ok());
+    (*values)[{page, slot}] = value;
+  };
+  write(1, 0, 4242);  // LSN 1
+  for (int i = 0; i < 40; ++i) write(2 + i % 5, i % 4, 7 + i);
   ASSERT_TRUE(db.Checkpoint().ok());  // page 1 is dirty since LSN 1
-  {
-    MiniDb::Session session = db.NewSession();
-    for (int value = 0; value <= 4; ++value) {
-      ASSERT_TRUE(session.WriteSlot(3, 2, value).ok());
-    }
-  }
+  for (int value = 0; value <= 4; ++value) write(3, 2, value);
+  ASSERT_TRUE(db.log().ForceAll().ok());
+  db.log().SealActiveSegment();
+}
+
+TEST_P(ArchiveHoleRestartTest, RestartRefusesAHoleUnderItsRedoStart) {
+  std::unique_ptr<MiniDb> owned = MakeArchiveHoleDb(GetParam());
+  MiniDb& db = *owned;
+  SlotValues values;
+  BuildArchiveHoleRig(db, &values);
+  if (::testing::Test::HasFatalFailure()) return;
   wal::LogManager& log = db.log();
-  ASSERT_TRUE(log.ForceAll().ok());
-  log.SealActiveSegment();
   ASSERT_GT(log.TruncateArchived(log.stable_lsn()), 0u);
   const wal::SegmentInfo first = log.ArchivedSegments().front();
   ASSERT_EQ(first.first_lsn, 1u);
@@ -254,6 +308,90 @@ TEST_P(ArchiveHoleRestartTest, RestartRefusesAHoleUnderItsRedoStart) {
   EXPECT_NE(recovered.message().find("first unreadable LSN 1;"),
             std::string::npos)
       << recovered.ToString();
+}
+
+// Truncated through TruncateLog, which caps at the restart's scan start
+// (the redo start, LSN 1), the same rig keeps LSN 1 live: losing the
+// first segment's archive copy then costs nothing.
+TEST_P(ArchiveHoleRestartTest, CappedTruncationKeepsTheRedoStartLive) {
+  std::unique_ptr<MiniDb> owned = MakeArchiveHoleDb(GetParam());
+  MiniDb& db = *owned;
+  SlotValues values;
+  BuildArchiveHoleRig(db, &values);
+  if (::testing::Test::HasFatalFailure()) return;
+  wal::LogManager& log = db.log();
+  ASSERT_TRUE(TruncateLog(db, log.stable_lsn()).ok());
+  ASSERT_EQ(log.live_begin_lsn(), 1u) << "the redo start must stay live";
+  const wal::SegmentInfo first = log.ArchivedSegments().front();
+  ASSERT_EQ(first.first_lsn, 1u);
+  ASSERT_TRUE(log.LoseSegmentCopy(first.id, wal::LogCopy::kArchive));
+  db.Crash();
+
+  if (GetParam().instant) {
+    ASSERT_TRUE(db.RecoverInstant().ok());
+    ASSERT_TRUE(db.WaitUntilRecovered().ok());
+  } else {
+    ASSERT_TRUE(db.Recover().ok());
+  }
+  for (const auto& [key, value] : values) {
+    EXPECT_EQ(db.NewSession().ReadSlot(key.first, key.second).value(), value)
+        << "page " << key.first << " slot " << key.second;
+  }
+  if (GetParam().instant) {
+    ASSERT_TRUE(db.EndConcurrent().ok());
+  }
+}
+
+// Rung 2 may amputate the segment holding the backup's own checkpoint
+// record: the backup keeps that checkpoint, and the restart from it
+// reads no record at or below the backup LSN.
+class BackupCheckpointAmputatedTest
+    : public ::testing::TestWithParam<MethodKind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethods, BackupCheckpointAmputatedTest,
+    ::testing::ValuesIn(methods::kMethodKinds),
+    [](const auto& info) { return MethodParamName(info.param); });
+
+TEST_P(BackupCheckpointAmputatedTest, MediaRecoveryStillSucceeds) {
+  MiniDbOptions options;
+  options.num_pages = kPages;
+  options.wal.segment_bytes = 160;
+  MiniDb db(options, methods::MakeMethod(GetParam(), {kPages}));
+  SlotValues values;
+  auto write = [&](storage::PageId page, uint32_t slot, int64_t value) {
+    ASSERT_TRUE(db.NewSession().WriteSlot(page, slot, value).ok());
+    ASSERT_TRUE(db.log().ForceAll().ok());
+    values[{page, slot}] = value;
+  };
+  for (int i = 0; i < 10; ++i) write(1 + i % (kPages - 1), i % 4, 100 + i);
+  const Backup backup = TakeBackup(db).value();
+  db.log().SealActiveSegment();  // the backup's checkpoint ends a segment
+  for (int i = 10; i < 16; ++i) write(1 + i % (kPages - 1), i % 4, 100 + i);
+  db.Crash();
+
+  const std::vector<wal::SegmentInfo> live = db.log().LiveSegments();
+  const auto holder = std::find_if(
+      live.begin(), live.end(), [&](const wal::SegmentInfo& segment) {
+        return segment.sealed && segment.last_lsn == backup.backup_lsn;
+      });
+  ASSERT_NE(holder, live.end());
+  for (const wal::LogCopy copy : {wal::LogCopy::kPrimary,
+                                  wal::LogCopy::kMirror,
+                                  wal::LogCopy::kArchive}) {
+    ASSERT_TRUE(db.log().LoseSegmentCopy(holder->id, copy));
+  }
+
+  const LadderReport report = RecoverWithDegradation(db, &backup);
+  EXPECT_EQ(report.rung, LadderRung::kMediaRecovery) << report.ToString();
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_EQ(report.segments_amputated, 1u);
+  db.Crash();
+  ASSERT_TRUE(db.Recover().ok());
+  for (const auto& [key, value] : values) {
+    EXPECT_EQ(db.NewSession().ReadSlot(key.first, key.second).value(), value)
+        << "page " << key.first << " slot " << key.second;
+  }
 }
 
 }  // namespace

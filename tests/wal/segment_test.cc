@@ -1,7 +1,7 @@
 // The segmented stable log: sealing at record boundaries, CRC32C seals,
 // mirror repair, reseals, archiving, checkpoint truncation, the
-// archive-backed media-recovery read path, and the parsed-record cache
-// that keeps repeated scans from re-deserializing the whole image.
+// archive coverage check and repair, and the parsed-record cache that
+// keeps repeated scans from re-deserializing the whole image.
 
 #include <gtest/gtest.h>
 
@@ -287,16 +287,24 @@ TEST(SegmentTest, ArchiveCoversLiveHolesAndRepairsThem) {
   ASSERT_TRUE(log.CorruptSegmentByte(target.id, LogCopy::kMirror, 3, 0x10));
   ASSERT_NE(log.FirstHoleLsn(), 0u);
 
-  // The media-recovery read path falls back to the archive copy.
+  // The archive copy covers the hole, though a read stops there.
   EXPECT_EQ(log.FirstUncoveredLsn(1), 0u);
-  Result<std::vector<LogRecord>> covered = log.ReadWithArchive(1);
-  ASSERT_TRUE(covered.ok());
-  EXPECT_EQ(covered.value().size(), 10u);
+  const auto ignore = [](const LogRecord&) { return Status::Ok(); };
+  EXPECT_TRUE(log.VisitStable(1, ignore).value().torn);
 
-  // And the live log can be re-seeded from it.
+  // Re-seeded from it, the live log reads end to end.
   EXPECT_EQ(log.RepairFromArchive(), 1u);
   EXPECT_EQ(log.FirstHoleLsn(), 0u);
-  EXPECT_EQ(log.StableRecords(1).value().size(), 10u);
+  std::vector<core::Lsn> visited;
+  const Result<ScanExtent> scan =
+      log.VisitStable(1, [&visited](const LogRecord& record) {
+        visited.push_back(record.lsn);
+        return Status::Ok();
+      });
+  ASSERT_TRUE(scan.ok());
+  EXPECT_FALSE(scan.value().torn);
+  ASSERT_EQ(visited.size(), 10u);
+  for (size_t i = 0; i < visited.size(); ++i) EXPECT_EQ(visited[i], i + 1);
 }
 
 TEST(SegmentTest, UncoverableGapNamesItsFirstUnreadableLsn) {
@@ -308,12 +316,13 @@ TEST(SegmentTest, UncoverableGapNamesItsFirstUnreadableLsn) {
   ASSERT_TRUE(log.LoseSegmentCopy(target.id, LogCopy::kArchive));
 
   EXPECT_EQ(log.FirstUncoveredLsn(1), target.first_lsn);
-  const Result<std::vector<LogRecord>> read = log.ReadWithArchive(1);
-  ASSERT_FALSE(read.ok());
-  EXPECT_NE(read.status().ToString().find(std::to_string(target.first_lsn)),
-            std::string::npos)
-      << "the failure must name the first unreadable LSN: "
-      << read.status().ToString();
+  // Nothing can re-seed the segment, so a read still stops at it.
+  EXPECT_EQ(log.RepairFromArchive(), 0u);
+  const Result<ScanExtent> scan =
+      log.VisitStable(1, [](const LogRecord&) { return Status::Ok(); });
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan.value().torn);
+  EXPECT_EQ(scan.value().last_valid_lsn, target.first_lsn - 1);
 
   // Reading from past the gap is still fine — the gap is below `from`.
   EXPECT_EQ(log.FirstUncoveredLsn(target.last_lsn + 1), 0u);

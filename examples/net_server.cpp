@@ -14,17 +14,24 @@
 // and poll STATUS while redo drains. Stable storage is simulated in
 // process memory, so the crash is the engine's crash boundary inside
 // this process; the clients' view (dropped connections, vanished
-// in-flight requests, recovery phases over STATUS) is the real thing.
+// in-flight requests, recovery phases over STATUS, the values they
+// read back after each restart) is the real thing. Every restart is
+// instant, and STATUS counts it: a `net_load` client reads its pages
+// back only once the restart count moved past its cut-off.
 //
 // `--port 0` (the default) binds an ephemeral port; `--port-file PATH`
 // writes the bound port for harnesses to discover. On exit (or SIGTERM/
-// SIGINT) the flight-recorder trace goes to `--trace-out` if given.
+// SIGINT) the flight-recorder trace goes to `--trace-out` if given. A
+// non-numeric value, a zero page or worker count, and options the
+// engine refuses (MiniDbOptions::Validate) print the usage line and
+// exit 2.
 //
 // Usage: net_server [--host H] [--port P] [--port-file PATH]
 //                   [--method NAME] [--pages N] [--workers N]
 //                   [--crash-cycles N] [--crash-interval-ms MS]
 //                   [--run-ms MS] [--trace-out PATH]
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +52,29 @@ std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true); }
 
+constexpr const char* kUsage =
+    "usage: net_server [--host H] [--port P] [--port-file PATH]\n"
+    "                  [--method NAME] [--pages N] [--workers N]\n"
+    "                  [--crash-cycles N] [--crash-interval-ms MS]\n"
+    "                  [--run-ms MS] [--trace-out PATH]\n";
+
+int Usage(const std::string& complaint) {
+  std::fprintf(stderr, "net_server: %s\n%s", complaint.c_str(), kUsage);
+  return 2;
+}
+
+// A decimal number: digits only, so "x" or "2x" is refused instead of
+// silently parsing as 0 (or 2).
+bool ParseNumber(const std::string& text, uint64_t* out) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  *out = std::strtoull(text.c_str(), nullptr, 10);
+  return errno != ERANGE;
+}
+
 redo::methods::MethodKind ParseMethod(const std::string& name) {
   using namespace redo::methods;
   const std::optional<MethodKind> kind = ParseMethodKind(name);
@@ -63,49 +93,50 @@ int main(int argc, char** argv) {
   using namespace redo;
 
   std::string host = "127.0.0.1";
-  uint16_t port = 0;
+  uint64_t port = 0;
   std::string port_file;
   std::string method_name = "physiological";
-  size_t pages = 64;
-  size_t workers = 2;
-  size_t crash_cycles = 0;
+  uint64_t pages = 64;
+  uint64_t workers = 2;
+  uint64_t crash_cycles = 0;
   uint64_t crash_interval_ms = 500;
   uint64_t run_ms = 0;  // 0 = until signal (or crash cycles done)
   std::string trace_out;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
+    if (i + 1 >= argc) return Usage(arg + " needs a value");
+    const std::string value = argv[++i];
+    // A count must be a positive number; a port, a cycle count and a
+    // run time may be 0.
+    auto number = [&](uint64_t* out, bool positive) {
+      return ParseNumber(value, out) && (!positive || *out > 0);
     };
+    bool ok = true;
     if (arg == "--host") {
-      host = next();
+      host = value;
     } else if (arg == "--port") {
-      port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+      ok = number(&port, false) && port <= 65535;
     } else if (arg == "--port-file") {
-      port_file = next();
+      port_file = value;
     } else if (arg == "--method") {
-      method_name = next();
+      method_name = value;
     } else if (arg == "--pages") {
-      pages = std::strtoul(next(), nullptr, 10);
+      ok = number(&pages, true);
     } else if (arg == "--workers") {
-      workers = std::strtoul(next(), nullptr, 10);
+      ok = number(&workers, true);
     } else if (arg == "--crash-cycles") {
-      crash_cycles = std::strtoul(next(), nullptr, 10);
+      ok = number(&crash_cycles, false);
     } else if (arg == "--crash-interval-ms") {
-      crash_interval_ms = std::strtoull(next(), nullptr, 10);
+      ok = number(&crash_interval_ms, true);
     } else if (arg == "--run-ms") {
-      run_ms = std::strtoull(next(), nullptr, 10);
+      ok = number(&run_ms, false);
     } else if (arg == "--trace-out") {
-      trace_out = next();
+      trace_out = value;
     } else {
-      std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
-      return 2;
+      return Usage("unknown argument " + arg);
     }
+    if (!ok) return Usage("bad value '" + value + "' for " + arg);
   }
 
   std::signal(SIGINT, HandleSignal);
@@ -118,8 +149,10 @@ int main(int argc, char** argv) {
   options.engine.instant_restart = true;
   options.engine.instant_drain_workers = 2;
   options.net.host = host;
-  options.net.port = port;
+  options.net.port = static_cast<uint16_t>(port);
   options.net.worker_threads = workers;
+  const Status valid = options.Validate();
+  if (!valid.ok()) return Usage(valid.message());
   engine::MiniDb db(options, methods::MakeMethod(kind, {pages}));
 
   Status begun = db.BeginConcurrent();
@@ -134,9 +167,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "server start: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("net_server: %s serving on %s:%u (%zu pages, %zu workers)\n",
+  std::printf("net_server: %s serving on %s:%u (%llu pages, %llu workers)\n",
               methods::MethodKindName(kind), host.c_str(), server.port(),
-              pages, workers);
+              static_cast<unsigned long long>(pages),
+              static_cast<unsigned long long>(workers));
   std::fflush(stdout);
 
   if (!port_file.empty()) {
@@ -151,7 +185,7 @@ int main(int argc, char** argv) {
   }
 
   // The crash choreography (DESIGN.md §15), run from this thread.
-  size_t cycles_done = 0;
+  uint64_t cycles_done = 0;
   auto crash_cycle = [&]() -> bool {
     db.FreezeCommits();
     server.DisableCommands();
@@ -169,8 +203,8 @@ int main(int argc, char** argv) {
     }
     server.EnableCommands();
     ++cycles_done;
-    std::printf("net_server: crash cycle %zu done (stable LSN %llu)\n",
-                cycles_done,
+    std::printf("net_server: crash cycle %llu done (stable LSN %llu)\n",
+                static_cast<unsigned long long>(cycles_done),
                 static_cast<unsigned long long>(db.log().stable_lsn()));
     std::fflush(stdout);
     return true;
@@ -206,11 +240,11 @@ int main(int argc, char** argv) {
   const net::NetServerStats& stats = server.stats();
   std::printf(
       "net_server: done — %llu connections, %llu frames, %llu commands, "
-      "%zu crash cycles\n",
+      "%llu crash cycles\n",
       static_cast<unsigned long long>(stats.connections_accepted.load()),
       static_cast<unsigned long long>(stats.frames_received.load()),
       static_cast<unsigned long long>(stats.commands_executed.load()),
-      cycles_done);
+      static_cast<unsigned long long>(cycles_done));
 
   if (!trace_out.empty()) {
     const std::string trace =

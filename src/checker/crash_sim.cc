@@ -4,21 +4,20 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <iterator>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
 
-#include "checker/model_replay.h"
+#include "checker/closed_loop.h"
 #include "checker/recovery_checker.h"
 #include "engine/backup.h"
 #include "engine/command.h"
 #include "engine/degraded_recovery.h"
 #include "engine/txn.h"
-#include "net/client.h"
 #include "net/server.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -40,17 +39,11 @@ using storage::PageId;
 
 /// P(a crash tears the in-flight force) under tear_log_tail.
 constexpr double kTornTailProbability = 0.6;
-/// Percent of a concurrent worker's operations that are splits or slot
-/// transfers; of the rest, 3% are blind formats.
-constexpr size_t kSplitPercent = 5;
 /// Simulated page-read latency over TCP. It stretches the kServing
 /// drain from microseconds to milliseconds, so reconnecting clients
 /// observably land *during* recovery — the point of instant restart.
 /// Each page pays it once per first touch.
 constexpr uint64_t kTcpReadLatencyUs = 150;
-/// How long a TCP client may take to (re)connect and see the engine
-/// serving.
-constexpr int kConnectDeadlineMs = 10000;
 
 /// The serial engine's disk schedule. The safety contract under faults
 /// is *invariant-holds-or-detected*: every injected fault must be caught
@@ -133,106 +126,6 @@ Status Annotate(const std::string& what, const Status& status) {
                      : Status(status.code(), what + ": " + status.message());
 }
 
-/// The pages a worker writes: [first, first + count).
-struct PageRange {
-  PageId first = 0;
-  size_t count = 0;
-
-  PageId Pick(Rng& rng) const {
-    return first + static_cast<PageId>(rng.Below(count));
-  }
-};
-
-/// Draws one random operation on `pages`: a split or slot transfer
-/// (kSplitPercent), else a blind format (3%) or a slot write. Half the
-/// writes land in the upper slot half, so kSlotHalf splits move live
-/// data, not just zeros.
-Command RandomOp(Rng& rng, PageRange pages) {
-  if (pages.count >= 2 && rng.Below(100) < kSplitPercent) {
-    engine::SplitOp split;
-    split.src = pages.Pick(rng);
-    split.dst = pages.first + static_cast<PageId>(
-                                  (split.src - pages.first + 1 +
-                                   rng.Below(pages.count - 1)) %
-                                  pages.count);
-    if (rng.Below(2) == 0) {
-      split = engine::MakeSlotTransfer(
-          split.src, static_cast<uint32_t>(rng.Below(8)), split.dst,
-          static_cast<uint32_t>(rng.Below(8)));
-    }
-    return engine::MakeSplitCommand(split);
-  }
-  if (rng.Below(100) < 3) {
-    return engine::MakeApplyCommand(engine::MakeBlindFormat(
-        pages.Pick(rng), static_cast<int64_t>(rng.Below(1000))));
-  }
-  const PageId page = pages.Pick(rng);
-  const size_t slot = rng.Below(2) == 0 ? rng.Below(8)
-                                        : Page::NumSlots() / 2 + rng.Below(8);
-  return engine::MakeWriteSlotCommand(page, static_cast<uint32_t>(slot),
-                                      static_cast<int64_t>(rng.Below(100000)));
-}
-
-/// One worker's connection: a Session driven through Dispatch, or a
-/// NetClient that pipelines.
-class Link {
- public:
-  explicit Link(MiniDb::Session session) : session_(std::move(session)) {}
-  explicit Link(net::NetClient client) : client_(std::move(client)) {}
-
-  /// Runs `batch` in order and returns the replies that arrived: all of
-  /// them in process. Over TCP the batch is sent pipelined; a short
-  /// answer means the connection dropped and the rest are in doubt.
-  std::vector<Reply> Run(const std::vector<Command>& batch) {
-    std::vector<Reply> replies;
-    if (session_.has_value()) {
-      for (const Command& command : batch) {
-        replies.push_back(engine::Dispatch(*session_, command));
-      }
-      return replies;
-    }
-    size_t sent = 0;
-    while (sent < batch.size() && client_->SendCommand(batch[sent]).ok()) {
-      ++sent;
-    }
-    uint64_t request_id = 0;
-    while (replies.size() < sent) {
-      Result<Reply> reply = client_->ReceiveReply(&request_id);
-      if (!reply.ok()) break;
-      replies.push_back(std::move(reply).value());
-    }
-    return replies;
-  }
-
- private:
-  std::optional<MiniDb::Session> session_;
-  std::optional<net::NetClient> client_;
-};
-
-/// What worker threads share with the coordinator: the journal, acks
-/// and cut-off requests under `mu`, counters as atomics.
-struct Shared {
-  std::mutex mu;
-  std::vector<JournalEntry> journal;
-  std::vector<core::Lsn> acked;      ///< the stable LSN each commit ack named
-  std::vector<uint64_t> acked_txns;  ///< ids of acknowledged transactions
-  std::vector<InDoubt> cut_off;      ///< in doubt; the next crash bounds them
-  std::string failure;               ///< first worker failure
-
-  std::atomic<size_t> workers_done{0};
-  std::atomic<bool> crashed{false};  ///< a connect after this reconnects
-
-  void Fail(const std::string& why) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (failure.empty()) failure = why;
-  }
-  void Journal(std::vector<JournalEntry>* logged) {
-    std::lock_guard<std::mutex> lock(mu);
-    for (JournalEntry& e : *logged) journal.push_back(std::move(e));
-    logged->clear();
-  }
-};
-
 class Sim {
  public:
   Sim(methods::MethodKind kind, const SimOptions& options, uint64_t seed,
@@ -257,21 +150,11 @@ class Sim {
   void Finish(const Status& status);
 
  private:
-  /// Bumps a result counter from any thread; the coordinator reads the
-  /// counters only after every worker joined.
-  void Count(size_t SimResult::*field, size_t n = 1) {
-    std::atomic_ref<size_t>(result_.*field).fetch_add(n);
-  }
-  size_t Committed() {
-    return std::atomic_ref<size_t>(result_.commits_acked).load();
-  }
   Status Setup();
   // Load.
   Status SerialSegment();
   Status Serve();
-  Status Round(size_t cycle, bool freeze, uint64_t sleep_hi_us, size_t salt);
-  void Worker(size_t index, uint64_t seed, bool freeze);
-  std::optional<Link> Connect();
+  Status Round(bool freeze, uint64_t sleep_hi_us);
   // The crash and the checks before recovery.
   Status CrashNow();
   Status KeepWinners();
@@ -280,11 +163,10 @@ class Sim {
   Status RecoveryCrashes();
   Status Equivalence(size_t cycle);
   // Recovery.
-  Status Recover(size_t cycle);
+  Status Recover();
   Status RecoverRetrying(bool instant);
   // Oracles and the end of a serial cycle.
   Status CheckModel(size_t cycle);
-  Status ReadBack();
   Status BackupAndTruncate(size_t cycle);
   // Serial fault plumbing.
   Status Scrub(const char* where);
@@ -307,8 +189,14 @@ class Sim {
   std::optional<engine::Backup> backup_;        ///< rung 2's anchor
   Rng rng_;
   obs::Snapshot cycle_start_;
-  Shared shared_;
-  std::vector<InDoubt> in_doubt_;  ///< bounded by a crash, not yet judged
+  /// The concurrent engine's workers, one closed-loop client each; the
+  /// coordinator takes their ledgers after every round.
+  std::vector<std::unique_ptr<ClosedLoopClient>> clients_;
+  std::vector<JournalEntry> journal_;
+  std::vector<core::Lsn> acked_;      ///< the LSN each commit ack named
+  std::vector<uint64_t> acked_txns_;  ///< ids of acknowledged transactions
+  std::vector<InDoubt> cut_off_;      ///< in doubt; the next crash bounds them
+  std::vector<InDoubt> in_doubt_;     ///< bounded by a crash, not yet judged
 };
 
 Status Sim::Setup() {
@@ -328,9 +216,22 @@ Status Sim::Setup() {
       log_injector_->RegisterMetrics(db_.metrics());
     }
   }
-  if (options_.transport != Transport::kTcp) return Status::Ok();
-  server_ = std::make_unique<net::NetServer>(&db_, engine::NetOptions{});
-  return Annotate("server start", server_->Start());
+  if (serial_) return Status::Ok();
+  ClientSpec spec{&db_, "127.0.0.1", 0, {}, options_.commit_every,
+                  options_.txn_mode, options_.abort_percent};
+  if (options_.transport == Transport::kTcp) {
+    server_ = std::make_unique<net::NetServer>(&db_, engine::NetOptions{});
+    REDO_RETURN_IF_ERROR(Annotate("server start", server_->Start()));
+    spec.db = nullptr;
+    spec.port = server_->port();
+  }
+  const PageRange all{0, options_.workload.num_pages};
+  for (size_t w = 0; w < options_.sessions; ++w) {
+    spec.pages = IsPartitioned(options_) ? all.Part(w, options_.sessions) : all;
+    spec.seed = seed_ + w * 131;
+    clients_.push_back(std::make_unique<ClosedLoopClient>(spec));
+  }
+  return Status::Ok();
 }
 
 Status Sim::Run() {
@@ -340,10 +241,10 @@ Status Sim::Run() {
     obs::FlightRecorder::Global().Reset();
     cycle_start_ = db_.metrics().TakeSnapshot();
     REDO_RETURN_IF_ERROR(serial_ ? SerialSegment()
-                                 : Round(cycle, /*freeze=*/true, 3000, 0));
+                                 : Round(/*freeze=*/true, 3000));
     REDO_RETURN_IF_ERROR(CrashNow());
     if (serial_) REDO_RETURN_IF_ERROR(PreRecoveryChecks(cycle));
-    REDO_RETURN_IF_ERROR(Recover(cycle));
+    REDO_RETURN_IF_ERROR(Recover());
     REDO_RETURN_IF_ERROR(CheckModel(cycle));
     if (serial_) {
       REDO_RETURN_IF_ERROR(BackupAndTruncate(cycle));
@@ -351,7 +252,14 @@ Status Sim::Run() {
     }
     ++result_.cycles;
   }
-  return server_ != nullptr ? ReadBack() : Status::Ok();
+  if (server_ == nullptr) return Status::Ok();
+  // The last oracle over TCP: a client reads back, over the wire, every
+  // slot the workers' op mix writes, to compare with the verified model.
+  REDO_RETURN_IF_ERROR(Serve());
+  return Annotate("read-back over the wire",
+                  clients_[0]
+                      ->ReadBack(PageRange{0, db_.num_pages()}, journal_, {})
+                      .status());
 }
 
 // ---- Load ----
@@ -390,7 +298,7 @@ Status Sim::SerialSegment() {
                 : engine::MakeBlindFormat(action.page, action.value));
         const Reply reply = engine::Dispatch(session, command);
         REDO_RETURN_IF_ERROR(Annotate("apply", engine::ReplyStatus(reply)));
-        JournalReply(command, reply, /*txn_id=*/0, &shared_.journal);
+        JournalReply(command, reply, /*txn_id=*/0, &journal_);
         break;
       }
       case Action::Kind::kSplit:
@@ -415,7 +323,7 @@ Status Sim::SerialSegment() {
         const Reply reply = engine::Dispatch(session, command);
         if (injector_.has_value()) injector_->set_paused(false);
         REDO_RETURN_IF_ERROR(Annotate("split", engine::ReplyStatus(reply)));
-        JournalReply(command, reply, /*txn_id=*/0, &shared_.journal);
+        JournalReply(command, reply, /*txn_id=*/0, &journal_);
         break;
       }
       case Action::Kind::kFlushPage:
@@ -453,15 +361,22 @@ Status Sim::Serve() {
 /// at an arbitrary moment and the workers drain out with refused
 /// commits and dropped connections; without it every worker finishes
 /// and commits (the serving-while-redoing load).
-Status Sim::Round(size_t cycle, bool freeze, uint64_t sleep_hi_us,
-                  size_t salt) {
+Status Sim::Round(bool freeze, uint64_t sleep_hi_us) {
   REDO_RETURN_IF_ERROR(Serve());
-  const size_t commits_before = Committed();
-  const size_t done_before = shared_.workers_done.load();
+  auto committed = [this] {
+    size_t commits = 0;
+    for (const auto& client : clients_) commits += client->commits();
+    return commits;
+  };
+  const size_t commits_before = committed();
+  std::atomic<size_t> done{0};
+  std::vector<char> cut(clients_.size(), 0);
   std::vector<std::thread> workers;
-  for (size_t w = 0; w < options_.sessions; ++w) {
-    workers.emplace_back([this, w, freeze, seed = seed_ + cycle * 7919 + salt] {
-      Worker(w, seed, freeze);
+  for (size_t w = 0; w < clients_.size(); ++w) {
+    workers.emplace_back([this, w, &done, &cut] {
+      cut[w] = clients_[w]->RunBatches(options_.ops_per_session,
+                                       Clock::time_point::max());
+      done.fetch_add(1);
     });
   }
   std::thread checkpointer;
@@ -470,7 +385,7 @@ Status Sim::Round(size_t cycle, bool freeze, uint64_t sleep_hi_us,
       for (size_t i = 0; i < options_.checkpoints_per_cycle; ++i) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
         if (!db_.Checkpoint().ok()) return;  // frozen mid-checkpoint
-        Count(&SimResult::checkpoints_taken);
+        ++result_.checkpoints_taken;  // read once the round joined
       }
     });
   }
@@ -483,11 +398,9 @@ Status Sim::Round(size_t cycle, bool freeze, uint64_t sleep_hi_us,
     // any worker commits, and such a cycle proves nothing. Hold the
     // boundary — bounded, so a wedged engine still fails the run —
     // until a commit lands or every worker is done.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (Committed() == commits_before &&
-           shared_.workers_done.load() - done_before < options_.sessions &&
-           std::chrono::steady_clock::now() < deadline) {
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (committed() == commits_before && done.load() < clients_.size() &&
+           Clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
     // The crash boundary: commits freeze and, over TCP, the server
@@ -500,143 +413,26 @@ Status Sim::Round(size_t cycle, bool freeze, uint64_t sleep_hi_us,
   }
   for (std::thread& t : workers) t.join();
   if (checkpointer.joinable()) checkpointer.join();
+  // Take what every worker learned; a Session must be gone before the
+  // engine recovers.
+  std::string failure;
+  for (size_t w = 0; w < clients_.size(); ++w) {
+    clients_[w]->Close();
+    Ledger ledger = clients_[w]->TakeLedger();
+    std::ranges::move(ledger.journal, std::back_inserter(journal_));
+    acked_.insert(acked_.end(), ledger.acked.begin(), ledger.acked.end());
+    acked_txns_.insert(acked_txns_.end(), ledger.acked_txns.begin(),
+                       ledger.acked_txns.end());
+    if (ledger.cut_off.has_value()) {
+      cut_off_.push_back(std::move(*ledger.cut_off));
+    }
+    if (failure.empty()) failure = ledger.failure;
+    if (failure.empty() && cut[w] && !freeze) {
+      failure = "a worker was cut off outside any crash boundary";
+    }
+  }
   REDO_RETURN_IF_ERROR(boundary);
-  std::lock_guard<std::mutex> lock(shared_.mu);
-  return shared_.failure.empty() ? Status::Ok()
-                                 : Status::Corruption(shared_.failure);
-}
-
-std::optional<Link> Sim::Connect() {
-  if (server_ == nullptr) return Link(db_.NewSession());
-  net::NetClient client;
-  Result<Reply> serving =
-      client.AwaitServing("127.0.0.1", server_->port(), kConnectDeadlineMs);
-  if (!serving.ok()) {
-    shared_.Fail("connect: " + serving.status().ToString());
-    return std::nullopt;
-  }
-  if (shared_.crashed.load()) {
-    Count(&SimResult::reconnects);
-    if (serving.value().status.phase ==
-        static_cast<uint8_t>(MiniDb::RecoveryPhase::kServing)) {
-      Count(&SimResult::reconnects_during_serving);
-    }
-  }
-  return Link(std::move(client));
-}
-
-/// A worker issues batches of commit_every random operations on its
-/// pages, each followed by a commit — in txn mode wrapped in Begin/
-/// Commit, abort_percent of them rolled back instead. Journaling is
-/// fate-driven: plain and committed writes enter the journal with the
-/// LSNs their replies carry; a rolled-back or cut-off transaction never
-/// does (a guaranteed loser); a transaction whose commit was refused or
-/// lost enters tagged with its id, for the winners filter to decide.
-void Sim::Worker(size_t index, uint64_t seed, bool freeze) {
-  Rng rng(seed * 0x9e3779b9ULL + index * 131 + 17);
-  std::optional<Link> link = Connect();
-  const size_t per = options_.workload.num_pages / options_.sessions;
-  const PageRange pages =
-      IsPartitioned(options_)
-          ? PageRange{static_cast<PageId>(index * per), per}
-          : PageRange{0, options_.workload.num_pages};
-  for (size_t issued = 0;
-       link.has_value() && issued < options_.ops_per_session;) {
-    uint64_t txn_id = 0;
-    if (options_.txn_mode) {
-      const std::vector<Reply> begun = link->Run({engine::MakeBeginCommand()});
-      if (begun.empty() || begun[0].code == StatusCode::kUnavailable) break;
-      if (!begun[0].ok()) {
-        shared_.Fail("begin failed: " +
-                     engine::ReplyStatus(begun[0]).ToString());
-        break;
-      }
-      txn_id = begun[0].txn_id;
-    }
-    std::vector<Command> batch;
-    for (; batch.size() < options_.commit_every &&
-           issued < options_.ops_per_session;
-         ++issued) {
-      batch.push_back(RandomOp(rng, pages));
-    }
-    const std::vector<Reply> replies = link->Run(batch);
-    std::vector<JournalEntry> logged;
-    bool cut_off = replies.size() < batch.size();
-    for (size_t i = 0; i < replies.size(); ++i) {
-      if (replies[i].code == StatusCode::kUnavailable) {
-        Count(&SimResult::refused);
-        cut_off = true;
-      } else if (!replies[i].ok()) {
-        shared_.Fail(std::string(engine::CommandTypeName(batch[i].type)) +
-                     " failed: " + engine::ReplyStatus(replies[i]).ToString());
-        cut_off = true;  // the run has failed; this worker stops
-      } else {
-        JournalReply(batch[i], replies[i], txn_id, &logged);
-        Count(&SimResult::ops);
-        if (batch[i].type == engine::CommandType::kSplit) {
-          Count(&SimResult::splits);
-        }
-      }
-    }
-    if (cut_off && !freeze) {
-      shared_.Fail("a worker was cut off outside any crash boundary");
-      break;
-    }
-    if (cut_off) {
-      // The crash boundary cut the batch short. An open transaction can
-      // never commit now. Plain writes leave their fate to the log, and
-      // the requests whose replies never arrived are in doubt.
-      if (txn_id != 0) break;
-      shared_.Journal(&logged);
-      if (replies.size() < batch.size()) {
-        InDoubt doubt{pages.first, pages.count, 0, {}};
-        for (size_t i = replies.size(); i < batch.size(); ++i) {
-          JournalReply(batch[i], Reply{}, /*txn_id=*/0, &doubt.entries);
-        }
-        Count(&SimResult::in_doubt, batch.size() - replies.size());
-        std::lock_guard<std::mutex> lock(shared_.mu);
-        shared_.cut_off.push_back(std::move(doubt));
-      }
-      break;
-    }
-    if (txn_id != 0 && rng.Below(100) < options_.abort_percent) {
-      const std::vector<Reply> aborted =
-          link->Run({engine::MakeAbortCommand()});
-      if (aborted.empty() || aborted[0].code == StatusCode::kUnavailable) {
-        break;  // a loser whether or not the abort ran
-      }
-      if (!aborted[0].ok()) {
-        shared_.Fail("abort failed: " +
-                     engine::ReplyStatus(aborted[0]).ToString());
-        break;
-      }
-      Count(&SimResult::txns_aborted);
-      continue;
-    }
-    const std::vector<Reply> acked = link->Run({engine::MakeCommitCommand()});
-    if (acked.empty() || acked[0].code == StatusCode::kUnavailable) {
-      // The crash boundary hit mid-commit: no promise was made, and the
-      // commit record's fate is the log's to decide.
-      Count(acked.empty() ? &SimResult::in_doubt : &SimResult::refused);
-      shared_.Journal(&logged);
-      break;
-    }
-    const Reply& ack = acked[0];
-    if (!ack.ok() || ack.stable_lsn < ack.lsn) {
-      shared_.Fail("commit failed: " + engine::ReplyStatus(ack).ToString() +
-                   " (acked LSN " + std::to_string(ack.lsn) +
-                   ", reply's stable LSN " + std::to_string(ack.stable_lsn) +
-                   ")");
-      break;
-    }
-    Count(&SimResult::commits_acked);
-    if (txn_id != 0) Count(&SimResult::txns_committed);
-    shared_.Journal(&logged);
-    std::lock_guard<std::mutex> lock(shared_.mu);
-    shared_.acked.push_back(ack.lsn);
-    if (txn_id != 0) shared_.acked_txns.push_back(txn_id);
-  }
-  shared_.workers_done.fetch_add(1);
+  return failure.empty() ? Status::Ok() : Status::Corruption(failure);
 }
 
 // ---- The crash ----
@@ -652,7 +448,6 @@ Status Sim::CrashNow() {
     if (pending > 0) db_.log().TearInFlightForce(1 + rng_.Below(pending));
   }
   db_.Crash();
-  shared_.crashed.store(true);
   // Complete unacknowledged records count as survivors (stable_lsn may
   // rise); a partial record is truncated.
   const wal::SalvageResult salvage = db_.log().SalvageTornTail();
@@ -663,10 +458,9 @@ Status Sim::CrashNow() {
   result_.salvaged_records += salvage.salvaged_records;
   const core::Lsn stable = db_.log().stable_lsn();
 
-  std::lock_guard<std::mutex> lock(shared_.mu);
   // No acknowledged commit may be lost: an ack means the committer's
   // force covered the LSN, so salvage must keep it.
-  for (core::Lsn lsn : shared_.acked) {
+  for (core::Lsn lsn : acked_) {
     if (lsn > stable) ++result_.lost_acked_commits;
   }
   if (result_.lost_acked_commits > 0) {
@@ -677,16 +471,16 @@ Status Sim::CrashNow() {
   }
   // Entries above the stable LSN died with the crash, and the log
   // reuses lost LSNs: prune them NOW, before later records collide.
-  DropUnstable(&shared_.journal, stable);
-  for (InDoubt& doubt : shared_.cut_off) {
+  DropUnstable(&journal_, stable);
+  for (InDoubt& doubt : cut_off_) {
     doubt.boundary = stable;
     in_doubt_.push_back(std::move(doubt));
   }
-  shared_.cut_off.clear();
+  cut_off_.clear();
   return options_.txn_mode ? KeepWinners() : Status::Ok();
 }
 
-/// The atomicity oracle (caller holds shared_.mu). Winners = every
+/// The atomicity oracle. Winners = every
 /// transaction with a stable kTxnCommit, read straight off the log (ids
 /// are monotone and never reused across cycles, so one scan of the
 /// whole stable log is right). Every ACKNOWLEDGED commit must be a
@@ -702,7 +496,7 @@ Status Sim::KeepWinners() {
     if (!id.ok()) return Annotate("bad commit record", id.status());
     winners.insert(id.value());
   }
-  for (uint64_t txn : shared_.acked_txns) {
+  for (uint64_t txn : acked_txns_) {
     result_.atomicity_violations += winners.count(txn) == 0 ? 1 : 0;
   }
   if (result_.atomicity_violations > 0) {
@@ -710,7 +504,7 @@ Status Sim::KeepWinners() {
         "atomicity: " + std::to_string(result_.atomicity_violations) +
         " acknowledged transaction(s) have no stable commit record");
   }
-  std::erase_if(shared_.journal, [&winners](const JournalEntry& e) {
+  std::erase_if(journal_, [&winners](const JournalEntry& e) {
     return e.txn_id != 0 && winners.count(e.txn_id) == 0;
   });
   return Status::Ok();
@@ -920,7 +714,7 @@ Status Sim::Equivalence(size_t cycle) {
 
 // ---- Recovery ----
 
-Status Sim::Recover(size_t cycle) {
+Status Sim::Recover() {
   if (serial_) {
     // On rung-2 cycles the ladder already recovered and re-anchored
     // with a fresh checkpoint; this recovery is then a rehearsal no-op
@@ -949,13 +743,13 @@ Status Sim::Recover(size_t cycle) {
     if (rng_.Below(2) == 1) {
       // Crash mid-drain with workers in flight (else: before any
       // traffic touches a page).
-      REDO_RETURN_IF_ERROR(Round(cycle, /*freeze=*/true, 1200, 1000 + cycle));
+      REDO_RETURN_IF_ERROR(Round(/*freeze=*/true, 1200));
     }
     REDO_RETURN_IF_ERROR(CrashNow());
   }
   // Recover-while-loading: a full round against the serving engine,
   // racing the background drain, with no freeze — every commit must ack.
-  REDO_RETURN_IF_ERROR(Round(cycle, /*freeze=*/false, 0, 2000 + cycle));
+  REDO_RETURN_IF_ERROR(Round(/*freeze=*/false, 0));
   return Annotate("WaitUntilRecovered", db_.WaitUntilRecovered());
 }
 
@@ -1002,9 +796,9 @@ Status Sim::CheckModel(size_t cycle) {
     const Page* cached = serial_ ? nullptr : db_.pool().PeekCached(p);
     recovered.push_back(cached != nullptr ? *cached : db_.disk().PeekPage(p));
   }
-  std::lock_guard<std::mutex> lock(shared_.mu);
-  Result<std::vector<size_t>> matched =
-      MatchRecovered(shared_.journal, in_doubt_, recovered, serial_);
+  Result<std::vector<size_t>> matched = MatchRecovered(
+      journal_, in_doubt_, recovered,
+      serial_ ? PageCompare::kPayloadAndLsn : PageCompare::kPayload);
   if (!matched.ok()) {
     if (serial_ && matched.status().code() == StatusCode::kCorruption) {
       // Every page passed scrub, so this mismatch wears a VALID write
@@ -1020,45 +814,7 @@ Status Sim::CheckModel(size_t cycle) {
                     matched.status());
   }
   result_.pages_verified += db_.num_pages();
-  // The verdict fixes each in-doubt group's surviving prefix: journal
-  // it at the group's boundary LSN, where the replay placed it.
-  for (size_t g = 0; g < in_doubt_.size(); ++g) {
-    for (size_t e = 0; e < matched.value()[g]; ++e) {
-      shared_.journal.push_back(in_doubt_[g].entries[e]);
-      shared_.journal.back().lsn = in_doubt_[g].boundary;
-    }
-  }
-  in_doubt_.clear();
-  return Status::Ok();
-}
-
-/// The last oracle over TCP: read back, over the wire, every slot a
-/// worker's slot writes can reach, and compare with the verified model.
-Status Sim::ReadBack() {
-  REDO_RETURN_IF_ERROR(Serve());
-  Result<std::vector<Page>> model =
-      ReplayJournal(shared_.journal, db_.num_pages());
-  if (!model.ok()) return Annotate("model replay", model.status());
-  net::NetClient verifier;
-  Result<Reply> serving =
-      verifier.AwaitServing("127.0.0.1", server_->port(), kConnectDeadlineMs);
-  if (!serving.ok()) return Annotate("verifier connect", serving.status());
-  for (PageId p = 0; p < db_.num_pages(); ++p) {
-    for (size_t base : {size_t{0}, Page::NumSlots() / 2}) {
-      for (size_t slot = base; slot < base + 8; ++slot) {
-        Result<Reply> read = verifier.Call(
-            engine::MakeReadSlotCommand(p, static_cast<uint32_t>(slot)));
-        const int64_t want = model.value()[p].ReadSlot(slot);
-        if (!read.ok() || !read.value().ok() || read.value().value != want) {
-          return Status::Corruption(
-              "read-back of page " + std::to_string(p) + " slot " +
-              std::to_string(slot) + " over the wire disagrees with the "
-              "model value " + std::to_string(want));
-        }
-        ++result_.slots_verified;
-      }
-    }
-  }
+  KeepSurvivors(matched.value(), &in_doubt_, &journal_);
   return Status::Ok();
 }
 
@@ -1159,6 +915,9 @@ Status Sim::TolerantIo(const char* what, const std::function<Status()>& fn) {
 
 void Sim::Finish(const Status& status) {
   SimResult& r = result_;
+  for (const auto& client : clients_) {
+    static_cast<ClientStats&>(r) += client->stats();
+  }
   if (injector_.has_value()) {
     const storage::FaultInjectorStats& fs = injector_->stats();
     r.faults_injected = fs.torn_writes + fs.write_bursts + fs.sticky_pages;

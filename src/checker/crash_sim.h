@@ -1,11 +1,9 @@
 // The crash simulator: one crash-recover-verify loop for every way the
-// engine is driven. A run has two axes:
-//
-//  - the transport: workers drive Sessions through engine::Dispatch in
-//    process, or are NetClients of an in-process NetServer — real TCP
-//    peers whose connections drop mid-pipeline at every crash and that
-//    reconnect through AwaitServing while the engine recovers;
-//  - the concurrency level: the number of workers (`sessions`).
+// engine is driven. A run has two axes: the transport — each worker is
+// a closed-loop client (closed_loop.h) that drives a Session through
+// engine::Dispatch in process, or a real TCP peer of an in-process
+// NetServer whose connection drops mid-pipeline at every crash — and
+// the concurrency level, the number of workers (`sessions`).
 //
 // In process with one session the sim runs the serial engine (no
 // BeginConcurrent) — derived, not a knob. Only that configuration
@@ -14,9 +12,8 @@
 // by it but not by the replay oracle localizes the failure to engine
 // vs. model), disk and log-media faults with the degradation ladder,
 // crashes during recovery, and the serial-vs-parallel redo equivalence
-// oracle. Every other configuration runs the concurrent engine: worker
-// threads issue random operations and commits (each batch one
-// transaction in txn mode) through the group-commit pipeline while a
+// oracle. Every other configuration runs the concurrent engine: the
+// workers' clients commit through the group-commit pipeline while a
 // checkpointer runs beside them.
 //
 // Every configuration runs the same cycle: load; the crash boundary
@@ -47,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "checker/closed_loop.h"
 #include "engine/workload.h"
 #include "methods/method.h"
 #include "util/status.h"
@@ -146,13 +144,14 @@ struct SimOptions {
   bool no_offsite_restore = false;
 };
 
-struct SimResult {
+/// The ClientStats part sums the workers' clients; `ops` also counts the
+/// serial engine's actions.
+struct SimResult : ClientStats {
   bool ok = false;
   std::string failure;  ///< first failure description, if any
 
   // ---- Every configuration ----
   size_t cycles = 0;          ///< completed crash/recover/verify cycles
-  size_t ops = 0;             ///< serial actions; concurrent acked ops
   size_t pages_verified = 0;  ///< pages matched against the model replay
   size_t torn_tails = 0;      ///< crashes whose salvage found a torn tail
   size_t torn_tail_bytes_dropped = 0;
@@ -181,28 +180,17 @@ struct SimResult {
   size_t equivalence_divergences = 0;  ///< mismatches vs the serial run
 
   // ---- Concurrent engine ----
-  size_t splits = 0;              ///< acked splits and slot transfers
-  size_t commits_acked = 0;
-  size_t refused = 0;             ///< kUnavailable replies at a boundary
   size_t lost_acked_commits = 0;  ///< THE violation: acked but not stable
   size_t checkpoints_taken = 0;
   size_t group_commits = 0;       ///< pipeline acks (LogStats)
   size_t group_batches = 0;       ///< pipeline forces (LogStats)
   size_t instant_restarts = 0;    ///< RecoverInstant() calls that served
   size_t double_crashes = 0;      ///< crashes during serving-while-redoing
-  size_t txns_committed = 0;
-  size_t txns_aborted = 0;        ///< runtime rollbacks
   size_t losers_undone = 0;       ///< recovery-undo rollbacks
   size_t undo_recrashes = 0;      ///< injected crashes mid-undo
   /// Txn mode, THE violation: an acknowledged commit whose transaction
   /// is not a winner on the stable log (atomicity/durability breach).
   size_t atomicity_violations = 0;
-
-  // ---- TCP ----
-  size_t reconnects = 0;                 ///< connects after a crash
-  size_t reconnects_during_serving = 0;  ///< of those, at phase kServing
-  size_t in_doubt = 0;        ///< requests whose replies never arrived
-  size_t slots_verified = 0;  ///< slots read back over the wire at the end
 
   /// JSONL recovery timeline and Chrome-trace JSON of the failing
   /// cycle's flight-recorder events (empty when ok): the post-mortem

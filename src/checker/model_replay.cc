@@ -1,7 +1,9 @@
 #include "checker/model_replay.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 
 namespace redo::checker {
 namespace {
@@ -9,20 +11,35 @@ namespace {
 using storage::Page;
 using storage::PageId;
 
-bool SamePage(const Page& got, const Page& want, bool compare_lsn) {
-  return compare_lsn ? got == want
-                     : std::ranges::equal(got.payload(), want.payload());
+/// The first slot `compare` looks at where the two pages differ.
+std::optional<size_t> FirstDiff(const Page& got, const Page& want,
+                                PageCompare compare) {
+  for (size_t slot = 0; slot < Page::NumSlots(); ++slot) {
+    const size_t upper = kReadBackBases[1];
+    const bool read_back = slot < kReadBackRun ||
+                           (slot >= upper && slot < upper + kReadBackRun);
+    if ((read_back || compare != PageCompare::kReadBackSlots) &&
+        got.ReadSlot(slot) != want.ReadSlot(slot)) {
+      return slot;
+    }
+  }
+  return std::nullopt;
+}
+
+bool SamePage(const Page& got, const Page& want, PageCompare compare) {
+  return compare == PageCompare::kPayloadAndLsn
+             ? got == want
+             : !FirstDiff(got, want, compare).has_value();
 }
 
 /// "page P (first diff slot S: got X want Y)" for a page that differs.
-std::string Mismatch(PageId page, const Page& got, const Page& want) {
+std::string Mismatch(PageId page, const Page& got, const Page& want,
+                     PageCompare compare) {
   std::string what = "page " + std::to_string(page);
-  for (size_t slot = 0; slot < Page::NumSlots(); ++slot) {
-    if (got.ReadSlot(slot) != want.ReadSlot(slot)) {
-      return what + " (first diff slot " + std::to_string(slot) + ": got " +
-             std::to_string(got.ReadSlot(slot)) + " want " +
-             std::to_string(want.ReadSlot(slot)) + ")";
-    }
+  if (const std::optional<size_t> slot = FirstDiff(got, want, compare)) {
+    return what + " (first diff slot " + std::to_string(*slot) + ": got " +
+           std::to_string(got.ReadSlot(*slot)) + " want " +
+           std::to_string(want.ReadSlot(*slot)) + ")";
   }
   return what + " (page LSN " + std::to_string(got.lsn()) + " want " +
          std::to_string(want.lsn()) + ")";
@@ -89,7 +106,7 @@ Result<std::vector<Page>> ReplayJournal(std::vector<JournalEntry> journal,
 Result<std::vector<size_t>> MatchRecovered(
     const std::vector<JournalEntry>& journal,
     const std::vector<InDoubt>& in_doubt, const std::vector<Page>& recovered,
-    bool compare_lsn) {
+    PageCompare compare) {
   const size_t num_pages = recovered.size();
   Result<std::vector<Page>> replayed = ReplayJournal(journal, num_pages);
   if (!replayed.ok()) return replayed.status();
@@ -102,9 +119,9 @@ Result<std::vector<size_t>> MatchRecovered(
                        });
   };
   for (PageId p = 0; p < num_pages; ++p) {
-    if (!owned(p) && !SamePage(recovered[p], model[p], compare_lsn)) {
+    if (!owned(p) && !SamePage(recovered[p], model[p], compare)) {
       return Status::Corruption(
-          Mismatch(p, recovered[p], model[p]) +
+          Mismatch(p, recovered[p], model[p], compare) +
           " diverges from the LSN-ordered replay of " +
           std::to_string(journal.size()) + " surviving journal entries");
     }
@@ -141,7 +158,7 @@ Result<std::vector<size_t>> MatchRecovered(
       bool match = true;
       for (PageId p = owner.first_page;
            match && p < owner.first_page + owner.num_pages; ++p) {
-        match = SamePage(recovered[p], pages.value()[p], compare_lsn);
+        match = SamePage(recovered[p], pages.value()[p], compare);
       }
       if (match) break;
       size_t i = 0;
@@ -150,15 +167,34 @@ Result<std::vector<size_t>> MatchRecovered(
         prefix[i++] = 0;
       }
       if (i == groups.size()) {
+        // Some page differs even from the replay without them: name it.
+        PageId p = owner.first_page;
+        while (p + 1 < owner.first_page + owner.num_pages &&
+               SamePage(recovered[p], model[p], compare)) {
+          ++p;
+        }
         return Status::Corruption(
             "pages [" + std::to_string(owner.first_page) + ", " +
             std::to_string(owner.first_page + owner.num_pages) +
-            ") match no prefix of their owner's in-doubt requests");
+            ") match no prefix of their owner's in-doubt requests; without "
+            "them, " + Mismatch(p, recovered[p], model[p], compare));
       }
     }
     for (size_t i = 0; i < groups.size(); ++i) chosen[groups[i]] = prefix[i];
   }
   return chosen;
+}
+
+void KeepSurvivors(const std::vector<size_t>& prefix,
+                   std::vector<InDoubt>* in_doubt,
+                   std::vector<JournalEntry>* journal) {
+  for (size_t g = 0; g < in_doubt->size(); ++g) {
+    for (size_t e = 0; e < prefix[g]; ++e) {
+      journal->push_back(std::move((*in_doubt)[g].entries[e]));
+      journal->back().lsn = (*in_doubt)[g].boundary;
+    }
+  }
+  in_doubt->clear();
 }
 
 }  // namespace redo::checker

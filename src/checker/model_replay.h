@@ -74,17 +74,33 @@ struct InDoubt {
   std::vector<JournalEntry> entries;
 };
 
+/// A read-back over the wire reads the first kReadBackRun slots of each
+/// page half. The closed-loop op mix writes and transfers only these, and
+/// a kSlotHalf split moves the upper run onto the lower one: no op copies
+/// an unread slot into a read one.
+inline constexpr size_t kReadBackRun = 8;
+inline constexpr size_t kReadBackBases[] = {0, storage::Page::NumSlots() / 2};
+
+/// What MatchRecovered holds equal on a page. Only the serial engine
+/// reproduces page LSNs exactly (undo's CLRs retag pages).
+enum class PageCompare : uint8_t { kReadBackSlots, kPayload, kPayloadAndLsn };
+
 /// The model-replay comparison. Pages no InDoubt owns must equal the
 /// replay of `journal`; each owned partition must equal the replay
 /// extended by some prefix of each of its owner's InDoubt groups (a
-/// double crash leaves two). `compare_lsn` also compares page LSN
-/// headers, which only the serial engine reproduces exactly (undo's
-/// CLRs retag pages). Returns the matching prefix length per InDoubt,
-/// or Corruption naming the first page nothing explains.
+/// double crash leaves two). Returns the matching prefix length per
+/// InDoubt, or Corruption naming the first page nothing explains.
 Result<std::vector<size_t>> MatchRecovered(
     const std::vector<JournalEntry>& journal,
     const std::vector<InDoubt>& in_doubt,
-    const std::vector<storage::Page>& recovered, bool compare_lsn);
+    const std::vector<storage::Page>& recovered, PageCompare compare);
+
+/// Moves the first `prefix[g]` entries of each `(*in_doubt)[g]` — the
+/// survivors MatchRecovered chose — into `journal` at the group's
+/// boundary LSN, where its replay placed them, and clears `in_doubt`.
+void KeepSurvivors(const std::vector<size_t>& prefix,
+                   std::vector<InDoubt>* in_doubt,
+                   std::vector<JournalEntry>* journal);
 
 }  // namespace redo::checker
 

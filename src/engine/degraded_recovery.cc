@@ -1,5 +1,7 @@
 #include "engine/degraded_recovery.h"
 
+#include "engine/txn.h"
+
 namespace redo::engine {
 
 namespace {
@@ -23,6 +25,40 @@ void TraceScrub(obs::RecoveryTracer* tracer, const wal::ScrubReport& scrub) {
                            std::string("archive-") +
                                wal::SegmentVerdictStateName(verdict.state));
   }
+}
+
+/// Walks a transaction's undo chain back from `lsn`, as undo would:
+/// the first record on it that cannot be read, or 0 when all can.
+core::Lsn FirstUnreadableInChain(const wal::LogManager& log, core::Lsn lsn) {
+  while (lsn != 0) {
+    Result<wal::LogRecord> record = log.StableRecordAt(lsn);
+    if (!record.ok()) return lsn;
+    if (record.value().type == wal::RecordType::kTxnUpdate) {
+      Result<TxnUpdate> update = DecodeTxnUpdate(record.value().payload);
+      if (!update.ok()) return lsn;
+      lsn = update.value().prev_lsn;
+    } else if (record.value().type == wal::RecordType::kClr) {
+      Result<Clr> clr = DecodeClr(record.value().payload);
+      if (!clr.ok()) return lsn;
+      lsn = clr.value().undo_next;
+    } else {
+      return lsn;
+    }
+  }
+  return 0;
+}
+
+/// Rung 3: fail loudly, naming the first unreadable LSN and the remedy.
+LadderReport Refuse(LadderReport report, core::Lsn lsn, std::string diagnosis,
+                    obs::RecoveryTracer* tracer) {
+  report.rung = LadderRung::kRefused;
+  report.first_unreadable_lsn = lsn;
+  report.diagnosis = std::move(diagnosis);
+  if (tracer != nullptr) {
+    tracer->Rung(LadderRungName(report.rung), lsn, report.diagnosis);
+  }
+  report.status = Status::Corruption(report.diagnosis);
+  return report;
 }
 
 LadderReport RunLadder(MiniDb& db, const Backup* backup,
@@ -124,30 +160,46 @@ LadderReport RunLadder(MiniDb& db, const Backup* backup,
   const core::Lsn base = backup != nullptr ? backup->backup_lsn : 0;
   const core::Lsn uncovered = log.FirstUncoveredLsn(base + 1);
   if (uncovered != 0) {
-    report.rung = LadderRung::kRefused;
-    report.first_unreadable_lsn = uncovered;
-    report.diagnosis =
+    return Refuse(
+        std::move(report), uncovered,
         "stable log unreadable at LSN " + std::to_string(uncovered) +
-        ": no intact live copy and no intact archive copy; " +
-        (backup != nullptr
-             ? "the backup (through LSN " + std::to_string(base) +
-                   ") does not reach it"
-             : "no backup is available") +
-        "; needed: a backup covering LSN >= " + std::to_string(uncovered) +
-        " or an intact copy of the damaged segment. Refusing to recover "
-        "past a gap.";
-    if (tracer != nullptr) {
-      tracer->Rung(LadderRungName(report.rung), uncovered, report.diagnosis);
-    }
-    report.status = Status::Corruption(report.diagnosis);
-    return report;
+            ": no intact live copy and no intact archive copy; " +
+            (backup != nullptr
+                 ? "the backup (through LSN " + std::to_string(base) +
+                       ") does not reach it"
+                 : "no backup is available") +
+            "; needed: a backup covering LSN >= " +
+            std::to_string(uncovered) +
+            " or an intact copy of the damaged segment. Refusing to "
+            "recover past a gap.",
+        tracer);
   }
 
   // Rung 2: media recovery. Re-seed unreadable live segments from the
-  // archive and drop what nothing can rebuild but the backup subsumes,
-  // so the live log is whole above the backup point; then run the
-  // restart from the backup (or the genesis state — an all-zero
-  // database explained by the empty log prefix).
+  // archive. Undo must still read the chain of every transaction open at
+  // the backup: any may be a loser at the crash, and its chain reaches
+  // below the backup LSN, where the coverage check did not look. Only
+  // then may pages be written. Drop what nothing can rebuild but the
+  // backup subsumes, so the live log is whole above the backup point,
+  // and run the restart from the backup (or the genesis state — an
+  // all-zero database explained by the empty log prefix, with no
+  // transaction open).
+  report.archive_repairs = log.RepairFromArchive();
+  const std::vector<TxnTableEntry> none;
+  for (const TxnTableEntry& txn :
+       backup != nullptr ? backup->checkpoint.payload.txns : none) {
+    const core::Lsn lsn = FirstUnreadableInChain(log, txn.last_lsn);
+    if (lsn == 0) continue;
+    return Refuse(
+        std::move(report), lsn,
+        "undo needs LSN " + std::to_string(lsn) +
+            " in the chain of transaction " + std::to_string(txn.txn_id) +
+            ", open at the backup (through LSN " + std::to_string(base) +
+            "), and no intact live or archive copy holds it; needed: an "
+            "intact copy of the segment holding LSN " + std::to_string(lsn) +
+            ". Refusing to roll back past a gap.",
+        tracer);
+  }
   report.rung = LadderRung::kMediaRecovery;
   report.used_backup = backup != nullptr;
   if (tracer != nullptr) {
@@ -159,7 +211,6 @@ LadderReport RunLadder(MiniDb& db, const Backup* backup,
                           : "the genesis state plus the archive"));
   }
   obs::PhaseScope phase(tracer, "media-recovery");
-  report.archive_repairs = log.RepairFromArchive();
   report.segments_amputated = log.DropUnreadableThrough(base);
   Backup genesis;
   if (backup == nullptr) genesis.pages.resize(db.num_pages());

@@ -152,8 +152,8 @@ Result<engine::Reply> NetClient::Call(const engine::Command& command) {
 }
 
 Result<engine::Reply> NetClient::AwaitServing(const std::string& host,
-                                              uint16_t port,
-                                              int deadline_ms) {
+                                              uint16_t port, int deadline_ms,
+                                              uint64_t min_restarts) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms);
   Status last = Status::Unavailable("never polled");
@@ -174,7 +174,8 @@ Result<engine::Reply> NetClient::AwaitServing(const std::string& host,
     // instant restart that flips on at kServing, while the redo chains
     // are still draining; on a plain BeginConcurrent there is no
     // recovery phase at all, concurrent is simply true.
-    if (reply.value().ok() && reply.value().status.concurrent) {
+    if (reply.value().ok() && reply.value().status.concurrent &&
+        reply.value().status.restarts >= min_restarts) {
       return reply;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));

@@ -1,16 +1,16 @@
 // A blocking TCP client for the command-layer wire protocol.
 //
 // Deliberately simple: one socket, synchronous sends and receives, no
-// background threads. Pipelining is explicit — Send() queues a request
-// and returns its id, Receive() blocks for the next reply in order —
-// so the load harness controls exactly how many requests are in flight
-// and can time each one. Call() is the one-shot convenience
-// (Send + receive-until-matching-id).
+// background threads. Pipelining is explicit — SendCommand() queues a
+// request and returns its id, ReceiveReply() blocks for the next reply
+// in order — so a closed-loop client (checker/closed_loop.h) controls
+// exactly how many requests are in flight and can time each one.
+// Call() is the one-shot convenience (send + receive-until-matching-id).
 //
-// The client is also the reconnect oracle's instrument: after a server
-// crash cycle it reconnects with retry (the listener stays up through
-// recovery) and polls STATUS until the engine reports kServing, which
-// is how the harness measures client-visible time-to-first-command.
+// After a server crash cycle the client reconnects with retry (the
+// listener stays up through recovery) and polls STATUS until the
+// engine serves again, which is how a client measures its
+// time-to-first-command and knows a restart happened.
 
 #ifndef REDO_NET_CLIENT_H_
 #define REDO_NET_CLIENT_H_
@@ -54,11 +54,12 @@ class NetClient {
   Result<engine::Reply> Call(const engine::Command& command);
 
   /// Polls STATUS until the engine reports a phase >= kServing (i.e.
-  /// commands can run) or `deadline_ms` elapses. Reconnects (with
-  /// retry) if the connection drops mid-poll. Returns the final status
-  /// reply.
+  /// commands can run) after at least `min_restarts` instant restarts,
+  /// or `deadline_ms` elapses. Reconnects (with retry) if the connection
+  /// drops mid-poll. Returns the final status reply.
   Result<engine::Reply> AwaitServing(const std::string& host, uint16_t port,
-                                     int deadline_ms);
+                                     int deadline_ms,
+                                     uint64_t min_restarts = 0);
 
   /// Requests in flight (sent, reply not yet received).
   size_t in_flight() const { return in_flight_; }

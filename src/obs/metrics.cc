@@ -25,6 +25,13 @@ void Histogram::Observe(uint64_t value) {
   sum_ += value;
 }
 
+void Histogram::Merge(const Histogram& other) {
+  REDO_CHECK(bounds_ == other.bounds_) << "merging unlike histograms";
+  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  count_ += other.count_;
+  sum_ += other.sum_;
+}
+
 void Histogram::Reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   count_ = 0;

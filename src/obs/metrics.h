@@ -59,6 +59,8 @@ class Histogram {
   explicit Histogram(std::vector<uint64_t> bounds);
 
   void Observe(uint64_t value);
+  /// Adds `other`'s observations; the bounds must be equal.
+  void Merge(const Histogram& other);
 
   uint64_t count() const { return count_; }
   uint64_t sum() const { return sum_; }

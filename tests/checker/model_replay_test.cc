@@ -46,7 +46,7 @@ TEST(InDoubtOracleTest, AcceptsTheEmptyPrefixAndEveryLongerOne) {
       {}, {0}, {0, 1}, {0, 1, 2}};
   for (const std::vector<size_t>& survivors : prefixes) {
     Result<std::vector<size_t>> verdict = MatchRecovered(
-        kJournal, {kDoubt}, Recovered(kJournal, survivors), false);
+        kJournal, {kDoubt}, Recovered(kJournal, survivors), PageCompare::kPayload);
     ASSERT_TRUE(verdict.ok()) << survivors.size() << " survivors: "
                               << verdict.status().ToString();
     EXPECT_EQ(verdict.value(), std::vector<size_t>{survivors.size()});
@@ -55,7 +55,7 @@ TEST(InDoubtOracleTest, AcceptsTheEmptyPrefixAndEveryLongerOne) {
 
 TEST(InDoubtOracleTest, RejectsASurvivorThatFollowsALostRequest) {
   Result<std::vector<size_t>> verdict =
-      MatchRecovered(kJournal, {kDoubt}, Recovered(kJournal, {1}), false);
+      MatchRecovered(kJournal, {kDoubt}, Recovered(kJournal, {1}), PageCompare::kPayload);
   EXPECT_EQ(verdict.status().code(), StatusCode::kCorruption);
 }
 
@@ -63,7 +63,7 @@ TEST(InDoubtOracleTest, RejectsASlotValueNoClientSent) {
   std::vector<Page> recovered = Recovered(kJournal, {0});
   recovered[1].WriteSlot(3, 99);
   Result<std::vector<size_t>> verdict =
-      MatchRecovered(kJournal, {kDoubt}, recovered, false);
+      MatchRecovered(kJournal, {kDoubt}, recovered, PageCompare::kPayload);
   EXPECT_EQ(verdict.status().code(), StatusCode::kCorruption);
 }
 
@@ -72,12 +72,12 @@ TEST(InDoubtOracleTest, RejectsAMissingAckedCommittedWrite) {
   // in-doubt requests brings it back.
   const std::vector<JournalEntry> without_ack = {kJournal[1]};
   Result<std::vector<size_t>> verdict = MatchRecovered(
-      kJournal, {kDoubt}, Recovered(without_ack, {0, 1}), false);
+      kJournal, {kDoubt}, Recovered(without_ack, {0, 1}), PageCompare::kPayload);
   EXPECT_EQ(verdict.status().code(), StatusCode::kCorruption);
   // Client 1 has nothing in doubt: its page must equal the replay.
   const std::vector<JournalEntry> without_page2 = {kJournal[0]};
   verdict = MatchRecovered(kJournal, {kDoubt},
-                           Recovered(without_page2, {}), false);
+                           Recovered(without_page2, {}), PageCompare::kPayload);
   EXPECT_EQ(verdict.status().code(), StatusCode::kCorruption);
 }
 

@@ -60,9 +60,12 @@ struct LadderRig {
   wal::SegmentInfo target;  // the (to-be-)damaged segment
 };
 
-// With `loser_open`, a transaction is open at the crash, with writes on
-// both sides of the backup.
-void MakeRig(MethodKind kind, const LadderCase& c, bool loser_open,
+// Where a transaction still open at the crash wrote: nowhere (no
+// loser), on both sides of the backup, or first of all, in the segment
+// the rig damages.
+enum class Loser { kNone, kAcrossBackup, kInFirstSegment };
+
+void MakeRig(MethodKind kind, const LadderCase& c, Loser loser_at,
              LadderRig* out) {
   LadderRig& rig = *out;
   MiniDbOptions options;
@@ -78,6 +81,12 @@ void MakeRig(MethodKind kind, const LadderCase& c, bool loser_open,
     rig.expected_slots[{page, slot}] = value;
   };
 
+  MiniDb::Session loser = db.NewSession();
+  if (loser_at == Loser::kInFirstSegment) {
+    ASSERT_TRUE(loser.Begin().ok());
+    ASSERT_TRUE(loser.WriteSlot(1, 7, -7).ok());
+  }
+
   // Enough forced writes to seal several segments, with a checkpoint in
   // the middle so recovery has a scan anchor.
   for (int i = 0; i < 10; ++i) write(1 + i % (kPages - 1), i % 4, 100 + i);
@@ -86,8 +95,7 @@ void MakeRig(MethodKind kind, const LadderCase& c, bool loser_open,
 
   // The loser writes (1, 0) before the backup and (2, 0) after it; both
   // keep their committed values (100 + 0 and 100 + 8).
-  MiniDb::Session loser = db.NewSession();
-  if (loser_open) {
+  if (loser_at == Loser::kAcrossBackup) {
     ASSERT_TRUE(loser.Begin().ok());
     ASSERT_TRUE(loser.WriteSlot(1, 0, -1).ok());
   }
@@ -96,7 +104,7 @@ void MakeRig(MethodKind kind, const LadderCase& c, bool loser_open,
   // records, so it subsumes them — the precondition for amputating an
   // unrebuildable segment at rung 2.
   if (c.with_backup) rig.backup = TakeBackup(db).value();
-  if (loser_open) {
+  if (loser_at == Loser::kAcrossBackup) {
     ASSERT_TRUE(loser.WriteSlot(2, 0, -2).ok());
   }
 
@@ -149,9 +157,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Runs the ladder on the rig `c` describes and checks it resolves at
 // `c.expected`.
-void ExpectResolution(MethodKind kind, const LadderCase& c, bool loser_open) {
+void ExpectResolution(MethodKind kind, const LadderCase& c, Loser loser_at) {
   LadderRig rig;
-  MakeRig(kind, c, loser_open, &rig);
+  MakeRig(kind, c, loser_at, &rig);
   if (::testing::Test::HasFatalFailure()) return;
   MiniDb& db = *rig.db;
 
@@ -199,7 +207,7 @@ void ExpectResolution(MethodKind kind, const LadderCase& c, bool loser_open) {
 }
 
 TEST_P(LadderMatrixTest, ResolvesAtThePredictedRung) {
-  ExpectResolution(GetParam().method, GetParam().c, /*loser_open=*/false);
+  ExpectResolution(GetParam().method, GetParam().c, Loser::kNone);
 }
 
 // A transaction open at the crash across the backup, over a
@@ -215,7 +223,42 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(LadderLoserTest, MediaRecoveryRollsTheLoserBack) {
   const LadderCase c = {"double_fault_loser_backup", true, true, false, true,
                         LadderRung::kMediaRecovery};
-  ExpectResolution(GetParam(), c, /*loser_open=*/true);
+  ExpectResolution(GetParam(), c, Loser::kAcrossBackup);
+}
+
+// A loser whose chain starts in the first segment, and all three copies
+// of that segment lost. The backup subsumes the hole for redo, but undo
+// must walk the chain below the backup: the ladder refuses at rung 3,
+// naming the chain's LSN, before it writes a page.
+TEST_P(LadderLoserTest, RefusesWhenUndoCannotReadTheChain) {
+  const LadderCase c = {"triple_fault_loser_backup", true, true, true, true,
+                        LadderRung::kRefused};
+  LadderRig rig;
+  MakeRig(GetParam(), c, Loser::kInFirstSegment, &rig);
+  if (HasFatalFailure()) return;
+  MiniDb& db = *rig.db;
+  ASSERT_EQ(rig.backup->checkpoint.payload.txns.size(), 1u);
+  const core::Lsn chain_lsn = rig.backup->checkpoint.payload.txns[0].last_lsn;
+  ASSERT_GE(chain_lsn, rig.target.first_lsn);
+  ASSERT_LE(chain_lsn, rig.target.last_lsn);
+  std::vector<storage::Page> disk;
+  for (storage::PageId p = 0; p < kPages; ++p) {
+    disk.push_back(db.disk().PeekPage(p));
+  }
+
+  const LadderReport report = RecoverWithDegradation(db, &*rig.backup);
+  EXPECT_EQ(report.rung, LadderRung::kRefused) << report.ToString();
+  EXPECT_EQ(report.first_unreadable_lsn, chain_lsn) << report.ToString();
+  EXPECT_NE(report.diagnosis.find("undo needs LSN " +
+                                  std::to_string(chain_lsn)),
+            std::string::npos)
+      << report.diagnosis;
+  for (storage::PageId p = 0; p < kPages; ++p) {
+    EXPECT_TRUE(db.disk().PeekPage(p) == disk[p])
+        << "the refusal wrote page " << p;
+  }
+  EXPECT_FALSE(db.Recover().ok())
+      << "ordinary recovery must keep refusing while the hole exists";
 }
 
 // A restart must not replay past a hole below the live log. Checkpoint

@@ -292,9 +292,16 @@ Result<Command> DecodeCommand(const std::vector<uint8_t>& bytes) {
       Result<uint32_t> page = reader.U32();
       if (!page.ok()) return page.status();
       command.op.page = page.value();
+      // The op's blind flag and nothing else: the engine decides `born`
+      // where it logs the op, so no caller can claim a birth.
       Result<uint8_t> blind = reader.U8();
       if (!blind.ok()) return blind.status();
-      command.op.blind = blind.value() != 0;
+      if (blind.value() > 1) {
+        return Status::Corruption("command: apply flags byte " +
+                                  std::to_string(blind.value()) +
+                                  " is not 0 or 1");
+      }
+      command.op.blind = blind.value() == 1;
       Result<uint32_t> size = reader.U32();
       if (!size.ok()) return size.status();
       Result<std::vector<uint8_t>> args = reader.Bytes(size.value());

@@ -127,6 +127,9 @@ Reply Dispatch(MiniDb::Session& session, const Command& command);
 Reply DispatchStatus(MiniDb& db);
 
 // ---- Wire (de)serialization ----
+//
+// kApply carries its op's blind flag as one byte, 0 or 1; any other
+// value is refused. The op's `born` bit never crosses the wire.
 
 std::vector<uint8_t> EncodeCommand(const Command& command);
 Result<Command> DecodeCommand(const std::vector<uint8_t>& bytes);

@@ -372,7 +372,8 @@ void ApplySplitToDst(const SplitOp& op, const Page& src, Page* dst) {
 
 std::vector<uint8_t> EncodeSinglePageOp(const SinglePageOp& op) {
   wal::PayloadWriter w;
-  w.U32(op.page).U8(op.blind ? 1 : 0);
+  w.U32(op.page).U8((op.blind ? kOpFlagBlind : 0) |
+                    (op.born ? kOpFlagBorn : 0));
   w.Bytes(op.args.data(), op.args.size());
   return w.Take();
 }
@@ -382,12 +383,17 @@ Result<SinglePageOp> DecodeSinglePageOp(wal::RecordType type,
   wal::PayloadReader r(payload);
   Result<uint32_t> page = r.U32();
   if (!page.ok()) return page.status();
-  Result<uint8_t> blind = r.U8();
-  if (!blind.ok()) return blind.status();
+  Result<uint8_t> flags = r.U8();
+  if (!flags.ok()) return flags.status();
+  if ((flags.value() & ~(kOpFlagBlind | kOpFlagBorn)) != 0) {
+    return Status::Corruption("single-page op: unknown flags byte " +
+                              std::to_string(flags.value()));
+  }
   Result<std::vector<uint8_t>> args = r.Bytes(r.remaining());
   if (!args.ok()) return args.status();
   return SinglePageOp{type, page.value(), std::move(args).value(),
-                      blind.value() != 0};
+                      (flags.value() & kOpFlagBlind) != 0,
+                      (flags.value() & kOpFlagBorn) != 0};
 }
 
 std::vector<uint8_t> EncodeSplitOp(const SplitOp& op) {

@@ -57,6 +57,12 @@ struct SinglePageOp {
   /// True if the update does not read the page's prior contents
   /// (physical-style blind write). Slot writes and B-tree ops read.
   bool blind = false;
+  /// True if the op was logged onto the zero page (LSN 0, every byte
+  /// zero): whatever it reads of its page is zeros, so redo may start
+  /// the page from the zero page instead of reading it
+  /// (par::BlindFirstTouch). Only the engine sets it, where it logs the
+  /// op (methods' LogAndRedoOp); the wire never carries it.
+  bool born = false;
 
   friend bool operator==(const SinglePageOp&, const SinglePageOp&) = default;
 };
@@ -146,6 +152,16 @@ SinglePageOp MakeRewriteForSplit(const SplitOp& op);
 void ApplySplitToDst(const SplitOp& op, const Page& src, Page* dst);
 
 // ---- Record payload (de)serialization ----
+//
+// A single-page op's payload:
+//
+//   u32 page | u8 flags | args (the rest of the payload)
+//
+// flags bit 0 is `blind`, bit 1 is `born`; the decoder refuses any
+// other bit with Corruption.
+
+inline constexpr uint8_t kOpFlagBlind = 0x01;
+inline constexpr uint8_t kOpFlagBorn = 0x02;
 
 std::vector<uint8_t> EncodeSinglePageOp(const SinglePageOp& op);
 Result<SinglePageOp> DecodeSinglePageOp(wal::RecordType type,

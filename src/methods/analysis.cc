@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "methods/common.h"
@@ -86,22 +87,24 @@ struct LogOrderReplayer {
     ++s.scanned;
     switch (task.kind) {
       case par::RedoTaskKind::kSinglePage: {
-        Result<bool> apply = MustApply(task.op.page, lsn);
+        Result<bool> apply = MustApply(task, task.op.page);
         if (!apply.ok()) return apply.status();
         if (!apply.value()) break;
-        REDO_RETURN_IF_ERROR(
-            internal_methods::RedoSinglePageOp(ctx, task.op, lsn));
+        Result<storage::Page*> cached = FetchToApply(task, task.op.page);
+        if (!cached.ok()) return cached.status();
+        REDO_RETURN_IF_ERROR(engine::ApplySinglePageOp(task.op, cached.value()));
+        REDO_RETURN_IF_ERROR(pool->MarkDirty(task.op.page, lsn));
         Applied(lsn, task.op.page);
         break;
       }
       case par::RedoTaskKind::kPageImage: {
-        Result<bool> apply = MustApply(task.image_page, lsn);
+        Result<bool> apply = MustApply(task, task.image_page);
         if (!apply.ok()) return apply.status();
         if (!apply.value()) break;
         Result<engine::PageImageView> image =
             engine::ParsePageImage(record.payload);
         if (!image.ok()) return image.status();
-        Result<storage::Page*> cached = pool->Fetch(task.image_page);
+        Result<storage::Page*> cached = FetchToApply(task, task.image_page);
         if (!cached.ok()) return cached.status();
         // The image carries its own LSN.
         image.value().InstallInto(cached.value());
@@ -111,7 +114,7 @@ struct LogOrderReplayer {
       }
       case par::RedoTaskKind::kSplitDst: {
         const engine::SplitOp& split = task.split;
-        Result<bool> apply = MustApply(split.dst, lsn);
+        Result<bool> apply = MustApply(task, split.dst);
         if (!apply.ok()) return apply.status();
         if (!apply.value()) break;
         Result<storage::Page*> src = Fetch(split.src);
@@ -138,21 +141,35 @@ struct LogOrderReplayer {
         }
         break;
       }
-      case par::RedoTaskKind::kWholeSplit:
-        // The logical method's whole split, under its redo-all test.
-        REDO_RETURN_IF_ERROR(
-            internal_methods::ApplyWholeSplit(ctx, task.split, lsn));
-        Applied(lsn, task.split.dst);
+      case par::RedoTaskKind::kWholeSplit: {
+        // The logical method's whole split, under its redo-all test:
+        // dst := P(src), then the src rewrite Q.
+        const engine::SplitOp& split = task.split;
+        Result<storage::Page*> src = FetchToApply(task, split.src);
+        if (!src.ok()) return src.status();
+        const storage::Page src_copy = *src.value();
+        Result<storage::Page*> dst = FetchToApply(task, split.dst);
+        if (!dst.ok()) return dst.status();
+        engine::ApplySplitToDst(split, src_copy, dst.value());
+        REDO_RETURN_IF_ERROR(pool->MarkDirty(split.dst, lsn));
+        REDO_RETURN_IF_ERROR(internal_methods::RedoSinglePageOp(
+            ctx, engine::MakeRewriteForSplit(split), lsn));
+        Applied(lsn, split.dst);
         break;
+      }
       case par::RedoTaskKind::kClrRestore: {
         // A CLR from an earlier rollback: restore each action's page
         // (absolute), testing each page on its own.
         bool any = false;
         for (const engine::UndoAction& action : task.clr_actions) {
-          Result<bool> apply = MustApply(action.page, lsn);
+          Result<bool> apply = MustApply(task, action.page);
           if (!apply.ok()) return apply.status();
           if (!apply.value()) continue;
-          REDO_RETURN_IF_ERROR(engine::ApplyOneUndoAction(pool, action, lsn));
+          Result<storage::Page*> cached = FetchToApply(task, action.page);
+          if (!cached.ok()) return cached.status();
+          REDO_RETURN_IF_ERROR(
+              engine::RestoreUndoAction(action, cached.value()));
+          REDO_RETURN_IF_ERROR(pool->MarkDirty(action.page, lsn));
           any = true;
           Emit(lsn, action.page, obs::RedoVerdict::kApplied);
         }
@@ -169,29 +186,50 @@ struct LogOrderReplayer {
                         obs::RedoVerdictReason(verdict, redo_all));
   }
 
+  // Pages this restart has fetched. The drains keep every page they
+  // fetch cached until they finish, so the first-touch rule applies at a
+  // page's first fetch only: a page a bounded pool evicted since is read
+  // back, and no verdict depends on what the pool kept.
+  std::unordered_set<storage::PageId> touched;
+
   Result<storage::Page*> Fetch(storage::PageId page) {
     ++s.page_fetches;
+    touched.insert(page);
     return ctx.pool->Fetch(page);
+  }
+
+  // The page `task` replays onto, by the first-touch rule
+  // (par::BlindFirstTouch): at its first fetch, a page whose prior bytes
+  // the task does not read starts from the zero page instead of being
+  // read.
+  Result<storage::Page*> FetchToApply(const par::RedoTask& task,
+                                      storage::PageId page) {
+    const bool first = touched.insert(page).second;
+    return first && par::BlindFirstTouch(task, page)
+               ? ctx.pool->FetchBlind(page)
+               : ctx.pool->Fetch(page);
   }
 
   // The redo test for one page of one record. Redo-all replays it. The
   // page-LSN test skips a page the DPT rules out without any I/O (§4.3:
   // the operation is provably not exposed), and otherwise fetches the
-  // page and replays only onto an older LSN; the apply fetches again.
-  Result<bool> MustApply(storage::PageId page, core::Lsn lsn) {
+  // page by the first-touch rule and replays only onto an older LSN;
+  // the apply fetches again.
+  Result<bool> MustApply(const par::RedoTask& task, storage::PageId page) {
     if (redo_all) return true;
     if (rule.use_dpt) {
       const auto it = rule.dpt.find(page);
-      if (it == rule.dpt.end() || lsn < it->second) {
+      if (it == rule.dpt.end() || task.lsn < it->second) {
         ++s.skipped_without_fetch;
-        Emit(lsn, page, obs::RedoVerdict::kNotExposed);
+        Emit(task.lsn, page, obs::RedoVerdict::kNotExposed);
         return false;
       }
     }
-    Result<storage::Page*> cached = Fetch(page);
+    ++s.page_fetches;
+    Result<storage::Page*> cached = FetchToApply(task, page);
     if (!cached.ok()) return cached.status();
-    if (cached.value()->lsn() < lsn) return true;
-    Emit(lsn, page, obs::RedoVerdict::kSkippedInstalled);
+    if (cached.value()->lsn() < task.lsn) return true;
+    Emit(task.lsn, page, obs::RedoVerdict::kSkippedInstalled);
     return false;
   }
 

@@ -110,9 +110,10 @@ struct RedoScanStats {
 /// runs, par::DecodeRedoTask decodes it in the method's split shape and
 /// the method's redo rule applies: redo-all replays it; the page-LSN
 /// test first skips a page the DPT rules out, without I/O, then fetches
-/// the page and replays only onto an older page LSN. Every page it
-/// applies to is fetched and every image installed (no blind first
-/// touch, no supersession). Verdicts go to ctx.tracer and counts to
+/// the page and replays only onto an older page LSN. A page's first
+/// fetch follows the drains' first-touch rule (par::BlindFirstTouch),
+/// so the loop reads exactly the pages a drain reads; every image is
+/// installed (no supersession). Verdicts go to ctx.tracer and counts to
 /// `stats`, either may be null; a failure keeps the counts of the
 /// records before it. Returns the transaction table for the undo pass.
 Result<TxnAnalysis> RestartInLogOrder(RecoveryMethod& method,

@@ -113,11 +113,14 @@ Result<core::Lsn> LogPageImage(EngineContext& ctx, storage::PageId page,
 }
 
 Result<core::Lsn> LogAndRedoOp(EngineContext& ctx, wal::RecordType type,
-                               std::vector<uint8_t> payload,
-                               const engine::SinglePageOp& op,
-                               const char* prefix) {
-  const core::Lsn lsn = ctx.log->Append(type, std::move(payload));
-  REDO_RETURN_IF_ERROR(RedoSinglePageOp(ctx, op, lsn));
+                               OpPayloadEncoder encode, engine::SinglePageOp op,
+                               const char* prefix, bool mark_birth) {
+  Result<storage::Page*> page = ctx.pool->Fetch(op.page);
+  if (!page.ok()) return page.status();
+  op.born = mark_birth && page.value()->IsZero();
+  const core::Lsn lsn = ctx.log->Append(type, encode(op));
+  REDO_RETURN_IF_ERROR(engine::ApplySinglePageOp(op, page.value()));
+  REDO_RETURN_IF_ERROR(ctx.pool->MarkDirty(op.page, lsn));
   REDO_RETURN_IF_ERROR(TraceOnePageOp(ctx, lsn, prefix, op.page, !op.blind));
   return lsn;
 }

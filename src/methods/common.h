@@ -57,13 +57,23 @@ engine::CheckpointPayload FuzzyCheckpointPayload(const EngineContext& ctx,
 Result<core::Lsn> LogPageImage(EngineContext& ctx, storage::PageId page,
                                const char* prefix);
 
-/// Appends a `type` record carrying `payload`, applies `op` to the
-/// cached page under its LSN, and traces it as `prefix` + page id,
-/// reading the page unless the op is blind. Returns the LSN.
+/// Builds a single-page op's record payload: engine::EncodeSinglePageOp,
+/// or the logical method's kLogicalOp frame around it.
+using OpPayloadEncoder = std::vector<uint8_t> (*)(const engine::SinglePageOp&);
+
+/// Logs `op` as a `type` record whose payload `encode` builds, applies
+/// it to the cached page under the record's LSN, and traces it as
+/// `prefix` + page id, reading the page unless the op is blind. The
+/// caller holds the page's latch. Whatever `op.born` said, the op is
+/// logged born exactly when `mark_birth` is set and the cached page is
+/// the zero page (Page::IsZero): redo may then start the page there
+/// instead of reading it (par::BlindFirstTouch). A method passes
+/// `mark_birth` false when its redo reads one page to write another
+/// (the generalized split), which a page rebuilt from zeros would
+/// replay from a source already past it. Returns the LSN.
 Result<core::Lsn> LogAndRedoOp(EngineContext& ctx, wal::RecordType type,
-                               std::vector<uint8_t> payload,
-                               const engine::SinglePageOp& op,
-                               const char* prefix);
+                               OpPayloadEncoder encode, engine::SinglePageOp op,
+                               const char* prefix, bool mark_birth);
 
 /// Applies a split's first half in the cache, dst := P(src), leaving
 /// dst for the caller to log or mark dirty.

@@ -23,10 +23,16 @@ class GeneralizedLsnMethod : public RecoveryMethod {
 
   RedoTestKind redo_test_kind() const override { return RedoTestKind::kLsnTag; }
 
+  // No op is logged born. A page rebuilt from zeros at its birth
+  // re-applies every later split into it, and a split reads its source:
+  // when §6.4's write order has already put that split on the page's
+  // stable copy, the source on disk may be past it, so only a read of
+  // the page's LSN tells the split to skip.
   Result<core::Lsn> LogAndApply(EngineContext& ctx,
                                 const engine::SinglePageOp& op) override {
     return internal_methods::LogAndRedoOp(
-        ctx, op.type, engine::EncodeSinglePageOp(op), op, "gen-op@");
+        ctx, op.type, engine::EncodeSinglePageOp, op, "gen-op@",
+        /*mark_birth=*/false);
   }
 
   Result<SplitLsns> LogAndApplySplit(EngineContext& ctx,
@@ -50,8 +56,8 @@ class GeneralizedLsnMethod : public RecoveryMethod {
     REDO_RETURN_IF_ERROR(ctx.pool->OrderWrites(op.dst, split_lsn, op.src));
     const engine::SinglePageOp rewrite = engine::MakeRewriteForSplit(op);
     Result<core::Lsn> rewrite_lsn = internal_methods::LogAndRedoOp(
-        ctx, rewrite.type, engine::EncodeSinglePageOp(rewrite), rewrite,
-        "gen-rewrite@");
+        ctx, rewrite.type, engine::EncodeSinglePageOp, rewrite,
+        "gen-rewrite@", /*mark_birth=*/false);
     if (!rewrite_lsn.ok()) return rewrite_lsn.status();
     return SplitLsns{split_lsn, rewrite_lsn.value()};
   }

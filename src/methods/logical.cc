@@ -23,6 +23,15 @@ using engine::SplitOp;
 using storage::Page;
 using storage::PageId;
 
+// A kLogicalOp payload: the inner op's record type, then its payload.
+std::vector<uint8_t> EncodeLogicalOp(const SinglePageOp& op) {
+  wal::PayloadWriter w;
+  w.U16(static_cast<uint16_t>(op.type));
+  const std::vector<uint8_t> inner = engine::EncodeSinglePageOp(op);
+  w.Bytes(inner.data(), inner.size());
+  return w.Take();
+}
+
 class LogicalMethod : public RecoveryMethod {
  public:
   explicit LogicalMethod(size_t num_pages) : staging_(num_pages) {}
@@ -40,12 +49,9 @@ class LogicalMethod : public RecoveryMethod {
 
   Result<core::Lsn> LogAndApply(EngineContext& ctx,
                                 const SinglePageOp& op) override {
-    wal::PayloadWriter w;
-    w.U16(static_cast<uint16_t>(op.type));
-    const std::vector<uint8_t> inner = engine::EncodeSinglePageOp(op);
-    w.Bytes(inner.data(), inner.size());
     return internal_methods::LogAndRedoOp(ctx, wal::RecordType::kLogicalOp,
-                                          w.Take(), op, "logical-op@");
+                                          EncodeLogicalOp, op, "logical-op@",
+                                          /*mark_birth=*/true);
   }
 
   Result<SplitLsns> LogAndApplySplit(EngineContext& ctx,

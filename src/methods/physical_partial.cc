@@ -34,9 +34,9 @@ class PartialPhysicalMethod : public RecoveryMethod {
     // Erase the read set: the logged operation is the byte write itself.
     engine::SinglePageOp blind = op;
     blind.blind = true;
-    return internal_methods::LogAndRedoOp(ctx, blind.type,
-                                          engine::EncodeSinglePageOp(blind),
-                                          blind, "partial-bytes@");
+    return internal_methods::LogAndRedoOp(
+        ctx, blind.type, engine::EncodeSinglePageOp, blind, "partial-bytes@",
+        /*mark_birth=*/true);
   }
 
   Result<SplitLsns> LogAndApplySplit(EngineContext& ctx,

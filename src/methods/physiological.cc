@@ -29,7 +29,8 @@ class PhysiologicalMethod : public RecoveryMethod {
   Result<core::Lsn> LogAndApply(EngineContext& ctx,
                                 const engine::SinglePageOp& op) override {
     return internal_methods::LogAndRedoOp(
-        ctx, op.type, engine::EncodeSinglePageOp(op), op, "physio-op@");
+        ctx, op.type, engine::EncodeSinglePageOp, op, "physio-op@",
+        /*mark_birth=*/true);
   }
 
   Result<SplitLsns> LogAndApplySplit(EngineContext& ctx,
@@ -43,8 +44,8 @@ class PhysiologicalMethod : public RecoveryMethod {
     // The source rewrite is an ordinary physiological operation.
     const engine::SinglePageOp rewrite = engine::MakeRewriteForSplit(op);
     Result<core::Lsn> rewrite_lsn = internal_methods::LogAndRedoOp(
-        ctx, rewrite.type, engine::EncodeSinglePageOp(rewrite), rewrite,
-        "physio-rewrite@");
+        ctx, rewrite.type, engine::EncodeSinglePageOp, rewrite,
+        "physio-rewrite@", /*mark_birth=*/true);
     if (!rewrite_lsn.ok()) return rewrite_lsn.status();
     return SplitLsns{split_lsn.value(), rewrite_lsn.value()};
   }

@@ -26,26 +26,6 @@ std::vector<PageId> TouchedPages(const RedoTask& task) {
   return pages;
 }
 
-/// The first-touch rule: true when replaying `task` under redo-all
-/// overwrites every byte of `page` without reading it — a page image,
-/// or the dst of a whole split whose transform does not read dst. The
-/// page's stable bytes are then dead (§6.2: a physical write's target
-/// is unexposed), so the replay may install a zeroed frame instead of
-/// reading the page (FetchBlind). An LSN-tested replay must read the
-/// page LSN, so the rule never applies.
-bool BlindFirstTouch(const RedoTask& task, PageId page, bool redo_all) {
-  if (!redo_all) return false;
-  switch (task.kind) {
-    case RedoTaskKind::kPageImage:
-      return page == task.image_page;
-    case RedoTaskKind::kWholeSplit:
-      return page == task.split.dst &&
-             !engine::SplitReadsDst(task.split.transform);
-    default:
-      return false;
-  }
-}
-
 /// The page a task's verdict names, per verdict slot: each CLR action's
 /// page, else the page the task writes (a split's dst).
 PageId VerdictPage(const RedoTask& task, size_t slot) {
@@ -326,12 +306,12 @@ Status InstantRedoDriver::ApplyTask(size_t index, ChainFrame* chain) {
     keep(RedoVerdict::kApplied);
     return count(true);
   };
-  // A page the task overwrites whole installs without a read
-  // (BlindFirstTouch). A single-page chain's drain fetches its page
-  // once and reuses the frame.
-  auto fetch = [this, &task, redo_all, chain](PageId page) -> Result<Page*> {
+  // A page whose prior bytes the task does not read starts from the
+  // zero page on a miss (BlindFirstTouch). A single-page chain's drain
+  // fetches its page once and reuses the frame.
+  auto fetch = [this, &task, chain](PageId page) -> Result<Page*> {
     if (chain != nullptr && chain->page != nullptr) return chain->page;
-    Result<Page*> fetched = BlindFirstTouch(task, page, redo_all)
+    Result<Page*> fetched = BlindFirstTouch(task, page)
                                 ? pool_->FetchBlind(page)
                                 : pool_->Fetch(page);
     if (chain != nullptr && fetched.ok()) chain->page = fetched.value();

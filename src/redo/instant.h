@@ -14,7 +14,10 @@
 // chains in head-LSN order until nothing is pending. Either path
 // executes a linear extension of the write graph, so the final state is
 // the offline-recovery state (Theorem 3) — restart becomes a throughput
-// dip instead of a pause. A quiescing Recover() with parallel_workers
+// dip instead of a pause. A chain whose first task does not read its
+// page's prior bytes (a page image, or an op logged onto the zero page)
+// starts the page from zeros instead of reading it (BlindFirstTouch,
+// plan.h). A quiescing Recover() with parallel_workers
 // > 1 runs the same background workers with the doors closed, then
 // emits the kept verdicts in LSN order (KeepVerdicts, EmitVerdicts).
 //
@@ -201,8 +204,9 @@ class InstantRedoDriver {
 
   /// Applies (or redo-test-skips) plan task `index`. Mirrors the serial
   /// scan's per-kind machinery, including the kSplitDst refetch +
-  /// re-test double-apply guard; under redo-all, a page the task
-  /// overwrites whole is installed without a read (FetchBlind).
+  /// re-test double-apply guard and the first-touch rule: a page whose
+  /// prior bytes the task does not read starts from the zero page on a
+  /// miss (BlindFirstTouch), under either redo test.
   /// `chain` is the single-page path's frame (null on the bridged path,
   /// which fetches and tags per task).
   Status ApplyTask(size_t index, ChainFrame* chain = nullptr);

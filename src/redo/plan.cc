@@ -54,6 +54,20 @@ std::vector<storage::PageId> RedoTask::Reads() const {
   return {};
 }
 
+bool BlindFirstTouch(const RedoTask& task, storage::PageId page) {
+  switch (task.kind) {
+    case RedoTaskKind::kSinglePage:
+      return task.op.born;
+    case RedoTaskKind::kPageImage:
+      return page == task.image_page;
+    case RedoTaskKind::kWholeSplit:
+      return page == task.split.dst &&
+             !engine::SplitReadsDst(task.split.transform);
+    default:
+      return false;
+  }
+}
+
 Result<std::optional<RedoTask>> DecodeRedoTask(const wal::LogRecord& record,
                                                bool whole_splits) {
   RedoTask task;

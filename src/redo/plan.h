@@ -70,6 +70,19 @@ struct RedoTask {
   std::vector<storage::PageId> Reads() const;
 };
 
+/// The first-touch rule, under either redo test: true when replaying
+/// `task` does not depend on `page`'s prior bytes. That is a page image
+/// of `page`, the dst of a whole split whose transform does not read
+/// dst, or a born op (engine::SinglePageOp::born: logged onto the zero
+/// page). Such a page is fetched with FetchBlind: a hit is the cached
+/// frame, LSN-tested as any other, and a miss starts from the zero page
+/// without a read. Both replayers ask it after the analysis-DPT skip
+/// has run. Starting from zeros is correct because the plan holds every
+/// later record on the page: an image or a split's dst overwrites every
+/// byte (§6.2), and a born op first read the zero page when it ran, so
+/// the stable page is unexposed (§2.3, §3.3).
+bool BlindFirstTouch(const RedoTask& task, storage::PageId page);
+
 struct RedoPlan {
   std::vector<RedoTask> tasks;    ///< ascending LSN
   size_t multi_page_tasks = 0;    ///< tasks touching two pages (splits)
@@ -94,7 +107,8 @@ Result<std::optional<RedoTask>> DecodeRedoTask(const wal::LogRecord& record,
 /// same page, with no task touching that page in between, is marked
 /// superseded (§2.3: installing it and then the later one leaves the
 /// same page as installing the later one alone). The LSN test never
-/// supersedes — it must read each page's LSN anyway.
+/// supersedes: a superseded image's verdict is applied, where the test
+/// skips an image its cached page already holds.
 class RedoPlanBuilder {
  public:
   explicit RedoPlanBuilder(bool supersede_images)

@@ -124,10 +124,11 @@ class BufferPool {
   /// (or, if the read failed, misses and reads the page itself).
   Result<Page*> Fetch(PageId id);
 
-  /// Fetch for a caller about to overwrite every byte of the page (a
-  /// redo-all page image or whole-split target): a hit returns the
-  /// cached frame, a miss installs a zeroed frame without reading the
-  /// page, whose stable bytes are dead. Evicts like Fetch.
+  /// Fetch for a redo task whose replay does not read the page's prior
+  /// bytes (par::BlindFirstTouch: a page image, a whole split's target,
+  /// an op logged onto the zero page): a hit returns the cached frame,
+  /// a miss installs a zeroed frame without reading the page, whose
+  /// stable bytes are dead. Evicts like Fetch.
   Result<Page*> FetchBlind(PageId id);
 
   /// Marks a cached page dirty; `lsn` is the logged operation that

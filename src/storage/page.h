@@ -8,6 +8,7 @@
 #ifndef REDO_STORAGE_PAGE_H_
 #define REDO_STORAGE_PAGE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -71,6 +72,13 @@ class Page {
     REDO_CHECK_LT(slot, kPayloadSize / sizeof(int64_t));
     std::memcpy(bytes_.data() + kHeaderSize + slot * sizeof(int64_t), &value,
                 sizeof(value));
+  }
+
+  /// True for the zero page the disk starts with: LSN 0 and every
+  /// payload byte zero. A tagged page fails at its first byte.
+  bool IsZero() const {
+    return std::all_of(bytes_.begin(), bytes_.end(),
+                       [](uint8_t b) { return b == 0; });
   }
 
   /// Number of int64 slots in the payload.

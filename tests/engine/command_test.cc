@@ -5,6 +5,7 @@
 // a network peer controls them.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -205,6 +206,32 @@ TEST(NetCommandCodecTest, MalformedBytesDecodeToErrorsNotCrashes) {
     EXPECT_FALSE(DecodeReply(padded).ok());
     ExpectEveryFlipDecodesOrIsCorruption(bytes, DecodeReply, rng);
   }
+}
+
+// An apply's flags byte on the wire is its op's blind flag, 0 or 1. The
+// engine decides `born` where it logs the op, so a client's 0x02 (the
+// record format's born bit) is refused like any other value, and an
+// in-process caller's `born` is never encoded.
+TEST(NetCommandCodecTest, ApplyFlagsOtherThanBlindAreRefused) {
+  const std::vector<uint8_t> bytes =
+      EncodeCommand(MakeApplyCommand(MakeBlindFormat(3, 77)));
+  // type tag (u8), op type (u16), page (u32), then the flags byte.
+  constexpr size_t kFlags = 1 + 2 + 4;
+  ASSERT_EQ(bytes[kFlags], 1);
+  for (const uint8_t flags : {uint8_t{0x02}, uint8_t{0x03}, uint8_t{0xff}}) {
+    std::vector<uint8_t> mutant = bytes;
+    mutant[kFlags] = flags;
+    const Status status = DecodeCommand(mutant).status();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << int{flags};
+    EXPECT_NE(status.message().find(std::to_string(flags)), std::string::npos)
+        << status.ToString();
+  }
+  SinglePageOp claimed = MakeSlotWrite(2, 5, 12345);
+  claimed.born = true;
+  Result<Command> decoded =
+      DecodeCommand(EncodeCommand(MakeApplyCommand(claimed)));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_FALSE(decoded.value().op.born);
 }
 
 TEST(NetDispatchTest, DispatchMatchesSessionSemantics) {

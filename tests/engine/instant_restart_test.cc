@@ -18,6 +18,7 @@
 
 #include "engine/minidb.h"
 #include "engine/ops.h"
+#include "method_param_name.h"
 #include "obs/recovery_trace.h"
 #include "storage/fault_injector.h"
 #include "util/rng.h"
@@ -104,10 +105,26 @@ std::vector<storage::Page> BuildCrashState(MiniDb& db, uint64_t seed,
   return SnapshotDisk(db);
 }
 
+// Gives pages [0, pages) their birth, flushes them and checkpoints past
+// it: a later restart's scan starts after those births, so each of those
+// pages' chains must read its page (par::BlindFirstTouch). Writes slot
+// kSlots, which no workload touches.
+void BirthBeforeTheScan(MiniDb& db, PageId pages) {
+  for (PageId p = 0; p < pages; ++p) {
+    ASSERT_TRUE(db.NewSession().WriteSlot(p, kSlots, 1).ok());
+  }
+  ASSERT_TRUE(db.FlushEverything().ok());
+  ASSERT_TRUE(db.Checkpoint().ok());
+}
+
 // The crash state of `seed`'s workload with one loser stranded at the
 // crash: its writes to pages 0-5 are stable, its commit never came.
-std::unique_ptr<MiniDb> CrashWithLoser(MethodKind kind, uint64_t seed) {
+// Pages [0, read_pages) are born before the restart's scan
+// (BirthBeforeTheScan); the others are born inside it.
+std::unique_ptr<MiniDb> CrashWithLoser(MethodKind kind, uint64_t seed,
+                                       PageId read_pages = 0) {
   auto db = MakeDb(kind, InstantEngine(2));
+  BirthBeforeTheScan(*db, read_pages);
   RunWorkload(*db, seed, /*ops=*/400);
   MiniDb::Session loser = db->NewSession();
   EXPECT_TRUE(loser.Begin().ok());
@@ -392,24 +409,33 @@ TEST(InstantRestartTest, PoolFetchesBalanceAfterEveryRestartKind) {
   ASSERT_TRUE(db->EndConcurrent().ok());
 }
 
-// The LSN test must read every page it tests: blind installs never
-// apply, and the instant drain reads exactly the pages the quiescing
-// redo reads.
+// Under the LSN test the instant drain reads exactly the pages the
+// serial restart reads, and installs the same pages blind. Every page
+// has a chain, and each is read or installed blind once. The upper half
+// is born inside the scan and starts from the zero page. The lower half
+// was born before it and is read, except where its first scanned task
+// is a page image (a physiological transfer logs its dst as one): this
+// seed installs two such pages blind.
 TEST(InstantRestartTest, PhysiologicalDrainReadsWhatOfflineRedoReads) {
-  auto offline = CrashWithLoser(MethodKind::kPhysiological, /*seed=*/37);
+  constexpr PageId kRead = kPages / 2;
+  auto offline = CrashWithLoser(MethodKind::kPhysiological, /*seed=*/37, kRead);
   offline->disk().ResetStats();
+  offline->pool().ResetStats();
   ASSERT_TRUE(offline->Recover().ok());
   const uint64_t offline_reads = offline->disk().stats().reads;
+  const uint64_t offline_blind = offline->pool().stats().blind_installs;
+  EXPECT_EQ(offline_reads, 10u);
+  EXPECT_EQ(offline_blind, 14u);
 
-  auto db = CrashWithLoser(MethodKind::kPhysiological, /*seed=*/37);
+  auto db = CrashWithLoser(MethodKind::kPhysiological, /*seed=*/37, kRead);
   db->disk().ResetStats();
   db->pool().ResetStats();
   ASSERT_TRUE(db->RecoverInstant().ok());
   ASSERT_TRUE(db->WaitUntilRecovered().ok());
-  EXPECT_GT(offline_reads, 0u);
   EXPECT_EQ(db->disk().stats().reads, offline_reads);
-  EXPECT_EQ(db->pool().stats().blind_installs, 0u);
+  EXPECT_EQ(db->pool().stats().blind_installs, offline_blind);
   ASSERT_TRUE(db->EndConcurrent().ok());
+  EXPECT_EQ(PageBytes(*db), PageBytes(*offline));
 }
 
 // A logical whole split whose transform does not read dst computes dst
@@ -448,14 +474,17 @@ TEST(InstantRestartTest, LogicalWholeSplitInstallsDstBlind) {
 
 // A sticky read fault on a page whose chain starts with a page image
 // never fires under redo-all: the page is installed, not read. Under
-// the LSN test the same fault surfaces as the drain's first error. The
-// quiescing multi-worker Recover() runs the same drain: it fails only
-// where the instant drain fails, and once the fault is gone a crash and
-// rerun land on the serial recovery's bytes.
+// the LSN test the same fault surfaces as the drain's first error when
+// the page's chain needs its read: page 7 was born, flushed and
+// checkpointed past before the scan. The quiescing multi-worker
+// Recover() runs the same drain: it fails only where the instant drain
+// fails, and once the fault is gone a crash and rerun land on the
+// serial recovery's bytes.
 TEST(InstantRestartTest, StickyReadFaultOnlyFailsDrainsThatRead) {
   constexpr PageId kFaulty = 7;
+  constexpr PageId kRead = kFaulty + 1;
   {
-    auto db = CrashWithLoser(MethodKind::kPhysical, /*seed=*/41);
+    auto db = CrashWithLoser(MethodKind::kPhysical, /*seed=*/41, kRead);
     storage::FaultInjector injector(EveryReadFails(), /*seed=*/1);
     MakeUnreadable(*db, injector, kFaulty);
     ASSERT_TRUE(db->RecoverInstant().ok());
@@ -465,7 +494,7 @@ TEST(InstantRestartTest, StickyReadFaultOnlyFailsDrainsThatRead) {
     db->disk().set_fault_injector(nullptr);
   }
   {
-    auto db = CrashWithLoser(MethodKind::kPhysiological, /*seed=*/41);
+    auto db = CrashWithLoser(MethodKind::kPhysiological, /*seed=*/41, kRead);
     storage::FaultInjector injector(EveryReadFails(), /*seed=*/1);
     MakeUnreadable(*db, injector, kFaulty);
     ASSERT_TRUE(db->RecoverInstant().ok());
@@ -476,11 +505,11 @@ TEST(InstantRestartTest, StickyReadFaultOnlyFailsDrainsThatRead) {
   }
   for (const MethodKind kind :
        {MethodKind::kPhysical, MethodKind::kPhysiological}) {
-    auto serial = CrashWithLoser(kind, /*seed=*/41);
+    auto serial = CrashWithLoser(kind, /*seed=*/41, kRead);
     ASSERT_TRUE(serial->Recover().ok());
     const std::vector<storage::Page> expected = PageBytes(*serial);
 
-    auto db = CrashWithLoser(kind, /*seed=*/41);
+    auto db = CrashWithLoser(kind, /*seed=*/41, kRead);
     EngineOptions engine = db->engine_options();
     engine.parallel_workers = 4;
     db->set_engine_options(engine);
@@ -615,9 +644,11 @@ TEST(InstantRestartTest, ReadersRaceTheBackgroundDrain) {
 // already drained takes the gate shared and its own latch, so it
 // finishes while another session's on-demand drain still waits out a
 // 20 ms device read — instead of queueing behind that read on the
-// driver's mutex and the exclusive gate.
+// driver's mutex and the exclusive gate. Every page is born before the
+// scan, so every chain reads its page.
 TEST(InstantRestartTest, DrainedPageOpsDoNotWaitForAnotherPagesRead) {
   auto db = MakeDb(MethodKind::kPhysiological, InstantEngine(1));
+  BirthBeforeTheScan(*db, kPages);
   const std::vector<storage::Page> crash_disk = BuildCrashState(
       *db, /*seed=*/47, /*ops=*/600, /*transfer_pages=*/0);
   RestoreCrashState(*db, crash_disk);
@@ -767,6 +798,212 @@ TEST(InstantRestartTest, TimeToFirstCommitMetricIsRecorded) {
     EXPECT_GT(db->instant_redo_metrics().time_to_first_commit_us.load(), 0u);
   }
 }
+
+// ---- The first-touch rule for born pages (par::BlindFirstTouch) ----
+//
+// A page whose chain starts at its birth (an op logged onto the zero
+// page) starts from the zero page instead of being read; a page born
+// before the restart's scan is read. Each test runs every restart kind:
+// serial, the quiescing drain and the instant drain at 2, 4 and 8
+// workers. The generalized method logs no birth (generalized.cc), so
+// its chains read as before.
+
+struct RestartMode {
+  const char* name;
+  bool instant;
+  size_t workers;
+};
+
+constexpr RestartMode kRestartModes[] = {
+    {"serial", false, 1},      {"quiescing-2", false, 2},
+    {"quiescing-4", false, 4}, {"quiescing-8", false, 8},
+    {"instant-2", true, 2},    {"instant-4", true, 4},
+    {"instant-8", true, 8},
+};
+
+EngineOptions ModeEngine(const RestartMode& mode) {
+  EngineOptions engine = InstantEngine(mode.instant ? mode.workers : 1);
+  engine.parallel_workers = mode.instant ? 1 : mode.workers;
+  return engine;
+}
+
+// Runs `mode`'s restart to its end; a failed drain is returned as is,
+// with the engine left for the caller to crash.
+Status Restart(MiniDb& db, const RestartMode& mode) {
+  if (!mode.instant) return db.Recover();
+  REDO_RETURN_IF_ERROR(db.RecoverInstant());
+  REDO_RETURN_IF_ERROR(db.WaitUntilRecovered());
+  return db.EndConcurrent();
+}
+
+class FirstTouchTest : public testing::TestWithParam<MethodKind> {
+ protected:
+  // Everything but the generalized method logs an op onto the zero page
+  // born.
+  bool LogsBirths() const { return GetParam() != MethodKind::kGeneralized; }
+
+  // A crashed engine for `mode`: `build` runs its workload, every
+  // record is forced, and `*before` holds the pages as the crash found
+  // them in the cache, which every restart must rebuild byte for byte.
+  template <typename Build>
+  std::unique_ptr<MiniDb> Crashed(const RestartMode& mode, Build build,
+                                  std::vector<storage::Page>* before) {
+    auto db = MakeDb(GetParam(), ModeEngine(mode));
+    build(*db);
+    EXPECT_TRUE(db->log().ForceAll().ok());
+    *before = PageBytes(*db);
+    db->Crash();
+    db->disk().ResetStats();
+    db->pool().ResetStats();
+    return db;
+  }
+};
+
+// Slot writes on every page, no multi-page record: each page's chain
+// starts at its birth.
+void BornInTheScan(MiniDb& db) { RunWorkload(db, 61, 300, 0); }
+
+// (a) A restart whose scan holds every page's birth reads no page: each
+// page with a chain starts from the zero page, one blind install each.
+TEST_P(FirstTouchTest, BornChainsReadNoPage) {
+  for (const RestartMode& mode : kRestartModes) {
+    SCOPED_TRACE(mode.name);
+    std::vector<storage::Page> before;
+    auto db = Crashed(mode, BornInTheScan, &before);
+    const Status restarted = Restart(*db, mode);
+    ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+    EXPECT_EQ(db->disk().stats().reads, LogsBirths() ? 0u : kPages);
+    EXPECT_EQ(db->pool().stats().blind_installs, LogsBirths() ? kPages : 0u);
+    EXPECT_EQ(PageBytes(*db), before);
+  }
+}
+
+// (b) A page flushed after its birth, behind a checkpoint that moves the
+// scan start past the birth, is read exactly once.
+TEST_P(FirstTouchTest, PageBornBeforeTheScanIsReadOnce) {
+  for (const RestartMode& mode : kRestartModes) {
+    SCOPED_TRACE(mode.name);
+    std::vector<storage::Page> before;
+    auto db = Crashed(
+        mode,
+        [](MiniDb& engine) {
+          BirthBeforeTheScan(engine, kPages);
+          BornInTheScan(engine);
+        },
+        &before);
+    const Status restarted = Restart(*db, mode);
+    ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+    EXPECT_EQ(db->disk().stats().reads, kPages);
+    EXPECT_EQ(db->pool().stats().blind_installs, 0u);
+    EXPECT_EQ(PageBytes(*db), before);
+  }
+}
+
+// (c) A page flushed after its birth whose born record is still scanned
+// (no checkpoint since) is replayed whole from the zero page: the records
+// a read would skip as installed are applied, and the page ends as the
+// crash found it, which is what a read-path restart rebuilds too (the
+// generalized method's run here is one).
+TEST_P(FirstTouchTest, FlushedPageWhoseBirthIsScannedIsReplayedWhole) {
+  for (const RestartMode& mode : kRestartModes) {
+    SCOPED_TRACE(mode.name);
+    std::vector<storage::Page> before;
+    auto db = Crashed(
+        mode,
+        [](MiniDb& engine) {
+          RunWorkload(engine, 67, 150, 0);
+          ASSERT_TRUE(engine.FlushEverything().ok());
+          RunWorkload(engine, 71, 150, 0);
+        },
+        &before);
+    const Status restarted = Restart(*db, mode);
+    ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+    EXPECT_EQ(db->disk().stats().reads, LogsBirths() ? 0u : kPages);
+    EXPECT_EQ(db->pool().stats().blind_installs, LogsBirths() ? kPages : 0u);
+    if (!mode.instant && mode.workers == 1) {
+      const methods::RedoScanStats& stats = db->redo_scan_stats();
+      if (LogsBirths()) {
+        EXPECT_EQ(stats.replayed, stats.scanned);
+      } else {
+        EXPECT_LT(stats.replayed, stats.scanned);
+      }
+    }
+    if (mode.instant) {
+      const par::InstantRedoMetrics& metrics = db->instant_redo_metrics();
+      EXPECT_EQ(metrics.tasks_skipped.load() == 0, LogsBirths());
+    }
+    EXPECT_EQ(PageBytes(*db), before);
+  }
+}
+
+// (d) A sticky-unreadable or torn page whose chain starts at its birth
+// does not fail the restart: it is never read. A page born before the
+// scan needs its read, so the same fault fails the restart with the
+// status it always did (kUnavailable for a sticky read error,
+// kCorruption for a torn page).
+TEST_P(FirstTouchTest, UnreadablePageFailsOnlyARestartThatReadsIt) {
+  constexpr PageId kFaulty = 5;
+  enum class Fault { kSticky, kTorn };
+  for (const RestartMode& mode : kRestartModes) {
+    for (const Fault fault : {Fault::kSticky, Fault::kTorn}) {
+      for (const bool born_in_scan : {true, false}) {
+        SCOPED_TRACE(std::string(mode.name) +
+                     (fault == Fault::kSticky ? " sticky" : " torn") +
+                     (born_in_scan ? " born in the scan" : " born before it"));
+        storage::FaultInjectorOptions options;
+        options.torn_write_probability = 1.0;
+        storage::FaultInjector tearing(options, /*seed=*/3);
+        std::vector<storage::Page> before;
+        auto db = Crashed(
+            mode,
+            [&](MiniDb& engine) {
+              if (!born_in_scan) BirthBeforeTheScan(engine, kPages);
+              BornInTheScan(engine);
+              if (fault == Fault::kTorn) {
+                // A tear keeps the page's leading sectors, so the write
+                // it tears changes the last one: the read then sees it.
+                ASSERT_TRUE(engine.NewSession()
+                                .WriteSlot(kFaulty,
+                                           storage::Page::NumSlots() - 1, 99)
+                                .ok());
+                engine.disk().set_fault_injector(&tearing);
+                ASSERT_TRUE(engine.MaybeFlushPage(kFaulty).ok());
+                engine.disk().set_fault_injector(nullptr);
+              }
+            },
+            &before);
+        storage::FaultInjector sticky(EveryReadFails(), /*seed=*/1);
+        if (fault == Fault::kSticky) {
+          MakeUnreadable(*db, sticky, kFaulty);
+        } else {
+          db->disk().set_fault_injector(&tearing);
+          tearing.set_paused(true);
+        }
+        const Status restarted = Restart(*db, mode);
+        if (born_in_scan && LogsBirths()) {
+          ASSERT_TRUE(restarted.ok()) << restarted.ToString();
+          EXPECT_EQ(PageBytes(*db), before);
+        } else {
+          EXPECT_EQ(restarted.code(), fault == Fault::kSticky
+                                          ? StatusCode::kUnavailable
+                                          : StatusCode::kCorruption)
+              << restarted.ToString();
+          db->Crash();
+        }
+        db->disk().set_fault_injector(nullptr);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PageLsnMethods, FirstTouchTest,
+    testing::Values(MethodKind::kPhysiological,
+                    MethodKind::kPhysiologicalAnalysis,
+                    MethodKind::kGeneralized),
+    [](const testing::TestParamInfo<MethodKind>& info) {
+      return MethodParamName(info.param);
+    });
 
 }  // namespace
 }  // namespace redo::engine

@@ -228,6 +228,9 @@ Status DecodeClrStatus(const std::vector<uint8_t>& payload) {
 Status DecodeCheckpointStatus(const std::vector<uint8_t>& payload) {
   return DecodeCheckpoint(payload).status();
 }
+Status DecodeOpStatus(const std::vector<uint8_t>& payload) {
+  return DecodeSinglePageOp(wal::RecordType::kSlotWrite, payload).status();
+}
 
 // Two actions: a slot restore and a before-image with a short hole, so
 // flips land in both kinds' fields and in the image bytes.
@@ -288,6 +291,49 @@ TEST(DecoderMutationTest, CheckpointFlipsAndTruncationsAreDiagnosed) {
     }
   }
   EXPECT_GT(refused, 0u) << "some count flip must be refused";
+}
+
+// A single-page op's arguments run to the payload's end, so a cut past
+// the flags byte still decodes. A born op and a blind op each round-trip,
+// and some flip of their flags byte sets a bit that is neither.
+TEST(DecoderMutationTest, SinglePageOpFlipsAndTruncationsAreDiagnosed) {
+  SinglePageOp born = MakeSlotWrite(6, 3, -9);
+  born.born = true;
+  const SinglePageOp blind = MakeBlindFormat(7, 5);
+  size_t refused = 0;
+  uint64_t seed = 9;
+  for (const SinglePageOp& op : {born, blind}) {
+    const std::vector<uint8_t> payload = EncodeSinglePageOp(op);
+    Result<SinglePageOp> decoded = DecodeSinglePageOp(op.type, payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value(), op);
+    refused += SweepMutants(payload, DecodeOpStatus, seed++,
+                            /*prefixes_decode=*/true);
+  }
+  EXPECT_GT(refused, 0u) << "a flags flip past blind and born must be refused";
+}
+
+// Bit 0 of the flags byte is `blind` and bit 1 is `born`; a byte with any
+// other bit is Corruption naming the byte.
+TEST(DecoderMutationTest, SinglePageOpRefusesUnknownFlagBits) {
+  std::vector<uint8_t> payload = EncodeSinglePageOp(MakeSlotWrite(6, 3, -9));
+  constexpr size_t kFlags = 4;  // after the u32 page id
+  for (int flags = 0; flags < 256; ++flags) {
+    payload[kFlags] = static_cast<uint8_t>(flags);
+    Result<SinglePageOp> decoded =
+        DecodeSinglePageOp(wal::RecordType::kSlotWrite, payload);
+    if (flags < 4) {
+      ASSERT_TRUE(decoded.ok()) << flags << ": " << decoded.status().ToString();
+      EXPECT_EQ(decoded.value().blind, (flags & kOpFlagBlind) != 0);
+      EXPECT_EQ(decoded.value().born, (flags & kOpFlagBorn) != 0);
+      EXPECT_EQ(EncodeSinglePageOp(decoded.value()), payload);
+      continue;
+    }
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << flags;
+    EXPECT_NE(decoded.status().message().find(std::to_string(flags)),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 // A fixed-layout payload is whole: a decoder that stops reading before

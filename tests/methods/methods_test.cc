@@ -13,6 +13,7 @@
 
 #include "engine/minidb.h"
 #include "methods/common.h"
+#include "redo/plan.h"
 
 namespace redo::methods {
 namespace {
@@ -55,6 +56,37 @@ TEST(PhysicalMethodTest, LogsOnlyFullPageImages) {
   ASSERT_EQ(logged.size(), 2u);
   for (const auto& [page, image] : logged) {
     EXPECT_TRUE(image == *db->pool().Fetch(page).value()) << "page " << page;
+  }
+}
+
+// The engine logs an op born exactly when it lands on the zero page (LSN
+// 0, every byte zero), whatever the caller's op said: the first write to
+// a page is born, the next one is not, and the generalized method logs
+// no birth. Under the logical method the op sits inside a kLogicalOp.
+TEST(MethodRecordTest, OnlyAnOpOnTheZeroPageIsLoggedBorn) {
+  for (const MethodKind kind : methods::kMethodKinds) {
+    if (kind == MethodKind::kPhysical) continue;  // logs only images
+    SCOPED_TRACE(methods::MethodKindName(kind));
+    auto db = MakeDb(kind);
+    engine::SinglePageOp claimed = engine::MakeSlotWrite(3, 1, 9);
+    claimed.born = true;
+    ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 5).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(1, 0, 6).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 0).ok());
+    ASSERT_TRUE(db->NewSession().WriteSlot(2, 0, 7).ok());
+    ASSERT_TRUE(db->NewSession().Apply(claimed).ok());
+    ASSERT_TRUE(db->NewSession().Apply(claimed).ok());
+    std::vector<bool> born;
+    for (const wal::LogRecord& record : StableRecords(*db)) {
+      Result<std::optional<par::RedoTask>> task =
+          par::DecodeRedoTask(record, /*whole_splits=*/false);
+      ASSERT_TRUE(task.ok()) << task.status().ToString();
+      ASSERT_TRUE(task.value().has_value());
+      born.push_back(task.value()->op.born);
+    }
+    const bool births = kind != MethodKind::kGeneralized;
+    EXPECT_EQ(born, (std::vector<bool>{births, false, births, false, births,
+                                       false}));
   }
 }
 

@@ -411,12 +411,23 @@ TEST(NetServerCrashTest, DisconnectAllLetsInstantRecoveryRunThenClientsResume) {
 
 // One round of the on-demand read check: build recoverable state, crash,
 // serve while redoing, and read over the wire from the page the
-// background drain reaches last. The value must always be the recovered
-// one; `drained_on_demand` reports whether the read beat the drain to
-// the page (the drain may win the race on a loaded machine).
+// background drain reaches last. Every page is born, flushed and
+// checkpointed past before the writes the restart replays, so every
+// chain reads its page (a chain that starts at its page's birth would
+// read nothing). The value must always be the recovered one;
+// `drained_on_demand` reports whether the read beat the drain to the
+// page (the drain may win the race on a loaded machine).
 void ReadDuringServingRound(const MiniDbOptions& options,
                             bool* drained_on_demand) {
   auto db = MakeDb(options);
+  {
+    MiniDb::Session session = db->NewSession();
+    for (PageId p = 0; p < kPages; ++p) {
+      ASSERT_TRUE(session.WriteSlot(p, 4, 1).ok());
+    }
+  }
+  ASSERT_TRUE(db->FlushEverything().ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
   {
     MiniDb::Session session = db->NewSession();
     for (PageId p = 0; p < kPages; ++p) {

@@ -908,27 +908,8 @@ int RunTxnUndoCost() {
   return silent_at_zero ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--parallel") == 0) {
-    return RunParallelSpeedup();
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--frontend") == 0) {
-    return RunFrontendThroughput();
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--instant") == 0) {
-    return RunInstantRestart();
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--txn") == 0) {
-    return RunTxnUndoCost();
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--overhead") == 0) {
-    return RunTracingOverhead();
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--io") == 0) {
-    return RunAsyncIoSweep();
-  }
+// Experiment S6, the default: the method matrix.
+int RunMethodMatrix() {
   constexpr size_t kSeeds = 4;
   std::printf("Experiment S6: the §6 method matrix (identical workloads,\n"
               "%zu seeds x 4 crash segments x 250 actions, 16 pages)\n\n",
@@ -978,4 +959,30 @@ int main(int argc, char** argv) {
       "at checkpoints (fewest disk writes); the LSN methods sit between,\n"
       "with generalized-LSN matching physiological except on splits.\n");
   return 0;
+}
+
+constexpr const char* kUsage =
+    "usage: bench_methods_matrix [--parallel | --frontend | --instant | "
+    "--txn | --overhead | --io]\n";
+
+int Usage(const char* argument) {
+  std::fprintf(stderr, "bench_methods_matrix: unknown argument '%s'\n%s",
+               argument, kUsage);
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  constexpr std::pair<const char*, int (*)()> kModes[] = {
+      {"--parallel", RunParallelSpeedup}, {"--frontend", RunFrontendThroughput},
+      {"--instant", RunInstantRestart},   {"--txn", RunTxnUndoCost},
+      {"--overhead", RunTracingOverhead}, {"--io", RunAsyncIoSweep}};
+  if (argc == 1) return RunMethodMatrix();
+  for (const auto& [flag, run] : kModes) {
+    if (std::strcmp(argv[1], flag) == 0) {
+      return argc == 2 ? run() : Usage(argv[2]);
+    }
+  }
+  return Usage(argv[1]);
 }

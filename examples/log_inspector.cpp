@@ -1,7 +1,7 @@
 // A recovery debugger: runs a workload, crashes, and dumps everything a
 // recovery engineer would want to see at the crash point — the stable
-// log with record types and sizes, the segment map (boundaries, seal
-// CRCs, archive status) with scrub verdicts, the checkpoint and its
+// log with record types and sizes, the segment map (boundaries,
+// archive status) with scrub verdicts, the checkpoint and its
 // dirty page table, per-page LSN tags vs. the redo scan, the redo test's
 // verdict per record, and the formal checker's invariant report.
 //
@@ -12,16 +12,21 @@
 // the stable log, followed by the undo pass's verdict.
 //
 // With `--json`, emits the same crash-point inspection as one JSON
-// document (segment map with seal CRCs, scrub verdicts, checkpoint DPT,
+// document (segment map, scrub verdicts, checkpoint DPT,
 // page LSN tags, recovery outcome, transaction table, CLR chains) —
 // parseable by `python3 -m json.tool`, which is exactly what CI runs
 // against it.
 //
 // Usage: log_inspector [--json] [method] [actions] [seed]
 // `method` is one of methods::MethodKindName's six names (default
-// physiological); any other name prints them and exits 2.
+// physiological); any other name prints them and exits 2. `actions`
+// (default 60) is a positive integer and `seed` (default 12) a
+// non-negative one; anything else, or an extra argument, prints the
+// usage line and exits 2.
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -40,37 +45,33 @@ namespace {
 
 using namespace redo;
 
-const char* VerdictName(wal::SegmentVerdict::State state) {
-  switch (state) {
-    case wal::SegmentVerdict::State::kIntact: return "intact";
-    case wal::SegmentVerdict::State::kRepairedFromMirror:
-      return "repaired-from-mirror";
-    case wal::SegmentVerdict::State::kMirrorRebuilt: return "mirror-rebuilt";
-    case wal::SegmentVerdict::State::kResealed: return "resealed";
-    case wal::SegmentVerdict::State::kHole: return "HOLE (unreadable)";
+constexpr const char* kUsage =
+    "usage: log_inspector [--json] [method] [actions] [seed]\n";
+
+int Usage(const std::string& complaint) {
+  std::fprintf(stderr, "log_inspector: %s\n%s", complaint.c_str(), kUsage);
+  return 2;
+}
+
+// A decimal number: digits only, so "x" or "2x" is refused instead of
+// silently parsing as 0 (or 2).
+bool ParseNumber(const char* text, uint64_t* out) {
+  if (*text == '\0' ||
+      std::strspn(text, "0123456789") != std::strlen(text)) {
+    return false;
   }
-  return "?";
+  errno = 0;
+  *out = std::strtoull(text, nullptr, 10);
+  return errno != ERANGE;
 }
 
 void PrintSegments(const char* label, const std::vector<wal::SegmentInfo>& segments) {
   for (const wal::SegmentInfo& seg : segments) {
-    if (seg.sealed) {
-      std::printf("  %s seg %llu: lsn [%llu, %llu], %zu bytes, sealed, ",
-                  label, (unsigned long long)seg.id,
-                  (unsigned long long)seg.first_lsn,
-                  (unsigned long long)seg.last_lsn, seg.bytes);
-      if (seg.mirror_seal != 0) {  // archive copies carry a single seal
-        std::printf("seal crc %08x/%08x%s\n", seg.primary_seal,
-                    seg.mirror_seal, seg.archived ? ", archived" : "");
-      } else {
-        std::printf("seal crc %08x\n", seg.primary_seal);
-      }
-    } else {
-      std::printf("  %s seg %llu: lsn [%llu, %llu], %zu bytes, active\n",
-                  label, (unsigned long long)seg.id,
-                  (unsigned long long)seg.first_lsn,
-                  (unsigned long long)seg.last_lsn, seg.bytes);
-    }
+    std::printf("  %s seg %llu: lsn [%llu, %llu], %zu bytes, %s%s\n", label,
+                (unsigned long long)seg.id, (unsigned long long)seg.first_lsn,
+                (unsigned long long)seg.last_lsn, seg.bytes,
+                seg.sealed ? "sealed" : "active",
+                seg.archived ? ", archived" : "");
   }
 }
 
@@ -91,14 +92,6 @@ void EmitSegmentsJson(obs::JsonWriter& w,
     w.Bool(seg.sealed);
     w.Key("archived");
     w.Bool(seg.archived);
-    if (seg.sealed) {
-      w.Key("primary_seal_crc");
-      w.UInt(seg.primary_seal);
-      if (seg.mirror_seal != 0) {  // archive copies carry a single seal
-        w.Key("mirror_seal_crc");
-        w.UInt(seg.mirror_seal);
-      }
-    }
     w.EndObject();
   }
   w.EndArray();
@@ -189,8 +182,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\n");
     return 2;
   }
-  const int actions = argc > 2 ? std::atoi(argv[2]) : 60;
-  const uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 12;
+  uint64_t actions = 60;
+  uint64_t seed = 12;
+  if (argc > 2 && (!ParseNumber(argv[2], &actions) || actions == 0)) {
+    return Usage(std::string("'") + argv[2] +
+                 "' is not a positive action count");
+  }
+  if (argc > 3 && !ParseNumber(argv[3], &seed)) {
+    return Usage(std::string("'") + argv[3] + "' is not a seed");
+  }
+  if (argc > 4) {
+    return Usage(std::string("unexpected argument '") + argv[4] + "'");
+  }
 
   engine::MiniDbOptions options;
   options.num_pages = 8;
@@ -208,7 +211,7 @@ int main(int argc, char** argv) {
   wopts.num_pages = options.num_pages;
   engine::Workload workload(wopts, seed);
   Rng rng(seed);
-  for (int i = 0; i < actions; ++i) {
+  for (uint64_t i = 0; i < actions; ++i) {
     const engine::Action action = workload.Next();
     const Status st = engine::ExecuteAction(db, action, rng);
     REDO_CHECK(st.ok()) << st.ToString();
@@ -436,7 +439,7 @@ int main(int argc, char** argv) {
                 (unsigned long long)verdict.id,
                 (unsigned long long)verdict.first_lsn,
                 (unsigned long long)verdict.last_lsn,
-                VerdictName(verdict.state));
+                wal::SegmentVerdictStateName(verdict.state));
   }
 
   const methods::StableCheckpoint checkpoint =

@@ -76,7 +76,6 @@ wal::LogFaultOptions LogMediaFaults() {
   wal::LogFaultOptions lf;
   lf.bit_rot_probability = 0.10;
   lf.lost_segment_probability = 0.04;
-  lf.torn_seal_probability = 0.05;
   // Given a damaged copy, P(the other copy is damaged too): the mirror
   // cannot repair, forcing rung 2 or 3.
   lf.double_fault_probability = 0.35;

@@ -168,8 +168,8 @@ struct SimResult : ClientStats {
   size_t pages_healed = 0;
   size_t recovery_retries = 0;     ///< recover attempts repeated after faults
   size_t silent_corruptions = 0;   ///< model mismatch with a valid checksum
-  size_t log_faults_injected = 0;  ///< bit rots + lost copies + torn seals
-  size_t log_scrub_repairs = 0;    ///< mirror repairs + reseals + archive fixes
+  size_t log_faults_injected = 0;  ///< copies rotted or lost, archive included
+  size_t log_scrub_repairs = 0;    ///< live and archive copies rebuilt by scrub
   size_t ladder_mirror_cycles = 0;  ///< damaged cycles resolved by scrub (rung 1)
   size_t ladder_media_cycles = 0;   ///< cycles degraded to media recovery (rung 2)
   size_t ladder_refusals = 0;       ///< diagnosed refusals (rung 3, then restored)

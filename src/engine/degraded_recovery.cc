@@ -132,9 +132,9 @@ LadderReport RunLadder(MiniDb& db, const Backup* backup,
     }
   }
 
-  // Rungs 0/1: scrub. CRC-verify every sealed copy, repair from the
-  // intact twin, re-derive torn seals. If no hole remains, the log is
-  // whole and ordinary recovery is fully trustworthy.
+  // Rungs 0/1: scrub. Decode every sealed copy and repair from the
+  // intact twin. If no hole remains, the log is whole and ordinary
+  // recovery is fully trustworthy.
   {
     obs::PhaseScope phase(tracer, "scrub");
     report.scrub = log.Scrub();

@@ -8,9 +8,8 @@
 //
 //   rung 0  kIntactLog     — scrub found nothing; ordinary recovery.
 //   rung 1  kMirrorRepair  — scrub found damage but every damaged copy
-//                            had an intact twin (mirror) or cleanly
-//                            decoding bytes (reseal); after repair the
-//                            log is whole and ordinary recovery runs.
+//                            had an intact twin (mirror); after repair
+//                            the log is whole and ordinary recovery runs.
 //   rung 2  kMediaRecovery — some segment has no intact live copy, but a
 //                            backup plus the archive cover the hole:
 //                            re-seed the live log from the archive, drop

@@ -5,7 +5,6 @@ namespace redo::wal {
 void LogFaultStats::EmitMetrics(obs::MetricEmitter& emit) const {
   emit.Counter("bit_rots", bit_rots);
   emit.Counter("lost_copies", lost_copies);
-  emit.Counter("torn_seals", torn_seals);
   emit.Counter("double_faults", double_faults);
   emit.Counter("archive_rots", archive_rots);
   emit.Counter("injections", injections);
@@ -26,8 +25,6 @@ LogFaultInjector::Damage LogFaultInjector::Roll() {
   if (r < edge) return Damage::kBitRot;
   edge += options_.lost_segment_probability;
   if (r < edge) return Damage::kLoseCopy;
-  edge += options_.torn_seal_probability;
-  if (r < edge) return Damage::kTearSeal;
   return Damage::kNone;
 }
 
@@ -35,7 +32,7 @@ void LogFaultInjector::SnapshotOnce(const LogManager& log, uint64_t segment_id,
                                     LogCopy copy) {
   const auto key = std::make_pair(segment_id, copy);
   if (snapshots_.count(key) != 0) return;
-  Result<SegmentCopyImage> image = log.PeekSegmentCopy(segment_id, copy);
+  Result<SegmentCopy> image = log.PeekSegmentCopy(segment_id, copy);
   if (image.ok()) snapshots_.emplace(key, std::move(image).value());
 }
 
@@ -47,7 +44,7 @@ bool LogFaultInjector::Apply(LogManager& log, uint64_t segment_id,
   SnapshotOnce(log, segment_id, copy);
   switch (damage) {
     case Damage::kBitRot: {
-      Result<SegmentCopyImage> image = log.PeekSegmentCopy(segment_id, copy);
+      Result<SegmentCopy> image = log.PeekSegmentCopy(segment_id, copy);
       if (!image.ok() || image.value().bytes.empty()) return false;
       const size_t offset = rng_.Below(image.value().bytes.size());
       const uint8_t mask = static_cast<uint8_t>(1u << rng_.Below(8));
@@ -61,12 +58,6 @@ bool LogFaultInjector::Apply(LogManager& log, uint64_t segment_id,
       if (!log.LoseSegmentCopy(segment_id, copy)) return false;
       ++stats_.lost_copies;
       return true;
-    case Damage::kTearSeal: {
-      const uint32_t mask = static_cast<uint32_t>(rng_.Next()) | 1u;
-      if (!log.TearSeal(segment_id, copy, mask)) return false;
-      ++stats_.torn_seals;
-      return true;
-    }
     case Damage::kNone:
       return false;
   }

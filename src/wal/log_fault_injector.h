@@ -7,12 +7,10 @@
 // archive) and injects the log-media fault classes the LogManager's
 // segment format makes evident:
 //
-//  - bit rot: one byte of one copy is XOR-flipped mid-stream; the seal
-//    CRC catches it on the next scrub.
+//  - bit rot: one byte of one copy is XOR-flipped mid-stream; its
+//    frame's CRC32C refuses the copy on the next decode.
 //  - lost segment: a whole copy becomes unreadable (lost file, dead
 //    device).
-//  - torn seal: the seal metadata itself is damaged while the bytes
-//    stay good; scrub re-derives it (a reseal).
 //  - double fault: the same segment's OTHER copy is damaged too, so the
 //    mirror cannot repair it — forcing the degradation ladder.
 //  - archive rot: an archived copy decays, so a later media recovery
@@ -42,7 +40,6 @@ namespace redo::wal {
 struct LogFaultOptions {
   double bit_rot_probability = 0.0;       ///< flip one byte of one copy
   double lost_segment_probability = 0.0;  ///< lose one whole copy
-  double torn_seal_probability = 0.0;     ///< damage the seal, not the bytes
   /// Given a damaged copy, also damage the segment's other copy — the
   /// mirror cannot help, so recovery must degrade to the ladder.
   double double_fault_probability = 0.0;
@@ -53,7 +50,6 @@ struct LogFaultOptions {
 struct LogFaultStats {
   uint64_t bit_rots = 0;
   uint64_t lost_copies = 0;
-  uint64_t torn_seals = 0;
   uint64_t double_faults = 0;  ///< segments with both copies damaged
   uint64_t archive_rots = 0;
   uint64_t injections = 0;     ///< total successful fault injections
@@ -92,7 +88,7 @@ class LogFaultInjector {
 
  private:
   /// The damage kinds a single roll can pick.
-  enum class Damage { kNone, kBitRot, kLoseCopy, kTearSeal };
+  enum class Damage { kNone, kBitRot, kLoseCopy };
 
   Damage Roll();
   /// Applies `damage` to one copy, snapshotting it first. Returns true
@@ -105,7 +101,7 @@ class LogFaultInjector {
   Rng rng_;
   bool paused_ = false;
   /// Pre-damage images, keyed by (segment id, copy).
-  std::map<std::pair<uint64_t, LogCopy>, SegmentCopyImage> snapshots_;
+  std::map<std::pair<uint64_t, LogCopy>, SegmentCopy> snapshots_;
   LogFaultStats stats_;
 };
 

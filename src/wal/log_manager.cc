@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "obs/flight_recorder.h"
-#include "util/crc32c.h"
 
 namespace redo::wal {
 
@@ -35,8 +34,6 @@ const char* SegmentVerdictStateName(SegmentVerdict::State state) {
       return "repaired-from-mirror";
     case SegmentVerdict::State::kMirrorRebuilt:
       return "mirror-rebuilt";
-    case SegmentVerdict::State::kResealed:
-      return "resealed";
     case SegmentVerdict::State::kHole:
       return "hole";
   }
@@ -120,7 +117,6 @@ void LogStats::EmitMetrics(obs::MetricEmitter& emit) const {
   emit.Counter("segments_amputated", segments_amputated);
   emit.Counter("scrub_passes", scrub_passes);
   emit.Counter("mirror_repairs", mirror_repairs);
-  emit.Counter("reseals", reseals);
   emit.Counter("archive_repairs", archive_repairs);
   emit.Counter("scan_cache_hits", scan_cache_hits);
   emit.Counter("scan_decodes", scan_decodes);
@@ -167,8 +163,6 @@ void LogManager::SealActive() {
   seg.sealed = true;
   seg.first_lsn = seg.records.front().lsn;
   seg.last_lsn = seg.records.back().lsn;
-  seg.primary.seal = Crc32c(seg.primary.bytes.data(), seg.primary.bytes.size());
-  seg.mirror.seal = Crc32c(seg.mirror.bytes.data(), seg.mirror.bytes.size());
   seg.archive = seg.primary;  // continuous archiving ships the sealed bytes
   ++stats_.segments_archived;
   ++stats_.segments_sealed;
@@ -421,24 +415,28 @@ void LogManager::Crash() {
 }
 
 std::optional<std::vector<LogRecord>> LogManager::DecodeSealedCopy(
-    const Segment& segment, const Copy& copy) const {
+    const Segment& segment, const SegmentCopy* copy) const {
+  if (copy == nullptr || copy->lost) return std::nullopt;
   ++stats_.scan_decodes;
   std::vector<LogRecord> records;
   size_t offset = 0;
-  while (offset < copy.bytes.size()) {
-    Result<LogRecord> record = DecodeRecord(copy.bytes, &offset);
-    if (!record.ok()) return std::nullopt;
+  while (offset < copy->bytes.size()) {
+    Result<LogRecord> record = DecodeRecord(copy->bytes, &offset);
+    // Every frame decodes, and the LSNs run on from the segment's first
+    // without a gap.
+    if (!record.ok() ||
+        record.value().lsn != segment.first_lsn + records.size()) {
+      return std::nullopt;
+    }
     records.push_back(std::move(record).value());
   }
-  if (records.empty()) return std::nullopt;
-  if (records.front().lsn != segment.first_lsn ||
-      records.back().lsn != segment.last_lsn) {
+  if (records.empty() || records.back().lsn != segment.last_lsn) {
     return std::nullopt;
   }
   return records;
 }
 
-std::array<const LogManager::Copy*, 2> LogManager::TrustedCopies(
+std::array<const SegmentCopy*, 2> LogManager::TrustedCopies(
     const Segment& segment) {
   if (segment.live) return {&segment.primary, &segment.mirror};
   return {&segment.archive.value(), nullptr};
@@ -450,10 +448,9 @@ const std::vector<LogRecord>* LogManager::ReadableSealedRecords(
     ++stats_.scan_cache_hits;
     return &segment.records;
   }
-  for (const Copy* copy : TrustedCopies(segment)) {
-    if (copy == nullptr || copy->lost) continue;
+  for (const SegmentCopy* copy : TrustedCopies(segment)) {
     std::optional<std::vector<LogRecord>> decoded =
-        DecodeSealedCopy(segment, *copy);
+        DecodeSealedCopy(segment, copy);
     if (decoded.has_value()) {
       segment.records = std::move(*decoded);
       segment.records_valid = true;
@@ -465,10 +462,8 @@ const std::vector<LogRecord>* LogManager::ReadableSealedRecords(
 
 std::optional<std::vector<LogRecord>> LogManager::DecodeArchiveCopy(
     const Segment& segment) const {
-  if (!segment.archive.has_value() || segment.archive->lost) {
-    return std::nullopt;
-  }
-  return DecodeSealedCopy(segment, *segment.archive);
+  return DecodeSealedCopy(
+      segment, segment.archive.has_value() ? &*segment.archive : nullptr);
 }
 
 template <typename OnRecord>
@@ -702,8 +697,6 @@ std::vector<SegmentInfo> LogManager::LiveSegments() const {
     info.last_lsn = seg.last_lsn;
     info.sealed = seg.sealed;
     info.bytes = seg.primary.bytes.size();
-    info.primary_seal = seg.primary.seal;
-    info.mirror_seal = seg.mirror.seal;
     info.archived = seg.archive.has_value();
     infos.push_back(info);
   }
@@ -720,7 +713,6 @@ std::vector<SegmentInfo> LogManager::ArchivedSegments() const {
     info.last_lsn = seg.last_lsn;
     info.sealed = true;
     info.bytes = seg.archive->bytes.size();
-    info.primary_seal = seg.archive->seal;
     info.archived = true;
     infos.push_back(info);
   }
@@ -744,83 +736,58 @@ core::Lsn LogManager::archived_through() const {
 ScrubReport LogManager::Scrub() {
   ScrubReport report;
   ++stats_.scrub_passes;
-  auto copy_intact = [](const Copy& copy) {
-    return !copy.lost &&
-           Crc32c(copy.bytes.data(), copy.bytes.size()) == copy.seal;
+  // What a copy decoded to fills the parsed cache, so the reads after
+  // the scrub decode nothing again.
+  auto keep = [](Segment& seg, std::vector<LogRecord>&& records) {
+    seg.records = std::move(records);
+    seg.records_valid = true;
   };
   for (Segment& seg : segments_) {
     if (!seg.live || !seg.sealed) continue;
     ++report.segments;
-    SegmentVerdict verdict;
-    verdict.id = seg.id;
-    verdict.first_lsn = seg.first_lsn;
-    verdict.last_lsn = seg.last_lsn;
-    const bool primary_ok = copy_intact(seg.primary);
-    const bool mirror_ok = copy_intact(seg.mirror);
-    if (primary_ok && mirror_ok) {
+    SegmentVerdict verdict{seg.id, seg.first_lsn, seg.last_lsn};
+    std::optional<std::vector<LogRecord>> primary =
+        DecodeSealedCopy(seg, &seg.primary);
+    std::optional<std::vector<LogRecord>> mirror =
+        DecodeSealedCopy(seg, &seg.mirror);
+    if (primary.has_value() && mirror.has_value()) {
       verdict.state = SegmentVerdict::State::kIntact;
-    } else if (primary_ok) {
+    } else if (primary.has_value()) {
       seg.mirror = seg.primary;
       ++report.repairs;
       ++stats_.mirror_repairs;
       verdict.state = SegmentVerdict::State::kMirrorRebuilt;
-    } else if (mirror_ok) {
+    } else if (mirror.has_value()) {
       seg.primary = seg.mirror;
-      seg.records_valid = false;
+      primary = std::move(mirror);
       ++report.repairs;
       ++stats_.mirror_repairs;
       verdict.state = SegmentVerdict::State::kRepairedFromMirror;
     } else {
-      // Neither seal verifies. The bytes themselves may still be fine
-      // (a torn *seal*): accept a copy that decodes cleanly end-to-end
-      // and matches the segment's LSN range, and re-derive its seal.
-      bool resealed = false;
-      for (Copy* copy : {&seg.primary, &seg.mirror}) {
-        if (copy->lost) continue;
-        std::optional<std::vector<LogRecord>> decoded =
-            DecodeSealedCopy(seg, *copy);
-        if (!decoded.has_value()) continue;
-        copy->seal = Crc32c(copy->bytes.data(), copy->bytes.size());
-        seg.records = std::move(*decoded);
-        seg.records_valid = true;
-        // Both copies now carry the verified, resealed bytes.
-        if (copy == &seg.mirror) seg.primary = seg.mirror;
-        seg.mirror = seg.primary;
-        ++report.repairs;
-        ++stats_.reseals;
-        verdict.state = SegmentVerdict::State::kResealed;
-        resealed = true;
-        break;
-      }
-      if (!resealed) {
-        verdict.state = SegmentVerdict::State::kHole;
-        ++report.holes;
-        if (report.first_unreadable_lsn == 0) {
-          report.first_unreadable_lsn = seg.first_lsn;
-        }
+      verdict.state = SegmentVerdict::State::kHole;
+      ++report.holes;
+      if (report.first_unreadable_lsn == 0) {
+        report.first_unreadable_lsn = seg.first_lsn;
       }
     }
+    if (primary.has_value()) keep(seg, std::move(*primary));
     report.verdicts.push_back(verdict);
   }
-  // The archive copies: verify seals; repair a damaged archive copy from
-  // its live twin (now scrubbed) when possible.
+  // The archive copies: a damaged one is rebuilt from its live twin
+  // (now scrubbed) when that twin is readable. Re-seeding a live hole
+  // from the archive is rung 2's (RepairFromArchive), not the scrub's.
   for (Segment& seg : segments_) {
     if (!seg.archive.has_value()) continue;
-    SegmentVerdict verdict;
-    verdict.id = seg.id;
-    verdict.first_lsn = seg.first_lsn;
-    verdict.last_lsn = seg.last_lsn;
-    if (copy_intact(*seg.archive)) {
+    SegmentVerdict verdict{seg.id, seg.first_lsn, seg.last_lsn};
+    std::optional<std::vector<LogRecord>> archived = DecodeArchiveCopy(seg);
+    if (archived.has_value()) {
       verdict.state = SegmentVerdict::State::kIntact;
-    } else if (DecodeArchiveCopy(seg).has_value()) {
-      seg.archive->seal =
-          Crc32c(seg.archive->bytes.data(), seg.archive->bytes.size());
-      ++report.archive_repairs;
-      ++stats_.reseals;
-      verdict.state = SegmentVerdict::State::kResealed;
+      // A retired segment's reads trust its archive copy.
+      if (!seg.live) keep(seg, std::move(*archived));
     } else if (seg.live && ReadableSealedRecords(seg) != nullptr) {
       seg.archive = seg.primary;
       ++report.archive_repairs;
+      ++stats_.mirror_repairs;
       verdict.state = SegmentVerdict::State::kRepairedFromMirror;
     } else {
       verdict.state = SegmentVerdict::State::kHole;
@@ -877,8 +844,8 @@ size_t LogManager::Retire(size_t index) {
     return index;
   }
   seg.live = false;
-  seg.primary = Copy{};
-  seg.mirror = Copy{};
+  seg.primary = SegmentCopy{};
+  seg.mirror = SegmentCopy{};
   seg.records.clear();
   return index + 1;
 }
@@ -989,8 +956,8 @@ void LogManager::CorruptStableTail(size_t drop_bytes) {
         [](const Segment& earlier) { return earlier.live; });
     if (drop == 0 || only_live) break;
     // The cut consumed the whole active segment: the damage runs into
-    // the live segment before it, whose seal is now meaningless. A
-    // segment amputated in between lay past the cut.
+    // the live segment before it, which is active again. A segment
+    // amputated in between lay past the cut.
     do {
       segments_.pop_back();
     } while (!segments_.back().live);
@@ -998,8 +965,6 @@ void LogManager::CorruptStableTail(size_t drop_bytes) {
     prev.sealed = false;
     prev.records.clear();
     prev.records_valid = true;
-    prev.primary.seal = 0;
-    prev.mirror.seal = 0;
     prev.first_lsn = 0;
     prev.last_lsn = 0;
     ForgetCheckpoints(prev.id);
@@ -1018,7 +983,7 @@ const LogManager::Segment* LogManager::Find(uint64_t id) const {
   return it != segments_.end() && it->id == id ? &*it : nullptr;
 }
 
-LogManager::Copy* LogManager::FindCopy(uint64_t id, LogCopy copy) {
+SegmentCopy* LogManager::FindCopy(uint64_t id, LogCopy copy) {
   Segment* seg = Find(id);
   if (seg == nullptr) return nullptr;
   if (copy == LogCopy::kArchive) {
@@ -1036,7 +1001,7 @@ size_t LogManager::LiveBytes() const {
 
 bool LogManager::CorruptSegmentByte(uint64_t segment_id, LogCopy copy,
                                     size_t offset, uint8_t xor_mask) {
-  Copy* target = FindCopy(segment_id, copy);
+  SegmentCopy* target = FindCopy(segment_id, copy);
   if (target == nullptr || offset >= target->bytes.size() || xor_mask == 0) {
     return false;
   }
@@ -1046,45 +1011,30 @@ bool LogManager::CorruptSegmentByte(uint64_t segment_id, LogCopy copy,
 }
 
 bool LogManager::LoseSegmentCopy(uint64_t segment_id, LogCopy copy) {
-  Copy* target = FindCopy(segment_id, copy);
+  SegmentCopy* target = FindCopy(segment_id, copy);
   if (target == nullptr) return false;
   target->lost = true;
   Find(segment_id)->records_valid = false;
   return true;
 }
 
-bool LogManager::TearSeal(uint64_t segment_id, LogCopy copy,
-                          uint32_t xor_mask) {
-  Copy* target = FindCopy(segment_id, copy);
-  if (target == nullptr || xor_mask == 0) return false;
-  target->seal ^= xor_mask;
-  Find(segment_id)->records_valid = false;
-  return true;
-}
-
-Result<SegmentCopyImage> LogManager::PeekSegmentCopy(uint64_t segment_id,
-                                                     LogCopy copy) const {
+Result<SegmentCopy> LogManager::PeekSegmentCopy(uint64_t segment_id,
+                                                LogCopy copy) const {
   // FindCopy is non-const only because it returns a mutable pointer.
-  LogManager* self = const_cast<LogManager*>(this);
-  Copy* target = self->FindCopy(segment_id, copy);
+  const SegmentCopy* target =
+      const_cast<LogManager*>(this)->FindCopy(segment_id, copy);
   if (target == nullptr) {
     return Status::NotFound("no such segment copy: id=" +
                             std::to_string(segment_id));
   }
-  SegmentCopyImage image;
-  image.bytes = target->bytes;
-  image.seal = target->seal;
-  image.lost = target->lost;
-  return image;
+  return *target;
 }
 
 bool LogManager::RestoreSegmentCopy(uint64_t segment_id, LogCopy copy,
-                                    const SegmentCopyImage& image) {
-  Copy* target = FindCopy(segment_id, copy);
+                                    const SegmentCopy& image) {
+  SegmentCopy* target = FindCopy(segment_id, copy);
   if (target == nullptr) return false;
-  target->bytes = image.bytes;
-  target->seal = image.seal;
-  target->lost = image.lost;
+  *target = image;
   Find(segment_id)->records_valid = false;  // re-derive from the restored bytes
   return true;
 }

@@ -12,9 +12,9 @@
 // Stable layout: the log body is one list of *segments* in log order.
 // The last segment is the active one — an append-only byte stream
 // subject to torn-tail salvage. Once the active segment reaches
-// `segment_bytes`, it is *sealed* at a record boundary: a CRC32C seal
-// over the whole segment is recorded and the segment gains its *archive*
-// copy (continuous log archiving), and a fresh active segment begins.
+// `segment_bytes`, it is *sealed* at a record boundary: its LSN range
+// is fixed, it gains its *archive* copy (continuous log archiving), and
+// a fresh active segment begins.
 // So a segment carries up to three copies of the same bytes: a primary
 // and a mirror while it belongs to the live log (mid-stream damage to
 // one is repairable from the other), and an archive copy from its seal
@@ -23,20 +23,19 @@
 // ordinary read trusts the live copies of a live segment and the
 // archive copy of a retired one; only the coverage check and the repair
 // (FirstUncoveredLsn, RepairFromArchive) read a live segment's archive
-// copy.
+// copy. A sealed copy is *intact* when every frame decodes and its
+// LSNs run from the segment's first to its last without a gap
+// (DecodeSealedCopy, the one test every reader and Scrub apply).
 //
 // Failure model (the log body is NOT assumed incorruptible):
 //  - torn tail: a crash can interrupt an in-flight force, leaving a
 //    byte-granular prefix of the force on the active segment. Per-record
 //    framing (length prefix + CRC32C) makes the damage evident;
 //    SalvageTornTail truncates at the last valid record.
-//  - bit rot: a byte of a sealed segment copy decays; the seal CRC makes
-//    it evident. Scrub repairs the copy from its intact twin.
+//  - bit rot: a byte of a sealed segment copy decays; its frame's
+//    CRC32C makes it evident. Scrub repairs the copy from its intact twin.
 //  - lost segment: a whole segment copy becomes unreadable (lost file,
 //    dead device). Repairable from the mirror, else from the archive.
-//  - torn seal: the seal metadata itself is damaged. If the bytes still
-//    decode cleanly end-to-end and match the segment's LSN range, Scrub
-//    re-derives and re-records the seal (a "reseal").
 // A segment with NO intact copy is a *hole*. Recovery must never scan
 // past a hole — redo requires an unbroken record prefix — so holes force
 // the degradation ladder (engine/degraded_recovery.h): media recovery
@@ -128,12 +127,12 @@ struct LogStats {
   uint64_t segments_amputated = 0;  ///< unreadable segments dropped under backup cover
   uint64_t scrub_passes = 0;
   uint64_t mirror_repairs = 0;   ///< copies rebuilt from their intact twin
-  uint64_t reseals = 0;          ///< seals re-derived from cleanly-decoding bytes
   uint64_t archive_repairs = 0;  ///< live segments rebuilt from the archive
   // Parsed-record cache (scans and lookups read it instead of
   // re-deserializing the stable image).
   uint64_t scan_cache_hits = 0;  ///< segments served from the parsed cache
-  uint64_t scan_decodes = 0;     ///< segment decodes forced by a cold/invalid cache
+  uint64_t scan_decodes = 0;     ///< sealed copies decoded: by a read on a
+                                 ///< cold/invalid cache, and by Scrub
   uint64_t stable_visits = 0;    ///< VisitStable passes (copying scans included)
   // Group-commit counters.
   uint64_t group_commits = 0;      ///< CommitWait calls acknowledged
@@ -170,8 +169,6 @@ struct SegmentInfo {
   core::Lsn last_lsn = 0;
   bool sealed = false;
   size_t bytes = 0;             ///< primary copy size
-  uint32_t primary_seal = 0;    ///< CRC32C seal (sealed segments)
-  uint32_t mirror_seal = 0;
   bool archived = false;        ///< an archive copy exists
 };
 
@@ -184,7 +181,6 @@ struct SegmentVerdict {
     kIntact,              ///< both copies verified
     kRepairedFromMirror,  ///< primary rebuilt from the mirror
     kMirrorRebuilt,       ///< mirror rebuilt from the primary
-    kResealed,            ///< seal re-derived from cleanly-decoding bytes
     kHole,                ///< no intact copy — unreadable
   } state = State::kIntact;
 };
@@ -197,7 +193,7 @@ const char* SegmentVerdictStateName(SegmentVerdict::State state);
 /// repaired too).
 struct ScrubReport {
   size_t segments = 0;  ///< sealed live segments examined
-  size_t repairs = 0;   ///< mirror repairs + reseals (live)
+  size_t repairs = 0;   ///< live copies rebuilt from their twin
   size_t holes = 0;     ///< live segments with no intact copy
   size_t archive_repairs = 0;
   size_t archive_holes = 0;
@@ -207,11 +203,10 @@ struct ScrubReport {
   bool clean() const { return holes == 0; }
 };
 
-/// A snapshot of one segment copy, for fault injectors that must be able
-/// to undo their damage (the offsite-restore model).
-struct SegmentCopyImage {
+/// One physical copy of a segment's bytes. Fault injectors snapshot
+/// copies to undo their damage (the offsite-restore model).
+struct SegmentCopy {
   std::vector<uint8_t> bytes;
-  uint32_t seal = 0;
   bool lost = false;
 };
 
@@ -393,8 +388,8 @@ class LogManager {
   /// Metadata of every live segment, in log order (last = active).
   std::vector<SegmentInfo> LiveSegments() const;
 
-  /// Metadata of every segment's archive copy, in log order (the
-  /// primary fields describe the archive copy).
+  /// Metadata of every segment's archive copy, in log order (`bytes`
+  /// is the archive copy's size).
   std::vector<SegmentInfo> ArchivedSegments() const;
 
   /// First LSN still present in the live log (0 if the live log is
@@ -404,11 +399,11 @@ class LogManager {
   /// Last LSN covered by the archive (0 if no segment was archived).
   core::Lsn archived_through() const;
 
-  /// One scrub pass: CRC-verifies both copies of every sealed live
-  /// segment, repairs a damaged copy from its intact twin, re-derives
-  /// torn seals from cleanly-decoding bytes, and reports the segments
-  /// with no intact copy (holes). Also verifies the archive, repairing
-  /// archived copies whose live twin is intact.
+  /// One scrub pass: decodes both copies of every sealed live segment,
+  /// repairs a damaged copy from its intact twin, and reports the
+  /// segments with no intact copy (holes). Also decodes the archive,
+  /// rebuilding an archive copy whose live twin is readable. What it
+  /// decoded fills the parsed cache.
   ScrubReport Scrub();
 
   /// First LSN of the first live segment with no intact copy; 0 when the
@@ -466,26 +461,16 @@ class LogManager {
   /// Fault hook: marks a whole segment copy unreadable (lost file).
   bool LoseSegmentCopy(uint64_t segment_id, LogCopy copy);
 
-  /// Fault hook: XORs the stored seal of a segment copy (torn seal).
-  bool TearSeal(uint64_t segment_id, LogCopy copy, uint32_t xor_mask);
-
   /// Snapshot of a segment copy, so injectors can undo their damage.
-  Result<SegmentCopyImage> PeekSegmentCopy(uint64_t segment_id,
-                                           LogCopy copy) const;
+  Result<SegmentCopy> PeekSegmentCopy(uint64_t segment_id,
+                                      LogCopy copy) const;
 
   /// Restores a segment copy from a snapshot (the offsite-restore
   /// model). Returns false if the segment no longer exists.
   bool RestoreSegmentCopy(uint64_t segment_id, LogCopy copy,
-                          const SegmentCopyImage& image);
+                          const SegmentCopy& image);
 
  private:
-  /// One physical copy of a segment's bytes.
-  struct Copy {
-    std::vector<uint8_t> bytes;
-    uint32_t seal = 0;  ///< CRC32C over bytes, recorded at seal time
-    bool lost = false;
-  };
-
   /// One record waiting for a force, with its wire frame (EncodeRecord),
   /// encoded once at append.
   struct PendingRecord {
@@ -506,9 +491,9 @@ class LogManager {
     core::Lsn last_lsn = 0;
     bool sealed = false;
     bool live = true;
-    Copy primary;
-    Copy mirror;
-    std::optional<Copy> archive;
+    SegmentCopy primary;
+    SegmentCopy mirror;
+    std::optional<SegmentCopy> archive;
     mutable std::vector<LogRecord> records;
     mutable bool records_valid = true;
   };
@@ -535,15 +520,17 @@ class LogManager {
   /// Drops the cached checkpoint locations in segment `id`.
   void ForgetCheckpoints(uint64_t id);
 
-  /// Decodes a copy's bytes into records; nullopt unless the decode is
-  /// clean end-to-end and matches the segment's recorded LSN range.
+  /// The one test of an intact sealed copy: its records, if `copy`
+  /// exists, is not lost, every frame decodes, and the LSNs run from the
+  /// segment's first to its last without a gap; nullopt otherwise.
   std::optional<std::vector<LogRecord>> DecodeSealedCopy(
-      const Segment& segment, const Copy& copy) const;
+      const Segment& segment, const SegmentCopy* copy) const;
 
   /// The copies of `segment` an ordinary read trusts, in the order it
   /// tries them: primary then mirror while the segment is live, its
   /// archive copy once it is retired. Unused slots are null.
-  static std::array<const Copy*, 2> TrustedCopies(const Segment& segment);
+  static std::array<const SegmentCopy*, 2> TrustedCopies(
+      const Segment& segment);
 
   /// The records of a sealed segment from the first of its trusted
   /// copies that decodes; nullptr if the segment is a hole. Refills the
@@ -551,9 +538,9 @@ class LogManager {
   const std::vector<LogRecord>* ReadableSealedRecords(
       const Segment& segment) const;
 
-  /// A read of `segment`'s archive copy: its records if the copy
-  /// exists and decodes. Leaves the parsed cache alone — while the
-  /// segment is live the cache holds only its live copies' records.
+  /// A read of `segment`'s archive copy (DecodeSealedCopy). Leaves the
+  /// parsed cache alone — while the segment is live the cache holds only
+  /// its live copies' records.
   std::optional<std::vector<LogRecord>> DecodeArchiveCopy(
       const Segment& segment) const;
 
@@ -581,7 +568,7 @@ class LogManager {
   }
   /// Segment `id`'s `copy` where it exists — a live copy of a sealed live
   /// segment, or an archive copy; nullptr otherwise.
-  Copy* FindCopy(uint64_t id, LogCopy copy);
+  SegmentCopy* FindCopy(uint64_t id, LogCopy copy);
 
   size_t LiveBytes() const;
   void RefreshStableBytes() { stats_.stable_bytes = LiveBytes(); }

@@ -1,7 +1,8 @@
-// The segmented stable log: sealing at record boundaries, CRC32C seals,
-// mirror repair, reseals, archiving, checkpoint truncation, the
-// archive coverage check and repair, and the parsed-record cache that
-// keeps repeated scans from re-deserializing the whole image.
+// The segmented stable log: sealing at record boundaries, the one test
+// of an intact copy (its frames decode with no LSN gap), mirror repair,
+// archiving, checkpoint truncation, the archive coverage check and
+// repair, and the parsed-record cache that keeps repeated scans from
+// re-deserializing the whole image.
 
 #include <gtest/gtest.h>
 
@@ -79,8 +80,6 @@ TEST(SegmentTest, SealsAtRecordBoundariesAndArchives) {
     if (info.sealed) {
       EXPECT_EQ(info.bytes % kRecordBytes, 0u) << "sealed at a record boundary";
       EXPECT_TRUE(info.archived) << "sealed segments ship to the archive";
-      EXPECT_NE(info.primary_seal, 0u);
-      EXPECT_EQ(info.primary_seal, info.mirror_seal) << "lockstep copies";
     }
     expected_first = info.last_lsn + 1;
   }
@@ -147,25 +146,6 @@ TEST(SegmentTest, ScrubRepairsLostCopyFromTwin) {
   EXPECT_EQ(log.StableRecords(1).value().size(), 7u);
 }
 
-TEST(SegmentTest, ScrubResealsWhenOnlySealsAreTorn) {
-  LogManager log = MakeSegmented();
-  for (uint8_t i = 1; i <= 7; ++i) AppendForced(log, i);
-  const SegmentInfo target = FirstSealed(log);
-
-  // Both seals damaged, bytes pristine: the segment still decodes
-  // cleanly end-to-end and matches its LSN range, so the seal is
-  // re-derived instead of declaring a hole.
-  ASSERT_TRUE(log.TearSeal(target.id, LogCopy::kPrimary, 0xdeadbeef));
-  ASSERT_TRUE(log.TearSeal(target.id, LogCopy::kMirror, 0xbadc0ffe));
-  const ScrubReport report = log.Scrub();
-  EXPECT_TRUE(report.clean());
-  ASSERT_FALSE(report.verdicts.empty());
-  EXPECT_EQ(report.verdicts[0].state, SegmentVerdict::State::kResealed);
-  EXPECT_GE(log.stats().reseals, 1u);
-  EXPECT_TRUE(log.Scrub().clean());
-  EXPECT_EQ(log.StableRecords(1).value().size(), 7u);
-}
-
 // Every byte of a sealed segment is covered. Rot one byte of the
 // primary and Scrub repairs it from the mirror, after which a full scan
 // reads every record unchanged. Rot the same byte of both copies and
@@ -228,26 +208,105 @@ TEST(SegmentTest, EveryByteOfASealedSegmentIsRepairedOrAHole) {
   }
 }
 
-// A torn seal never costs a segment whose bytes are intact: with the
-// same seal bit torn on both copies, Scrub re-derives the seal.
-TEST(SegmentTest, EveryTornSealBitIsResealed) {
-  for (int bit = 0; bit < 32; ++bit) {
-    LogManager log = MakeSegmented();
-    for (uint8_t i = 1; i <= 7; ++i) AppendForced(log, i);
-    const SegmentInfo target = FirstSealed(log);
-    for (const LogCopy copy : {LogCopy::kPrimary, LogCopy::kMirror}) {
-      ASSERT_TRUE(log.TearSeal(target.id, copy, uint32_t{1} << bit));
-    }
-    const ScrubReport report = log.Scrub();
-    EXPECT_TRUE(report.clean()) << "bit " << bit;
-    ASSERT_FALSE(report.verdicts.empty());
-    EXPECT_EQ(report.verdicts[0].state, SegmentVerdict::State::kResealed)
-        << "bit " << bit;
-    const SegmentInfo resealed = FirstSealed(log);
-    EXPECT_EQ(resealed.primary_seal, target.primary_seal) << "bit " << bit;
-    EXPECT_EQ(resealed.mirror_seal, target.mirror_seal) << "bit " << bit;
-    EXPECT_EQ(log.StableRecords(1).value().size(), 7u) << "bit " << bit;
-  }
+// A copy is intact only when every frame decodes and its LSNs run from
+// the segment's first to its last without a gap. A primary with its
+// middle frame cut out still decodes frame by frame and still starts
+// and ends at the segment's LSNs; with its mirror lost, the segment is
+// a hole for every reader and for scrub, and only the archive
+// rebuilds it.
+TEST(SegmentTest, CopyMissingAnInteriorRecordIsAHole) {
+  LogManager log = MakeSegmented();
+  for (uint8_t i = 1; i <= 7; ++i) AppendForced(log, i);
+  const SegmentInfo target = FirstSealed(log);
+  ASSERT_EQ(target.bytes, 3 * kRecordBytes);
+  const core::Lsn cut = target.first_lsn + 1;
+
+  SegmentCopy primary =
+      log.PeekSegmentCopy(target.id, LogCopy::kPrimary).value();
+  primary.bytes.erase(primary.bytes.begin() + kRecordBytes,
+                      primary.bytes.begin() + 2 * kRecordBytes);
+  ASSERT_TRUE(log.RestoreSegmentCopy(target.id, LogCopy::kPrimary, primary));
+  ASSERT_TRUE(log.LoseSegmentCopy(target.id, LogCopy::kMirror));
+
+  EXPECT_EQ(log.FirstHoleLsn(), target.first_lsn);
+  const auto ignore = [](const LogRecord&) { return Status::Ok(); };
+  EXPECT_TRUE(log.VisitStable(1, ignore).value().torn);
+  EXPECT_EQ(log.StableRecordAt(cut).status().code(), StatusCode::kCorruption);
+  const ScrubReport report = log.Scrub();
+  EXPECT_EQ(report.holes, 1u);
+  EXPECT_EQ(report.repairs, 0u);
+
+  EXPECT_EQ(log.RepairFromArchive(), 1u);
+  const std::vector<LogRecord> records = log.StableRecords(1).value();
+  ASSERT_EQ(records.size(), 7u);
+  for (size_t i = 0; i < records.size(); ++i) EXPECT_EQ(records[i].lsn, i + 1);
+}
+
+// Scrub keeps the records it decoded in the parsed cache, so a read
+// after it rebuilt a primary from its mirror decodes nothing again.
+TEST(SegmentTest, ReadAfterAScrubRepairDecodesNoSegment) {
+  LogManager log = MakeSegmented();
+  for (uint8_t i = 1; i <= 7; ++i) AppendForced(log, i);
+  const SegmentInfo target = FirstSealed(log);
+  ASSERT_TRUE(log.CorruptSegmentByte(target.id, LogCopy::kPrimary, 5, 0x40));
+  const ScrubReport report = log.Scrub();
+  ASSERT_FALSE(report.verdicts.empty());
+  ASSERT_EQ(report.verdicts[0].state,
+            SegmentVerdict::State::kRepairedFromMirror);
+
+  const uint64_t decodes = log.stats().scan_decodes;
+  ASSERT_EQ(log.StableRecords(1).value().size(), 7u);
+  EXPECT_EQ(log.stats().scan_decodes, decodes);
+}
+
+// Scrub's archive pass: a rotten archive copy of a live segment is
+// rebuilt from its intact live twin and counts as a mirror repair.
+TEST(SegmentTest, ScrubRebuildsARottenArchiveCopyFromItsLiveTwin) {
+  LogManager log = MakeSegmented();
+  for (uint8_t i = 1; i <= 7; ++i) AppendForced(log, i);
+  const SegmentInfo target = FirstSealed(log);
+  ASSERT_TRUE(log.CorruptSegmentByte(target.id, LogCopy::kArchive, 5, 0x40));
+
+  const uint64_t mirror_repairs = log.stats().mirror_repairs;
+  const ScrubReport report = log.Scrub();
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.repairs, 0u);
+  EXPECT_EQ(report.archive_repairs, 1u);
+  EXPECT_EQ(report.archive_holes, 0u);
+  ASSERT_FALSE(report.archive_verdicts.empty());
+  EXPECT_EQ(report.archive_verdicts[0].id, target.id);
+  EXPECT_EQ(report.archive_verdicts[0].state,
+            SegmentVerdict::State::kRepairedFromMirror);
+  EXPECT_EQ(log.stats().mirror_repairs, mirror_repairs + 1);
+
+  // The rebuilt archive copy decodes again: the next scrub finds it
+  // intact, and it alone re-seeds the segment once both live copies
+  // are lost.
+  EXPECT_EQ(log.Scrub().archive_verdicts[0].state,
+            SegmentVerdict::State::kIntact);
+  ASSERT_TRUE(log.LoseSegmentCopy(target.id, LogCopy::kPrimary));
+  ASSERT_TRUE(log.LoseSegmentCopy(target.id, LogCopy::kMirror));
+  EXPECT_EQ(log.RepairFromArchive(), 1u);
+  EXPECT_EQ(log.StableRecords(1).value().size(), 7u);
+}
+
+// A retired segment has no live twin, so its rotten archive copy is an
+// archive hole.
+TEST(SegmentTest, RottenArchiveCopyOfARetiredSegmentIsAnArchiveHole) {
+  LogManager log = MakeSegmented();
+  for (uint8_t i = 1; i <= 3; ++i) AppendForced(log, i);  // sealed: 1-3
+  AppendForced(log, 4, RecordType::kCheckpoint);
+  ASSERT_EQ(log.TruncateArchived(log.stable_lsn()), 1u);
+  const SegmentInfo retired = log.ArchivedSegments().front();
+  ASSERT_TRUE(log.CorruptSegmentByte(retired.id, LogCopy::kArchive, 5, 0x40));
+
+  const ScrubReport report = log.Scrub();
+  EXPECT_EQ(report.segments, 0u) << "no sealed live segment";
+  EXPECT_EQ(report.archive_repairs, 0u);
+  EXPECT_EQ(report.archive_holes, 1u);
+  ASSERT_EQ(report.archive_verdicts.size(), 1u);
+  EXPECT_EQ(report.archive_verdicts[0].id, retired.id);
+  EXPECT_EQ(report.archive_verdicts[0].state, SegmentVerdict::State::kHole);
 }
 
 TEST(SegmentTest, DoubleFaultIsAHoleAndScansStopThere) {
@@ -400,7 +459,7 @@ TEST(SegmentTest, FaultHooksInvalidateTheParsedCache) {
   // Damage + undo (the injector's snapshot/restore pattern): the bytes
   // are byte-identical again, but the cache was invalidated, so the next
   // scan re-verifies by decoding instead of trusting stale parses.
-  const SegmentCopyImage primary =
+  const SegmentCopy primary =
       log.PeekSegmentCopy(target.id, LogCopy::kPrimary).value();
   ASSERT_TRUE(log.CorruptSegmentByte(target.id, LogCopy::kPrimary, 5, 0x20));
   ASSERT_TRUE(log.RestoreSegmentCopy(target.id, LogCopy::kPrimary, primary));
